@@ -749,13 +749,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             TraceBuffer(args.buffer, args.depth, result.traced).capture(
                 records
             )
-        # replay the captured run through the localization engine so
+        # replay the captured run through the localization kernels so
         # the kernel stage counters (localize_kernel_*,
         # localize_table_*) land in the same table
         with perf.timed("localize"):
-            localizer = PathLocalizer(
-                u, result.traced, engine=args.engine
-            ).warm()
+            localizer = PathLocalizer(u, result.traced).warm()
             observed = [
                 r.message
                 for r in records
@@ -778,7 +776,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         payload["wall_time_s"] = round(wall, 6)
         payload["result"] = result.describe()
         payload["cache"] = cache_stats
-        payload["engine"] = localizer.engine
         payload["localize_tables"] = table_stats
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -792,8 +789,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(f"{'artifact cache':<24}  "
           f"{cache_stats['hits']:>7} hit(s) / "
           f"{cache_stats['misses']} miss(es)")
-    print(f"{'localize engine':<24}  {localizer.engine:>14} "
-          f"({table_stats['backend']} backend)")
+    print(f"{'localize backend':<24}  {table_stats['backend']:>14}")
     print(f"{'localize tables':<24}  "
           f"{table_stats['hits']:>7} hit(s) / "
           f"{table_stats['misses']} miss(es), "
@@ -1315,11 +1311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("exhaustive", "knapsack"), default="exhaustive"
     )
     profile.add_argument("--no-packing", action="store_true")
-    profile.add_argument(
-        "--engine", choices=("dense", "reference"), default=None,
-        help="localization engine for the replay stage (default: "
-        "REPRO_LOCALIZE_ENGINE, else dense)"
-    )
     profile.add_argument("--json", action="store_true",
                          help="emit the counters as JSON")
     profile.set_defaults(func=_cmd_profile)

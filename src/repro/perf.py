@@ -30,8 +30,8 @@ an outer campaign-level collection still sees the counters of inner
 per-scenario ones.  The active-collector stack is process-global and
 not thread-isolated -- profiling is a single-threaded activity here.
 
-Localization-kernel counter registry (reported by
-:mod:`repro.selection.kernels` and the dense engine seam in
+Localization counter registry (reported by
+:mod:`repro.selection.kernels` and
 :mod:`repro.selection.localization`):
 
 * ``localize_kernel_batches`` / ``localize_kernel_symbols`` -- batched
@@ -46,8 +46,8 @@ Localization-kernel counter registry (reported by
   ``localize_table_compiles`` / ``localize_table_bytes`` -- the
   cross-shard :class:`~repro.selection.kernels.TableRegistry`;
 * ``localize_window_memo_hits`` -- reused window-mode count tables;
-* ``localize_dp_steps`` -- the reference engine's dict-walk steps
-  (kept for before/after comparisons);
+* ``localize_dp_steps`` -- window mode's composed-DP table entries
+  (the prefix/exact kernels count ``localize_kernel_edges`` instead);
 * timed stage ``localize_compile`` -- table compilation wall time.
 """
 

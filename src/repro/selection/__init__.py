@@ -9,7 +9,7 @@
   with sub-message groups.
 * :mod:`repro.selection.localization` -- path localization of observed
   traces (Section 5.2).
-* :mod:`repro.selection.kernels` -- the dense localization engine:
+* :mod:`repro.selection.kernels` -- the localization DP kernels:
   compiled transition operators, the invisible-closure matrix, and the
   content-addressed table registry shared across sessions and shards.
 """
@@ -26,7 +26,6 @@ from repro.selection.kernels import (
     CompiledTables,
     TableRegistry,
     default_registry,
-    resolve_engine_name,
 )
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "CompiledTables",
     "TableRegistry",
     "default_registry",
-    "resolve_engine_name",
 ]

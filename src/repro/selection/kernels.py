@@ -1,14 +1,13 @@
 """Vectorized localization kernels and the cross-shard table registry.
 
 The per-event inner loop of the serving stack is the localization DP:
-every FEED chunk the debug server accepts walks
-:meth:`~repro.selection.localization.PathLocalizer.advance_frontier`
-one symbol at a time through Python dicts -- per-edge hashing, per-edge
-dict churn, and a heap-based invisible-closure walk per symbol.  This
-module compiles the interleaved flow's CSR adjacency into **transition
-operators** so that a frontier becomes a sorted ``(state IDs, weights)``
-vector pair over the *live* states and consuming one observed symbol is
-a fixed, small number of gather/scatter-add kernel calls:
+every FEED chunk the debug server accepts advances the frontier of
+:class:`~repro.selection.localization.PathLocalizer` by the chunk's
+observed symbols.  This module compiles the interleaved flow's CSR
+adjacency into **transition operators** so that a frontier becomes a
+sorted ``(state IDs, weights)`` vector pair over the *live* states and
+consuming one observed symbol is a fixed, small number of
+gather/scatter-add kernel calls:
 
 * **per-symbol operators** -- for every visible message ID (and for
   every plain message, the union over its instances) the ``(source,
@@ -20,41 +19,35 @@ a fixed, small number of gather/scatter-add kernel calls:
 * **the invisible-closure matrix** -- the transitive path counts
   ``paths(i -> j)`` along non-traced edges, precomputed once per
   ``(scenario, visible set)`` as source-sorted triplets, so closure
-  expansion is the same row-gather/scatter-add instead of a heap
-  relaxation per symbol;
+  expansion is the same row-gather/scatter-add;
 * **chunk-batched stepping** -- :meth:`PathLocalizer.advance_many
   <repro.selection.localization.PathLocalizer.advance_many>` feeds a
   whole FEED chunk through the kernels in one call, amortizing the
   sparse-map/vector conversions over the chunk.
 
 When :mod:`numpy` is available the kernels run on ``int64`` arrays;
-otherwise a pure-Python fallback runs the same compiled tables with
+otherwise the pure-Python backend runs the same compiled tables with
 dict frontiers and precompiled closure ranges (exact big-int
-arithmetic, no third-party imports).  Equality with the reference
-engine is **bit-identical** by construction: all weights are integers,
-integer addition is order-independent, and the numpy path is guarded
-by an exact compile-time overflow bound -- any step whose weights
-could overflow ``int64`` is transparently promoted to the pure-Python
-kernels (counted as ``localize_kernel_promotions``).
+arithmetic, no third-party imports).  The two backends are
+**bit-identical** by construction: all weights are integers, integer
+addition is order-independent, and the numpy path is guarded by an
+exact compile-time overflow bound -- any step whose weights could
+overflow ``int64`` is transparently promoted to the pure-Python
+kernels (counted as ``localize_kernel_promotions``).  The tests check
+both backends against brute-force path enumeration.
 
 Compiled tables are immutable after construction and shared across
 sessions and shard lanes through a content-addressed
 :class:`TableRegistry` keyed by the ``(scenario, visible-set)``
-fingerprint -- previously every
-:class:`~repro.stream.session.SessionManager` (one per server shard)
-rebuilt identical DP tables.  The registry exports hit/miss/byte
+fingerprint, so every :class:`~repro.stream.session.SessionManager`
+(one per server shard) reuses one table set.  Concurrent cold callers
+wait for a single compilation.  The registry exports hit/miss/byte
 counters for the service metrics plane.
-
-Engine selection is controlled by the ``REPRO_LOCALIZE_ENGINE``
-environment variable (``dense``, the default, or ``reference`` -- the
-escape hatch back to the historical dict engine) or explicitly per
-:class:`~repro.selection.localization.PathLocalizer`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from array import array
 from collections import OrderedDict
@@ -70,12 +63,6 @@ try:  # numpy is optional: the pure-Python kernels are the fallback
 except ImportError:  # pragma: no cover - exercised via _force_python
     _np = None
 
-#: Engine names :func:`resolve_engine_name` accepts.
-ENGINES = ("dense", "reference")
-
-#: Environment variable selecting the default localization engine.
-ENGINE_ENV = "REPRO_LOCALIZE_ENGINE"
-
 _INT64_MAX = 2**63 - 1
 
 #: Test hook: set to ``True`` to force the pure-Python kernels even
@@ -89,31 +76,6 @@ def have_numpy() -> bool:
     """Whether the numpy kernel backend is available (and not forced
     off by the test hook)."""
     return _np is not None and not _force_python
-
-
-def resolve_engine_name(explicit: Optional[str] = None) -> str:
-    """The engine a localizer should use: *explicit* when given, else
-    the ``REPRO_LOCALIZE_ENGINE`` environment variable, else ``dense``
-    when numpy is available and ``reference`` otherwise.
-
-    Without numpy the dense engine falls back to pure-Python kernels
-    that are bit-identical but slower than the reference DP on typical
-    frontiers, so defaulting to it would be a silent regression; it
-    stays reachable via ``engine="dense"`` or the environment variable.
-
-    Raises :class:`~repro.errors.SelectionError` on unknown names, so a
-    typo in the environment fails loudly at construction rather than
-    silently picking a default.
-    """
-    name = explicit if explicit is not None else os.environ.get(ENGINE_ENV)
-    if name is None or name == "":
-        return "dense" if have_numpy() else "reference"
-    if name not in ENGINES:
-        raise SelectionError(
-            f"unknown localization engine {name!r}; choose "
-            f"{' or '.join(ENGINES)} (via {ENGINE_ENV} or engine=)"
-        )
-    return name
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +180,7 @@ class _StepResult:
     representation: ``(ids, weights)`` sorted int64 array pairs on
     numpy, plain dicts on the pure-Python kernels.  ``size`` is the
     number of live states in ``closed`` (every stored weight is
-    positive, so it equals the reference engine's ``len(closed)``).
+    positive, so it equals the harvested frontier's ``len(closed)``).
     """
 
     __slots__ = ("matched", "closed", "size")
@@ -274,7 +236,7 @@ class CompiledTables:
     lane localizing the same scenario.  Built by
     :class:`TableRegistry`; the heavy part is the invisible-closure
     transitive path-count matrix, computed once here instead of being
-    re-walked per observed symbol by the reference engine.
+    re-walked per observed symbol.
     """
 
     def __init__(
@@ -539,35 +501,61 @@ class CompiledTables:
                 for e in range(run[0], run[1]):
                     t = tgt[e]
                     matched[t] = matched.get(t, 0) + w
+        closed, closure_edges = self.closure(matched)
+        if perf.enabled():
+            perf.add("localize_kernel_edges", edges + closure_edges)
+        return _StepResult(matched, closed, len(closed))
+
+    def closure(
+        self, matched: Mapping[int, int]
+    ) -> Tuple[Dict[int, int], int]:
+        """*matched* propagated along invisible edges -- itself plus its
+        states' closure rows, weighted, in exact big-int arithmetic.
+
+        Returns the closed ``{state ID: weight}`` map and the number of
+        closure entries it read.
+        """
         closed = dict(matched)
+        entries = 0
         ctgt = self._ctgt_list
         cweight = self._cweight_list
         for s, w in matched.items():
             run = self._cranges.get(s)
             if run is not None:
-                edges += run[1] - run[0]
+                entries += run[1] - run[0]
                 for e in range(run[0], run[1]):
                     t = ctgt[e]
                     closed[t] = closed.get(t, 0) + w * cweight[e]
-        if perf.enabled():
-            perf.add("localize_kernel_edges", edges)
-        return _StepResult(matched, closed, len(closed))
+        return closed, entries
 
 
 # ----------------------------------------------------------------------
 # the cross-shard registry
 # ----------------------------------------------------------------------
+class _InFlight:
+    """A compilation in progress that other cold callers wait on."""
+
+    __slots__ = ("done", "tables", "error")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.tables: Optional[CompiledTables] = None
+        self.error: Optional[BaseException] = None
+
+
 class TableRegistry:
     """Content-addressed cache of :class:`CompiledTables`.
 
     Keyed by :func:`table_fingerprint`, bounded LRU.  Every
-    :class:`~repro.selection.localization.PathLocalizer` running the
-    dense engine resolves its tables here, so the debug server's
-    per-shard :class:`~repro.stream.session.SessionManager` lanes (and
-    any number of concurrent sessions) share one read-only table set
-    per scenario instead of each rebuilding it.  ``stats()`` feeds the
-    service metrics plane (``STATS`` frame, ``/metrics``, ``repro
-    profile --json``).
+    :class:`~repro.selection.localization.PathLocalizer` resolves its
+    tables here, so the debug server's per-shard
+    :class:`~repro.stream.session.SessionManager` lanes (and any number
+    of concurrent sessions) share one read-only table set per scenario
+    instead of each rebuilding it.  Compilation is single-flight: the
+    first cold caller for a fingerprint compiles, concurrent callers
+    for the same fingerprint wait for its result and count as hits.
+    ``stats()`` feeds the service metrics plane (``STATS`` frame,
+    ``/metrics``, ``repro profile --json``).
     """
 
     def __init__(self, max_tables: int = 32) -> None:
@@ -577,6 +565,7 @@ class TableRegistry:
             )
         self._lock = threading.Lock()
         self._tables: "OrderedDict[str, CompiledTables]" = OrderedDict()
+        self._building: Dict[str, _InFlight] = {}
         self._max_tables = max_tables
         self._hits = 0
         self._misses = 0
@@ -590,26 +579,41 @@ class TableRegistry:
         key = table_fingerprint(interleaved, visible_mid)
         with self._lock:
             cached = self._tables.get(key)
-            if cached is not None:
-                self._tables.move_to_end(key)
+            flight = self._building.get(key)
+            owner = cached is None and flight is None
+            if owner:
+                self._misses += 1
+                flight = self._building[key] = _InFlight()
+            else:
                 self._hits += 1
-                perf.add("localize_table_hits")
-                return cached
-            self._misses += 1
+                if cached is not None:
+                    self._tables.move_to_end(key)
+        if not owner:
+            perf.add("localize_table_hits")
+            if cached is None:
+                # another caller is compiling this table set: wait for it
+                flight.done.wait()
+                if flight.error is not None:
+                    raise flight.error
+                cached = flight.tables
+            return cached
         perf.add("localize_table_misses")
-        with perf.timed("localize_compile"):
-            built = CompiledTables(interleaved, visible_mid)
-        with self._lock:
-            # a racing builder may have published first; reuse its
-            # copy so every caller shares one object
-            cached = self._tables.get(key)
-            if cached is not None:
-                return cached
-            self._tables[key] = built
-            while len(self._tables) > self._max_tables:
-                self._tables.popitem(last=False)
-                self._evictions += 1
-        return built
+        try:
+            with perf.timed("localize_compile"):
+                flight.tables = CompiledTables(interleaved, visible_mid)
+        except BaseException as exc:
+            flight.error = exc
+            raise
+        finally:
+            with self._lock:
+                del self._building[key]
+                if flight.tables is not None:
+                    self._tables[key] = flight.tables
+                    while len(self._tables) > self._max_tables:
+                        self._tables.popitem(last=False)
+                        self._evictions += 1
+            flight.done.set()
+        return flight.tables
 
     def __len__(self) -> int:
         with self._lock:

@@ -32,28 +32,22 @@ no double counting when the window could match at several offsets);
 the failure table can be grown online (:func:`kmp_extend`) and handed
 back to :meth:`PathLocalizer.window_count`.
 
-Two engines implement the forward DP.  The **dense** engine (the
-default) compiles the CSR adjacency into per-message transition
-operators and an invisible-closure matrix (:mod:`repro.selection.
-kernels`) so advancing is a handful of vectorized gather/scatter-add
-calls per symbol and a whole chunk can be consumed in one
-:meth:`PathLocalizer.advance_many` invocation; compiled tables are
-shared across sessions and server shards through a content-addressed
-registry.  The **reference** engine is the historical dict walk, kept
-as the escape hatch (``REPRO_LOCALIZE_ENGINE=reference``) and as the
-equality oracle -- both produce bit-identical frontiers and counts on
-every prefix.
+The prefix/exact DP runs on the compiled kernels of
+:mod:`repro.selection.kernels`: the CSR adjacency becomes per-message
+transition operators plus an invisible-closure matrix, so advancing is
+a handful of gather/scatter-add calls per symbol and a whole chunk is
+consumed in one :meth:`PathLocalizer.advance_many` invocation.
+Compiled tables are shared across sessions and server shards through
+a content-addressed registry.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -172,19 +166,6 @@ class AdvanceOutcome:
     peak_size: int
 
 
-@dataclass(frozen=True)
-class _Adjacency:
-    """Edges split by trace-buffer visibility, indexed by state ID.
-
-    ``visible[sid]`` holds ``(message_id, target_id)`` pairs;
-    ``invisible[sid]`` holds bare target IDs.  Built once per
-    localizer straight off the interleaved flow's CSR arrays.
-    """
-
-    visible: Tuple[Tuple[Tuple[int, int], ...], ...]
-    invisible: Tuple[Tuple[int, ...], ...]
-
-
 class PathLocalizer:
     """Counts interleaved-flow paths consistent with observed traces.
 
@@ -195,34 +176,25 @@ class PathLocalizer:
     traced:
         The traced message set (Step 2 selection plus packed groups;
         sub-groups are expanded to their parents for visibility).
-    engine:
-        ``"dense"`` (compiled kernels, the default) or ``"reference"``
-        (the historical dict walk); omitted, the
-        ``REPRO_LOCALIZE_ENGINE`` environment variable decides.  Both
-        engines produce bit-identical frontiers and counts.
     registry:
-        The :class:`~repro.selection.kernels.TableRegistry` the dense
-        engine resolves its compiled tables from; omitted, the
-        process-wide shared registry -- which is what lets every
-        session and server shard over the same ``(scenario, visible
-        set)`` reuse one read-only table set.
+        The :class:`~repro.selection.kernels.TableRegistry` the
+        compiled tables are resolved from; omitted, the process-wide
+        shared registry -- which is what lets every session and server
+        shard over the same ``(scenario, visible set)`` reuse one
+        read-only table set.
     """
 
     def __init__(
         self,
         interleaved: InterleavedFlow,
         traced: Iterable[Message],
-        engine: Optional[str] = None,
         registry: Optional["kernels.TableRegistry"] = None,
     ) -> None:
         self.interleaved = interleaved
         expanded = expand_subgroups(traced, interleaved.messages)
         self._visible: Set[Message] = set(expanded)
         self._total = interleaved.count_paths()
-        self._adjacency: Optional[_Adjacency] = None
-        self._topo_position: Optional[List[int]] = None
         self._initial_frontier: Optional[DPFrontier] = None
-        self.engine = kernels.resolve_engine_name(engine)
         self._registry = (
             registry if registry is not None else kernels.default_registry()
         )
@@ -234,16 +206,10 @@ class PathLocalizer:
             OrderedDict()
         )
         self._window_memo_lock = threading.Lock()
-        # message-ID views of the traced set: visibility per message ID,
-        # and the instance IDs of each plain (un-indexed) message
-        table = interleaved.indexed_messages
+        # the traced set as visibility per interned message ID
         self._visible_mid: Tuple[bool, ...] = tuple(
-            m.message in self._visible for m in table
+            m.message in self._visible for m in interleaved.indexed_messages
         )
-        self._mids_by_plain: Dict[Message, Tuple[int, ...]] = {}
-        for mid, m in enumerate(table):
-            self._mids_by_plain.setdefault(m.message, ())
-            self._mids_by_plain[m.message] += (mid,)
 
     @property
     def total_paths(self) -> int:
@@ -307,9 +273,8 @@ class PathLocalizer:
         return LocalizationResult(consistent_paths=count, total_paths=self._total)
 
     def warm(self) -> "PathLocalizer":
-        """Eagerly build every lazily-constructed table (the visibility
-        -split adjacency, the topological index, the stop-path counts,
-        and the initial frontier's invisible closure).
+        """Eagerly build every lazily-constructed table (the stop-path
+        counts, the compiled kernel tables, and the initial frontier).
 
         All of these are built on first use anyway; a long-lived host
         that shares one localizer across many sessions (e.g. a debug
@@ -317,18 +282,13 @@ class PathLocalizer:
         there instead of inside the first request's latency.  Returns
         ``self`` so construction and warming chain.
 
-        On the dense engine this *delegates to the table registry*:
-        the compiled operators and closure matrix are resolved by
-        content hash, so the second shard (or session manager) warming
-        the same ``(scenario, visible set)`` gets the first one's
-        tables back instead of compiling again.
+        The compiled operators and closure matrix are resolved through
+        the table registry by content hash, so the second shard (or
+        session manager) warming the same ``(scenario, visible set)``
+        gets the first one's tables back instead of compiling again.
         """
-        self._split_adjacency()
-        self._topological_position()
         self.interleaved.paths_to_stop_ids()
         self.initial_frontier()
-        if self.engine == "dense":
-            self._compiled_tables()
         return self
 
     def fingerprint(self) -> str:
@@ -350,35 +310,30 @@ class PathLocalizer:
         """The frontier before any symbol has been observed.
 
         Computed once and cached: it only depends on the scenario and
-        the traced set, and its invisible-closure walk is as expensive
-        as a wide DP step -- a per-session cost that matters when a
-        server shard opens thousands of short sessions.  Frontiers are
-        treated as immutable everywhere, so sharing the instance is
-        safe.
+        the traced set, and it expands the initial states' rows of the
+        compiled closure matrix (so it compiles the tables on first
+        use).  Frontiers are treated as immutable everywhere, so
+        sharing the instance is safe.
         """
         cached = self._initial_frontier
         if cached is None:
             matched = {sid: 1 for sid in self.interleaved.initial_ids}
-            cached = DPFrontier(
-                matched=matched,
-                closed=self._invisible_closure(matched),
-                length=0,
-            )
+            closed, _ = self._compiled_tables().closure(matched)
+            cached = DPFrontier(matched=matched, closed=closed, length=0)
             self._initial_frontier = cached
         return cached
 
     def advance_frontier(
         self, frontier: DPFrontier, symbol: object
     ) -> DPFrontier:
-        """Consume one observed *symbol*: O(frontier x out-degree).
+        """Consume one observed *symbol* (a one-symbol
+        :meth:`advance_many`).
 
         Raises :class:`~repro.errors.SelectionError` when *symbol* is
         not in the traced set (the buffer could never have captured
         it) -- the same guard the batch API applies up front.
         """
-        if self.engine == "dense":
-            return self.advance_many(frontier, (symbol,)).frontier
-        return self._advance_reference(frontier, symbol)
+        return self.advance_many(frontier, (symbol,)).frontier
 
     def advance_many(
         self,
@@ -388,13 +343,10 @@ class PathLocalizer:
     ) -> AdvanceOutcome:
         """Consume a whole batch of observed *symbols*, oldest first.
 
-        On the dense engine the frontier is scattered into a weight
-        vector once, every symbol is one kernel step, and the sparse
-        frontier maps are harvested once at the end -- so a FEED chunk
-        costs chunk-many gather/scatter calls instead of chunk-many
-        dict walks.  The reference engine replays
-        :meth:`advance_frontier` per symbol; both produce bit-identical
-        outcomes.
+        The frontier is scattered into a weight vector once, every
+        symbol is one kernel step, and the sparse frontier maps are
+        harvested once at the end -- so a FEED chunk costs chunk-many
+        gather/scatter calls and a single conversion.
 
         ``max_frontier`` bounds every *intermediate* frontier: the
         batch stops *before* the first symbol whose frontier would
@@ -405,45 +357,6 @@ class PathLocalizer:
         last consistent frontier), ``.consumed`` and ``.peak_size`` --
         so a streaming caller can keep the valid prefix of the batch.
         """
-        items = list(symbols)
-        if self.engine != "dense":
-            return self._advance_many_reference(items, frontier, max_frontier)
-        return self._advance_many_dense(items, frontier, max_frontier)
-
-    def _advance_many_reference(
-        self,
-        items: List[object],
-        frontier: DPFrontier,
-        max_frontier: Optional[int],
-    ) -> AdvanceOutcome:
-        consumed = 0
-        peak = frontier.size
-        for symbol in items:
-            try:
-                advanced = self._advance_reference(frontier, symbol)
-            except SelectionError as exc:
-                raise _attach_progress(exc, frontier, consumed, peak)
-            if max_frontier is not None and advanced.size > max_frontier:
-                raise _attach_progress(
-                    FrontierOverflowError(
-                        f"frontier grew to {advanced.size} states, over "
-                        f"max_frontier={max_frontier}"
-                    ),
-                    frontier,
-                    consumed,
-                    peak,
-                )
-            frontier = advanced
-            consumed += 1
-            peak = max(peak, advanced.size)
-        return AdvanceOutcome(frontier=frontier, consumed=consumed, peak_size=peak)
-
-    def _advance_many_dense(
-        self,
-        items: List[object],
-        frontier: DPFrontier,
-        max_frontier: Optional[int],
-    ) -> AdvanceOutcome:
         tables = self._compiled_tables()
         consumed = 0
         peak = frontier.size
@@ -466,7 +379,7 @@ class PathLocalizer:
             )
 
         try:
-            for symbol in items:
+            for symbol in symbols:
                 if not self.is_visible(symbol):
                     raise _attach_progress(
                         SelectionError(
@@ -515,8 +428,9 @@ class PathLocalizer:
         self, tables: "kernels.CompiledTables", symbol: object
     ) -> Optional["kernels._Operator"]:
         """The compiled transition operator the observed *symbol*
-        selects (``None`` -- no product edge carries it, the step is
-        dead) -- the dense mirror of :meth:`_matching_message_ids`."""
+        selects: one instance's edges for an indexed symbol, every
+        instance's for a plain one (``None`` -- no product edge carries
+        it, the step is dead)."""
         if isinstance(symbol, IndexedMessage):
             mid = self.interleaved.message_id(symbol)
             return None if mid is None else tables.op_by_mid.get(mid)
@@ -532,33 +446,6 @@ class PathLocalizer:
                 self.interleaved, self._visible_mid
             )
         return self._tables
-
-    def _advance_reference(
-        self, frontier: DPFrontier, symbol: object
-    ) -> DPFrontier:
-        """The historical dict-walk DP step (the equality oracle the
-        dense kernels are property-tested against)."""
-        if not self.is_visible(symbol):
-            raise SelectionError(
-                f"observed message {symbol!r} is not in the traced set"
-            )
-        adjacency = self._split_adjacency()
-        match_mids = self._matching_message_ids(symbol)
-        matched: Dict[int, int] = {}
-        steps = 0
-        for sid, weight in frontier.closed.items():
-            edges = adjacency.visible[sid]
-            steps += len(edges)
-            for mid, target_id in edges:
-                if mid in match_mids:
-                    matched[target_id] = matched.get(target_id, 0) + weight
-        if perf.enabled():
-            perf.add("localize_dp_steps", steps)
-        return DPFrontier(
-            matched=matched,
-            closed=self._invisible_closure(matched),
-            length=frontier.length + 1,
-        )
 
     def prefix_count(self, frontier: DPFrontier) -> int:
         """Paths whose visible projection *starts with* the consumed
@@ -658,79 +545,6 @@ class PathLocalizer:
                 while len(self._window_memo) > _WINDOW_MEMO_SLOTS:
                     self._window_memo.popitem(last=False)
         return result
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _matching_message_ids(self, symbol: object) -> FrozenSet[int]:
-        """Message IDs of edge labels the observed *symbol* matches:
-        one for an indexed symbol, every instance for a plain one."""
-        if isinstance(symbol, IndexedMessage):
-            mid = self.interleaved.message_id(symbol)
-            return frozenset() if mid is None else frozenset((mid,))
-        if isinstance(symbol, Message):
-            return frozenset(self._mids_by_plain.get(symbol, ()))
-        raise TypeError(f"not a message: {symbol!r}")
-
-    def _split_adjacency(self) -> _Adjacency:
-        """Outgoing edges per state ID, split by visibility (lazy,
-        built once per localizer -- visibility is fixed)."""
-        if self._adjacency is None:
-            offsets, msg_ids, targets = self.interleaved.csr_adjacency()
-            visible_mid = self._visible_mid
-            visible: List[Tuple[Tuple[int, int], ...]] = []
-            invisible: List[Tuple[int, ...]] = []
-            for sid in range(len(offsets) - 1):
-                vis: List[Tuple[int, int]] = []
-                invis: List[int] = []
-                for e in range(offsets[sid], offsets[sid + 1]):
-                    mid = msg_ids[e]
-                    if visible_mid[mid]:
-                        vis.append((mid, targets[e]))
-                    else:
-                        invis.append(targets[e])
-                visible.append(tuple(vis))
-                invisible.append(tuple(invis))
-            self._adjacency = _Adjacency(tuple(visible), tuple(invisible))
-        return self._adjacency
-
-    def _topological_position(self) -> List[int]:
-        """``position[sid]`` = rank of state ID *sid* in topological
-        order."""
-        if self._topo_position is None:
-            order = self.interleaved.topological_ids()
-            position = [0] * len(order)
-            for i, sid in enumerate(order):
-                position[sid] = i
-            self._topo_position = position
-        return self._topo_position
-
-    def _invisible_closure(
-        self, weights: Mapping[int, int]
-    ) -> Dict[int, int]:
-        """Propagate *weights* forward along invisible edges (each
-        invisible path counted once -- relaxation in topological
-        order over the reachable sub-DAG only)."""
-        if not weights:
-            return {}
-        position = self._topological_position()
-        adjacency = self._split_adjacency()
-        closed: Dict[int, int] = dict(weights)
-        heap = [(position[sid], sid) for sid in closed]
-        heapq.heapify(heap)
-        done: Set[int] = set()
-        while heap:
-            _, sid = heapq.heappop(heap)
-            if sid in done:
-                continue
-            done.add(sid)
-            weight = closed[sid]
-            for target_id in adjacency.invisible[sid]:
-                if target_id not in closed:
-                    closed[target_id] = 0
-                    heapq.heappush(heap, (position[target_id], target_id))
-                closed[target_id] += weight
-        return closed
 
 
 def _attach_progress(

@@ -18,8 +18,7 @@ feed` calls:
   matched length), which is what makes thousands of concurrent
   sessions affordable.  :meth:`~IncrementalLocalizer.feed` hands the
   whole chunk to :meth:`~repro.selection.localization.PathLocalizer.
-  advance_many`, so on the dense engine a FEED chunk is one batched
-  kernel invocation instead of per-record dict walks.
+  advance_many`, so a FEED chunk is one batched kernel invocation.
 * **window mode** grows the observed window's KMP failure table online
   (O(1) amortized per record, :func:`~repro.selection.localization.
   kmp_extend`); the composed product/automaton count is evaluated
@@ -81,8 +80,8 @@ class IncrementalLocalizer:
         consistent state (``overflowed`` turns true; further feeding
         keeps raising).
     localizer:
-        Share an existing :class:`PathLocalizer` (its adjacency split,
-        topological index, and path-count tables) across many
+        Share an existing :class:`PathLocalizer` (its compiled kernel
+        tables, initial frontier, and path-count tables) across many
         incremental sessions over the same scenario; omitted, a
         private one is built.
     """

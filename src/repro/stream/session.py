@@ -13,8 +13,8 @@ and enforces the limits that keep the process bounded:
 * ``idle_timeout_s`` -- sessions nobody fed for that long are evicted.
 
 All sessions share one :class:`~repro.selection.localization.
-PathLocalizer` per scenario (the adjacency split, topological index,
-and path-count tables are read-only), so per-session cost is just the
+PathLocalizer` per scenario (the compiled kernel tables and the
+path-count tables are read-only), so per-session cost is just the
 carried frontier.  Every session's lifecycle ends in a
 :class:`~repro.runtime.telemetry.RunRecord` (name ``stream:<id>``)
 through the process-wide telemetry ring, same as the batch

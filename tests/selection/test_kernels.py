@@ -1,31 +1,41 @@
-"""Dense localization kernels vs the reference engine.
+"""Localization kernels vs brute-force path enumeration.
 
-The contract under test is bit-identical equality on every prefix:
-frontiers, prefix/exact counts, batch outcomes, and error progress
-must match the historical dict-walk engine exactly, on the numpy
-kernels, the pure-Python kernels, and through the overflow-promotion
-path.  All randomness is seeded -- nothing here depends on
-PYTHONHASHSEED.
+The contract under test is exact equality on every prefix: the
+``matched``/``closed`` frontier maps and the prefix/exact counts of the
+compiled-kernel DP must equal what enumerating the product's paths
+gives (:mod:`tests.selection.bruteforce`), on the numpy kernels, on the
+pure-Python kernels, and through the int64-overflow promotion path.
+All randomness is seeded -- nothing here depends on PYTHONHASHSEED.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import perf
+from repro.core.execution import project_trace
 from repro.core.flow import Flow, Transition
 from repro.core.interleave import interleave_flows
 from repro.core.message import IndexedMessage, Message, MessageCombination
 from repro.errors import FrontierOverflowError, SelectionError
 from repro.selection import kernels
-from repro.selection.kernels import (
-    TableRegistry,
-    resolve_engine_name,
-    table_fingerprint,
-)
+from repro.selection.kernels import TableRegistry, table_fingerprint
 from repro.selection.localization import PathLocalizer
+from tests.selection import bruteforce
+from tests.strategies import scenarios
+
+#: Kernel paths every oracle check runs on: the numpy backend, numpy
+#: tables whose overflow guard promotes any weight above 1 to the
+#: pure-Python kernels, and the pure-Python backend.
+VARIANTS = (
+    ("numpy", "promoted", "python") if kernels.have_numpy() else ("python",)
+)
 
 
 @pytest.fixture
@@ -77,13 +87,22 @@ def diamond_pair():
     return interleaved, traced
 
 
-def engines(interleaved, traced):
-    """A (dense, reference) localizer pair over a private registry."""
-    dense = PathLocalizer(
-        interleaved, traced, engine="dense", registry=TableRegistry()
-    )
-    reference = PathLocalizer(interleaved, traced, engine="reference")
-    return dense, reference
+def make_localizer(interleaved, traced, variant="numpy"):
+    """A localizer over a private registry whose tables are compiled
+    for one kernel *variant* (a table stays pinned to the backend it
+    was compiled under)."""
+    saved = kernels._force_python
+    kernels._force_python = variant == "python"
+    try:
+        localizer = PathLocalizer(
+            interleaved, traced, registry=TableRegistry()
+        )
+        tables = localizer._compiled_tables()
+    finally:
+        kernels._force_python = saved
+    if variant == "promoted":
+        tables.int64_limit = 1
+    return localizer
 
 
 def random_projection(interleaved, localizer, rng):
@@ -108,100 +127,115 @@ def assert_frontier_equal(left, right):
     assert left.size == right.size
 
 
-class TestEngineResolution:
-    def test_default_tracks_backend(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENGINE_ENV, raising=False)
-        expected = "dense" if kernels.have_numpy() else "reference"
-        assert resolve_engine_name() == expected
-        monkeypatch.setattr(kernels, "_force_python", True)
-        # without numpy the pure-Python dense kernels lose to the
-        # reference DP, so the default flips
-        assert resolve_engine_name() == "reference"
-        assert resolve_engine_name("dense") == "dense"
+def oracle_trail(interleaved, traced, observed):
+    """Brute-force ``(matched, closed, prefix count, exact count)``
+    after every prefix of *observed*, the empty one first."""
+    visible = set(traced)
+    paths = bruteforce.projections(interleaved, visible)
+    return [
+        bruteforce.frontier_maps(interleaved, visible, observed[:cut])
+        + bruteforce.prefix_and_exact_counts(paths, observed[:cut])
+        for cut in range(len(observed) + 1)
+    ]
 
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENGINE_ENV, "dense")
-        assert resolve_engine_name("reference") == "reference"
 
-    def test_env_escape_hatch(self, monkeypatch, cc_interleaved, traced):
-        monkeypatch.setenv(kernels.ENGINE_ENV, "reference")
-        assert PathLocalizer(cc_interleaved, traced).engine == "reference"
-
-    def test_empty_env_is_default(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENGINE_ENV, "")
-        expected = "dense" if kernels.have_numpy() else "reference"
-        assert resolve_engine_name() == expected
-
-    def test_unknown_engine_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENGINE_ENV, "turbo")
-        with pytest.raises(SelectionError, match="turbo"):
-            resolve_engine_name()
-        with pytest.raises(SelectionError, match="dense or reference"):
-            resolve_engine_name("fast")
+def assert_matches_oracle(localizer, observed, trail):
+    """Step through *observed*, checking every prefix's frontier maps
+    and counts (stepwise and batch) against the oracle *trail*."""
+    frontier = localizer.initial_frontier()
+    for cut, (matched, closed, prefix, exact) in enumerate(trail):
+        if cut:
+            frontier = localizer.advance_frontier(frontier, observed[cut - 1])
+        assert frontier.matched == matched
+        assert frontier.closed == closed
+        assert frontier.length == cut
+        assert localizer.prefix_count(frontier) == prefix
+        assert localizer.exact_count(frontier) == exact
+        head = observed[:cut]
+        assert localizer.localize(head, mode="prefix").consistent_paths == prefix
+        assert localizer.localize(head, mode="exact").consistent_paths == exact
 
 
 class TestEngineEquality:
+    """The kernel DP equals brute-force enumeration on every prefix."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_stepwise_frontiers_match(self, cc_interleaved, traced, seed):
-        dense, reference = engines(cc_interleaved, traced)
-        rng = random.Random(seed)
-        observed = random_projection(cc_interleaved, dense, rng)
-        fd, fr = dense.initial_frontier(), reference.initial_frontier()
-        assert_frontier_equal(fd, fr)
-        for symbol in observed:
-            fd = dense.advance_frontier(fd, symbol)
-            fr = reference.advance_frontier(fr, symbol)
-            assert_frontier_equal(fd, fr)
-            assert dense.prefix_count(fd) == reference.prefix_count(fr)
-            assert dense.exact_count(fd) == reference.exact_count(fr)
+        observed = random_projection(
+            cc_interleaved, PathLocalizer(cc_interleaved, traced),
+            random.Random(seed),
+        )
+        trail = oracle_trail(cc_interleaved, traced, observed)
+        for variant in VARIANTS:
+            localizer = make_localizer(cc_interleaved, traced, variant)
+            assert_matches_oracle(localizer, observed, trail)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_plain_message_observations_match(
         self, cc_interleaved, traced, seed
     ):
-        dense, reference = engines(cc_interleaved, traced)
-        rng = random.Random(seed)
         observed = [
             s.message
-            for s in random_projection(cc_interleaved, dense, rng)
+            for s in random_projection(
+                cc_interleaved, PathLocalizer(cc_interleaved, traced),
+                random.Random(seed),
+            )
         ]
-        for cut in range(len(observed) + 1):
-            for mode in ("prefix", "exact"):
-                assert (
-                    dense.localize(observed[:cut], mode=mode)
-                    == reference.localize(observed[:cut], mode=mode)
-                )
+        trail = oracle_trail(cc_interleaved, traced, observed)
+        for variant in VARIANTS:
+            localizer = make_localizer(cc_interleaved, traced, variant)
+            assert_matches_oracle(localizer, observed, trail)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_weighted_closure_matches(self, diamond_pair, seed):
         # path counts above 1 flow through the closure matrix
         interleaved, traced = diamond_pair
-        dense, reference = engines(interleaved, traced)
-        rng = random.Random(seed)
-        observed = random_projection(interleaved, dense, rng)
-        fd, fr = dense.initial_frontier(), reference.initial_frontier()
-        saw_weight = False
-        for symbol in observed:
-            fd = dense.advance_frontier(fd, symbol)
-            fr = reference.advance_frontier(fr, symbol)
-            assert_frontier_equal(fd, fr)
-            if fr.closed and max(fr.closed.values()) > 1:
-                saw_weight = True
-        assert saw_weight  # the diamond closure has path counts > 1
+        observed = random_projection(
+            interleaved, PathLocalizer(interleaved, traced),
+            random.Random(seed),
+        )
+        trail = oracle_trail(interleaved, traced, observed)
+        # the diamond join is reached along two invisible paths
+        assert max(max(closed.values()) for _, closed, _, _ in trail) > 1
+        for variant in VARIANTS:
+            localizer = make_localizer(interleaved, traced, variant)
+            assert_matches_oracle(localizer, observed, trail)
 
     def test_dead_frontier_stays_dead_and_equal(
         self, cc_flow, cc_interleaved, traced
     ):
-        dense, reference = engines(cc_interleaved, traced)
         gnt = cc_flow.message_by_name("GntE")
         # GntE before any ReqE kills every path
         dead_obs = [IndexedMessage(gnt, 1), IndexedMessage(gnt, 2)]
-        od = dense.advance_many(dense.initial_frontier(), dead_obs)
-        orf = reference.advance_many(reference.initial_frontier(), dead_obs)
-        assert_frontier_equal(od.frontier, orf.frontier)
-        assert od.frontier.is_dead
-        assert od.consumed == orf.consumed == 2
-        assert dense.prefix_count(od.frontier) == 0
+        trail = oracle_trail(cc_interleaved, traced, dead_obs)
+        for variant in VARIANTS:
+            localizer = make_localizer(cc_interleaved, traced, variant)
+            outcome = localizer.advance_many(
+                localizer.initial_frontier(), dead_obs
+            )
+            assert outcome.frontier.is_dead
+            assert outcome.consumed == 2
+            assert outcome.frontier.length == 2
+            assert localizer.prefix_count(outcome.frontier) == 0
+            assert_matches_oracle(localizer, dead_obs, trail)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenarios(), st.randoms(use_true_random=False), st.booleans())
+    def test_random_flows_match(self, u, rng, plain):
+        assume(u.count_paths() <= 2000)  # small enough to enumerate
+        messages = sorted(u.messages)
+        traced = MessageCombination(
+            rng.sample(messages, rng.randint(1, len(messages)))
+        )
+        observed = list(
+            project_trace(u.random_execution(rng).messages, traced)
+        )
+        if plain:
+            observed = [s.message for s in observed]
+        trail = oracle_trail(u, traced, observed)
+        for variant in VARIANTS:
+            localizer = make_localizer(u, traced, variant)
+            assert_matches_oracle(localizer, observed, trail)
 
 
 class TestChunkInvariance:
@@ -209,20 +243,20 @@ class TestChunkInvariance:
     def test_batches_equal_stepwise(
         self, cc_interleaved, traced, chunk
     ):
-        dense, reference = engines(cc_interleaved, traced)
+        localizer = make_localizer(cc_interleaved, traced)
         observed = random_projection(
-            cc_interleaved, dense, random.Random(1)
+            cc_interleaved, localizer, random.Random(1)
         )
-        stepwise = reference.initial_frontier()
+        stepwise = localizer.initial_frontier()
         peak = stepwise.size
         for symbol in observed:
-            stepwise = reference.advance_frontier(stepwise, symbol)
+            stepwise = localizer.advance_frontier(stepwise, symbol)
             peak = max(peak, stepwise.size)
-        frontier = dense.initial_frontier()
+        frontier = localizer.initial_frontier()
         consumed = 0
         batch_peak = frontier.size
         for lo in range(0, len(observed), chunk):
-            outcome = dense.advance_many(
+            outcome = localizer.advance_many(
                 frontier, observed[lo:lo + chunk]
             )
             frontier = outcome.frontier
@@ -233,9 +267,9 @@ class TestChunkInvariance:
         assert batch_peak == peak
 
     def test_empty_batch_is_identity(self, cc_interleaved, traced):
-        dense, _ = engines(cc_interleaved, traced)
-        start = dense.initial_frontier()
-        outcome = dense.advance_many(start, ())
+        localizer = make_localizer(cc_interleaved, traced)
+        start = localizer.initial_frontier()
+        outcome = localizer.advance_many(start, ())
         assert outcome.frontier is start
         assert outcome.consumed == 0
         assert outcome.peak_size == start.size
@@ -248,21 +282,20 @@ class TestBatchErrors:
         req = cc_flow.message_by_name("ReqE")
         untraced = cc_flow.message_by_name("Ack")
         batch = [IndexedMessage(req, 1), IndexedMessage(untraced, 1)]
-        outcomes = {}
-        for name, loc in zip(
-            ("dense", "reference"), engines(cc_interleaved, traced)
-        ):
+        matched, closed = bruteforce.frontier_maps(
+            cc_interleaved, set(traced), batch[:1]
+        )
+        _, initial = bruteforce.frontier_maps(
+            cc_interleaved, set(traced), ()
+        )
+        for variant in VARIANTS:
+            localizer = make_localizer(cc_interleaved, traced, variant)
             with pytest.raises(SelectionError, match="not in the traced") as e:
-                loc.advance_many(loc.initial_frontier(), batch)
-            outcomes[name] = e.value
-        assert outcomes["dense"].consumed == 1
-        assert outcomes["reference"].consumed == 1
-        assert_frontier_equal(
-            outcomes["dense"].frontier, outcomes["reference"].frontier
-        )
-        assert (
-            outcomes["dense"].peak_size == outcomes["reference"].peak_size
-        )
+                localizer.advance_many(localizer.initial_frontier(), batch)
+            assert e.value.consumed == 1
+            assert e.value.frontier.matched == matched
+            assert e.value.frontier.closed == closed
+            assert e.value.peak_size == max(len(initial), len(closed))
 
     def test_overflow_freezes_before_the_bad_step(
         self, cc_flow, cc_interleaved, traced
@@ -270,20 +303,20 @@ class TestBatchErrors:
         req = cc_flow.message_by_name("ReqE")
         gnt = cc_flow.message_by_name("GntE")
         batch = [req, gnt]  # plain: the frontier grows 1 -> 2 -> 4
-        dense, reference = engines(cc_interleaved, traced)
-        # find a bound the second step breaks but the first respects
-        f = reference.initial_frontier()
-        first = reference.advance_frontier(f, batch[0])
-        second = reference.advance_frontier(first, batch[1])
-        bound = second.size - 1
-        assert first.size <= bound
-        for loc in (dense, reference):
+        visible = set(traced)
+        first = bruteforce.frontier_maps(cc_interleaved, visible, batch[:1])
+        second = bruteforce.frontier_maps(cc_interleaved, visible, batch)
+        # a bound the second step breaks but the first respects
+        bound = len(second[1]) - 1
+        assert len(first[1]) <= bound
+        for variant in VARIANTS:
+            localizer = make_localizer(cc_interleaved, traced, variant)
             with pytest.raises(FrontierOverflowError, match="grew to") as e:
-                loc.advance_many(
-                    loc.initial_frontier(), batch, max_frontier=bound
+                localizer.advance_many(
+                    localizer.initial_frontier(), batch, max_frontier=bound
                 )
             assert e.value.consumed == 1
-            assert_frontier_equal(e.value.frontier, first)
+            assert (e.value.frontier.matched, e.value.frontier.closed) == first
 
 
 class TestBackendsAndPromotion:
@@ -291,57 +324,101 @@ class TestBackendsAndPromotion:
         self, monkeypatch, cc_interleaved, traced
     ):
         monkeypatch.setattr(kernels, "_force_python", True)
-        dense, reference = engines(cc_interleaved, traced)
+        localizer = make_localizer(cc_interleaved, traced, "python")
         assert not kernels.have_numpy()
+        assert not localizer._compiled_tables()._numpy
         observed = random_projection(
-            cc_interleaved, dense, random.Random(3)
+            cc_interleaved, localizer, random.Random(3)
         )
-        outcome = dense.advance_many(dense.initial_frontier(), observed)
-        expect = reference.advance_many(
-            reference.initial_frontier(), observed
+        assert_matches_oracle(
+            localizer, observed, oracle_trail(cc_interleaved, traced, observed)
         )
-        assert_frontier_equal(outcome.frontier, expect.frontier)
-        assert dense._compiled_tables().int64_limit >= 0
 
     @pytest.mark.skipif(
         not kernels.have_numpy(), reason="needs the numpy backend"
     )
     def test_overflow_guard_promotes_and_stays_exact(self, diamond_pair):
         interleaved, traced = diamond_pair
-        dense, reference = engines(interleaved, traced)
+        # int64 may only hold weight 1: the first step's closure
+        # reaches the diamond join with weight 2, so the second step
+        # must promote to the pure-Python kernels
+        localizer = make_localizer(interleaved, traced, "promoted")
         by_name = {m.name: m for m in interleaved.messages}
         observed = [
             IndexedMessage(by_name["a"], 1),
             IndexedMessage(by_name["f"], 1),
         ]
-        tables = dense._compiled_tables()
-        # pretend int64 can only hold weight 1: the first step's
-        # closure reaches the diamond join with weight 2, so the
-        # second step must promote to the pure-Python kernels
-        tables.int64_limit = 1
         with perf.collect() as counters:
-            outcome = dense.advance_many(
-                dense.initial_frontier(), observed
-            )
-        expect = reference.advance_many(
-            reference.initial_frontier(), observed
-        )
+            localizer.advance_many(localizer.initial_frontier(), observed)
         assert counters.get("localize_kernel_promotions") >= 1
-        assert_frontier_equal(outcome.frontier, expect.frontier)
-        assert dense.prefix_count(outcome.frontier) == reference.prefix_count(
-            expect.frontier
+        assert_matches_oracle(
+            localizer, observed, oracle_trail(interleaved, traced, observed)
         )
+
+    @pytest.mark.skipif(
+        not kernels.have_numpy(), reason="needs the numpy backend"
+    )
+    def test_backends_agree_on_sc2x2_sessions(self):
+        from repro.server import ServeContext
+        from repro.stream.service import synthetic_session_records
+
+        context = ServeContext.from_scenario(2, instances=2, buffer_width=32)
+        interleaved, traced = context.interleaved, context.traced
+        numpy_loc = make_localizer(interleaved, traced, "numpy")
+        python_loc = make_localizer(interleaved, traced, "python")
+        boundaries = 0
+        for seed in range(4):
+            records = [
+                r.message
+                for r in synthetic_session_records(interleaved, traced, seed)
+            ]
+            left = numpy_loc.initial_frontier()
+            right = python_loc.initial_frontier()
+            assert_frontier_equal(left, right)
+            for lo in range(0, len(records), 16):
+                chunk = records[lo:lo + 16]
+                left = numpy_loc.advance_many(left, chunk).frontier
+                right = python_loc.advance_many(right, chunk).frontier
+                assert_frontier_equal(left, right)
+                assert numpy_loc.prefix_count(left) == python_loc.prefix_count(
+                    right
+                )
+                boundaries += 1
+        assert boundaries >= 4
+
+
+def run_concurrently(threads, call):
+    """Run *call* on *threads* threads released together by a barrier,
+    with a short switch interval to shake out interleavings; returns
+    the results in thread order."""
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+
+    def worker(i):
+        barrier.wait(timeout=10)
+        results[i] = call()
+
+    workers = [
+        threading.Thread(target=worker, args=(i,)) for i in range(threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    return results
 
 
 class TestTableRegistry:
     def test_tables_shared_by_fingerprint(self, cc_interleaved, traced):
         registry = TableRegistry()
-        first = PathLocalizer(
-            cc_interleaved, traced, engine="dense", registry=registry
-        )
-        second = PathLocalizer(
-            cc_interleaved, traced, engine="dense", registry=registry
-        )
+        first = PathLocalizer(cc_interleaved, traced, registry=registry)
+        second = PathLocalizer(cc_interleaved, traced, registry=registry)
         assert first._compiled_tables() is second._compiled_tables()
         stats = registry.stats()
         assert stats["tables"] == 1
@@ -352,14 +429,72 @@ class TestTableRegistry:
 
     def test_warm_resolves_through_registry(self, cc_interleaved, traced):
         registry = TableRegistry()
-        PathLocalizer(
-            cc_interleaved, traced, engine="dense", registry=registry
-        ).warm()
-        PathLocalizer(
-            cc_interleaved, traced, engine="dense", registry=registry
-        ).warm()
+        PathLocalizer(cc_interleaved, traced, registry=registry).warm()
+        PathLocalizer(cc_interleaved, traced, registry=registry).warm()
         assert registry.stats()["misses"] == 1
         assert registry.stats()["hits"] == 1
+
+    def test_cold_callers_compile_once(
+        self, monkeypatch, cc_interleaved, traced
+    ):
+        compiles = []
+
+        class SlowTables(kernels.CompiledTables):
+            def __init__(self, *args):
+                compiles.append(1)
+                time.sleep(0.05)  # hold the race window open
+                super().__init__(*args)
+
+        monkeypatch.setattr(kernels, "CompiledTables", SlowTables)
+        registry = TableRegistry()
+        visible = PathLocalizer(cc_interleaved, traced)._visible_mid
+        threads = 8
+        results = run_concurrently(
+            threads, lambda: registry.get(cc_interleaved, visible)
+        )
+        assert len(compiles) == 1
+        assert all(r is results[0] for r in results)
+        stats = registry.stats()
+        assert stats["misses"] == 1
+        assert stats["hits"] == threads - 1
+
+    def test_failed_compile_reaches_waiters_and_retries(
+        self, monkeypatch, cc_interleaved, traced
+    ):
+        attempts = []
+        real = kernels.CompiledTables
+
+        class FlakyTables(real):
+            def __init__(self, *args):
+                attempts.append(1)
+                if len(attempts) == 1:
+                    # fail only once the other caller waits on us
+                    deadline = time.monotonic() + 5
+                    while (
+                        registry.stats()["hits"] < 1
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.001)
+                    raise MemoryError("first compile fails")
+                super().__init__(*args)
+
+        monkeypatch.setattr(kernels, "CompiledTables", FlakyTables)
+        registry = TableRegistry()
+        visible = PathLocalizer(cc_interleaved, traced)._visible_mid
+
+        def cold_get():
+            try:
+                return registry.get(cc_interleaved, visible)
+            except MemoryError as exc:
+                return exc
+
+        results = run_concurrently(2, cold_get)
+        # the compiling caller and its waiter both see the failure ...
+        assert all(isinstance(r, MemoryError) for r in results)
+        assert len(attempts) == 1
+        # ... and nothing is cached, so the next caller compiles afresh
+        assert isinstance(registry.get(cc_interleaved, visible), real)
+        assert len(attempts) == 2
 
     def test_fingerprint_is_content_addressed(self, cc_flow, traced):
         # two structurally identical products fingerprint identically
@@ -381,12 +516,8 @@ class TestTableRegistry:
     def test_lru_eviction(self, cc_flow, cc_interleaved, traced):
         registry = TableRegistry(max_tables=1)
         all_traced = MessageCombination(list(cc_flow.messages))
-        PathLocalizer(
-            cc_interleaved, traced, engine="dense", registry=registry
-        ).warm()
-        PathLocalizer(
-            cc_interleaved, all_traced, engine="dense", registry=registry
-        ).warm()
+        PathLocalizer(cc_interleaved, traced, registry=registry).warm()
+        PathLocalizer(cc_interleaved, all_traced, registry=registry).warm()
         stats = registry.stats()
         assert stats["tables"] == 1
         assert stats["evictions"] == 1
@@ -404,14 +535,14 @@ class TestStepMemo:
         not kernels.have_numpy(), reason="needs the numpy backend"
     )
     def test_identical_steps_hit_the_memo(self, cc_interleaved, traced):
-        dense, _ = engines(cc_interleaved, traced)
+        localizer = make_localizer(cc_interleaved, traced)
         observed = random_projection(
-            cc_interleaved, dense, random.Random(5)
+            cc_interleaved, localizer, random.Random(5)
         )
-        start = dense.initial_frontier()
+        start = localizer.initial_frontier()
         with perf.collect() as counters:
-            first = dense.advance_many(start, observed)
-            second = dense.advance_many(start, observed)
+            first = localizer.advance_many(start, observed)
+            second = localizer.advance_many(start, observed)
         assert counters.get("localize_step_memo_misses") == len(observed)
         assert counters.get("localize_step_memo_hits") == len(observed)
         assert_frontier_equal(first.frontier, second.frontier)
@@ -423,12 +554,8 @@ class TestStepMemo:
         # two localizers over one registry share hot steps, not just
         # tables -- the cross-session serving win
         registry = TableRegistry()
-        first = PathLocalizer(
-            cc_interleaved, traced, engine="dense", registry=registry
-        )
-        second = PathLocalizer(
-            cc_interleaved, traced, engine="dense", registry=registry
-        )
+        first = PathLocalizer(cc_interleaved, traced, registry=registry)
+        second = PathLocalizer(cc_interleaved, traced, registry=registry)
         observed = random_projection(
             cc_interleaved, first, random.Random(7)
         )

@@ -1,11 +1,10 @@
 """Edge cases of the KMP machinery behind window-mode localization.
 
 ``kmp_extend`` grows a failure table online; ``kmp_failure`` is the
-batch construction; ``_matching_message_ids`` decides which edge
-labels an observed symbol (indexed or plain) matches.  Window-mode
-counting composes all three, so their corner cases (empty patterns,
-single symbols, self-similar patterns, index matching) get dedicated
-coverage here.
+batch construction; ``PathLocalizer._operator`` decides which edges an
+observed symbol (indexed or plain) advances along.  Their corner cases
+(empty patterns, single symbols, self-similar patterns, index
+matching) get dedicated coverage here.
 """
 
 from __future__ import annotations
@@ -69,6 +68,31 @@ class TestKmpFailure:
         assert kmp_failure([one, one, one]) == [0, 1, 2]
 
 
+def edge_pairs(operator):
+    """The ``(source, target)`` state-ID pairs an operator advances
+    along (empty for ``None``: the symbol labels no edge)."""
+    if operator is None:
+        return set()
+    return {
+        (source, operator.tgt_list[e])
+        for source, (lo, hi) in operator.ranges.items()
+        for e in range(lo, hi)
+    }
+
+
+def labelled_pairs(interleaved, wanted):
+    """``(source, target)`` pairs of the edges whose label satisfies
+    *wanted*, read straight off the CSR arrays."""
+    offsets, msg_ids, targets = interleaved.csr_adjacency()
+    table = interleaved.indexed_messages
+    return {
+        (sid, targets[e])
+        for sid in range(len(offsets) - 1)
+        for e in range(offsets[sid], offsets[sid + 1])
+        if wanted(table[msg_ids[e]])
+    }
+
+
 class TestMatchingMessageIds:
     @pytest.fixture
     def localizer(self, cc_flow):
@@ -81,43 +105,42 @@ class TestMatchingMessageIds:
         )
         return PathLocalizer(interleaved, traced)
 
+    def edges(self, localizer, symbol):
+        return edge_pairs(
+            localizer._operator(localizer._compiled_tables(), symbol)
+        )
+
     def test_indexed_symbol_matches_one_instance(self, localizer, cc_flow):
-        req = cc_flow.message_by_name("ReqE")
-        mids = localizer._matching_message_ids(IndexedMessage(req, 1))
-        assert len(mids) == 1
-        (mid,) = mids
-        entry = localizer.interleaved.indexed_messages[mid]
-        assert entry.message == req
-        assert entry.index == 1
+        req = IndexedMessage(cc_flow.message_by_name("ReqE"), 1)
+        expected = labelled_pairs(
+            localizer.interleaved, lambda label: label == req
+        )
+        assert expected
+        assert self.edges(localizer, req) == expected
 
     def test_plain_symbol_matches_every_instance(self, localizer, cc_flow):
         req = cc_flow.message_by_name("ReqE")
-        mids = localizer._matching_message_ids(req)
+        expected = labelled_pairs(
+            localizer.interleaved, lambda label: label.message == req
+        )
         table = localizer.interleaved.indexed_messages
-        assert {table[mid].index for mid in mids} == {1, 2}
-        assert all(table[mid].message == req for mid in mids)
+        assert {m.index for m in table if m.message == req} == {1, 2}
+        assert self.edges(localizer, req) == expected
 
     def test_plain_and_indexed_agree(self, localizer, cc_flow):
         req = cc_flow.message_by_name("ReqE")
-        plain = localizer._matching_message_ids(req)
-        indexed = {
-            mid
-            for i in (1, 2)
-            for mid in localizer._matching_message_ids(
-                IndexedMessage(req, i)
-            )
-        }
-        assert plain == frozenset(indexed)
+        indexed = set().union(
+            *(self.edges(localizer, IndexedMessage(req, i)) for i in (1, 2))
+        )
+        assert self.edges(localizer, req) == indexed
 
     def test_unknown_instance_matches_nothing(self, localizer, cc_flow):
         req = cc_flow.message_by_name("ReqE")
-        assert localizer._matching_message_ids(
-            IndexedMessage(req, 99)
-        ) == frozenset()
+        assert self.edges(localizer, IndexedMessage(req, 99)) == set()
 
     def test_foreign_message_matches_nothing(self, localizer):
-        assert localizer._matching_message_ids(sym("zz")) == frozenset()
+        assert self.edges(localizer, sym("zz")) == set()
 
     def test_non_message_raises(self, localizer):
         with pytest.raises(TypeError, match="not a message"):
-            localizer._matching_message_ids("ReqE")
+            self.edges(localizer, "ReqE")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.execution import project_trace
 from repro.core.message import IndexedMessage, Message, MessageCombination
@@ -15,6 +16,8 @@ from repro.selection.localization import (
     kmp_extend,
     kmp_failure,
 )
+from tests.selection import bruteforce
+from tests.strategies import scenarios
 
 
 @pytest.fixture
@@ -209,3 +212,31 @@ class TestWindowMode:
             window = list(projection[start:start + 2])
             result = localizer.localize(window, mode="window")
             assert result.consistent_paths >= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), st.randoms(use_true_random=False))
+def test_window_count_matches_brute_force_on_random_flows(u, rng):
+    """Window counts equal enumeration on random flows, for windows cut
+    from real projections and for random sequences of traced instances
+    that may match nothing."""
+    assume(u.count_paths() <= 2000)  # small enough to enumerate
+    messages = sorted(u.messages)
+    traced = MessageCombination(
+        rng.sample(messages, rng.randint(1, len(messages)))
+    )
+    localizer = PathLocalizer(u, traced)
+    paths = bruteforce.projections(u, set(traced))
+    instances = [m for m in u.indexed_messages if m.message in traced]
+    windows = []
+    for _ in range(3):
+        projection = project_trace(u.random_execution(rng).messages, traced)
+        lo = rng.randint(0, len(projection))
+        windows.append(projection[lo:rng.randint(lo, len(projection))])
+        windows.append(
+            tuple(rng.choice(instances) for _ in range(rng.randint(1, 3)))
+        )
+    for window in windows:
+        assert localizer.window_count(window) == bruteforce.window_count(
+            paths, window
+        ), window

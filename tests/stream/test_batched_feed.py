@@ -1,11 +1,12 @@
 """Batched FEED semantics: chunking must be invisible.
 
-``IncrementalLocalizer.feed`` now hands whole chunks to
-``PathLocalizer.advance_many`` (one kernel invocation on the dense
-engine).  These tests pin the contract that made that rewrite safe:
-any chunking of the same record stream produces the same snapshots,
-lengths, and peaks as the per-record loop -- including when an
-untraced symbol or a frontier overflow interrupts a chunk midway.
+``IncrementalLocalizer.feed`` hands whole chunks to
+``PathLocalizer.advance_many`` (one kernel invocation).  These tests
+pin the contract that made that safe: any chunking of the same record
+stream produces the same snapshots, lengths, and peaks as the
+per-record loop -- including when an untraced symbol or a frontier
+overflow interrupts a chunk midway.  Each runs on both kernel
+backends: numpy (``dense``) and the pure-Python kernels (``python``).
 """
 
 from __future__ import annotations
@@ -20,22 +21,21 @@ from repro.stream.incremental import IncrementalLocalizer
 from repro.stream.session import OVERFLOW, SessionLimits, SessionManager
 
 
-def engine_names():
-    names = ["reference"]
+def backends():
+    names = ["python"]
     if kernels.have_numpy():
         names.append("dense")
     return names
 
 
-@pytest.fixture(params=engine_names())
-def shared(request, cc_flow, traced):
+@pytest.fixture(params=backends())
+def shared(request, monkeypatch, cc_flow, traced):
+    # a table set is pinned to the backend it was compiled under
+    monkeypatch.setattr(kernels, "_force_python", request.param == "python")
     interleaved = interleave_flows([cc_flow], copies=2)
     return PathLocalizer(
-        interleaved,
-        traced,
-        engine=request.param,
-        registry=kernels.TableRegistry(),
-    )
+        interleaved, traced, registry=kernels.TableRegistry()
+    ).warm()
 
 
 @pytest.fixture
