@@ -27,8 +27,13 @@ Usage::
 
 Collections nest: every active collector receives every increment, so
 an outer campaign-level collection still sees the counters of inner
-per-scenario ones.  The active-collector stack is process-global and
-not thread-isolated -- profiling is a single-threaded activity here.
+per-scenario ones.  The set of active collectors is process-global and
+not thread-isolated: a collection sees the increments of every thread
+while it is active.  That is how the debug server's long-lived
+collector counts the kernel work its shard threads do.  Increments are
+thread-safe -- each :class:`PerfCounters` guards its maps with its own
+lock, and :func:`add`/:func:`timed` iterate an immutable snapshot of
+the active set while other threads activate or deactivate collections.
 
 Localization counter registry (reported by
 :mod:`repro.selection.kernels` and
@@ -45,7 +50,8 @@ Localization counter registry (reported by
 * ``localize_table_hits`` / ``localize_table_misses`` /
   ``localize_table_compiles`` / ``localize_table_bytes`` -- the
   cross-shard :class:`~repro.selection.kernels.TableRegistry`;
-* ``localize_window_memo_hits`` -- reused window-mode count tables;
+* ``localize_window_memo_hits`` -- window-mode counts reused for an
+  identical window (the count, not the composed-DP table, is cached);
 * ``localize_dp_steps`` -- window mode's composed-DP table entries
   (the prefix/exact kernels count ``localize_kernel_edges`` instead);
 * timed stage ``localize_compile`` -- table compilation wall time.
@@ -53,10 +59,11 @@ Localization counter registry (reported by
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.telemetry import RunRecord
@@ -78,43 +85,51 @@ class PerfCounters:
 
     counters: Dict[str, int] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def add(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + amount
 
     def add_time(self, stage: str, seconds: float) -> None:
-        self.timings[stage] = self.timings.get(stage, 0.0) + seconds
+        with self._lock:
+            self.timings[stage] = self.timings.get(stage, 0.0) + seconds
 
     def get(self, name: str) -> int:
         return self.counters.get(name, 0)
 
     def as_dict(self) -> Dict[str, object]:
+        with self._lock:
+            counters = sorted(self.counters.items())
+            timings = sorted(self.timings.items())
         return {
-            "counters": dict(sorted(self.counters.items())),
-            "wall_s": {
-                stage: round(seconds, 6)
-                for stage, seconds in sorted(self.timings.items())
-            },
+            "counters": dict(counters),
+            "wall_s": {stage: round(seconds, 6) for stage, seconds in timings},
         }
 
     def format(self) -> str:
         """Human-readable two-column table (for the CLI)."""
+        with self._lock:
+            counters = sorted(self.counters.items())
+            timings = sorted(self.timings.items())
         lines: List[str] = []
-        width = max(
-            (len(n) for n in (*self.counters, *self.timings)), default=0
-        )
-        for name in sorted(self.counters):
-            lines.append(f"{name:<{width}}  {self.counters[name]:>14,}")
-        for stage in sorted(self.timings):
-            lines.append(
-                f"{stage:<{width}}  {self.timings[stage]:>13.4f}s"
-            )
+        width = max((len(n) for n, _ in (*counters, *timings)), default=0)
+        for name, count in counters:
+            lines.append(f"{name:<{width}}  {count:>14,}")
+        for stage, seconds in timings:
+            lines.append(f"{stage:<{width}}  {seconds:>13.4f}s")
         return "\n".join(lines)
 
 
-#: Active collector stack; empty almost always, which is what keeps the
-#: permanent instrumentation free (one falsy check per call site).
-_ACTIVE: List[PerfCounters] = []
+#: Active collectors, oldest first; empty almost always, which is what
+#: keeps the permanent instrumentation free (one falsy check per call
+#: site).  An immutable tuple replaced under ``_ACTIVE_LOCK``, so the
+#: increment loops iterate a consistent snapshot while other threads
+#: activate or deactivate collections.
+_ACTIVE: Tuple[PerfCounters, ...] = ()
+_ACTIVE_LOCK = threading.Lock()
 
 
 def enabled() -> bool:
@@ -125,8 +140,6 @@ def enabled() -> bool:
 def add(name: str, amount: int = 1) -> None:
     """Increment counter *name* in every active collection (no-op when
     none is active)."""
-    if not _ACTIVE:
-        return
     for counters in _ACTIVE:
         counters.add(name, amount)
 
@@ -134,29 +147,32 @@ def add(name: str, amount: int = 1) -> None:
 @contextmanager
 def collect() -> Iterator[PerfCounters]:
     """Activate a new :class:`PerfCounters` collection for the block."""
-    counters = PerfCounters()
-    _ACTIVE.append(counters)
+    counters = activate(PerfCounters())
     try:
         yield counters
     finally:
-        _ACTIVE.remove(counters)
+        deactivate(counters)
 
 
 def activate(counters: PerfCounters) -> PerfCounters:
     """Activate *counters* without a ``with`` block (long-lived
     collections, e.g. a debug server's process-lifetime counters).
     Pair every call with :func:`deactivate`."""
-    _ACTIVE.append(counters)
+    global _ACTIVE
+    with _ACTIVE_LOCK:
+        _ACTIVE = (*_ACTIVE, counters)
     return counters
 
 
 def deactivate(counters: PerfCounters) -> None:
     """Deactivate a collection started by :func:`activate` (no-op when
-    it is not active)."""
-    try:
-        _ACTIVE.remove(counters)
-    except ValueError:
-        pass
+    it is not active).  Matches by identity, newest activation first."""
+    global _ACTIVE
+    with _ACTIVE_LOCK:
+        for i in range(len(_ACTIVE) - 1, -1, -1):
+            if _ACTIVE[i] is counters:
+                _ACTIVE = _ACTIVE[:i] + _ACTIVE[i + 1:]
+                return
 
 
 @contextmanager

@@ -18,16 +18,18 @@ gather/scatter-add kernel calls:
   edges), never O(product states);
 * **the invisible-closure matrix** -- the transitive path counts
   ``paths(i -> j)`` along non-traced edges, precomputed once per
-  ``(scenario, visible set)`` as source-sorted triplets, so closure
-  expansion is the same row-gather/scatter-add;
+  ``(scenario, visible set)`` as one ``(target, weight)`` row per
+  state, located through per-state row bounds, so closure expansion
+  is the same row-gather/scatter-add;
 * **chunk-batched stepping** -- :meth:`PathLocalizer.advance_many
   <repro.selection.localization.PathLocalizer.advance_many>` feeds a
   whole FEED chunk through the kernels in one call, amortizing the
   sparse-map/vector conversions over the chunk.
 
-When :mod:`numpy` is available the kernels run on ``int64`` arrays;
-otherwise the pure-Python backend runs the same compiled tables with
-dict frontiers and precompiled closure ranges (exact big-int
+Every table is stored once, in flat ``array('q')`` buffers.  When
+:mod:`numpy` is available the kernels run on zero-copy read-only
+``int64`` views of those buffers; otherwise the pure-Python backend
+indexes the same buffers directly with dict frontiers (exact big-int
 arithmetic, no third-party imports).  The two backends are
 **bit-identical** by construction: all weights are integers, integer
 addition is order-independent, and the numpy path is guarded by an
@@ -50,7 +52,8 @@ from __future__ import annotations
 import hashlib
 import threading
 from array import array
-from collections import OrderedDict
+from bisect import bisect_left, bisect_right
+from collections import Counter, OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import perf
@@ -120,57 +123,52 @@ def table_fingerprint(
 # ----------------------------------------------------------------------
 # compiled operators
 # ----------------------------------------------------------------------
-def _sorted_runs(
-    pairs: List[Tuple[int, int]],
-) -> Tuple[List[int], List[int], Dict[int, Tuple[int, int]]]:
-    """Sort ``(source, target)`` pairs and index each source's
-    contiguous run: ``(sources, targets, {source: (lo, hi)})``."""
-    pairs = sorted(pairs)
-    sources = [s for s, _ in pairs]
-    targets = [t for _, t in pairs]
-    ranges: Dict[int, Tuple[int, int]] = {}
-    lo = 0
-    for i in range(1, len(pairs) + 1):
-        if i == len(pairs) or sources[i] != sources[lo]:
-            ranges[sources[lo]] = (lo, i)
-            lo = i
-    return sources, targets, ranges
+def _view(buf):
+    """A zero-copy read-only ``int64`` numpy view of an ``array('q')``
+    buffer (the buffer can no longer be resized while it exists)."""
+    view = _np.frombuffer(buf, dtype=_np.int64)
+    view.flags.writeable = False
+    return view
+
+
+def _buffer_bytes(buf) -> int:
+    """Bytes a table buffer holds: ``itemsize * len`` for an array, the
+    8-byte slots for a big-int weight list."""
+    return buf.itemsize * len(buf) if isinstance(buf, array) else 8 * len(buf)
 
 
 class _Operator:
-    """One observable symbol's visible edges, sorted by source state.
+    """One observable symbol's visible edges, sorted by ``(source,
+    target)``.
 
+    ``src``/``tgt`` are the only copy of the edges: flat ``array('q')``
+    buffers the pure-Python kernels index directly, locating a source
+    state's run by bisecting ``src``.  On the numpy backend ``views``
+    holds zero-copy read-only ``int64`` views of the same two buffers.
     ``growth`` is the largest number of edges sharing a target (the
-    exact per-step weight amplification the overflow guard uses).  On
-    the numpy backend ``src``/``tgt`` are read-only ``int64`` arrays;
-    the pure-Python kernels use ``ranges`` (source -> run bounds) and
-    ``tgt_list`` directly.
+    exact per-step weight amplification the overflow guard uses).
     """
 
-    __slots__ = ("src", "tgt", "tgt_list", "ranges", "growth", "edges")
+    __slots__ = ("src", "tgt", "views", "growth")
 
-    def __init__(self, pairs: List[Tuple[int, int]]) -> None:
-        sources, self.tgt_list, self.ranges = _sorted_runs(pairs)
-        self.edges = len(sources)
-        multiplicity: Dict[int, int] = {}
-        for t in self.tgt_list:
-            multiplicity[t] = multiplicity.get(t, 0) + 1
-        self.growth = max(multiplicity.values(), default=0)
-        if have_numpy():
-            self.src = _np.asarray(sources, dtype=_np.int64)
-            self.tgt = _np.asarray(self.tgt_list, dtype=_np.int64)
-            self.src.flags.writeable = False
-            self.tgt.flags.writeable = False
-        else:
-            self.src = None
-            self.tgt = None
+    def __init__(self) -> None:
+        self.src = array("q")
+        self.tgt = array("q")
+        self.views = None
+        self.growth = 0
+
+    def seal(self, numpy: bool) -> None:
+        """Finish the operator once every edge has been appended."""
+        self.growth = max(Counter(self.tgt).values(), default=0)
+        if numpy:
+            self.views = (_view(self.src), _view(self.tgt))
 
     def __len__(self) -> int:
-        return self.edges
+        return len(self.src)
 
     @property
     def nbytes(self) -> int:
-        return 16 * self.edges
+        return _buffer_bytes(self.src) + _buffer_bytes(self.tgt)
 
 
 class _StepResult:
@@ -231,9 +229,11 @@ class CompiledTables:
     """The compiled localization tables of one ``(scenario, visible
     set)``.
 
-    Immutable after construction (numpy arrays are marked read-only),
-    so one instance is safely shared across every session and shard
-    lane localizing the same scenario.  Built by
+    Immutable after construction, so one instance is safely shared
+    across every session and shard lane localizing the same scenario.
+    Every table is stored once, in flat ``array('q')`` buffers: the
+    pure-Python kernels index them directly and the numpy backend reads
+    them through zero-copy read-only views.  Built by
     :class:`TableRegistry`; the heavy part is the invisible-closure
     transitive path-count matrix, computed once here instead of being
     re-walked per observed symbol.
@@ -245,100 +245,115 @@ class CompiledTables:
         offsets, msg_ids, targets = interleaved.csr_adjacency()
         n = len(offsets) - 1
         self.num_states = n
+        self._numpy = have_numpy()
 
-        # visible edges grouped by message ID
-        by_mid: Dict[int, List[Tuple[int, int]]] = {}
-        invisible: List[List[int]] = [[] for _ in range(n)]
+        # visible edges grouped by message ID, plus merged operators
+        # for plain (un-indexed) observations -- the union of every
+        # instance's edges.  The CSR lists a state's edges by message
+        # then target, so the per-ID runs arrive sorted; a plain run
+        # merges several IDs and is sorted per source state.
+        table = interleaved.indexed_messages
+        self.op_by_mid: Dict[int, _Operator] = {}
+        self.op_by_plain: Dict[Message, _Operator] = {}
+        pending = [0] * n  # invisible in-degrees, for the closure DP
         for sid in range(n):
+            plain_runs: Dict[Message, List[int]] = {}
             for e in range(offsets[sid], offsets[sid + 1]):
                 mid = msg_ids[e]
-                if visible_mid[mid]:
-                    by_mid.setdefault(mid, []).append((sid, targets[e]))
-                else:
-                    invisible[sid].append(targets[e])
-        self.op_by_mid: Dict[int, _Operator] = {
-            mid: _Operator(pairs) for mid, pairs in by_mid.items()
-        }
-        # merged operators for plain (un-indexed) observations: the
-        # union of every instance's edges
-        table = interleaved.indexed_messages
-        plain_pairs: Dict[Message, List[Tuple[int, int]]] = {}
-        for mid, pairs in by_mid.items():
-            plain_pairs.setdefault(table[mid].message, []).extend(pairs)
-        self.op_by_plain: Dict[Message, _Operator] = {
-            message: _Operator(pairs)
-            for message, pairs in plain_pairs.items()
-        }
+                t = targets[e]
+                if not visible_mid[mid]:
+                    pending[t] += 1
+                    continue
+                op = self.op_by_mid.get(mid)
+                if op is None:
+                    op = self.op_by_mid[mid] = _Operator()
+                op.src.append(sid)
+                op.tgt.append(t)
+                plain_runs.setdefault(table[mid].message, []).append(t)
+            for message, run in plain_runs.items():
+                op = self.op_by_plain.get(message)
+                if op is None:
+                    op = self.op_by_plain[message] = _Operator()
+                run.sort()
+                op.src.fromlist([sid] * len(run))
+                op.tgt.fromlist(run)
+        operators = [*self.op_by_mid.values(), *self.op_by_plain.values()]
+        for op in operators:
+            op.seal(self._numpy)
 
-        # invisible-closure path counts: source-sorted triplets of
-        # paths(i -> j) over non-traced edges (j != i; the identity
-        # term is implicit in the ``closed = matched + ...``
-        # application), built by a reverse-topological DP
-        order = interleaved.topological_ids()
+        # invisible-closure path counts paths(i -> j) over non-traced
+        # edges (j != i; the identity term is implicit in the ``closed
+        # = matched + ...`` application), built by a reverse-topological
+        # DP.  A finished row is written straight into the final
+        # buffers (sorted by target) and kept as a dict only until its
+        # last invisible predecessor has merged it, so the DP never
+        # holds more than its live rows.  Rows land in the order the DP
+        # finishes them, so each state has its own ``[lo, hi)`` bounds.
+        row_lo = array("q", bytes(8 * n))
+        row_hi = array("q", bytes(8 * n))
+        ctgt = array("q")
+        cweight = array("q")
+        col_sums = [0] * n
         rows: List[Optional[Dict[int, int]]] = [None] * n
-        csrc: List[int] = []
-        ctgt: List[int] = []
-        cweight: List[int] = []
-        cranges: Dict[int, Tuple[int, int]] = {}
-        for sid in reversed(order):
+        for sid in reversed(interleaved.topological_ids()):
             row: Dict[int, int] = {}
-            for t in invisible[sid]:
+            for e in range(offsets[sid], offsets[sid + 1]):
+                if visible_mid[msg_ids[e]]:
+                    continue
+                t = targets[e]
                 row[t] = row.get(t, 0) + 1
                 inner = rows[t]
                 if inner:
                     for j, w in inner.items():
                         row[j] = row.get(j, 0) + w
-            rows[sid] = row
-        col_sums: Dict[int, int] = {}
-        for sid in range(n):
-            row = rows[sid]
+                pending[t] -= 1
+                if not pending[t]:
+                    rows[t] = None
             if not row:
                 continue
-            lo = len(csrc)
-            for j in sorted(row):
-                csrc.append(sid)
-                ctgt.append(j)
-                cweight.append(row[j])
-                col_sums[j] = col_sums.get(j, 0) + row[j]
-            cranges[sid] = (lo, len(csrc))
+            if pending[sid]:
+                rows[sid] = row
+            keys = sorted(row)
+            weights = [row[j] for j in keys]
+            row_lo[sid] = len(ctgt)
+            ctgt.fromlist(keys)
+            row_hi[sid] = len(ctgt)
+            if isinstance(cweight, array):
+                try:
+                    cweight.fromlist(weights)  # all or nothing
+                except OverflowError:
+                    # a closure weight exceeds int64 (astronomical
+                    # products): keep exact big-int weights instead;
+                    # the overflow guard below then rules numpy out
+                    cweight = cweight.tolist()
+            if isinstance(cweight, list):
+                cweight.extend(weights)
+            for j, w in zip(keys, weights):
+                col_sums[j] += w
         self.closure_entries = len(ctgt)
-        self._ctgt_list = ctgt
-        self._cweight_list = cweight
-        self._cranges = cranges
+        self._row_lo = row_lo
+        self._row_hi = row_hi
+        self._ctgt = ctgt
+        self._cweight = cweight
 
         # exact int64-overflow guard: one advance multiplies the peak
         # weight by at most step_growth (matched scatter-add) and then
         # by closure_growth (worst closure column sum plus the
         # identity term)
-        step_growth = max(
-            (op.growth for op in self.op_by_mid.values()), default=0
-        )
-        step_growth = max(
-            step_growth,
-            max((op.growth for op in self.op_by_plain.values()), default=0),
-        )
-        closure_growth = 1 + max(col_sums.values(), default=0)
+        step_growth = max((op.growth for op in operators), default=0)
+        closure_growth = 1 + max(col_sums, default=0)
         growth = max(1, step_growth) * closure_growth
         self.int64_limit = (
             _INT64_MAX // growth if growth <= _INT64_MAX else 0
         )
+        self._closure_views = (
+            tuple(_view(buf) for buf in (row_lo, row_hi, ctgt, cweight))
+            if self._numpy and self.int64_limit
+            else None
+        )
 
-        self._numpy = have_numpy()
-        if self._numpy:
-            self._csrc = _np.asarray(csrc, dtype=_np.int64)
-            self._ctgt = _np.asarray(ctgt, dtype=_np.int64)
-            self._cweight = _np.asarray(cweight, dtype=_np.int64)
-            for arr in (self._csrc, self._ctgt, self._cweight):
-                arr.flags.writeable = False
-            if int(self._cweight.max(initial=0)) != max(cweight, default=0):
-                # closure weights themselves exceed int64 (pathological
-                # products); numpy can never be safe here
-                self.int64_limit = 0  # pragma: no cover - astronomical
-
-        self.nbytes = (
-            sum(op.nbytes for op in self.op_by_mid.values())
-            + sum(op.nbytes for op in self.op_by_plain.values())
-            + 24 * len(ctgt)
+        self.nbytes = sum(op.nbytes for op in operators) + sum(
+            _buffer_bytes(buf) for buf in (row_lo, row_hi, ctgt, cweight)
         )
 
         # content-keyed step memo: sessions localizing the same
@@ -458,8 +473,9 @@ class CompiledTables:
         return _reduce_by_id(ids, weights)
 
     def _advance_numpy(self, ids, vals, op: _Operator) -> _StepResult:
-        lo = _np.searchsorted(op.src, ids, side="left")
-        hi = _np.searchsorted(op.src, ids, side="right")
+        src, tgt = op.views
+        lo = _np.searchsorted(src, ids, side="left")
+        hi = _np.searchsorted(src, ids, side="right")
         counts = hi - lo
         total = int(counts.sum())
         if total == 0:
@@ -468,18 +484,18 @@ class CompiledTables:
                 perf.add("localize_kernel_edges", int(ids.size))
             return _StepResult((empty, empty), (empty, empty), 0)
         sel = _expand_runs(lo, counts, total)
-        m_ids, m_vals = self._reduce(op.tgt[sel], _np.repeat(vals, counts))
+        m_ids, m_vals = self._reduce(tgt[sel], _np.repeat(vals, counts))
         # closure expansion over the matched states' precomputed rows
-        clo = _np.searchsorted(self._csrc, m_ids, side="left")
-        chi = _np.searchsorted(self._csrc, m_ids, side="right")
-        ccounts = chi - clo
+        row_lo, row_hi, ctgt, cweight = self._closure_views
+        clo = row_lo[m_ids]
+        ccounts = row_hi[m_ids] - clo
         ctotal = int(ccounts.sum())
         if ctotal:
             csel = _expand_runs(clo, ccounts, ctotal)
             c_ids, c_vals = self._reduce(
-                _np.concatenate((m_ids, self._ctgt[csel])),
+                _np.concatenate((m_ids, ctgt[csel])),
                 _np.concatenate(
-                    (m_vals, self._cweight[csel] * _np.repeat(m_vals, ccounts))
+                    (m_vals, cweight[csel] * _np.repeat(m_vals, ccounts))
                 ),
             )
         else:
@@ -493,14 +509,14 @@ class CompiledTables:
     ) -> _StepResult:
         matched: Dict[int, int] = {}
         edges = 0
-        tgt = op.tgt_list
+        src, tgt = op.src, op.tgt
         for s, w in closed_vec.items():
-            run = op.ranges.get(s)
-            if run is not None:
-                edges += run[1] - run[0]
-                for e in range(run[0], run[1]):
-                    t = tgt[e]
-                    matched[t] = matched.get(t, 0) + w
+            lo = bisect_left(src, s)
+            hi = bisect_right(src, s, lo)
+            edges += hi - lo
+            for e in range(lo, hi):
+                t = tgt[e]
+                matched[t] = matched.get(t, 0) + w
         closed, closure_edges = self.closure(matched)
         if perf.enabled():
             perf.add("localize_kernel_edges", edges + closure_edges)
@@ -517,15 +533,14 @@ class CompiledTables:
         """
         closed = dict(matched)
         entries = 0
-        ctgt = self._ctgt_list
-        cweight = self._cweight_list
+        row_lo, row_hi = self._row_lo, self._row_hi
+        ctgt, cweight = self._ctgt, self._cweight
         for s, w in matched.items():
-            run = self._cranges.get(s)
-            if run is not None:
-                entries += run[1] - run[0]
-                for e in range(run[0], run[1]):
-                    t = ctgt[e]
-                    closed[t] = closed.get(t, 0) + w * cweight[e]
+            lo, hi = row_lo[s], row_hi[s]
+            entries += hi - lo
+            for e in range(lo, hi):
+                t = ctgt[e]
+                closed[t] = closed.get(t, 0) + w * cweight[e]
         return closed, entries
 
 

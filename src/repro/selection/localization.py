@@ -68,9 +68,9 @@ from repro.selection.packing import expand_subgroups
 #: The localization modes :meth:`PathLocalizer.localize` understands.
 MODES = ("prefix", "exact", "window")
 
-#: Identical windows whose composed-DP memo tables stay cached per
-#: localizer (repeated SNAPSHOTs on idle sessions hit, a scan of many
-#: distinct windows stays bounded).
+#: Identical windows whose final counts stay cached per localizer
+#: (repeated SNAPSHOTs on idle sessions hit, a scan of many distinct
+#: windows stays bounded; the composed-DP tables are never kept).
 _WINDOW_MEMO_SLOTS = 16
 
 
@@ -199,10 +199,10 @@ class PathLocalizer:
             registry if registry is not None else kernels.default_registry()
         )
         self._tables: Optional[kernels.CompiledTables] = None
-        # memoized window-mode composed-DP tables, LRU-keyed by the
-        # observed window; the lock only guards the cache (the shared
-        # localizer is fed from many session threads), never the DP
-        self._window_memo: "OrderedDict[Tuple[object, ...], Dict[Tuple[int, int], int]]" = (
+        # memoized window-mode counts, LRU-keyed by the observed
+        # window; the lock only guards the cache (the shared localizer
+        # is fed from many session threads), never the DP
+        self._window_memo: "OrderedDict[Tuple[object, ...], int]" = (
             OrderedDict()
         )
         self._window_memo_lock = threading.Lock()
@@ -485,10 +485,10 @@ class PathLocalizer:
         observation (e.g. one grown online with :func:`kmp_extend`);
         omitted, it is built here.
 
-        The per-``(state, automaton-state)`` count table is memoized
-        across calls with an identical window (bounded LRU), so
-        repeated SNAPSHOT requests on an idle session reread the memo
-        instead of redoing the composed DP.
+        The final count is memoized across calls with an identical
+        window (bounded LRU), so repeated SNAPSHOT requests on an idle
+        session skip the composed DP.  The per-``(state,
+        automaton-state)`` table lives only for one call.
         """
         for item in observation:
             if not isinstance(item, IndexedMessage):
@@ -498,24 +498,21 @@ class PathLocalizer:
                 )
         if not observation:
             return self._total
-        step = _kmp_transition(observation, failure)
-        accept = len(observation)
-        offsets, msg_ids, targets = self.interleaved.csr_adjacency()
-        message_table = self.interleaved.indexed_messages
-        visible_mid = self._visible_mid
-        to_stop = self.interleaved.paths_to_stop_ids()
         memo_key = tuple(observation)
         with self._window_memo_lock:
             cached = self._window_memo.get(memo_key)
             if cached is not None:
                 self._window_memo.move_to_end(memo_key)
         if cached is not None:
-            # a published memo is complete for everything reachable
-            # from the initial states, so replaying it is pure lookups
             perf.add("localize_window_memo_hits")
-        memo: Dict[Tuple[int, int], int] = (
-            cached if cached is not None else {}
-        )
+            return cached
+        step = _kmp_transition(observation, failure)
+        accept = len(observation)
+        offsets, msg_ids, targets = self.interleaved.csr_adjacency()
+        message_table = self.interleaved.indexed_messages
+        visible_mid = self._visible_mid
+        to_stop = self.interleaved.paths_to_stop_ids()
+        memo: Dict[Tuple[int, int], int] = {}
 
         def count(sid: int, k: int) -> int:
             if k == accept:
@@ -535,15 +532,22 @@ class PathLocalizer:
             memo[key] = total
             return total
 
-        result = sum(count(sid, 0) for sid in self.interleaved.initial_ids)
-        if cached is None:
-            if perf.enabled():
-                perf.add("localize_dp_steps", len(memo))
-            with self._window_memo_lock:
-                self._window_memo[memo_key] = memo
-                self._window_memo.move_to_end(memo_key)
-                while len(self._window_memo) > _WINDOW_MEMO_SLOTS:
-                    self._window_memo.popitem(last=False)
+        try:
+            result = sum(
+                count(sid, 0) for sid in self.interleaved.initial_ids
+            )
+        finally:
+            # ``count`` refers to itself through its closure cell; break
+            # that cycle so the memo table is freed on return instead of
+            # waiting for a cyclic garbage collection
+            del count
+        if perf.enabled():
+            perf.add("localize_dp_steps", len(memo))
+        with self._window_memo_lock:
+            self._window_memo[memo_key] = result
+            self._window_memo.move_to_end(memo_key)
+            while len(self._window_memo) > _WINDOW_MEMO_SLOTS:
+                self._window_memo.popitem(last=False)
         return result
 
 

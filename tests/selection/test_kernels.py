@@ -10,10 +10,12 @@ All randomness is seeded -- nothing here depends on PYTHONHASHSEED.
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,6 +38,9 @@ from tests.strategies import scenarios
 VARIANTS = (
     ("numpy", "promoted", "python") if kernels.have_numpy() else ("python",)
 )
+
+#: The two kernel backends a table can be compiled for.
+BACKENDS = ("numpy", "python") if kernels.have_numpy() else ("python",)
 
 
 @pytest.fixture
@@ -580,3 +585,110 @@ class TestWindowMemo:
         assert counters.get("localize_window_memo_hits") == 1
         # the memoized replay must not redo the composed DP
         assert counters.get("localize_dp_steps") == 0
+
+    def test_window_counts_leave_no_cyclic_garbage(
+        self, cc_flow, cc_interleaved, traced
+    ):
+        # the composed-DP table must be freed on return, not parked in
+        # a reference cycle until a generation-2 collection
+        localizer = PathLocalizer(cc_interleaved, traced)
+        req = cc_flow.message_by_name("ReqE")
+        gnt = cc_flow.message_by_name("GntE")
+        windows = [
+            (IndexedMessage(req, 1),),
+            (IndexedMessage(req, 2), IndexedMessage(gnt, 2)),
+            (IndexedMessage(req, 1), IndexedMessage(gnt, 1)),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            counts = [localizer.window_count(w) for w in windows]
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert all(count > 0 for count in counts)
+        assert unreachable == 0
+
+
+@pytest.fixture(scope="module")
+def sc2x2():
+    from repro.server import ServeContext
+
+    context = ServeContext.from_scenario(2, instances=2, buffer_width=32)
+    interleaved = context.interleaved
+    # cached on the flow, not part of the compiled tables
+    interleaved.topological_ids()
+    visible = PathLocalizer(interleaved, context.traced)._visible_mid
+    return interleaved, visible
+
+
+def table_buffers(tables):
+    """Every flat buffer a compiled table set holds."""
+    buffers = [tables._row_lo, tables._row_hi, tables._ctgt, tables._cweight]
+    for op in (*tables.op_by_mid.values(), *tables.op_by_plain.values()):
+        buffers += [op.src, op.tgt]
+    return buffers
+
+
+class TestTableResidency:
+    @pytest.mark.parametrize("variant", BACKENDS)
+    def test_tables_are_resident_once(self, monkeypatch, sc2x2, variant):
+        interleaved, visible = sc2x2
+        monkeypatch.setattr(kernels, "_force_python", variant == "python")
+        registry = TableRegistry()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tables = registry.get(interleaved, visible)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert tables._numpy == (variant == "numpy")
+        # one copy of every buffer plus per-object overhead
+        assert retained <= 1.25 * tables.nbytes + 256 * 1024
+        buffers = table_buffers(tables)
+        assert tables.nbytes == sum(b.itemsize * len(b) for b in buffers)
+        assert tables.closure_entries == len(tables._ctgt)
+
+    @pytest.mark.parametrize("variant", BACKENDS)
+    def test_closure_weights_beyond_int64_stay_exact(self, variant):
+        # 64 invisible diamonds in a row: 2^64 invisible paths, beyond
+        # int64, so the closure keeps big-int weights and the numpy
+        # backend can never run
+        diamonds = 64
+        a = Message("a", 1, source="P", destination="Q")
+        f = Message("f", 1, source="Q", destination="P")
+        transitions = [Transition("in", a, "d0")]
+        for i in range(diamonds):
+            for arm in "lr":
+                into = Message(f"{arm}{i}", 1, source="P", destination="Q")
+                out = Message(f"{arm}{i}'", 1, source="Q", destination="P")
+                transitions.append(Transition(f"d{i}", into, f"{arm}{i}"))
+                transitions.append(
+                    Transition(f"{arm}{i}", out, f"d{i + 1}")
+                )
+        transitions.append(Transition(f"d{diamonds}", f, "out"))
+        states = sorted({s for t in transitions for s in (t.source, t.target)})
+        flow = Flow(
+            name="Diamonds", states=states, initial=["in"], stop=["out"],
+            transitions=transitions,
+        )
+        interleaved = interleave_flows([flow], copies=1)
+        traced = MessageCombination([a, f])
+        localizer = make_localizer(interleaved, traced, variant)
+        tables = localizer._compiled_tables()
+        assert isinstance(tables._cweight, list)
+        assert max(tables._cweight) == 2**diamonds
+        assert tables.int64_limit == 0
+        assert tables.nbytes == sum(
+            8 * len(b) if isinstance(b, list) else b.itemsize * len(b)
+            for b in table_buffers(tables)
+        )
+        observed = [IndexedMessage(a, 1), IndexedMessage(f, 1)]
+        for cut in range(len(observed) + 1):
+            head = observed[:cut]
+            assert localizer.localize(head).consistent_paths == 2**diamonds
+        exact = localizer.localize(observed, mode="exact")
+        assert exact.consistent_paths == 2**diamonds

@@ -73,11 +73,8 @@ def edge_pairs(operator):
     along (empty for ``None``: the symbol labels no edge)."""
     if operator is None:
         return set()
-    return {
-        (source, operator.tgt_list[e])
-        for source, (lo, hi) in operator.ranges.items()
-        for e in range(lo, hi)
-    }
+    assert list(operator.src) == sorted(operator.src)
+    return set(zip(operator.src, operator.tgt))
 
 
 def labelled_pairs(interleaved, wanted):

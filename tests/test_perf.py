@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 from repro import perf
 from repro.runtime.telemetry import recent_runs
@@ -92,6 +94,55 @@ class TestCollection:
         assert counters.get("coverage_queries") > 0
         assert "interleave" in counters.timings
         assert "select_exhaustive" in counters.timings
+
+
+class TestThreadSafety:
+    def test_concurrent_adds_are_exact(self):
+        # shard threads increment a long-lived collector while other
+        # collections come and go
+        threads, per_thread = 8, 20_000
+        counters = perf.activate(perf.PerfCounters())
+        stop = threading.Event()
+
+        def churn():
+            while not stop.is_set():
+                with perf.collect():
+                    with perf.collect():
+                        perf.add("nested")
+
+        def hammer():
+            for _ in range(per_thread):
+                perf.add("hammered")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            churner = threading.Thread(target=churn)
+            churner.start()
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            stop.set()
+            churner.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            perf.deactivate(counters)
+        assert not any(w.is_alive() for w in (*workers, churner))
+        assert counters.get("hammered") == threads * per_thread
+        assert not perf.enabled()
+
+    def test_deactivate_matches_by_identity(self):
+        # two empty collectors compare equal; only the given one leaves
+        first = perf.activate(perf.PerfCounters())
+        second = perf.activate(perf.PerfCounters())
+        assert first == second
+        perf.deactivate(first)
+        perf.add("events")
+        perf.deactivate(second)
+        assert (first.get("events"), second.get("events")) == (0, 1)
 
 
 class TestRecordProfile:
