@@ -37,9 +37,6 @@ Commands
 ``stream``
     Follow a trace file incrementally and watch the localization
     fraction tighten as records arrive.
-``serve-demo``
-    Drive N concurrent synthetic debug sessions through the streaming
-    service and print throughput plus telemetry.
 ``serve``
     Run the networked debug service: an asyncio TCP server speaking
     the length-prefixed binary wire protocol, with sharded sessions,
@@ -429,53 +426,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_demo(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.common import scenario_selection
-    from repro.runtime.telemetry import recent_runs
-    from repro.stream import run_load_test
-    from repro.stream.session import SessionLimits
-
-    bundle = scenario_selection(
-        args.scenario, instances=args.instances, buffer_width=args.buffer
-    )
-    sc = bundle.scenario
-    report = run_load_test(
-        sc.interleaved(),
-        bundle.with_packing.traced,
-        sessions=args.sessions,
-        workers=args.workers,
-        chunk_size=args.chunk,
-        seed=args.seed,
-        mode=args.mode,
-        limits=SessionLimits(
-            max_sessions=args.sessions, max_frontier=args.max_frontier
-        ),
-    )
-    summary = report.as_dict()
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    print(f"{sc.name}: {report.sessions} concurrent sessions over "
-          f"{report.workers} workers (mode={report.mode}, "
-          f"chunk={report.chunk_size})")
-    print(f"  records fed:      {report.total_records}")
-    print(f"  wall time:        {report.wall_s:.3f}s")
-    print(f"  throughput:       {report.records_per_s:.0f} records/s")
-    print(f"  p95 feed latency: {report.p95_feed_latency_s * 1e3:.3f}ms")
-    print(f"  max feed latency: {report.max_feed_latency_s * 1e3:.3f}ms")
-    print(f"  session statuses: {summary['statuses']}")
-    runs = recent_runs(name_prefix="stream:")
-    print(f"telemetry: {len(runs)} session record(s)")
-    for record in runs[-args.sessions:][:5]:
-        print(f"  {record.name}: feeds={record.tasks_dispatched} "
-              f"records={record.extra['records']} "
-              f"status={record.extra['status']} "
-              f"fraction={record.extra['fraction']:.4%}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -621,15 +571,14 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 1 if report.failures else 0
-    inner = report.report
-    print(f"{context.name}: {inner.sessions} networked session(s) "
+    print(f"{context.name}: {report.sessions} networked session(s) "
           f"against {args.host}:{args.port} "
           f"({args.processes} process(es) x {args.threads} thread(s))")
-    print(f"  records fed:      {inner.total_records}")
-    print(f"  wall time:        {inner.wall_s:.3f}s")
-    print(f"  throughput:       {inner.records_per_s:.0f} records/s")
+    print(f"  records fed:      {report.total_records}")
+    print(f"  wall time:        {report.wall_s:.3f}s")
+    print(f"  throughput:       {report.records_per_s:.0f} records/s")
     print(f"  p50 feed latency: {report.p50_feed_latency_s * 1e3:.3f}ms")
-    print(f"  p95 feed latency: {inner.p95_feed_latency_s * 1e3:.3f}ms")
+    print(f"  p95 feed latency: {report.p95_feed_latency_s * 1e3:.3f}ms")
     print(f"  p99 feed latency: {report.p99_feed_latency_s * 1e3:.3f}ms")
     print(f"  retries:          {report.retries} "
           f"(recoveries: {report.recoveries})")
@@ -1156,26 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--max-frontier", type=int, default=None,
                         help="bound the carried DP frontier")
     stream.set_defaults(func=_cmd_stream)
-
-    serve = sub.add_parser(
-        "serve-demo",
-        help="drive N concurrent synthetic streaming debug sessions",
-    )
-    serve.add_argument("--sessions", type=int, default=8)
-    serve.add_argument("--workers", type=int, default=4)
-    serve.add_argument("--scenario", type=int, choices=(1, 2, 3),
-                       default=1)
-    serve.add_argument("--mode", choices=("prefix", "exact", "window"),
-                       default="prefix")
-    serve.add_argument("--buffer", type=int, default=32)
-    serve.add_argument("--instances", type=int, default=1)
-    serve.add_argument("--chunk", type=int, default=16,
-                       help="records per feed call")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--max-frontier", type=int, default=4096)
-    serve.add_argument("--json", action="store_true",
-                       help="emit the load-test report as JSON")
-    serve.set_defaults(func=_cmd_serve_demo)
 
     served = sub.add_parser(
         "serve",

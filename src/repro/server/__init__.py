@@ -34,11 +34,7 @@ from repro.server.client import (
     RetryPolicy,
     SessionFeed,
 )
-from repro.server.loadgen import (
-    NetworkLoadReport,
-    NetworkTransport,
-    run_network_load_test,
-)
+from repro.server.loadgen import NetworkLoadReport, run_network_load_test
 from repro.server.metrics import (
     Counter,
     Gauge,
@@ -68,7 +64,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NetworkLoadReport",
-    "NetworkTransport",
     "RetryPolicy",
     "ServeContext",
     "ServerConfig",

@@ -2,11 +2,7 @@
 
 Replays simulator-produced trace files against a running
 :class:`~repro.server.server.DebugServer` and reports throughput and
-latency in the **same shapes** as the in-process
-``repro.stream.service.run_load_test`` -- both delegate to
-:func:`repro.stream.workload.drive_session`, so their numbers are
-directly comparable (``benchmarks/server_bench.py`` gates on exactly
-that ratio).
+feed-latency percentiles.
 
 The workload is faithful to the paper's setting: each session is one
 seeded failing run of the simulator, projected onto the traced message
@@ -25,70 +21,19 @@ from __future__ import annotations
 
 import io
 import multiprocessing
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.selection.localization import LocalizationResult
 from repro.server.client import DebugClient, RetryPolicy, SessionFeed
 from repro.sim.tracefile import write_trace_file
-from repro.stream.workload import (
-    LoadTestReport,
-    SessionOutcome,
-    SessionTransport,
-    build_report,
-    drive_session,
-    percentile,
-)
+from repro.stream.workload import percentile
 
 #: One pre-rendered session workload: ``(session_id, chunk bytes...)``.
 SessionJob = Tuple[str, Tuple[bytes, ...]]
-
-
-class NetworkTransport(SessionTransport):
-    """Adapts :class:`SessionFeed` to the workload driver's transport
-    surface.  Chunks are raw bytes; recovery (reopen + replay after a
-    server restart) is inherited from the feed, so a driven session
-    survives the server dying mid-stream."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        policy: Optional[RetryPolicy] = None,
-        rng: Optional[object] = None,
-    ) -> None:
-        self.client = DebugClient(host, port, policy=policy, rng=rng)  # type: ignore[arg-type]
-        self._feeds: Dict[str, SessionFeed] = {}
-
-    def open(
-        self, session_id: Optional[str] = None, mode: Optional[str] = None
-    ) -> str:
-        feed = SessionFeed(self.client, session_id=session_id, mode=mode)
-        self._feeds[feed.session_id] = feed
-        return feed.session_id
-
-    def feed(self, session_id: str, chunk: object) -> int:
-        return self._feeds[session_id].feed(bytes(chunk)).consumed  # type: ignore[arg-type]
-
-    def snapshot(self, session_id: str) -> LocalizationResult:
-        return self._feeds[session_id].snapshot().result
-
-    def close(self, session_id: str) -> str:
-        return self._feeds.pop(session_id).close().status
-
-    @property
-    def retries(self) -> int:
-        return self.client.retries
-
-    @property
-    def recoveries(self) -> int:
-        return sum(f.recoveries for f in self._feeds.values())
-
-    def disconnect(self) -> None:
-        self.client.close()
 
 
 # ----------------------------------------------------------------------
@@ -158,36 +103,48 @@ def _drive_jobs(
     threads: int,
     policy: RetryPolicy,
 ) -> List[Dict[str, object]]:
-    """Drive *jobs* on a thread pool, one transport per thread-session
-    (clients are not thread-safe).  Returns plain dicts so the result
-    crosses process boundaries without pickling repro objects."""
+    """Drive *jobs* on a thread pool, one client per session (clients
+    are not thread-safe): open, feed every chunk in order, snapshot,
+    close.  Per-feed wall time is measured around each feed call.
+    Returns plain dicts so the result crosses process boundaries
+    without pickling repro objects."""
 
     def one(job: SessionJob) -> Dict[str, object]:
         session_id, chunks = job
-        transport = NetworkTransport(host, port, policy=policy)
+        client = DebugClient(host, port, policy=policy)
+        feed: Optional[SessionFeed] = None
         try:
-            outcome = drive_session(
-                transport, chunks, session_id=session_id, mode=mode
-            )
+            feed = SessionFeed(client, session_id=session_id, mode=mode)
+            latencies: List[float] = []
+            records = 0
+            try:
+                for chunk in chunks:
+                    started = perf_counter()
+                    records += feed.feed(chunk).consumed
+                    latencies.append(perf_counter() - started)
+                result = feed.snapshot().result
+            finally:
+                status = feed.close().status
             return {
-                "session_id": outcome.session_id,
-                "consistent_paths": outcome.result.consistent_paths,
-                "total_paths": outcome.result.total_paths,
-                "status": outcome.status,
-                "records": outcome.records,
-                "latencies": list(outcome.feed_latencies_s),
-                "retries": transport.retries,
-                "recoveries": transport.recoveries,
+                "session_id": feed.session_id,
+                "consistent_paths": result.consistent_paths,
+                "total_paths": result.total_paths,
+                "fraction": result.fraction,
+                "status": status,
+                "records": records,
+                "latencies": latencies,
+                "retries": client.retries,
+                "recoveries": feed.recoveries,
             }
         except ReproError as exc:
             return {
                 "session_id": session_id,
                 "failure": f"{type(exc).__name__}: {exc}",
-                "retries": transport.retries,
-                "recoveries": transport.recoveries,
+                "retries": client.retries,
+                "recoveries": feed.recoveries if feed is not None else 0,
             }
         finally:
-            transport.disconnect()
+            client.close()
 
     if threads <= 1 or len(jobs) <= 1:
         return [one(job) for job in jobs]
@@ -205,23 +162,55 @@ def _warm_worker(_index: int) -> int:
 
 @dataclass(frozen=True)
 class NetworkLoadReport:
-    """A :class:`LoadTestReport` plus wire-level accounting."""
+    """Aggregate numbers from one networked multi-session run.
 
-    report: LoadTestReport
+    ``outcomes`` holds one row per session that reached its CLOSE
+    (``session_id``, ``status``, ``records``, ``consistent_paths``,
+    ``total_paths``, ``fraction``, ``latencies``, ``retries``,
+    ``recoveries``); a session that failed is named in ``failures``
+    instead.
+    """
+
+    sessions: int
+    workers: int
+    chunk_size: int
+    mode: str
+    total_records: int
+    wall_s: float
+    records_per_s: float
+    p50_feed_latency_s: float
+    p95_feed_latency_s: float
+    p99_feed_latency_s: float
+    max_feed_latency_s: float
     retries: int
     recoveries: int
     failures: Tuple[str, ...]
-    p50_feed_latency_s: float
-    p99_feed_latency_s: float
+    outcomes: Tuple[Dict[str, object], ...]
 
     def as_dict(self) -> Dict[str, object]:
-        payload = self.report.as_dict()
-        payload["retries"] = self.retries
-        payload["recoveries"] = self.recoveries
-        payload["failures"] = list(self.failures)
-        payload["p50_feed_latency_s"] = round(self.p50_feed_latency_s, 6)
-        payload["p99_feed_latency_s"] = round(self.p99_feed_latency_s, 6)
-        return payload
+        """JSON-ready summary (per-session rows reduced to their status
+        counts and localization fractions)."""
+        statuses = Counter(str(o["status"]) for o in self.outcomes)
+        return {
+            "sessions": self.sessions,
+            "workers": self.workers,
+            "chunk_size": self.chunk_size,
+            "mode": self.mode,
+            "total_records": self.total_records,
+            "wall_s": round(self.wall_s, 6),
+            "records_per_s": round(self.records_per_s, 3),
+            "p50_feed_latency_s": round(self.p50_feed_latency_s, 6),
+            "p95_feed_latency_s": round(self.p95_feed_latency_s, 6),
+            "p99_feed_latency_s": round(self.p99_feed_latency_s, 6),
+            "max_feed_latency_s": round(self.max_feed_latency_s, 6),
+            "retries": self.retries,
+            "recoveries": self.recoveries,
+            "failures": list(self.failures),
+            "statuses": dict(sorted(statuses.items())),
+            "fractions": [
+                round(o["fraction"], 8) for o in self.outcomes  # type: ignore[arg-type]
+            ],
+        }
 
 
 def run_network_load_test(
@@ -272,39 +261,31 @@ def run_network_load_test(
             wall_s = perf_counter() - started
         rows = [row for part in parts for row in part]
 
-    outcomes: List[SessionOutcome] = []
-    failures: List[str] = []
-    retries = 0
-    recoveries = 0
-    for row in rows:
-        retries += int(row.get("retries", 0))  # type: ignore[arg-type]
-        recoveries += int(row.get("recoveries", 0))  # type: ignore[arg-type]
-        if "failure" in row:
-            failures.append(f"{row['session_id']}: {row['failure']}")
-            continue
-        outcomes.append(
-            SessionOutcome(
-                session_id=str(row["session_id"]),
-                result=LocalizationResult(
-                    consistent_paths=int(row["consistent_paths"]),  # type: ignore[arg-type]
-                    total_paths=int(row["total_paths"]),  # type: ignore[arg-type]
-                ),
-                status=str(row["status"]),
-                records=int(row["records"]),  # type: ignore[arg-type]
-                feed_latencies_s=tuple(row["latencies"]),  # type: ignore[arg-type]
-            )
-        )
+    outcomes = tuple(row for row in rows if "failure" not in row)
     latencies = sorted(
-        latency for o in outcomes for latency in o.feed_latencies_s
+        latency
+        for o in outcomes
+        for latency in o["latencies"]  # type: ignore[attr-defined]
     )
-    workers = (processes if processes > 0 else 1) * max(threads, 1)
+    total_records = sum(int(o["records"]) for o in outcomes)  # type: ignore[arg-type]
     return NetworkLoadReport(
-        report=build_report(
-            outcomes, workers, chunk_records, mode, wall_s
-        ),
-        retries=retries,
-        recoveries=recoveries,
-        failures=tuple(failures),
+        sessions=len(outcomes),
+        workers=(processes if processes > 0 else 1) * max(threads, 1),
+        chunk_size=chunk_records,
+        mode=mode,
+        total_records=total_records,
+        wall_s=wall_s,
+        records_per_s=total_records / wall_s if wall_s > 0 else 0.0,
         p50_feed_latency_s=percentile(latencies, 0.50),
+        p95_feed_latency_s=percentile(latencies, 0.95),
         p99_feed_latency_s=percentile(latencies, 0.99),
+        max_feed_latency_s=latencies[-1] if latencies else 0.0,
+        retries=sum(int(row["retries"]) for row in rows),  # type: ignore[arg-type]
+        recoveries=sum(int(row["recoveries"]) for row in rows),  # type: ignore[arg-type]
+        failures=tuple(
+            f"{row['session_id']}: {row['failure']}"
+            for row in rows
+            if "failure" in row
+        ),
+        outcomes=outcomes,
     )

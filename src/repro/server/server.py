@@ -22,7 +22,7 @@ Architecture::
   that shard's operations).
 * **Graceful drain** -- SIGINT/SIGTERM stop the accept loop, let every
   queued operation finish and its response flush, then retire the
-  remaining sessions through their managers (telemetry intact).
+  remaining sessions through their managers.
 * **Durability** (opt-in via ``ServerConfig.data_dir``) -- each shard
   owns a :class:`repro.store.SessionStore`: feeds are written to a
   CRC-framed WAL *before* they are applied (an acked chunk survives a
@@ -564,7 +564,14 @@ class DebugServer:
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> Tuple[str, int]:
         """Bind, start shard consumers and the sweeper; returns the
-        bound ``(host, port)`` (port 0 resolves to an ephemeral one)."""
+        bound ``(host, port)`` (port 0 resolves to an ephemeral one).
+
+        Recovery and both binds run before any task starts, and the
+        perf collector is activated last.  If recovery or a bind fails
+        (a refused data directory, a taken port), the listeners are
+        closed, the WAL writers sealed and the shard executors shut
+        down before the error propagates.
+        """
         if self._server is not None:
             raise StreamError("server already started")
         loop = asyncio.get_running_loop()
@@ -577,31 +584,36 @@ class DebugServer:
         self._fingerprint = (
             self._shards[0].manager.shared_localizer.fingerprint()
         )
-        if self.config.data_dir is not None:
-            try:
+        try:
+            if self.config.data_dir is not None:
                 self._recover_from_store()
-            except BaseException:
-                for shard in self._shards:
-                    shard.executor.shutdown(wait=False)
-                raise
-        perf.activate(self._perf)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.config.host, self.config.port
+            )
+            sockname = self._server.sockets[0].getsockname()
+            self.host, self.port = sockname[0], sockname[1]
+            if self.config.metrics_port is not None:
+                self._metrics_server = await asyncio.start_server(
+                    self._handle_metrics,
+                    self.config.host,
+                    self.config.metrics_port,
+                )
+                msock = self._metrics_server.sockets[0].getsockname()
+                self.metrics_port = msock[1]
+        except BaseException:
+            for listener in (self._server, self._metrics_server):
+                if listener is not None:
+                    listener.close()
+            for shard in self._shards:
+                shard.executor.shutdown(wait=False)
+                if shard.store is not None:
+                    shard.store.close()
+            raise
         self._consumers = [
             loop.create_task(self._consume(shard)) for shard in self._shards
         ]
         self._sweeper = loop.create_task(self._sweep_loop())
-        if self.config.metrics_port is not None:
-            self._metrics_server = await asyncio.start_server(
-                self._handle_metrics,
-                self.config.host,
-                self.config.metrics_port,
-            )
-            msock = self._metrics_server.sockets[0].getsockname()
-            self.metrics_port = msock[1]
+        perf.activate(self._perf)
         self._started_at = time.monotonic()
         return self.host, self.port
 
@@ -1566,11 +1578,11 @@ class DebugServer:
 class ServerThread:
     """Runs a :class:`DebugServer` on a background event-loop thread.
 
-    The blocking-world adapter used by tests, ``benchmarks/
-    server_bench.py``, and anything else that wants a live server
-    without owning an event loop.  ``stop(abort=True)`` simulates a
-    crash (connections torn down, queued work dropped) -- the
-    client-retry soak test kills and restarts a server this way.
+    The blocking-world adapter used by tests, the chaos runner, and
+    anything else that wants a live server without owning an event
+    loop.  ``stop(abort=True)`` simulates a crash (connections torn
+    down, queued work dropped) -- the client-retry soak test kills and
+    restarts a server this way.
     """
 
     def __init__(

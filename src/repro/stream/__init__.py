@@ -6,9 +6,11 @@ localization (the service layer over Section 5.2).
 - :mod:`repro.stream.incremental` -- the localization DP carried
   across captures,
 - :mod:`repro.stream.session` -- per-validator sessions with limits,
-  overflow status, idle eviction, and telemetry,
-- :mod:`repro.stream.service` -- a thread-pooled front end plus the
-  synthetic load test behind ``repro serve-demo``.
+  overflow status, and idle eviction,
+- :mod:`repro.stream.service` -- seeded synthetic session captures.
+
+The networked server (:mod:`repro.server`) is the one front end that
+serves these sessions.
 """
 
 from repro.stream.incremental import IncrementalLocalizer
@@ -17,14 +19,7 @@ from repro.stream.ingest import (
     IncrementalTraceParser,
     ParseDiagnostic,
 )
-from repro.stream.service import (
-    LoadTestReport,
-    SessionOutcome,
-    StreamService,
-    chunked,
-    run_load_test,
-    synthetic_session_records,
-)
+from repro.stream.service import synthetic_session_records
 from repro.stream.session import (
     FeedOutcome,
     SessionLimits,
@@ -41,10 +36,5 @@ __all__ = [
     "SessionManager",
     "StreamSession",
     "FeedOutcome",
-    "StreamService",
-    "SessionOutcome",
-    "LoadTestReport",
-    "chunked",
-    "run_load_test",
     "synthetic_session_records",
 ]

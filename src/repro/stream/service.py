@@ -1,115 +1,22 @@
-"""A concurrent front end over :class:`~repro.stream.session.
-SessionManager` -- stdlib only.
+"""Synthetic debug sessions: one simulated failing run's capture.
 
-:class:`StreamService` drives whole sessions on a thread pool: one
-task opens a session, feeds its record chunks in order, snapshots, and
-closes.  Per-session ordering is guaranteed by construction (a
-session's chunks never leave its task); cross-session isolation is the
-manager's job and is what the load test below exercises.  The worker
-loop itself lives in :mod:`repro.stream.workload` -- the same
-:func:`~repro.stream.workload.drive_session` drives the networked
-sessions of :mod:`repro.server.loadgen`, so in-process and wire-level
-numbers are directly comparable.
-
-:func:`run_load_test` is the reusable synthetic workload behind
-``python -m repro serve-demo`` and ``benchmarks/stream_bench.py``: N
-validators following N independent simulated failing runs, reported as
-aggregate records/sec plus p95/max per-feed latency.
+:func:`synthetic_session_records` is the workload every serving test,
+the load generator (:mod:`repro.server.loadgen`) and the repository
+benchmark build their sessions from -- a seeded golden run projected
+onto the traced message set, exactly what the trace buffer would hold.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from repro.core.interleave import InterleavedFlow
 from repro.core.message import Message
-from repro.errors import StreamError
 from repro.sim.engine import TraceRecord, TransactionSimulator
-from repro.stream.incremental import Observable
-from repro.stream.session import SessionLimits, SessionManager
-from repro.stream.workload import (
-    InProcessTransport,
-    LoadTestReport,
-    SessionOutcome,
-    build_report,
-    chunked,
-    drive_session,
-)
-from repro.stream.workload import percentile as _percentile  # noqa: F401
 
-__all__ = [
-    "LoadTestReport",
-    "SessionOutcome",
-    "StreamService",
-    "chunked",
-    "run_load_test",
-    "synthetic_session_records",
-]
+__all__ = ["synthetic_session_records"]
 
 
-class StreamService:
-    """Drives sessions over a :class:`ThreadPoolExecutor`.
-
-    The localization DP is pure Python, so threads do not speed a
-    single session up; what the pool buys is *multiplexing* -- many
-    validators served concurrently with bounded workers -- and a
-    permanent concurrency test of the manager's locking.
-    """
-
-    def __init__(self, manager: SessionManager, workers: int = 4) -> None:
-        if workers < 1:
-            raise StreamError(f"workers must be >= 1, got {workers}")
-        self.manager = manager
-        self.workers = workers
-        self._pool: Optional[ThreadPoolExecutor] = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-stream"
-        )
-
-    # ------------------------------------------------------------------
-    def run_session(
-        self,
-        chunks: Iterable[Sequence[Observable]],
-        session_id: Optional[str] = None,
-        mode: Optional[str] = None,
-        drop_invisible: bool = False,
-    ) -> SessionOutcome:
-        """Open, feed every chunk in order, snapshot, close (synchronous)."""
-        return drive_session(
-            InProcessTransport(self.manager, drop_invisible=drop_invisible),
-            chunks,
-            session_id=session_id,
-            mode=mode,
-        )
-
-    def submit_session(
-        self,
-        chunks: Sequence[Sequence[Observable]],
-        session_id: Optional[str] = None,
-        mode: Optional[str] = None,
-        drop_invisible: bool = False,
-    ) -> "Future[SessionOutcome]":
-        """Schedule :meth:`run_session` on the pool."""
-        if self._pool is None:
-            raise StreamError("service is shut down")
-        return self._pool.submit(
-            self.run_session, chunks, session_id, mode, drop_invisible
-        )
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "StreamService":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-
-# ----------------------------------------------------------------------
 def synthetic_session_records(
     interleaved: InterleavedFlow,
     traced: Iterable[Message],
@@ -121,51 +28,3 @@ def synthetic_session_records(
     simulator = TransactionSimulator(interleaved, scenario_name)
     trace = simulator.run(seed=seed)
     return trace.project(tuple(traced))
-
-
-def run_load_test(
-    interleaved: InterleavedFlow,
-    traced: Iterable[Message],
-    sessions: int = 8,
-    workers: int = 4,
-    chunk_size: int = 16,
-    seed: int = 0,
-    mode: str = "prefix",
-    limits: Optional[SessionLimits] = None,
-) -> LoadTestReport:
-    """Drive *sessions* concurrent synthetic validators to completion.
-
-    Each session follows its own seeded simulated run (seeds
-    ``seed .. seed+sessions-1``), fed in *chunk_size* record chunks.
-    Determinism: the produced localization fractions depend only on
-    the seeds, never on thread scheduling -- which is exactly the
-    cross-session isolation guarantee the acceptance tests pin down.
-    """
-    if sessions < 1:
-        raise StreamError(f"sessions must be >= 1, got {sessions}")
-    traced = tuple(traced)
-    if limits is None:
-        limits = SessionLimits(max_sessions=max(sessions, 1))
-    manager = SessionManager(interleaved, traced, mode=mode, limits=limits)
-    workloads = [
-        chunked(
-            synthetic_session_records(interleaved, traced, seed + i),
-            chunk_size,
-        )
-        for i in range(sessions)
-    ]
-    started = time.perf_counter()
-    with StreamService(manager, workers=workers) as service:
-        futures = [
-            service.submit_session(chunks, session_id=f"demo-{i:04d}")
-            for i, chunks in enumerate(workloads)
-        ]
-        outcomes = tuple(f.result() for f in futures)
-    wall = time.perf_counter() - started
-    return build_report(
-        outcomes,
-        workers=workers,
-        chunk_size=chunk_size,
-        mode=mode,
-        wall_s=wall,
-    )

@@ -15,10 +15,11 @@ and enforces the limits that keep the process bounded:
 All sessions share one :class:`~repro.selection.localization.
 PathLocalizer` per scenario (the compiled kernel tables and the
 path-count tables are read-only), so per-session cost is just the
-carried frontier.  Every session's lifecycle ends in a
-:class:`~repro.runtime.telemetry.RunRecord` (name ``stream:<id>``)
-through the process-wide telemetry ring, same as the batch
-orchestrators.
+carried frontier.  :meth:`SessionManager.close` and
+:meth:`SessionManager.quarantine` return the retired session's
+:class:`~repro.runtime.telemetry.RunRecord` (name ``stream:<id>``);
+the server builds its CLOSE reply from it.  Sessions are not written
+to the process-wide telemetry ring.
 
 Locking discipline (the multi-shard service sweeps idle sessions from
 a different thread than the one feeding them):
@@ -46,7 +47,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.core.interleave import InterleavedFlow
 from repro.core.message import Message
 from repro.errors import FrontierOverflowError, StreamError
-from repro.runtime.telemetry import RunRecord, record_run
+from repro.runtime.telemetry import RunRecord
 from repro.selection.localization import LocalizationResult, PathLocalizer
 from repro.stream.incremental import IncrementalLocalizer, Observable
 
@@ -346,7 +347,7 @@ class SessionManager:
             return session.localizer.snapshot()
 
     def close(self, session_id: str) -> RunRecord:
-        """Close a session, emitting its telemetry record."""
+        """Close a session; returns its final record."""
         with self._lock:
             session = self._get(session_id)
         with session.lock:
@@ -451,5 +452,4 @@ class SessionManager:
         with self._lock:
             self._sessions.pop(session.session_id, None)
             self._retired[final] = self._retired.get(final, 0) + 1
-        record_run(record)
         return record

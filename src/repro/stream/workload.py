@@ -1,212 +1,15 @@
-"""Transport-agnostic session driving: one worker loop for every front
-end.
+"""Latency-summary helper shared by the serving reports.
 
-A debug workload -- open a session, feed its chunks in order, snapshot,
-close -- is the same whether the session lives in this process
-(:class:`~repro.stream.session.SessionManager`) or behind the wire
-protocol of :mod:`repro.server`.  This module owns that loop exactly
-once:
-
-* :class:`SessionTransport` -- the four-method session surface a driver
-  needs (``open``/``feed``/``snapshot``/``close``),
-* :class:`InProcessTransport` -- the adapter over a
-  :class:`~repro.stream.session.SessionManager`,
-* :func:`drive_session` -- the worker loop, producing a
-  :class:`SessionOutcome` with per-feed latencies,
-* :func:`build_report` -- aggregation into a :class:`LoadTestReport`
-  (records/sec plus latency percentiles).
-
-``repro.stream.service.run_load_test`` (in-process threads) and
-``repro.server.loadgen`` (networked, multi-process) are the two
-consumers; both report the same shapes, so their numbers are directly
-comparable -- that comparison is what ``benchmarks/server_bench.py``
-gates on.
+:func:`percentile` is the nearest-rank percentile that the load
+generator (:mod:`repro.server.loadgen`), the metrics plane
+(:mod:`repro.server.metrics`) and the repository benchmark report
+feed latencies with.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.errors import StreamError
-from repro.selection.localization import LocalizationResult
-from repro.stream.incremental import Observable
-from repro.stream.session import SessionManager
-
-
-@dataclass(frozen=True)
-class SessionOutcome:
-    """Everything one driven session produced."""
-
-    session_id: str
-    result: LocalizationResult
-    status: str
-    records: int
-    feed_latencies_s: Tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class LoadTestReport:
-    """Aggregate numbers from one synthetic multi-session run."""
-
-    sessions: int
-    workers: int
-    chunk_size: int
-    mode: str
-    total_records: int
-    wall_s: float
-    records_per_s: float
-    p95_feed_latency_s: float
-    max_feed_latency_s: float
-    outcomes: Tuple[SessionOutcome, ...]
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready summary (per-session payloads reduced to the
-        numbers dashboards plot)."""
-        return {
-            "sessions": self.sessions,
-            "workers": self.workers,
-            "chunk_size": self.chunk_size,
-            "mode": self.mode,
-            "total_records": self.total_records,
-            "wall_s": round(self.wall_s, 6),
-            "records_per_s": round(self.records_per_s, 3),
-            "p95_feed_latency_s": round(self.p95_feed_latency_s, 6),
-            "max_feed_latency_s": round(self.max_feed_latency_s, 6),
-            "statuses": {
-                status: sum(1 for o in self.outcomes if o.status == status)
-                for status in sorted({o.status for o in self.outcomes})
-            },
-            "fractions": [
-                round(o.result.fraction, 8) for o in self.outcomes
-            ],
-        }
-
-
-class SessionTransport:
-    """The session surface a workload driver needs.
-
-    Implementations adapt a concrete backend -- an in-process
-    :class:`~repro.stream.session.SessionManager`, a network client --
-    to the four lifecycle calls below.  ``feed`` returns how many
-    records the localizer consumed from the chunk (the chunk's *type*
-    is transport-defined: record sequences in process, raw bytes on the
-    wire).
-    """
-
-    def open(
-        self, session_id: Optional[str] = None, mode: Optional[str] = None
-    ) -> str:
-        raise NotImplementedError
-
-    def feed(self, session_id: str, chunk: object) -> int:
-        raise NotImplementedError
-
-    def snapshot(self, session_id: str) -> LocalizationResult:
-        raise NotImplementedError
-
-    def close(self, session_id: str) -> str:
-        """Close the session; returns its final status string."""
-        raise NotImplementedError
-
-
-class InProcessTransport(SessionTransport):
-    """Drives sessions of a local :class:`SessionManager`."""
-
-    def __init__(
-        self, manager: SessionManager, drop_invisible: bool = False
-    ) -> None:
-        self.manager = manager
-        self.drop_invisible = drop_invisible
-
-    def open(
-        self, session_id: Optional[str] = None, mode: Optional[str] = None
-    ) -> str:
-        return self.manager.open(session_id, mode=mode)
-
-    def feed(self, session_id: str, chunk: object) -> int:
-        records: Sequence[Observable] = chunk  # type: ignore[assignment]
-        return self.manager.feed(
-            session_id, records, drop_invisible=self.drop_invisible
-        ).consumed
-
-    def snapshot(self, session_id: str) -> LocalizationResult:
-        return self.manager.snapshot(session_id)
-
-    def close(self, session_id: str) -> str:
-        return str(self.manager.close(session_id).extra["status"])
-
-
-def drive_session(
-    transport: SessionTransport,
-    chunks: Iterable[object],
-    session_id: Optional[str] = None,
-    mode: Optional[str] = None,
-) -> SessionOutcome:
-    """Open, feed every chunk in order, snapshot, close (synchronous).
-
-    The one worker loop shared by every front end; per-feed wall time
-    is measured around each ``transport.feed`` call, so in-process and
-    networked latencies are defined identically.
-    """
-    sid = transport.open(session_id, mode=mode)
-    latencies: List[float] = []
-    records = 0
-    try:
-        for chunk in chunks:
-            started = time.perf_counter()
-            records += transport.feed(sid, chunk)
-            latencies.append(time.perf_counter() - started)
-        result = transport.snapshot(sid)
-    finally:
-        status = transport.close(sid)
-    return SessionOutcome(
-        session_id=sid,
-        result=result,
-        status=status,
-        records=records,
-        feed_latencies_s=tuple(latencies),
-    )
-
-
-def build_report(
-    outcomes: Sequence[SessionOutcome],
-    workers: int,
-    chunk_size: int,
-    mode: str,
-    wall_s: float,
-) -> LoadTestReport:
-    """Aggregate per-session outcomes into a :class:`LoadTestReport`."""
-    latencies = sorted(
-        latency for o in outcomes for latency in o.feed_latencies_s
-    )
-    total_records = sum(o.records for o in outcomes)
-    return LoadTestReport(
-        sessions=len(outcomes),
-        workers=workers,
-        chunk_size=chunk_size,
-        mode=mode,
-        total_records=total_records,
-        wall_s=wall_s,
-        records_per_s=total_records / wall_s if wall_s > 0 else 0.0,
-        p95_feed_latency_s=percentile(latencies, 0.95),
-        max_feed_latency_s=latencies[-1] if latencies else 0.0,
-        outcomes=tuple(outcomes),
-    )
-
-
-# ----------------------------------------------------------------------
-def chunked(
-    records: Sequence[Observable], size: int
-) -> List[Tuple[Observable, ...]]:
-    """Split *records* into feed-sized chunks (last one may be short)."""
-    if size < 1:
-        raise StreamError(f"chunk size must be >= 1, got {size}")
-    return [
-        tuple(records[i : i + size]) for i in range(0, len(records), size)
-    ]
+from typing import Sequence
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:

@@ -1,20 +1,20 @@
 """Load-generator tests: workload construction, the networked run
-(inline-thread path), and equivalence with the in-process load test --
-the two front ends share one driver, so their localization outcomes
-must be identical per seed."""
+(inline-thread path), and per-seed equality of every networked outcome
+with the in-process batch localizer."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ReproError
+from repro.selection.localization import PathLocalizer
 from repro.server import ServerConfig
 from repro.server.loadgen import (
     build_session_jobs,
     render_session_chunks,
     run_network_load_test,
 )
-from repro.stream.service import run_load_test
+from repro.stream.service import synthetic_session_records
 from tests.server.conftest import start_server
 
 
@@ -52,12 +52,11 @@ def test_networked_load_test_inline(running):
         chunk_records=2,
         seed=0,
     )
-    inner = report.report
-    assert inner.sessions == 4
+    assert report.sessions == 4
     assert not report.failures
     assert report.retries == 0
-    assert inner.total_records > 0
-    assert inner.records_per_s > 0
+    assert report.total_records > 0
+    assert report.records_per_s > 0
     summary = report.as_dict()
     assert summary["statuses"] == {"closed": 4}
     assert "p50_feed_latency_s" in summary
@@ -65,39 +64,39 @@ def test_networked_load_test_inline(running):
 
 
 def test_networked_matches_in_process_outcomes(running):
-    """Same seeds, same chunking -> identical localization fractions,
-    whether sessions run in-process or over the wire."""
+    """Sessions interleaved on three threads over two shards each end
+    on the batch localization of their own seed's capture: scheduling
+    never leaks between sessions."""
     networked = run_network_load_test(
         running.host,
         running.port,
         running.context,
-        sessions=3,
+        sessions=6,
         processes=0,
-        threads=1,
+        threads=3,
         chunk_records=2,
         seed=9,
     )
-    in_process = run_load_test(
-        running.context.interleaved,
-        running.context.traced,
-        sessions=3,
-        workers=1,
-        chunk_size=2,
-        seed=9,
-    )
-    wire_results = sorted(
-        (o.result.consistent_paths, o.result.total_paths)
-        for o in networked.report.outcomes
-    )
-    local_results = sorted(
-        (o.result.consistent_paths, o.result.total_paths)
-        for o in in_process.outcomes
-    )
-    assert wire_results == local_results
-    assert (
-        sum(o.records for o in networked.report.outcomes)
-        == in_process.total_records
-    )
+    assert not networked.failures
+    assert networked.sessions == 6
+    batch = PathLocalizer(running.context.interleaved, running.context.traced)
+    for seed, outcome in enumerate(networked.outcomes, start=9):
+        assert outcome["session_id"] == f"lg-{seed:04d}"
+        records = synthetic_session_records(
+            running.context.interleaved, running.context.traced, seed
+        )
+        expected = batch.localize([r.message for r in records])
+        assert (
+            outcome["status"],
+            outcome["records"],
+            outcome["consistent_paths"],
+            outcome["total_paths"],
+        ) == (
+            "closed",
+            len(records),
+            expected.consistent_paths,
+            expected.total_paths,
+        ), outcome["session_id"]
 
 
 def test_load_test_failures_are_reported_not_raised(context):
@@ -121,7 +120,7 @@ def test_load_test_failures_are_reported_not_raised(context):
             policy=RetryPolicy(max_attempts=2, base_delay_s=0.01),
         )
         assert len(report.failures) == 2
-        assert report.report.sessions == 0
+        assert report.sessions == 0
         assert report.retries > 0
     finally:
         handle.thread.stop()

@@ -10,11 +10,13 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ServerError, ServerUnavailableError
+from repro import perf
+from repro.errors import ServerError, ServerUnavailableError, StoreError
 from repro.server import (
     DebugClient,
     RetryPolicy,
     ServerConfig,
+    ServerThread,
     SessionFeed,
     protocol,
 )
@@ -327,3 +329,50 @@ def test_sessions_idle_evicted(context):
             assert excinfo.value.code == "unknown-session"
     finally:
         handle.thread.stop()
+
+
+# ----------------------------------------------------------------------
+@pytest.fixture
+def taken_port():
+    """A port some other socket is already listening on."""
+    holder = socket.socket()
+    holder.bind(("127.0.0.1", 0))
+    holder.listen()
+    yield holder.getsockname()[1]
+    holder.close()
+
+
+def _failed_start(context, config):
+    thread = ServerThread(context, config)
+    with pytest.raises(OSError):
+        thread.start()
+    thread.stop()
+    return thread.server
+
+
+def _collector_active(server):
+    return any(active is server._perf for active in perf._ACTIVE)
+
+
+def test_failed_start_on_a_taken_port_releases_everything(
+    context, taken_port, tmp_path
+):
+    server = _failed_start(
+        context, ServerConfig(port=taken_port, data_dir=str(tmp_path))
+    )
+    assert not _collector_active(server)
+    for shard in server._shards:
+        with pytest.raises(StoreError, match="closed"):
+            shard.store.log_open("late", "prefix", "text")
+
+
+def test_failed_start_on_a_taken_metrics_port_closes_the_listener(
+    context, taken_port
+):
+    server = _failed_start(
+        context, ServerConfig(shards=1, metrics_port=taken_port)
+    )
+    assert not _collector_active(server)
+    # the main listener bound before the metrics port failed
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((server.host, server.port), timeout=5)

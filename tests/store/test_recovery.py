@@ -78,15 +78,16 @@ def assert_matches_batch(client, context, sid, seed):
 
 # ----------------------------------------------------------------------
 class TestCrashRecovery:
+    @pytest.mark.parametrize("sessions", [3, 64])
     def test_recovered_sessions_are_bit_identical(
-        self, context, tmp_path
+        self, context, tmp_path, sessions
     ):
-        """Kill mid-load; after restart the sessions are live again
-        and finishing them lands on the exact batch answer."""
+        """Kill mid-load; after restart every session is live again
+        and finishing it lands on the exact batch answer."""
         config = durable_config(tmp_path)
         first = start_server(context, config)
         port = first.port
-        seeds = {"cr-a": 31, "cr-b": 32, "cr-c": 33}
+        seeds = {f"cr-{i:02d}": 31 + i for i in range(sessions)}
         chunk_lists = {}
         with DebugClient(first.host, port) as client:
             for sid, seed in seeds.items():

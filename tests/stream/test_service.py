@@ -1,44 +1,19 @@
-"""Tests for the thread-pooled streaming service: isolation under
-concurrency and the load-test harness."""
+"""Tests for the synthetic session captures and the percentile helper
+the serving reports share."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import StreamError
-from repro.runtime.telemetry import clear_runs, recent_runs
 from repro.selection.localization import PathLocalizer
-from repro.stream.service import (
-    StreamService,
-    chunked,
-    run_load_test,
-    synthetic_session_records,
-    _percentile,
-)
-from repro.stream.session import SessionLimits, SessionManager
-
-
-@pytest.fixture(autouse=True)
-def _clean_telemetry():
-    clear_runs()
-    yield
-    clear_runs()
+from repro.stream.service import synthetic_session_records
+from repro.stream.workload import percentile
 
 
 class TestHelpers:
-    def test_chunked_covers_everything_in_order(self):
-        items = list(range(10))
-        chunks = chunked(items, 4)
-        assert chunks == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
-        assert chunked([], 4) == []
-        with pytest.raises(StreamError, match="chunk size"):
-            chunked(items, 0)
-
     def test_percentile_nearest_rank(self):
         values = [float(v) for v in range(1, 101)]
-        assert _percentile(values, 0.95) == 95.0
-        assert _percentile([3.0], 0.95) == 3.0
-        assert _percentile([], 0.95) == 0.0
+        assert percentile(values, 0.95) == 95.0
+        assert percentile([3.0], 0.95) == 3.0
+        assert percentile([], 0.95) == 0.0
 
     def test_synthetic_records_are_visible_only(
         self, cc_interleaved, traced
@@ -47,85 +22,3 @@ class TestHelpers:
         localizer = PathLocalizer(cc_interleaved, traced)
         assert records
         assert all(localizer.is_visible(r.message) for r in records)
-
-
-class TestService:
-    def test_run_session_matches_batch(self, cc_interleaved, traced):
-        records = synthetic_session_records(cc_interleaved, traced, seed=7)
-        manager = SessionManager(cc_interleaved, traced)
-        with StreamService(manager, workers=2) as service:
-            outcome = service.run_session(chunked(records, 2))
-        batch = PathLocalizer(cc_interleaved, traced)
-        assert outcome.result == batch.localize(
-            [r.message for r in records]
-        )
-        assert outcome.status == "closed"
-        assert outcome.records == len(records)
-        assert len(outcome.feed_latencies_s) == len(chunked(records, 2))
-
-    def test_submit_after_shutdown_rejected(self, cc_interleaved, traced):
-        service = StreamService(
-            SessionManager(cc_interleaved, traced), workers=1
-        )
-        service.shutdown()
-        with pytest.raises(StreamError, match="shut down"):
-            service.submit_session([])
-
-    def test_bad_workers(self, cc_interleaved, traced):
-        with pytest.raises(StreamError, match="workers"):
-            StreamService(SessionManager(cc_interleaved, traced), workers=0)
-
-
-class TestLoadTest:
-    def test_32_sessions_no_cross_session_leakage(
-        self, cc_interleaved, traced
-    ):
-        report = run_load_test(
-            cc_interleaved,
-            traced,
-            sessions=32,
-            workers=8,
-            chunk_size=2,
-            seed=100,
-        )
-        assert len(report.outcomes) == 32
-        assert {o.status for o in report.outcomes} == {"closed"}
-        # per-session results equal an independent single-session run
-        batch = PathLocalizer(cc_interleaved, traced)
-        for i, outcome in enumerate(report.outcomes):
-            records = synthetic_session_records(
-                cc_interleaved, traced, seed=100 + i
-            )
-            expected = batch.localize([r.message for r in records])
-            assert outcome.result == expected, outcome.session_id
-        # telemetry was emitted for every session
-        assert len(recent_runs(name_prefix="stream:demo-")) == 32
-
-    def test_report_shape(self, cc_interleaved, traced):
-        report = run_load_test(
-            cc_interleaved, traced, sessions=3, workers=2, chunk_size=4
-        )
-        summary = report.as_dict()
-        assert summary["sessions"] == 3
-        assert summary["total_records"] == report.total_records > 0
-        assert summary["records_per_s"] > 0
-        assert summary["statuses"] == {"closed": 3}
-        assert len(summary["fractions"]) == 3
-        assert (
-            summary["p95_feed_latency_s"] <= summary["max_feed_latency_s"]
-        )
-
-    def test_determinism_across_worker_counts(self, cc_interleaved, traced):
-        wide = run_load_test(
-            cc_interleaved, traced, sessions=6, workers=6, chunk_size=3
-        )
-        narrow = run_load_test(
-            cc_interleaved, traced, sessions=6, workers=1, chunk_size=3
-        )
-        assert [o.result for o in wide.outcomes] == [
-            o.result for o in narrow.outcomes
-        ]
-
-    def test_bad_sessions(self, cc_interleaved, traced):
-        with pytest.raises(StreamError, match="sessions"):
-            run_load_test(cc_interleaved, traced, sessions=0)

@@ -1,5 +1,5 @@
 """Tests for the session manager: limits, eviction, overflow status,
-and telemetry."""
+and the records retired sessions return."""
 
 from __future__ import annotations
 
@@ -68,10 +68,13 @@ class TestLifecycle:
 
     def test_close_emits_telemetry(self, manager):
         sid = manager.open()
-        manager.close(sid)
-        runs = recent_runs(name_prefix="stream:")
-        assert len(runs) == 1
-        assert runs[0].extra["mode"] == "prefix"
+        session = manager.session(sid)
+        record = manager.close(sid)
+        assert record.extra["mode"] == "prefix"
+        assert record.extra["status"] == session.status == "closed"
+        assert session.retired
+        # the record goes to the caller, not the process telemetry ring
+        assert recent_runs(name_prefix="stream:") == []
 
     def test_unknown_session(self, manager):
         with pytest.raises(StreamError, match="unknown session"):
@@ -102,12 +105,14 @@ class TestLimits:
 
     def test_idle_eviction_frees_capacity(self, manager, clock):
         stale = manager.open()
+        session = manager.session(stale)
         clock.now = 11.0  # stale is now past idle_timeout_s
         fresh = [manager.open() for _ in range(3)]  # evicts, then fills
         assert stale not in manager.session_ids()
         assert set(fresh) == set(manager.session_ids())
-        (record,) = recent_runs(name_prefix=f"stream:{stale}")
-        assert record.extra["status"] == EVICTED
+        assert session.retired
+        assert session.status == EVICTED
+        assert manager.stats()["evicted"] == 1
 
     def test_active_sessions_not_evicted(self, manager, clock, cc_flow):
         req = cc_flow.message_by_name("ReqE")

@@ -220,26 +220,44 @@ class TestStreamCommand:
         assert "skipped" in capsys.readouterr().err
 
 
-class TestServeDemoCommand:
-    def test_serve_demo_small(self, capsys):
-        assert main(["serve-demo", "--sessions", "3",
-                     "--workers", "2"]) == 0
+@pytest.fixture(scope="module")
+def loadgen_port():
+    """A live server for scenario 1 that ``repro loadgen`` drives."""
+    from repro.server import ServeContext, ServerThread
+
+    with ServerThread(ServeContext.from_scenario(1)) as thread:
+        yield thread.server.port
+
+
+def _loadgen_json(capsys, port, *argv):
+    import json
+
+    assert main(["loadgen", "--port", str(port), "--processes", "0",
+                 "--sessions", "3", "--json", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestLoadgenCommand:
+    def test_loadgen_report(self, capsys, loadgen_port):
+        assert main(["loadgen", "--port", str(loadgen_port),
+                     "--processes", "0", "--sessions", "3"]) == 0
         out = capsys.readouterr().out
-        assert "3 concurrent sessions" in out
-        assert "throughput:" in out
+        assert "3 networked session(s)" in out
         assert "p95 feed latency:" in out
         assert "'closed': 3" in out
-        assert "telemetry:" in out
 
-    def test_serve_demo_json(self, capsys):
-        import json
-
-        assert main(["serve-demo", "--sessions", "2", "--workers", "1",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["sessions"] == 2
-        assert payload["statuses"] == {"closed": 2}
-        assert len(payload["fractions"]) == 2
+    def test_loadgen_json(self, capsys, loadgen_port):
+        payload = _loadgen_json(capsys, loadgen_port)
+        assert set(payload) == {
+            "chunk_size", "failures", "fractions", "max_feed_latency_s",
+            "mode", "p50_feed_latency_s", "p95_feed_latency_s",
+            "p99_feed_latency_s", "records_per_s", "recoveries",
+            "retries", "sessions", "statuses", "total_records", "wall_s",
+            "workers",
+        }
+        assert payload["statuses"] == {"closed": 3}
+        assert payload["failures"] == []
+        assert len(payload["fractions"]) == 3
 
 
 class TestCacheCommand:
@@ -420,7 +438,7 @@ class TestErrorPaths:
         assert "Traceback" not in err
 
 
-class TestServeDemoSeed:
+class TestLoadgenSeed:
     def test_synthetic_sessions_reproducible(self):
         from repro.experiments.common import scenario_selection
         from repro.stream.service import synthetic_session_records
@@ -434,26 +452,7 @@ class TestServeDemoSeed:
         assert first == again
         assert first != other
 
-    def test_serve_demo_seed_flag_reproducible(self, capsys):
-        import json
-
-        argv = ["serve-demo", "--sessions", "2", "--workers", "1",
-                "--seed", "7", "--json"]
-        assert main(argv) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert main(argv) == 0
-        again = json.loads(capsys.readouterr().out)
+    def test_loadgen_seed_flag_reproducible(self, capsys, loadgen_port):
+        first = _loadgen_json(capsys, loadgen_port, "--seed", "7")
+        again = _loadgen_json(capsys, loadgen_port, "--seed", "7")
         assert first["fractions"] == again["fractions"]
-
-    def test_serve_demo_seed_changes_runs(self, capsys):
-        import json
-
-        base = ["serve-demo", "--sessions", "2", "--workers", "1",
-                "--json"]
-        assert main(base + ["--seed", "0"]) == 0
-        zero = json.loads(capsys.readouterr().out)
-        assert main(base + ["--seed", "100"]) == 0
-        hundred = json.loads(capsys.readouterr().out)
-        assert zero["total_records"] != hundred["total_records"] or (
-            zero["fractions"] != hundred["fractions"]
-        )
