@@ -330,7 +330,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     import time
 
     from repro.runtime.cache import default_cache
-    from repro.runtime.telemetry import recent_runs
 
     cache = default_cache()
     if args.action == "clear":
@@ -352,11 +351,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     # stats
     snapshot = cache.snapshot()
-    runs = recent_runs()
     if args.json:
-        payload = snapshot.as_dict()
-        payload["runs"] = [r.as_dict() for r in runs]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(snapshot.as_dict(), indent=2, sort_keys=True))
         return 0
     print(f"cache directory: {snapshot.directory}")
     print(f"  memory entries: {snapshot.memory_entries}")
@@ -364,14 +360,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
           f"({snapshot.disk_bytes} bytes)")
     for name, value in snapshot.stats.items():
         print(f"  {name}: {value}")
-    if runs:
-        print("recent orchestrated runs:")
-        for record in runs:
-            print(f"  {record.name}: jobs={record.jobs} "
-                  f"tasks={record.tasks_dispatched} "
-                  f"failed={record.tasks_failed} "
-                  f"wall={record.wall_time_s:.2f}s "
-                  f"cache {record.cache_hits}h/{record.cache_misses}m")
     return 0
 
 
@@ -713,11 +701,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             ).frontier
             localizer.prefix_count(frontier)
     wall = time.perf_counter() - start
-    perf.record_profile(
-        counters,
-        f"profile:scenario{args.scenario}x{args.instances}:{args.method}",
-        wall_time_s=wall,
-    )
     cache_stats = default_cache().stats.as_dict()
     table_stats = kernels.default_registry().stats()
     if args.json:
@@ -1080,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "action", choices=("stats", "clear", "warm"),
-        help="stats: counters + telemetry; clear: drop all entries; "
+        help="stats: counters and disk usage; clear: drop all entries; "
         "warm: precompute the scenario selections",
     )
     cache.add_argument("--instances", type=int, default=1)

@@ -8,13 +8,9 @@ counters -- states expanded, bitset ORs, DP steps, wall time per stage
 :func:`timed` are near-zero-cost no-ops, so the counters can stay in
 the production code paths permanently.
 
-Counters integrate with :mod:`repro.runtime.telemetry`:
-:func:`record_profile` wraps a finished collection into a
-:class:`~repro.runtime.telemetry.RunRecord` so ``repro profile`` output
-shows up next to orchestration/streaming telemetry.  The ``repro
-profile <scenario>`` CLI command and ``benchmarks/core_bench.py`` are
-the two consumers; both exist so that the Step-2 speedup (and any
-future regression) stays measurable.
+The ``repro profile <scenario>`` CLI command prints one collection;
+the debug server keeps one active for its lifetime and serves it on
+STATS and ``/metrics``.
 
 Usage::
 
@@ -63,10 +59,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.telemetry import RunRecord
+from typing import Dict, Iterator, List, Tuple
 
 
 @dataclass
@@ -190,32 +183,3 @@ def timed(stage: str) -> Iterator[None]:
         for counters in _ACTIVE:
             counters.add_time(stage, elapsed)
 
-
-def record_profile(
-    counters: PerfCounters,
-    name: str,
-    wall_time_s: Optional[float] = None,
-) -> "RunRecord":
-    """Publish *counters* to :mod:`repro.runtime.telemetry`.
-
-    The record lands in the same process-wide ring buffer as
-    orchestration and streaming telemetry, so ``repro cache stats``
-    and telemetry exports pick profiles up with no extra plumbing.
-    """
-    # imported here so repro.perf stays dependency-free for the hot
-    # paths (core.interleave imports it at module scope)
-    from repro.runtime.telemetry import RunRecord, record_run
-
-    record = RunRecord(
-        name=name,
-        jobs=1,
-        tasks_dispatched=1,
-        tasks_completed=1,
-        wall_time_s=(
-            wall_time_s
-            if wall_time_s is not None
-            else sum(counters.timings.values())
-        ),
-        extra=counters.as_dict(),
-    )
-    return record_run(record)

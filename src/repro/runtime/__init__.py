@@ -11,7 +11,8 @@ debug campaigns, and the CLI:
   with per-task timeout and graceful serial fallback.
 * :mod:`repro.runtime.orchestrator` -- parallel runs wrapped in
   telemetry.
-* :mod:`repro.runtime.telemetry` -- JSON-exportable run records.
+* :mod:`repro.runtime.telemetry` -- the run record each
+  orchestrated run returns.
 * :mod:`repro.runtime.checksum` -- the shared CRC-16/CCITT-FALSE used
   by the compressed-trace frames, the wire protocol, and the session
   store's write-ahead log.
@@ -33,13 +34,7 @@ from repro.runtime.cache import (
 )
 from repro.runtime.orchestrator import TaskFailure, orchestrate
 from repro.runtime.parallel import resolve_jobs, run_tasks
-from repro.runtime.telemetry import (
-    RunRecord,
-    clear_runs,
-    export_runs,
-    recent_runs,
-    record_run,
-)
+from repro.runtime.telemetry import RunRecord
 
 __all__ = [
     "artifact_key",
@@ -58,8 +53,4 @@ __all__ = [
     "resolve_jobs",
     "run_tasks",
     "RunRecord",
-    "clear_runs",
-    "export_runs",
-    "recent_runs",
-    "record_run",
 ]

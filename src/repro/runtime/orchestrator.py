@@ -3,8 +3,7 @@
 The orchestrator is the piece consumers actually talk to.  It wraps
 :func:`repro.runtime.parallel.run_tasks` with a telemetry envelope:
 wall time, task counts, and the artifact-cache hit/miss delta observed
-during the run, recorded as a :class:`~repro.runtime.telemetry.RunRecord`
-in the process history.
+during the run, returned as a :class:`~repro.runtime.telemetry.RunRecord`.
 
     results, record = orchestrate(_worker, items, jobs=4, name="sweep")
 
@@ -22,7 +21,7 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.runtime.cache import ArtifactCache, default_cache
 from repro.runtime.parallel import resolve_jobs, run_tasks
-from repro.runtime.telemetry import RunRecord, record_run
+from repro.runtime.telemetry import RunRecord
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,7 @@ def orchestrate(
     """Run *fn* over *items* and return ``(results, record)``.
 
     Results are in item order (parallel and serial runs produce the
-    same list).  The record is already appended to the telemetry
-    history when this returns.
+    same list).
     """
     work = list(items)
     cache = cache if cache is not None else default_cache()
@@ -60,13 +58,7 @@ def orchestrate(
     )
     wrapped = _failure_collector(fn) if collect_errors else fn
     start = time.perf_counter()
-    try:
-        results = run_tasks(wrapped, work, jobs=jobs, timeout=timeout)
-    except BaseException:
-        record.wall_time_s = time.perf_counter() - start
-        record.tasks_failed = len(work)
-        record_run(record)
-        raise
+    results = run_tasks(wrapped, work, jobs=jobs, timeout=timeout)
     record.wall_time_s = time.perf_counter() - start
     failures = sum(1 for r in results if isinstance(r, TaskFailure))
     if collect_errors:
@@ -80,7 +72,6 @@ def orchestrate(
     # (workers keep their own counters); still the right warm/cold signal
     record.cache_hits = cache.stats.hits - hits0
     record.cache_misses = cache.stats.misses - misses0
-    record_run(record)
     return results, record
 
 

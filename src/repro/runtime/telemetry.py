@@ -2,22 +2,17 @@
 
 Every orchestrated run (a bug sweep, a campaign, a table regeneration)
 produces a :class:`RunRecord`: what ran, how wide, how long, how many
-tasks failed, and what the artifact cache did for it.  Records
-accumulate in a small process-wide ring buffer and are exportable as
-JSON -- ``python -m repro cache stats --json`` includes them, and
-long-running services can ship them to whatever collector they use.
+tasks failed, and what the artifact cache did for it.  The record goes
+back to the caller; nothing keeps a process-wide history of them.
+Streaming sessions return one from ``SessionManager.close`` and
+``quarantine``, with per-session details in ``extra``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, IO, List, Optional
-
-#: How many recent run records the process keeps.
-HISTORY = 64
+from typing import Dict
 
 
 @dataclass
@@ -34,59 +29,3 @@ class RunRecord:
     cache_misses: int = 0
     started_at: float = field(default_factory=time.time)
     extra: Dict[str, object] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "jobs": self.jobs,
-            "tasks_dispatched": self.tasks_dispatched,
-            "tasks_completed": self.tasks_completed,
-            "tasks_failed": self.tasks_failed,
-            "wall_time_s": round(self.wall_time_s, 6),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "started_at": self.started_at,
-            "extra": self.extra,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-
-_RECORDS: Deque[RunRecord] = deque(maxlen=HISTORY)
-
-
-def record_run(record: RunRecord) -> RunRecord:
-    """Append *record* to the process history and return it."""
-    _RECORDS.append(record)
-    return record
-
-
-def recent_runs(
-    limit: Optional[int] = None, name_prefix: Optional[str] = None
-) -> List[RunRecord]:
-    """Most recent records, oldest first.
-
-    *name_prefix* keeps only records whose ``name`` starts with it --
-    e.g. ``name_prefix="stream:"`` isolates per-session streaming
-    telemetry from table-regeneration runs sharing the ring buffer.
-    """
-    records = list(_RECORDS)
-    if name_prefix is not None:
-        records = [r for r in records if r.name.startswith(name_prefix)]
-    if limit is not None:
-        records = records[-limit:]
-    return records
-
-
-def clear_runs() -> None:
-    _RECORDS.clear()
-
-
-def export_runs(stream: IO[str], limit: Optional[int] = None) -> int:
-    """Write recent records to *stream* as a JSON array; returns the
-    record count."""
-    records = [r.as_dict() for r in recent_runs(limit)]
-    json.dump(records, stream, indent=2, sort_keys=True)
-    stream.write("\n")
-    return len(records)

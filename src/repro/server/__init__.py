@@ -37,7 +37,6 @@ from repro.server.client import (
 from repro.server.loadgen import NetworkLoadReport, run_network_load_test
 from repro.server.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "DebugServer",
     "FeedReply",
     "FrameAssembler",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NetworkLoadReport",

@@ -1,13 +1,13 @@
 """Pull-based metrics for the debug service.
 
-A :class:`MetricsRegistry` owns named counters, gauges, and latency
-histograms, plus *collectors* -- callables sampled at scrape time that
-fold in state owned elsewhere (per-shard :class:`~repro.stream.session.
+A :class:`MetricsRegistry` owns named counters and latency histograms,
+plus *collectors* -- callables sampled at scrape time that fold in
+state owned elsewhere (per-shard :class:`~repro.stream.session.
 SessionManager` stats, :mod:`repro.runtime` cache hit/miss counters,
-:mod:`repro.perf` stage counters such as the trace-buffer eviction/
-overwrite totals, compression ratios).  Everything is exported as one
-JSON-ready dict, served two ways: on the wire protocol's ``STATS``
-frame and over plain HTTP via ``repro serve --metrics-port``.
+the server's live :class:`repro.perf.PerfCounters`, compression
+ratios).  Everything is exported as one JSON-ready dict, served two
+ways: on the wire protocol's ``STATS`` frame and over plain HTTP via
+``repro serve --metrics-port``.
 
 All mutators are thread-safe (shard worker threads and the asyncio
 loop both update them); scraping takes each metric's lock only briefly,
@@ -21,7 +21,7 @@ exact lifetime count/sum/max), so p50/p95/p99 reflect *recent* latency
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.stream.workload import percentile
 
@@ -43,24 +43,6 @@ class Counter:
 
     @property
     def value(self) -> int:
-        return self._value
-
-
-class Gauge:
-    """A point-in-time value (queue depth, open sessions, ratio)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value: float = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    @property
-    def value(self) -> float:
         return self._value
 
 
@@ -115,7 +97,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._collectors: Dict[str, Collector] = {}
 
@@ -125,13 +106,6 @@ class MetricsRegistry:
             metric = self._counters.get(name)
             if metric is None:
                 metric = self._counters[name] = Counter()
-            return metric
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                metric = self._gauges[name] = Gauge()
             return metric
 
     def histogram(self, name: str, window: int = 2048) -> Histogram:
@@ -153,15 +127,11 @@ class MetricsRegistry:
         """One JSON-ready view of every metric and collector."""
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
             collectors = dict(self._collectors)
         payload: Dict[str, object] = {
             "counters": {
                 name: metric.value for name, metric in sorted(counters.items())
-            },
-            "gauges": {
-                name: metric.value for name, metric in sorted(gauges.items())
             },
             "histograms": {
                 name: metric.summary()
@@ -187,13 +157,3 @@ def runtime_cache_collector() -> Dict[str, object]:
     stats["directory"] = str(cache.directory)
     return stats
 
-
-def perf_counters_collector(counters: "object") -> Collector:
-    """Export a live :class:`repro.perf.PerfCounters` (stage counters
-    including ``tracebuffer_evictions`` / ``tracebuffer_overwritten_
-    bits`` from any capture replays the service runs)."""
-
-    def collect() -> Dict[str, object]:
-        return counters.as_dict()  # type: ignore[attr-defined]
-
-    return collect

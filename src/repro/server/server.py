@@ -436,6 +436,9 @@ class DebugServer:
         self._stopped = False
         self._started_at = 0.0
         self._session_counter = 0
+        #: OPENs admitted but not yet answered (event loop only): they
+        #: count against ``max_sessions`` until their shard replies.
+        self._pending_opens = 0
         self._fingerprint: Optional[str] = None
         self._recovery: Dict[str, object] = {}
         #: Structured operational alerts (WAL degradation, snapshot
@@ -816,7 +819,7 @@ class DebugServer:
             await self._retry_later(connection, frame.seq, "inflight-cap")
             return
         try:
-            shard, op, is_feed, deadline_ms = self._route(frame)
+            shard, op, deadline_ms = self._route(frame)
         except ProtocolError as exc:
             self._c_protocol.inc()
             await self._send(
@@ -835,27 +838,31 @@ class DebugServer:
         if deadline_ms is not None:
             op = self._guard_deadline(op, deadline_ms)
         connection.inflight += 1
+        if frame.frame_type == protocol.OPEN_SESSION:
+            self._pending_opens += 1
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         await shard.queue.put((op, future))
         asyncio.get_running_loop().create_task(
-            self._respond(connection, frame.seq, future, is_feed)
+            self._respond(connection, frame.seq, frame.frame_type, future)
         )
 
     async def _respond(
         self,
         connection: _Connection,
         seq: int,
+        request_type: int,
         future: "asyncio.Future",
-        is_feed: bool,
     ) -> None:
         started = time.perf_counter()
         try:
             frame_type, payload = await future
         finally:
             connection.inflight -= 1
+            if request_type == protocol.OPEN_SESSION:
+                self._pending_opens -= 1
         elapsed = time.perf_counter() - started
         self._h_request.observe(elapsed)
-        if is_feed:
+        if request_type == protocol.FEED_CHUNK:
             self._h_feed.observe(elapsed)
         if frame_type == protocol.ERROR:
             self._c_errors.inc()
@@ -891,9 +898,7 @@ class DebugServer:
     # -- request routing and shard-thread operations -------------------
     def _route(
         self, frame: protocol.WireFrame
-    ) -> Tuple[
-        _Shard, Callable[[], Tuple[int, bytes]], bool, Optional[int]
-    ]:
+    ) -> Tuple[_Shard, Callable[[], Tuple[int, bytes]], Optional[int]]:
         """Build the shard-thread operation for one request; the last
         element is the request's relative deadline in milliseconds
         (``None`` when the client sent none).
@@ -910,7 +915,6 @@ class DebugServer:
             return (
                 shard,
                 lambda: self._op_feed(shard, sid, chunk_index, eof, data),
-                True,
                 deadline_ms,
             )
         body = protocol.decode_json(frame.payload)
@@ -930,13 +934,12 @@ class DebugServer:
                     f"{' or '.join(TRANSPORTS)}"
                 )
             open_sessions = sum(len(s.manager) for s in self._shards)
-            if open_sessions >= self.config.max_sessions:
+            if open_sessions + self._pending_opens >= self.config.max_sessions:
                 raise StreamError("session-table-full")
             shard = self._shards[self.ring.shard_for(sid)]
             return (
                 shard,
                 lambda: self._op_open(shard, sid, mode, str(transport)),
-                False,
                 deadline_ms,
             )
         sid = body.get("session_id")
@@ -944,13 +947,8 @@ class DebugServer:
             raise ProtocolError("session_id must be a non-empty string")
         shard = self._shards[self.ring.shard_for(sid)]
         if frame.frame_type == protocol.SNAPSHOT:
-            return (
-                shard, lambda: self._op_snapshot(shard, sid), False,
-                deadline_ms,
-            )
-        return (
-            shard, lambda: self._op_close(shard, sid), False, deadline_ms,
-        )
+            return shard, lambda: self._op_snapshot(shard, sid), deadline_ms
+        return shard, lambda: self._op_close(shard, sid), deadline_ms
 
     @staticmethod
     def _body_deadline(body: Dict[str, object]) -> Optional[int]:
@@ -1635,12 +1633,13 @@ class ServerThread:
         """Stop the server and join its thread (idempotent)."""
         if self._thread is None or self._loop is None:
             return
+        # after a failed start the loop closes itself, and may already
+        # be closed: only a running server waits for the release
         if self._thread.is_alive() and self._startup_error is None:
             future = asyncio.run_coroutine_threadsafe(
                 self.server.stop(drain=drain, abort=abort), self._loop
             )
             future.result(timeout=60.0)
-        if self._thread.is_alive():
             self._loop.call_soon_threadsafe(self._release.set)
         self._thread.join(timeout=30.0)
         self._thread = None

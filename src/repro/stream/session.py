@@ -18,8 +18,7 @@ path-count tables are read-only), so per-session cost is just the
 carried frontier.  :meth:`SessionManager.close` and
 :meth:`SessionManager.quarantine` return the retired session's
 :class:`~repro.runtime.telemetry.RunRecord` (name ``stream:<id>``);
-the server builds its CLOSE reply from it.  Sessions are not written
-to the process-wide telemetry ring.
+the server builds its CLOSE reply from it.
 
 Locking discipline (the multi-shard service sweeps idle sessions from
 a different thread than the one feeding them):

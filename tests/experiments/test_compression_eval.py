@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compress.decoder import decode_stream
+from repro.compress.encoder import encode_records, uncompressed_capture_bits
 from repro.experiments.compression_eval import (
     compression_eval,
     concatenated_stream,
     format_compression_eval,
 )
+from repro.soc.t2.messages import t2_message_catalog
+from repro.soc.t2.scenarios import scenario
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +43,7 @@ class TestCompressionEval:
     def test_capture_and_ratio(self, rows):
         for r in rows:
             assert 0 < r.capture_utilization <= 1.0
-            assert r.ratio > 1.0
+            assert r.ratio >= 1.5
             assert r.comp_traced >= r.base_traced
 
     def test_format_renders(self, rows):
@@ -65,3 +69,17 @@ class TestConcatenatedStream:
         assert all(
             a.cycle <= b.cycle for a, b in zip(stream, stream[1:])
         )
+
+    @pytest.mark.parametrize("number", [1, 2, 3])
+    def test_round_trip_is_lossless_and_compresses(self, number):
+        # the 50-run stream the ratio is measured on, in 64-record
+        # frames: decoding gives back every record, at >= 1.5x
+        stream = concatenated_stream(number)
+        encoded = encode_records(
+            stream, scenario=scenario(number).name, records_per_frame=64
+        )
+        decoded = decode_stream(
+            encoded.data, dict(t2_message_catalog().messages)
+        )
+        assert tuple(decoded.records) == stream
+        assert encoded.ratio_vs(uncompressed_capture_bits(stream)) >= 1.5

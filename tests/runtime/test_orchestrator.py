@@ -2,20 +2,10 @@
 
 from __future__ import annotations
 
-import io
-import json
-
 import pytest
 
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.orchestrator import TaskFailure, orchestrate
-from repro.runtime.telemetry import (
-    RunRecord,
-    clear_runs,
-    export_runs,
-    recent_runs,
-    record_run,
-)
 
 
 def _double(x: int) -> int:
@@ -26,13 +16,6 @@ def _fail_odd(x: int) -> int:
     if x % 2:
         raise ValueError(f"odd {x}")
     return x
-
-
-@pytest.fixture(autouse=True)
-def _fresh_history():
-    clear_runs()
-    yield
-    clear_runs()
 
 
 class TestOrchestrate:
@@ -47,7 +30,6 @@ class TestOrchestrate:
         assert record.tasks_completed == 3
         assert record.tasks_failed == 0
         assert record.wall_time_s >= 0.0
-        assert recent_runs()[-1] is record
 
     def test_cache_delta_recorded(self, tmp_path):
         cache = ArtifactCache(directory=tmp_path)
@@ -70,9 +52,6 @@ class TestOrchestrate:
             orchestrate(
                 _fail_odd, [0, 1, 2], jobs=1, name="abort", cache=cache
             )
-        record = recent_runs()[-1]
-        assert record.name == "abort"
-        assert record.tasks_failed == 3  # run aborted; all charged
 
     def test_collect_errors(self, tmp_path):
         cache = ArtifactCache(directory=tmp_path)
@@ -87,25 +66,3 @@ class TestOrchestrate:
         assert record.tasks_failed == 2
         assert record.tasks_completed == 2
 
-
-class TestTelemetry:
-    def test_record_round_trips_through_json(self):
-        record = RunRecord(name="r", jobs=2, tasks_dispatched=5)
-        payload = json.loads(record.to_json())
-        assert payload["name"] == "r"
-        assert payload["jobs"] == 2
-        assert payload["tasks_dispatched"] == 5
-
-    def test_export_runs(self):
-        record_run(RunRecord(name="a"))
-        record_run(RunRecord(name="b"))
-        stream = io.StringIO()
-        count = export_runs(stream)
-        assert count == 2
-        exported = json.loads(stream.getvalue())
-        assert [r["name"] for r in exported] == ["a", "b"]
-
-    def test_recent_runs_limit(self):
-        for i in range(5):
-            record_run(RunRecord(name=f"r{i}"))
-        assert [r.name for r in recent_runs(2)] == ["r3", "r4"]

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.coverage import visible_states
 from repro.core.flow import Flow, Transition
 from repro.core.interleave import interleave_flows
 from repro.core.message import Message
 from repro.errors import SelectionError
+from repro.selection.combinations import feasible_combinations
 from repro.selection.selector import (
     MessageSelector,
     SelectionResult,
+    _inverted_names,
     select_messages,
 )
+from repro.soc.t2.scenarios import scenario
 
 
 @pytest.fixture
@@ -126,3 +130,44 @@ class TestEvaluateAndWrapper:
         result = selector.select(packing=False)
         assert result.traced == result.combination
         assert result.packed == ()
+
+
+def _reference_exhaustive(selector):
+    """The pre-interning Steps 1+2: score every feasible combination,
+    computing coverage with a full transition scan per combination."""
+    interleaved = selector.interleaved
+    parents = {m.name: m for m in interleaved.messages}
+    best, best_key = None, (-1.0, -1.0, -1, ())
+    for combo in feasible_combinations(
+        selector._candidate_pool(), selector.buffer_width
+    ):
+        expanded = [
+            parents.get(m.parent, m) if m.parent is not None else m
+            for m in combo
+        ]
+        coverage = (
+            len(visible_states(interleaved, expanded))
+            / interleaved.num_states
+        )
+        key = (
+            selector.model.gain(combo),
+            coverage,
+            combo.total_width,
+            _inverted_names(combo),
+        )
+        if key > best_key:
+            best, best_key = combo, key
+    return best, best_key[0]
+
+
+class TestReferenceScan:
+    @pytest.mark.parametrize(
+        "number, instances", [(1, 1), (2, 1), (1, 2), (2, 2)]
+    )
+    def test_fast_path_matches_transition_scan(self, number, instances):
+        interleaved = scenario(number, instances=instances).interleaved()
+        selector = MessageSelector(interleaved, buffer_width=32)
+        combination, gain = _reference_exhaustive(selector)
+        result = selector.select(method="exhaustive", packing=False)
+        assert result.combination == combination
+        assert result.gain == gain  # bit-identical, not approx

@@ -1,5 +1,5 @@
-"""Metrics-plane unit tests: counters, gauges, bounded-window
-histograms, registry snapshots, and the stock collectors."""
+"""Metrics-plane unit tests: counters, bounded-window histograms,
+registry snapshots, and the stock collectors."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ import pytest
 from repro import perf
 from repro.server.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
-    perf_counters_collector,
     runtime_cache_collector,
 )
 
@@ -21,13 +19,6 @@ def test_counter_accumulates():
     c.inc()
     c.inc(5)
     assert c.value == 6
-
-
-def test_gauge_holds_last_value():
-    g = Gauge()
-    g.set(2.5)
-    g.set(1.0)
-    assert g.value == 1.0
 
 
 def test_histogram_percentiles():
@@ -71,19 +62,16 @@ def test_empty_histogram_summary():
 def test_registry_get_or_create_is_stable():
     registry = MetricsRegistry()
     assert registry.counter("x") is registry.counter("x")
-    assert registry.gauge("g") is registry.gauge("g")
     assert registry.histogram("h") is registry.histogram("h")
 
 
 def test_registry_snapshot_shape():
     registry = MetricsRegistry()
     registry.counter("requests").inc(3)
-    registry.gauge("depth").set(1.5)
     registry.histogram("lat").observe(0.01)
     registry.add_collector("extra", lambda: {"k": "v"})
     snap = registry.snapshot()
     assert snap["counters"] == {"requests": 3}
-    assert snap["gauges"] == {"depth": 1.5}
     assert snap["histograms"]["lat"]["count"] == 1
     assert snap["extra"] == {"k": "v"}
 
@@ -103,18 +91,6 @@ def test_runtime_cache_collector_reports_hit_miss():
     stats = runtime_cache_collector()
     for key in ("hits", "misses", "hit_rate", "directory"):
         assert key in stats
-
-
-def test_perf_counters_collector_sees_live_counters():
-    counters = perf.PerfCounters()
-    collector = perf_counters_collector(counters)
-    perf.activate(counters)
-    try:
-        perf.add("tracebuffer_evictions", 3)
-    finally:
-        perf.deactivate(counters)
-    exported = collector()
-    assert exported["counters"]["tracebuffer_evictions"] == 3
 
 
 def test_server_exports_localize_table_stats(context):

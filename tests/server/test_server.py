@@ -156,6 +156,40 @@ def test_session_table_full_returns_retry_later(context):
         handle.thread.stop()
 
 
+def test_pipelined_opens_respect_the_global_session_cap(context):
+    # OPENs admitted but still queued on a shard count against the
+    # cap: six OPENs in one write must not fill shards x max_sessions
+    handle = start_server(
+        context, ServerConfig(shards=2, max_sessions=2)
+    )
+    try:
+        sock = _raw_connection(handle)
+        try:
+            sock.sendall(b"".join(
+                protocol.encode_frame(
+                    protocol.OPEN_SESSION,
+                    seq,
+                    protocol.encode_json({"session_id": f"x{seq}"}),
+                )
+                for seq in range(6)
+            ))
+            replies = _read_frames(sock, 6)
+        finally:
+            sock.close()
+        kinds = [frame.frame_type for frame in replies]
+        assert kinds.count(protocol.OK) == 2
+        refusals = [
+            json.loads(frame.payload)["reason"]
+            for frame in replies
+            if frame.frame_type == protocol.RETRY_LATER
+        ]
+        assert refusals == ["session-table-full"] * 4
+        with DebugClient(handle.host, handle.port) as client:
+            assert client.stats()["server"]["open_sessions"] == 2
+    finally:
+        handle.thread.stop()
+
+
 def test_stats_served_even_when_saturated(context):
     handle = start_server(
         context, ServerConfig(shards=1, max_sessions=0)
@@ -177,15 +211,19 @@ def _raw_connection(handle):
     return sock
 
 
-def _read_one_frame(sock):
+def _read_frames(sock, count):
     assembler = protocol.FrameAssembler()
-    while True:
+    frames = []
+    while len(frames) < count:
         data = sock.recv(65536)
         if not data:
             raise EOFError("server closed the connection")
-        frames = assembler.feed(data)
-        if frames:
-            return frames[0]
+        frames.extend(assembler.feed(data))
+    return frames
+
+
+def _read_one_frame(sock):
+    return _read_frames(sock, 1)[0]
 
 
 def test_garbage_bytes_get_error_reply_then_close(running):

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.message import IndexedMessage
 from repro.errors import StreamError
-from repro.runtime.telemetry import clear_runs, recent_runs
 from repro.sim.engine import TransactionSimulator
 from repro.stream.session import (
     ACTIVE,
@@ -24,13 +23,6 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.now
-
-
-@pytest.fixture(autouse=True)
-def _clean_telemetry():
-    clear_runs()
-    yield
-    clear_runs()
 
 
 @pytest.fixture
@@ -73,8 +65,6 @@ class TestLifecycle:
         assert record.extra["mode"] == "prefix"
         assert record.extra["status"] == session.status == "closed"
         assert session.retired
-        # the record goes to the caller, not the process telemetry ring
-        assert recent_runs(name_prefix="stream:") == []
 
     def test_unknown_session(self, manager):
         with pytest.raises(StreamError, match="unknown session"):

@@ -274,7 +274,6 @@ class TestCacheCommand:
         payload = json.loads(capsys.readouterr().out)
         assert "directory" in payload
         assert "stats" in payload
-        assert "runs" in payload
 
     def test_warm_then_clear(self, capsys):
         assert main(["cache", "warm"]) == 0
@@ -315,15 +314,6 @@ class TestProfileCommand:
         assert payload["counters"]["combinations_scored"] > 0
         assert "wall_time_s" in payload
         assert "gain=" in payload["result"]
-
-    def test_records_telemetry(self, capsys):
-        from repro.runtime.telemetry import recent_runs
-
-        assert main(["profile", "1", "--instances", "1"]) == 0
-        capsys.readouterr()
-        runs = recent_runs(name_prefix="profile:scenario1x1")
-        assert runs
-        assert "counters" in runs[-1].extra
 
 
 class TestMineCommand:

@@ -7,7 +7,6 @@ import sys
 import threading
 
 from repro import perf
-from repro.runtime.telemetry import recent_runs
 
 
 class TestPerfCounters:
@@ -144,25 +143,3 @@ class TestThreadSafety:
         perf.deactivate(second)
         assert (first.get("events"), second.get("events")) == (0, 1)
 
-
-class TestRecordProfile:
-    def test_lands_in_telemetry(self):
-        counters = perf.PerfCounters()
-        counters.add("events", 7)
-        counters.add_time("stage", 0.5)
-        record = perf.record_profile(counters, "profile:test")
-        assert record.name == "profile:test"
-        assert record.wall_time_s == 0.5
-        assert record.extra["counters"]["events"] == 7
-        assert any(
-            r.name == "profile:test"
-            for r in recent_runs(name_prefix="profile:")
-        )
-
-    def test_explicit_wall_time_wins(self):
-        counters = perf.PerfCounters()
-        counters.add_time("stage", 0.5)
-        record = perf.record_profile(
-            counters, "profile:wall", wall_time_s=2.0
-        )
-        assert record.wall_time_s == 2.0
