@@ -35,6 +35,7 @@ knapsack (see :mod:`repro.selection.selector`).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.core.interleave import InterleavedFlow
@@ -65,10 +66,10 @@ class InformationModel:
                 "information gain is undefined"
             )
         # n(y) and n(x, y) off the flow's per-message edge index: target
-        # states are interned integer IDs and the index is built in
-        # transition order, so the per-target first-encounter order --
-        # and therefore every float-sum order below -- is identical to
-        # the historical full transition scan
+        # states are integer IDs and the index is built in transition
+        # (CSR) order, so the per-target first-encounter order -- which
+        # a Counter keeps -- and therefore every float-sum order below
+        # is identical to a full transition scan
         edge_index = interleaved.edge_target_ids()
         occurrences: Dict[IndexedMessage, int] = {
             y: len(target_ids) for y, target_ids in edge_index.items()
@@ -77,11 +78,8 @@ class InformationModel:
         self._contribution: Dict[IndexedMessage, float] = {}
         for y, target_ids in edge_index.items():
             n_y = occurrences[y]
-            joint: Dict[int, int] = {}
-            for target_id in target_ids:
-                joint[target_id] = joint.get(target_id, 0) + 1
             c = 0.0
-            for n_xy in joint.values():
+            for n_xy in Counter(target_ids).values():
                 p_xy = n_xy / self.total_occurrences
                 c += p_xy * math.log(self.num_states * n_xy / n_y)
             self._contribution[y] = c

@@ -14,20 +14,25 @@ Only the reachable part of the product is materialized (sparse, BFS
 from the initial product states), which is what keeps the construction
 tractable for multi-flow usage scenarios.
 
-Internally the product is *interned*: every reachable state and every
-distinct indexed message receives a dense integer ID at construction
-(IDs follow the states'/messages' natural sort order), and the
-transition relation is stored as CSR-style integer arrays.  The public
-tuple/dataclass API (``states``, ``transitions``, ``outgoing``, ...)
-is preserved as thin views over those tables, while the hot consumers
--- the information model, coverage bitsets, and the localization DP --
-work directly on the integer arrays.
+The product is built and stored on integer *state codes*.  Each
+component ranks its local states in sort order, and a product state's
+code is the mixed-radix number whose digits are those ranks, component
+0 most significant -- so integer order is tuple sort order, and a
+component move is one precomputed addition.  Dense state IDs are the
+positions of the reachable codes in ascending order, message IDs
+follow the indexed messages' sort order, and the transition relation
+is three flat ``array('q')`` CSR buffers.  The hot consumers -- the
+information model, coverage bitsets, and the localization DP -- read
+those integers directly; the tuple/dataclass views (``states``,
+``transitions``, ``outgoing`` ...) are decoded from them on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -53,6 +58,11 @@ from repro.errors import InterleavingError
 
 ProductState = Tuple[IndexedState, ...]
 
+#: Tag of the pickled layout; :meth:`InterleavedFlow.__setstate__`
+#: refuses anything else, so a cache entry written by another layout
+#: fails to load (and is recomputed) instead of loading half-formed.
+_PICKLE_FORMAT = "interleaved-flow/state-codes-1"
+
 
 @dataclass(frozen=True, order=True)
 class InterleavedTransition:
@@ -66,75 +76,6 @@ class InterleavedTransition:
         src = "(" + ",".join(s.name for s in self.source) + ")"
         dst = "(" + ",".join(s.name for s in self.target) + ")"
         return f"{src} --{self.message.name}--> {dst}"
-
-
-@dataclass(frozen=True)
-class _InternedProduct:
-    """The integer view of a product automaton.
-
-    ``state_table``/``message_table`` assign dense IDs in the states'
-    (respectively messages') sort order, so comparisons on IDs agree
-    with comparisons on the objects.  The adjacency is CSR-style: the
-    edges leaving state ID ``i`` are positions
-    ``adj_offsets[i]:adj_offsets[i + 1]`` of the parallel
-    ``adj_messages``/``adj_targets`` arrays, sorted by
-    ``(message ID, target ID)`` -- the exact order :meth:`InterleavedFlow.
-    outgoing` has always presented.
-    """
-
-    state_table: Tuple[ProductState, ...]
-    state_ids: Dict[ProductState, int]
-    message_table: Tuple[IndexedMessage, ...]
-    message_ids: Dict[IndexedMessage, int]
-    adj_offsets: Tuple[int, ...]
-    adj_messages: Tuple[int, ...]
-    adj_targets: Tuple[int, ...]
-
-
-def _intern_product(
-    states: FrozenSet[ProductState],
-    transitions: Sequence[InterleavedTransition],
-) -> _InternedProduct:
-    """Build the interned tables from object-level states/transitions.
-
-    Used when an :class:`InterleavedFlow` is constructed directly (the
-    :func:`interleave` builder assembles the tables inline, without
-    re-deriving them from objects).
-    """
-    state_table = tuple(sorted(states))
-    state_ids = {state: i for i, state in enumerate(state_table)}
-    message_table = tuple(sorted({t.message for t in transitions}))
-    message_ids = {m: i for i, m in enumerate(message_table)}
-    edges = sorted(
-        (state_ids[t.source], message_ids[t.message], state_ids[t.target])
-        for t in transitions
-    )
-    return _finish_interning(state_table, state_ids, message_table,
-                             message_ids, edges)
-
-
-def _finish_interning(
-    state_table: Tuple[ProductState, ...],
-    state_ids: Dict[ProductState, int],
-    message_table: Tuple[IndexedMessage, ...],
-    message_ids: Dict[IndexedMessage, int],
-    edges: List[Tuple[int, int, int]],
-) -> _InternedProduct:
-    """Pack ``(src, msg, tgt)`` ID triples (sorted) into CSR arrays."""
-    offsets = [0] * (len(state_table) + 1)
-    for src, _, _ in edges:
-        offsets[src + 1] += 1
-    for i in range(1, len(offsets)):
-        offsets[i] += offsets[i - 1]
-    return _InternedProduct(
-        state_table=state_table,
-        state_ids=state_ids,
-        message_table=message_table,
-        message_ids=message_ids,
-        adj_offsets=tuple(offsets),
-        adj_messages=tuple(m for _, m, _ in edges),
-        adj_targets=tuple(t for _, _, t in edges),
-    )
 
 
 class InterleavedFlow:
@@ -164,34 +105,50 @@ class InterleavedFlow:
       arrays, indexed by state ID,
     * ``visibility_index()`` -- per-message coverage bitsets
       (:mod:`repro.core.visibility`).
+
+    Only the integer tables are stored (and pickled); every object
+    view is built, and cached, the first time something reads it.
     """
 
     def __init__(
         self,
         components: Sequence[IndexedFlow],
-        states: FrozenSet[ProductState],
-        initial: FrozenSet[ProductState],
-        stop: FrozenSet[ProductState],
-        transitions: Tuple[InterleavedTransition, ...],
-        interned: Optional[_InternedProduct] = None,
+        local_states: Tuple[Tuple[IndexedState, ...], ...],
+        codes: Tuple[int, ...],
+        message_table: Tuple[IndexedMessage, ...],
+        offsets: array,
+        messages: array,
+        targets: array,
+        initial_ids: Tuple[int, ...],
+        stop_ids: Tuple[int, ...],
     ) -> None:
-        self.components = tuple(components)
-        self.states = states
-        self.initial = initial
-        self.stop = stop
-        self.transitions = transitions
-        self._interned = (
-            interned
-            if interned is not None
-            else _intern_product(states, transitions)
+        # the stored tables: per-component local states in rank order,
+        # the reachable state codes ascending (state ID = position),
+        # the message table, and the CSR adjacency (edges of state
+        # ``i`` at ``offsets[i]:offsets[i + 1]``, by message then target)
+        self._components = tuple(components)
+        self._local_states = local_states
+        self._codes = codes
+        self._message_table = message_table
+        self._offsets = offsets
+        self._messages = messages
+        self._targets = targets
+        self._initial_ids = initial_ids
+        self._stop_ids = frozenset(stop_ids)
+        # derived lookups
+        sizes = [len(local) for local in local_states]
+        self._digits = tuple(zip(local_states, _places(sizes), sizes))
+        self._ranks = tuple(
+            {state: rank for rank, state in enumerate(local)}
+            for local in local_states
         )
-        self._initial_ids = tuple(
-            sorted(self._interned.state_ids[s] for s in initial)
-        )
-        self._stop_ids = frozenset(
-            self._interned.state_ids[s] for s in stop
-        )
-        # lazy caches over the interned tables
+        self._message_ids = {m: i for i, m in enumerate(message_table)}
+        # lazy caches, never pickled
+        self._state_table: Optional[Tuple[ProductState, ...]] = None
+        self._states: Optional[FrozenSet[ProductState]] = None
+        self._initial: Optional[FrozenSet[ProductState]] = None
+        self._stop: Optional[FrozenSet[ProductState]] = None
+        self._transitions: Optional[Tuple[InterleavedTransition, ...]] = None
         self._outgoing_cache: Dict[ProductState, Tuple[InterleavedTransition, ...]] = {}
         self._paths_to_stop: Optional[Dict[ProductState, int]] = None
         self._paths_to_stop_ids: Optional[List[int]] = None
@@ -201,27 +158,82 @@ class InterleavedFlow:
             Dict[IndexedMessage, List[int]]
         ] = None
         self._visibility: Optional[VisibilityIndex] = None
-        self._messages: Optional[MessageCombination] = None
+        self._messages_set: Optional[MessageCombination] = None
+
+    def __getstate__(self) -> tuple:
+        return (
+            _PICKLE_FORMAT,
+            self._components,
+            self._local_states,
+            self._codes,
+            self._message_table,
+            self._offsets,
+            self._messages,
+            self._targets,
+            self._initial_ids,
+            tuple(sorted(self._stop_ids)),
+        )
+
+    def __setstate__(self, state: object) -> None:
+        if not (
+            isinstance(state, tuple)
+            and len(state) == 10
+            and state[0] == _PICKLE_FORMAT
+        ):
+            raise InterleavingError(
+                "unsupported pickled InterleavedFlow layout (expected "
+                f"{_PICKLE_FORMAT!r}); rebuild the product with interleave()"
+            )
+        InterleavedFlow.__init__(self, *state[1:])
 
     # ------------------------------------------------------------------
     # interned integer view
     # ------------------------------------------------------------------
     def state_id(self, state: ProductState) -> int:
-        """Dense ID of *state* (IDs follow the states' sort order)."""
-        return self._interned.state_ids[state]
+        """Dense ID of *state* (IDs follow the states' sort order);
+        ``KeyError`` if *state* is not a reachable product state."""
+        sid = self._find(state)
+        if sid is None:
+            raise KeyError(state)
+        return sid
+
+    def _find(self, state: object) -> Optional[int]:
+        """ID of *state*, or ``None``: encode it, then binary-search
+        the ascending code table."""
+        if not isinstance(state, tuple) or len(state) != len(self._ranks):
+            return None
+        code = 0
+        for ranks, (_, place, _), local in zip(
+            self._ranks, self._digits, state
+        ):
+            rank = ranks.get(local)
+            if rank is None:
+                return None
+            code += rank * place
+        codes = self._codes
+        position = bisect_left(codes, code)
+        if position < len(codes) and codes[position] == code:
+            return position
+        return None
 
     def state_at(self, state_id: int) -> ProductState:
-        """The product state interned at *state_id*."""
-        return self._interned.state_table[state_id]
+        """The product state with ID *state_id* (decoded from its code
+        unless the state table is already built)."""
+        if self._state_table is not None:
+            return self._state_table[state_id]
+        code = self._codes[state_id]
+        return tuple(
+            local[code // place % size] for local, place, size in self._digits
+        )
 
     def message_id(self, message: IndexedMessage) -> Optional[int]:
         """Dense ID of an indexed message, or ``None`` when it labels
         no edge of the product."""
-        return self._interned.message_ids.get(message)
+        return self._message_ids.get(message)
 
     def message_at(self, message_id: int) -> IndexedMessage:
         """The indexed message interned at *message_id*."""
-        return self._interned.message_table[message_id]
+        return self._message_table[message_id]
 
     @property
     def initial_ids(self) -> Tuple[int, ...]:
@@ -233,42 +245,89 @@ class InterleavedFlow:
         """IDs of the stop product states."""
         return self._stop_ids
 
-    def csr_adjacency(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    def csr_adjacency(self) -> Tuple[array, array, array]:
         """The transition relation as ``(offsets, message_ids,
-        target_ids)`` CSR arrays (edges of state ``i`` live at
-        ``offsets[i]:offsets[i + 1]``, sorted by message then target)."""
-        interned = self._interned
-        return interned.adj_offsets, interned.adj_messages, interned.adj_targets
+        target_ids)`` CSR ``array('q')`` buffers (edges of state ``i``
+        live at ``offsets[i]:offsets[i + 1]``, sorted by message then
+        target)."""
+        return self._offsets, self._messages, self._targets
+
+    def _table(self) -> Tuple[ProductState, ...]:
+        """Every product state, in ID order (decoded once)."""
+        if self._state_table is None:
+            self._state_table = tuple(
+                self.state_at(i) for i in range(len(self._codes))
+            )
+        return self._state_table
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
     @property
+    def components(self) -> Tuple[IndexedFlow, ...]:
+        return self._components
+
+    @property
+    def states(self) -> FrozenSet[ProductState]:
+        """The reachable product states."""
+        if self._states is None:
+            self._states = frozenset(self._table())
+        return self._states
+
+    @property
+    def initial(self) -> FrozenSet[ProductState]:
+        if self._initial is None:
+            self._initial = frozenset(map(self.state_at, self._initial_ids))
+        return self._initial
+
+    @property
+    def stop(self) -> FrozenSet[ProductState]:
+        if self._stop is None:
+            self._stop = frozenset(map(self.state_at, self._stop_ids))
+        return self._stop
+
+    @property
+    def transitions(self) -> Tuple[InterleavedTransition, ...]:
+        """Every edge, sorted (source, message, target) -- CSR order."""
+        if self._transitions is None:
+            table = self._table()
+            messages = self._message_table
+            offsets, msg_ids, targets = self.csr_adjacency()
+            self._transitions = tuple(
+                InterleavedTransition(
+                    table[sid], messages[msg_ids[e]], table[targets[e]]
+                )
+                for sid in range(len(table))
+                for e in range(offsets[sid], offsets[sid + 1])
+            )
+        return self._transitions
+
+    @property
     def name(self) -> str:
-        return " ||| ".join(c.name for c in self.components)
+        return " ||| ".join(c.name for c in self._components)
 
     @property
     def num_states(self) -> int:
-        return len(self.states)
+        return len(self._codes)
 
     @property
     def num_transitions(self) -> int:
-        return len(self.transitions)
+        return len(self._targets)
 
     @property
     def messages(self) -> MessageCombination:
         """The (un-indexed) message set ``E = union of component E_i``."""
-        if self._messages is None:
-            self._messages = MessageCombination(
-                m for c in self.components for m in c.flow.messages
+        if self._messages_set is None:
+            self._messages_set = MessageCombination(
+                m for c in self._components for m in c.flow.messages
             )
-        return self._messages
+        return self._messages_set
 
     @property
     def indexed_messages(self) -> Tuple[IndexedMessage, ...]:
         """Every indexed message labelling at least one edge (the
         interned message table -- already sorted)."""
-        return self._interned.message_table
+        return self._message_table
 
     def indices_of(self, message: Message) -> Tuple[int, ...]:
         """Instance indices under which *message* occurs in the product."""
@@ -276,7 +335,7 @@ class InterleavedFlow:
             sorted(
                 {
                     m.index
-                    for m in self._interned.message_table
+                    for m in self._message_table
                     if m.message == message
                 }
             )
@@ -285,19 +344,17 @@ class InterleavedFlow:
     def outgoing(self, state: ProductState) -> Tuple[InterleavedTransition, ...]:
         cached = self._outgoing_cache.get(state)
         if cached is None:
-            interned = self._interned
-            sid = interned.state_ids.get(state)
+            sid = self._find(state)
             if sid is None:
                 return ()
-            lo = interned.adj_offsets[sid]
-            hi = interned.adj_offsets[sid + 1]
+            offsets, msg_ids, targets = self.csr_adjacency()
             cached = tuple(
                 InterleavedTransition(
                     state,
-                    interned.message_table[interned.adj_messages[e]],
-                    interned.state_table[interned.adj_targets[e]],
+                    self._message_table[msg_ids[e]],
+                    self.state_at(targets[e]),
                 )
-                for e in range(lo, hi)
+                for e in range(offsets[sid], offsets[sid + 1])
             )
             self._outgoing_cache[state] = cached
         return cached
@@ -316,9 +373,8 @@ class InterleavedFlow:
     def destinations(self, message: IndexedMessage) -> List[ProductState]:
         """Target states of every edge labelled *message* (with
         multiplicity), backed by the per-message edge index."""
-        table = self._interned.state_table
         return [
-            table[target_id]
+            self.state_at(target_id)
             for target_id in self._edge_index().get(message, ())
         ]
 
@@ -328,39 +384,31 @@ class InterleavedFlow:
         return self._edge_index()
 
     def _edge_index(self) -> Dict[IndexedMessage, List[int]]:
-        """Per-message target-ID lists, in transition-tuple order.
+        """Per-message target-ID lists, in CSR (= ``transitions``) order.
 
-        One pass over ``transitions``; keys appear in first-encounter
+        One pass over the CSR buffers; keys appear in first-encounter
         order and target multiplicity is preserved, which is what keeps
-        the information model's float-sum order identical to the
-        historical full-scan implementation.
+        the information model's float-sum order identical to a full
+        scan of ``transitions``.
         """
         if self._edge_targets_by_message is None:
-            index: Dict[IndexedMessage, List[int]] = {}
-            state_ids = self._interned.state_ids
-            for t in self.transitions:
-                index.setdefault(t.message, []).append(
-                    state_ids[t.target]
-                )
-            self._edge_targets_by_message = index
+            table = self._message_table
+            buckets: List[List[int]] = [[] for _ in table]
+            for mid, target_id in zip(self._messages, self._targets):
+                buckets[mid].append(target_id)
+            self._edge_targets_by_message = {
+                table[mid]: buckets[mid]
+                for mid in dict.fromkeys(self._messages)
+            }
         return self._edge_targets_by_message
 
     def visibility_index(self) -> VisibilityIndex:
         """Per-message coverage bitsets over interned state IDs
-        (built once, straight from the CSR arrays)."""
+        (built once, one bitset per message from the edge index)."""
         if self._visibility is None:
             with perf.timed("visibility_index"):
-                interned = self._interned
-                self._visibility = VisibilityIndex.from_edges(
-                    len(interned.state_table),
-                    zip(
-                        (
-                            interned.message_table[m]
-                            for m in interned.adj_messages
-                        ),
-                        interned.adj_targets,
-                    ),
-                    interned.state_table,
+                self._visibility = VisibilityIndex.from_target_ids(
+                    self.num_states, self._edge_index(), self.state_at
                 )
             perf.add("visibility_bitsets_built", 1)
         return self._visibility
@@ -373,7 +421,7 @@ class InterleavedFlow:
         product DAG -- Kahn's algorithm over the CSR arrays."""
         if self._topological_ids is None:
             offsets, _, targets = self.csr_adjacency()
-            n = len(self._interned.state_table)
+            n = self.num_states
             indegree = [0] * n
             for target_id in targets:
                 indegree[target_id] += 1
@@ -396,15 +444,14 @@ class InterleavedFlow:
 
     def topological_order(self) -> List[ProductState]:
         """Reachable product states in topological order."""
-        table = self._interned.state_table
-        return [table[i] for i in self.topological_ids()]
+        return [self.state_at(i) for i in self.topological_ids()]
 
     def paths_to_stop_ids(self) -> List[int]:
         """Paths-to-stop counts as an array indexed by state ID
         (memoised)."""
         if self._paths_to_stop_ids is None:
             offsets, _, targets = self.csr_adjacency()
-            counts = [0] * len(self._interned.state_table)
+            counts = [0] * self.num_states
             stop_ids = self._stop_ids
             for state_id in reversed(self.topological_ids()):
                 total = 1 if state_id in stop_ids else 0
@@ -417,11 +464,9 @@ class InterleavedFlow:
     def paths_to_stop(self) -> Dict[ProductState, int]:
         """Number of paths from each state to any stop state (memoised)."""
         if self._paths_to_stop is None:
-            counts = self.paths_to_stop_ids()
-            table = self._interned.state_table
-            self._paths_to_stop = {
-                table[i]: counts[i] for i in range(len(table))
-            }
+            self._paths_to_stop = dict(
+                zip(self._table(), self.paths_to_stop_ids())
+            )
         return self._paths_to_stop
 
     def count_paths(self) -> int:
@@ -450,32 +495,38 @@ class InterleavedFlow:
 
         Uses the path-count DP so every complete path has equal
         probability (a plain random walk would bias towards short or
-        low-branching paths).
+        low-branching paths).  The walk runs on state IDs and decodes
+        only the states it visits.
         """
-        counts = self.paths_to_stop()
-        starts = sorted(self.initial)
-        weights = [counts.get(s, 0) for s in starts]
+        counts = self.paths_to_stop_ids()
+        starts = self._initial_ids
+        weights = [counts[i] for i in starts]
         if sum(weights) == 0:
             raise InterleavingError(
                 f"interleaved flow {self.name} has no execution"
             )
-        state = rng.choices(starts, weights=weights)[0]
-        states: List[ProductState] = [state]
-        msgs: List[IndexedMessage] = []
+        offsets, msg_ids, targets = self.csr_adjacency()
+        sid = rng.choices(starts, weights=weights)[0]
+        path = [sid]
+        mids: List[int] = []
         while True:
-            options: List[Tuple[Optional[InterleavedTransition], int]] = []
-            if state in self.stop:
-                options.append((None, 1))
-            for t in self.outgoing(state):
-                options.append((t, counts[t.target]))
-            choice = rng.choices(
-                [o for o, _ in options], weights=[w for _, w in options]
-            )[0]
-            if choice is None:
-                return Execution(tuple(states), tuple(msgs))
-            msgs.append(choice.message)
-            states.append(choice.target)
-            state = choice.target
+            options: List[Optional[int]] = []
+            option_weights: List[int] = []
+            if sid in self._stop_ids:
+                options.append(None)
+                option_weights.append(1)
+            for e in range(offsets[sid], offsets[sid + 1]):
+                options.append(e)
+                option_weights.append(counts[targets[e]])
+            edge = rng.choices(options, weights=option_weights)[0]
+            if edge is None:
+                return Execution(
+                    tuple(map(self.state_at, path)),
+                    tuple(self._message_table[m] for m in mids),
+                )
+            mids.append(msg_ids[edge])
+            sid = targets[edge]
+            path.append(sid)
 
     # ------------------------------------------------------------------
     # projections
@@ -486,7 +537,7 @@ class InterleavedFlow:
         The result is the component's own execution: its local state
         sequence with the messages carrying *component*'s index.
         """
-        position = self.components.index(component)
+        position = self._components.index(component)
         local_states: List[object] = [execution.states[0][position].state]
         local_msgs: List[Message] = []
         for msg, state in zip(execution.messages, execution.states[1:]):
@@ -501,6 +552,15 @@ class InterleavedFlow:
             f"InterleavedFlow({self.name!r}, |S|={self.num_states}, "
             f"|delta|={self.num_transitions})"
         )
+
+
+def _places(sizes: Sequence[int]) -> List[int]:
+    """Mixed-radix place values of the component digits (component 0
+    most significant, the last component's digit worth 1)."""
+    places = [1] * len(sizes)
+    for j in range(len(sizes) - 2, -1, -1):
+        places[j] = places[j + 1] * sizes[j + 1]
+    return places
 
 
 def interleave(instances: Sequence[IndexedFlow]) -> InterleavedFlow:
@@ -522,14 +582,15 @@ def interleave(instances: Sequence[IndexedFlow]) -> InterleavedFlow:
 
     Notes
     -----
-    The BFS works on interned integers: product states are deduplicated
-    through an intern dict the moment they are generated, per-component
-    local adjacency is materialized once up front (instead of rebuilding
-    indexed ``(message, target)`` pairs on every visit), and edges are
-    collected as ID triples that are sorted and packed into the CSR
-    arrays the :class:`InterleavedFlow` hot paths consume.  The
-    resulting object-level ``states``/``transitions`` are identical --
-    including order -- to the historical object-graph construction.
+    The BFS runs on state codes (see the module docstring): a move of
+    component ``j`` from local rank ``r`` to ``r'`` adds ``(r' - r) *
+    place_j`` to the code, and each local edge carries that delta plus
+    a message ID precomputed once.  Every edge becomes one packed
+    integer ``(source * M + message) * span + target`` (``M`` candidate
+    messages, ``span`` the size of the full product), so one integer
+    sort yields the CSR order -- which equals sorting the
+    :class:`InterleavedTransition` objects.  Codes stay exact Python
+    ints: the full product can exceed 64 bits.
     """
     with perf.timed("interleave"):
         instances = tuple(instances)
@@ -537,38 +598,63 @@ def interleave(instances: Sequence[IndexedFlow]) -> InterleavedFlow:
             raise InterleavingError("cannot interleave zero flow instances")
         check_legally_indexed(instances)
 
-        positions = range(len(instances))
-        # per-component adjacency and atomic sets, materialized once
-        local_outgoing: List[Dict[IndexedState, Tuple[Tuple[IndexedMessage, IndexedState], ...]]] = [
-            {state: tuple(inst.outgoing(state)) for state in inst.states}
-            for inst in instances
+        local_states = tuple(inst.states for inst in instances)
+        sizes = [len(local) for local in local_states]
+        places = _places(sizes)
+        span = places[0] * sizes[0]
+        ranks = [
+            {state: rank for rank, state in enumerate(local)}
+            for local in local_states
         ]
-        atomic_sets: List[FrozenSet[IndexedState]] = [
-            frozenset(inst.atomic) for inst in instances
+        local_out = [
+            [inst.outgoing(state) for state in local]
+            for inst, local in zip(instances, local_states)
         ]
+        candidates = sorted(
+            {message for out in local_out for edges in out for message, _ in edges}
+        )
+        candidate_ids = {m: i for i, m in enumerate(candidates)}
+        block = len(candidates) * span
+        # per component and local rank: the atomic flag, and every local
+        # edge as (code delta, packed-key offset) -- the edge's key is
+        # source * (block + 1) + offset
+        atomic: List[List[bool]] = []
+        moves: List[List[List[Tuple[int, int]]]] = []
+        for inst, local, out, rank_of, place in zip(
+            instances, local_states, local_out, ranks, places
+        ):
+            atomic_set = frozenset(inst.atomic)
+            atomic.append([state in atomic_set for state in local])
+            component_moves = []
+            for rank, edges in enumerate(out):
+                state_moves = []
+                for message, target in edges:
+                    delta = (rank_of[target] - rank) * place
+                    state_moves.append(
+                        (delta, candidate_ids[message] * span + delta)
+                    )
+                component_moves.append(state_moves)
+            moves.append(component_moves)
 
-        initial_states: List[ProductState] = [
-            combo
-            for combo in itertools.product(
-                *(inst.initial for inst in instances)
+        def encode(combo: ProductState) -> int:
+            return sum(
+                rank_of[state] * place
+                for rank_of, place, state in zip(ranks, places, combo)
             )
-        ]
 
-        # BFS with discovery-order interning
-        discovery_ids: Dict[ProductState, int] = {}
-        discovered: List[ProductState] = []
-        for state in initial_states:
-            if state not in discovery_ids:
-                discovery_ids[state] = len(discovered)
-                discovered.append(state)
-        edges: List[Tuple[int, IndexedMessage, int]] = []
-        frontier: List[ProductState] = list(discovered)
+        initial_codes = sorted(set(map(encode, itertools.product(
+            *(inst.initial for inst in instances)
+        ))))
+        seen = set(initial_codes)
+        frontier = list(initial_codes)
+        keys: List[int] = []
+        stride = block + 1
+        positions = range(len(instances))
+        radix = tuple(zip(places, sizes))
         while frontier:
-            current = frontier.pop()
-            current_id = discovery_ids[current]
-            atomic_positions = [
-                j for j in positions if current[j] in atomic_sets[j]
-            ]
+            code = frontier.pop()
+            at = [code // place % size for place, size in radix]
+            atomic_positions = [j for j in positions if atomic[j][at[j]]]
             if not atomic_positions:
                 movable: Sequence[int] = positions
             elif len(atomic_positions) == 1:
@@ -576,63 +662,53 @@ def interleave(instances: Sequence[IndexedFlow]) -> InterleavedFlow:
                 movable = atomic_positions
             else:  # pragma: no cover - unreachable from legal initials
                 movable = ()
-            for position in movable:
-                for message, target_local in local_outgoing[position][
-                    current[position]
-                ]:
-                    target = (
-                        current[:position]
-                        + (target_local,)
-                        + current[position + 1:]
-                    )
-                    target_id = discovery_ids.get(target)
-                    if target_id is None:
-                        target_id = len(discovered)
-                        discovery_ids[target] = target_id
-                        discovered.append(target)
+            base = code * stride
+            for j in movable:
+                for delta, offset in moves[j][at[j]]:
+                    target = code + delta
+                    if target not in seen:
+                        seen.add(target)
                         frontier.append(target)
-                    edges.append((current_id, message, target_id))
+                    keys.append(base + offset)
+        keys.sort()
 
-        # final dense IDs follow the states' sort order, so integer
-        # comparisons agree with object comparisons everywhere
-        state_table = tuple(sorted(discovered))
-        state_ids = {state: i for i, state in enumerate(state_table)}
-        final_of = [0] * len(discovered)
-        for discovery_id, state in enumerate(discovered):
-            final_of[discovery_id] = state_ids[state]
-        message_table = tuple(sorted({message for _, message, _ in edges}))
-        message_ids = {m: i for i, m in enumerate(message_table)}
-        id_edges = sorted(
-            (final_of[src], message_ids[message], final_of[tgt])
-            for src, message, tgt in edges
-        )
-        interned = _finish_interning(
-            state_table, state_ids, message_table, message_ids, id_edges
-        )
+        codes = tuple(sorted(seen))
+        id_of = {code: i for i, code in enumerate(codes)}
+        counts = [0] * (len(codes) + 1)
+        edge_messages: List[int] = []
+        edge_targets: List[int] = []
+        for key in keys:
+            source, rest = divmod(key, block)
+            message, target = divmod(rest, span)
+            counts[id_of[source] + 1] += 1
+            edge_messages.append(message)
+            edge_targets.append(id_of[target])
+        for i in range(1, len(counts)):
+            counts[i] += counts[i - 1]
+        # keep the candidate messages that label a reachable edge;
+        # renumbering preserves their order, hence the edge order
+        used = sorted(set(edge_messages))
+        message_table = tuple(candidates[m] for m in used)
+        if len(used) != len(candidates):
+            renumber = {m: i for i, m in enumerate(used)}
+            edge_messages = [renumber[m] for m in edge_messages]
 
-        # object-level views, in the exact historical order (the edge
-        # sort above equals sorting InterleavedTransition objects)
-        transitions = tuple(
-            InterleavedTransition(
-                state_table[src], message_table[mid], state_table[tgt]
-            )
-            for src, mid, tgt in id_edges
-        )
-        stop_sets = [frozenset(inst.stop) for inst in instances]
-        stop_states = frozenset(
-            s
-            for s in state_table
-            if all(s[i] in stop_sets[i] for i in positions)
-        )
-        perf.add("interleave_states_expanded", len(state_table))
-        perf.add("interleave_transitions", len(transitions))
+        stop_codes = map(encode, itertools.product(
+            *(inst.stop for inst in instances)
+        ))
+        stop_ids = sorted(id_of[code] for code in stop_codes if code in id_of)
+        perf.add("interleave_states_expanded", len(codes))
+        perf.add("interleave_transitions", len(keys))
         return InterleavedFlow(
             components=instances,
-            states=frozenset(state_table),
-            initial=frozenset(initial_states),
-            stop=stop_states,
-            transitions=transitions,
-            interned=interned,
+            local_states=local_states,
+            codes=codes,
+            message_table=message_table,
+            offsets=array("q", counts),
+            messages=array("q", edge_messages),
+            targets=array("q", edge_targets),
+            initial_ids=tuple(id_of[code] for code in initial_codes),
+            stop_ids=tuple(stop_ids),
         )
 
 

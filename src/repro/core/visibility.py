@@ -18,12 +18,23 @@ to the reference set computation, because bit positions are exactly
 the distinct visible target states.
 
 Python big-ints are the bitset representation: arbitrary width, O(n/64)
-bitwise ops in C, no dependencies.
+bitwise ops in C, no dependencies.  Each bitset is set bit by bit in a
+``bytearray`` and converted to an int once, so construction is linear
+in the number of edges.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.core.message import IndexedMessage, Message
 
@@ -61,9 +72,9 @@ class VisibilityIndex:
     by_label_name:
         Edge label *name* -> the same bitsets, for the sub-group
         parent-name rule.
-    states:
-        Interned state table (ID -> state), used only to translate
-        bitsets back into state sets for debugging/verification.
+    state_at:
+        State ID -> state, used only to translate bitsets back into
+        state sets for debugging/verification.
     """
 
     def __init__(
@@ -71,29 +82,41 @@ class VisibilityIndex:
         num_states: int,
         by_message: Mapping[Message, int],
         by_label_name: Mapping[str, int],
-        states: Tuple[Hashable, ...] = (),
+        state_at: Optional[Callable[[int], Hashable]] = None,
     ) -> None:
         self.num_states = num_states
         self._by_message: Dict[Message, int] = dict(by_message)
         self._by_name: Dict[str, int] = dict(by_label_name)
-        self._states = states
+        self._state_at = state_at
 
     @classmethod
-    def from_edges(
+    def from_target_ids(
         cls,
         num_states: int,
-        edges: Iterable[Tuple[object, int]],
-        states: Tuple[Hashable, ...] = (),
+        targets_by_label: Mapping[object, Iterable[int]],
+        state_at: Optional[Callable[[int], Hashable]] = None,
     ) -> "VisibilityIndex":
-        """Build an index from ``(label, target_state_id)`` pairs."""
-        by_message: Dict[Message, int] = {}
-        by_name: Dict[str, int] = {}
-        for label, target_id in edges:
+        """Build an index from per-label target-state-ID lists.
+
+        Labels sharing an underlying message share one bitset, filled
+        byte by byte and converted to an int once."""
+        width = (num_states + 7) // 8
+        buffers: Dict[Message, bytearray] = {}
+        for label, target_ids in targets_by_label.items():
             plain = _underlying(label)
-            bit = 1 << target_id
-            by_message[plain] = by_message.get(plain, 0) | bit
-            by_name[plain.name] = by_name.get(plain.name, 0) | bit
-        return cls(num_states, by_message, by_name, states)
+            buffer = buffers.get(plain)
+            if buffer is None:
+                buffer = buffers[plain] = bytearray(width)
+            for target_id in target_ids:
+                buffer[target_id >> 3] |= 1 << (target_id & 7)
+        by_message = {
+            plain: int.from_bytes(buffer, "little")
+            for plain, buffer in buffers.items()
+        }
+        by_name: Dict[str, int] = {}
+        for plain, bits in by_message.items():
+            by_name[plain.name] = by_name.get(plain.name, 0) | bits
+        return cls(num_states, by_message, by_name, state_at)
 
     # ------------------------------------------------------------------
     def bits_for(self, message: object) -> int:
@@ -128,13 +151,13 @@ class VisibilityIndex:
 
     def visible_state_set(self, messages: Iterable[object]) -> set:
         """The visible states as objects (needs the state table)."""
-        if not self._states:
+        if self._state_at is None:
             raise ValueError(
                 "this VisibilityIndex was built without a state table"
             )
         bits = self.union_bits(messages)
         return {
-            self._states[i]
+            self._state_at(i)
             for i in range(self.num_states)
             if (bits >> i) & 1
         }
@@ -160,8 +183,9 @@ def index_flow_visibility(flow: object) -> VisibilityIndex:
         sorted(flow.states, key=str)  # type: ignore[attr-defined]
     )
     ids = {state: i for i, state in enumerate(states)}
-    edges: List[Tuple[object, int]] = [
-        (t.message, ids[t.target])
-        for t in flow.transitions  # type: ignore[attr-defined]
-    ]
-    return VisibilityIndex.from_edges(len(states), edges, states)
+    targets_by_label: Dict[object, List[int]] = {}
+    for t in flow.transitions:  # type: ignore[attr-defined]
+        targets_by_label.setdefault(t.message, []).append(ids[t.target])
+    return VisibilityIndex.from_target_ids(
+        len(states), targets_by_label, states.__getitem__
+    )

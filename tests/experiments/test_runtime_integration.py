@@ -8,6 +8,9 @@ e.g., selections at different buffer widths can never alias.
 
 from __future__ import annotations
 
+import copyreg
+import pickle
+
 import pytest
 
 from repro.debug.campaign import ValidationCampaign
@@ -21,7 +24,9 @@ from repro.experiments.common import (
     selection_key,
     warm_cache,
 )
-from repro.runtime.cache import default_cache
+from repro.core.interleave import InterleavedFlow
+from repro.runtime.cache import ArtifactCache, default_cache, set_default_cache
+from repro.selection.localization import PathLocalizer
 from repro.selection.planner import format_plan, plan_buffer
 
 
@@ -55,6 +60,58 @@ class TestCacheBackedSelections:
         hits_before = stats.hits
         scenario_selection(2)
         assert stats.hits == hits_before + 1
+
+
+class _UntaggedProductPickler(pickle.Pickler):
+    """Writes every interleaved product as a plain attribute dict -- an
+    untagged layout, like entries cached before the state-code one."""
+
+    def reducer_override(self, obj):
+        if type(obj) is InterleavedFlow:
+            state = {
+                "components": obj.components,
+                "states": obj.states,
+                "initial": obj.initial,
+                "stop": obj.stop,
+                "transitions": obj.transitions,
+            }
+            return copyreg.__newobj__, (InterleavedFlow,), state
+        return NotImplemented
+
+
+class TestStaleProductEntry:
+    def test_untagged_entry_is_discarded_and_recomputed(self, tmp_path):
+        try:
+            cold = ArtifactCache(tmp_path)
+            set_default_cache(cold)
+            bundle = scenario_selection(1)
+            (entry,) = tmp_path.glob("*.pkl")
+            with entry.open("wb") as stream:
+                _UntaggedProductPickler(
+                    stream, pickle.HIGHEST_PROTOCOL
+                ).dump(bundle)
+
+            stale = ArtifactCache(tmp_path)
+            set_default_cache(stale)
+            rebuilt = scenario_selection(1)
+            assert stale.stats.load_errors == 1
+            assert stale.stats.misses == 1
+            interleaved = rebuilt.scenario.interleaved()
+            assert interleaved.csr_adjacency() == (
+                bundle.scenario.interleaved().csr_adjacency()
+            )
+            traced = rebuilt.with_packing.traced
+            assert PathLocalizer(interleaved, traced).localize(
+                []
+            ).consistent_paths == interleaved.count_paths()
+
+            warm = ArtifactCache(tmp_path)
+            set_default_cache(warm)
+            scenario_selection(1)
+            assert warm.stats.disk_hits == 1
+            assert warm.stats.load_errors == 0
+        finally:
+            set_default_cache(None)
 
 
 class TestParallelDeterminism:
