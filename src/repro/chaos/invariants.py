@@ -63,11 +63,10 @@ def batch_reference(
     records.extend(parser.close())
     sid = manager.open("reference")
     manager.feed(sid, records, drop_invisible=True)
-    record = manager.close(sid)
+    summary = manager.close(sid)
     return {
-        "records": int(record.extra["records"]),
-        "consistent_paths": int(record.extra["consistent_paths"]),
-        "total_paths": int(record.extra["total_paths"]),
+        key: int(summary[key])
+        for key in ("records", "consistent_paths", "total_paths")
     }
 
 
@@ -128,9 +127,8 @@ def check_acked_durability(
         shard = server._shards[server.ring.shard_for(sid)]  # noqa: SLF001
         if shard.index in exempt:
             continue
-        wrapper = shard.sessions.get(sid)
-        if wrapper is not None:
-            recovered = int(wrapper.next_chunk)
+        if sid in shard.manager.session_ids():
+            recovered = shard.manager.session(sid).next_chunk
         elif shard.store is not None and sid in shard.store.spilled_ids():
             # spilled sessions are durable by definition; their cursor
             # is folded into the spill state and honored on revival

@@ -103,12 +103,11 @@ class ValidationCampaign:
         """
         if not seeds:
             raise DebugSessionError("campaign needs at least one seed")
-        outcomes, _ = orchestrate(
+        outcomes = orchestrate(
             _campaign_task,
             [(self.session, bug, seed) for seed in seeds],
             jobs=jobs,
             timeout=timeout,
-            name="campaign",
         )
         reports: List[DebugReport] = [r for r in outcomes if r is not None]
         if not reports:

@@ -137,9 +137,7 @@ def bug_sweep(
         for number in (1, 2, 3)
         if bug.effect.message in pools[number]
     ]
-    outcomes, _ = orchestrate(
-        _sweep_task, tasks, jobs=jobs, timeout=timeout, name="bugsweep"
-    )
+    outcomes = orchestrate(_sweep_task, tasks, jobs=jobs, timeout=timeout)
     entries: List[SweepEntry] = []
     dormant: List[Tuple[int, int]] = []
     for task, outcome in zip(tasks, outcomes):

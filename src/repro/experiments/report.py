@@ -154,13 +154,11 @@ def render_artifacts(
 ) -> List[str]:
     """Render several artifacts, optionally across a process pool
     (each render is independent; output order follows *names*)."""
-    bodies, _ = orchestrate(
+    return orchestrate(
         _render_task,
         [(name, instances, plot) for name in names],
         jobs=jobs,
-        name="tables",
     )
-    return bodies
 
 
 def build_report(instances: int = 1, jobs: int = 1) -> str:

@@ -177,9 +177,7 @@ def generate_corpus(
             (number, instances, tuple(seeds[i : i + chunk]))
             for i in range(0, len(seeds), chunk)
         ]
-        chunks, _ = orchestrate(
-            _simulate_chunk, tasks, jobs=jobs, name="mine-corpus"
-        )
+        chunks = orchestrate(_simulate_chunk, tasks, jobs=jobs)
         entries = tuple(entry for part in chunks for entry in part)
         return TraceCorpus(scenario_name=sc.name, entries=entries)
 

@@ -1,4 +1,4 @@
-"""Runtime substrate: artifact caching, parallel fan-out, telemetry.
+"""Runtime substrate: artifact caching, parallel fan-out, checksums.
 
 This package is the scaling layer under the experiment drivers, the
 debug campaigns, and the CLI:
@@ -9,10 +9,8 @@ debug campaigns, and the CLI:
   in-memory LRU front (``REPRO_CACHE_DIR`` overrides the location).
 * :mod:`repro.runtime.parallel` -- deterministic process-pool map
   with per-task timeout and graceful serial fallback.
-* :mod:`repro.runtime.orchestrator` -- parallel runs wrapped in
-  telemetry.
-* :mod:`repro.runtime.telemetry` -- the run record each
-  orchestrated run returns.
+* :mod:`repro.runtime.orchestrator` -- parallel runs with an
+  abort-or-collect failure policy.
 * :mod:`repro.runtime.checksum` -- the shared CRC-16/CCITT-FALSE used
   by the compressed-trace frames, the wire protocol, and the session
   store's write-ahead log.
@@ -34,7 +32,6 @@ from repro.runtime.cache import (
 )
 from repro.runtime.orchestrator import TaskFailure, orchestrate
 from repro.runtime.parallel import resolve_jobs, run_tasks
-from repro.runtime.telemetry import RunRecord
 
 __all__ = [
     "artifact_key",
@@ -52,5 +49,4 @@ __all__ = [
     "orchestrate",
     "resolve_jobs",
     "run_tasks",
-    "RunRecord",
 ]

@@ -124,12 +124,11 @@ def plan_buffer(
             f"widths must be strictly increasing, got {widths}"
         )
     subgroup_list = tuple(subgroups)
-    points, _ = orchestrate(
+    points = orchestrate(
         _plan_task,
         [(interleaved, width, subgroup_list, packing) for width in widths],
         jobs=jobs,
         timeout=timeout,
-        name="plan",
     )
     return BufferPlan(points=tuple(points))
 

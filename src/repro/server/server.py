@@ -10,8 +10,9 @@ Architecture::
   consistent-hash ring (:class:`HashRing`), so all of a session's
   operations serialize through that shard's single worker thread:
   per-session ordering holds with zero per-request locking in the
-  server itself (the :class:`~repro.stream.session.SessionManager`'s
-  own locks cover the cross-thread idle sweep).
+  server itself.  The idle sweep runs on that same thread; the
+  :class:`~repro.stream.session.SessionManager` keeps its own locks
+  because ``STATS`` reads it from the event-loop thread.
 * **Admission control** -- three independent limits answer overload
   with a structured ``RETRY_LATER`` frame instead of stalling or
   dropping accepted work: a global open-session cap, a per-shard queue
@@ -42,9 +43,7 @@ time -- over the ``STATS`` frame or the plain-HTTP
 from __future__ import annotations
 
 import asyncio
-import base64
 import bisect
-import codecs
 import json
 import signal
 import threading
@@ -75,8 +74,7 @@ from repro.store.inspect import (
     write_meta,
 )
 from repro.store.store import SessionStore
-from repro.stream.ingest import CompressedTraceIngester, IncrementalTraceParser
-from repro.stream.session import SessionLimits, SessionManager
+from repro.stream.session import SessionLimits, SessionManager, StreamSession
 
 #: Session transports: text trace-file chunks, or framed compressed
 #: bitstream chunks (decoded by :class:`CompressedTraceIngester`).
@@ -202,101 +200,8 @@ class HashRing:
         return self._shards[position]
 
 
-class _ServerSession:
-    """Server-side per-session state outside the manager: the ingest
-    pipeline and the idempotency cursor (touched only by the owning
-    shard's worker thread)."""
-
-    __slots__ = (
-        "session_id", "transport", "parser", "ingester", "decoder",
-        "next_chunk", "records", "wire_bytes", "raw_bits", "last_status",
-        "observed_length", "frontier_size", "failures",
-    )
-
-    def __init__(
-        self,
-        session_id: str,
-        transport: str,
-        catalog: Mapping[str, Message],
-    ) -> None:
-        self.session_id = session_id
-        self.transport = transport
-        self.parser = IncrementalTraceParser(catalog)
-        self.ingester = (
-            CompressedTraceIngester(catalog, parser=self.parser)
-            if transport == "ctrace"
-            else None
-        )
-        # chunk payloads may split a multi-byte character; decode
-        # incrementally so a torn codepoint survives the chunk boundary
-        self.decoder = codecs.getincrementaldecoder("utf-8")("replace")
-        self.next_chunk = 0
-        self.records = 0
-        self.wire_bytes = 0
-        self.raw_bits = 0
-        self.last_status = "active"
-        self.observed_length = 0
-        self.frontier_size = 0
-        #: Consecutive apply-time crashes (poison payloads); reset on
-        #: every successful feed, compared against
-        #: ``ServerConfig.quarantine_after``.  Deliberately transient:
-        #: a restart wipes the strike count, not the session.
-        self.failures = 0
-
-    def capture(self, manager_state: dict) -> dict:
-        """Merge the manager's durable export with this wrapper's own
-        state into one JSON-able snapshot entry."""
-        state = dict(manager_state)
-        buffered, flag = self.decoder.getstate()
-        state.update(
-            transport=self.transport,
-            next_chunk=self.next_chunk,
-            wire_bytes=self.wire_bytes,
-            raw_bits=self.raw_bits,
-            last_status=self.last_status,
-            observed_length=self.observed_length,
-            frontier_size=self.frontier_size,
-            text_decoder=[
-                base64.b64encode(buffered).decode("ascii"), flag
-            ],
-        )
-        if self.transport == "ctrace":
-            state["ingester"] = self.ingester.export_state()
-        else:
-            state["parser"] = self.parser.export_state()
-        return state
-
-    @classmethod
-    def restore(
-        cls, state: dict, catalog: Mapping[str, Message]
-    ) -> "_ServerSession":
-        """The inverse of :meth:`capture` (the manager side is restored
-        separately via :meth:`SessionManager.adopt`)."""
-        session = cls(
-            str(state["session_id"]),
-            str(state.get("transport", "text")),
-            catalog,
-        )
-        session.next_chunk = int(state.get("next_chunk", 0))
-        session.records = int(state.get("records", 0))
-        session.wire_bytes = int(state.get("wire_bytes", 0))
-        session.raw_bits = int(state.get("raw_bits", 0))
-        session.last_status = str(state.get("last_status", "active"))
-        session.observed_length = int(state.get("observed_length", 0))
-        session.frontier_size = int(state.get("frontier_size", 0))
-        buffered, flag = state.get("text_decoder", ["", 0])
-        session.decoder.setstate(
-            (base64.b64decode(buffered), int(flag))
-        )
-        if session.transport == "ctrace":
-            session.ingester.restore_state(state["ingester"])
-        else:
-            session.parser.restore_state(state["parser"])
-        return session
-
-
 class _Shard:
-    """One shard: manager + session wrappers + serialized work lane."""
+    """One shard: a session manager, its store, a serialized work lane."""
 
     def __init__(
         self, index: int, context: ServeContext, config: ServerConfig
@@ -311,6 +216,8 @@ class _Shard:
                 max_frontier=context.max_frontier,
                 idle_timeout_s=config.idle_timeout_s,
             ),
+            catalog=context.catalog,
+            spill=self._spill,
         )
         # every shard owns a manager over the same scenario; warming at
         # construction resolves the compiled localization tables
@@ -318,7 +225,6 @@ class _Shard:
         # accepts -- the first shard compiles, every later shard gets
         # the same read-only tables back by fingerprint
         self.manager.warm()
-        self.sessions: Dict[str, _ServerSession] = {}
         self.queue: "asyncio.Queue[Tuple[Callable[[], Tuple[int, bytes]], asyncio.Future]]" = (
             asyncio.Queue()
         )
@@ -347,51 +253,18 @@ class _Shard:
         contract (a store is attached and no write has failed)."""
         return self.store is not None and not self.degraded
 
-    def sweep(self) -> Tuple[str, ...]:
-        """Evict idle sessions and drop their ingest state (runs on the
-        shard executor, serialized with regular operations).  With a
-        store attached, evicted sessions are spilled -- their full
-        state is parked in the store and folded into the next snapshot
-        instead of being lost."""
-        spill = None
+    def _spill(self, entry: dict) -> None:
+        """The manager's eviction sink.  A durable shard parks the
+        evicted session's entry in its store, folded into the next
+        snapshot and revived on the session's next request; a
+        memory-only or degraded shard lets it go."""
         if self.durable:
-            def spill(manager_state: dict) -> None:
-                wrapper = self.sessions.get(manager_state["session_id"])
-                if wrapper is not None:
-                    self.store.spill(wrapper.capture(manager_state))
-        evicted = self.manager.evict_idle(spill=spill)
-        live = set(self.manager.session_ids())
-        for sid in list(self.sessions):
-            if sid not in live:
-                del self.sessions[sid]
-        return evicted
+            self.store.spill(entry)
 
-    def capture_states(self) -> List[dict]:
-        """Every live session's durable state, id-sorted (snapshot
-        path; runs on the shard executor)."""
-        states: List[dict] = []
-        for sid in self.manager.session_ids():
-            wrapper = self.sessions.get(sid)
-            if wrapper is None:  # pragma: no cover - defensive
-                continue
-            try:
-                manager_state = self.manager.export_session(sid)
-            except StreamError:  # pragma: no cover - raced retirement
-                continue
-            states.append(wrapper.capture(manager_state))
-        return sorted(states, key=lambda s: s["session_id"])
-
-    def close_all(self) -> int:
+    def close_all(self) -> None:
         """Retire every remaining session (drain path)."""
-        closed = 0
         for sid in self.manager.session_ids():
-            try:
-                self.manager.close(sid)
-                closed += 1
-            except StreamError:
-                pass
-        self.sessions.clear()
-        return closed
+            self.manager.close(sid)
 
     def stats(self) -> Dict[str, object]:
         payload: Dict[str, object] = {"shard": self.index}
@@ -737,7 +610,9 @@ class DebugServer:
         while True:
             await asyncio.sleep(self.config.idle_sweep_s)
             for shard in self._shards:
-                await loop.run_in_executor(shard.executor, shard.sweep)
+                await loop.run_in_executor(
+                    shard.executor, shard.manager.evict_idle
+                )
 
     # -- connection handling -------------------------------------------
     async def _handle_connection(
@@ -1004,14 +879,17 @@ class DebugServer:
                         "session_id": sid,
                         "shard": shard.index,
                         "transport": revived.transport,
-                        "mode": shard.manager.session(sid).mode,
+                        "mode": revived.mode,
                         "resumed": True,
                         "next_chunk": revived.next_chunk,
                     }
                 ),
             )
         try:
-            self._apply_open(shard, sid, mode, transport)
+            shard.manager.open(
+                sid, mode=mode if mode is None else str(mode),
+                transport=transport,
+            )
         except StreamError as exc:
             if "table full" in str(exc):
                 return (
@@ -1029,14 +907,13 @@ class DebugServer:
                 protocol.ERROR,
                 protocol.error_payload("bad-request", str(exc)),
             )
+        opened_mode = shard.manager.session(sid).mode
         if shard.durable:
             # logged *after* the apply: a crash in between loses only
             # an un-acked open, which the client simply retries
             self._wal_append(
                 shard,
-                lambda: shard.store.log_open(
-                    sid, shard.manager.session(sid).mode, transport
-                ),
+                lambda: shard.store.log_open(sid, opened_mode, transport),
             )
         self._c_opens.inc()
         return (
@@ -1046,7 +923,7 @@ class DebugServer:
                     "session_id": sid,
                     "shard": shard.index,
                     "transport": transport,
-                    "mode": shard.manager.session(sid).mode,
+                    "mode": opened_mode,
                 }
             ),
         )
@@ -1055,11 +932,9 @@ class DebugServer:
         self, shard: _Shard, sid: str, chunk_index: int, eof: bool,
         data: bytes,
     ) -> Tuple[int, bytes]:
-        session = shard.sessions.get(sid)
+        session = self._session(shard, sid)
         if session is None:
-            session = self._revive(shard, sid)
-        if session is None:
-            return self._unknown_session(shard, sid)
+            return self._unknown_session(sid)
         if chunk_index < session.next_chunk:
             # a retransmit of an already-applied chunk (the response
             # was lost); acknowledge without re-feeding
@@ -1072,9 +947,11 @@ class DebugServer:
                         "duplicate": True,
                         "consumed": 0,
                         "records": 0,
-                        "status": session.last_status,
-                        "observed_length": session.observed_length,
-                        "frontier_size": session.frontier_size,
+                        "status": session.status,
+                        "observed_length": (
+                            session.localizer.observed_length
+                        ),
+                        "frontier_size": session.localizer.frontier_size,
                         "next_chunk": session.next_chunk,
                     }
                 ),
@@ -1099,14 +976,20 @@ class DebugServer:
                 lambda: shard.store.log_feed(sid, chunk_index, data, eof),
             )
         try:
-            record_count, outcome = self._apply_feed(
-                shard, session, chunk_index, eof, data
+            records, outcome = shard.manager.feed_chunk(
+                sid, chunk_index, data, eof
             )
         except StreamError:
-            return self._unknown_session(shard, sid)
+            return self._unknown_session(sid)
         except Exception as exc:  # noqa: BLE001 - poison payload
             return self._poisoned_feed(shard, session, exc)
         session.failures = 0
+        if session.transport == "ctrace":
+            self._c_cbytes.inc(len(data))
+            if records:
+                from repro.compress.encoder import uncompressed_capture_bits
+
+                self._c_craw.inc(uncompressed_capture_bits(records))
         self._c_feeds.inc()
         self._c_records.inc(outcome.consumed)
         reply = (
@@ -1117,7 +1000,7 @@ class DebugServer:
                     "chunk_index": chunk_index,
                     "duplicate": False,
                     "consumed": outcome.consumed,
-                    "records": record_count,
+                    "records": len(records),
                     "status": outcome.status,
                     "observed_length": outcome.observed_length,
                     "frontier_size": outcome.frontier_size,
@@ -1141,7 +1024,7 @@ class DebugServer:
         return reply
 
     def _poisoned_feed(
-        self, shard: _Shard, session: _ServerSession, exc: Exception
+        self, shard: _Shard, session: StreamSession, exc: Exception
     ) -> Tuple[int, bytes]:
         """Answer a feed whose apply crashed in a way no retry can fix.
 
@@ -1167,7 +1050,6 @@ class DebugServer:
             shard.manager.quarantine(sid)
         except StreamError:  # pragma: no cover - raced retirement
             pass
-        shard.sessions.pop(sid, None)
         if shard.durable:
             # a WAL close retires the session at replay time too --
             # otherwise recovery would faithfully rebuild the poisoned
@@ -1192,16 +1074,10 @@ class DebugServer:
         )
 
     def _op_snapshot(self, shard: _Shard, sid: str) -> Tuple[int, bytes]:
-        if sid not in shard.sessions:
-            self._revive(shard, sid)
-        try:
-            result = shard.manager.snapshot(sid)
-            session = shard.manager.session(sid)
-            status = session.status
-            observed = session.localizer.observed_length
-        except StreamError:
-            return self._unknown_session(shard, sid)
-        wrapper = shard.sessions.get(sid)
+        session = self._session(shard, sid)
+        if session is None:
+            return self._unknown_session(sid)
+        result = shard.manager.snapshot(sid)
         return (
             protocol.OK,
             protocol.encode_json(
@@ -1210,51 +1086,30 @@ class DebugServer:
                     "consistent_paths": result.consistent_paths,
                     "total_paths": result.total_paths,
                     "fraction": result.fraction,
-                    "status": status,
-                    "observed_length": observed,
+                    "status": session.status,
+                    "observed_length": session.localizer.observed_length,
                     # the chunk cursor lets a client detect a server
                     # that recovered without its acked tail (e.g. the
                     # shard degraded before a crash) and replay it
-                    "next_chunk": (
-                        wrapper.next_chunk if wrapper is not None else 0
-                    ),
+                    "next_chunk": session.next_chunk,
                 }
             ),
         )
 
     def _op_close(self, shard: _Shard, sid: str) -> Tuple[int, bytes]:
-        if sid not in shard.sessions:
-            self._revive(shard, sid)
-        wrapper = shard.sessions.get(sid)
-        next_chunk = wrapper.next_chunk if wrapper is not None else 0
-        try:
-            record = shard.manager.close(sid)
-        except StreamError:
-            return self._unknown_session(shard, sid)
-        shard.sessions.pop(sid, None)
+        if self._session(shard, sid) is None:
+            return self._unknown_session(sid)
+        summary = shard.manager.close(sid)
         if shard.durable:
             shard.store.drop_spilled(sid)
             self._wal_append(shard, lambda: shard.store.log_close(sid))
         self._c_closes.inc()
-        extra = record.extra
-        return (
-            protocol.OK,
-            protocol.encode_json(
-                {
-                    "session_id": sid,
-                    "status": str(extra["status"]),
-                    "records": extra["records"],
-                    "observed_length": extra["observed_length"],
-                    "consistent_paths": extra["consistent_paths"],
-                    "total_paths": extra["total_paths"],
-                    "fraction": extra["fraction"],
-                    "next_chunk": next_chunk,
-                }
-            ),
-        )
+        # the reply is the summary without its two local-only fields
+        del summary["mode"], summary["peak_frontier"]
+        return protocol.OK, protocol.encode_json(summary)
 
-    def _unknown_session(self, shard: _Shard, sid: str) -> Tuple[int, bytes]:
-        shard.sessions.pop(sid, None)
+    @staticmethod
+    def _unknown_session(sid: str) -> Tuple[int, bytes]:
         return (
             protocol.ERROR,
             protocol.error_payload(
@@ -1263,55 +1118,6 @@ class DebugServer:
                 "(closed, evicted, or lost to a restart)",
             ),
         )
-
-    # -- apply helpers (shared by live ops and WAL replay) --------------
-    def _apply_open(
-        self, shard: _Shard, sid: str, mode: Optional[object],
-        transport: str,
-    ) -> None:
-        shard.manager.open(sid, mode=mode if mode is None else str(mode))
-        shard.sessions[sid] = _ServerSession(
-            sid, transport, self.context.catalog
-        )
-
-    def _apply_feed(
-        self,
-        shard: _Shard,
-        session: _ServerSession,
-        chunk_index: int,
-        eof: bool,
-        data: bytes,
-    ):
-        """Ingest one chunk and advance the session; returns
-        ``(record_count, FeedOutcome)``.  Both live traffic and WAL
-        replay run through here -- that sharing is what makes a
-        recovered session bit-identical to an uninterrupted one."""
-        if session.transport == "ctrace":
-            records = list(session.ingester.feed(data))
-            if eof:
-                records.extend(session.ingester.close())
-            session.wire_bytes += len(data)
-            self._c_cbytes.inc(len(data))
-            if records:
-                from repro.compress.encoder import uncompressed_capture_bits
-
-                added_bits = uncompressed_capture_bits(records)
-                session.raw_bits += added_bits
-                self._c_craw.inc(added_bits)
-        else:
-            text = session.decoder.decode(data, final=eof)
-            records = list(session.parser.feed(text))
-            if eof:
-                records.extend(session.parser.close())
-        outcome = shard.manager.feed(
-            session.session_id, records, drop_invisible=True
-        )
-        session.next_chunk = chunk_index + 1
-        session.records += outcome.consumed
-        session.last_status = outcome.status
-        session.observed_length = outcome.observed_length
-        session.frontier_size = outcome.frontier_size
-        return len(records), outcome
 
     # -- durability (repro.store) ---------------------------------------
     def _wal_append(
@@ -1350,47 +1156,36 @@ class DebugServer:
             lsn=exc.lsn,
         )
 
-    def _install_state(
-        self, shard: _Shard, state: dict
-    ) -> Optional[_ServerSession]:
-        """Adopt one captured session (snapshot entry or spilled state)
-        back into the shard; ``None`` when the table is full."""
-        sid = str(state["session_id"])
-        # spill anything idle first so adopt's internal eviction can
-        # never silently drop a session the store should have kept
-        shard.sweep()
+    def _session(self, shard: _Shard, sid: str) -> Optional[StreamSession]:
+        """The live session *sid*, revived first if it was spilled;
+        ``None`` when the shard holds neither."""
         try:
-            shard.manager.adopt(
-                sid,
-                mode=state.get("mode"),
-                status=str(state.get("status", "active")),
-                feeds=int(state.get("feeds", 0)),
-                records=int(state.get("records", 0)),
-                localizer_state=state.get("localizer"),
-            )
+            return shard.manager.session(sid)
         except StreamError:
-            return None
-        wrapper = _ServerSession.restore(state, self.context.catalog)
-        shard.sessions[sid] = wrapper
-        return wrapper
+            return self._revive(shard, sid)
 
-    def _revive(self, shard: _Shard, sid: str) -> Optional[_ServerSession]:
-        """Bring a spilled (evicted-but-durable) session back live."""
+    def _revive(self, shard: _Shard, sid: str) -> Optional[StreamSession]:
+        """Bring a spilled (evicted-but-durable) session back live;
+        ``None`` when it is not spilled or the table is full."""
         if not shard.durable:
             return None
-        state = shard.store.take_spilled(sid)
-        if state is None:
+        entry = shard.store.take_spilled(sid)
+        if entry is None:
             return None
-        wrapper = self._install_state(shard, state)
-        if wrapper is None:
-            shard.store.spill(state)  # table full: park it again
-        return wrapper
+        try:
+            return shard.manager.adopt(entry)
+        except StreamError:
+            shard.store.spill(entry)  # table full: park it again
+            return None
 
     def _snapshot_shard(self, shard: _Shard) -> None:
         """Checkpoint one shard (runs on its executor thread, so it
         serializes with that shard's operations)."""
         shard.store.write_snapshot(
-            shard.capture_states(),
+            [
+                shard.manager.export_session(sid)
+                for sid in sorted(shard.manager.session_ids())
+            ],
             fingerprint=self._fingerprint or "",
             scenario=self.context.name,
             mode=self.context.mode,
@@ -1471,9 +1266,12 @@ class DebugServer:
                     self._session_counter,
                     int(snap.get("session_counter", 0)),
                 )
-                for state in snap.get("sessions", ()):
-                    self._note_session_id(str(state["session_id"]))
-                    self._install_state(shard, state)
+                for entry in snap.get("sessions", ()):
+                    self._note_session_id(str(entry["session_id"]))
+                    try:
+                        shard.manager.adopt(entry)
+                    except StreamError:  # table full
+                        pass
                 for sid in shard.store.spilled_ids():
                     self._note_session_id(sid)
             for record in recovered.tail:
@@ -1504,14 +1302,11 @@ class DebugServer:
             body = json.loads(record.payload.decode("utf-8"))
             sid = str(body["session_id"])
             self._note_session_id(sid)
-            if sid in shard.sessions:  # pragma: no cover - defensive
-                return
             try:
-                self._apply_open(
-                    shard,
+                shard.manager.open(
                     sid,
-                    body.get("mode"),
-                    str(body.get("transport", "text")),
+                    mode=body.get("mode"),
+                    transport=str(body.get("transport", "text")),
                 )
             except (StreamError, SelectionError):  # pragma: no cover
                 pass
@@ -1519,14 +1314,12 @@ class DebugServer:
             sid, chunk_index, eof, data = protocol.decode_feed_payload(
                 record.payload
             )
-            session = shard.sessions.get(sid)
-            if session is None:
-                session = self._revive(shard, sid)
+            session = self._session(shard, sid)
             if session is None or chunk_index != session.next_chunk:
                 # orphaned or already-folded feed: nothing to redo
                 return
             try:
-                self._apply_feed(shard, session, chunk_index, eof, data)
+                shard.manager.feed_chunk(sid, chunk_index, data, eof)
             except Exception:  # noqa: BLE001 - incl. poison payloads
                 # a feed that crashed the apply live (and was logged
                 # before the crash surfaced) must not crash recovery;
@@ -1537,13 +1330,9 @@ class DebugServer:
             sid = str(
                 json.loads(record.payload.decode("utf-8"))["session_id"]
             )
-            if sid in shard.sessions:
-                try:
-                    shard.manager.close(sid)
-                except StreamError:  # pragma: no cover - defensive
-                    pass
-                shard.sessions.pop(sid, None)
-            else:
+            try:
+                shard.manager.close(sid)
+            except StreamError:  # not live: retire it from the spill map
                 shard.store.drop_spilled(sid)
 
     # -- metrics plane -------------------------------------------------

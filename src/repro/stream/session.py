@@ -2,53 +2,78 @@
 
 A production debug service faces many validators at once, each
 following their own failing run.  :class:`SessionManager` owns one
-:class:`~repro.stream.incremental.IncrementalLocalizer` per session
-and enforces the limits that keep the process bounded:
+:class:`StreamSession` per validator and enforces the limits that keep
+the process bounded:
 
 * ``max_sessions`` -- the session table never grows past it (idle
   sessions are evicted first; a full table refuses new opens),
 * ``max_frontier`` -- per-session DP state is bounded; a session whose
   frontier outgrows it flips to the explicit ``"overflow"`` status and
   freezes at its last consistent snapshot instead of eating the heap,
-* ``idle_timeout_s`` -- sessions nobody fed for that long are evicted.
+* ``idle_timeout_s`` -- sessions nobody fed for that long are evicted,
+  through the manager's ``spill`` sink when it has one.
+
+A session is everything one validator's stream carries: the chunk
+ingest pipeline (transport, text parser or compressed-trace ingester,
+UTF-8 decoder), the :class:`~repro.stream.incremental.
+IncrementalLocalizer`, the chunk cursor ``next_chunk`` and the
+poison-strike count ``failures``.  :meth:`SessionManager.
+export_session` writes a session's durable entry and
+:meth:`SessionManager.adopt` reads one back; :meth:`SessionManager.
+open` is ``adopt`` of a fresh entry.  :meth:`SessionManager.close`
+and :meth:`SessionManager.quarantine` return a summary dict of the
+retired session, from which the server builds its CLOSE reply.
 
 All sessions share one :class:`~repro.selection.localization.
 PathLocalizer` per scenario (the compiled kernel tables and the
 path-count tables are read-only), so per-session cost is just the
-carried frontier.  :meth:`SessionManager.close` and
-:meth:`SessionManager.quarantine` return the retired session's
-:class:`~repro.runtime.telemetry.RunRecord` (name ``stream:<id>``);
-the server builds its CLOSE reply from it.
+carried frontier and the ingest buffers.
 
-Locking discipline (the multi-shard service sweeps idle sessions from
-a different thread than the one feeding them):
+Locking discipline.  The debug server drives a shard's manager from
+that shard's one worker thread (operations and the idle sweep alike),
+but its STATS path reads the manager from the event-loop thread, and
+the manager is safe to drive from several threads at once:
 
-* the *manager* lock guards the session table (``open``/``close``/
-  ``evict_idle`` mutation, lookups, id allocation, the stats counters),
-* a *per-session* lock guards that session's localizer state, so two
-  sessions feed concurrently and an eviction sweep cannot retire a
-  session mid-feed.
+* the *manager* lock guards the session table (admission, retirement,
+  lookups, id allocation, the stats counters),
+* a *per-session* lock guards that session's ingest and localizer
+  state, so two sessions feed concurrently and an eviction sweep
+  cannot retire a session mid-feed.
 
 The manager lock is *never* held while waiting on a session lock
-(lookups release it first); retiring a session nests the manager lock
-inside the session lock, so that is the one nesting order and the pair
-cannot deadlock.  ``feed``/``snapshot`` drop the manager lock before
-the DP advance -- a long chunk on one session never blocks the table.
+(lookups release it first); retiring a session and counting a feed
+nest the manager lock inside the session lock, so that is the one
+nesting order and the pair cannot deadlock.  The DP advance runs
+without the manager lock -- a long chunk on one session never blocks
+the table.
 """
 
 from __future__ import annotations
 
+import base64
+import codecs
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.core.interleave import InterleavedFlow
 from repro.core.message import Message
 from repro.errors import FrontierOverflowError, StreamError
-from repro.runtime.telemetry import RunRecord
 from repro.selection.localization import LocalizationResult, PathLocalizer
+from repro.sim.engine import TraceRecord
 from repro.stream.incremental import IncrementalLocalizer, Observable
+from repro.stream.ingest import CompressedTraceIngester, IncrementalTraceParser
 
 #: Session lifecycle states.
 ACTIVE = "active"
@@ -82,24 +107,47 @@ class FeedOutcome:
 
 
 class StreamSession:
-    """One validator's live localization state (owned by the manager)."""
+    """One validator's session (owned by the manager): the chunk ingest
+    pipeline, the carried localization state and the chunk cursor."""
 
     def __init__(
         self,
         session_id: str,
         localizer: IncrementalLocalizer,
-        opened_at: float,
+        transport: str,
+        catalog: Mapping[str, Message],
+        now: float,
     ) -> None:
         self.session_id = session_id
         self.localizer = localizer
+        #: ``"text"`` trace-file chunks, or ``"ctrace"`` framed
+        #: compressed-bitstream chunks.
+        self.transport = transport
+        self.parser = IncrementalTraceParser(catalog)
+        self.ingester = (
+            CompressedTraceIngester(catalog, parser=self.parser)
+            if transport == "ctrace"
+            else None
+        )
+        # chunk payloads may split a multi-byte character; decode
+        # incrementally so a torn codepoint survives the chunk boundary
+        self.decoder = codecs.getincrementaldecoder("utf-8")("replace")
         self.status = ACTIVE
-        self.opened_at = opened_at
-        self.last_active = opened_at
+        self.last_active = now
         self.feeds = 0
         self.records = 0
-        #: Serializes this session's localizer mutations against the
-        #: eviction sweep; acquired only after (never while waiting
-        #: for) the manager lock.
+        #: Index of the next chunk :meth:`SessionManager.feed_chunk`
+        #: applies: the cursor a chunked transport checks retransmits
+        #: and gaps against.
+        self.next_chunk = 0
+        #: Consecutive apply-time crashes (poison payloads), counted by
+        #: the hosting service and reset on every successful feed.
+        #: Deliberately not durable: a restart wipes the strike count,
+        #: not the session.
+        self.failures = 0
+        #: Serializes this session's ingest and localizer mutations
+        #: against the eviction sweep; acquired only after (never while
+        #: waiting for) the manager lock.
         self.lock = threading.Lock()
         #: Set exactly once, under ``lock``, when the session leaves
         #: the table -- feeds racing an eviction see it and fail with
@@ -110,6 +158,20 @@ class StreamSession:
     @property
     def mode(self) -> str:
         return self.localizer.mode
+
+    def ingest(self, data: bytes, eof: bool) -> List[TraceRecord]:
+        """Decode one chunk through this session's transport (caller
+        holds ``lock``)."""
+        if self.ingester is not None:
+            records = list(self.ingester.feed(data))
+            if eof:
+                records.extend(self.ingester.close())
+        else:
+            text = self.decoder.decode(data, final=eof)
+            records = list(self.parser.feed(text))
+            if eof:
+                records.extend(self.parser.close())
+        return records
 
 
 class SessionManager:
@@ -128,6 +190,14 @@ class SessionManager:
         Resource bounds; defaults to :class:`SessionLimits`.
     clock:
         Monotonic-seconds source (injectable for eviction tests).
+    catalog:
+        Message definitions by name for the sessions' chunk parsers;
+        it decides which trace lines parse.  A service passes its
+        scenario's catalog; the default, the flow's own messages,
+        suits callers that never feed chunks.
+    spill:
+        Sink for evicted sessions' durable entries (see
+        :meth:`evict_idle`); ``None`` drops them.
     """
 
     def __init__(
@@ -137,10 +207,18 @@ class SessionManager:
         mode: str = "prefix",
         limits: Optional[SessionLimits] = None,
         clock: Callable[[], float] = time.monotonic,
+        catalog: Optional[Mapping[str, Message]] = None,
+        spill: Optional[Callable[[dict], None]] = None,
     ) -> None:
         self.limits = limits if limits is not None else SessionLimits()
         self.default_mode = mode
         self._shared = PathLocalizer(interleaved, traced)
+        self._catalog = (
+            catalog
+            if catalog is not None
+            else {m.name: m for m in interleaved.messages}
+        )
+        self._spill = spill
         self._clock = clock
         self._lock = threading.RLock()
         self._sessions: Dict[str, StreamSession] = {}
@@ -192,55 +270,33 @@ class SessionManager:
 
     # ------------------------------------------------------------------
     def open(
-        self, session_id: Optional[str] = None, mode: Optional[str] = None
+        self,
+        session_id: Optional[str] = None,
+        mode: Optional[str] = None,
+        transport: str = "text",
     ) -> str:
-        """Open a session; returns its id.
+        """Open a fresh session; returns its id (generated when
+        *session_id* is omitted).  See :meth:`adopt` for admission."""
+        entry = {
+            "session_id": session_id, "mode": mode, "transport": transport,
+        }
+        return self.adopt(entry).session_id
+
+    def adopt(self, entry: Mapping[str, object]) -> StreamSession:
+        """Admit a session from its durable entry (what
+        :meth:`export_session` wrote: the store's recovery and
+        spill-revival path), or from the fresh entry :meth:`open`
+        builds.
 
         Evicts idle sessions first; raises :class:`~repro.errors.
         StreamError` when the table is still full or the id is taken.
+        A key the entry lacks keeps a fresh session's value, and keys
+        it does not know are ignored, so entries that carry more (as
+        older snapshots do) still restore.  The caller is responsible
+        for fingerprint-checking the entry against this manager's
+        scenario first.
         """
-        self.evict_idle()
-        with self._lock:
-            if len(self._sessions) >= self.limits.max_sessions:
-                raise StreamError(
-                    f"session table full ({self.limits.max_sessions}); "
-                    "close or evict a session first"
-                )
-            if session_id is None:
-                self._next_id += 1
-                session_id = f"s{self._next_id:04d}"
-            if session_id in self._sessions:
-                raise StreamError(f"session {session_id!r} already open")
-            localizer = IncrementalLocalizer(
-                mode=mode if mode is not None else self.default_mode,
-                max_frontier=self.limits.max_frontier,
-                localizer=self._shared,
-            )
-            self._sessions[session_id] = StreamSession(
-                session_id, localizer, self._clock()
-            )
-            self._opened += 1
-            return session_id
-
-    def adopt(
-        self,
-        session_id: str,
-        mode: Optional[str] = None,
-        status: str = ACTIVE,
-        feeds: int = 0,
-        records: int = 0,
-        localizer_state: Optional[dict] = None,
-    ) -> StreamSession:
-        """Re-open a session from persisted state (the store's recovery
-        and spill-revival path).
-
-        Like :meth:`open` it honors ``max_sessions`` and refuses a
-        taken id, but it additionally restores the localizer's carried
-        DP state and the session counters, so the adopted session is
-        indistinguishable from one that was fed live.  The caller is
-        responsible for fingerprint-checking the state against this
-        manager's scenario first.
-        """
+        status = entry.get("status", ACTIVE)
         if status not in (ACTIVE, OVERFLOW):
             raise StreamError(
                 f"cannot adopt a session in status {status!r}"
@@ -252,44 +308,51 @@ class SessionManager:
                     f"session table full ({self.limits.max_sessions}); "
                     "close or evict a session first"
                 )
+            session_id = entry.get("session_id")
+            if session_id is None:
+                self._next_id += 1
+                session_id = f"s{self._next_id:04d}"
             if session_id in self._sessions:
                 raise StreamError(f"session {session_id!r} already open")
+            mode = entry.get("mode")
             localizer = IncrementalLocalizer(
                 mode=mode if mode is not None else self.default_mode,
                 max_frontier=self.limits.max_frontier,
                 localizer=self._shared,
             )
-            if localizer_state is not None:
-                localizer.restore_state(localizer_state)
-            session = StreamSession(session_id, localizer, self._clock())
-            session.status = status
-            session.feeds = feeds
-            session.records = records
-            self._sessions[session_id] = session
+            session = StreamSession(
+                str(session_id),
+                localizer,
+                str(entry.get("transport", "text")),
+                self._catalog,
+                self._clock(),
+            )
+            if entry.get("localizer") is not None:
+                localizer.restore_state(entry["localizer"])
+            session.status = str(status)
+            session.feeds = int(entry.get("feeds", 0))
+            session.records = int(entry.get("records", 0))
+            session.next_chunk = int(entry.get("next_chunk", 0))
+            if "text_decoder" in entry:
+                buffered, flag = entry["text_decoder"]
+                session.decoder.setstate(
+                    (base64.b64decode(buffered), int(flag))
+                )
+            # export writes the ingester (ctrace) or the parser (text)
+            if "ingester" in entry:
+                session.ingester.restore_state(entry["ingester"])
+            if "parser" in entry:
+                session.parser.restore_state(entry["parser"])
+            self._sessions[session.session_id] = session
             self._opened += 1
             return session
 
     def export_session(self, session_id: str) -> dict:
-        """A session's full durable state (counters + localizer DP) as
-        a JSON-able dict -- the inverse of :meth:`adopt`."""
-        with self._lock:
-            session = self._get(session_id)
-        with session.lock:
-            if session.retired:
-                raise StreamError(f"unknown session {session_id!r}")
+        """A session's durable entry as a JSON-able dict: counters,
+        chunk cursor, ingest state and localizer DP -- the inverse of
+        :meth:`adopt`."""
+        with self._locked(session_id) as session:
             return self._export_locked(session)
-
-    @staticmethod
-    def _export_locked(session: StreamSession) -> dict:
-        """Durable state of *session* (caller holds ``session.lock``)."""
-        return {
-            "session_id": session.session_id,
-            "mode": session.mode,
-            "status": session.status,
-            "feeds": session.feeds,
-            "records": session.records,
-            "localizer": session.localizer.export_state(),
-        }
 
     def feed(
         self,
@@ -306,81 +369,65 @@ class SessionManager:
         the trace buffer would not have captured (raw simulator or
         ingest streams) instead of treating them as an error.
         """
-        with self._lock:
-            session = self._get(session_id)
-        with session.lock:
-            if session.retired:
-                raise StreamError(f"unknown session {session_id!r}")
-            session.last_active = self._clock()
-            if session.status == OVERFLOW:
-                return self._outcome(session, consumed=0)
-            session.feeds += 1
-            batch = [
-                item
-                for item in records
-                if not drop_invisible or session.localizer.is_visible(item)
-            ]
-            before = session.localizer.observed_length
-            try:
-                consumed = session.localizer.feed(batch)
-            except FrontierOverflowError:
-                # the localizer froze at the last consistent record;
-                # everything before the overflowing one still counts
-                consumed = session.localizer.observed_length - before
-                session.status = OVERFLOW
-            session.records += consumed
-            session.last_active = self._clock()
-            outcome = self._outcome(session, consumed=consumed)
-        with self._lock:
-            self._feeds += 1
-            self._records += consumed
-        return outcome
+        with self._locked(session_id) as session:
+            return self._feed_locked(session, records, drop_invisible)
+
+    def feed_chunk(
+        self,
+        session_id: str,
+        chunk_index: int,
+        data: bytes,
+        eof: bool = False,
+    ) -> Tuple[List[TraceRecord], FeedOutcome]:
+        """Decode one chunk through the session's transport, feed the
+        records the trace buffer captured, and move ``next_chunk`` past
+        *chunk_index*.
+
+        Returns every record the chunk completed (visible or not) and
+        the feed's outcome.  The caller checks *chunk_index* against
+        ``next_chunk`` first.  A chunk that fails to decode raises and
+        leaves the cursor where it was.  Live feeds and WAL replay both
+        run through here; that sharing is what makes a recovered
+        session bit-identical to an uninterrupted one.
+        """
+        with self._locked(session_id) as session:
+            records = session.ingest(data, eof)
+            outcome = self._feed_locked(
+                session, records, drop_invisible=True
+            )
+            session.next_chunk = chunk_index + 1
+            return records, outcome
 
     def snapshot(self, session_id: str) -> LocalizationResult:
         """The session's current localization (batch-identical)."""
-        with self._lock:
-            session = self._get(session_id)
-        with session.lock:
-            if session.retired:
-                raise StreamError(f"unknown session {session_id!r}")
+        with self._locked(session_id) as session:
             return session.localizer.snapshot()
 
-    def close(self, session_id: str) -> RunRecord:
-        """Close a session; returns its final record."""
-        with self._lock:
-            session = self._get(session_id)
-        with session.lock:
-            if session.retired:
-                raise StreamError(f"unknown session {session_id!r}")
+    def close(self, session_id: str) -> Dict[str, object]:
+        """Close a session; returns its summary."""
+        with self._locked(session_id) as session:
             return self._retire_locked(session, CLOSED)
 
-    def quarantine(self, session_id: str) -> RunRecord:
+    def quarantine(self, session_id: str) -> Dict[str, object]:
         """Forcibly retire a session whose input stream proved
         poisonous (repeated feed failures).  Unlike :meth:`close`, the
         terminal status is always ``"quarantined"`` -- even for a
         session already sitting in overflow -- because the reason it
         left the table is the poison, not the frontier bound."""
-        with self._lock:
-            session = self._get(session_id)
-        with session.lock:
-            if session.retired:
-                raise StreamError(f"unknown session {session_id!r}")
+        with self._locked(session_id) as session:
             # _retire_locked preserves a non-ACTIVE status; quarantine
             # must win over overflow, so force the terminal state here
             session.status = ACTIVE
             return self._retire_locked(session, QUARANTINED)
 
-    def evict_idle(
-        self,
-        now: Optional[float] = None,
-        spill: Optional[Callable[[dict], None]] = None,
-    ) -> Tuple[str, ...]:
+    def evict_idle(self, now: Optional[float] = None) -> Tuple[str, ...]:
         """Retire sessions idle for longer than ``idle_timeout_s``.
 
-        When *spill* is given, each evicted session's durable state
-        (the :meth:`export_session` dict) is handed to it under the
-        session lock *before* the session is retired -- the store's
-        eviction path persists the state instead of losing it.
+        Every eviction runs through here, including the one
+        :meth:`adopt` and :meth:`open` start with.  With a ``spill``
+        sink, each evicted session's durable entry is handed to it
+        under the session lock *before* the session is retired, so the
+        sink can persist the state instead of losing it.
         """
         if now is None:
             now = self._clock()
@@ -400,8 +447,8 @@ class SessionManager:
                     continue
                 if now - session.last_active <= self.limits.idle_timeout_s:
                     continue
-                if spill is not None:
-                    spill(self._export_locked(session))
+                if self._spill is not None:
+                    self._spill(self._export_locked(session))
                 self._retire_locked(session, EVICTED)
                 evicted.append(session.session_id)
         return tuple(evicted)
@@ -412,6 +459,71 @@ class SessionManager:
         if session is None:
             raise StreamError(f"unknown session {session_id!r}")
         return session
+
+    @contextmanager
+    def _locked(self, session_id: str) -> Iterator[StreamSession]:
+        """Hold the lock of live session *session_id* (looked up
+        first, with the manager lock released before waiting)."""
+        with self._lock:
+            session = self._get(session_id)
+        with session.lock:
+            if session.retired:
+                raise StreamError(f"unknown session {session_id!r}")
+            yield session
+
+    @staticmethod
+    def _export_locked(session: StreamSession) -> dict:
+        """The durable entry of *session* (caller holds its lock)."""
+        buffered, flag = session.decoder.getstate()
+        entry = {
+            "session_id": session.session_id,
+            "mode": session.mode,
+            "status": session.status,
+            "feeds": session.feeds,
+            "records": session.records,
+            "localizer": session.localizer.export_state(),
+            "transport": session.transport,
+            "next_chunk": session.next_chunk,
+            "text_decoder": [
+                base64.b64encode(buffered).decode("ascii"), flag
+            ],
+        }
+        if session.ingester is not None:
+            entry["ingester"] = session.ingester.export_state()
+        else:
+            entry["parser"] = session.parser.export_state()
+        return entry
+
+    def _feed_locked(
+        self,
+        session: StreamSession,
+        records: Iterable[Observable],
+        drop_invisible: bool,
+    ) -> FeedOutcome:
+        """Advance *session* over *records* (caller holds its lock)."""
+        session.last_active = self._clock()
+        if session.status == OVERFLOW:
+            return self._outcome(session, consumed=0)
+        session.feeds += 1
+        batch = [
+            item
+            for item in records
+            if not drop_invisible or session.localizer.is_visible(item)
+        ]
+        before = session.localizer.observed_length
+        try:
+            consumed = session.localizer.feed(batch)
+        except FrontierOverflowError:
+            # the localizer froze at the last consistent record;
+            # everything before the overflowing one still counts
+            consumed = session.localizer.observed_length - before
+            session.status = OVERFLOW
+        session.records += consumed
+        session.last_active = self._clock()
+        with self._lock:
+            self._feeds += 1
+            self._records += consumed
+        return self._outcome(session, consumed=consumed)
 
     def _outcome(self, session: StreamSession, consumed: int) -> FeedOutcome:
         return FeedOutcome(
@@ -424,31 +536,26 @@ class SessionManager:
 
     def _retire_locked(
         self, session: StreamSession, status: str
-    ) -> RunRecord:
-        """Retire *session* (caller holds ``session.lock``)."""
+    ) -> Dict[str, object]:
+        """Retire *session* (caller holds its lock); returns its
+        summary: the CLOSE reply's fields plus ``mode`` and
+        ``peak_frontier``."""
         result = session.localizer.snapshot()
         final = status if session.status == ACTIVE else session.status
-        record = RunRecord(
-            name=f"stream:{session.session_id}",
-            jobs=1,
-            tasks_dispatched=session.feeds,
-            tasks_completed=session.feeds,
-            tasks_failed=0,
-            wall_time_s=self._clock() - session.opened_at,
-            extra={
-                "mode": session.mode,
-                "status": final,
-                "records": session.records,
-                "observed_length": session.localizer.observed_length,
-                "peak_frontier": session.localizer.peak_frontier,
-                "consistent_paths": result.consistent_paths,
-                "total_paths": result.total_paths,
-                "fraction": result.fraction,
-            },
-        )
         session.status = final
         session.retired = True
         with self._lock:
             self._sessions.pop(session.session_id, None)
             self._retired[final] = self._retired.get(final, 0) + 1
-        return record
+        return {
+            "session_id": session.session_id,
+            "status": final,
+            "records": session.records,
+            "observed_length": session.localizer.observed_length,
+            "consistent_paths": result.consistent_paths,
+            "total_paths": result.total_paths,
+            "fraction": result.fraction,
+            "next_chunk": session.next_chunk,
+            "mode": session.mode,
+            "peak_frontier": session.localizer.peak_frontier,
+        }

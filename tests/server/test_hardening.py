@@ -255,12 +255,12 @@ def test_poison_strikes_are_per_session_and_below_threshold_survive(
                 client.feed(sid2, 1, b"poison\n")
             assert err.value.code == "poison-payload"
         shard2 = server._shards[server.ring.shard_for(sid2)]
-        assert shard2.sessions[sid2].failures == 2
+        assert shard2.manager.session(sid2).failures == 2
         # the struck session is still open (below the threshold) and
         # the clean session is completely unaffected
         assert client.snapshot(sid2).session_id == sid2
         shard1 = server._shards[server.ring.shard_for(sid)]
-        assert shard1.sessions[sid].failures == 0
+        assert shard1.manager.session(sid).failures == 0
         for i, chunk in enumerate(chunks[1:], start=1):
             client.feed(sid, i, chunk, eof=(i == len(chunks) - 1))
         assert client.close_session(sid).status == "closed"

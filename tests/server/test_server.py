@@ -15,6 +15,7 @@ from repro.errors import ServerError, ServerUnavailableError, StoreError
 from repro.server import (
     DebugClient,
     RetryPolicy,
+    ServeContext,
     ServerConfig,
     ServerThread,
     SessionFeed,
@@ -103,6 +104,26 @@ def test_bad_transport_rejected(running, client):
     with pytest.raises(ServerError) as excinfo:
         client.open_session("bad", transport="carrier-pigeon")
     assert excinfo.value.code == "protocol"
+
+
+def test_feed_parses_every_catalog_message():
+    """The served parser reads the scenario's catalog, a superset of
+    the messages its flows use: a line naming a catalog-only message
+    counts as a parsed record (dropped as invisible), not as a parse
+    diagnostic."""
+    context = ServeContext.from_scenario(1, instances=1, buffer_width=16)
+    in_flows = {m.name for m in context.interleaved.messages}
+    extra = sorted(set(context.catalog) - in_flows)
+    assert extra
+    text = f'# repro-trace v1 scenario="catalog" seed=0\n5 1:{extra[0]} 0x0\n'
+    handle = start_server(context, ServerConfig(shards=1))
+    try:
+        with DebugClient(handle.host, handle.port) as client:
+            client.open_session("catalog")
+            reply = client.feed("catalog", 0, text.encode("utf-8"), eof=True)
+            assert (reply.records, reply.consumed) == (1, 0)
+    finally:
+        handle.thread.stop()
 
 
 def test_ping_and_stats(running, client):

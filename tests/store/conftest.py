@@ -7,10 +7,15 @@ to the server config and kill/restart servers around it.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import pytest
 
+from repro.compress.encoder import encode_records
 from repro.core.interleave import interleave_flows
 from repro.server import ServeContext
+from repro.server.loadgen import render_session_chunks
+from repro.stream.service import synthetic_session_records
 
 from tests.server.conftest import RunningServer, start_server  # noqa: F401
 
@@ -24,4 +29,33 @@ def context(cc_flow) -> ServeContext:
     )
     return ServeContext.from_components(
         interleaved, traced, name="cc-test"
+    )
+
+
+def session_chunks(
+    context: ServeContext, seed: int, transport: str = "text"
+) -> Tuple[bytes, ...]:
+    """One seeded session's FEED chunks for *transport*.
+
+    ``text`` is the rendered trace file cut after every fourth record
+    line.  ``ctrace`` is the compressed bitstream of the same records,
+    one record a frame, cut into six equal byte ranges: frames
+    straddle chunks, and a checkpoint can land mid-bitstream after
+    some records were fed.
+    """
+    if transport == "text":
+        return render_session_chunks(context, seed=seed, chunk_records=4)
+    records = synthetic_session_records(
+        context.interleaved, context.traced, seed=seed
+    )
+    blob = encode_records(
+        records,
+        scenario="loadgen",
+        seed=seed,
+        traced=context.traced,
+        records_per_frame=1,
+    ).data
+    size = len(blob)
+    return tuple(
+        blob[size * i // 6 : size * (i + 1) // 6] for i in range(6)
     )

@@ -31,7 +31,7 @@ from repro.server import (
 )
 from repro.server.loadgen import render_session_chunks
 from repro.stream.service import synthetic_session_records
-from tests.store.conftest import start_server
+from tests.store.conftest import session_chunks, start_server
 
 
 def durable_config(data_dir, **kwargs) -> ServerConfig:
@@ -53,11 +53,13 @@ def batch_answer(context: ServeContext, seed: int):
     return len(records), result
 
 
-def feed_session(client, context, sid, seed, upto=None, eof=False):
-    """Open *sid* and feed its rendered chunks (``upto`` caps how
-    many); returns the chunk list."""
-    chunks = render_session_chunks(context, seed=seed, chunk_records=4)
-    client.open_session(sid)
+def feed_session(
+    client, context, sid, seed, upto=None, eof=False, transport="text"
+):
+    """Open *sid* and feed its chunks (``upto`` caps how many);
+    returns the chunk list."""
+    chunks = session_chunks(context, seed, transport)
+    client.open_session(sid, transport=transport)
     count = len(chunks) if upto is None else min(upto, len(chunks))
     for index in range(count):
         client.feed(
@@ -78,13 +80,22 @@ def assert_matches_batch(client, context, sid, seed):
 
 # ----------------------------------------------------------------------
 class TestCrashRecovery:
-    @pytest.mark.parametrize("sessions", [3, 64])
+    @pytest.mark.parametrize(
+        "sessions, transport",
+        [(3, "text"), (64, "text"), (3, "ctrace")],
+        ids=["3", "64", "3-ctrace"],
+    )
     def test_recovered_sessions_are_bit_identical(
-        self, context, tmp_path, sessions
+        self, context, tmp_path, sessions, transport
     ):
         """Kill mid-load; after restart every session is live again
-        and finishing it lands on the exact batch answer."""
-        config = durable_config(tmp_path)
+        and finishing it lands on the exact batch answer.  The ctrace
+        case checkpoints every two feeds, so the snapshot it recovers
+        from holds decoders stopped mid-bitstream."""
+        snapshot_every = (
+            2 if transport == "ctrace" else ServerConfig.snapshot_every
+        )
+        config = durable_config(tmp_path, snapshot_every=snapshot_every)
         first = start_server(context, config)
         port = first.port
         seeds = {f"cr-{i:02d}": 31 + i for i in range(sessions)}
@@ -93,14 +104,16 @@ class TestCrashRecovery:
             for sid, seed in seeds.items():
                 chunk_lists[sid] = feed_session(
                     client, context, sid, seed,
-                    upto=len(render_session_chunks(
-                        context, seed=seed, chunk_records=4
-                    )) // 2,
+                    upto=len(session_chunks(context, seed, transport)) // 2,
+                    transport=transport,
                 )
         first.thread.stop(drain=False, abort=True)  # crash
 
         second = start_server(
-            context, durable_config(tmp_path, port=port)
+            context,
+            durable_config(
+                tmp_path, port=port, snapshot_every=snapshot_every
+            ),
         )
         try:
             recovery = second.server.recovery_info
@@ -112,7 +125,10 @@ class TestCrashRecovery:
                     # recovered sessions are live: continue where the
                     # acknowledged prefix ended
                     for index in range(len(chunks) // 2, len(chunks)):
-                        client.feed(sid, index, chunks[index])
+                        client.feed(
+                            sid, index, chunks[index],
+                            eof=index == len(chunks) - 1,
+                        )
                     assert_matches_batch(client, context, sid, seed)
                     close = client.close_session(sid)
                     assert close.status == "closed"
@@ -242,28 +258,34 @@ class TestEvictionSpill:
             time.sleep(0.02)
         pytest.fail("idle sweeper never spilled the session")
 
+    @pytest.mark.parametrize("transport", ["text", "ctrace"])
     def test_evicted_session_is_revived_transparently(
-        self, context, tmp_path
+        self, context, tmp_path, transport
     ):
         running = start_server(
             context,
             durable_config(
-                tmp_path, idle_timeout_s=0.05, idle_sweep_s=0.02
+                tmp_path, idle_timeout_s=0.05, idle_sweep_s=0.02,
+                snapshot_every=(
+                    2 if transport == "ctrace"
+                    else ServerConfig.snapshot_every
+                ),
             ),
         )
         try:
-            chunks = render_session_chunks(
-                context, seed=81, chunk_records=4
-            )
+            chunks = session_chunks(context, 81, transport)
+            last = len(chunks) - 1
             with DebugClient(running.host, running.port) as client:
-                client.open_session("spilled")
+                client.open_session("spilled", transport=transport)
                 client.feed("spilled", 0, chunks[0])
                 self.wait_for_spill(running)
                 # a plain feed revives it -- no client-side replay
-                reply = client.feed("spilled", 1, chunks[1])
+                reply = client.feed("spilled", 1, chunks[1], eof=last == 1)
                 assert not reply.duplicate
                 for index in range(2, len(chunks)):
-                    client.feed("spilled", index, chunks[index])
+                    client.feed(
+                        "spilled", index, chunks[index], eof=index == last
+                    )
                 assert_matches_batch(
                     client, context, "spilled", 81
                 )
@@ -328,6 +350,75 @@ class TestEvictionSpill:
                 for index in range(1, len(chunks)):
                     client.feed("sleeper", index, chunks[index])
                 assert_matches_batch(client, context, "sleeper", 83)
+        finally:
+            second.thread.stop()
+
+
+    def idle_then_open(self, running, chunks):
+        """Feed ``sleeper`` one chunk, let it go idle, then open
+        ``newcomer`` -- whose admission evicts ``sleeper`` long before
+        the next sweep is due."""
+        with DebugClient(running.host, running.port) as client:
+            client.open_session("sleeper")
+            client.feed("sleeper", 0, chunks[0])
+            time.sleep(0.4)
+            client.open_session("newcomer")
+        (shard,) = running.server._shards
+        return shard
+
+    def test_eviction_by_a_fresh_open_spills(self, context, tmp_path):
+        """An eviction that an OPEN triggers spills the idle session,
+        just like the periodic sweep does."""
+        running = start_server(
+            context,
+            durable_config(
+                tmp_path, shards=1, idle_timeout_s=0.2, idle_sweep_s=60
+            ),
+        )
+        try:
+            chunks = render_session_chunks(
+                context, seed=84, chunk_records=4
+            )
+            shard = self.idle_then_open(running, chunks)
+            assert shard.store.spills == 1
+            with DebugClient(running.host, running.port) as client:
+                reply = client.feed("sleeper", 1, chunks[1])
+                assert not reply.duplicate
+                for index in range(2, len(chunks)):
+                    client.feed("sleeper", index, chunks[index])
+                assert_matches_batch(client, context, "sleeper", 84)
+        finally:
+            running.thread.stop()
+
+    def test_session_evicted_by_an_open_survives_a_crash(
+        self, context, tmp_path
+    ):
+        """acked => durable through that eviction: the spilled session
+        rides the next snapshot and comes back after a crash with its
+        chunk cursor."""
+        first = start_server(
+            context,
+            durable_config(
+                tmp_path, shards=1, idle_timeout_s=0.2, idle_sweep_s=60
+            ),
+        )
+        port = first.port
+        chunks = render_session_chunks(context, seed=85, chunk_records=4)
+        shard = self.idle_then_open(first, chunks)
+        shard.executor.submit(
+            first.server._snapshot_shard, shard
+        ).result(timeout=10.0)
+        first.thread.stop(drain=False, abort=True)
+
+        second = start_server(
+            context, durable_config(tmp_path, shards=1, port=port)
+        )
+        try:
+            with DebugClient(second.host, port) as client:
+                assert client.snapshot("sleeper").next_chunk == 1
+                for index in range(1, len(chunks)):
+                    client.feed("sleeper", index, chunks[index])
+                assert_matches_batch(client, context, "sleeper", 85)
         finally:
             second.thread.stop()
 

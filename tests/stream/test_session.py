@@ -1,5 +1,5 @@
 """Tests for the session manager: limits, eviction, overflow status,
-and the records retired sessions return."""
+and the summaries retired sessions return."""
 
 from __future__ import annotations
 
@@ -52,18 +52,17 @@ class TestLifecycle:
         assert outcome.observed_length == 1
         result = manager.snapshot(sid)
         assert 0 < result.consistent_paths < result.total_paths
-        record = manager.close(sid)
-        assert record.name == f"stream:{sid}"
-        assert record.extra["records"] == 1
-        assert record.extra["status"] == "closed"
+        summary = manager.close(sid)
+        assert summary["records"] == 1
+        assert summary["status"] == "closed"
         assert sid not in manager.session_ids()
 
     def test_close_emits_telemetry(self, manager):
         sid = manager.open()
         session = manager.session(sid)
-        record = manager.close(sid)
-        assert record.extra["mode"] == "prefix"
-        assert record.extra["status"] == session.status == "closed"
+        summary = manager.close(sid)
+        assert summary["mode"] == "prefix"
+        assert summary["status"] == session.status == "closed"
         assert session.retired
 
     def test_unknown_session(self, manager):
@@ -131,8 +130,8 @@ class TestLimits:
         again = manager.feed(sid, [req])  # explicit no-op
         assert again.consumed == 0
         assert again.status == OVERFLOW
-        record = manager.close(sid)
-        assert record.extra["status"] == OVERFLOW
+        summary = manager.close(sid)
+        assert summary["status"] == OVERFLOW
 
 
 class TestFeedFiltering:

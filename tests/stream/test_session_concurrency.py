@@ -1,8 +1,9 @@
 """Thread-safety hammer for :class:`SessionManager`.
 
 Worker threads run full open/feed/snapshot/close lifecycles while a
-sweeper thread evicts idle sessions with a near-zero timeout -- the
-exact race the networked service's per-shard sweeper creates.  The
+sweeper thread evicts idle sessions with a near-zero timeout.  The
+debug server drives each manager from one shard thread, but the
+manager promises to be safe from several.  The
 regression this pins down: session-table mutation and the eviction
 sweep must be lock-guarded so a feed racing an eviction either wins
 cleanly or fails with the structured "unknown session" error; it must
