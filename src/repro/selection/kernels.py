@@ -20,7 +20,11 @@ gather/scatter-add kernel calls:
   ``paths(i -> j)`` along non-traced edges, precomputed once per
   ``(scenario, visible set)`` as one ``(target, weight)`` row per
   state, located through per-state row bounds, so closure expansion
-  is the same row-gather/scatter-add;
+  is the same row-gather/scatter-add.  The rows are compiled level by
+  level: states are grouped by their longest invisible path to a
+  state without invisible successors, so a level reads only finished
+  rows of lower levels, and on numpy a level is a few whole-array
+  gather/sort/reduce calls over source-aligned chunks;
 * **chunk-batched stepping** -- :meth:`PathLocalizer.advance_many
   <repro.selection.localization.PathLocalizer.advance_many>` feeds a
   whole FEED chunk through the kernels in one call, amortizing the
@@ -35,8 +39,13 @@ arithmetic, no third-party imports).  The two backends are
 addition is order-independent, and the numpy path is guarded by an
 exact compile-time overflow bound -- any step whose weights could
 overflow ``int64`` is transparently promoted to the pure-Python
-kernels (counted as ``localize_kernel_promotions``).  The tests check
-both backends against brute-force path enumeration.
+kernels (counted as ``localize_kernel_promotions``).  The compile
+obeys the same rule: it runs in int64 only when a float64 count of
+the closure's column sums, which bound every entry, rules overflow
+out; otherwise the pure-Python route compiles the same schedule with
+exact big-int weights.  The tests check both backends against
+brute-force path enumeration, and the two compile routes against
+each other.
 
 Compiled tables are immutable after construction and shared across
 sessions and shard lanes through a content-addressed
@@ -159,9 +168,11 @@ class _Operator:
 
     def seal(self, numpy: bool) -> None:
         """Finish the operator once every edge has been appended."""
-        self.growth = max(Counter(self.tgt).values(), default=0)
         if numpy:
             self.views = (_view(self.src), _view(self.tgt))
+            self.growth = int(_np.bincount(self.views[1]).max())
+        else:
+            self.growth = max(Counter(self.tgt).values(), default=0)
 
     def __len__(self) -> int:
         return len(self.src)
@@ -224,6 +235,308 @@ _SPLIT_MASK = (1 << 31) - 1
 #: symbol) -> result`` cache shared across sessions and shards).
 _MEMO_SLOTS = 1024
 
+#: Gathered entries per chunk of the numpy closure compile: bounds its
+#: intermediate arrays.  Chunks hold whole rows, so one row wider than
+#: this is compiled alone.
+_COMPILE_CHUNK = 1 << 13
+
+#: The numpy closure compile runs in int64 only while the float64
+#: count of every column sum stays below this bound; float64 rounding
+#: of the count stays far inside the factor-two margin to int64.
+_NUMPY_COMPILE_BOUND = float(1 << 62)
+
+
+# ----------------------------------------------------------------------
+# table compile
+# ----------------------------------------------------------------------
+def _split_edges_python(
+    interleaved: InterleavedFlow, visible_mid: Sequence[bool]
+):
+    """The per-symbol operators and the invisible-edge CSR, in one scan
+    of the product's CSR.
+
+    Returns ``(op_by_mid, op_by_plain, inv_off, inv_tgt)``: visible
+    edges grouped by message ID, plus merged operators for plain
+    (un-indexed) observations -- the union of every instance's edges --
+    and the invisible edges of state ``i`` at ``inv_off[i]:inv_off[i +
+    1]`` of ``inv_tgt``.  The CSR lists a state's edges by message then
+    target, so the per-ID runs arrive sorted; a plain run merges
+    several IDs and is sorted per source state.
+    """
+    offsets, msg_ids, targets = interleaved.csr_adjacency()
+    table = interleaved.indexed_messages
+    op_by_mid: Dict[int, _Operator] = {}
+    op_by_plain: Dict[Message, _Operator] = {}
+    inv_off = array("q", [0])
+    inv_tgt = array("q")
+    for sid in range(len(offsets) - 1):
+        plain_runs: Dict[Message, List[int]] = {}
+        for e in range(offsets[sid], offsets[sid + 1]):
+            mid = msg_ids[e]
+            t = targets[e]
+            if not visible_mid[mid]:
+                inv_tgt.append(t)
+                continue
+            op = op_by_mid.get(mid)
+            if op is None:
+                op = op_by_mid[mid] = _Operator()
+            op.src.append(sid)
+            op.tgt.append(t)
+            plain_runs.setdefault(table[mid].message, []).append(t)
+        inv_off.append(len(inv_tgt))
+        for message, run in plain_runs.items():
+            op = op_by_plain.get(message)
+            if op is None:
+                op = op_by_plain[message] = _Operator()
+            run.sort()
+            op.src.fromlist([sid] * len(run))
+            op.tgt.fromlist(run)
+    for op in (*op_by_mid.values(), *op_by_plain.values()):
+        op.seal(False)
+    return op_by_mid, op_by_plain, inv_off, inv_tgt
+
+
+def _split_edges_numpy(
+    interleaved: InterleavedFlow, visible_mid: Sequence[bool]
+):
+    """:func:`_split_edges_python` on whole arrays (``inv_off`` and
+    ``inv_tgt`` are int64 arrays).
+
+    The invisible-edge CSR is a mask of the product's.  The visible
+    edges are sorted once by ``(source, target)``; an operator is then
+    a mask of its message IDs, so every run stays in that order.
+    """
+    offsets, msg_ids, targets = (
+        _view(buf) for buf in interleaved.csr_adjacency()
+    )
+    n = offsets.size - 1
+    source = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(offsets))
+    shown = _np.asarray(visible_mid, dtype=bool)[msg_ids]
+    hidden = ~shown
+    inv_off = _np.concatenate(([0], _np.cumsum(hidden)))[offsets]
+    inv_tgt = targets[hidden]
+    src, mid, tgt = source[shown], msg_ids[shown], targets[shown]
+    order = _np.argsort(src * n + tgt)
+    src, mid, tgt = src[order], mid[order], tgt[order]
+    ids_of: Dict[Message, List[int]] = {}
+    for m, indexed in enumerate(interleaved.indexed_messages):
+        if visible_mid[m]:
+            ids_of.setdefault(indexed.message, []).append(m)
+    op_by_mid: Dict[int, _Operator] = {}
+    op_by_plain: Dict[Message, _Operator] = {}
+    # every message ID in the table labels at least one edge
+    for message, ids in ids_of.items():
+        union = _np.zeros(mid.size, dtype=bool)
+        for m in ids:
+            edges = mid == m
+            op_by_mid[m] = _sealed_operator(src[edges], tgt[edges])
+            union |= edges
+        op_by_plain[message] = _sealed_operator(src[union], tgt[union])
+    return op_by_mid, op_by_plain, inv_off, inv_tgt
+
+
+def _sealed_operator(src, tgt) -> _Operator:
+    """An operator holding copies of the int64 edge arrays *src* and
+    *tgt*, sealed for the numpy backend."""
+    op = _Operator()
+    op.src.frombytes(src.view(_np.uint8))
+    op.tgt.frombytes(tgt.view(_np.uint8))
+    op.seal(True)
+    return op
+
+
+def _height_levels_python(order: Sequence[int], inv_off, inv_tgt):
+    """State IDs grouped by their longest invisible path to a state
+    without invisible successors, ascending within each level: a
+    state's invisible successors all sit on lower levels.  *order* is
+    a topological order of the product."""
+    height = [0] * (len(inv_off) - 1)
+    for sid in reversed(order):
+        level = 0
+        for e in range(inv_off[sid], inv_off[sid + 1]):
+            above = height[inv_tgt[e]] + 1
+            if above > level:
+                level = above
+        height[sid] = level
+    levels: List[List[int]] = [[] for _ in range(max(height, default=0) + 1)]
+    for sid, level in enumerate(height):
+        levels[level].append(sid)
+    return levels
+
+
+def _height_levels_numpy(inv_off, inv_tgt):
+    """:func:`_height_levels_python` on whole arrays: peel the states
+    whose invisible successors are all levelled, one level per round
+    (Kahn's algorithm over the reversed invisible edges)."""
+    n = inv_off.size - 1
+    degree = _np.diff(inv_off)
+    preds = _np.repeat(_np.arange(n, dtype=_np.int64), degree)[
+        _np.argsort(inv_tgt)
+    ]
+    pred_off = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(inv_tgt, minlength=n), out=pred_off[1:])
+    waiting = degree.copy()  # successors not levelled yet
+    level = _np.flatnonzero(degree == 0)
+    levels = []
+    while level.size:
+        levels.append(level)
+        lo = pred_off[level]
+        counts = pred_off[level + 1] - lo
+        # one hit per successor levelled this round
+        touched, hits = _reduce_by_id(
+            preds[_expand_runs(lo, counts, int(counts.sum()))], 1
+        )
+        waiting[touched] -= hits
+        level = touched[waiting[touched] == 0]
+    return levels
+
+
+def _level_edges(sources, inv_off, inv_tgt):
+    """The invisible out-degree of every state in *sources* and their
+    successors, in edge order."""
+    first = inv_off[sources]
+    degree = inv_off[sources + 1] - first
+    return degree, inv_tgt[_expand_runs(first, degree, int(degree.sum()))]
+
+
+def _column_sums(levels, inv_off, inv_tgt, dtype):
+    """The closure matrix's column sums without the matrix: the number
+    of invisible paths (of length >= 1) that end at each state, pushed
+    along the invisible edges from the highest level down -- every
+    predecessor of a state sits on a higher level."""
+    into = _np.zeros(inv_off.size - 1, dtype=dtype)
+    for sources in reversed(levels[1:]):
+        degree, succ = _level_edges(sources, inv_off, inv_tgt)
+        _np.add.at(into, succ, _np.repeat(into[sources] + 1, degree))
+    return into
+
+
+def _closure_python(levels, inv_off, inv_tgt):
+    """The invisible-closure rows in exact big-int arithmetic, level by
+    level: a state's row is its invisible successors plus their
+    finished rows, read back from the buffers.
+
+    Returns ``(row_lo, row_hi, ctgt, cweight, max_column)``: row ``i``
+    is ``ctgt``/``cweight[row_lo[i]:row_hi[i]]``, sorted by target, and
+    ``max_column`` is the largest column sum.  ``cweight`` turns into
+    a list of exact weights if one exceeds int64.
+    """
+    n = len(inv_off) - 1
+    row_lo = array("q", bytes(8 * n))
+    row_hi = array("q", bytes(8 * n))
+    ctgt = array("q")
+    cweight = array("q")
+    col_sums = [0] * n
+    for sources in levels[1:]:
+        for sid in sources:
+            row: Dict[int, int] = {}
+            for e in range(inv_off[sid], inv_off[sid + 1]):
+                t = inv_tgt[e]
+                row[t] = row.get(t, 0) + 1
+                lo, hi = row_lo[t], row_hi[t]
+                for j, w in zip(ctgt[lo:hi], cweight[lo:hi]):
+                    row[j] = row.get(j, 0) + w
+            keys = sorted(row)
+            weights = [row[j] for j in keys]
+            row_lo[sid] = len(ctgt)
+            ctgt.fromlist(keys)
+            row_hi[sid] = len(ctgt)
+            if isinstance(cweight, array):
+                try:
+                    cweight.fromlist(weights)  # all or nothing
+                except OverflowError:
+                    # a closure weight exceeds int64 (astronomical
+                    # products): keep exact big-int weights instead;
+                    # the overflow guard then rules numpy out
+                    cweight = cweight.tolist()
+            if isinstance(cweight, list):
+                cweight.extend(weights)
+            for j, w in zip(keys, weights):
+                col_sums[j] += w
+    return row_lo, row_hi, ctgt, cweight, max(col_sums, default=0)
+
+
+def _closure_numpy(levels, inv_off, inv_tgt):
+    """:func:`_closure_python` on whole arrays, in int64 (the caller
+    has ruled out overflow).
+
+    Each level is compiled in source-aligned chunks of about
+    :data:`_COMPILE_CHUNK` gathered entries (:func:`_append_rows`), so
+    the intermediates stay bounded and the rows go straight into the
+    final buffers.
+    """
+    n = inv_off.size - 1
+    row_lo = array("q", bytes(8 * n))
+    row_hi = array("q", bytes(8 * n))
+    ctgt = array("q")
+    cweight = array("q")
+    lo_of = _np.frombuffer(row_lo, dtype=_np.int64)
+    hi_of = _np.frombuffer(row_hi, dtype=_np.int64)
+    for sources in levels[1:]:
+        degree, succ = _level_edges(sources, inv_off, inv_tgt)
+        edge_end = _np.cumsum(degree)
+        # entries gathered through each source: every successor plus
+        # its finished row
+        reach = _np.cumsum(1 + hi_of[succ] - lo_of[succ])[edge_end - 1]
+        start = 0
+        while start < sources.size:
+            done = int(reach[start - 1]) if start else 0
+            stop = max(
+                start + 1,
+                int(_np.searchsorted(reach, done + _COMPILE_CHUNK, "right")),
+            )
+            edges = slice(
+                int(edge_end[start] - degree[start]), int(edge_end[stop - 1])
+            )
+            _append_rows(
+                sources[start:stop], degree[start:stop], succ[edges],
+                lo_of, hi_of, ctgt, cweight,
+            )
+            start = stop
+    max_column = int(
+        _column_sums(levels, inv_off, inv_tgt, _np.int64).max(initial=0)
+    )
+    return row_lo, row_hi, ctgt, cweight, max_column
+
+
+def _append_rows(sources, degree, succ, lo_of, hi_of, ctgt, cweight):
+    """Compile the rows of *sources* (ascending; ``degree[i]`` of the
+    successors *succ* belong to ``sources[i]``) from their successors'
+    finished rows, append them to ``ctgt``/``cweight`` and record their
+    bounds in ``lo_of``/``hi_of``.
+
+    Every edge contributes its target with weight 1 plus its target's
+    row; sorting the ``(source, target)`` keys and summing duplicates
+    gives the rows, in source then target order.
+    """
+    n = lo_of.size
+    owner = _np.repeat(sources * n, degree)
+    lo = lo_of[succ]
+    counts = hi_of[succ] - lo
+    sel = _expand_runs(lo, counts, int(counts.sum()))
+    # the buffers cannot grow while these views of them exist
+    finished_tgt = _np.frombuffer(ctgt, dtype=_np.int64)
+    finished_weight = _np.frombuffer(cweight, dtype=_np.int64)
+    keys = _np.concatenate(
+        (owner + succ, _np.repeat(owner, counts) + finished_tgt[sel])
+    )
+    weights = _np.concatenate(
+        (_np.ones(succ.size, dtype=_np.int64), finished_weight[sel])
+    )
+    del finished_tgt, finished_weight
+    order = _np.argsort(keys)
+    keys = keys[order]
+    heads = _np.flatnonzero(_np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = _np.add.reduceat(weights[order], heads)
+    keys = keys[heads]
+    owners = keys // n
+    at = len(ctgt)
+    row_start = at + _np.searchsorted(owners, sources)
+    lo_of[sources] = row_start
+    hi_of[sources] = _np.append(row_start[1:], at + keys.size)
+    ctgt.frombytes((keys - owners * n).view(_np.uint8))
+    cweight.frombytes(sums.view(_np.uint8))
+
 
 class CompiledTables:
     """The compiled localization tables of one ``(scenario, visible
@@ -237,99 +550,60 @@ class CompiledTables:
     :class:`TableRegistry`; the heavy part is the invisible-closure
     transitive path-count matrix, computed once here instead of being
     re-walked per observed symbol.
+
+    The closure is compiled on the height-level schedule
+    (:func:`_height_levels_numpy`): a state's row is its invisible
+    successors plus their rows, all on lower levels.  Every entry and
+    partial sum is bounded by its column's sum, the number of
+    invisible paths ending there, so the numpy route
+    (:func:`_closure_numpy`) runs in int64 only when a float64 count
+    of the column sums stays below :data:`_NUMPY_COMPILE_BOUND`; the
+    exact big-int route (:func:`_closure_python`) covers the rest and
+    the no-numpy backend.  Both give bit-identical tables.
+    ``int64_limit`` is the largest frontier weight one numpy step may
+    start from without overflowing: ``INT64_MAX`` divided by the
+    largest operator fan-in times one plus the largest column sum,
+    or 0 when that product itself exceeds int64.
     """
 
     def __init__(
         self, interleaved: InterleavedFlow, visible_mid: Sequence[bool]
     ) -> None:
-        offsets, msg_ids, targets = interleaved.csr_adjacency()
-        n = len(offsets) - 1
-        self.num_states = n
+        self.num_states = interleaved.num_states
         self._numpy = have_numpy()
 
-        # visible edges grouped by message ID, plus merged operators
-        # for plain (un-indexed) observations -- the union of every
-        # instance's edges.  The CSR lists a state's edges by message
-        # then target, so the per-ID runs arrive sorted; a plain run
-        # merges several IDs and is sorted per source state.
-        table = interleaved.indexed_messages
-        self.op_by_mid: Dict[int, _Operator] = {}
-        self.op_by_plain: Dict[Message, _Operator] = {}
-        pending = [0] * n  # invisible in-degrees, for the closure DP
-        for sid in range(n):
-            plain_runs: Dict[Message, List[int]] = {}
-            for e in range(offsets[sid], offsets[sid + 1]):
-                mid = msg_ids[e]
-                t = targets[e]
-                if not visible_mid[mid]:
-                    pending[t] += 1
-                    continue
-                op = self.op_by_mid.get(mid)
-                if op is None:
-                    op = self.op_by_mid[mid] = _Operator()
-                op.src.append(sid)
-                op.tgt.append(t)
-                plain_runs.setdefault(table[mid].message, []).append(t)
-            for message, run in plain_runs.items():
-                op = self.op_by_plain.get(message)
-                if op is None:
-                    op = self.op_by_plain[message] = _Operator()
-                run.sort()
-                op.src.fromlist([sid] * len(run))
-                op.tgt.fromlist(run)
+        # the visible edges become the per-symbol operators; the
+        # invisible ones, as a CSR of their own, feed the closure
+        # compile.  Both closure routes run the height-level schedule,
+        # so a level reads only finished rows of lower levels.
+        if self._numpy:
+            self.op_by_mid, self.op_by_plain, inv_off, inv_tgt = (
+                _split_edges_numpy(interleaved, visible_mid)
+            )
+            levels = _height_levels_numpy(inv_off, inv_tgt)
+            # int64 is exact while the closure's column sums (which
+            # bound every entry and partial sum) fit; their float64
+            # count must leave a factor-two margin, else the exact
+            # big-int route takes over
+            bound = _column_sums(levels, inv_off, inv_tgt, _np.float64)
+            if bound.max(initial=0.0) < _NUMPY_COMPILE_BOUND:
+                closure = _closure_numpy(levels, inv_off, inv_tgt)
+            else:
+                closure = _closure_python(
+                    [level.tolist() for level in levels],
+                    inv_off.tolist(),
+                    inv_tgt.tolist(),
+                )
+        else:
+            self.op_by_mid, self.op_by_plain, inv_off, inv_tgt = (
+                _split_edges_python(interleaved, visible_mid)
+            )
+            levels = _height_levels_python(
+                interleaved.topological_ids(), inv_off, inv_tgt
+            )
+            closure = _closure_python(levels, inv_off, inv_tgt)
         operators = [*self.op_by_mid.values(), *self.op_by_plain.values()]
-        for op in operators:
-            op.seal(self._numpy)
-
-        # invisible-closure path counts paths(i -> j) over non-traced
-        # edges (j != i; the identity term is implicit in the ``closed
-        # = matched + ...`` application), built by a reverse-topological
-        # DP.  A finished row is written straight into the final
-        # buffers (sorted by target) and kept as a dict only until its
-        # last invisible predecessor has merged it, so the DP never
-        # holds more than its live rows.  Rows land in the order the DP
-        # finishes them, so each state has its own ``[lo, hi)`` bounds.
-        row_lo = array("q", bytes(8 * n))
-        row_hi = array("q", bytes(8 * n))
-        ctgt = array("q")
-        cweight = array("q")
-        col_sums = [0] * n
-        rows: List[Optional[Dict[int, int]]] = [None] * n
-        for sid in reversed(interleaved.topological_ids()):
-            row: Dict[int, int] = {}
-            for e in range(offsets[sid], offsets[sid + 1]):
-                if visible_mid[msg_ids[e]]:
-                    continue
-                t = targets[e]
-                row[t] = row.get(t, 0) + 1
-                inner = rows[t]
-                if inner:
-                    for j, w in inner.items():
-                        row[j] = row.get(j, 0) + w
-                pending[t] -= 1
-                if not pending[t]:
-                    rows[t] = None
-            if not row:
-                continue
-            if pending[sid]:
-                rows[sid] = row
-            keys = sorted(row)
-            weights = [row[j] for j in keys]
-            row_lo[sid] = len(ctgt)
-            ctgt.fromlist(keys)
-            row_hi[sid] = len(ctgt)
-            if isinstance(cweight, array):
-                try:
-                    cweight.fromlist(weights)  # all or nothing
-                except OverflowError:
-                    # a closure weight exceeds int64 (astronomical
-                    # products): keep exact big-int weights instead;
-                    # the overflow guard below then rules numpy out
-                    cweight = cweight.tolist()
-            if isinstance(cweight, list):
-                cweight.extend(weights)
-            for j, w in zip(keys, weights):
-                col_sums[j] += w
+        row_lo, row_hi, ctgt, cweight, max_column = closure
         self.closure_entries = len(ctgt)
         self._row_lo = row_lo
         self._row_hi = row_hi
@@ -341,7 +615,7 @@ class CompiledTables:
         # by closure_growth (worst closure column sum plus the
         # identity term)
         step_growth = max((op.growth for op in operators), default=0)
-        closure_growth = 1 + max(col_sums, default=0)
+        closure_growth = 1 + max_column
         growth = max(1, step_growth) * closure_growth
         self.int64_limit = (
             _INT64_MAX // growth if growth <= _INT64_MAX else 0

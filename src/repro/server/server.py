@@ -223,7 +223,8 @@ class _Shard:
         # construction resolves the compiled localization tables
         # through the content-addressed registry before the listener
         # accepts -- the first shard compiles, every later shard gets
-        # the same read-only tables back by fingerprint
+        # the same read-only tables back by fingerprint.  A window
+        # server compiles nothing here: its sessions never read them
         self.manager.warm()
         self.queue: "asyncio.Queue[Tuple[Callable[[], Tuple[int, bytes]], asyncio.Future]]" = (
             asyncio.Queue()

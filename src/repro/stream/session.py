@@ -236,10 +236,18 @@ class SessionManager:
         return self._shared
 
     def warm(self) -> "SessionManager":
-        """Pre-build the shared localizer's lazy DP tables so the first
-        ``open``/``feed`` doesn't pay for them.  Hosts that keep a
-        manager per shard call this at startup; returns ``self``."""
-        self._shared.warm()
+        """Pre-build the shared localizer's lazy DP tables that the
+        default mode's sessions read, so the first ``open``/``feed``
+        doesn't pay for them.  Hosts that keep a manager per shard call
+        this at startup; returns ``self``.
+
+        Window sessions read only the stop-path counts, which the
+        localizer built on construction, so a window manager compiles
+        nothing here; a prefix or exact session opened on it compiles
+        the tables on first use, once, through the table registry.
+        """
+        if self.default_mode != "window":
+            self._shared.warm()
         return self
 
     def session_ids(self) -> Tuple[str, ...]:

@@ -391,6 +391,49 @@ class TestBackendsAndPromotion:
                 boundaries += 1
         assert boundaries >= 4
 
+    @pytest.mark.skipif(
+        not kernels.have_numpy(), reason="needs the numpy backend"
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(scenarios(), st.randoms(use_true_random=False))
+    def test_compile_routes_agree(self, u, rng):
+        messages = sorted(u.messages)
+        traced = MessageCombination(
+            rng.sample(messages, rng.randint(0, len(messages)))
+        )
+        numpy_tables = make_localizer(u, traced, "numpy")._compiled_tables()
+        python_tables = make_localizer(u, traced, "python")._compiled_tables()
+        assert numpy_tables._numpy and not python_tables._numpy
+        assert table_content(numpy_tables) == table_content(python_tables)
+
+
+def table_content(tables):
+    """Everything a compiled table set answers with: each state's
+    closure row as ``(targets, weights)`` in state order, each
+    operator's edges and growth, and the overflow guard's inputs."""
+    rows = [
+        (
+            list(tables._ctgt[lo:hi]),
+            list(tables._cweight[lo:hi]),
+        )
+        for lo, hi in zip(tables._row_lo, tables._row_hi)
+    ]
+
+    def edges(operators):
+        return {
+            key: (list(op.src), list(op.tgt), op.growth)
+            for key, op in operators.items()
+        }
+
+    return (
+        rows,
+        edges(tables.op_by_mid),
+        edges(tables.op_by_plain),
+        tables.int64_limit,
+        tables.closure_entries,
+        tables.nbytes,
+    )
+
 
 def run_concurrently(threads, call):
     """Run *call* on *threads* threads released together by a barrier,
@@ -653,42 +696,94 @@ class TestTableResidency:
         assert tables.closure_entries == len(tables._ctgt)
 
     @pytest.mark.parametrize("variant", BACKENDS)
-    def test_closure_weights_beyond_int64_stay_exact(self, variant):
-        # 64 invisible diamonds in a row: 2^64 invisible paths, beyond
-        # int64, so the closure keeps big-int weights and the numpy
-        # backend can never run
-        diamonds = 64
-        a = Message("a", 1, source="P", destination="Q")
-        f = Message("f", 1, source="Q", destination="P")
-        transitions = [Transition("in", a, "d0")]
-        for i in range(diamonds):
-            for arm in "lr":
-                into = Message(f"{arm}{i}", 1, source="P", destination="Q")
-                out = Message(f"{arm}{i}'", 1, source="Q", destination="P")
-                transitions.append(Transition(f"d{i}", into, f"{arm}{i}"))
-                transitions.append(
-                    Transition(f"{arm}{i}", out, f"d{i + 1}")
-                )
-        transitions.append(Transition(f"d{diamonds}", f, "out"))
-        states = sorted({s for t in transitions for s in (t.source, t.target)})
-        flow = Flow(
-            name="Diamonds", states=states, initial=["in"], stop=["out"],
-            transitions=transitions,
-        )
-        interleaved = interleave_flows([flow], copies=1)
-        traced = MessageCombination([a, f])
-        localizer = make_localizer(interleaved, traced, variant)
-        tables = localizer._compiled_tables()
-        assert isinstance(tables._cweight, list)
-        assert max(tables._cweight) == 2**diamonds
-        assert tables.int64_limit == 0
-        assert tables.nbytes == sum(
-            8 * len(b) if isinstance(b, list) else b.itemsize * len(b)
-            for b in table_buffers(tables)
-        )
-        observed = [IndexedMessage(a, 1), IndexedMessage(f, 1)]
-        for cut in range(len(observed) + 1):
-            head = observed[:cut]
-            assert localizer.localize(head).consistent_paths == 2**diamonds
-        exact = localizer.localize(observed, mode="exact")
-        assert exact.consistent_paths == 2**diamonds
+    def test_compile_peak_is_bounded(self, monkeypatch, sc2x2, variant):
+        interleaved, visible = sc2x2
+        monkeypatch.setattr(kernels, "_force_python", variant == "python")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tables = kernels.CompiledTables(interleaved, visible)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the final buffers plus the compile's bounded intermediates: a
+        # level compiled in one piece peaks above this
+        assert peak <= 2 * tables.nbytes
+
+    @pytest.mark.parametrize("variant", BACKENDS)
+    def test_closure_weights_beyond_int64_stay_exact(
+        self, monkeypatch, variant
+    ):
+        # a chain of k invisible diamonds has 2^k invisible paths; its
+        # largest closure column sum, 2^(k+2) - 4, leaves int64 at
+        # k = 62 and its largest weight at k = 63.  The numpy compile
+        # runs only while that column sum, counted in float64, stays
+        # below 2^62: k <= 59 compiles on numpy, k >= 61 takes the
+        # exact big-int route, and k = 60 sits on the bound, where
+        # float64 rounding may pick either.  Every route must give
+        # the Python compile's tables
+        routes = []
+        real = kernels._closure_numpy
+
+        def spy(*args):
+            routes.append("numpy")
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "_closure_numpy", spy)
+        for diamonds in range(57, 65):
+            interleaved, traced, a, f = diamond_chain(diamonds)
+            localizer = make_localizer(interleaved, traced, variant)
+            tables = localizer._compiled_tables()
+            reference = make_localizer(
+                interleaved, traced, "python"
+            )._compiled_tables()
+            if diamonds != 60:
+                numpy_route = variant == "numpy" and diamonds < 60
+                assert routes == ["numpy"] * numpy_route, diamonds
+            routes.clear()
+            assert table_content(tables) == table_content(reference)
+            assert max(tables._cweight) == 2**diamonds
+            assert isinstance(tables._cweight, list) == (diamonds >= 63)
+            column = 2 ** (diamonds + 2) - 4
+            assert tables.int64_limit == (
+                kernels._INT64_MAX // (column + 1)
+                if column < kernels._INT64_MAX
+                else 0
+            )
+            assert tables.nbytes == sum(
+                8 * len(b) if isinstance(b, list) else b.itemsize * len(b)
+                for b in table_buffers(tables)
+            )
+            observed = [IndexedMessage(a, 1), IndexedMessage(f, 1)]
+            for cut in range(len(observed) + 1):
+                head = observed[:cut]
+                paths = localizer.localize(head).consistent_paths
+                assert paths == 2**diamonds
+            exact = localizer.localize(observed, mode="exact")
+            assert exact.consistent_paths == 2**diamonds
+
+
+def diamond_chain(diamonds):
+    """A visible entry ``a``, *diamonds* invisible diamonds in a row,
+    a visible exit ``f``: ``2**diamonds`` paths, all through one join.
+
+    Returns ``(interleaved, traced, a, f)``.
+    """
+    a = Message("a", 1, source="P", destination="Q")
+    f = Message("f", 1, source="Q", destination="P")
+    transitions = [Transition("in", a, "d0")]
+    for i in range(diamonds):
+        for arm in "lr":
+            into = Message(f"{arm}{i}", 1, source="P", destination="Q")
+            out = Message(f"{arm}{i}'", 1, source="Q", destination="P")
+            transitions.append(Transition(f"d{i}", into, f"{arm}{i}"))
+            transitions.append(Transition(f"{arm}{i}", out, f"d{i + 1}"))
+    transitions.append(Transition(f"d{diamonds}", f, "out"))
+    states = sorted({s for t in transitions for s in (t.source, t.target)})
+    flow = Flow(
+        name="Diamonds", states=states, initial=["in"], stop=["out"],
+        transitions=transitions,
+    )
+    interleaved = interleave_flows([flow], copies=1)
+    return interleaved, MessageCombination([a, f]), a, f

@@ -1,9 +1,11 @@
-"""What ``repro serve`` serves, pinned: table fingerprints and views.
+"""What ``repro serve`` serves, pinned: table fingerprints, compiled
+tables and views.
 
 The session store's META ties every ``--data-dir`` to the table
 fingerprint of the scenario it served, so a changed digest would make
 the server refuse existing stores: the three served contexts are
-pinned to full digests here.  Serving reads only state IDs and the CSR
+pinned to full digests here, and so are the tables compiled from them,
+on both kernel backends.  Serving reads only state IDs and the CSR
 arrays of the interleaved product, so building a context, warming a
 shard's localizer and localizing a capture must construct no
 :class:`~repro.core.interleave.InterleavedTransition` at all -- cold
@@ -12,10 +14,15 @@ or from a cache entry loaded off disk.
 
 from __future__ import annotations
 
+import hashlib
+from array import array
+
 import pytest
 
 from repro.core.interleave import InterleavedTransition
 from repro.runtime.cache import ArtifactCache, set_default_cache
+from repro.selection import kernels
+from repro.selection.kernels import TableRegistry
 from repro.selection.localization import PathLocalizer
 from repro.server import ServeContext
 from repro.stream.service import synthetic_session_records
@@ -31,6 +38,20 @@ SERVED = [
 ]
 
 
+#: Digests of the tables compiled from each served context (see
+#: :func:`tables_digest`), keyed by ``(scenario, instances)``.
+SERVED_TABLES = {
+    (1, 1):
+        "d9f7f591387ecc844d59c92e50dc1ef694106d6c79861be2f61b4e45c97a45fa",
+    (2, 2):
+        "10364291e5c7945accced3fa6475d9a03a14637fb93c93d8f1d65e2de22dcc97",
+    (3, 2):
+        "f7011cd848ed4a8d90825d9ac3ef02b2c6c88d50a830a038fe4cf9ced8940b1d",
+}
+
+BACKENDS = ("numpy", "python") if kernels.have_numpy() else ("python",)
+
+
 @pytest.mark.parametrize("number, instances, mode, digest", SERVED)
 def test_served_fingerprint_is_pinned(number, instances, mode, digest):
     context = ServeContext.from_scenario(
@@ -38,6 +59,49 @@ def test_served_fingerprint_is_pinned(number, instances, mode, digest):
     )
     localizer = PathLocalizer(context.interleaved, context.traced)
     assert localizer.fingerprint() == digest
+
+
+def tables_digest(tables) -> str:
+    """SHA-256 of a compiled table set: every state's closure row
+    ``(targets, weights)`` in state order, every operator's ``(src,
+    tgt)`` (by message ID, then by plain message name) and
+    ``int64_limit``."""
+    lengths = array("q")
+    targets = array("q")
+    weights = []
+    for lo, hi in zip(tables._row_lo, tables._row_hi):
+        lengths.append(hi - lo)
+        targets.extend(tables._ctgt[lo:hi])
+        weights.extend(tables._cweight[lo:hi])
+    digest = hashlib.sha256(lengths.tobytes())
+    digest.update(targets.tobytes())
+    digest.update(repr(weights).encode("ascii"))
+    operators = [*sorted(tables.op_by_mid.items())] + sorted(
+        (message.name, op) for message, op in tables.op_by_plain.items()
+    )
+    for key, op in operators:
+        digest.update(repr(key).encode("utf-8"))
+        digest.update(op.src.tobytes())
+        digest.update(op.tgt.tobytes())
+    digest.update(repr(tables.int64_limit).encode("ascii"))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("number, instances, mode, fingerprint", SERVED)
+def test_served_tables_are_pinned(
+    monkeypatch, number, instances, mode, fingerprint, backend
+):
+    context = ServeContext.from_scenario(
+        number, instances=instances, mode=mode
+    )
+    monkeypatch.setattr(kernels, "_force_python", backend == "python")
+    localizer = PathLocalizer(
+        context.interleaved, context.traced, registry=TableRegistry()
+    )
+    tables = localizer._compiled_tables()
+    assert tables._numpy == (backend == "numpy")
+    assert tables_digest(tables) == SERVED_TABLES[number, instances]
 
 
 @pytest.fixture

@@ -7,6 +7,9 @@ import pytest
 
 from repro.core.message import IndexedMessage
 from repro.errors import StreamError
+from repro.selection import kernels
+from repro.selection.kernels import TableRegistry
+from repro.selection.localization import PathLocalizer
 from repro.sim.engine import TransactionSimulator
 from repro.stream.session import (
     ACTIVE,
@@ -83,6 +86,45 @@ class TestLifecycle:
         manager.feed(sid, [IndexedMessage(req, 1)])
         result = manager.snapshot(sid)
         assert result.consistent_paths == result.total_paths
+
+
+class TestWarm:
+    def test_window_manager_compiles_on_first_prefix_open(
+        self, monkeypatch, cc_flow, cc_interleaved, traced
+    ):
+        registry = TableRegistry()
+        monkeypatch.setattr(kernels, "_DEFAULT_REGISTRY", registry)
+        observed = [
+            IndexedMessage(cc_flow.message_by_name("ReqE"), 1),
+            IndexedMessage(cc_flow.message_by_name("GntE"), 1),
+        ]
+        manager = SessionManager(cc_interleaved, traced, mode="window")
+        manager.warm()
+        window = manager.open()
+        manager.feed(window, observed)
+        manager.close(window)
+        # window sessions never read the compiled tables
+        assert registry.stats()["misses"] == 0
+        expected = PathLocalizer(
+            cc_interleaved, traced, registry=TableRegistry()
+        ).localize(observed)
+        for _ in range(2):
+            sid = manager.open(mode="prefix")
+            manager.feed(sid, observed)
+            summary = manager.close(sid)
+            assert summary["consistent_paths"] == expected.consistent_paths
+            assert summary["total_paths"] == expected.total_paths
+        # the first prefix session compiled, the second reused it
+        assert registry.stats()["misses"] == 1
+
+    @pytest.mark.parametrize("mode", ("prefix", "exact"))
+    def test_prefix_and_exact_managers_compile_at_warm(
+        self, monkeypatch, cc_interleaved, traced, mode
+    ):
+        registry = TableRegistry()
+        monkeypatch.setattr(kernels, "_DEFAULT_REGISTRY", registry)
+        SessionManager(cc_interleaved, traced, mode=mode).warm()
+        assert registry.stats()["misses"] == 1
 
 
 class TestLimits:
