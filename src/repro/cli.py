@@ -417,12 +417,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.server import (
-        DebugServer,
-        MetricsRegistry,
-        ServeContext,
-        ServerConfig,
-    )
+    from repro.server import DebugServer, ServeContext, ServerConfig
 
     context = ServeContext.from_scenario(
         args.scenario,
@@ -446,7 +441,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fsync_interval_s=args.fsync_interval,
         snapshot_every=args.snapshot_every,
     )
-    server = DebugServer(context, config, MetricsRegistry())
+    server = DebugServer(context, config)
 
     def on_ready(ready: DebugServer) -> None:
         print(

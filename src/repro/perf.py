@@ -1,16 +1,18 @@
-"""Lightweight stage counters for the selection core.
+"""One metrics registry: named counters and latency histograms.
 
 The hot paths of the library (product construction, coverage bitsets,
 the selection knapsack, the localization DP) report *aggregate* stage
-counters -- states expanded, bitset ORs, DP steps, wall time per stage
--- through this module.  Instrumentation is collected only while a
+counters -- states expanded, bitset ORs, DP steps -- and stage wall
+times through this module.  Instrumentation is collected only while a
 :func:`collect` block is active; outside one, :func:`add` and
 :func:`timed` are near-zero-cost no-ops, so the counters can stay in
 the production code paths permanently.
 
-The ``repro profile <scenario>`` CLI command prints one collection;
-the debug server keeps one active for its lifetime and serves it on
-STATS and ``/metrics``.
+A :class:`PerfCounters` is the only metrics type in the repository.
+``repro profile <scenario>`` prints one collection; the debug server
+owns one for its lifetime, counts its own requests and latencies into
+it, keeps it active for the library's counters while it serves, and
+renders it on STATS and ``/metrics``.
 
 Usage::
 
@@ -30,6 +32,13 @@ collector counts the kernel work its shard threads do.  Increments are
 thread-safe -- each :class:`PerfCounters` guards its maps with its own
 lock, and :func:`add`/:func:`timed` iterate an immutable snapshot of
 the active set while other threads activate or deactivate collections.
+
+Histograms have one fixed layout (:data:`BUCKETS_PER_OCTAVE` log
+buckets per power of two over ``[2**-20 s, 2**10 s)``): an observation
+is O(1), memory never grows, and ``count``/``sum_s``/``max_s`` are
+exact.  A percentile reads as its bucket's upper bound, capped at the
+maximum: inside that range, at most ``2**(1/8) - 1`` (9.05 %) above
+the nearest-rank value of the same samples.
 
 Localization counter registry (reported by
 :mod:`repro.selection.kernels` and
@@ -55,64 +64,116 @@ Localization counter registry (reported by
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterator, List, Tuple
 
+#: Histogram layout: log buckets per power of two, and the octaves
+#: covered.  The first bucket also takes everything below ``2**-20 s``
+#: and the last everything above ``2**10 s``.
+BUCKETS_PER_OCTAVE = 8
+_LOW_EXP, _HIGH_EXP = -20, 10
+#: Upper bound of each bucket in seconds (the last one unbounded).
+_UPPER: Tuple[float, ...] = tuple(
+    2.0 ** (_LOW_EXP + (i + 1) / BUCKETS_PER_OCTAVE)
+    for i in range((_HIGH_EXP - _LOW_EXP) * BUCKETS_PER_OCTAVE - 1)
+) + (math.inf,)
+_QUANTILES = (("p50_s", 0.50), ("p95_s", 0.95), ("p99_s", 0.99))
 
-@dataclass
+
+class Histogram:
+    """A latency distribution over the fixed log buckets."""
+
+    __slots__ = ("count", "sum_s", "max_s", "buckets")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.sum_s = 0.0
+        self.max_s = 0.0
+        self.buckets: List[int] = [0] * len(_UPPER)
+
+    def observe(self, seconds: float) -> None:
+        self.count += 1
+        self.sum_s += seconds
+        if seconds > self.max_s:
+            self.max_s = seconds
+        self.buckets[bisect_right(_UPPER, seconds)] += 1
+
+    def summary(self) -> Dict[str, float]:
+        """Exact ``count``/``sum_s``/``mean_s``/``max_s``; each of
+        ``p50_s``/``p95_s``/``p99_s`` is the upper bound of the bucket
+        holding that nearest rank, capped at the max."""
+        count, total, peak = self.count, self.sum_s, self.max_s
+        summary: Dict[str, float] = {
+            "count": count,
+            "sum_s": round(total, 6),
+            "mean_s": round(total / count, 6) if count else 0.0,
+        }
+        cumulative = list(accumulate(self.buckets))
+        for key, q in _QUANTILES:
+            bucket = bisect_left(cumulative, max(1, math.ceil(q * count)))
+            value = min(_UPPER[bucket], peak) if count else 0.0
+            summary[key] = round(value, 6)
+        summary["max_s"] = round(peak, 6)
+        return summary
+
+
 class PerfCounters:
-    """Aggregated stage counters for one :func:`collect` block.
+    """Named monotonic counters (e.g. ``interleave_states_expanded``)
+    and latency histograms (a timed stage, a request latency) behind
+    one lock."""
 
-    Attributes
-    ----------
-    counters:
-        Monotonic event counts, e.g. ``interleave_states_expanded`` or
-        ``coverage_bitset_ors``.
-    timings:
-        Wall time per named stage in seconds (summed over repeated
-        entries of the same stage).
-    """
+    __slots__ = ("_lock", "_counters", "_histograms")
 
-    counters: Dict[str, int] = field(default_factory=dict)
-    timings: Dict[str, float] = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._counters: Dict[str, int] = {}
+        self._histograms: Dict[str, Histogram] = {}
 
     def add(self, name: str, amount: int = 1) -> None:
         with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + amount
+            self._counters[name] = self._counters.get(name, 0) + amount
 
-    def add_time(self, stage: str, seconds: float) -> None:
+    def observe(self, name: str, seconds: float) -> None:
         with self._lock:
-            self.timings[stage] = self.timings.get(stage, 0.0) + seconds
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                histogram = self._histograms[name] = Histogram()
+            histogram.observe(seconds)
 
     def get(self, name: str) -> int:
-        return self.counters.get(name, 0)
+        return self._counters.get(name, 0)
 
-    def as_dict(self) -> Dict[str, object]:
+    def as_dict(self) -> Dict[str, Dict[str, object]]:
+        """``{"counters": {name: count}, "histograms": {name:
+        summary}}``, sorted by name and JSON-ready."""
         with self._lock:
-            counters = sorted(self.counters.items())
-            timings = sorted(self.timings.items())
-        return {
-            "counters": dict(counters),
-            "wall_s": {stage: round(seconds, 6) for stage, seconds in timings},
-        }
+            return {
+                "counters": dict(sorted(self._counters.items())),
+                "histograms": {
+                    name: histogram.summary()
+                    for name, histogram in sorted(self._histograms.items())
+                },
+            }
 
     def format(self) -> str:
-        """Human-readable two-column table (for the CLI)."""
-        with self._lock:
-            counters = sorted(self.counters.items())
-            timings = sorted(self.timings.items())
-        lines: List[str] = []
-        width = max((len(n) for n, _ in (*counters, *timings)), default=0)
-        for name, count in counters:
-            lines.append(f"{name:<{width}}  {count:>14,}")
-        for stage, seconds in timings:
-            lines.append(f"{stage:<{width}}  {seconds:>13.4f}s")
+        """Human-readable two-column table (for the CLI): each counter,
+        then each histogram's summed seconds."""
+        snapshot = self.as_dict()
+        counters = snapshot["counters"]
+        seconds = {
+            name: summary["sum_s"]
+            for name, summary in snapshot["histograms"].items()
+        }
+        width = max(map(len, (*counters, *seconds)), default=0)
+        lines = [f"{name:<{width}}  {n:>14,}" for name, n in counters.items()]
+        lines.extend(
+            f"{name:<{width}}  {s:>13.4f}s" for name, s in seconds.items()
+        )
         return "\n".join(lines)
 
 
@@ -170,8 +231,8 @@ def deactivate(counters: PerfCounters) -> None:
 
 @contextmanager
 def timed(stage: str) -> Iterator[None]:
-    """Time the block and add it to stage *stage* of every active
-    collection.  When none is active the only cost is two clock reads."""
+    """Time the block into histogram *stage* of every active
+    collection.  When none is active the only cost is one falsy check."""
     if not _ACTIVE:
         yield
         return
@@ -181,5 +242,4 @@ def timed(stage: str) -> Iterator[None]:
     finally:
         elapsed = time.perf_counter() - start
         for counters in _ACTIVE:
-            counters.add_time(stage, elapsed)
-
+            counters.observe(stage, elapsed)

@@ -15,12 +15,12 @@ The pieces:
   routed by consistent hash onto worker shards, admission control
   answers overload with structured ``RETRY_LATER`` (never a deadlock,
   never a dropped accepted session), idle sessions are evicted, and
-  SIGINT/SIGTERM drain gracefully.
+  SIGINT/SIGTERM drain gracefully.  Its one metrics registry, a
+  :class:`repro.perf.PerfCounters`, is served on the ``STATS`` frame
+  and over HTTP.
 * :mod:`repro.server.client` -- the synchronous client: timeouts,
   retry with exponential backoff and jitter, and a streaming feed that
   replays its history if the server loses the session.
-* :mod:`repro.server.metrics` -- the pull-based metrics plane served
-  on the ``STATS`` frame and over HTTP.
 * :mod:`repro.server.loadgen` -- the multi-process load generator
   replaying simulator-produced trace files.
 
@@ -35,11 +35,6 @@ from repro.server.client import (
     SessionFeed,
 )
 from repro.server.loadgen import NetworkLoadReport, run_network_load_test
-from repro.server.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.server.protocol import (
     FrameAssembler,
     WireFrame,
@@ -54,13 +49,10 @@ from repro.server.server import (
 
 __all__ = [
     "CircuitBreaker",
-    "Counter",
     "DebugClient",
     "DebugServer",
     "FeedReply",
     "FrameAssembler",
-    "Histogram",
-    "MetricsRegistry",
     "NetworkLoadReport",
     "RetryPolicy",
     "ServeContext",

@@ -31,13 +31,13 @@ Architecture::
   instead of discarding it, and startup recovers every session
   bit-identical to an uninterrupted run.  Without a data directory the
   server behaves exactly as before.
-
-The metrics plane (:mod:`repro.server.metrics`) is wired in here:
-request/feed counters and latency histograms update on the serving
-path; per-shard manager stats, runtime-cache hit rates, ``repro.perf``
-stage counters, and compressed-transport ratios are sampled at scrape
-time -- over the ``STATS`` frame or the plain-HTTP
-``--metrics-port`` listener.
+* **Metrics** -- one :class:`repro.perf.PerfCounters` per server
+  (``DebugServer.metrics``): the serving path counts requests and
+  observes latencies into it, and it stays active for the library's
+  stage counters while the server runs.  :meth:`DebugServer.stats`
+  renders it with the sections sampled at scrape time (server, health,
+  store, shards, runtime cache, localization tables) -- over the
+  ``STATS`` frame or the plain-HTTP ``--metrics-port`` listener.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from repro.errors import (
 )
 from repro.selection import kernels
 from repro.server import protocol
-from repro.server.metrics import MetricsRegistry, runtime_cache_collector
 from repro.store import wal as wal_mod
 from repro.store.inspect import (
     META_FORMAT,
@@ -287,6 +286,16 @@ class _Connection:
         self.assembler = protocol.FrameAssembler(max_payload=max_payload)
 
 
+def _runtime_cache_stats() -> Dict[str, object]:
+    """Hit/miss counters of the process-wide artifact cache."""
+    from repro.runtime.cache import default_cache
+
+    cache = default_cache()
+    stats = cache.stats.as_dict()
+    stats["directory"] = str(cache.directory)
+    return stats
+
+
 class DebugServer:
     """The networked post-silicon debug service (one scenario)."""
 
@@ -294,11 +303,13 @@ class DebugServer:
         self,
         context: ServeContext,
         config: Optional[ServerConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.context = context
         self.config = config if config is not None else ServerConfig()
-        self.registry = registry if registry is not None else MetricsRegistry()
+        #: The server's one metrics registry: its own request counters
+        #: and latencies, plus -- active while it serves -- the
+        #: library's stage counters and timings.
+        self.metrics = perf.PerfCounters()
         self.ring = HashRing(self.config.shards)
         self._shards: List[_Shard] = []
         self._server: Optional[asyncio.AbstractServer] = None
@@ -316,54 +327,40 @@ class DebugServer:
         self._fingerprint: Optional[str] = None
         self._recovery: Dict[str, object] = {}
         #: Structured operational alerts (WAL degradation, snapshot
-        #: failures, quarantines) -- newest last, bounded, served over
-        #: the health collector so operators see them on STATS/metrics.
+        #: failures, quarantines) -- newest last, bounded, served in the
+        #: health section so operators see them on STATS/metrics.
+        #: Shard threads append while the loop and the chaos runner
+        #: read, so both go through ``_alerts_lock``.
         self._alerts: List[Dict[str, object]] = []
-        self._perf = perf.PerfCounters()
+        self._alerts_lock = threading.Lock()
         self.host = self.config.host
         self.port = self.config.port
         self.metrics_port = self.config.metrics_port
-        self._wire_counters()
 
-    # -- metrics wiring ------------------------------------------------
-    def _wire_counters(self) -> None:
-        reg = self.registry
-        self._c_requests = reg.counter("requests_total")
-        self._c_feeds = reg.counter("feeds_total")
-        self._c_records = reg.counter("records_fed_total")
-        self._c_opens = reg.counter("opens_total")
-        self._c_closes = reg.counter("closes_total")
-        self._c_retry = reg.counter("retry_later_total")
-        self._c_errors = reg.counter("error_replies_total")
-        self._c_protocol = reg.counter("protocol_errors_total")
-        self._c_connections = reg.counter("connections_total")
-        self._c_bytes_in = reg.counter("wire_bytes_in")
-        self._c_bytes_out = reg.counter("wire_bytes_out")
-        self._c_cbytes = reg.counter("compressed_wire_bytes")
-        self._c_craw = reg.counter("compressed_raw_bits")
-        self._c_deadline = reg.counter("deadline_exceeded_total")
-        self._c_degraded = reg.counter("wal_degraded_total")
-        self._c_snapfail = reg.counter("snapshot_failures_total")
-        self._c_quarantined = reg.counter("sessions_quarantined_total")
-        self._h_feed = reg.histogram("feed_latency_s")
-        self._h_request = reg.histogram("request_latency_s")
-        self._h_wal = reg.histogram("wal_append_s")
-        reg.add_collector("server", self._server_stats)
-        reg.add_collector("health", self._health)
-        reg.add_collector("store", self._store_stats)
-        reg.add_collector(
-            "shards", lambda: {"shards": [s.stats() for s in self._shards]}
-        )
-        reg.add_collector("runtime_cache", runtime_cache_collector)
-        reg.add_collector(
-            "localize_tables",
-            lambda: kernels.default_registry().stats(),
-        )
-        reg.add_collector("perf", self._perf.as_dict)
+    # -- metrics plane -------------------------------------------------
+    def stats(self) -> Dict[str, object]:
+        """The STATS and ``/metrics`` document: the registry's counters
+        and histograms plus the sections sampled now.  A section that
+        raises reads ``{"error": ...}`` instead of failing the scrape."""
+        payload: Dict[str, object] = self.metrics.as_dict()
+        sections: Dict[str, Callable[[], Dict[str, object]]] = {
+            "server": self._server_stats,
+            "health": self._health,
+            "store": self._store_stats,
+            "shards": lambda: {"shards": [s.stats() for s in self._shards]},
+            "runtime_cache": _runtime_cache_stats,
+            "localize_tables": lambda: kernels.default_registry().stats(),
+        }
+        for name, section in sections.items():
+            try:
+                payload[name] = section()
+            except Exception as exc:  # a scrape must never take the
+                payload[name] = {"error": str(exc)}  # service down
+        return payload
 
     def _server_stats(self) -> Dict[str, object]:
-        wire_bytes = self._c_cbytes.value
-        raw_bits = self._c_craw.value
+        wire_bytes = self.metrics.get("compressed_wire_bytes")
+        raw_bits = self.metrics.get("compressed_raw_bits")
         return {
             "scenario": self.context.name,
             "mode": self.context.mode,
@@ -394,18 +391,21 @@ class DebugServer:
             status = "degraded"
         else:
             status = "ok"
+        with self._alerts_lock:
+            alerts = [dict(alert) for alert in self._alerts]
         return {
             "status": status,
             "degraded_shards": degraded,
-            "alerts": [dict(alert) for alert in self._alerts],
+            "alerts": alerts,
         }
 
     def _alert(self, kind: str, **fields: object) -> None:
         """Record one structured operational alert (bounded buffer)."""
         alert: Dict[str, object] = {"kind": kind}
         alert.update(fields)
-        self._alerts.append(alert)
-        del self._alerts[:-64]
+        with self._alerts_lock:
+            self._alerts.append(alert)
+            del self._alerts[:-64]
 
     @property
     def recovery_info(self) -> Dict[str, object]:
@@ -444,7 +444,7 @@ class DebugServer:
         bound ``(host, port)`` (port 0 resolves to an ephemeral one).
 
         Recovery and both binds run before any task starts, and the
-        perf collector is activated last.  If recovery or a bind fails
+        metrics registry is activated last.  If recovery or a bind fails
         (a refused data directory, a taken port), the listeners are
         closed, the WAL writers sealed and the shard executors shut
         down before the error propagates.
@@ -490,7 +490,7 @@ class DebugServer:
             loop.create_task(self._consume(shard)) for shard in self._shards
         ]
         self._sweeper = loop.create_task(self._sweep_loop())
-        perf.activate(self._perf)
+        perf.activate(self.metrics)
         self._started_at = time.monotonic()
         return self.host, self.port
 
@@ -533,6 +533,11 @@ class DebugServer:
             *((self._sweeper,) if self._sweeper else ()),
             return_exceptions=True,
         )
+        for shard in self._shards:
+            # an abort drops queued work: cancel each reply future so
+            # its _respond task finishes instead of waiting forever
+            while not shard.queue.empty():
+                shard.queue.get_nowait()[1].cancel()
         if not abort:
             loop = asyncio.get_running_loop()
             for shard in self._shards:
@@ -556,7 +561,7 @@ class DebugServer:
                 pass
         for shard in self._shards:
             shard.executor.shutdown(wait=True)
-        perf.deactivate(self._perf)
+        perf.deactivate(self.metrics)
 
     async def run(
         self,
@@ -597,6 +602,9 @@ class DebugServer:
             fn, future = await shard.queue.get()
             try:
                 result = await loop.run_in_executor(shard.executor, fn)
+            except asyncio.CancelledError:
+                future.cancel()  # stopped mid-op: no reply will come
+                raise
             except Exception as exc:  # noqa: BLE001 - reply, don't die
                 result = (
                     protocol.ERROR,
@@ -621,17 +629,17 @@ class DebugServer:
     ) -> None:
         connection = _Connection(writer, self.config.max_payload_bytes)
         self._connections.add(connection)
-        self._c_connections.inc()
+        self.metrics.add("connections_total")
         try:
             while True:
                 data = await reader.read(65536)
                 if not data:
                     break
-                self._c_bytes_in.inc(len(data))
+                self.metrics.add("wire_bytes_in", len(data))
                 try:
                     frames = connection.assembler.feed(data)
                 except ProtocolError as exc:
-                    self._c_protocol.inc()
+                    self.metrics.add("protocol_errors_total")
                     await self._send(
                         connection,
                         protocol.ERROR,
@@ -654,9 +662,9 @@ class DebugServer:
         self, connection: _Connection, frame: protocol.WireFrame
     ) -> None:
         """Admission-check one request and hand it to its shard."""
-        self._c_requests.inc()
+        self.metrics.add("requests_total")
         if frame.frame_type not in protocol.REQUEST_TYPES:
-            self._c_protocol.inc()
+            self.metrics.add("protocol_errors_total")
             await self._send(
                 connection,
                 protocol.ERROR,
@@ -674,7 +682,7 @@ class DebugServer:
                 connection,
                 protocol.OK,
                 frame.seq,
-                protocol.encode_json(self.registry.snapshot()),
+                protocol.encode_json(self.stats()),
             )
             return
         if frame.frame_type == protocol.PING:
@@ -697,7 +705,7 @@ class DebugServer:
         try:
             shard, op, deadline_ms = self._route(frame)
         except ProtocolError as exc:
-            self._c_protocol.inc()
+            self.metrics.add("protocol_errors_total")
             await self._send(
                 connection,
                 protocol.ERROR,
@@ -737,17 +745,17 @@ class DebugServer:
             if request_type == protocol.OPEN_SESSION:
                 self._pending_opens -= 1
         elapsed = time.perf_counter() - started
-        self._h_request.observe(elapsed)
+        self.metrics.observe("request_latency_s", elapsed)
         if request_type == protocol.FEED_CHUNK:
-            self._h_feed.observe(elapsed)
+            self.metrics.observe("feed_latency_s", elapsed)
         if frame_type == protocol.ERROR:
-            self._c_errors.inc()
+            self.metrics.add("error_replies_total")
         await self._send(connection, frame_type, seq, payload)
 
     async def _retry_later(
         self, connection: _Connection, seq: int, reason: str
     ) -> None:
-        self._c_retry.inc()
+        self.metrics.add("retry_later_total")
         await self._send(
             connection,
             protocol.RETRY_LATER,
@@ -763,7 +771,7 @@ class DebugServer:
             frame_type, seq, payload,
             max_payload=self.config.max_payload_bytes,
         )
-        self._c_bytes_out.inc(len(data))
+        self.metrics.add("wire_bytes_out", len(data))
         async with connection.write_lock:
             try:
                 connection.writer.write(data)
@@ -852,7 +860,7 @@ class DebugServer:
 
         def guarded() -> Tuple[int, bytes]:
             if time.monotonic() >= expires_at:
-                self._c_deadline.inc()
+                self.metrics.add("deadline_exceeded_total")
                 return (
                     protocol.RETRY_LATER,
                     protocol.retry_later_payload(
@@ -872,7 +880,7 @@ class DebugServer:
             # reopening a spilled session resumes it; the reply's
             # next_chunk tells the client where the durable
             # high-watermark is so it replays only the tail
-            self._c_opens.inc()
+            self.metrics.add("opens_total")
             return (
                 protocol.OK,
                 protocol.encode_json(
@@ -916,7 +924,7 @@ class DebugServer:
                 shard,
                 lambda: shard.store.log_open(sid, opened_mode, transport),
             )
-        self._c_opens.inc()
+        self.metrics.add("opens_total")
         return (
             protocol.OK,
             protocol.encode_json(
@@ -986,13 +994,15 @@ class DebugServer:
             return self._poisoned_feed(shard, session, exc)
         session.failures = 0
         if session.transport == "ctrace":
-            self._c_cbytes.inc(len(data))
+            self.metrics.add("compressed_wire_bytes", len(data))
             if records:
                 from repro.compress.encoder import uncompressed_capture_bits
 
-                self._c_craw.inc(uncompressed_capture_bits(records))
-        self._c_feeds.inc()
-        self._c_records.inc(outcome.consumed)
+                self.metrics.add(
+                    "compressed_raw_bits", uncompressed_capture_bits(records)
+                )
+        self.metrics.add("feeds_total")
+        self.metrics.add("records_fed_total", outcome.consumed)
         reply = (
             protocol.OK,
             protocol.encode_json(
@@ -1015,7 +1025,7 @@ class DebugServer:
             except StoreWriteError as exc:
                 # a failed checkpoint costs replay time, not data: the
                 # WAL still has everything, so alert and keep serving
-                self._c_snapfail.inc()
+                self.metrics.add("snapshot_failures_total")
                 self._alert(
                     "snapshot-failed",
                     shard=shard.index,
@@ -1057,7 +1067,7 @@ class DebugServer:
             # session and the next feed would re-strike it
             shard.store.drop_spilled(sid)
             self._wal_append(shard, lambda: shard.store.log_close(sid))
-        self._c_quarantined.inc()
+        self.metrics.add("sessions_quarantined_total")
         self._alert(
             "session-quarantined",
             shard=shard.index,
@@ -1104,7 +1114,7 @@ class DebugServer:
         if shard.durable:
             shard.store.drop_spilled(sid)
             self._wal_append(shard, lambda: shard.store.log_close(sid))
-        self._c_closes.inc()
+        self.metrics.add("closes_total")
         # the reply is the summary without its two local-only fields
         del summary["mode"], summary["peak_frontier"]
         return protocol.OK, protocol.encode_json(summary)
@@ -1133,7 +1143,7 @@ class DebugServer:
         except StoreWriteError as exc:
             self._degrade_shard(shard, exc)
             return None
-        self._h_wal.observe(time.perf_counter() - started)
+        self.metrics.observe("wal_append_s", time.perf_counter() - started)
         return lsn
 
     def _degrade_shard(self, shard: _Shard, exc: StoreWriteError) -> None:
@@ -1148,7 +1158,7 @@ class DebugServer:
             return
         shard.degraded = True
         shard.degraded_reason = str(exc)
-        self._c_degraded.inc()
+        self.metrics.add("wal_degraded_total")
         self._alert(
             "wal-degraded",
             shard=shard.index,
@@ -1336,7 +1346,7 @@ class DebugServer:
             except StreamError:  # not live: retire it from the spill map
                 shard.store.drop_spilled(sid)
 
-    # -- metrics plane -------------------------------------------------
+    # -- metrics HTTP endpoint -----------------------------------------
     async def _handle_metrics(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -1345,9 +1355,9 @@ class DebugServer:
         except Exception:
             writer.close()
             return
-        body = json.dumps(
-            self.registry.snapshot(), indent=2, sort_keys=True
-        ).encode("utf-8")
+        body = json.dumps(self.stats(), indent=2, sort_keys=True).encode(
+            "utf-8"
+        )
         head = (
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/json\r\n"
@@ -1377,9 +1387,8 @@ class ServerThread:
         self,
         context: ServeContext,
         config: Optional[ServerConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.server = DebugServer(context, config=config, registry=registry)
+        self.server = DebugServer(context, config=config)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()

@@ -1,9 +1,8 @@
 """Latency-summary helper shared by the serving reports.
 
 :func:`percentile` is the nearest-rank percentile that the load
-generator (:mod:`repro.server.loadgen`), the metrics plane
-(:mod:`repro.server.metrics`) and the repository benchmark report
-feed latencies with.
+generator (:mod:`repro.server.loadgen`) and the repository benchmark
+report feed latencies with.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ import pytest
 from repro.core.interleave import interleave_flows
 from repro.server import (
     DebugClient,
-    MetricsRegistry,
     ServeContext,
     ServerConfig,
     ServerThread,
@@ -39,7 +38,6 @@ class RunningServer:
     thread: ServerThread
     host: str
     port: int
-    registry: MetricsRegistry
     context: ServeContext
 
     @property
@@ -50,10 +48,9 @@ class RunningServer:
 def start_server(
     context: ServeContext, config: ServerConfig
 ) -> RunningServer:
-    registry = MetricsRegistry()
-    thread = ServerThread(context, config, registry)
+    thread = ServerThread(context, config)
     host, port = thread.start()
-    return RunningServer(thread, host, port, registry, context)
+    return RunningServer(thread, host, port, context)
 
 
 @pytest.fixture

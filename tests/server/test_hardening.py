@@ -4,6 +4,8 @@ under duplicated and reordered chunk indices."""
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import pytest
@@ -333,3 +335,36 @@ def test_health_collector_reports_ok_on_a_clean_server(running):
         assert health["status"] == "ok"
         assert health["degraded_shards"] == []
         assert health["alerts"] == []
+
+
+def test_alerts_read_whole_while_shard_threads_append(context):
+    # shard threads raise alerts while STATS (and the chaos runner)
+    # read them: every read must see a run of consecutive alerts, never
+    # one with a gap left by a concurrent trim
+    server = DebugServer(context)
+    stop = threading.Event()
+
+    def raise_alerts():
+        number = 0
+        while not stop.is_set():
+            server._alert("test", number=number)
+            number += 1
+
+    writer = threading.Thread(target=raise_alerts)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    torn = 0
+    try:
+        writer.start()
+        for _ in range(20_000):
+            numbers = [a["number"] for a in server._health()["alerts"]]
+            if numbers and numbers != list(
+                range(numbers[0], numbers[0] + len(numbers))
+            ):
+                torn += 1
+    finally:
+        stop.set()
+        writer.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive()
+    assert torn == 0

@@ -4,13 +4,16 @@ malformed frames and mid-chunk disconnects, metrics, and drain."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
+import threading
 import urllib.request
 
 import pytest
 
 from repro import perf
+from repro.cli import main
 from repro.errors import ServerError, ServerUnavailableError, StoreError
 from repro.server import (
     DebugClient,
@@ -22,6 +25,7 @@ from repro.server import (
     protocol,
 )
 from repro.server.loadgen import render_session_chunks
+from repro.server.server import DebugServer
 from tests.server.conftest import start_server
 
 
@@ -137,7 +141,7 @@ def test_ping_and_stats(running, client):
     assert stats["counters"]["feeds_total"] >= 1
     assert stats["server"]["open_sessions"] >= 1
     assert "shards" in stats and "runtime_cache" in stats
-    assert "perf" in stats
+    assert "perf" not in stats
     client.close_session(sid)
 
 
@@ -166,9 +170,7 @@ def test_session_table_full_returns_retry_later(context):
                 with pytest.raises(ServerUnavailableError, match="RETRY"):
                     second.open_session("blocked")
                 assert second.retries == 2
-            assert (
-                handle.registry.counter("retry_later_total").value >= 3
-            )
+            assert handle.server.metrics.get("retry_later_total") >= 3
             # capacity freed -> the same open converges
             holder.close_session("occupier")
             with DebugClient(handle.host, handle.port) as third:
@@ -350,6 +352,90 @@ def test_http_metrics_endpoint(context):
         handle.thread.stop()
 
 
+def test_stats_metrics_and_profile_render_one_registry(context, capsys):
+    handle = start_server(
+        context, ServerConfig(shards=1, metrics_port=0)
+    )
+    try:
+        with DebugClient(handle.host, handle.port) as client:
+            sid = client.open_session("one-registry")
+            chunks = render_session_chunks(context, seed=3, chunk_records=4)
+            client.feed(sid, 0, chunks[0])
+            stats = client.stats()
+        scraped = json.loads(urllib.request.urlopen(
+            f"http://{handle.host}:{handle.server.metrics_port}/metrics",
+            timeout=5,
+        ).read())
+    finally:
+        handle.thread.stop()
+    assert main(["profile", "1", "--json"]) == 0
+    profile = json.loads(capsys.readouterr().out)
+    summary_keys = {
+        "count", "sum_s", "mean_s", "p50_s", "p95_s", "p99_s", "max_s",
+    }
+    for doc in (stats, scraped, profile):
+        assert "perf" not in doc
+        assert all(isinstance(n, int) for n in doc["counters"].values())
+        for summary in doc["histograms"].values():
+            assert set(summary) == summary_keys
+    assert set(scraped) == set(stats)
+    # the library's counters land beside the server's own
+    assert stats["counters"]["feeds_total"] == 1
+    assert stats["counters"]["localize_kernel_batches"] >= 1
+    assert stats["histograms"]["feed_latency_s"]["count"] == 1
+    assert profile["histograms"]["localize"]["count"] == 1
+    assert profile["counters"]["localize_kernel_batches"] >= 1
+
+
+def test_abort_cancels_every_pending_reply(context):
+    # one OPEN blocks on the shard thread, two queue behind it: an
+    # abort must resolve all three replies, leaving no task pending
+    async def scenario():
+        server = DebugServer(context, ServerConfig(shards=1))
+        running, release = threading.Event(), threading.Event()
+        open_op = server._op_open
+
+        def blocking_open(*args):
+            running.set()
+            release.wait(5.0)
+            return open_op(*args)
+
+        server._op_open = blocking_open
+        host, port = await server.start()
+        _reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(b"".join(
+                protocol.encode_frame(
+                    protocol.OPEN_SESSION,
+                    seq,
+                    protocol.encode_json({"session_id": f"held{seq}"}),
+                )
+                for seq in range(3)
+            ))
+            await writer.drain()
+            queue = server._shards[0].queue
+            for _ in range(500):
+                if running.is_set() and queue.qsize() == 2:
+                    break
+                await asyncio.sleep(0.01)
+            assert running.is_set() and queue.qsize() == 2
+        finally:
+            # stop joins the shard executor: let the blocked op finish
+            threading.Timer(0.2, release.set).start()
+            await server.stop(abort=True)
+            writer.close()
+        await asyncio.sleep(0.05)
+        pending = [
+            task for task in asyncio.all_tasks()
+            if task is not asyncio.current_task() and not task.done()
+        ]
+        return pending, server._pending_opens
+
+    pending, pending_opens = asyncio.run(scenario())
+    assert pending == []
+    assert pending_opens == 0
+
+
 def test_graceful_drain_with_open_sessions(context):
     handle = start_server(context, ServerConfig(shards=2))
     client = DebugClient(handle.host, handle.port)
@@ -410,7 +496,7 @@ def _failed_start(context, config):
 
 
 def _collector_active(server):
-    return any(active is server._perf for active in perf._ACTIVE)
+    return any(active is server.metrics for active in perf._ACTIVE)
 
 
 def test_failed_start_on_a_taken_port_releases_everything(

@@ -17,29 +17,32 @@ class TestPerfCounters:
         assert counters.get("x") == 5
         assert counters.get("missing") == 0
 
-    def test_add_time_sums(self):
+    def test_observe_sums_repeated_stages(self):
         counters = perf.PerfCounters()
-        counters.add_time("stage", 0.25)
-        counters.add_time("stage", 0.25)
-        assert counters.timings["stage"] == 0.5
+        counters.observe("stage", 0.25)
+        counters.observe("stage", 0.25)
+        stage = counters.as_dict()["histograms"]["stage"]
+        assert (stage["count"], stage["sum_s"]) == (2, 0.5)
 
     def test_as_dict_is_json_serializable(self):
         counters = perf.PerfCounters()
         counters.add("b", 2)
         counters.add("a", 1)
-        counters.add_time("t", 0.1)
+        counters.observe("t", 0.1)
         payload = json.loads(json.dumps(counters.as_dict()))
+        assert list(payload) == ["counters", "histograms"]
         assert payload["counters"] == {"a": 1, "b": 2}
-        assert payload["wall_s"]["t"] == 0.1
+        assert payload["histograms"]["t"]["sum_s"] == 0.1
 
     def test_format_lists_all_entries(self):
         counters = perf.PerfCounters()
         counters.add("events", 1234)
-        counters.add_time("stage", 1.5)
+        counters.observe("stage", 1.5)
         text = counters.format()
         assert "events" in text
         assert "1,234" in text
         assert "stage" in text
+        assert "1.5000s" in text
 
 
 class TestCollection:
@@ -57,7 +60,7 @@ class TestCollection:
             with perf.timed("stage"):
                 pass
         assert counters.get("events") == 3
-        assert counters.timings["stage"] >= 0.0
+        assert counters.as_dict()["histograms"]["stage"]["count"] == 1
         assert not perf.enabled()
 
     def test_nested_collections_both_see_increments(self):
@@ -91,8 +94,9 @@ class TestCollection:
         )
         assert counters.get("combinations_scored") > 0
         assert counters.get("coverage_queries") > 0
-        assert "interleave" in counters.timings
-        assert "select_exhaustive" in counters.timings
+        stages = counters.as_dict()["histograms"]
+        assert "interleave" in stages
+        assert "select_exhaustive" in stages
 
 
 class TestThreadSafety:
@@ -133,11 +137,35 @@ class TestThreadSafety:
         assert counters.get("hammered") == threads * per_thread
         assert not perf.enabled()
 
+    def test_concurrent_observes_are_exact(self):
+        threads, per_thread = 8, 20_000
+        counters = perf.PerfCounters()
+
+        def hammer():
+            for i in range(per_thread):
+                counters.observe("latency", (i % 97 + 1) * 1e-4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        latency = counters.as_dict()["histograms"]["latency"]
+        assert latency["count"] == threads * per_thread
+        assert latency["max_s"] == 0.0097
+
     def test_deactivate_matches_by_identity(self):
-        # two empty collectors compare equal; only the given one leaves
+        # two empty collectors hold the same (empty) metrics; only the
+        # given one leaves
         first = perf.activate(perf.PerfCounters())
         second = perf.activate(perf.PerfCounters())
-        assert first == second
+        assert first.as_dict() == second.as_dict()
         perf.deactivate(first)
         perf.add("events")
         perf.deactivate(second)
