@@ -124,7 +124,7 @@ def check_acked_durability(
     violations: List[Violation] = []
     exempt = set(exempt_shards)
     for sid, watermark in sorted(acked.items()):
-        shard = server._shards[server.ring.shard_for(sid)]  # noqa: SLF001
+        shard = server.shard_for(sid)
         if shard.index in exempt:
             continue
         if sid in shard.manager.session_ids():
@@ -161,12 +161,12 @@ def check_shard_liveness(
     """Probe every shard with a fresh session over a clean connection
     (no proxy, no faults); a dead lane cannot answer."""
     violations: List[Violation] = []
-    shards = len(server._shards)  # noqa: SLF001
+    shards = server.config.shards
     probe_ids: Dict[int, str] = {}
     candidate = 0
     while len(probe_ids) < shards and candidate < 10_000:
         sid = f"probe-{candidate:04d}"
-        index = server.ring.shard_for(sid)
+        index = server.shard_for(sid).index
         probe_ids.setdefault(index, sid)
         candidate += 1
     client = DebugClient(

@@ -256,7 +256,7 @@ class ChaosRunner:
                     self._polls_ok, self._polls_failed, self._last_snapshot
                 )
             )
-            final_health = self._server_thread.server._health()  # noqa: SLF001
+            final_health = self._server_thread.server.health()
             self._server_thread.stop(drain=True)
         finally:
             self._stop_poll.set()
@@ -295,7 +295,7 @@ class ChaosRunner:
                 break
             time.sleep(0.02)
         old_server = self._server_thread.server
-        health = old_server._health()  # noqa: SLF001
+        health = old_server.health()
         pre_degraded = list(health["degraded_shards"])  # type: ignore[arg-type]
         # degradation must never be silent: every degraded shard owes
         # the operator a structured wal-degraded alert

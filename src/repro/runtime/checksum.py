@@ -9,15 +9,15 @@ single home so a transport package never has to import the codec.
 
 The polynomial is CRC-16/CCITT-FALSE: ``poly=0x1021``, ``init=0xFFFF``,
 no reflection, no final xor.  Check value: ``crc16(b"123456789") ==
-0x29B1``.  The implementation here is table-driven (one 256-entry
-table built at import) and bit-identical to the original bitwise
-loop, which is kept as :func:`crc16_bitwise` for tests and as the
-reference definition.
+0x29B1``.  That is the CRC the standard library's
+:func:`binascii.crc_hqx` computes, so :func:`crc16` calls it; the
+original bitwise loop is kept as :func:`crc16_bitwise`, the reference
+definition the tests hold it to.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import binascii
 
 #: Generator polynomial (x^16 + x^12 + x^5 + 1), normal representation.
 CRC16_POLY = 0x1021
@@ -26,27 +26,9 @@ CRC16_POLY = 0x1021
 CRC16_INIT = 0xFFFF
 
 
-def _build_table() -> Tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ CRC16_POLY) if crc & 0x8000 else crc << 1
-            crc &= 0xFFFF
-        table.append(crc)
-    return tuple(table)
-
-
-#: ``_TABLE[b]`` is the CRC of the single byte ``b`` with init 0.
-_TABLE = _build_table()
-
-
 def crc16(data: bytes, crc: int = CRC16_INIT) -> int:
     """CRC-16/CCITT-FALSE over *data*, continuing from *crc*."""
-    table = _TABLE
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ table[((crc >> 8) ^ byte) & 0xFF]
-    return crc
+    return binascii.crc_hqx(data, crc)
 
 
 def crc16_bitwise(data: bytes, crc: int = CRC16_INIT) -> int:

@@ -374,10 +374,16 @@ class DebugClient:
     ) -> Dict[str, object]:
         """Open a session and return the server's full reply body.
 
-        A durable server resuming a spilled session adds ``"resumed":
-        true`` and ``"next_chunk"`` (the chunk index it expects next).
+        Every attempt of one call carries the same random open token,
+        so a retry whose first attempt opened the session is answered
+        OK.  A server resuming a session -- spilled, or opened by this
+        call's lost first attempt -- adds ``"resumed": true`` and
+        ``"next_chunk"`` (the chunk index it expects next).
         """
-        request: Dict[str, object] = {"transport": transport}
+        request: Dict[str, object] = {
+            "transport": transport,
+            "token": f"{self._rng.getrandbits(32):08x}",
+        }
         if session_id is not None:
             request["session_id"] = session_id
         if mode is not None:

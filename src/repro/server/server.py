@@ -2,15 +2,18 @@
 
 Architecture::
 
-                    +-- shard 0: queue -> 1-thread executor -> SessionManager
-    TCP conns ------+-- shard 1: queue -> 1-thread executor -> SessionManager
+                    +-- lane 0: queue -> 1-thread executor -> Shard core
+    TCP conns ------+-- lane 1: queue -> 1-thread executor -> Shard core
      (asyncio)      +-- ...          (consistent-hash routed by session id)
 
 * **Sharding** -- every session id maps onto one shard via a
   consistent-hash ring (:class:`HashRing`), so all of a session's
   operations serialize through that shard's single worker thread:
   per-session ordering holds with zero per-request locking in the
-  server itself.  The idle sweep runs on that same thread; the
+  server itself.  Everything that thread runs -- op handling,
+  durability, recovery, shutdown -- is the shard's transport-free
+  core, :class:`repro.server.shard.Shard`; :meth:`DebugServer.shard_for`
+  hands it out.  The idle sweep runs on that same thread; the
   :class:`~repro.stream.session.SessionManager` keeps its own locks
   because ``STATS`` reads it from the event-loop thread.
 * **Admission control** -- three independent limits answer overload
@@ -22,15 +25,12 @@ Architecture::
   nobody fed (running on each shard's executor, so it serializes with
   that shard's operations).
 * **Graceful drain** -- SIGINT/SIGTERM stop the accept loop, let every
-  queued operation finish and its response flush, then retire the
-  remaining sessions through their managers.
+  queued operation finish and its response flush, then shut every
+  shard core down.
 * **Durability** (opt-in via ``ServerConfig.data_dir``) -- each shard
-  owns a :class:`repro.store.SessionStore`: feeds are written to a
-  CRC-framed WAL *before* they are applied (an acked chunk survives a
-  crash), frontier snapshots bound replay, idle eviction spills state
-  instead of discarding it, and startup recovers every session
-  bit-identical to an uninterrupted run.  Without a data directory the
-  server behaves exactly as before.
+  core owns a :class:`repro.store.SessionStore`, and startup recovers
+  every session bit-identical to an uninterrupted run; the server
+  itself only checks the data directory's ``meta.json`` identity.
 * **Metrics** -- one :class:`repro.perf.PerfCounters` per server
   (``DebugServer.metrics``): the serving path counts requests and
   observes latencies into it, and it stays active for the library's
@@ -56,24 +56,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro import perf
 from repro.core.interleave import InterleavedFlow
 from repro.core.message import Message
-from repro.errors import (
-    ProtocolError,
-    SelectionError,
-    StoreError,
-    StoreWriteError,
-    StreamError,
-)
+from repro.errors import ProtocolError, StoreError, StreamError
 from repro.selection import kernels
 from repro.server import protocol
+from repro.server.shard import Reply, Shard
 from repro.store import wal as wal_mod
-from repro.store.inspect import (
-    META_FORMAT,
-    read_meta,
-    shard_directory,
-    write_meta,
-)
-from repro.store.store import SessionStore
-from repro.stream.session import SessionLimits, SessionManager, StreamSession
+from repro.store.inspect import META_FORMAT, read_meta, write_meta
 
 #: Session transports: text trace-file chunks, or framed compressed
 #: bitstream chunks (decoded by :class:`CompressedTraceIngester`).
@@ -199,79 +187,39 @@ class HashRing:
         return self._shards[position]
 
 
-class _Shard:
-    """One shard: a session manager, its store, a serialized work lane."""
+class _Lane:
+    """A shard's serialized work lane: its request queue and the one
+    thread that runs every step of the shard's core."""
 
-    def __init__(
-        self, index: int, context: ServeContext, config: ServerConfig
-    ) -> None:
-        self.index = index
-        self.manager = SessionManager(
-            context.interleaved,
-            context.traced,
-            mode=context.mode,
-            limits=SessionLimits(
-                max_sessions=config.max_sessions,
-                max_frontier=context.max_frontier,
-                idle_timeout_s=config.idle_timeout_s,
-            ),
-            catalog=context.catalog,
-            spill=self._spill,
-        )
-        # every shard owns a manager over the same scenario; warming at
-        # construction resolves the compiled localization tables
-        # through the content-addressed registry before the listener
-        # accepts -- the first shard compiles, every later shard gets
-        # the same read-only tables back by fingerprint.  A window
-        # server compiles nothing here: its sessions never read them
-        self.manager.warm()
-        self.queue: "asyncio.Queue[Tuple[Callable[[], Tuple[int, bytes]], asyncio.Future]]" = (
+    def __init__(self, index: int) -> None:
+        self.queue: "asyncio.Queue[Tuple[Callable[[], Reply], asyncio.Future]]" = (
             asyncio.Queue()
         )
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"repro-shard{index}"
         )
-        self.store: Optional[SessionStore] = None
-        if config.data_dir is not None:
-            self.store = SessionStore(
-                shard_directory(config.data_dir, index),
-                fsync=config.fsync,
-                fsync_interval_s=config.fsync_interval_s,
-                snapshot_every=config.snapshot_every,
-                segment_bytes=config.segment_bytes,
-            )
-        #: Set when a physical store write fails: the shard keeps
-        #: serving from memory but stops promising durability (and
-        #: stops touching the broken store), with an alert raised --
-        #: explicit degradation instead of a crash loop.
-        self.degraded = False
-        self.degraded_reason: Optional[str] = None
 
-    @property
-    def durable(self) -> bool:
-        """Whether this shard still honors the acked-means-durable
-        contract (a store is attached and no write has failed)."""
-        return self.store is not None and not self.degraded
+    async def run(self, fn: Callable[[], object]) -> object:
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self.executor, fn)
 
-    def _spill(self, entry: dict) -> None:
-        """The manager's eviction sink.  A durable shard parks the
-        evicted session's entry in its store, folded into the next
-        snapshot and revived on the session's next request; a
-        memory-only or degraded shard lets it go."""
-        if self.durable:
-            self.store.spill(entry)
-
-    def close_all(self) -> None:
-        """Retire every remaining session (drain path)."""
-        for sid in self.manager.session_ids():
-            self.manager.close(sid)
-
-    def stats(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"shard": self.index}
-        payload.update(self.manager.stats())
-        payload["queue_depth"] = self.queue.qsize()
-        payload["degraded"] = self.degraded
-        return payload
+    async def consume(self) -> None:
+        """Run queued ops in order, each answering its reply future."""
+        while True:
+            fn, future = await self.queue.get()
+            try:
+                result = await self.run(fn)
+            except asyncio.CancelledError:
+                future.cancel()  # stopped mid-op: no reply will come
+                raise
+            except Exception as exc:  # noqa: BLE001 - reply, don't die
+                result = (
+                    protocol.ERROR,
+                    protocol.error_payload("internal", str(exc)),
+                )
+            if not future.cancelled():
+                future.set_result(result)
+            self.queue.task_done()
 
 
 class _Connection:
@@ -311,7 +259,8 @@ class DebugServer:
         #: library's stage counters and timings.
         self.metrics = perf.PerfCounters()
         self.ring = HashRing(self.config.shards)
-        self._shards: List[_Shard] = []
+        self._shards: List[Shard] = []
+        self._lanes: List[_Lane] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._metrics_server: Optional[asyncio.AbstractServer] = None
         self._consumers: List[asyncio.Task] = []
@@ -324,7 +273,6 @@ class DebugServer:
         #: OPENs admitted but not yet answered (event loop only): they
         #: count against ``max_sessions`` until their shard replies.
         self._pending_opens = 0
-        self._fingerprint: Optional[str] = None
         self._recovery: Dict[str, object] = {}
         #: Structured operational alerts (WAL degradation, snapshot
         #: failures, quarantines) -- newest last, bounded, served in the
@@ -345,9 +293,9 @@ class DebugServer:
         payload: Dict[str, object] = self.metrics.as_dict()
         sections: Dict[str, Callable[[], Dict[str, object]]] = {
             "server": self._server_stats,
-            "health": self._health,
+            "health": self.health,
             "store": self._store_stats,
-            "shards": lambda: {"shards": [s.stats() for s in self._shards]},
+            "shards": self._shard_stats,
             "runtime_cache": _runtime_cache_stats,
             "localize_tables": lambda: kernels.default_registry().stats(),
         }
@@ -380,10 +328,23 @@ class DebugServer:
             ),
         }
 
-    def _health(self) -> Dict[str, object]:
+    def _shard_stats(self) -> Dict[str, object]:
+        return {
+            "shards": [
+                {
+                    "shard": shard.index,
+                    **shard.manager.stats(),
+                    "queue_depth": lane.queue.qsize(),
+                    "degraded": shard.degraded,
+                }
+                for shard, lane in zip(self._shards, self._lanes)
+            ]
+        }
+
+    def health(self) -> Dict[str, object]:
         """Readiness summary: ``ok`` serves durably, ``degraded``
         serves with at least one shard in memory-only mode,
-        ``draining`` refuses new work."""
+        ``draining`` refuses new work.  Safe from any thread."""
         degraded = [s.index for s in self._shards if s.degraded]
         if self._draining:
             status = "draining"
@@ -406,6 +367,11 @@ class DebugServer:
         with self._alerts_lock:
             self._alerts.append(alert)
             del self._alerts[:-64]
+
+    def shard_for(self, session_id: str) -> Shard:
+        """The shard core that owns *session_id* (read-only use off
+        the shard's thread: its manager locks, its store does not)."""
+        return self._shards[self.ring.shard_for(session_id)]
 
     @property
     def recovery_info(self) -> Dict[str, object]:
@@ -432,7 +398,9 @@ class DebugServer:
             "data_dir": self.config.data_dir,
             "fsync": self.config.fsync,
             "snapshot_every": self.config.snapshot_every,
-            "fingerprint": self._fingerprint,
+            "fingerprint": (
+                self._shards[0].fingerprint if self._shards else None
+            ),
             "recovery": dict(self._recovery),
             "totals": totals,
             "shards": per_shard,
@@ -453,14 +421,14 @@ class DebugServer:
             raise StreamError("server already started")
         loop = asyncio.get_running_loop()
         self._shards = [
-            _Shard(i, self.context, self.config)
+            Shard(
+                i, self.context, self.config, metrics=self.metrics,
+                alert=self._alert,
+                session_counter=lambda: self._session_counter,
+            )
             for i in range(self.config.shards)
         ]
-        # every shard resolved the same compiled tables by content hash;
-        # the fingerprint ties durable state to this exact scenario
-        self._fingerprint = (
-            self._shards[0].manager.shared_localizer.fingerprint()
-        )
+        self._lanes = [_Lane(i) for i in range(self.config.shards)]
         try:
             if self.config.data_dir is not None:
                 self._recover_from_store()
@@ -481,13 +449,13 @@ class DebugServer:
             for listener in (self._server, self._metrics_server):
                 if listener is not None:
                     listener.close()
-            for shard in self._shards:
-                shard.executor.shutdown(wait=False)
+            for shard, lane in zip(self._shards, self._lanes):
+                lane.executor.shutdown(wait=False)
                 if shard.store is not None:
                     shard.store.close()
             raise
         self._consumers = [
-            loop.create_task(self._consume(shard)) for shard in self._shards
+            loop.create_task(lane.consume()) for lane in self._lanes
         ]
         self._sweeper = loop.create_task(self._sweep_loop())
         perf.activate(self.metrics)
@@ -519,9 +487,9 @@ class DebugServer:
                 if transport is not None:
                     transport.abort()
         elif drain:
-            for shard in self._shards:
+            for lane in self._lanes:
                 try:
-                    await asyncio.wait_for(shard.queue.join(), timeout=30.0)
+                    await asyncio.wait_for(lane.queue.join(), timeout=30.0)
                 except asyncio.TimeoutError:  # pragma: no cover - defensive
                     pass
         if self._sweeper is not None:
@@ -533,34 +501,21 @@ class DebugServer:
             *((self._sweeper,) if self._sweeper else ()),
             return_exceptions=True,
         )
-        for shard in self._shards:
+        for lane in self._lanes:
             # an abort drops queued work: cancel each reply future so
             # its _respond task finishes instead of waiting forever
-            while not shard.queue.empty():
-                shard.queue.get_nowait()[1].cancel()
+            while not lane.queue.empty():
+                lane.queue.get_nowait()[1].cancel()
         if not abort:
-            loop = asyncio.get_running_loop()
-            for shard in self._shards:
-                if shard.durable:
-                    # durable shutdown: checkpoint every live session
-                    # (and the spill map) instead of retiring them --
-                    # they come back on the next start
-                    await loop.run_in_executor(
-                        shard.executor, self._final_snapshot, shard
-                    )
-                else:
-                    # memory-only (or degraded -- its store cannot be
-                    # trusted to take another write) shards just retire
-                    await loop.run_in_executor(
-                        shard.executor, shard.close_all
-                    )
+            for shard, lane in zip(self._shards, self._lanes):
+                await lane.run(shard.shutdown)
         for connection in list(self._connections):
             try:
                 connection.writer.close()
             except Exception:  # pragma: no cover - defensive
                 pass
-        for shard in self._shards:
-            shard.executor.shutdown(wait=True)
+        for lane in self._lanes:
+            lane.executor.shutdown(wait=True)
         perf.deactivate(self.metrics)
 
     async def run(
@@ -596,32 +551,11 @@ class DebugServer:
             await self.stop(drain=True)
 
     # -- background tasks ----------------------------------------------
-    async def _consume(self, shard: _Shard) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            fn, future = await shard.queue.get()
-            try:
-                result = await loop.run_in_executor(shard.executor, fn)
-            except asyncio.CancelledError:
-                future.cancel()  # stopped mid-op: no reply will come
-                raise
-            except Exception as exc:  # noqa: BLE001 - reply, don't die
-                result = (
-                    protocol.ERROR,
-                    protocol.error_payload("internal", str(exc)),
-                )
-            if not future.cancelled():
-                future.set_result(result)
-            shard.queue.task_done()
-
     async def _sweep_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.config.idle_sweep_s)
-            for shard in self._shards:
-                await loop.run_in_executor(
-                    shard.executor, shard.manager.evict_idle
-                )
+            for shard, lane in zip(self._shards, self._lanes):
+                await lane.run(shard.manager.evict_idle)
 
     # -- connection handling -------------------------------------------
     async def _handle_connection(
@@ -703,7 +637,7 @@ class DebugServer:
             await self._retry_later(connection, frame.seq, "inflight-cap")
             return
         try:
-            shard, op, deadline_ms = self._route(frame)
+            index, op, deadline_ms = self._route(frame)
         except ProtocolError as exc:
             self.metrics.add("protocol_errors_total")
             await self._send(
@@ -716,7 +650,8 @@ class DebugServer:
         except StreamError as exc:
             await self._retry_later(connection, frame.seq, str(exc))
             return
-        if shard.queue.qsize() >= self.config.max_queue_depth:
+        lane = self._lanes[index]
+        if lane.queue.qsize() >= self.config.max_queue_depth:
             await self._retry_later(connection, frame.seq, "queue-full")
             return
         if deadline_ms is not None:
@@ -725,7 +660,7 @@ class DebugServer:
         if frame.frame_type == protocol.OPEN_SESSION:
             self._pending_opens += 1
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await shard.queue.put((op, future))
+        await lane.queue.put((op, future))
         asyncio.get_running_loop().create_task(
             self._respond(connection, frame.seq, frame.frame_type, future)
         )
@@ -779,13 +714,13 @@ class DebugServer:
             except (ConnectionResetError, BrokenPipeError, RuntimeError):
                 pass
 
-    # -- request routing and shard-thread operations -------------------
+    # -- request routing -----------------------------------------------
     def _route(
         self, frame: protocol.WireFrame
-    ) -> Tuple[_Shard, Callable[[], Tuple[int, bytes]], Optional[int]]:
-        """Build the shard-thread operation for one request; the last
-        element is the request's relative deadline in milliseconds
-        (``None`` when the client sent none).
+    ) -> Tuple[int, Callable[[], Reply], Optional[int]]:
+        """Build the shard-thread operation for one request: returns the
+        shard's index, the op, and the request's relative deadline in
+        milliseconds (``None`` when the client sent none).
 
         Raises :class:`ProtocolError` for malformed payloads and
         :class:`StreamError` for global-capacity refusals (mapped to
@@ -795,44 +730,48 @@ class DebugServer:
             sid, chunk_index, eof, data, deadline_ms = (
                 protocol.decode_feed_payload_ex(frame.payload)
             )
-            shard = self._shards[self.ring.shard_for(sid)]
+            index = self.ring.shard_for(sid)
+            shard = self._shards[index]
             return (
-                shard,
-                lambda: self._op_feed(shard, sid, chunk_index, eof, data),
+                index,
+                lambda: shard.feed(sid, chunk_index, data, eof),
                 deadline_ms,
             )
         body = protocol.decode_json(frame.payload)
         deadline_ms = self._body_deadline(body)
-        if frame.frame_type == protocol.OPEN_SESSION:
-            sid = body.get("session_id")
-            if sid is None:
-                self._session_counter += 1
-                sid = f"g{self._session_counter:06d}"
-            if not isinstance(sid, str) or not sid:
-                raise ProtocolError("session_id must be a non-empty string")
-            mode = body.get("mode")
-            transport = body.get("transport", "text")
-            if transport not in TRANSPORTS:
-                raise ProtocolError(
-                    f"unknown transport {transport!r}; choose "
-                    f"{' or '.join(TRANSPORTS)}"
-                )
-            open_sessions = sum(len(s.manager) for s in self._shards)
-            if open_sessions + self._pending_opens >= self.config.max_sessions:
-                raise StreamError("session-table-full")
-            shard = self._shards[self.ring.shard_for(sid)]
-            return (
-                shard,
-                lambda: self._op_open(shard, sid, mode, str(transport)),
-                deadline_ms,
-            )
         sid = body.get("session_id")
+        if frame.frame_type == protocol.OPEN_SESSION and sid is None:
+            self._session_counter += 1
+            sid = f"g{self._session_counter:06d}"
         if not isinstance(sid, str) or not sid:
             raise ProtocolError("session_id must be a non-empty string")
-        shard = self._shards[self.ring.shard_for(sid)]
+        index = self.ring.shard_for(sid)
+        shard = self._shards[index]
         if frame.frame_type == protocol.SNAPSHOT:
-            return shard, lambda: self._op_snapshot(shard, sid), deadline_ms
-        return shard, lambda: self._op_close(shard, sid), deadline_ms
+            return index, lambda: shard.snapshot(sid), deadline_ms
+        if frame.frame_type == protocol.CLOSE_SESSION:
+            return index, lambda: shard.close(sid), deadline_ms
+        mode = body.get("mode")
+        transport = body.get("transport", "text")
+        if transport not in TRANSPORTS:
+            raise ProtocolError(
+                f"unknown transport {transport!r}; choose "
+                f"{' or '.join(TRANSPORTS)}"
+            )
+        token = body.get("token")
+        if token is not None and not isinstance(token, str):
+            raise ProtocolError("token must be a string")
+        open_sessions = sum(len(s.manager) for s in self._shards)
+        # a retried OPEN whose first attempt made the session adds
+        # none, so the cap must not refuse it
+        if open_sessions + self._pending_opens >= self.config.max_sessions:
+            if not shard.opened_with(sid, token):
+                raise StreamError("session-table-full")
+        return (
+            index,
+            lambda: shard.open(sid, mode, str(transport), token),
+            deadline_ms,
+        )
 
     @staticmethod
     def _body_deadline(body: Dict[str, object]) -> Optional[int]:
@@ -847,10 +786,8 @@ class DebugServer:
         return deadline
 
     def _guard_deadline(
-        self,
-        op: Callable[[], Tuple[int, bytes]],
-        deadline_ms: int,
-    ) -> Callable[[], Tuple[int, bytes]]:
+        self, op: Callable[[], Reply], deadline_ms: int
+    ) -> Callable[[], Reply]:
         """Wrap a shard operation so that, by the time the shard's
         worker dequeues it, an already-expired request budget is
         answered with ``RETRY_LATER`` *before* anything is applied --
@@ -858,7 +795,7 @@ class DebugServer:
         the no-effect promise its retransmit relies on."""
         expires_at = time.monotonic() + deadline_ms / 1000.0
 
-        def guarded() -> Tuple[int, bytes]:
+        def guarded() -> Reply:
             if time.monotonic() >= expires_at:
                 self.metrics.add("deadline_exceeded_total")
                 return (
@@ -871,366 +808,16 @@ class DebugServer:
 
         return guarded
 
-    def _op_open(
-        self, shard: _Shard, sid: str, mode: Optional[object],
-        transport: str,
-    ) -> Tuple[int, bytes]:
-        revived = self._revive(shard, sid)
-        if revived is not None:
-            # reopening a spilled session resumes it; the reply's
-            # next_chunk tells the client where the durable
-            # high-watermark is so it replays only the tail
-            self.metrics.add("opens_total")
-            return (
-                protocol.OK,
-                protocol.encode_json(
-                    {
-                        "session_id": sid,
-                        "shard": shard.index,
-                        "transport": revived.transport,
-                        "mode": revived.mode,
-                        "resumed": True,
-                        "next_chunk": revived.next_chunk,
-                    }
-                ),
-            )
-        try:
-            shard.manager.open(
-                sid, mode=mode if mode is None else str(mode),
-                transport=transport,
-            )
-        except StreamError as exc:
-            if "table full" in str(exc):
-                return (
-                    protocol.RETRY_LATER,
-                    protocol.retry_later_payload(
-                        "session-table-full", self.config.retry_after_s
-                    ),
-                )
-            return (
-                protocol.ERROR,
-                protocol.error_payload("session-exists", str(exc)),
-            )
-        except SelectionError as exc:
-            return (
-                protocol.ERROR,
-                protocol.error_payload("bad-request", str(exc)),
-            )
-        opened_mode = shard.manager.session(sid).mode
-        if shard.durable:
-            # logged *after* the apply: a crash in between loses only
-            # an un-acked open, which the client simply retries
-            self._wal_append(
-                shard,
-                lambda: shard.store.log_open(sid, opened_mode, transport),
-            )
-        self.metrics.add("opens_total")
-        return (
-            protocol.OK,
-            protocol.encode_json(
-                {
-                    "session_id": sid,
-                    "shard": shard.index,
-                    "transport": transport,
-                    "mode": opened_mode,
-                }
-            ),
-        )
-
-    def _op_feed(
-        self, shard: _Shard, sid: str, chunk_index: int, eof: bool,
-        data: bytes,
-    ) -> Tuple[int, bytes]:
-        session = self._session(shard, sid)
-        if session is None:
-            return self._unknown_session(sid)
-        if chunk_index < session.next_chunk:
-            # a retransmit of an already-applied chunk (the response
-            # was lost); acknowledge without re-feeding
-            return (
-                protocol.OK,
-                protocol.encode_json(
-                    {
-                        "session_id": sid,
-                        "chunk_index": chunk_index,
-                        "duplicate": True,
-                        "consumed": 0,
-                        "records": 0,
-                        "status": session.status,
-                        "observed_length": (
-                            session.localizer.observed_length
-                        ),
-                        "frontier_size": session.localizer.frontier_size,
-                        "next_chunk": session.next_chunk,
-                    }
-                ),
-            )
-        if chunk_index > session.next_chunk:
-            return (
-                protocol.ERROR,
-                protocol.error_payload(
-                    "chunk-gap",
-                    f"expected chunk {session.next_chunk}, "
-                    f"got {chunk_index}",
-                    expected=session.next_chunk,
-                ),
-            )
-        if shard.durable:
-            # log-before-apply: once the client sees this chunk's OK,
-            # the chunk is on disk.  A crash between the append and the
-            # apply is safe -- replay applies it, the un-acked client
-            # retransmits, and idempotency answers with a duplicate-ack
-            self._wal_append(
-                shard,
-                lambda: shard.store.log_feed(sid, chunk_index, data, eof),
-            )
-        try:
-            records, outcome = shard.manager.feed_chunk(
-                sid, chunk_index, data, eof
-            )
-        except StreamError:
-            return self._unknown_session(sid)
-        except Exception as exc:  # noqa: BLE001 - poison payload
-            return self._poisoned_feed(shard, session, exc)
-        session.failures = 0
-        if session.transport == "ctrace":
-            self.metrics.add("compressed_wire_bytes", len(data))
-            if records:
-                from repro.compress.encoder import uncompressed_capture_bits
-
-                self.metrics.add(
-                    "compressed_raw_bits", uncompressed_capture_bits(records)
-                )
-        self.metrics.add("feeds_total")
-        self.metrics.add("records_fed_total", outcome.consumed)
-        reply = (
-            protocol.OK,
-            protocol.encode_json(
-                {
-                    "session_id": sid,
-                    "chunk_index": chunk_index,
-                    "duplicate": False,
-                    "consumed": outcome.consumed,
-                    "records": len(records),
-                    "status": outcome.status,
-                    "observed_length": outcome.observed_length,
-                    "frontier_size": outcome.frontier_size,
-                    "next_chunk": session.next_chunk,
-                }
-            ),
-        )
-        if shard.durable and shard.store.should_snapshot():
-            try:
-                self._snapshot_shard(shard)
-            except StoreWriteError as exc:
-                # a failed checkpoint costs replay time, not data: the
-                # WAL still has everything, so alert and keep serving
-                self.metrics.add("snapshot_failures_total")
-                self._alert(
-                    "snapshot-failed",
-                    shard=shard.index,
-                    reason=str(exc),
-                    path=exc.path,
-                )
-        return reply
-
-    def _poisoned_feed(
-        self, shard: _Shard, session: StreamSession, exc: Exception
-    ) -> Tuple[int, bytes]:
-        """Answer a feed whose apply crashed in a way no retry can fix.
-
-        Strikes accumulate per session; past
-        ``ServerConfig.quarantine_after`` the session is forcibly
-        retired with a terminal ``session-quarantined`` error (logged
-        to the WAL so a restart does not resurrect it), because letting
-        a client retry a poisonous payload forever is an availability
-        bug, not fault tolerance."""
-        sid = session.session_id
-        session.failures += 1
-        if session.failures < self.config.quarantine_after:
-            return (
-                protocol.ERROR,
-                protocol.error_payload(
-                    "poison-payload",
-                    f"feed to session {sid!r} failed to apply: {exc}",
-                    failures=session.failures,
-                    quarantine_after=self.config.quarantine_after,
-                ),
-            )
-        try:
-            shard.manager.quarantine(sid)
-        except StreamError:  # pragma: no cover - raced retirement
-            pass
-        if shard.durable:
-            # a WAL close retires the session at replay time too --
-            # otherwise recovery would faithfully rebuild the poisoned
-            # session and the next feed would re-strike it
-            shard.store.drop_spilled(sid)
-            self._wal_append(shard, lambda: shard.store.log_close(sid))
-        self.metrics.add("sessions_quarantined_total")
-        self._alert(
-            "session-quarantined",
-            shard=shard.index,
-            session_id=sid,
-            reason=str(exc),
-        )
-        return (
-            protocol.ERROR,
-            protocol.error_payload(
-                "session-quarantined",
-                f"session {sid!r} was quarantined after "
-                f"{session.failures} consecutive poisonous feeds "
-                f"(last: {exc})",
-            ),
-        )
-
-    def _op_snapshot(self, shard: _Shard, sid: str) -> Tuple[int, bytes]:
-        session = self._session(shard, sid)
-        if session is None:
-            return self._unknown_session(sid)
-        result = shard.manager.snapshot(sid)
-        return (
-            protocol.OK,
-            protocol.encode_json(
-                {
-                    "session_id": sid,
-                    "consistent_paths": result.consistent_paths,
-                    "total_paths": result.total_paths,
-                    "fraction": result.fraction,
-                    "status": session.status,
-                    "observed_length": session.localizer.observed_length,
-                    # the chunk cursor lets a client detect a server
-                    # that recovered without its acked tail (e.g. the
-                    # shard degraded before a crash) and replay it
-                    "next_chunk": session.next_chunk,
-                }
-            ),
-        )
-
-    def _op_close(self, shard: _Shard, sid: str) -> Tuple[int, bytes]:
-        if self._session(shard, sid) is None:
-            return self._unknown_session(sid)
-        summary = shard.manager.close(sid)
-        if shard.durable:
-            shard.store.drop_spilled(sid)
-            self._wal_append(shard, lambda: shard.store.log_close(sid))
-        self.metrics.add("closes_total")
-        # the reply is the summary without its two local-only fields
-        del summary["mode"], summary["peak_frontier"]
-        return protocol.OK, protocol.encode_json(summary)
-
-    @staticmethod
-    def _unknown_session(sid: str) -> Tuple[int, bytes]:
-        return (
-            protocol.ERROR,
-            protocol.error_payload(
-                "unknown-session",
-                f"session {sid!r} is not open on this server "
-                "(closed, evicted, or lost to a restart)",
-            ),
-        )
-
     # -- durability (repro.store) ---------------------------------------
-    def _wal_append(
-        self, shard: _Shard, append: Callable[[], int]
-    ) -> Optional[int]:
-        """Run one store append; a physical write failure degrades the
-        shard (memory-only mode, structured alert, metric) instead of
-        killing the request -- returns ``None`` in that case."""
-        started = time.perf_counter()
-        try:
-            lsn = append()
-        except StoreWriteError as exc:
-            self._degrade_shard(shard, exc)
-            return None
-        self.metrics.observe("wal_append_s", time.perf_counter() - started)
-        return lsn
-
-    def _degrade_shard(self, shard: _Shard, exc: StoreWriteError) -> None:
-        """Flip a shard into explicit memory-only mode after a store
-        write failure.  The shard keeps serving -- every session stays
-        live -- but durability promises stop, the health collector
-        reports ``degraded``, and an alert records exactly what broke.
-        Sticky by design: the WAL never resynchronizes past a torn
-        record, so resuming appends after a failure could silently
-        strand acked data behind an unreadable tail."""
-        if shard.degraded:
-            return
-        shard.degraded = True
-        shard.degraded_reason = str(exc)
-        self.metrics.add("wal_degraded_total")
-        self._alert(
-            "wal-degraded",
-            shard=shard.index,
-            reason=str(exc),
-            path=exc.path,
-            lsn=exc.lsn,
-        )
-
-    def _session(self, shard: _Shard, sid: str) -> Optional[StreamSession]:
-        """The live session *sid*, revived first if it was spilled;
-        ``None`` when the shard holds neither."""
-        try:
-            return shard.manager.session(sid)
-        except StreamError:
-            return self._revive(shard, sid)
-
-    def _revive(self, shard: _Shard, sid: str) -> Optional[StreamSession]:
-        """Bring a spilled (evicted-but-durable) session back live;
-        ``None`` when it is not spilled or the table is full."""
-        if not shard.durable:
-            return None
-        entry = shard.store.take_spilled(sid)
-        if entry is None:
-            return None
-        try:
-            return shard.manager.adopt(entry)
-        except StreamError:
-            shard.store.spill(entry)  # table full: park it again
-            return None
-
-    def _snapshot_shard(self, shard: _Shard) -> None:
-        """Checkpoint one shard (runs on its executor thread, so it
-        serializes with that shard's operations)."""
-        shard.store.write_snapshot(
-            [
-                shard.manager.export_session(sid)
-                for sid in sorted(shard.manager.session_ids())
-            ],
-            fingerprint=self._fingerprint or "",
-            scenario=self.context.name,
-            mode=self.context.mode,
-            session_counter=self._session_counter,
-        )
-
-    def _final_snapshot(self, shard: _Shard) -> None:
-        """Durable shutdown of one shard: checkpoint, then seal the
-        WAL.  Sessions are *not* retired -- they come back on the next
-        start.  A write failure here degrades instead of raising: the
-        WAL already holds everything an acked request needs, so the
-        next start just replays a longer tail."""
-        try:
-            try:
-                self._snapshot_shard(shard)
-            finally:
-                shard.store.close()
-        except StoreWriteError as exc:
-            self._degrade_shard(shard, exc)
-
-    def _note_session_id(self, sid: str) -> None:
-        """Keep the generated-id counter past every durable id, so a
-        restarted server never re-issues one."""
-        if sid.startswith("g") and sid[1:].isdigit():
-            self._session_counter = max(
-                self._session_counter, int(sid[1:])
-            )
-
     def _recover_from_store(self) -> None:
-        """Rebuild every shard from its data directory: newest valid
-        snapshot, then the WAL tail through the same apply path live
-        traffic takes.  Refuses state from a different scenario."""
+        """Check the data directory's identity against this server,
+        then recover every shard (:meth:`Shard.recover`).  Refuses
+        state from a different scenario or shard count."""
         started = time.perf_counter()
         data_dir = self.config.data_dir
+        # every shard resolved the same compiled tables by content hash;
+        # the fingerprint ties durable state to this exact scenario
+        fingerprint = self._shards[0].fingerprint
         meta = read_meta(data_dir)
         if meta is None:
             write_meta(
@@ -1239,17 +826,17 @@ class DebugServer:
                     "format": META_FORMAT,
                     "scenario": self.context.name,
                     "mode": self.context.mode,
-                    "fingerprint": self._fingerprint,
+                    "fingerprint": fingerprint,
                     "shards": len(self._shards),
                 },
             )
         else:
-            if meta.get("fingerprint") not in (None, self._fingerprint):
+            if meta.get("fingerprint") not in (None, fingerprint):
                 raise StoreError(
                     f"data directory {data_dir} belongs to a different "
                     f"scenario (stored fingerprint "
                     f"{meta.get('fingerprint')!r}, serving "
-                    f"{self._fingerprint!r})"
+                    f"{fingerprint!r})"
                 )
             if int(meta.get("shards", len(self._shards))) != len(
                 self._shards
@@ -1259,92 +846,16 @@ class DebugServer:
                     f"{meta.get('shards')} shard(s); this server runs "
                     f"{len(self._shards)} -- session routing would break"
                 )
-        sessions = replayed = 0
-        diagnostics: List[str] = []
-        for shard in self._shards:
-            shard_started = time.perf_counter()
-            recovered = shard.store.open()
-            diagnostics.extend(recovered.diagnostics)
-            snap = recovered.snapshot
-            if snap is not None:
-                snap_fp = snap.get("fingerprint")
-                if snap_fp not in (None, "", self._fingerprint):
-                    raise StoreError(
-                        f"shard {shard.index} snapshot was taken on a "
-                        f"different scenario (fingerprint {snap_fp!r})"
-                    )
-                self._session_counter = max(
-                    self._session_counter,
-                    int(snap.get("session_counter", 0)),
-                )
-                for entry in snap.get("sessions", ()):
-                    self._note_session_id(str(entry["session_id"]))
-                    try:
-                        shard.manager.adopt(entry)
-                    except StreamError:  # table full
-                        pass
-                for sid in shard.store.spilled_ids():
-                    self._note_session_id(sid)
-            for record in recovered.tail:
-                self._replay_record(shard, record)
-                replayed += 1
-            # what actually came back: live sessions (snapshot +
-            # WAL-replayed opens) plus revivable spilled ones
-            sessions += len(shard.manager) + len(
-                shard.store.spilled_ids()
-            )
-            shard.store.recovered_sessions = len(shard.manager)
-            shard.store.recovered_records = recovered.replay_records
-            shard.store.recovery_wall_s = (
-                time.perf_counter() - shard_started
-            )
+        recovered = [shard.recover() for shard in self._shards]
+        self._session_counter = max(
+            [self._session_counter] + [r.session_counter for r in recovered]
+        )
         self._recovery = {
-            "sessions": sessions,
-            "replayed_records": replayed,
+            "sessions": sum(r.sessions for r in recovered),
+            "replayed_records": sum(r.replayed_records for r in recovered),
             "wall_s": round(time.perf_counter() - started, 6),
-            "diagnostics": diagnostics,
+            "diagnostics": [d for r in recovered for d in r.diagnostics],
         }
-
-    def _replay_record(
-        self, shard: _Shard, record: wal_mod.WalRecord
-    ) -> None:
-        """Apply one trusted WAL tail record at recovery time."""
-        if record.rec_type == wal_mod.WAL_OPEN:
-            body = json.loads(record.payload.decode("utf-8"))
-            sid = str(body["session_id"])
-            self._note_session_id(sid)
-            try:
-                shard.manager.open(
-                    sid,
-                    mode=body.get("mode"),
-                    transport=str(body.get("transport", "text")),
-                )
-            except (StreamError, SelectionError):  # pragma: no cover
-                pass
-        elif record.rec_type == wal_mod.WAL_FEED:
-            sid, chunk_index, eof, data = protocol.decode_feed_payload(
-                record.payload
-            )
-            session = self._session(shard, sid)
-            if session is None or chunk_index != session.next_chunk:
-                # orphaned or already-folded feed: nothing to redo
-                return
-            try:
-                shard.manager.feed_chunk(sid, chunk_index, data, eof)
-            except Exception:  # noqa: BLE001 - incl. poison payloads
-                # a feed that crashed the apply live (and was logged
-                # before the crash surfaced) must not crash recovery;
-                # the quarantine close that followed it retires the
-                # session a few records later in the same tail
-                pass
-        elif record.rec_type == wal_mod.WAL_CLOSE:
-            sid = str(
-                json.loads(record.payload.decode("utf-8"))["session_id"]
-            )
-            try:
-                shard.manager.close(sid)
-            except StreamError:  # not live: retire it from the spill map
-                shard.store.drop_spilled(sid)
 
     # -- metrics HTTP endpoint -----------------------------------------
     async def _handle_metrics(

@@ -1,0 +1,533 @@
+"""The shard core of the debug server: everything a shard thread runs.
+
+A :class:`Shard` owns one shard's session manager and optional session
+store, and holds the whole rule for when an op becomes durable: OPEN
+applies then logs, FEED logs then applies, a quarantine logs a CLOSE,
+cadence snapshots bound the WAL tail, and a failed write degrades the
+shard to memory-only for good.  It also spills and revives idle
+sessions, answers a retried OPEN whose token matches the live session
+with ``resumed: true``, recovers (the newest snapshot, then the WAL
+tail through :meth:`~repro.stream.session.SessionManager.feed_chunk`,
+the apply path live FEEDs take) and shuts down.
+
+Each op method answers one request with ``(frame type, payload)``.
+The core has no transport: the asyncio server runs it on a one-thread
+executor, and a test can drive a shard, crash it and recover another
+from the same directory without an event loop.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+
+from repro import perf
+from repro.errors import (
+    SelectionError,
+    StoreError,
+    StoreWriteError,
+    StreamError,
+)
+from repro.server import protocol
+from repro.store import wal
+from repro.store.inspect import shard_directory
+from repro.store.store import SessionStore
+from repro.stream.session import SessionLimits, SessionManager, StreamSession
+
+if TYPE_CHECKING:  # the server module imports this one
+    from repro.server.server import ServeContext, ServerConfig
+
+#: One reply: ``(frame type, payload)``.
+Reply = Tuple[int, bytes]
+
+
+def _ok(body: Dict[str, object]) -> Reply:
+    return protocol.OK, protocol.encode_json(body)
+
+
+def _error(code: str, message: str, **extra: object) -> Reply:
+    return protocol.ERROR, protocol.error_payload(code, message, **extra)
+
+
+def _unknown_session(sid: str) -> Reply:
+    return _error(
+        "unknown-session",
+        f"session {sid!r} is not open on this server "
+        "(closed, evicted, or lost to a restart)",
+    )
+
+
+def _generated_number(sid: str) -> int:
+    """The counter value behind a server-generated id (``g000042`` is
+    42); 0 for any other id."""
+    return int(sid[1:]) if sid.startswith("g") and sid[1:].isdigit() else 0
+
+
+@dataclass(frozen=True)
+class ShardRecovery:
+    """What :meth:`Shard.recover` brought back: live plus revivable
+    spilled sessions, the WAL records replayed, the store's
+    diagnostics, and the highest generated-id counter the store has
+    seen (so a restarted server never issues a durable id again)."""
+
+    sessions: int
+    replayed_records: int
+    diagnostics: Tuple[str, ...]
+    session_counter: int
+
+
+class Shard:
+    """Shard *index* of a server with *config* serving *context*; a
+    ``config.data_dir`` makes it durable.  The ops count into
+    *metrics*, raise alerts as ``alert(kind, **fields)``, and every
+    snapshot records the server's generated-id counter, read through
+    *session_counter*.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        context: "ServeContext",
+        config: "ServerConfig",
+        metrics: Optional[perf.PerfCounters] = None,
+        alert: Optional[Callable[..., None]] = None,
+        session_counter: Callable[[], int] = lambda: 0,
+    ) -> None:
+        self.index = index
+        self.context = context
+        self.config = config
+        self.metrics = metrics if metrics is not None else perf.PerfCounters()
+        self._alert = alert if alert is not None else (lambda kind, **_: None)
+        self._session_counter = session_counter
+        self.manager = SessionManager(
+            context.interleaved,
+            context.traced,
+            mode=context.mode,
+            limits=SessionLimits(
+                max_sessions=config.max_sessions,
+                max_frontier=context.max_frontier,
+                idle_timeout_s=config.idle_timeout_s,
+            ),
+            catalog=context.catalog,
+            spill=self._spill,
+        )
+        # every shard owns a manager over the same scenario; warming at
+        # construction resolves the compiled localization tables
+        # through the content-addressed registry before the listener
+        # accepts -- the first shard compiles, every later shard gets
+        # the same read-only tables back by fingerprint.  A window
+        # server compiles nothing here: its sessions never read them
+        self.manager.warm()
+        self.store: Optional[SessionStore] = None
+        if config.data_dir is not None:
+            self.store = SessionStore(
+                shard_directory(config.data_dir, index),
+                fsync=config.fsync,
+                fsync_interval_s=config.fsync_interval_s,
+                snapshot_every=config.snapshot_every,
+                segment_bytes=config.segment_bytes,
+            )
+        #: Content hash of the served tables, stamped into every
+        #: snapshot and checked against it on recovery.
+        self.fingerprint = self.manager.shared_localizer.fingerprint()
+        #: Set when a physical store write fails: the shard keeps
+        #: serving from memory but stops promising durability (and
+        #: stops touching the broken store).
+        self.degraded = False
+
+    @property
+    def durable(self) -> bool:
+        """Whether this shard still honors the acked-means-durable
+        contract (a store is attached and no write has failed)."""
+        return self.store is not None and not self.degraded
+
+    def opened_with(self, sid: str, token: Optional[str]) -> bool:
+        """Whether the live session *sid* was opened with *token*: an
+        OPEN carrying it is a retry and adds no session.  Safe to call
+        from any thread."""
+        if token is None:
+            return False
+        try:
+            return self.manager.session(sid).token == token
+        except StreamError:
+            return False
+
+    # -- ops -----------------------------------------------------------
+    def open(
+        self,
+        sid: str,
+        mode: Optional[object] = None,
+        transport: str = "text",
+        token: Optional[str] = None,
+    ) -> Reply:
+        resumed = (
+            self._revive(sid) is not None or self.opened_with(sid, token)
+        )
+        if not resumed:
+            try:
+                self.manager.open(
+                    sid, mode=mode if mode is None else str(mode),
+                    transport=transport, token=token,
+                )
+            except StreamError as exc:
+                if "table full" in str(exc):
+                    return (
+                        protocol.RETRY_LATER,
+                        protocol.retry_later_payload(
+                            "session-table-full", self.config.retry_after_s
+                        ),
+                    )
+                return _error("session-exists", str(exc))
+            except SelectionError as exc:
+                return _error("bad-request", str(exc))
+        session = self.manager.session(sid)
+        if not resumed and self.durable:
+            # logged *after* the apply: a crash in between loses only
+            # an un-acked open, which the client simply retries
+            self._append(
+                lambda: self.store.log_open(
+                    sid, session.mode, transport, token=token
+                )
+            )
+        self.metrics.add("opens_total")
+        body: Dict[str, object] = {
+            "session_id": sid,
+            "shard": self.index,
+            "transport": session.transport,
+            "mode": session.mode,
+        }
+        if resumed:
+            # a spilled session, or the one this OPEN's lost first
+            # attempt made: next_chunk tells the client where the
+            # durable high-watermark is, so it replays only the tail
+            body.update(resumed=True, next_chunk=session.next_chunk)
+        return _ok(body)
+
+    def feed(
+        self, sid: str, chunk_index: int, data: bytes, eof: bool = False
+    ) -> Reply:
+        session = self._session(sid)
+        if session is None:
+            return _unknown_session(sid)
+        if chunk_index < session.next_chunk:
+            # a retransmit of an already-applied chunk (the response
+            # was lost); acknowledge without re-feeding
+            return self._fed(session, chunk_index, duplicate=True)
+        if chunk_index > session.next_chunk:
+            return _error(
+                "chunk-gap",
+                f"expected chunk {session.next_chunk}, got {chunk_index}",
+                expected=session.next_chunk,
+            )
+        if self.durable:
+            # log-before-apply: once the client sees this chunk's OK,
+            # the chunk is on disk.  A crash between the append and the
+            # apply is safe -- replay applies it, the un-acked client
+            # retransmits, and idempotency answers with a duplicate-ack
+            self._append(
+                lambda: self.store.log_feed(sid, chunk_index, data, eof)
+            )
+        try:
+            records, outcome = self.manager.feed_chunk(
+                sid, chunk_index, data, eof
+            )
+        except StreamError:
+            return _unknown_session(sid)
+        except Exception as exc:  # noqa: BLE001 - poison payload
+            return self._poisoned(session, exc)
+        session.failures = 0
+        if session.transport == "ctrace":
+            self.metrics.add("compressed_wire_bytes", len(data))
+            if records:
+                from repro.compress.encoder import uncompressed_capture_bits
+
+                self.metrics.add(
+                    "compressed_raw_bits", uncompressed_capture_bits(records)
+                )
+        self.metrics.add("feeds_total")
+        self.metrics.add("records_fed_total", outcome.consumed)
+        reply = self._fed(
+            session, chunk_index, consumed=outcome.consumed,
+            records=len(records),
+        )
+        if self.durable and self.store.should_snapshot():
+            try:
+                self.checkpoint()
+            except StoreWriteError as exc:
+                # a failed checkpoint costs replay time, not data: the
+                # WAL still has everything, so alert and keep serving
+                self.metrics.add("snapshot_failures_total")
+                self._alert(
+                    "snapshot-failed",
+                    shard=self.index,
+                    reason=str(exc),
+                    path=exc.path,
+                )
+        return reply
+
+    @staticmethod
+    def _fed(
+        session: StreamSession,
+        chunk_index: int,
+        duplicate: bool = False,
+        consumed: int = 0,
+        records: int = 0,
+    ) -> Reply:
+        """The FEED reply, read from the session after the apply."""
+        return _ok(
+            {
+                "session_id": session.session_id,
+                "chunk_index": chunk_index,
+                "duplicate": duplicate,
+                "consumed": consumed,
+                "records": records,
+                "status": session.status,
+                "observed_length": session.localizer.observed_length,
+                "frontier_size": session.localizer.frontier_size,
+                "next_chunk": session.next_chunk,
+            }
+        )
+
+    def _poisoned(self, session: StreamSession, exc: Exception) -> Reply:
+        """Answer a feed whose apply crashed in a way no retry can fix.
+
+        Strikes accumulate per session; past
+        ``ServerConfig.quarantine_after`` the session is forcibly
+        retired with a terminal ``session-quarantined`` error, because
+        letting a client retry a poisonous payload forever is an
+        availability bug, not fault tolerance."""
+        sid = session.session_id
+        session.failures += 1
+        if session.failures < self.config.quarantine_after:
+            return _error(
+                "poison-payload",
+                f"feed to session {sid!r} failed to apply: {exc}",
+                failures=session.failures,
+                quarantine_after=self.config.quarantine_after,
+            )
+        try:
+            self.manager.quarantine(sid)
+        except StreamError:  # pragma: no cover - raced retirement
+            pass
+        # the logged close retires the session at replay time too --
+        # otherwise recovery would faithfully rebuild the poisoned
+        # session and the next feed would re-strike it
+        self._log_close(sid)
+        self.metrics.add("sessions_quarantined_total")
+        self._alert(
+            "session-quarantined",
+            shard=self.index,
+            session_id=sid,
+            reason=str(exc),
+        )
+        return _error(
+            "session-quarantined",
+            f"session {sid!r} was quarantined after "
+            f"{session.failures} consecutive poisonous feeds "
+            f"(last: {exc})",
+        )
+
+    def snapshot(self, sid: str) -> Reply:
+        session = self._session(sid)
+        if session is None:
+            return _unknown_session(sid)
+        result = self.manager.snapshot(sid)
+        return _ok(
+            {
+                "session_id": sid,
+                "consistent_paths": result.consistent_paths,
+                "total_paths": result.total_paths,
+                "fraction": result.fraction,
+                "status": session.status,
+                "observed_length": session.localizer.observed_length,
+                # the chunk cursor lets a client detect a server that
+                # recovered without its acked tail (e.g. the shard
+                # degraded before a crash) and replay it
+                "next_chunk": session.next_chunk,
+            }
+        )
+
+    def close(self, sid: str) -> Reply:
+        if self._session(sid) is None:
+            return _unknown_session(sid)
+        summary = self.manager.close(sid)
+        self._log_close(sid)
+        self.metrics.add("closes_total")
+        # the reply is the summary without its two local-only fields
+        del summary["mode"], summary["peak_frontier"]
+        return _ok(summary)
+
+    # -- durability ----------------------------------------------------
+    def _append(self, append: Callable[[], int]) -> None:
+        """Run one store append; a physical write failure degrades the
+        shard instead of failing the request."""
+        started = time.perf_counter()
+        try:
+            append()
+        except StoreWriteError as exc:
+            self._degrade(exc)
+            return
+        self.metrics.observe("wal_append_s", time.perf_counter() - started)
+
+    def _log_close(self, sid: str) -> None:
+        if self.durable:
+            self.store.drop_spilled(sid)
+            self._append(lambda: self.store.log_close(sid))
+
+    def _degrade(self, exc: StoreWriteError) -> None:
+        """Flip the shard into memory-only mode after a store write
+        failure.  Every session stays live, but durability promises
+        stop, the server's health section reports ``degraded``, and an
+        alert records what broke.  Sticky by design: the WAL never
+        resynchronizes past a torn record, so resuming appends could
+        silently strand acked data behind an unreadable tail."""
+        if self.degraded:
+            return
+        self.degraded = True
+        self.metrics.add("wal_degraded_total")
+        self._alert(
+            "wal-degraded",
+            shard=self.index,
+            reason=str(exc),
+            path=exc.path,
+            lsn=exc.lsn,
+        )
+
+    def _spill(self, entry: dict) -> None:
+        """The manager's eviction sink.  A durable shard parks the
+        evicted session's entry in its store, folded into the next
+        snapshot and revived on the session's next request; a
+        memory-only or degraded shard lets it go."""
+        if self.durable:
+            self.store.spill(entry)
+
+    def _session(
+        self, sid: str, capped: bool = True
+    ) -> Optional[StreamSession]:
+        """The live session *sid*, revived first if it was spilled;
+        ``None`` when the shard holds neither."""
+        try:
+            return self.manager.session(sid)
+        except StreamError:
+            return self._revive(sid, capped)
+
+    def _revive(
+        self, sid: str, capped: bool = True
+    ) -> Optional[StreamSession]:
+        """Bring a spilled session back live; ``None`` when it is not
+        spilled or, *capped*, the table is full."""
+        if not self.durable:
+            return None
+        entry = self.store.take_spilled(sid)
+        if entry is None:
+            return None
+        try:
+            return self.manager.adopt(entry, capped=capped)
+        except StreamError:
+            self.store.spill(entry)  # table full: park it again
+            return None
+
+    def checkpoint(self) -> None:
+        """Snapshot every live session and the spill map."""
+        self.store.write_snapshot(
+            [
+                self.manager.export_session(sid)
+                for sid in sorted(self.manager.session_ids())
+            ],
+            fingerprint=self.fingerprint,
+            scenario=self.context.name,
+            mode=self.context.mode,
+            session_counter=self._session_counter(),
+        )
+
+    def shutdown(self) -> None:
+        """The drain path's last step.  A durable shard checkpoints
+        and seals its WAL without retiring its sessions -- they come
+        back on the next start; a write failure here degrades instead
+        of raising, since the WAL already holds everything an acked
+        request needs.  A memory-only or degraded shard (its store
+        cannot be trusted with another write) retires every session."""
+        if not self.durable:
+            for sid in self.manager.session_ids():
+                self.manager.close(sid)
+            return
+        try:
+            try:
+                self.checkpoint()
+            finally:
+                self.store.close()
+        except StoreWriteError as exc:
+            self._degrade(exc)
+
+    def recover(self) -> ShardRecovery:
+        """Rebuild the shard from its store: adopt the newest valid
+        snapshot, then replay the WAL tail through
+        :meth:`SessionManager.feed_chunk`, the apply path live FEEDs
+        take.  Every durable session comes back whatever the table's
+        cap, since each was admitted once; new OPENs wait until the
+        table drains.  Refuses a snapshot of another scenario."""
+        started = time.perf_counter()
+        recovered = self.store.open()
+        snap = recovered.snapshot or {}
+        if snap.get("fingerprint") not in (None, "", self.fingerprint):
+            raise StoreError(
+                f"shard {self.index} snapshot was taken on a different "
+                f"scenario (fingerprint {snap['fingerprint']!r})"
+            )
+        ids = list(self.store.spilled_ids())
+        for entry in snap.get("sessions", ()):
+            ids.append(self.manager.adopt(entry, capped=False).session_id)
+        for record in recovered.tail:
+            opened = self._replay(record)
+            if opened is not None:
+                ids.append(opened)
+        sessions = len(self.manager)
+        self.store.recovered_sessions = sessions
+        self.store.recovered_records = recovered.replay_records
+        self.store.recovery_wall_s = time.perf_counter() - started
+        return ShardRecovery(
+            sessions=sessions + len(self.store.spilled_ids()),
+            replayed_records=len(recovered.tail),
+            diagnostics=tuple(recovered.diagnostics),
+            session_counter=max(
+                [int(snap.get("session_counter", 0))]
+                + [_generated_number(sid) for sid in ids]
+            ),
+        )
+
+    def _replay(self, record: wal.WalRecord) -> Optional[str]:
+        """Apply one trusted WAL tail record at recovery time; returns
+        the id an OPEN record opened."""
+        if record.rec_type == wal.WAL_OPEN:
+            # the OPEN record is the fresh session's entry
+            entry = json.loads(record.payload.decode("utf-8"))
+            return self.manager.adopt(entry, capped=False).session_id
+        if record.rec_type == wal.WAL_FEED:
+            sid, chunk_index, eof, data = protocol.decode_feed_payload(
+                record.payload
+            )
+            session = self._session(sid, capped=False)
+            if session is None or chunk_index != session.next_chunk:
+                # orphaned or already-folded feed: nothing to redo
+                return None
+            try:
+                self.manager.feed_chunk(sid, chunk_index, data, eof)
+            except Exception:  # noqa: BLE001 - incl. poison payloads
+                # a feed that crashed the apply live (and was logged
+                # before the crash surfaced) must not crash recovery;
+                # the quarantine close that followed it retires the
+                # session a few records later in the same tail
+                pass
+        elif record.rec_type == wal.WAL_CLOSE:
+            body = json.loads(record.payload.decode("utf-8"))
+            sid = str(body["session_id"])
+            try:
+                self.manager.close(sid)
+            except StreamError:  # not live: retire it from the spill map
+                self.store.drop_spilled(sid)
+        return None
+
+
+__all__ = ["Reply", "Shard", "ShardRecovery"]

@@ -28,6 +28,7 @@ from repro.errors import StoreError
 from repro.store import snapshot as snapshot_mod
 from repro.store import wal
 from repro.store.recovery import recover_directory
+from repro.store.store import compact_directory
 
 #: Name of the server-identity file at the data-dir root.
 META_NAME = "meta.json"
@@ -189,26 +190,15 @@ def verify_store(data_dir: Union[str, Path]) -> dict:
 
 def compact_store(data_dir: Union[str, Path]) -> dict:
     """Offline compaction: drop WAL segments covered by each shard's
-    newest snapshot (exactly the rule the live server applies)."""
+    newest snapshot, through the live store's
+    :func:`~repro.store.store.compact_directory`."""
     root = Path(data_dir)
     if not root.is_dir():
         raise StoreError(f"no such data directory: {root}")
     shards = []
     total = 0
     for shard_dir in shard_directories(root):
-        lsn, _, _ = snapshot_mod.latest_snapshot(shard_dir)
-        removed: List[str] = []
-        if lsn is not None:
-            segments = wal.list_segments(shard_dir)
-            for path, successor in zip(segments, segments[1:]):
-                if wal.segment_first_lsn(successor) <= lsn + 1:
-                    try:
-                        path.unlink()
-                        removed.append(path.name)
-                    except OSError:  # pragma: no cover - raced deletion
-                        pass
-                else:
-                    break
+        lsn, removed = compact_directory(shard_dir)
         total += len(removed)
         shards.append(
             {

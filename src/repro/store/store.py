@@ -122,20 +122,27 @@ class SessionStore:
 
     # ------------------------------------------------------------------
     # WAL logging (called before the in-memory apply)
-    def log_open(self, session_id: str, mode: str, transport: str) -> int:
+    def log_open(
+        self,
+        session_id: str,
+        mode: str,
+        transport: str,
+        token: Optional[str] = None,
+    ) -> int:
+        """Log an OPEN; its payload is the fresh session's entry, and
+        carries the client's open token when there is one."""
         import json
 
+        entry = {
+            "session_id": session_id, "mode": mode, "transport": transport,
+        }
+        if token is not None:
+            entry["token"] = token
         return self._append(
             wal.WAL_OPEN,
-            json.dumps(
-                {
-                    "session_id": session_id,
-                    "mode": mode,
-                    "transport": transport,
-                },
-                separators=(",", ":"),
-                sort_keys=True,
-            ).encode("utf-8"),
+            json.dumps(entry, separators=(",", ":"), sort_keys=True).encode(
+                "utf-8"
+            ),
         )
 
     def log_feed(
@@ -219,29 +226,11 @@ class SessionStore:
         return path
 
     def compact(self) -> int:
-        """Delete WAL segments fully covered by the newest snapshot.
-
-        A segment is covered when the *next* segment starts at or
-        before ``snapshot lsn + 1`` (so every record in it has
-        ``lsn <= snapshot lsn``); the last segment is never deleted.
-        Returns how many segments were removed.
-        """
-        lsn, _, _ = snapshot_mod.latest_snapshot(self.directory)
-        if lsn is None:
-            return 0
-        segments = wal.list_segments(self.directory)
-        removed = 0
-        for path, successor in zip(segments, segments[1:]):
-            if wal.segment_first_lsn(successor) <= lsn + 1:
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:  # pragma: no cover - raced deletion
-                    pass
-            else:
-                break
-        self.segments_compacted += removed
-        return removed
+        """Delete WAL segments fully covered by the newest snapshot
+        (see :func:`compact_directory`); returns how many went."""
+        _, removed = compact_directory(self.directory)
+        self.segments_compacted += len(removed)
+        return len(removed)
 
     # ------------------------------------------------------------------
     # eviction spill
@@ -287,4 +276,32 @@ class SessionStore:
         }
 
 
-__all__ = ["SessionStore"]
+def compact_directory(
+    directory: Union[str, Path],
+) -> Tuple[Optional[int], List[str]]:
+    """Delete the WAL segments of a shard directory that its newest
+    snapshot covers -- the one compaction rule, run by the live store
+    after every snapshot and offline by ``repro store compact``.
+
+    A segment is covered when the *next* segment starts at or before
+    ``snapshot lsn + 1`` (so every record in it has ``lsn <= snapshot
+    lsn``); the last segment is never deleted.  Returns the snapshot's
+    lsn (``None`` without one) and the names of the removed segments.
+    """
+    lsn, _, _ = snapshot_mod.latest_snapshot(directory)
+    removed: List[str] = []
+    if lsn is None:
+        return None, removed
+    segments = wal.list_segments(directory)
+    for path, successor in zip(segments, segments[1:]):
+        if wal.segment_first_lsn(successor) > lsn + 1:
+            break
+        try:
+            path.unlink()
+            removed.append(path.name)
+        except OSError:  # pragma: no cover - raced deletion
+            pass
+    return lsn, removed
+
+
+__all__ = ["SessionStore", "compact_directory"]

@@ -16,10 +16,10 @@ the process bounded:
 A session is everything one validator's stream carries: the chunk
 ingest pipeline (transport, text parser or compressed-trace ingester,
 UTF-8 decoder), the :class:`~repro.stream.incremental.
-IncrementalLocalizer`, the chunk cursor ``next_chunk`` and the
-poison-strike count ``failures``.  :meth:`SessionManager.
-export_session` writes a session's durable entry and
-:meth:`SessionManager.adopt` reads one back; :meth:`SessionManager.
+IncrementalLocalizer`, the chunk cursor ``next_chunk``, the
+poison-strike count ``failures`` and the client's open ``token``.
+:meth:`SessionManager.export_session` writes a session's durable entry
+and :meth:`SessionManager.adopt` reads one back; :meth:`SessionManager.
 open` is ``adopt`` of a fresh entry.  :meth:`SessionManager.close`
 and :meth:`SessionManager.quarantine` return a summary dict of the
 retired session, from which the server builds its CLOSE reply.
@@ -145,6 +145,9 @@ class StreamSession:
         #: Deliberately not durable: a restart wipes the strike count,
         #: not the session.
         self.failures = 0
+        #: The client's open token: an OPEN that carries it again is a
+        #: retry of the one that made this session.  Durable.
+        self.token: Optional[str] = None
         #: Serializes this session's ingest and localizer mutations
         #: against the eviction sweep; acquired only after (never while
         #: waiting for) the manager lock.
@@ -282,15 +285,19 @@ class SessionManager:
         session_id: Optional[str] = None,
         mode: Optional[str] = None,
         transport: str = "text",
+        token: Optional[str] = None,
     ) -> str:
         """Open a fresh session; returns its id (generated when
         *session_id* is omitted).  See :meth:`adopt` for admission."""
         entry = {
             "session_id": session_id, "mode": mode, "transport": transport,
+            "token": token,
         }
         return self.adopt(entry).session_id
 
-    def adopt(self, entry: Mapping[str, object]) -> StreamSession:
+    def adopt(
+        self, entry: Mapping[str, object], capped: bool = True
+    ) -> StreamSession:
         """Admit a session from its durable entry (what
         :meth:`export_session` wrote: the store's recovery and
         spill-revival path), or from the fresh entry :meth:`open`
@@ -298,6 +305,8 @@ class SessionManager:
 
         Evicts idle sessions first; raises :class:`~repro.errors.
         StreamError` when the table is still full or the id is taken.
+        ``capped=False`` admits past ``max_sessions``: recovery restores
+        every durable session, since each was admitted once.
         A key the entry lacks keeps a fresh session's value, and keys
         it does not know are ignored, so entries that carry more (as
         older snapshots do) still restore.  The caller is responsible
@@ -311,7 +320,7 @@ class SessionManager:
             )
         self.evict_idle()
         with self._lock:
-            if len(self._sessions) >= self.limits.max_sessions:
+            if capped and len(self._sessions) >= self.limits.max_sessions:
                 raise StreamError(
                     f"session table full ({self.limits.max_sessions}); "
                     "close or evict a session first"
@@ -341,6 +350,7 @@ class SessionManager:
             session.feeds = int(entry.get("feeds", 0))
             session.records = int(entry.get("records", 0))
             session.next_chunk = int(entry.get("next_chunk", 0))
+            session.token = entry.get("token")  # type: ignore[assignment]
             if "text_decoder" in entry:
                 buffered, flag = entry["text_decoder"]
                 session.decoder.setstate(
@@ -496,6 +506,8 @@ class SessionManager:
                 base64.b64encode(buffered).decode("ascii"), flag
             ],
         }
+        if session.token is not None:
+            entry["token"] = session.token
         if session.ingester is not None:
             entry["ingester"] = session.ingester.export_state()
         else:

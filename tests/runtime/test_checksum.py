@@ -2,10 +2,13 @@
 
 Three byte formats lean on this one function -- the compressed trace
 bitstream, the wire protocol, and the session store's WAL -- so the
-check value and the table/bitwise equivalence are pinned here once.
+check value and the equivalence of the stdlib CRC with the bitwise
+reference are pinned here once.
 """
 
 from __future__ import annotations
+
+import random
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,9 +45,17 @@ def test_single_bit_flip_changes_the_crc():
     assert crc16(bytes(flipped)) != baseline
 
 
-@given(st.binary(max_size=512))
-def test_table_matches_bitwise_reference(data):
-    assert crc16(data) == crc16_bitwise(data)
+@given(st.binary(max_size=512), st.integers(0, 0xFFFF))
+def test_matches_bitwise_reference_from_any_initial_value(data, init):
+    assert crc16(data, init) == crc16_bitwise(data, init)
+
+
+def test_matches_bitwise_reference_up_to_64_kib():
+    rng = random.Random(16)
+    for size in (0, 1, 2, 300, 4095, 65536):
+        data = bytes(rng.randrange(256) for _ in range(size))
+        init = rng.randrange(0x10000)
+        assert crc16(data, init) == crc16_bitwise(data, init)
 
 
 @given(st.binary(max_size=256), st.binary(max_size=256))

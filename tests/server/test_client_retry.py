@@ -18,10 +18,39 @@ from repro.server import (
     RetryPolicy,
     ServerConfig,
     SessionFeed,
+    protocol,
 )
 from repro.server.loadgen import render_session_chunks
 from repro.stream.service import synthetic_session_records
 from tests.server.conftest import start_server
+
+
+def test_open_token_is_seeded_and_kept_across_retries():
+    # every attempt of one OPEN call carries the same token, drawn from
+    # the client's rng: a seeded client sends the same bytes each run
+    def attempts(seed):
+        client = DebugClient(
+            "127.0.0.1", 9,
+            policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
+            rng=random.Random(seed),
+        )
+        sent = []
+
+        def refused(frame_type, payload):
+            sent.append(payload)
+            raise ConnectionRefusedError("no server")
+
+        client._roundtrip = refused
+        with pytest.raises(ServerUnavailableError):
+            client.open_session("s")
+        return sent
+
+    sent = attempts(5)
+    assert len(sent) == 3 and len(set(sent)) == 1
+    token = protocol.decode_json(sent[0])["token"]
+    assert len(token) == 8 and int(token, 16) < 2**32
+    assert attempts(5) == sent
+    assert attempts(6) != sent
 
 
 def test_backoff_is_exponential_capped_and_jittered():
@@ -159,7 +188,7 @@ def test_eviction_triggers_transparent_replay(context):
         # outlive the idle timeout so the sweeper retires the session
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            if handle.server._shards[0].manager.stats()["evicted"]:
+            if handle.server.shard_for("evictee").manager.stats()["evicted"]:
                 break
             time.sleep(0.02)
         reply = feed.feed(chunks[1])

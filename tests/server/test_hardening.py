@@ -230,7 +230,7 @@ def test_poison_session_is_quarantined_not_retried_forever(running):
         stats = client.stats()
         assert stats["counters"]["sessions_quarantined_total"] == 1
         server = running.thread.server
-        shard = server._shards[server.ring.shard_for(sid)]
+        shard = server.shard_for(sid)
         assert shard.manager.stats()["quarantined"] == 1
         kinds = [a["kind"] for a in stats["health"]["alerts"]]
         assert "session-quarantined" in kinds
@@ -256,12 +256,12 @@ def test_poison_strikes_are_per_session_and_below_threshold_survive(
             with pytest.raises(ServerError) as err:
                 client.feed(sid2, 1, b"poison\n")
             assert err.value.code == "poison-payload"
-        shard2 = server._shards[server.ring.shard_for(sid2)]
+        shard2 = server.shard_for(sid2)
         assert shard2.manager.session(sid2).failures == 2
         # the struck session is still open (below the threshold) and
         # the clean session is completely unaffected
         assert client.snapshot(sid2).session_id == sid2
-        shard1 = server._shards[server.ring.shard_for(sid)]
+        shard1 = server.shard_for(sid)
         assert shard1.manager.session(sid).failures == 0
         for i, chunk in enumerate(chunks[1:], start=1):
             client.feed(sid, i, chunk, eof=(i == len(chunks) - 1))
@@ -357,7 +357,7 @@ def test_alerts_read_whole_while_shard_threads_append(context):
     try:
         writer.start()
         for _ in range(20_000):
-            numbers = [a["number"] for a in server._health()["alerts"]]
+            numbers = [a["number"] for a in server.health()["alerts"]]
             if numbers and numbers != list(
                 range(numbers[0], numbers[0] + len(numbers))
             ):

@@ -93,7 +93,7 @@ def test_registry_collector_errors_do_not_fail_scrape(context):
     def broken():
         raise RuntimeError("section exploded")
 
-    server._health = broken
+    server.health = broken
     stats = server.stats()
     assert stats["health"] == {"error": "section exploded"}
     assert stats["server"]["scenario"] == "cc-test"

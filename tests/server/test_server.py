@@ -26,6 +26,7 @@ from repro.server import (
 )
 from repro.server.loadgen import render_session_chunks
 from repro.server.server import DebugServer
+from repro.server.shard import Shard
 from tests.server.conftest import start_server
 
 
@@ -387,20 +388,43 @@ def test_stats_metrics_and_profile_render_one_registry(context, capsys):
     assert profile["counters"]["localize_kernel_batches"] >= 1
 
 
-def test_abort_cancels_every_pending_reply(context):
+def test_retried_open_at_the_global_cap_is_answered(context):
+    # the first OPEN's reply is lost and the table is full; the retry
+    # carries the same token and adds no session, so no cap refuses it
+    handle = start_server(context, ServerConfig(shards=1, max_sessions=1))
+    try:
+        with DebugClient(
+            handle.host, handle.port, policy=RetryPolicy(max_attempts=1)
+        ) as client:
+            request = protocol.encode_json(
+                {"session_id": "s", "token": "1234abcd"}
+            )
+            client.request(protocol.OPEN_SESSION, request)
+            frame_type, reply = client.request(
+                protocol.OPEN_SESSION, request
+            )
+            assert frame_type == protocol.OK
+            assert reply["resumed"] is True
+            with pytest.raises(ServerUnavailableError, match="table-full"):
+                client.open_session("t")
+    finally:
+        handle.thread.stop()
+
+
+def test_abort_cancels_every_pending_reply(context, monkeypatch):
     # one OPEN blocks on the shard thread, two queue behind it: an
     # abort must resolve all three replies, leaving no task pending
     async def scenario():
         server = DebugServer(context, ServerConfig(shards=1))
         running, release = threading.Event(), threading.Event()
-        open_op = server._op_open
+        open_op = Shard.open
 
         def blocking_open(*args):
             running.set()
             release.wait(5.0)
             return open_op(*args)
 
-        server._op_open = blocking_open
+        monkeypatch.setattr(Shard, "open", blocking_open)
         host, port = await server.start()
         _reader, writer = await asyncio.open_connection(host, port)
         try:
@@ -413,12 +437,14 @@ def test_abort_cancels_every_pending_reply(context):
                 for seq in range(3)
             ))
             await writer.drain()
-            queue = server._shards[0].queue
+            def queued():
+                return server.stats()["shards"]["shards"][0]["queue_depth"]
+
             for _ in range(500):
-                if running.is_set() and queue.qsize() == 2:
+                if running.is_set() and queued() == 2:
                     break
                 await asyncio.sleep(0.01)
-            assert running.is_set() and queue.qsize() == 2
+            assert running.is_set() and queued() == 2
         finally:
             # stop joins the shard executor: let the blocked op finish
             threading.Timer(0.2, release.set).start()
@@ -463,7 +489,7 @@ def test_sessions_idle_evicted(context):
             sid = client.open_session("idler")
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
-                shard_stats = handle.server._shards[0].manager.stats()
+                shard_stats = handle.server.shard_for(sid).manager.stats()
                 if shard_stats["evicted"] >= 1:
                     break
                 time.sleep(0.02)
@@ -506,7 +532,9 @@ def test_failed_start_on_a_taken_port_releases_everything(
         context, ServerConfig(port=taken_port, data_dir=str(tmp_path))
     )
     assert not _collector_active(server)
-    for shard in server._shards:
+    shards = {server.shard_for(f"s{n}") for n in range(16)}
+    assert len(shards) == server.config.shards
+    for shard in shards:
         with pytest.raises(StoreError, match="closed"):
             shard.store.log_open("late", "prefix", "text")
 

@@ -247,14 +247,13 @@ class TestCrashRecovery:
 
 # ----------------------------------------------------------------------
 class TestEvictionSpill:
-    def wait_for_spill(self, running, timeout=5.0):
+    def wait_for_spill(self, running, sid, timeout=5.0):
+        """Wait until *sid*'s shard has spilled; returns the shard."""
+        shard = running.server.shard_for(sid)
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if any(
-                shard.store is not None and shard.store.spills
-                for shard in running.server._shards
-            ):
-                return
+            if shard.store.spills:
+                return shard
             time.sleep(0.02)
         pytest.fail("idle sweeper never spilled the session")
 
@@ -278,7 +277,7 @@ class TestEvictionSpill:
             with DebugClient(running.host, running.port) as client:
                 client.open_session("spilled", transport=transport)
                 client.feed("spilled", 0, chunks[0])
-                self.wait_for_spill(running)
+                self.wait_for_spill(running, "spilled")
                 # a plain feed revives it -- no client-side replay
                 reply = client.feed("spilled", 1, chunks[1], eof=last == 1)
                 assert not reply.duplicate
@@ -312,7 +311,7 @@ class TestEvictionSpill:
                 client.open_session("resume")
                 client.feed("resume", 0, chunks[0])
                 client.feed("resume", 1, chunks[1])
-                self.wait_for_spill(running)
+                self.wait_for_spill(running, "resume")
                 info = client.open_session_info("resume")
                 assert info.get("resumed") is True
                 assert info.get("next_chunk") == 2
@@ -333,13 +332,11 @@ class TestEvictionSpill:
         with DebugClient(first.host, port) as client:
             client.open_session("sleeper")
             client.feed("sleeper", 0, chunks[0])
-            self.wait_for_spill(first)
-            # force the spill map into a durable snapshot
-            for shard in first.server._shards:
-                if shard.store is not None and shard.store.spilled_ids():
-                    shard.executor.submit(
-                        first.server._snapshot_shard, shard
-                    ).result(timeout=10.0)
+            shard = self.wait_for_spill(first, "sleeper")
+            # force the spill map into a durable snapshot; calling the
+            # core off its thread is safe here: its table is empty, so
+            # the sweep touches nothing, and no request is in flight
+            shard.checkpoint()
         first.thread.stop(drain=False, abort=True)
 
         second = start_server(
@@ -363,8 +360,7 @@ class TestEvictionSpill:
             client.feed("sleeper", 0, chunks[0])
             time.sleep(0.4)
             client.open_session("newcomer")
-        (shard,) = running.server._shards
-        return shard
+        return running.server.shard_for("sleeper")
 
     def test_eviction_by_a_fresh_open_spills(self, context, tmp_path):
         """An eviction that an OPEN triggers spills the idle session,
@@ -405,9 +401,9 @@ class TestEvictionSpill:
         port = first.port
         chunks = render_session_chunks(context, seed=85, chunk_records=4)
         shard = self.idle_then_open(first, chunks)
-        shard.executor.submit(
-            first.server._snapshot_shard, shard
-        ).result(timeout=10.0)
+        # no sweep is due for a minute and no request is in flight, so
+        # the test thread may checkpoint the core
+        shard.checkpoint()
         first.thread.stop(drain=False, abort=True)
 
         second = start_server(
