@@ -16,6 +16,9 @@ This package implements Definitions 1-7 of Pal et al. (DAC 2018):
   coverage (Def. 7).
 * :mod:`repro.core.information` -- the mutual-information-gain metric
   of Section 3.2.
+* :mod:`repro.core.arrays` -- the optional numpy backend switch and the
+  whole-array helpers the product build and the localization kernels
+  share.
 """
 
 from repro.core.message import (

@@ -45,6 +45,13 @@ from typing import (
 )
 
 from repro import perf
+from repro.core.arrays import (
+    expand_runs,
+    have_numpy,
+    height_levels,
+    level_edges,
+    np,
+)
 from repro.core.flow import Execution, Flow
 from repro.core.indexing import (
     IndexedFlow,
@@ -62,6 +69,17 @@ ProductState = Tuple[IndexedState, ...]
 #: refuses anything else, so a cache entry written by another layout
 #: fails to load (and is recomputed) instead of loading half-formed.
 _PICKLE_FORMAT = "interleaved-flow/state-codes-1"
+
+#: The array product build packs every edge into one int64 key; it
+#: runs only while the largest key, ``M * span**2 - 1``, stays below
+#: this bound.  Larger products take the exact Python-int route.
+_KEY_BOUND = 1 << 62
+
+#: The array path count runs in int64 only while a float64 pass puts
+#: every count below this bound; float64 rounding stays far inside the
+#: factor-two margin to int64.  Larger counts take the exact big-int
+#: route.
+_COUNT_BOUND = float(1 << 62)
 
 
 @dataclass(frozen=True, order=True)
@@ -210,11 +228,7 @@ class InterleavedFlow:
             if rank is None:
                 return None
             code += rank * place
-        codes = self._codes
-        position = bisect_left(codes, code)
-        if position < len(codes) and codes[position] == code:
-            return position
-        return None
+        return _code_id(self._codes, code)
 
     def state_at(self, state_id: int) -> ProductState:
         """The product state with ID *state_id* (decoded from its code
@@ -436,9 +450,7 @@ class InterleavedFlow:
                     if indegree[target_id] == 0:
                         ready.append(target_id)
             if len(order) != n:
-                raise InterleavingError(
-                    "interleaved flow is not a DAG"
-                )  # pragma: no cover - components are validated DAGs
+                raise InterleavingError("interleaved flow is not a DAG")
             self._topological_ids = order
         return self._topological_ids
 
@@ -448,18 +460,58 @@ class InterleavedFlow:
 
     def paths_to_stop_ids(self) -> List[int]:
         """Paths-to-stop counts as an array indexed by state ID
-        (memoised)."""
+        (memoised).
+
+        With numpy the counts run level by level over the height
+        schedule of every edge (:func:`_paths_to_stop_numpy`); the
+        exact reverse-topological big-int DP covers the no-numpy
+        backend and counts that may not fit int64.
+        """
         if self._paths_to_stop_ids is None:
-            offsets, _, targets = self.csr_adjacency()
-            counts = [0] * self.num_states
-            stop_ids = self._stop_ids
-            for state_id in reversed(self.topological_ids()):
-                total = 1 if state_id in stop_ids else 0
-                for e in range(offsets[state_id], offsets[state_id + 1]):
-                    total += counts[targets[e]]
-                counts[state_id] = total
+            with perf.timed("paths_to_stop"):
+                counts = self._paths_to_stop_numpy() if have_numpy() else None
+                if counts is None:
+                    counts = self._paths_to_stop_python()
             self._paths_to_stop_ids = counts
         return self._paths_to_stop_ids
+
+    def _paths_to_stop_python(self) -> List[int]:
+        """The path counts in exact big-int arithmetic, in reverse
+        topological order."""
+        offsets, _, targets = self.csr_adjacency()
+        counts = [0] * self.num_states
+        stop_ids = self._stop_ids
+        for state_id in reversed(self.topological_ids()):
+            total = 1 if state_id in stop_ids else 0
+            for e in range(offsets[state_id], offsets[state_id + 1]):
+                total += counts[targets[e]]
+            counts[state_id] = total
+        return counts
+
+    def _paths_to_stop_numpy(self) -> Optional[List[int]]:
+        """The path counts on whole arrays, or ``None`` when one may
+        not fit int64.
+
+        States are grouped by their longest path to a sink
+        (:func:`repro.core.arrays.height_levels` over every edge), so a
+        level's successors are all counted: each level is one gather
+        plus one ``np.add.reduceat`` over its states' edge runs.  A
+        float64 pass bounds the counts; the int64 pass runs only below
+        :data:`_COUNT_BOUND`.
+        """
+        offsets, targets = (
+            np.frombuffer(buf, dtype=np.int64)
+            for buf in (self._offsets, self._targets)
+        )
+        levels = height_levels(offsets, targets)
+        if sum(level.size for level in levels) != self.num_states:
+            raise InterleavingError("interleaved flow is not a DAG")
+        stop = np.zeros(self.num_states, dtype=bool)
+        stop[list(self._stop_ids)] = True
+        bound = _level_counts(levels, offsets, targets, stop, np.float64)
+        if bound.max(initial=0.0) >= _COUNT_BOUND:
+            return None
+        return _level_counts(levels, offsets, targets, stop, np.int64).tolist()
 
     def paths_to_stop(self) -> Dict[ProductState, int]:
         """Number of paths from each state to any stop state (memoised)."""
@@ -554,6 +606,20 @@ class InterleavedFlow:
         )
 
 
+def _level_counts(levels, offsets, targets, stop, dtype):
+    """Paths-to-stop counts in *dtype* over the height *levels*: a
+    sink counts its stop flag, and every higher state adds its
+    successors' counts (each has at least one successor, so the
+    ``reduceat`` runs are never empty)."""
+    counts = stop.astype(dtype)
+    for sources in levels[1:]:
+        degree, succ = level_edges(sources, offsets, targets)
+        counts[sources] += np.add.reduceat(
+            counts[succ], np.cumsum(degree) - degree
+        )
+    return counts
+
+
 def _places(sizes: Sequence[int]) -> List[int]:
     """Mixed-radix place values of the component digits (component 0
     most significant, the last component's digit worth 1)."""
@@ -589,8 +655,12 @@ def interleave(instances: Sequence[IndexedFlow]) -> InterleavedFlow:
     integer ``(source * M + message) * span + target`` (``M`` candidate
     messages, ``span`` the size of the full product), so one integer
     sort yields the CSR order -- which equals sorting the
-    :class:`InterleavedTransition` objects.  Codes stay exact Python
-    ints: the full product can exceed 64 bits.
+    :class:`InterleavedTransition` objects.  With numpy, and while the
+    largest key ``M * span**2 - 1`` stays below :data:`_KEY_BOUND`,
+    the BFS expands whole frontiers at once in int64
+    (:func:`_product_numpy`); otherwise it runs on exact Python ints
+    (:func:`_product_python`) -- the full product can exceed 64 bits.
+    Both routes lay out the same tables.
     """
     with perf.timed("interleave"):
         instances = tuple(instances)
@@ -614,10 +684,9 @@ def interleave(instances: Sequence[IndexedFlow]) -> InterleavedFlow:
             {message for out in local_out for edges in out for message, _ in edges}
         )
         candidate_ids = {m: i for i, m in enumerate(candidates)}
-        block = len(candidates) * span
         # per component and local rank: the atomic flag, and every local
         # edge as (code delta, packed-key offset) -- the edge's key is
-        # source * (block + 1) + offset
+        # source * (M * span + 1) + offset
         atomic: List[List[bool]] = []
         moves: List[List[List[Tuple[int, int]]]] = []
         for inst, local, out, rank_of, place in zip(
@@ -645,71 +714,221 @@ def interleave(instances: Sequence[IndexedFlow]) -> InterleavedFlow:
         initial_codes = sorted(set(map(encode, itertools.product(
             *(inst.initial for inst in instances)
         ))))
-        seen = set(initial_codes)
-        frontier = list(initial_codes)
-        keys: List[int] = []
-        stride = block + 1
-        positions = range(len(instances))
-        radix = tuple(zip(places, sizes))
-        while frontier:
-            code = frontier.pop()
-            at = [code // place % size for place, size in radix]
-            atomic_positions = [j for j in positions if atomic[j][at[j]]]
-            if not atomic_positions:
-                movable: Sequence[int] = positions
-            elif len(atomic_positions) == 1:
-                # only the atomic component itself may move
-                movable = atomic_positions
-            else:  # pragma: no cover - unreachable from legal initials
-                movable = ()
-            base = code * stride
-            for j in movable:
-                for delta, offset in moves[j][at[j]]:
-                    target = code + delta
-                    if target not in seen:
-                        seen.add(target)
-                        frontier.append(target)
-                    keys.append(base + offset)
-        keys.sort()
-
-        codes = tuple(sorted(seen))
-        id_of = {code: i for i, code in enumerate(codes)}
-        counts = [0] * (len(codes) + 1)
-        edge_messages: List[int] = []
-        edge_targets: List[int] = []
-        for key in keys:
-            source, rest = divmod(key, block)
-            message, target = divmod(rest, span)
-            counts[id_of[source] + 1] += 1
-            edge_messages.append(message)
-            edge_targets.append(id_of[target])
-        for i in range(1, len(counts)):
-            counts[i] += counts[i - 1]
-        # keep the candidate messages that label a reachable edge;
-        # renumbering preserves their order, hence the edge order
-        used = sorted(set(edge_messages))
-        message_table = tuple(candidates[m] for m in used)
-        if len(used) != len(candidates):
-            renumber = {m: i for i, m in enumerate(used)}
-            edge_messages = [renumber[m] for m in edge_messages]
-
-        stop_codes = map(encode, itertools.product(
-            *(inst.stop for inst in instances)
-        ))
-        stop_ids = sorted(id_of[code] for code in stop_codes if code in id_of)
+        build = (
+            _product_numpy
+            if have_numpy() and len(candidates) * span * span <= _KEY_BOUND
+            else _product_python
+        )
+        codes, offsets, edge_messages, edge_targets, used = build(
+            initial_codes, list(zip(places, sizes)), atomic, moves,
+            len(candidates), span,
+        )
+        stop_ids = [
+            _code_id(codes, code)
+            for code in map(encode, itertools.product(
+                *(inst.stop for inst in instances)
+            ))
+        ]
         perf.add("interleave_states_expanded", len(codes))
-        perf.add("interleave_transitions", len(keys))
+        perf.add("interleave_transitions", len(edge_targets))
         return InterleavedFlow(
             components=instances,
             local_states=local_states,
             codes=codes,
-            message_table=message_table,
-            offsets=array("q", counts),
-            messages=array("q", edge_messages),
-            targets=array("q", edge_targets),
-            initial_ids=tuple(id_of[code] for code in initial_codes),
-            stop_ids=tuple(stop_ids),
+            message_table=tuple(candidates[m] for m in used),
+            offsets=offsets,
+            messages=edge_messages,
+            targets=edge_targets,
+            initial_ids=tuple(
+                bisect_left(codes, code) for code in initial_codes
+            ),
+            stop_ids=tuple(sorted(i for i in stop_ids if i is not None)),
         )
+
+
+#: One product build's result: the reachable codes ascending, the CSR
+#: ``offsets``/``messages``/``targets`` buffers (messages renumbered
+#: over the used candidates) and the used candidate IDs, ascending.
+_Product = Tuple[Tuple[int, ...], array, array, array, List[int]]
+
+
+def _product_python(
+    initial_codes: List[int],
+    radix: List[Tuple[int, int]],
+    atomic: List[List[bool]],
+    moves: List[List[List[Tuple[int, int]]]],
+    num_messages: int,
+    span: int,
+) -> _Product:
+    """The product BFS on exact Python ints, one state at a time.
+
+    *radix* holds each component's ``(place, size)``, *atomic* its
+    per-rank atomic flags and *moves* its per-rank local edges as
+    ``(code delta, packed-key offset)`` pairs (see :func:`interleave`).
+    """
+    block = num_messages * span
+    seen = set(initial_codes)
+    frontier = list(initial_codes)
+    keys: List[int] = []
+    stride = block + 1
+    positions = range(len(radix))
+    while frontier:
+        code = frontier.pop()
+        at = [code // place % size for place, size in radix]
+        atomic_positions = [j for j in positions if atomic[j][at[j]]]
+        if not atomic_positions:
+            movable: Sequence[int] = positions
+        elif len(atomic_positions) == 1:
+            # only the atomic component itself may move
+            movable = atomic_positions
+        else:  # two atomic components, only from atomic initial states
+            movable = ()
+        base = code * stride
+        for j in movable:
+            for delta, offset in moves[j][at[j]]:
+                target = code + delta
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+                keys.append(base + offset)
+    keys.sort()
+
+    codes = tuple(sorted(seen))
+    id_of = {code: i for i, code in enumerate(codes)}
+    counts = [0] * (len(codes) + 1)
+    edge_messages: List[int] = []
+    edge_targets: List[int] = []
+    for key in keys:
+        source, rest = divmod(key, block)
+        message, target = divmod(rest, span)
+        counts[id_of[source] + 1] += 1
+        edge_messages.append(message)
+        edge_targets.append(id_of[target])
+    for i in range(1, len(counts)):
+        counts[i] += counts[i - 1]
+    # keep the candidate messages that label a reachable edge;
+    # renumbering preserves their order, hence the edge order
+    used = sorted(set(edge_messages))
+    if len(used) != num_messages:
+        renumber = {m: i for i, m in enumerate(used)}
+        edge_messages = [renumber[m] for m in edge_messages]
+    return (
+        codes,
+        array("q", counts),
+        array("q", edge_messages),
+        array("q", edge_targets),
+        used,
+    )
+
+
+def _product_numpy(
+    initial_codes: List[int],
+    radix: List[Tuple[int, int]],
+    atomic: List[List[bool]],
+    moves: List[List[List[Tuple[int, int]]]],
+    num_messages: int,
+    span: int,
+) -> _Product:
+    """:func:`_product_python` level-synchronously on int64 arrays.
+
+    Each round takes the whole frontier: every component's digit is one
+    array expression, the atomic rule is a mask per component, and each
+    movable component's local edges are gathered by run expansion.  The
+    new targets are deduplicated by a sort (``np.unique`` takes a slower
+    hash path on int64) and merged into the sorted ``seen`` codes.  One
+    sort of all packed keys then gives the CSR order.  The caller keeps
+    every key below :data:`_KEY_BOUND`.
+    """
+    block = num_messages * span
+    stride = block + 1
+    atomic_flags = [np.array(flags, dtype=bool) for flags in atomic]
+    local_edges = [_local_edges(component) for component in moves]
+    seen = np.array(initial_codes, dtype=np.int64)
+    frontier = seen
+    key_parts = []  # one part per component and round, maybe empty
+    while frontier.size:
+        digits = [frontier // place % size for place, size in radix]
+        held = [flags[at] for flags, at in zip(atomic_flags, digits)]
+        # how many components sit in an atomic state: with none, every
+        # component may move; with one, only that one
+        holders = np.sum(held, axis=0)
+        free = holders == 0
+        reached = []
+        for (first, delta, offset), at, holds in zip(
+            local_edges, digits, held
+        ):
+            movable = free | (holds & (holders == 1))
+            local = at[movable]
+            lo = first[local]
+            counts = first[local + 1] - lo
+            edge = expand_runs(lo, counts, int(counts.sum()))
+            source = np.repeat(frontier[movable], counts)
+            reached.append(source + delta[edge])
+            key_parts.append(source * stride + offset[edge])
+        reached = _sorted_unique(np.concatenate(reached))
+        # drop the codes already seen (``seen`` is never empty)
+        slot = np.searchsorted(seen, reached)
+        new = seen[np.minimum(slot, seen.size - 1)] != reached
+        frontier = reached[new]
+        seen = np.insert(seen, slot[new], frontier)
+    keys = np.concatenate(key_parts)
+    del key_parts
+    keys.sort()
+
+    # a state's edges start at the first key of its code's block
+    offsets = np.append(np.searchsorted(keys, seen * block), keys.size)
+    np.remainder(keys, block, out=keys)  # now message * span + target
+    message, target = np.divmod(keys, span)
+    del keys
+    used = np.flatnonzero(np.bincount(message, minlength=num_messages))
+    if used.size != num_messages:
+        renumber = np.zeros(num_messages, dtype=np.int64)
+        renumber[used] = np.arange(used.size)
+        message = renumber[message]
+    return (
+        tuple(seen.tolist()),
+        _buffer(offsets),
+        _buffer(message),
+        _buffer(np.searchsorted(seen, target)),
+        used.tolist(),
+    )
+
+
+def _local_edges(component_moves):
+    """One component's local edges as int64 arrays: the CSR row starts
+    over its local ranks, then each edge's code delta and packed-key
+    offset."""
+    first = np.zeros(len(component_moves) + 1, dtype=np.int64)
+    np.cumsum([len(edges) for edges in component_moves], out=first[1:])
+    flat = [move for edges in component_moves for move in edges]
+    return (
+        first,
+        np.array([delta for delta, _ in flat], dtype=np.int64),
+        np.array([offset for _, offset in flat], dtype=np.int64),
+    )
+
+
+def _sorted_unique(values):
+    """The distinct *values*, ascending: a sort plus a neighbour mask."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _buffer(values) -> array:
+    """An ``array('q')`` holding a copy of the int64 array *values*."""
+    buf = array("q")
+    buf.frombytes(np.ascontiguousarray(values, dtype=np.int64).view(np.uint8))
+    return buf
+
+
+def _code_id(codes: Sequence[int], code: int) -> Optional[int]:
+    """Position of *code* in the ascending *codes*, or ``None``."""
+    position = bisect_left(codes, code)
+    if position < len(codes) and codes[position] == code:
+        return position
+    return None
 
 
 def interleave_flows(

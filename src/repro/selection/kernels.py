@@ -45,7 +45,8 @@ the closure's column sums, which bound every entry, rules overflow
 out; otherwise the pure-Python route compiles the same schedule with
 exact big-int weights.  The tests check both backends against
 brute-force path enumeration, and the two compile routes against
-each other.
+each other.  :func:`repro.core.arrays.have_numpy` is the backend
+switch; the product build follows it too.
 
 Compiled tables are immutable after construction and shared across
 sessions and shard lanes through a content-addressed
@@ -66,28 +67,19 @@ from collections import Counter, OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import perf
+from repro.core.arrays import (
+    expand_runs,
+    have_numpy,
+    height_levels,
+    level_edges,
+    np as _np,
+    reduce_by_id,
+)
 from repro.core.interleave import InterleavedFlow
 from repro.core.message import Message
 from repro.errors import SelectionError
 
-try:  # numpy is optional: the pure-Python kernels are the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via _force_python
-    _np = None
-
 _INT64_MAX = 2**63 - 1
-
-#: Test hook: set to ``True`` to force the pure-Python kernels even
-#: when numpy is importable (the CI fallback leg simply has no numpy).
-#: Flip it *before* compiling tables -- a table is pinned to the
-#: backend it was compiled under.
-_force_python = False
-
-
-def have_numpy() -> bool:
-    """Whether the numpy kernel backend is available (and not forced
-    off by the test hook)."""
-    return _np is not None and not _force_python
 
 
 # ----------------------------------------------------------------------
@@ -198,27 +190,6 @@ class _StepResult:
         self.matched = matched
         self.closed = closed
         self.size = size
-
-
-def _expand_runs(lo, counts, total: int):
-    """Indices selecting, for every row ``i``, the half-open run
-    ``[lo[i], lo[i] + counts[i])`` -- the vectorized equivalent of a
-    per-row inner loop (repeat/cumsum index expansion)."""
-    cum = _np.cumsum(counts)
-    return (
-        _np.arange(total, dtype=_np.int64)
-        - _np.repeat(cum - counts, counts)
-        + _np.repeat(lo, counts)
-    )
-
-
-def _reduce_by_id(ids, weights):
-    """Sum *weights* grouped by *ids*: sorted unique ids plus int64
-    sums (exact -- ``np.add.at`` accumulates in int64, never float)."""
-    uniq, inverse = _np.unique(ids, return_inverse=True)
-    sums = _np.zeros(uniq.size, dtype=_np.int64)
-    _np.add.at(sums, inverse, weights)
-    return uniq, sums
 
 
 #: Gather sizes from which the bincount-based reduction beats
@@ -349,7 +320,8 @@ def _height_levels_python(order: Sequence[int], inv_off, inv_tgt):
     """State IDs grouped by their longest invisible path to a state
     without invisible successors, ascending within each level: a
     state's invisible successors all sit on lower levels.  *order* is
-    a topological order of the product."""
+    a topological order of the product.  The pure-Python twin of
+    :func:`repro.core.arrays.height_levels` over the invisible edges."""
     height = [0] * (len(inv_off) - 1)
     for sid in reversed(order):
         level = 0
@@ -364,41 +336,6 @@ def _height_levels_python(order: Sequence[int], inv_off, inv_tgt):
     return levels
 
 
-def _height_levels_numpy(inv_off, inv_tgt):
-    """:func:`_height_levels_python` on whole arrays: peel the states
-    whose invisible successors are all levelled, one level per round
-    (Kahn's algorithm over the reversed invisible edges)."""
-    n = inv_off.size - 1
-    degree = _np.diff(inv_off)
-    preds = _np.repeat(_np.arange(n, dtype=_np.int64), degree)[
-        _np.argsort(inv_tgt)
-    ]
-    pred_off = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(_np.bincount(inv_tgt, minlength=n), out=pred_off[1:])
-    waiting = degree.copy()  # successors not levelled yet
-    level = _np.flatnonzero(degree == 0)
-    levels = []
-    while level.size:
-        levels.append(level)
-        lo = pred_off[level]
-        counts = pred_off[level + 1] - lo
-        # one hit per successor levelled this round
-        touched, hits = _reduce_by_id(
-            preds[_expand_runs(lo, counts, int(counts.sum()))], 1
-        )
-        waiting[touched] -= hits
-        level = touched[waiting[touched] == 0]
-    return levels
-
-
-def _level_edges(sources, inv_off, inv_tgt):
-    """The invisible out-degree of every state in *sources* and their
-    successors, in edge order."""
-    first = inv_off[sources]
-    degree = inv_off[sources + 1] - first
-    return degree, inv_tgt[_expand_runs(first, degree, int(degree.sum()))]
-
-
 def _column_sums(levels, inv_off, inv_tgt, dtype):
     """The closure matrix's column sums without the matrix: the number
     of invisible paths (of length >= 1) that end at each state, pushed
@@ -406,7 +343,7 @@ def _column_sums(levels, inv_off, inv_tgt, dtype):
     predecessor of a state sits on a higher level."""
     into = _np.zeros(inv_off.size - 1, dtype=dtype)
     for sources in reversed(levels[1:]):
-        degree, succ = _level_edges(sources, inv_off, inv_tgt)
+        degree, succ = level_edges(sources, inv_off, inv_tgt)
         _np.add.at(into, succ, _np.repeat(into[sources] + 1, degree))
     return into
 
@@ -473,7 +410,7 @@ def _closure_numpy(levels, inv_off, inv_tgt):
     lo_of = _np.frombuffer(row_lo, dtype=_np.int64)
     hi_of = _np.frombuffer(row_hi, dtype=_np.int64)
     for sources in levels[1:]:
-        degree, succ = _level_edges(sources, inv_off, inv_tgt)
+        degree, succ = level_edges(sources, inv_off, inv_tgt)
         edge_end = _np.cumsum(degree)
         # entries gathered through each source: every successor plus
         # its finished row
@@ -513,7 +450,7 @@ def _append_rows(sources, degree, succ, lo_of, hi_of, ctgt, cweight):
     owner = _np.repeat(sources * n, degree)
     lo = lo_of[succ]
     counts = hi_of[succ] - lo
-    sel = _expand_runs(lo, counts, int(counts.sum()))
+    sel = expand_runs(lo, counts, int(counts.sum()))
     # the buffers cannot grow while these views of them exist
     finished_tgt = _np.frombuffer(ctgt, dtype=_np.int64)
     finished_weight = _np.frombuffer(cweight, dtype=_np.int64)
@@ -551,9 +488,10 @@ class CompiledTables:
     transitive path-count matrix, computed once here instead of being
     re-walked per observed symbol.
 
-    The closure is compiled on the height-level schedule
-    (:func:`_height_levels_numpy`): a state's row is its invisible
-    successors plus their rows, all on lower levels.  Every entry and
+    The closure is compiled on the height-level schedule of the
+    invisible edges (:func:`repro.core.arrays.height_levels`): a
+    state's row is its invisible successors plus their rows, all on
+    lower levels.  Every entry and
     partial sum is bounded by its column's sum, the number of
     invisible paths ending there, so the numpy route
     (:func:`_closure_numpy`) runs in int64 only when a float64 count
@@ -580,7 +518,7 @@ class CompiledTables:
             self.op_by_mid, self.op_by_plain, inv_off, inv_tgt = (
                 _split_edges_numpy(interleaved, visible_mid)
             )
-            levels = _height_levels_numpy(inv_off, inv_tgt)
+            levels = height_levels(inv_off, inv_tgt)
             # int64 is exact while the closure's column sums (which
             # bound every entry and partial sum) fit; their float64
             # count must leave a factor-two margin, else the exact
@@ -720,7 +658,7 @@ class CompiledTables:
         """Sum *weights* grouped by *ids*, exactly, picking the faster
         strategy for the gather size.
 
-        Small gathers use :func:`_reduce_by_id`; wide ones (the
+        Small gathers use :func:`reduce_by_id`; wide ones (the
         closure expansion of a wide frontier) use two ``bincount``
         passes over 31-bit weight halves carried as float64 -- exact
         because each half's partial sums stay below 2^53 for up to
@@ -744,7 +682,7 @@ class CompiledTables:
                 _np.int64
             )
             return nz, sums
-        return _reduce_by_id(ids, weights)
+        return reduce_by_id(ids, weights)
 
     def _advance_numpy(self, ids, vals, op: _Operator) -> _StepResult:
         src, tgt = op.views
@@ -757,7 +695,7 @@ class CompiledTables:
             if perf.enabled():
                 perf.add("localize_kernel_edges", int(ids.size))
             return _StepResult((empty, empty), (empty, empty), 0)
-        sel = _expand_runs(lo, counts, total)
+        sel = expand_runs(lo, counts, total)
         m_ids, m_vals = self._reduce(tgt[sel], _np.repeat(vals, counts))
         # closure expansion over the matched states' precomputed rows
         row_lo, row_hi, ctgt, cweight = self._closure_views
@@ -765,7 +703,7 @@ class CompiledTables:
         ccounts = row_hi[m_ids] - clo
         ctotal = int(ccounts.sum())
         if ctotal:
-            csel = _expand_runs(clo, ccounts, ctotal)
+            csel = expand_runs(clo, ccounts, ctotal)
             c_ids, c_vals = self._reduce(
                 _np.concatenate((m_ids, ctgt[csel])),
                 _np.concatenate(

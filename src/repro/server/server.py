@@ -49,6 +49,7 @@ import signal
 import threading
 import time
 import zlib
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -270,6 +271,10 @@ class DebugServer:
         self._stopped = False
         self._started_at = 0.0
         self._session_counter = 0
+        #: The id generated for each id-less OPEN's token, oldest first
+        #: and at most ``max_sessions`` of them: a retry of that OPEN
+        #: goes to the same id (event loop only).
+        self._generated: "OrderedDict[str, str]" = OrderedDict()
         #: OPENs admitted but not yet answered (event loop only): they
         #: count against ``max_sessions`` until their shard replies.
         self._pending_opens = 0
@@ -740,9 +745,12 @@ class DebugServer:
         body = protocol.decode_json(frame.payload)
         deadline_ms = self._body_deadline(body)
         sid = body.get("session_id")
-        if frame.frame_type == protocol.OPEN_SESSION and sid is None:
-            self._session_counter += 1
-            sid = f"g{self._session_counter:06d}"
+        token = body.get("token")
+        if frame.frame_type == protocol.OPEN_SESSION:
+            if token is not None and not isinstance(token, str):
+                raise ProtocolError("token must be a string")
+            if sid is None:
+                sid = self._generated_id(token)
         if not isinstance(sid, str) or not sid:
             raise ProtocolError("session_id must be a non-empty string")
         index = self.ring.shard_for(sid)
@@ -758,9 +766,6 @@ class DebugServer:
                 f"unknown transport {transport!r}; choose "
                 f"{' or '.join(TRANSPORTS)}"
             )
-        token = body.get("token")
-        if token is not None and not isinstance(token, str):
-            raise ProtocolError("token must be a string")
         open_sessions = sum(len(s.manager) for s in self._shards)
         # a retried OPEN whose first attempt made the session adds
         # none, so the cap must not refuse it
@@ -772,6 +777,24 @@ class DebugServer:
             lambda: shard.open(sid, mode, str(transport), token),
             deadline_ms,
         )
+
+    def _generated_id(self, token: Optional[str]) -> str:
+        """The id for an OPEN that names none: the id generated for its
+        token before when it is a retry, else a fresh ``g%06d`` id."""
+        sid = self._generated.get(token) if token is not None else None
+        if sid is None:
+            self._session_counter += 1
+            sid = f"g{self._session_counter:06d}"
+            if token is not None:
+                self._remember(token, sid)
+        return sid
+
+    def _remember(self, token: str, sid: str) -> None:
+        """Record the id generated for *token*, forgetting the oldest
+        beyond ``max_sessions``."""
+        self._generated[token] = sid
+        while len(self._generated) > self.config.max_sessions:
+            self._generated.popitem(last=False)
 
     @staticmethod
     def _body_deadline(body: Dict[str, object]) -> Optional[int]:
@@ -850,6 +873,9 @@ class DebugServer:
         self._session_counter = max(
             [self._session_counter] + [r.session_counter for r in recovered]
         )
+        # a retry of an OPEN acked before the restart finds its id again
+        for token, sid in (pair for r in recovered for pair in r.generated):
+            self._remember(token, sid)
         self._recovery = {
             "sessions": sum(r.sessions for r in recovered),
             "replayed_records": sum(r.replayed_records for r in recovered),

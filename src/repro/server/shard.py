@@ -69,13 +69,16 @@ def _generated_number(sid: str) -> int:
 class ShardRecovery:
     """What :meth:`Shard.recover` brought back: live plus revivable
     spilled sessions, the WAL records replayed, the store's
-    diagnostics, and the highest generated-id counter the store has
-    seen (so a restarted server never issues a durable id again)."""
+    diagnostics, the highest generated-id counter the store has seen
+    (so a restarted server never issues a durable id again), and the
+    ``(token, id)`` pair of every recovered session with a generated
+    id and an open token (so a retry of its OPEN finds it again)."""
 
     sessions: int
     replayed_records: int
     diagnostics: Tuple[str, ...]
     session_counter: int
+    generated: Tuple[Tuple[str, str], ...]
 
 
 class Shard:
@@ -483,6 +486,9 @@ class Shard:
             opened = self._replay(record)
             if opened is not None:
                 ids.append(opened)
+        tokens = self.store.spilled_tokens()
+        for sid in self.manager.session_ids():
+            tokens[sid] = self.manager.session(sid).token
         sessions = len(self.manager)
         self.store.recovered_sessions = sessions
         self.store.recovered_records = recovered.replay_records
@@ -494,6 +500,11 @@ class Shard:
             session_counter=max(
                 [int(snap.get("session_counter", 0))]
                 + [_generated_number(sid) for sid in ids]
+            ),
+            generated=tuple(
+                (token, sid)
+                for sid, token in sorted(tokens.items())
+                if token is not None and _generated_number(sid)
             ),
         )
 

@@ -253,6 +253,13 @@ class SessionStore:
     def spilled_ids(self) -> Tuple[str, ...]:
         return tuple(sorted(self._spilled))
 
+    def spilled_tokens(self) -> Dict[str, Optional[str]]:
+        """The open token of every spilled session (``None`` for a
+        session opened without one)."""
+        return {
+            sid: state.get("token") for sid, state in self._spilled.items()
+        }
+
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         writer = self._writer.stats() if self._writer is not None else {}

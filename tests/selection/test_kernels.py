@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro import perf
+from repro.core import arrays
 from repro.core.execution import project_trace
 from repro.core.flow import Flow, Transition
 from repro.core.interleave import interleave_flows
@@ -36,11 +37,11 @@ from tests.strategies import scenarios
 #: tables whose overflow guard promotes any weight above 1 to the
 #: pure-Python kernels, and the pure-Python backend.
 VARIANTS = (
-    ("numpy", "promoted", "python") if kernels.have_numpy() else ("python",)
+    ("numpy", "promoted", "python") if arrays.have_numpy() else ("python",)
 )
 
 #: The two kernel backends a table can be compiled for.
-BACKENDS = ("numpy", "python") if kernels.have_numpy() else ("python",)
+BACKENDS = ("numpy", "python") if arrays.have_numpy() else ("python",)
 
 
 @pytest.fixture
@@ -96,15 +97,15 @@ def make_localizer(interleaved, traced, variant="numpy"):
     """A localizer over a private registry whose tables are compiled
     for one kernel *variant* (a table stays pinned to the backend it
     was compiled under)."""
-    saved = kernels._force_python
-    kernels._force_python = variant == "python"
+    saved = arrays._force_python
+    arrays._force_python = variant == "python"
     try:
         localizer = PathLocalizer(
             interleaved, traced, registry=TableRegistry()
         )
         tables = localizer._compiled_tables()
     finally:
-        kernels._force_python = saved
+        arrays._force_python = saved
     if variant == "promoted":
         tables.int64_limit = 1
     return localizer
@@ -328,9 +329,9 @@ class TestBackendsAndPromotion:
     def test_pure_python_kernels_match(
         self, monkeypatch, cc_interleaved, traced
     ):
-        monkeypatch.setattr(kernels, "_force_python", True)
+        monkeypatch.setattr(arrays, "_force_python", True)
         localizer = make_localizer(cc_interleaved, traced, "python")
-        assert not kernels.have_numpy()
+        assert not arrays.have_numpy()
         assert not localizer._compiled_tables()._numpy
         observed = random_projection(
             cc_interleaved, localizer, random.Random(3)
@@ -340,7 +341,7 @@ class TestBackendsAndPromotion:
         )
 
     @pytest.mark.skipif(
-        not kernels.have_numpy(), reason="needs the numpy backend"
+        not arrays.have_numpy(), reason="needs the numpy backend"
     )
     def test_overflow_guard_promotes_and_stays_exact(self, diamond_pair):
         interleaved, traced = diamond_pair
@@ -361,7 +362,7 @@ class TestBackendsAndPromotion:
         )
 
     @pytest.mark.skipif(
-        not kernels.have_numpy(), reason="needs the numpy backend"
+        not arrays.have_numpy(), reason="needs the numpy backend"
     )
     def test_backends_agree_on_sc2x2_sessions(self):
         from repro.server import ServeContext
@@ -392,7 +393,7 @@ class TestBackendsAndPromotion:
         assert boundaries >= 4
 
     @pytest.mark.skipif(
-        not kernels.have_numpy(), reason="needs the numpy backend"
+        not arrays.have_numpy(), reason="needs the numpy backend"
     )
     @settings(max_examples=100, deadline=None)
     @given(scenarios(), st.randoms(use_true_random=False))
@@ -580,7 +581,7 @@ class TestTableRegistry:
 
 class TestStepMemo:
     @pytest.mark.skipif(
-        not kernels.have_numpy(), reason="needs the numpy backend"
+        not arrays.have_numpy(), reason="needs the numpy backend"
     )
     def test_identical_steps_hit_the_memo(self, cc_interleaved, traced):
         localizer = make_localizer(cc_interleaved, traced)
@@ -596,7 +597,7 @@ class TestStepMemo:
         assert_frontier_equal(first.frontier, second.frontier)
 
     @pytest.mark.skipif(
-        not kernels.have_numpy(), reason="needs the numpy backend"
+        not arrays.have_numpy(), reason="needs the numpy backend"
     )
     def test_memo_shared_across_sessions(self, cc_interleaved, traced):
         # two localizers over one registry share hot steps, not just
@@ -677,7 +678,7 @@ class TestTableResidency:
     @pytest.mark.parametrize("variant", BACKENDS)
     def test_tables_are_resident_once(self, monkeypatch, sc2x2, variant):
         interleaved, visible = sc2x2
-        monkeypatch.setattr(kernels, "_force_python", variant == "python")
+        monkeypatch.setattr(arrays, "_force_python", variant == "python")
         registry = TableRegistry()
         gc.collect()
         tracemalloc.start()
@@ -698,7 +699,7 @@ class TestTableResidency:
     @pytest.mark.parametrize("variant", BACKENDS)
     def test_compile_peak_is_bounded(self, monkeypatch, sc2x2, variant):
         interleaved, visible = sc2x2
-        monkeypatch.setattr(kernels, "_force_python", variant == "python")
+        monkeypatch.setattr(arrays, "_force_python", variant == "python")
         gc.collect()
         tracemalloc.start()
         try:

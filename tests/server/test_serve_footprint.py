@@ -19,6 +19,7 @@ from array import array
 
 import pytest
 
+from repro.core import arrays
 from repro.core.interleave import InterleavedTransition
 from repro.runtime.cache import ArtifactCache, set_default_cache
 from repro.selection import kernels
@@ -49,7 +50,7 @@ SERVED_TABLES = {
         "f7011cd848ed4a8d90825d9ac3ef02b2c6c88d50a830a038fe4cf9ced8940b1d",
 }
 
-BACKENDS = ("numpy", "python") if kernels.have_numpy() else ("python",)
+BACKENDS = ("numpy", "python") if arrays.have_numpy() else ("python",)
 
 
 @pytest.mark.parametrize("number, instances, mode, digest", SERVED)
@@ -95,7 +96,7 @@ def test_served_tables_are_pinned(
     context = ServeContext.from_scenario(
         number, instances=instances, mode=mode
     )
-    monkeypatch.setattr(kernels, "_force_python", backend == "python")
+    monkeypatch.setattr(arrays, "_force_python", backend == "python")
     localizer = PathLocalizer(
         context.interleaved, context.traced, registry=TableRegistry()
     )

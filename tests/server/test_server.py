@@ -411,6 +411,69 @@ def test_retried_open_at_the_global_cap_is_answered(context):
         handle.thread.stop()
 
 
+def _open_unnamed(client, token="0000abcd"):
+    """One id-less OPEN carrying *token*: ``(frame type, reply)``."""
+    return client.request(
+        protocol.OPEN_SESSION, protocol.encode_json({"token": token})
+    )
+
+
+def test_retried_unnamed_open_reaches_the_same_session(context):
+    # the first OPEN's reply is lost; its retry must find the session
+    # the server generated for it, not open an orphan beside it
+    handle = start_server(context, ServerConfig(shards=2))
+    try:
+        with DebugClient(handle.host, handle.port) as client:
+            _, first = _open_unnamed(client)
+            frame_type, retry = _open_unnamed(client)
+            assert frame_type == protocol.OK
+            assert retry["session_id"] == first["session_id"]
+            assert retry["resumed"] is True
+            assert client.stats()["server"]["open_sessions"] == 1
+            # another token is another OPEN
+            _, other = _open_unnamed(client, token="feedf00d")
+            assert other["session_id"] != first["session_id"]
+    finally:
+        handle.thread.stop()
+
+
+def test_retried_unnamed_open_at_the_global_cap_is_answered(context):
+    handle = start_server(context, ServerConfig(shards=1, max_sessions=1))
+    try:
+        with DebugClient(
+            handle.host, handle.port, policy=RetryPolicy(max_attempts=1)
+        ) as client:
+            _, first = _open_unnamed(client)
+            frame_type, retry = _open_unnamed(client)
+            assert frame_type == protocol.OK
+            assert retry["session_id"] == first["session_id"]
+            assert retry["resumed"] is True
+    finally:
+        handle.thread.stop()
+
+
+def test_retried_unnamed_open_after_a_durable_restart(context, tmp_path):
+    config = ServerConfig(shards=2, data_dir=str(tmp_path), fsync="off")
+    handle = start_server(context, config)
+    try:
+        with DebugClient(handle.host, handle.port) as client:
+            _, first = _open_unnamed(client)
+    finally:
+        handle.thread.stop()
+    handle = start_server(context, config)
+    try:
+        with DebugClient(handle.host, handle.port) as client:
+            frame_type, retry = _open_unnamed(client)
+            assert frame_type == protocol.OK
+            assert retry["session_id"] == first["session_id"]
+            assert retry["resumed"] is True
+            # a new OPEN still draws an id no durable session holds
+            _, fresh = _open_unnamed(client, token="feedf00d")
+            assert fresh["session_id"] != first["session_id"]
+    finally:
+        handle.thread.stop()
+
+
 def test_abort_cancels_every_pending_reply(context, monkeypatch):
     # one OPEN blocks on the shard thread, two queue behind it: an
     # abort must resolve all three replies, leaving no task pending

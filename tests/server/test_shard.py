@@ -164,3 +164,34 @@ def test_memory_only_core_retires_sessions_on_shutdown(context):
     ok(shard.open("s"))
     shard.shutdown()
     assert shard.manager.session_ids() == ()
+
+
+def test_recovery_reports_the_tokens_of_generated_ids(context, tmp_path):
+    """Live and spilled sessions with a generated id and an open token
+    come back as ``(token, id)`` pairs: the server sends a retry of
+    their OPEN to the same id again."""
+    config = ServerConfig(data_dir=str(tmp_path), fsync="off")
+    first = Shard(0, context, config)
+    first.recover()
+    try:
+        ok(first.open("g000003", token="0000abcd"))
+        ok(first.open("g000004", token="0000beef"))
+        ok(first.open("g000005"))  # no token: nothing to find again
+        ok(first.open("named", token="feedf00d"))  # the client's own id
+        # g000004 idles out and is spilled to the store
+        first.manager.session("g000004").last_active -= (
+            2 * config.idle_timeout_s
+        )
+        assert first.manager.evict_idle() == ("g000004",)
+        first.checkpoint()
+    finally:
+        first.store.close()
+    second = Shard(0, context, config)
+    try:
+        report = second.recover()
+    finally:
+        second.store.close()
+    assert report.generated == (
+        ("0000abcd", "g000003"), ("0000beef", "g000004"),
+    )
+    assert report.session_counter == 5

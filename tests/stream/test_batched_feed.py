@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import arrays
 from repro.core.interleave import interleave_flows
 from repro.errors import FrontierOverflowError, SelectionError
 from repro.selection import kernels
@@ -23,7 +24,7 @@ from repro.stream.session import OVERFLOW, SessionLimits, SessionManager
 
 def backends():
     names = ["python"]
-    if kernels.have_numpy():
+    if arrays.have_numpy():
         names.append("dense")
     return names
 
@@ -31,7 +32,7 @@ def backends():
 @pytest.fixture(params=backends())
 def shared(request, monkeypatch, cc_flow, traced):
     # a table set is pinned to the backend it was compiled under
-    monkeypatch.setattr(kernels, "_force_python", request.param == "python")
+    monkeypatch.setattr(arrays, "_force_python", request.param == "python")
     interleaved = interleave_flows([cc_flow], copies=2)
     return PathLocalizer(
         interleaved, traced, registry=kernels.TableRegistry()
