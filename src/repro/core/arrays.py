@@ -6,7 +6,8 @@ a whole-array route and an exact pure-Python route that produce the
 same tables.  :func:`have_numpy` is the one switch both consult, and
 ``_force_python`` is its test hook.  The helpers below are the array
 steps both share: run expansion, reduce-by-id, and the height levels
-of a CSR DAG with the per-level edge gather.
+of a CSR DAG with the per-level edge gather; :func:`height_levels_python`
+is the pure-Python twin of :func:`height_levels`.
 """
 
 from __future__ import annotations
@@ -78,6 +79,23 @@ def height_levels(offsets, targets):
         )
         waiting[touched] -= hits
         level = touched[waiting[touched] == 0]
+    return levels
+
+
+def height_levels_python(order, offsets, targets):
+    """:func:`height_levels` without numpy: the levels as lists, from
+    *order*, a topological order of the CSR DAG."""
+    height = [0] * (len(offsets) - 1)
+    for sid in reversed(order):
+        level = 0
+        for e in range(offsets[sid], offsets[sid + 1]):
+            above = height[targets[e]] + 1
+            if above > level:
+                level = above
+        height[sid] = level
+    levels = [[] for _ in range(max(height, default=-1) + 1)]
+    for sid, level in enumerate(height):
+        levels[level].append(sid)
     return levels
 
 

@@ -49,7 +49,7 @@ from repro.core.arrays import (
     expand_runs,
     have_numpy,
     height_levels,
-    level_edges,
+    height_levels_python,
     np,
 )
 from repro.core.flow import Execution, Flow
@@ -119,8 +119,9 @@ class InterleavedFlow:
       -- the interned tables (IDs follow sort order),
     * ``initial_ids`` / ``stop_ids`` / ``csr_adjacency()`` -- the
       product automaton over IDs,
-    * ``paths_to_stop_ids()`` / ``topological_ids()`` -- the DP
-      arrays, indexed by state ID,
+    * ``paths_to_stop_ids()`` / ``accepted_ids()`` -- the path-count
+      DP (the latter through an automaton), indexed by state ID, and
+      ``height_levels()`` / ``topological_ids()`` -- its schedules,
     * ``visibility_index()`` -- per-message coverage bitsets
       (:mod:`repro.core.visibility`).
 
@@ -171,6 +172,7 @@ class InterleavedFlow:
         self._paths_to_stop: Optional[Dict[ProductState, int]] = None
         self._paths_to_stop_ids: Optional[List[int]] = None
         self._topological_ids: Optional[List[int]] = None
+        self._levels: Optional[list] = None
         self._message_occurrences: Optional[Dict[IndexedMessage, int]] = None
         self._edge_targets_by_message: Optional[
             Dict[IndexedMessage, List[int]]
@@ -458,60 +460,114 @@ class InterleavedFlow:
         """Reachable product states in topological order."""
         return [self.state_at(i) for i in self.topological_ids()]
 
+    def height_levels(self) -> list:
+        """State IDs grouped by their longest path to a state without
+        successors, over every edge (memoised): a state's successors
+        all sit on lower levels, so the longest path has
+        ``len(levels) - 1`` edges.  int64 arrays on numpy
+        (:func:`repro.core.arrays.height_levels`), lists from the
+        topological order otherwise."""
+        if self._levels is None:
+            if have_numpy():
+                offsets, targets = (
+                    np.frombuffer(buf, dtype=np.int64)
+                    for buf in (self._offsets, self._targets)
+                )
+                levels = height_levels(offsets, targets)
+                if sum(level.size for level in levels) != self.num_states:
+                    raise InterleavingError("interleaved flow is not a DAG")
+            else:
+                levels = height_levels_python(
+                    self.topological_ids(), self._offsets, self._targets
+                )
+            self._levels = levels
+        return self._levels
+
     def paths_to_stop_ids(self) -> List[int]:
         """Paths-to-stop counts as an array indexed by state ID
-        (memoised).
+        (memoised): :meth:`accepted_ids` for the one-state automaton.
 
-        With numpy the counts run level by level over the height
-        schedule of every edge (:func:`_paths_to_stop_numpy`); the
-        exact reverse-topological big-int DP covers the no-numpy
-        backend and counts that may not fit int64.
+        With numpy a float64 pass bounds the counts first; the int64
+        pass runs only below :data:`_COUNT_BOUND`, and larger counts
+        take the exact big-int route.
         """
         if self._paths_to_stop_ids is None:
             with perf.timed("paths_to_stop"):
-                counts = self._paths_to_stop_numpy() if have_numpy() else None
-                if counts is None:
-                    counts = self._paths_to_stop_python()
-            self._paths_to_stop_ids = counts
+                step = [(0,)] * len(self._message_table)
+                fits = have_numpy() and (
+                    self._level_counts(step, 1, np.float64).max(initial=0.0)
+                    < _COUNT_BOUND
+                )
+                self._paths_to_stop_ids = self._accepted(step, 1, fits)
         return self._paths_to_stop_ids
 
-    def _paths_to_stop_python(self) -> List[int]:
-        """The path counts in exact big-int arithmetic, in reverse
-        topological order."""
-        offsets, _, targets = self.csr_adjacency()
-        counts = [0] * self.num_states
-        stop_ids = self._stop_ids
-        for state_id in reversed(self.topological_ids()):
-            total = 1 if state_id in stop_ids else 0
-            for e in range(offsets[state_id], offsets[state_id + 1]):
-                total += counts[targets[e]]
-            counts[state_id] = total
-        return counts
+    def accepted_ids(
+        self, step: Sequence[Sequence[int]], states: int
+    ) -> List[int]:
+        """Per state ID, the paths to a stop state that drive a
+        deterministic automaton from its state 0 into its last state.
 
-    def _paths_to_stop_numpy(self) -> Optional[List[int]]:
-        """The path counts on whole arrays, or ``None`` when one may
-        not fit int64.
-
-        States are grouped by their longest path to a sink
-        (:func:`repro.core.arrays.height_levels` over every edge), so a
-        level's successors are all counted: each level is one gather
-        plus one ``np.add.reduceat`` over its states' edge runs.  A
-        float64 pass bounds the counts; the int64 pass runs only below
-        :data:`_COUNT_BOUND`.
+        The automaton has *states* states; ``step[m][k]`` is the state
+        message ID ``m`` moves state ``k`` to, and the last state
+        absorbs.  The table holds one column per automaton state; on
+        numpy it fills level by level over :meth:`height_levels`.
+        Every entry counts some of its state's paths to stop, so int64
+        is exact while the largest path count stays below
+        :data:`_COUNT_BOUND`; otherwise the exact big-int route runs.
         """
-        offsets, targets = (
+        fits = max(self.paths_to_stop_ids(), default=0) < _COUNT_BOUND
+        return self._accepted(step, states, fits)
+
+    def _accepted(self, step, states: int, fits: bool) -> List[int]:
+        """Column 0 of the count table: on whole int64 arrays when
+        *fits* and numpy allow, else in exact big-int columns, one per
+        automaton state, filled in reverse topological order.  A
+        state's entry in column ``k`` is its stop flag (last column
+        only) plus, for each edge, the target's entry in column
+        ``step[message][k]``."""
+        if fits and have_numpy():
+            return self._level_counts(step, states, np.int64)[:, 0].tolist()
+        offsets, messages, targets = self.csr_adjacency()
+        columns = [[0] * self.num_states for _ in range(states)]
+        for sid in self._stop_ids:
+            columns[-1][sid] = 1
+        # per message ID: each automaton state's column beside the
+        # column its step reads
+        reads = [
+            tuple(zip(columns, [columns[j] for j in row])) for row in step
+        ]
+        for sid in reversed(self.topological_ids()):
+            for e in range(offsets[sid], offsets[sid + 1]):
+                target = targets[e]
+                for column, read in reads[messages[e]]:
+                    column[sid] += read[target]
+        return columns[0]
+
+    def _level_counts(self, step, states: int, dtype):
+        """The count table in *dtype* on whole arrays: a sink holds its
+        stop flag in the last column, and each higher level gathers
+        ``counts[target, step[message]]`` per edge (as flat cell
+        indices) and sums its states' edge runs with one
+        ``np.add.reduceat`` (every state above level 0 has an edge, so
+        no run is empty)."""
+        offsets, messages, targets = (
             np.frombuffer(buf, dtype=np.int64)
-            for buf in (self._offsets, self._targets)
+            for buf in self.csr_adjacency()
         )
-        levels = height_levels(offsets, targets)
-        if sum(level.size for level in levels) != self.num_states:
-            raise InterleavingError("interleaved flow is not a DAG")
-        stop = np.zeros(self.num_states, dtype=bool)
-        stop[list(self._stop_ids)] = True
-        bound = _level_counts(levels, offsets, targets, stop, np.float64)
-        if bound.max(initial=0.0) >= _COUNT_BOUND:
-            return None
-        return _level_counts(levels, offsets, targets, stop, np.int64).tolist()
+        moves = np.array(step, dtype=np.int64).reshape(len(step), states)
+        degree = np.diff(offsets)
+        counts = np.zeros((self.num_states, states), dtype=dtype)
+        counts[list(self._stop_ids), -1] = 1
+        cells = counts.reshape(-1)
+        for sources in self.height_levels()[1:]:
+            runs = degree[sources]
+            edges = expand_runs(offsets[sources], runs, int(runs.sum()))
+            index = moves[messages[edges]]
+            index += targets[edges, None] * states
+            counts[sources] += np.add.reduceat(
+                cells.take(index), np.cumsum(runs) - runs
+            )
+        return counts
 
     def paths_to_stop(self) -> Dict[ProductState, int]:
         """Number of paths from each state to any stop state (memoised)."""
@@ -604,20 +660,6 @@ class InterleavedFlow:
             f"InterleavedFlow({self.name!r}, |S|={self.num_states}, "
             f"|delta|={self.num_transitions})"
         )
-
-
-def _level_counts(levels, offsets, targets, stop, dtype):
-    """Paths-to-stop counts in *dtype* over the height *levels*: a
-    sink counts its stop flag, and every higher state adds its
-    successors' counts (each has at least one successor, so the
-    ``reduceat`` runs are never empty)."""
-    counts = stop.astype(dtype)
-    for sources in levels[1:]:
-        degree, succ = level_edges(sources, offsets, targets)
-        counts[sources] += np.add.reduceat(
-            counts[succ], np.cumsum(degree) - degree
-        )
-    return counts
 
 
 def _places(sizes: Sequence[int]) -> List[int]:

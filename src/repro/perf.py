@@ -56,10 +56,13 @@ Localization counter registry (reported by
   ``localize_table_compiles`` / ``localize_table_bytes`` -- the
   cross-shard :class:`~repro.selection.kernels.TableRegistry`;
 * ``localize_window_memo_hits`` -- window-mode counts reused for an
-  identical window (the count, not the composed-DP table, is cached);
-* ``localize_dp_steps`` -- window mode's composed-DP table entries
-  (the prefix/exact kernels count ``localize_kernel_edges`` instead);
-* timed stage ``localize_compile`` -- table compilation wall time.
+  identical window (the count, not the count table, is cached);
+* ``localize_dp_steps`` -- cells of window mode's count table, product
+  states times automaton states (the prefix/exact kernels count
+  ``localize_kernel_edges`` instead);
+* timed stage ``localize_compile`` -- table compilation wall time;
+* timed stage ``window_count`` -- one window's count-table DP (memo
+  hits are not timed).
 """
 
 from __future__ import annotations

@@ -71,6 +71,7 @@ from repro.core.arrays import (
     expand_runs,
     have_numpy,
     height_levels,
+    height_levels_python,
     level_edges,
     np as _np,
     reduce_by_id,
@@ -316,26 +317,6 @@ def _sealed_operator(src, tgt) -> _Operator:
     return op
 
 
-def _height_levels_python(order: Sequence[int], inv_off, inv_tgt):
-    """State IDs grouped by their longest invisible path to a state
-    without invisible successors, ascending within each level: a
-    state's invisible successors all sit on lower levels.  *order* is
-    a topological order of the product.  The pure-Python twin of
-    :func:`repro.core.arrays.height_levels` over the invisible edges."""
-    height = [0] * (len(inv_off) - 1)
-    for sid in reversed(order):
-        level = 0
-        for e in range(inv_off[sid], inv_off[sid + 1]):
-            above = height[inv_tgt[e]] + 1
-            if above > level:
-                level = above
-        height[sid] = level
-    levels: List[List[int]] = [[] for _ in range(max(height, default=0) + 1)]
-    for sid, level in enumerate(height):
-        levels[level].append(sid)
-    return levels
-
-
 def _column_sums(levels, inv_off, inv_tgt, dtype):
     """The closure matrix's column sums without the matrix: the number
     of invisible paths (of length >= 1) that end at each state, pushed
@@ -536,7 +517,7 @@ class CompiledTables:
             self.op_by_mid, self.op_by_plain, inv_off, inv_tgt = (
                 _split_edges_python(interleaved, visible_mid)
             )
-            levels = _height_levels_python(
+            levels = height_levels_python(
                 interleaved.topological_ids(), inv_off, inv_tgt
             )
             closure = _closure_python(levels, inv_off, inv_tgt)

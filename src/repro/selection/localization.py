@@ -26,11 +26,12 @@ stepwise (:meth:`PathLocalizer.initial_frontier`,
 across captures arriving over time; the batch :meth:`PathLocalizer.
 localize` is a thin wrapper that replays the observation through the
 same hooks.  Window mode composes the interleaved DAG with the KMP
-failure automaton of the observed window, whose determinism makes the
-count exact (each path maps to exactly one automaton state sequence --
-no double counting when the window could match at several offsets);
-the failure table can be grown online (:func:`kmp_extend`) and handed
-back to :meth:`PathLocalizer.window_count`.
+automaton of the observed window, whose determinism makes the count
+exact (each path maps to exactly one automaton state sequence -- no
+double counting when the window could match at several offsets): it
+is the product's stop-path count
+(:meth:`~repro.core.interleave.InterleavedFlow.accepted_ids`) with one
+column per automaton state.
 
 The prefix/exact DP runs on the compiled kernels of
 :mod:`repro.selection.kernels`: the CSR adjacency becomes per-message
@@ -47,7 +48,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
-    Dict,
     Iterable,
     List,
     Mapping,
@@ -70,7 +70,7 @@ MODES = ("prefix", "exact", "window")
 
 #: Identical windows whose final counts stay cached per localizer
 #: (repeated SNAPSHOTs on idle sessions hit, a scan of many distinct
-#: windows stays bounded; the composed-DP tables are never kept).
+#: windows stays bounded; the count tables are never kept).
 _WINDOW_MEMO_SLOTS = 16
 
 
@@ -194,6 +194,8 @@ class PathLocalizer:
         expanded = expand_subgroups(traced, interleaved.messages)
         self._visible: Set[Message] = set(expanded)
         self._total = interleaved.count_paths()
+        # no window longer than this many records fits on a path
+        self._longest_path = len(interleaved.height_levels()) - 1
         self._initial_frontier: Optional[DPFrontier] = None
         self._registry = (
             registry if registry is not None else kernels.default_registry()
@@ -471,24 +473,19 @@ class PathLocalizer:
     # ------------------------------------------------------------------
     # window mode (KMP-composed DP)
     # ------------------------------------------------------------------
-    def window_count(
-        self,
-        observation: Tuple[object, ...],
-        failure: Optional[Sequence[int]] = None,
-    ) -> int:
+    def window_count(self, observation: Sequence[object]) -> int:
         """Paths whose visible projection contains *observation* as a
         contiguous run, via the KMP automaton (deterministic, so every
         path is counted exactly once even when the window could match
         at several offsets).
 
-        *failure* may supply a precomputed KMP failure table for the
-        observation (e.g. one grown online with :func:`kmp_extend`);
-        omitted, it is built here.
-
-        The final count is memoized across calls with an identical
-        window (bounded LRU), so repeated SNAPSHOT requests on an idle
-        session skip the composed DP.  The per-``(state,
-        automaton-state)`` table lives only for one call.
+        The count is the product's path-count DP composed with the
+        window's automaton (:func:`_kmp_steps`), one column per
+        automaton state, summed over the initial states.  A window
+        longer than the product's longest path counts 0 before any
+        table is built.  The final count is memoized across calls with
+        an identical window (bounded LRU), so repeated SNAPSHOT
+        requests on an idle session skip the DP.
         """
         for item in observation:
             if not isinstance(item, IndexedMessage):
@@ -498,6 +495,8 @@ class PathLocalizer:
                 )
         if not observation:
             return self._total
+        if len(observation) > self._longest_path:
+            return 0
         memo_key = tuple(observation)
         with self._window_memo_lock:
             cached = self._window_memo.get(memo_key)
@@ -506,43 +505,15 @@ class PathLocalizer:
         if cached is not None:
             perf.add("localize_window_memo_hits")
             return cached
-        step = _kmp_transition(observation, failure)
-        accept = len(observation)
-        offsets, msg_ids, targets = self.interleaved.csr_adjacency()
-        message_table = self.interleaved.indexed_messages
-        visible_mid = self._visible_mid
-        to_stop = self.interleaved.paths_to_stop_ids()
-        memo: Dict[Tuple[int, int], int] = {}
-
-        def count(sid: int, k: int) -> int:
-            if k == accept:
-                # absorbing: any continuation is consistent
-                return to_stop[sid]
-            key = (sid, k)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            total = 0
-            for e in range(offsets[sid], offsets[sid + 1]):
-                mid = msg_ids[e]
-                if visible_mid[mid]:
-                    total += count(targets[e], step(k, message_table[mid]))
-                else:
-                    total += count(targets[e], k)
-            memo[key] = total
-            return total
-
-        try:
-            result = sum(
-                count(sid, 0) for sid in self.interleaved.initial_ids
+        interleaved = self.interleaved
+        states = len(observation) + 1
+        with perf.timed("window_count"):
+            pattern = [interleaved.message_id(item) for item in observation]
+            counts = interleaved.accepted_ids(
+                _kmp_steps(pattern, self._visible_mid), states
             )
-        finally:
-            # ``count`` refers to itself through its closure cell; break
-            # that cycle so the memo table is freed on return instead of
-            # waiting for a cyclic garbage collection
-            del count
-        if perf.enabled():
-            perf.add("localize_dp_steps", len(memo))
+            result = sum(counts[sid] for sid in interleaved.initial_ids)
+        perf.add("localize_dp_steps", interleaved.num_states * states)
         with self._window_memo_lock:
             self._window_memo[memo_key] = result
             self._window_memo.move_to_end(memo_key)
@@ -566,58 +537,52 @@ def _attach_progress(
 # ----------------------------------------------------------------------
 # KMP machinery (window mode)
 # ----------------------------------------------------------------------
-def kmp_extend(
-    pattern: List[object], failure: List[int], symbol: object
-) -> None:
-    """Append *symbol* to *pattern*, extending *failure* in place.
-
-    This is the online step of the classic failure-function
-    construction: O(1) amortized, and the table built by repeated
-    extension is identical to :func:`kmp_failure` on the final
-    pattern -- which is what lets a streaming window observation grow
-    without rebuilding the automaton.
-    """
-    if not pattern:
-        pattern.append(symbol)
-        failure.append(0)
-        return
-    k = failure[-1]
-    while k > 0 and symbol != pattern[k]:
-        k = failure[k - 1]
-    if symbol == pattern[k]:
-        k += 1
-    pattern.append(symbol)
-    failure.append(k)
-
-
 def kmp_failure(pattern: Sequence[object]) -> List[int]:
-    """The KMP failure table of *pattern* (exact equality on items)."""
-    grown: List[object] = []
+    """The KMP failure table of *pattern* (exact equality on items):
+    entry ``i`` is the length of the longest proper border of
+    ``pattern[:i + 1]``."""
     failure: List[int] = []
-    for symbol in pattern:
-        kmp_extend(grown, failure, symbol)
+    k = 0
+    for i, symbol in enumerate(pattern):
+        if i:
+            while k > 0 and symbol != pattern[k]:
+                k = failure[k - 1]
+            if symbol == pattern[k]:
+                k += 1
+        failure.append(k)
     return failure
 
 
-def _kmp_transition(
-    pattern: Tuple[object, ...], failure: Optional[Sequence[int]] = None
-):
-    """The KMP transition function ``step(state, symbol) -> state`` for
-    *pattern* (exact equality on indexed messages)."""
+def _kmp_steps(
+    pattern: Sequence[Optional[int]], visible: Sequence[bool]
+) -> List[Tuple[int, ...]]:
+    """The window automaton's rows: ``rows[m][k]`` is the state message
+    ID ``m`` moves KMP state ``k`` (symbols matched so far) to.
+
+    *pattern* holds the window's message IDs (``None`` for a symbol no
+    edge carries) and ``visible[m]`` whether ID ``m`` is traced.  An
+    untraced message keeps the state, a traced one follows the KMP
+    automaton, and the match state ``len(pattern)`` absorbs.
+    """
     n = len(pattern)
-    if failure is None:
-        failure = kmp_failure(pattern)
-
-    def step(state: int, symbol: object) -> int:
-        if state == n:
-            return n
-        while state > 0 and symbol != pattern[state]:
-            state = failure[state - 1]
-        if symbol == pattern[state]:
-            state += 1
-        return state
-
-    return step
+    failure = kmp_failure(pattern)
+    keep = tuple(range(n + 1))
+    rows = []
+    for mid, traced in enumerate(visible):
+        if not traced:
+            rows.append(keep)
+            continue
+        row: List[int] = []
+        for k, symbol in enumerate(pattern):
+            if mid == symbol:
+                row.append(k + 1)
+            else:
+                # the state the failure link falls back to has its
+                # step already in the row
+                row.append(row[failure[k - 1]] if k else 0)
+        row.append(n)
+        rows.append(tuple(row))
+    return rows
 
 
 def localize_trace(

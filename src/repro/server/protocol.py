@@ -255,15 +255,6 @@ def encode_feed_payload(
     )
 
 
-def decode_feed_payload(payload: bytes) -> Tuple[str, int, bool, bytes]:
-    """Parse a ``FEED_CHUNK`` payload into
-    ``(session_id, chunk_index, eof, data)`` (any carried deadline is
-    validated and dropped -- the WAL replay path must not re-enforce
-    a long-expired budget)."""
-    sid, chunk_index, eof, data, _ = decode_feed_payload_ex(payload)
-    return sid, chunk_index, eof, data
-
-
 def decode_feed_payload_ex(
     payload: bytes,
 ) -> Tuple[str, int, bool, bytes, Optional[int]]:

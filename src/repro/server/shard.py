@@ -516,8 +516,10 @@ class Shard:
             entry = json.loads(record.payload.decode("utf-8"))
             return self.manager.adopt(entry, capped=False).session_id
         if record.rec_type == wal.WAL_FEED:
-            sid, chunk_index, eof, data = protocol.decode_feed_payload(
-                record.payload
+            # a carried deadline is dropped: replay must not re-enforce
+            # a long-expired budget
+            sid, chunk_index, eof, data, _ = (
+                protocol.decode_feed_payload_ex(record.payload)
             )
             session = self._session(sid, capped=False)
             if session is None or chunk_index != session.next_chunk:

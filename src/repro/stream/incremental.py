@@ -19,12 +19,11 @@ feed` calls:
   sessions affordable.  :meth:`~IncrementalLocalizer.feed` hands the
   whole chunk to :meth:`~repro.selection.localization.PathLocalizer.
   advance_many`, so a FEED chunk is one batched kernel invocation.
-* **window mode** grows the observed window's KMP failure table online
-  (O(1) amortized per record, :func:`~repro.selection.localization.
-  kmp_extend`); the composed product/automaton count is evaluated
-  lazily at :meth:`~IncrementalLocalizer.snapshot` and cached per
-  observation length, so feeding is cheap and repeated snapshots are
-  free.
+* **window mode** only appends each record to the observed window, so
+  feeding is cheap; :meth:`~IncrementalLocalizer.snapshot` counts the
+  window with :meth:`~repro.selection.localization.PathLocalizer.
+  window_count`, whose memo answers a repeated snapshot of the same
+  window without rerunning the DP.
 
 At every point ``snapshot()`` equals the batch
 :meth:`~repro.selection.localization.PathLocalizer.localize` on the
@@ -43,7 +42,6 @@ from repro.selection.localization import (
     LocalizationResult,
     MODES,
     PathLocalizer,
-    kmp_extend,
 )
 from repro.sim.engine import TraceRecord
 
@@ -119,10 +117,8 @@ class IncrementalLocalizer:
         self._frontier: Optional[DPFrontier] = None
         if mode != "window":
             self._frontier = localizer.initial_frontier()
-        # window state: the growing pattern + its online failure table
+        # window mode carries only the observed window
         self._pattern: List[object] = []
-        self._failure: List[int] = []
-        self._window_cache: Optional[LocalizationResult] = None
         self._peak_frontier = self.frontier_size
 
     # ------------------------------------------------------------------
@@ -237,14 +233,7 @@ class IncrementalLocalizer:
             assert self._frontier is not None
             count = self._localizer.exact_count(self._frontier)
         else:
-            if self._window_cache is None:
-                self._window_cache = LocalizationResult(
-                    consistent_paths=self._localizer.window_count(
-                        tuple(self._pattern), self._failure
-                    ),
-                    total_paths=self._localizer.total_paths,
-                )
-            return self._window_cache
+            count = self._localizer.window_count(tuple(self._pattern))
         return LocalizationResult(
             consistent_paths=count,
             total_paths=self._localizer.total_paths,
@@ -282,7 +271,6 @@ class IncrementalLocalizer:
             "pattern": [
                 interleaved.message_id(symbol) for symbol in self._pattern
             ],
-            "failure": list(self._failure),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -290,7 +278,8 @@ class IncrementalLocalizer:
 
         The localizer must have been constructed with the same ``mode``
         (the carried representation is mode-specific); the caller is
-        responsible for checking the scenario fingerprint first.
+        responsible for checking the scenario fingerprint first.  A
+        ``"failure"`` key, which older entries carry, is ignored.
         """
         if state.get("mode") != self.mode:
             raise SelectionError(
@@ -314,13 +303,11 @@ class IncrementalLocalizer:
         self._pattern = [
             interleaved.message_at(int(mid)) for mid in state["pattern"]
         ]
-        self._failure = [int(f) for f in state["failure"]]
-        self._window_cache = None
 
     # ------------------------------------------------------------------
     def _feed_one(self, symbol: object) -> None:
-        """Window-mode per-record step (the KMP extension is O(1)
-        amortized, so there is nothing to batch)."""
+        """Window-mode per-record step (an append, so there is nothing
+        to batch)."""
         if not isinstance(symbol, IndexedMessage):
             raise SelectionError(
                 "window-mode localization needs a fully indexed "
@@ -339,7 +326,6 @@ class IncrementalLocalizer:
                 f"window length would exceed max_frontier="
                 f"{self.max_frontier}"
             )
-        kmp_extend(self._pattern, self._failure, symbol)
-        self._window_cache = None
+        self._pattern.append(symbol)
         self._observed_length += 1
         self._peak_frontier = max(self._peak_frontier, self.frontier_size)

@@ -244,10 +244,11 @@ class SessionManager:
         doesn't pay for them.  Hosts that keep a manager per shard call
         this at startup; returns ``self``.
 
-        Window sessions read only the stop-path counts, which the
-        localizer built on construction, so a window manager compiles
-        nothing here; a prefix or exact session opened on it compiles
-        the tables on first use, once, through the table registry.
+        Window sessions read only the stop-path counts and their level
+        schedule, which the localizer built on construction, so a
+        window manager compiles nothing here; a prefix or exact session
+        opened on it compiles the tables on first use, once, through
+        the table registry.
         """
         if self.default_mode != "window":
             self._shared.warm()

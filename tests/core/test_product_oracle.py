@@ -189,6 +189,36 @@ def test_edgeless_product():
             assert product.paths_to_stop_ids() == [1]
 
 
+def test_edgeless_product_accepts_only_the_empty_run():
+    """With no message IDs the automaton never leaves state 0: the
+    one-state automaton accepts the empty path, a larger one none."""
+    lone = Flow("Lone", ["s"], ["s"], ["s"], [])
+    for name in ROUTES:
+        with route(name):
+            product = interleave(index_flows([lone, lone]))
+            assert list(map(list, product.height_levels())) == [[0]]
+            assert product.accepted_ids([], 1) == [1]
+            assert product.accepted_ids([], 3) == [0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(scenarios(), dag_scenarios()))
+def test_routes_lay_out_the_same_height_levels(product):
+    layouts = set()
+    for name in ROUTES:
+        fresh = rebuilt(product, name)
+        with route(name):
+            levels = [list(map(int, level)) for level in fresh.height_levels()]
+        layouts.add(repr(levels))
+        # every edge runs from a higher level to a lower one
+        height = {sid: h for h, level in enumerate(levels) for sid in level}
+        offsets, _, targets = fresh.csr_adjacency()
+        for sid in range(fresh.num_states):
+            for target in targets[offsets[sid]:offsets[sid + 1]]:
+                assert height[target] < height[sid]
+    assert len(layouts) == 1
+
+
 @needs_numpy
 def test_key_bound_hands_over_to_exact_route(monkeypatch):
     components = usage_scenarios(instances=2)[2].instances()

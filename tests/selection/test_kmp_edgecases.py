@@ -1,7 +1,7 @@
 """Edge cases of the KMP machinery behind window-mode localization.
 
-``kmp_extend`` grows a failure table online; ``kmp_failure`` is the
-batch construction; ``PathLocalizer._operator`` decides which edges an
+``kmp_failure`` builds the failure table the window automaton's rows
+fall back along; ``PathLocalizer._operator`` decides which edges an
 observed symbol (indexed or plain) advances along.  Their corner cases
 (empty patterns, single symbols, self-similar patterns, index
 matching) get dedicated coverage here.
@@ -15,11 +15,7 @@ import pytest
 
 from repro.core.interleave import interleave_flows
 from repro.core.message import IndexedMessage, Message, MessageCombination
-from repro.selection.localization import (
-    PathLocalizer,
-    kmp_extend,
-    kmp_failure,
-)
+from repro.selection.localization import PathLocalizer, kmp_failure
 
 
 def sym(name: str) -> Message:
@@ -45,20 +41,14 @@ class TestKmpFailure:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_online_extension_equals_batch(self, seed):
+        # a window grows one record at a time: the table of every grown
+        # prefix is that prefix of the whole pattern's table
         rng = random.Random(seed)
         alphabet = [sym("a"), sym("b"), sym("c")]
         pattern = [rng.choice(alphabet) for _ in range(rng.randrange(12))]
-        grown, failure = [], []
-        for symbol in pattern:
-            kmp_extend(grown, failure, symbol)
-            # every intermediate table equals the batch construction
-            assert failure == kmp_failure(pattern[: len(grown)])
-        assert grown == pattern
-
-    def test_extend_from_empty(self):
-        grown, failure = [], []
-        kmp_extend(grown, failure, sym("a"))
-        assert (grown, failure) == ([sym("a")], [0])
+        failure = kmp_failure(pattern)
+        for length in range(len(pattern) + 1):
+            assert kmp_failure(pattern[:length]) == failure[:length]
 
     def test_indexed_messages_compare_by_index(self):
         a = sym("a")

@@ -78,10 +78,10 @@ def test_feed_payload_carries_deadline_on_the_wire():
     )
     assert (sid, index, eof, data, deadline) == ("s", 0, False,
                                                  b"data", 1234)
-    # the WAL-canonical decode drops it: replay must not re-enforce
-    # a long-expired budget
-    assert protocol.decode_feed_payload(payload) == ("s", 0, False,
-                                                     b"data")
+    # a payload without one decodes to no deadline
+    assert protocol.decode_feed_payload_ex(
+        protocol.encode_feed_payload("s", 0, b"data", False)
+    )[4] is None
 
 
 def test_deadlined_requests_work_end_to_end(running):

@@ -129,13 +129,14 @@ def test_json_codec_rejects_garbage():
 
 def test_feed_payload_round_trip():
     raw = protocol.encode_feed_payload("sess-1", 42, b"\x00\x01data", True)
-    sid, index, eof, data = protocol.decode_feed_payload(raw)
+    sid, index, eof, data, deadline = protocol.decode_feed_payload_ex(raw)
     assert (sid, index, eof, data) == ("sess-1", 42, True, b"\x00\x01data")
+    assert deadline is None
 
 
 def test_feed_payload_eof_flag_defaults_off():
     raw = protocol.encode_feed_payload("s", 0, b"d")
-    assert protocol.decode_feed_payload(raw)[2] is False
+    assert protocol.decode_feed_payload_ex(raw)[2] is False
 
 
 def test_feed_payload_rejects_bad_session_ids():
@@ -153,15 +154,15 @@ def test_feed_payload_rejects_out_of_range_index():
 def test_feed_payload_truncation_detected():
     raw = protocol.encode_feed_payload("session", 1, b"data")
     with pytest.raises(ProtocolError, match="truncated"):
-        protocol.decode_feed_payload(raw[:5])
+        protocol.decode_feed_payload_ex(raw[:5])
     with pytest.raises(ProtocolError, match="empty"):
-        protocol.decode_feed_payload(b"")
+        protocol.decode_feed_payload_ex(b"")
 
 
 def test_feed_payload_undecodable_sid():
     raw = bytes((2,)) + b"\xff\xfe" + (0).to_bytes(4, "big") + bytes((0,))
     with pytest.raises(ProtocolError, match="session id"):
-        protocol.decode_feed_payload(raw)
+        protocol.decode_feed_payload_ex(raw)
 
 
 def test_assembler_duplicate_frames_parse_independently():

@@ -388,6 +388,30 @@ def test_stats_metrics_and_profile_render_one_registry(context, capsys):
     assert profile["counters"]["localize_kernel_batches"] >= 1
 
 
+def test_window_snapshots_time_the_window_dp_once_per_window(context):
+    window = ServeContext.from_components(
+        context.interleaved, context.traced, name="cc-window",
+        mode="window",
+    )
+    handle = start_server(window, ServerConfig(shards=1))
+    try:
+        with DebugClient(handle.host, handle.port) as client:
+            sid = client.open_session("timed-window")
+            chunks = render_session_chunks(window, seed=3, chunk_records=4)
+            client.feed(sid, 0, chunks[0])
+            client.snapshot(sid)
+            first = client.stats()
+            client.snapshot(sid)
+            second = client.stats()
+    finally:
+        handle.thread.stop()
+    assert first["histograms"]["window_count"]["count"] == 1
+    # the repeated SNAPSHOT is a memo hit: no second DP
+    assert second["histograms"]["window_count"]["count"] == 1
+    hits = "localize_window_memo_hits"
+    assert second["counters"][hits] == first["counters"].get(hits, 0) + 1
+
+
 def test_retried_open_at_the_global_cap_is_answered(context):
     # the first OPEN's reply is lost and the table is full; the retry
     # carries the same token and adds no session, so no cap refuses it

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.errors import StoreError
-from repro.server.protocol import decode_feed_payload
+from repro.server.protocol import decode_feed_payload_ex
 from repro.store import snapshot as snapshot_mod
 from repro.store import wal
 from repro.store.recovery import recover_directory
@@ -39,8 +39,8 @@ class TestLogging:
             "mode": "prefix", "session_id": "s1", "transport": "text",
         }
         # the FEED payload is the wire codec's, verbatim
-        assert decode_feed_payload(scan.records[1].payload) == (
-            "s1", 0, False, b"data",
+        assert decode_feed_payload_ex(scan.records[1].payload) == (
+            "s1", 0, False, b"data", None,
         )
         assert json.loads(scan.records[2].payload) == {
             "session_id": "s1"
@@ -120,7 +120,7 @@ class TestRecoveryThroughOpen:
         assert recovered.snapshot["session_counter"] == 3
         assert recovered.snapshot_lsn == 2
         assert [r.lsn for r in recovered.tail] == [3]
-        assert decode_feed_payload(recovered.tail[0].payload)[1] == 1
+        assert decode_feed_payload_ex(recovered.tail[0].payload)[1] == 1
         store2.close()
 
     def test_open_repairs_a_torn_tail_first(self, tmp_path):
