@@ -364,14 +364,9 @@ class ChaosRunner:
                 reply = feed.feed(
                     chunk, eof=(chunk_index == len(chunks) - 1)
                 )
-                watermark = (
-                    reply.next_chunk
-                    if reply.next_chunk is not None
-                    else chunk_index + 1
-                )
                 with self._lock:
                     self._acked[sid] = max(
-                        self._acked.get(sid, 0), watermark
+                        self._acked.get(sid, 0), reply.next_chunk
                     )
             if role == ROLE_POISON:
                 snap = feed.snapshot()

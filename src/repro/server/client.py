@@ -22,7 +22,7 @@ import random
 import socket
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.errors import (
     ProtocolError,
@@ -162,7 +162,7 @@ class FeedReply:
     """Server acknowledgement of one fed chunk.
 
     ``next_chunk`` is the server's durable high-watermark -- the index
-    it expects next.  Servers predating the store omit it (``None``).
+    it expects next.
     """
 
     session_id: str
@@ -173,7 +173,7 @@ class FeedReply:
     observed_length: int
     frontier_size: int
     duplicate: bool
-    next_chunk: Optional[int] = None
+    next_chunk: int
 
 
 @dataclass(frozen=True)
@@ -182,14 +182,14 @@ class SnapshotReply:
 
     ``next_chunk`` mirrors the server's chunk cursor; a feed can
     compare it against its own history to spot a server that recovered
-    without the acked tail (``None`` from servers predating it).
+    without the acked tail.
     """
 
     session_id: str
     result: LocalizationResult
     status: str
     observed_length: int
-    next_chunk: Optional[int] = None
+    next_chunk: int
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,12 @@ class CloseReply:
     status: str
     records: int
     result: LocalizationResult
-    next_chunk: Optional[int] = None
+    next_chunk: int
+
+
+def _result(body: Dict[str, Any]) -> LocalizationResult:
+    """The localization a SNAPSHOT or CLOSE reply carries."""
+    return LocalizationResult(body["consistent_paths"], body["total_paths"])
 
 
 class DebugClient:
@@ -264,9 +269,10 @@ class DebugClient:
     # -- request plumbing ----------------------------------------------
     def request(
         self, frame_type: int, payload: bytes = b""
-    ) -> Tuple[int, Dict[str, object]]:
+    ) -> Tuple[int, Dict[str, Any]]:
         """Send one request, applying the retry policy; returns the
-        decoded ``(response_type, payload)`` for OK/ERROR replies.
+        ``(response_type, payload)`` of an OK/ERROR reply, the payload
+        decoded by :func:`~repro.server.protocol.decode_reply`.
 
         Raises
         ------
@@ -295,8 +301,8 @@ class DebugClient:
                 last_reason = f"RETRY_LATER ({body.get('reason')})"
                 continue
             self.breaker.record_success()
-            return response.frame_type, protocol.decode_json(
-                response.payload
+            return response.frame_type, protocol.decode_reply(
+                frame_type, response.frame_type, response.payload
             )
         raise ServerUnavailableError(
             f"request failed after {self.policy.max_attempts} attempt(s); "
@@ -337,9 +343,7 @@ class DebugClient:
         return body
 
     @staticmethod
-    def _checked(
-        frame_type: int, body: Dict[str, object]
-    ) -> Dict[str, object]:
+    def _checked(frame_type: int, body: Dict[str, Any]) -> Dict[str, Any]:
         if frame_type == protocol.ERROR:
             extra = {
                 key: value
@@ -409,18 +413,7 @@ class DebugClient:
             ),
         )
         body = self._checked(frame_type, body)
-        next_chunk = body.get("next_chunk")
-        return FeedReply(
-            session_id=str(body["session_id"]),
-            chunk_index=int(body["chunk_index"]),  # type: ignore[arg-type]
-            consumed=int(body["consumed"]),  # type: ignore[arg-type]
-            records=int(body["records"]),  # type: ignore[arg-type]
-            status=str(body["status"]),
-            observed_length=int(body["observed_length"]),  # type: ignore[arg-type]
-            frontier_size=int(body["frontier_size"]),  # type: ignore[arg-type]
-            duplicate=bool(body["duplicate"]),
-            next_chunk=None if next_chunk is None else int(next_chunk),  # type: ignore[arg-type]
-        )
+        return FeedReply(session_id, **body)
 
     def snapshot(self, session_id: str) -> SnapshotReply:
         frame_type, body = self.request(
@@ -431,18 +424,11 @@ class DebugClient:
         )
         body = self._checked(frame_type, body)
         return SnapshotReply(
-            session_id=str(body["session_id"]),
-            result=LocalizationResult(
-                consistent_paths=int(body["consistent_paths"]),  # type: ignore[arg-type]
-                total_paths=int(body["total_paths"]),  # type: ignore[arg-type]
-            ),
-            status=str(body["status"]),
-            observed_length=int(body["observed_length"]),  # type: ignore[arg-type]
-            next_chunk=(
-                None
-                if body.get("next_chunk") is None
-                else int(body["next_chunk"])  # type: ignore[arg-type]
-            ),
+            session_id=session_id,
+            result=_result(body),
+            status=body["status"],
+            observed_length=body["observed_length"],
+            next_chunk=body["next_chunk"],
         )
 
     def close_session(self, session_id: str) -> CloseReply:
@@ -454,18 +440,11 @@ class DebugClient:
         )
         body = self._checked(frame_type, body)
         return CloseReply(
-            session_id=str(body["session_id"]),
-            status=str(body["status"]),
-            records=int(body["records"]),  # type: ignore[arg-type]
-            result=LocalizationResult(
-                consistent_paths=int(body["consistent_paths"]),  # type: ignore[arg-type]
-                total_paths=int(body["total_paths"]),  # type: ignore[arg-type]
-            ),
-            next_chunk=(
-                None
-                if body.get("next_chunk") is None
-                else int(body["next_chunk"])  # type: ignore[arg-type]
-            ),
+            session_id=session_id,
+            status=body["status"],
+            records=body["records"],
+            result=_result(body),
+            next_chunk=body["next_chunk"],
         )
 
     def stats(self) -> Dict[str, object]:
@@ -486,9 +465,9 @@ class SessionFeed:
     chunk.  Against a durable server the replay is *incremental*: a
     resumed open reports the persisted high-watermark (``next_chunk``)
     and a ``chunk-gap`` error carries the ``expected`` index, so only
-    the un-persisted tail is retransmitted.  Against an old server
-    (neither field present) the feed falls back to a full replay from
-    chunk zero.  Replay preserves chunk indices, so server-side
+    the un-persisted tail is retransmitted.  An open that is not
+    resumed (a memory-only server lost the session) replays from chunk
+    zero.  Replay preserves chunk indices, so server-side
     idempotency holds across the recovery too.
     """
 
@@ -579,12 +558,10 @@ class SessionFeed:
         self.recoveries += 1
         self._replay_from(start)
 
-    def _short_cursor(self, next_chunk: Optional[int]) -> Optional[int]:
+    def _short_cursor(self, next_chunk: int) -> Optional[int]:
         """The replay start if the server's cursor is behind our
-        history, else ``None`` (also ``None`` for old servers)."""
-        if next_chunk is not None and next_chunk < len(self._history):
-            return next_chunk
-        return None
+        history, else ``None``."""
+        return next_chunk if next_chunk < len(self._history) else None
 
     def snapshot(self) -> SnapshotReply:
         reply = self._recovering(

@@ -23,30 +23,58 @@ payload is binary so compressed-trace bytes never pay a base64 tax::
 
     u8 sid_len | sid (UTF-8) | u32 chunk_index | u8 flags | data...
 
+A session id is 1..255 bytes of UTF-8 (:func:`session_id_bytes`), the
+most the ``sid_len`` byte can carry; the server refuses any other id on
+every request with a ``protocol`` error.
+
 ``chunk_index`` makes feeds idempotent: the server tracks the next
 expected index per session, acknowledges duplicates without
 re-applying them (a retry after a lost response cannot double-feed),
 and rejects gaps with a structured ``chunk-gap`` error.  Flag bit 0
 marks end-of-stream (the server flushes a trailing partial line).
 
-Response payloads are always JSON.  ``ERROR`` carries ``{"error":
-code, "message": text}``; ``RETRY_LATER`` -- the backpressure reply --
-carries ``{"reason": ..., "retry_after_s": hint}`` and promises the
-request had **no effect**, so retrying is always safe.
+The ``OK`` replies to ``FEED_CHUNK``, ``SNAPSHOT`` and
+``CLOSE_SESSION`` -- most of what the server sends -- are binary and
+carry no keys::
+
+    u8 status | u8 flags | varint field...
+
+``status`` is the session's lifecycle state coded by :data:`STATUSES`,
+flag bit 0 of a FEED reply marks a duplicate acknowledgment, and the
+fields follow in the fixed order of :data:`REPLY_FIELDS`, each an
+unsigned LEB128 varint: exact at any size (path counts pass 2^64 on
+the exact route), one byte below 128.  The replies carry neither the
+session id (the client sent it) nor the consistent fraction
+(:attr:`~repro.selection.localization.LocalizationResult.fraction`
+derives it from the two counts).  :func:`decode_reply` reads every
+reply into a dict, keyed by the request it answers.
+
+Every other reply is JSON: ``OPEN_SESSION``, ``STATS`` and ``PING``
+answer with an object, ``ERROR`` carries ``{"error": code, "message":
+text}`` and ``RETRY_LATER`` -- the backpressure reply -- carries
+``{"reason": ..., "retry_after_s": hint}`` and promises the request
+had **no effect**, so retrying is always safe.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.runtime.checksum import crc16
 from repro.errors import ProtocolError
+from repro.stream.session import (
+    ACTIVE,
+    CLOSED,
+    EVICTED,
+    OVERFLOW,
+    QUARANTINED,
+)
 
 #: Protocol magic ("Rp") and the one supported version.
 MAGIC = b"Rp"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Fixed sizes: magic(2) + version(1) + type(1) + seq(4) + len(4), and
 #: the trailing CRC-16.
@@ -82,6 +110,33 @@ FLAG_EOF = 0x01
 #: not absolute -- so clocks never need agreement and a retransmit
 #: restarts the budget on delivery.
 FLAG_DEADLINE = 0x02
+
+#: The session statuses of :mod:`repro.stream.session`; a binary reply's
+#: status byte is the position in this tuple.
+STATUSES = (ACTIVE, OVERFLOW, CLOSED, EVICTED, QUARANTINED)
+_STATUS_CODES = {status: code for code, status in enumerate(STATUSES)}
+
+#: The binary OK replies, per request type: the flag names (bit *i*
+#: of the flag byte is the *i*-th name) and the varint fields in wire
+#: order.
+REPLY_FLAGS: Dict[int, Tuple[str, ...]] = {
+    FEED_CHUNK: ("duplicate",),
+    SNAPSHOT: (),
+    CLOSE_SESSION: (),
+}
+REPLY_FIELDS: Dict[int, Tuple[str, ...]] = {
+    FEED_CHUNK: (
+        "chunk_index", "consumed", "records", "observed_length",
+        "frontier_size", "next_chunk",
+    ),
+    SNAPSHOT: (
+        "consistent_paths", "total_paths", "observed_length", "next_chunk",
+    ),
+    CLOSE_SESSION: (
+        "records", "observed_length", "consistent_paths", "total_paths",
+        "next_chunk",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -215,6 +270,25 @@ def decode_json(payload: bytes) -> Dict[str, object]:
     return obj
 
 
+def session_id_bytes(session_id: object) -> bytes:
+    """The UTF-8 form of *session_id*, which must be a string that
+    encodes to 1..255 bytes -- what a ``FEED_CHUNK`` payload can carry.
+    :class:`ProtocolError` otherwise (a lone surrogate, say)."""
+    if not isinstance(session_id, str):
+        raise ProtocolError(
+            f"session id must be a string, got {type(session_id).__name__}"
+        )
+    try:
+        sid = session_id.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ProtocolError(f"session id is not UTF-8: {exc}") from None
+    if not sid or len(sid) > 0xFF:
+        raise ProtocolError(
+            f"session id must encode to 1..255 bytes, got {len(sid)}"
+        )
+    return sid
+
+
 def encode_feed_payload(
     session_id: str,
     chunk_index: int,
@@ -229,11 +303,7 @@ def encode_feed_payload(
     ``RETRY_LATER`` *before* applying it, preserving the no-effect
     promise.
     """
-    sid = session_id.encode("utf-8")
-    if not sid or len(sid) > 0xFF:
-        raise ProtocolError(
-            f"session id must encode to 1..255 bytes, got {len(sid)}"
-        )
+    sid = session_id_bytes(session_id)
     if not 0 <= chunk_index <= 0xFFFFFFFF:
         raise ProtocolError(f"chunk index {chunk_index} out of range")
     flags = FLAG_EOF if eof else 0
@@ -287,6 +357,72 @@ def decode_feed_payload_ex(
         sid, chunk_index, bool(flags & FLAG_EOF), payload[start:],
         deadline_ms,
     )
+
+
+def encode_reply(request_type: int, body: Mapping[str, Any]) -> bytes:
+    """The binary OK reply to *request_type* (``FEED_CHUNK``,
+    ``SNAPSHOT`` or ``CLOSE_SESSION``): ``body["status"]``, its flags
+    and its :data:`REPLY_FIELDS`, read from *body* (other keys are
+    ignored).  Refuses an unknown status and a negative field."""
+    code = _STATUS_CODES.get(body["status"])
+    if code is None:
+        raise ProtocolError(
+            f"no wire code for session status {body['status']!r}"
+        )
+    flags = 0
+    for bit, name in enumerate(REPLY_FLAGS[request_type]):
+        if body[name]:
+            flags |= 1 << bit
+    out = bytearray((code, flags))
+    for name in REPLY_FIELDS[request_type]:
+        value = body[name]
+        if value < 0:
+            raise ProtocolError(f"reply field {name} = {value} is negative")
+        while value > 0x7F:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
+    return bytes(out)
+
+
+def decode_reply(
+    request_type: int, frame_type: int, payload: bytes
+) -> Dict[str, Any]:
+    """Decode the reply of type *frame_type* to a *request_type*
+    request: a binary OK reply (:func:`encode_reply`) into its status,
+    flags and fields, anything else as JSON.  :class:`ProtocolError`
+    on a truncated payload, a trailing byte, an unknown status or an
+    unknown flag."""
+    if frame_type != OK or request_type not in REPLY_FIELDS:
+        return decode_json(payload)
+    if len(payload) < 2:
+        raise ProtocolError(f"truncated reply of {len(payload)} bytes")
+    if payload[0] >= len(STATUSES):
+        raise ProtocolError(f"unknown session status code {payload[0]}")
+    names = REPLY_FLAGS[request_type]
+    if payload[1] >> len(names):
+        raise ProtocolError(f"unknown reply flags {payload[1]:#04x}")
+    body: Dict[str, Any] = {"status": STATUSES[payload[0]]}
+    for bit, name in enumerate(names):
+        body[name] = bool(payload[1] >> bit & 1)
+    pos = 2
+    for name in REPLY_FIELDS[request_type]:
+        value = shift = 0
+        while True:
+            if pos >= len(payload):
+                raise ProtocolError(f"reply truncated in field {name}")
+            byte = payload[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+        body[name] = value
+    if pos != len(payload):
+        raise ProtocolError(
+            f"{len(payload) - pos} trailing byte(s) after the reply"
+        )
+    return body
 
 
 # ----------------------------------------------------------------------

@@ -751,8 +751,7 @@ class DebugServer:
                 raise ProtocolError("token must be a string")
             if sid is None:
                 sid = self._generated_id(token)
-        if not isinstance(sid, str) or not sid:
-            raise ProtocolError("session_id must be a non-empty string")
+        protocol.session_id_bytes(sid)  # refuses an id FEED cannot carry
         index = self.ring.shard_for(sid)
         shard = self._shards[index]
         if frame.frame_type == protocol.SNAPSHOT:

@@ -43,10 +43,6 @@ if TYPE_CHECKING:  # the server module imports this one
 Reply = Tuple[int, bytes]
 
 
-def _ok(body: Dict[str, object]) -> Reply:
-    return protocol.OK, protocol.encode_json(body)
-
-
 def _error(code: str, message: str, **extra: object) -> Reply:
     return protocol.ERROR, protocol.error_payload(code, message, **extra)
 
@@ -206,7 +202,7 @@ class Shard:
             # attempt made: next_chunk tells the client where the
             # durable high-watermark is, so it replays only the tail
             body.update(resumed=True, next_chunk=session.next_chunk)
-        return _ok(body)
+        return protocol.OK, protocol.encode_json(body)
 
     def feed(
         self, sid: str, chunk_index: int, data: bytes, eof: bool = False
@@ -279,9 +275,9 @@ class Shard:
         records: int = 0,
     ) -> Reply:
         """The FEED reply, read from the session after the apply."""
-        return _ok(
+        return protocol.OK, protocol.encode_reply(
+            protocol.FEED_CHUNK,
             {
-                "session_id": session.session_id,
                 "chunk_index": chunk_index,
                 "duplicate": duplicate,
                 "consumed": consumed,
@@ -290,7 +286,7 @@ class Shard:
                 "observed_length": session.localizer.observed_length,
                 "frontier_size": session.localizer.frontier_size,
                 "next_chunk": session.next_chunk,
-            }
+            },
         )
 
     def _poisoned(self, session: StreamSession, exc: Exception) -> Reply:
@@ -337,19 +333,18 @@ class Shard:
         if session is None:
             return _unknown_session(sid)
         result = self.manager.snapshot(sid)
-        return _ok(
+        return protocol.OK, protocol.encode_reply(
+            protocol.SNAPSHOT,
             {
-                "session_id": sid,
                 "consistent_paths": result.consistent_paths,
                 "total_paths": result.total_paths,
-                "fraction": result.fraction,
                 "status": session.status,
                 "observed_length": session.localizer.observed_length,
                 # the chunk cursor lets a client detect a server that
                 # recovered without its acked tail (e.g. the shard
                 # degraded before a crash) and replay it
                 "next_chunk": session.next_chunk,
-            }
+            },
         )
 
     def close(self, sid: str) -> Reply:
@@ -358,9 +353,9 @@ class Shard:
         summary = self.manager.close(sid)
         self._log_close(sid)
         self.metrics.add("closes_total")
-        # the reply is the summary without its two local-only fields
-        del summary["mode"], summary["peak_frontier"]
-        return _ok(summary)
+        return protocol.OK, protocol.encode_reply(
+            protocol.CLOSE_SESSION, summary
+        )
 
     # -- durability ----------------------------------------------------
     def _append(self, append: Callable[[], int]) -> None:

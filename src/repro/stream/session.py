@@ -559,8 +559,8 @@ class SessionManager:
         self, session: StreamSession, status: str
     ) -> Dict[str, object]:
         """Retire *session* (caller holds its lock); returns its
-        summary: the CLOSE reply's fields plus ``mode`` and
-        ``peak_frontier``."""
+        summary: the CLOSE reply's fields plus the session id, ``mode``
+        and ``peak_frontier``."""
         result = session.localizer.snapshot()
         final = status if session.status == ACTIVE else session.status
         session.status = final
@@ -575,7 +575,6 @@ class SessionManager:
             "observed_length": session.localizer.observed_length,
             "consistent_paths": result.consistent_paths,
             "total_paths": result.total_paths,
-            "fraction": result.fraction,
             "next_chunk": session.next_chunk,
             "mode": session.mode,
             "peak_frontier": session.localizer.peak_frontier,

@@ -305,6 +305,42 @@ def test_unknown_request_type_gets_structured_error(running):
         sock.close()
 
 
+def test_ids_feed_cannot_carry_are_refused_on_every_request(
+    running, client
+):
+    # a FEED id is at most 255 bytes; OPEN once accepted a longer one
+    # (and logged it on a durable shard), after which every FEED failed
+    request = protocol.encode_json({"session_id": "x" * 300})
+    for request_type in (
+        protocol.OPEN_SESSION, protocol.SNAPSHOT, protocol.CLOSE_SESSION
+    ):
+        frame_type, body = client.request(request_type, request)
+        assert frame_type == protocol.ERROR
+        assert body["error"] == "protocol"
+        assert "1..255 bytes" in body["message"]
+    assert client.stats()["server"]["open_sessions"] == 0
+
+
+def test_lone_surrogate_id_gets_an_error_and_keeps_the_connection(
+    running,
+):
+    # valid JSON, but no UTF-8: routing it used to raise on the event
+    # loop and drop the connection without a reply
+    request = b'{"session_id":"\\ud800"}'
+    with DebugClient(
+        running.host, running.port, policy=RetryPolicy(max_attempts=1)
+    ) as client:
+        for request_type in (
+            protocol.OPEN_SESSION, protocol.SNAPSHOT, protocol.CLOSE_SESSION
+        ):
+            frame_type, body = client.request(request_type, request)
+            assert frame_type == protocol.ERROR
+            assert body["error"] == "protocol"
+            assert "session id" in body["message"]
+        assert client.ping()["scenario"] == "cc-test"
+        assert client.stats()["counters"]["connections_total"] == 1
+
+
 def test_mid_frame_disconnect_does_not_wedge_server(running):
     # drop the connection halfway through a frame, then verify the
     # server still serves a fresh client

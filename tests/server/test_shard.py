@@ -37,13 +37,16 @@ def recovered(context, tmp_path):
         shard.store.close()
 
 
-def body(reply):
+def body(reply, request_type=protocol.OPEN_SESSION):
+    """``(frame type, decoded payload)`` of a reply to *request_type*."""
     frame_type, payload = reply
-    return frame_type, protocol.decode_json(payload)
+    return frame_type, protocol.decode_reply(
+        request_type, frame_type, payload
+    )
 
 
-def ok(reply):
-    frame_type, decoded = body(reply)
+def ok(reply, request_type=protocol.OPEN_SESSION):
+    frame_type, decoded = body(reply, request_type)
     assert frame_type == protocol.OK, decoded
     return decoded
 
@@ -51,7 +54,8 @@ def ok(reply):
 def feed_all(shard, sid, chunks):
     last = len(chunks) - 1
     for index, chunk in enumerate(chunks):
-        ok(shard.feed(sid, index, chunk, eof=index == last))
+        reply = shard.feed(sid, index, chunk, eof=index == last)
+        ok(reply, protocol.FEED_CHUNK)
 
 
 def test_recovered_core_answers_as_the_uninterrupted_one(
@@ -89,7 +93,7 @@ def test_live_retry_of_an_applied_open_resumes(context, recovered):
     chunks = render_session_chunks(context, seed=32, chunk_records=2)
     ok(shard.open("s", token="1234abcd"))  # applied and logged; reply lost
     assert_resumed(shard.open("s", token="1234abcd"))
-    ok(shard.feed("s", 0, chunks[0]))
+    ok(shard.feed("s", 0, chunks[0]), protocol.FEED_CHUNK)
     assert_resumed(shard.open("s", token="1234abcd"), next_chunk=1)
     # another client's OPEN (other token, or none) is still refused
     for token in ("feedf00d", None):
@@ -135,11 +139,11 @@ def test_recovery_keeps_every_durable_session_past_a_lower_cap(
     first = recovered(max_sessions=4)
     for sid in ("s0", "s1"):
         ok(first.open(sid))
-        ok(first.feed(sid, 0, chunks[0]))
+        ok(first.feed(sid, 0, chunks[0]), protocol.FEED_CHUNK)
     first.checkpoint()  # s0 and s1 are snapshot entries
     for sid in ("s2", "s3"):  # s2 and s3 are WAL-tail OPENs and FEEDs
         ok(first.open(sid))
-        ok(first.feed(sid, 0, chunks[0]))
+        ok(first.feed(sid, 0, chunks[0]), protocol.FEED_CHUNK)
     want = {sid: first.snapshot(sid) for sid in ("s0", "s1", "s2", "s3")}
 
     second = recovered(max_sessions=2)
@@ -150,7 +154,7 @@ def test_recovery_keeps_every_durable_session_past_a_lower_cap(
     frame_type, _ = second.open("late")
     assert frame_type == protocol.RETRY_LATER
     for sid in ("s0", "s1", "s2"):
-        ok(second.close(sid))
+        ok(second.close(sid), protocol.CLOSE_SESSION)
     ok(second.open("late"))
     # the next snapshot still holds the session nobody closed
     second.checkpoint()

@@ -15,7 +15,10 @@ the cc-test context, each stopped mid-stream:
 
 The server restores both from the checked-in payload, and the
 SNAPSHOT and CLOSE replies equal the ones the older layout's own
-server gave.
+server gave.  Those were JSON and also carried the session id and the
+consistent fraction; the binary replies leave both to the client, so
+the id is the one requested and the fraction is
+:attr:`LocalizationResult.fraction` of the two counts.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 from pathlib import Path
 from typing import Dict, Tuple
 
+from repro.selection.localization import LocalizationResult
 from repro.server import DebugClient, ServeContext, ServerConfig, protocol
 from repro.server.loadgen import render_session_chunks
 from repro.store.inspect import META_FORMAT, shard_directory, write_meta
@@ -107,13 +111,21 @@ def legacy_chunks(
     return tuple(blob[a:b] for a, b in zip(cuts, cuts[1:]))
 
 
+def as_pinned(sid: str, reply: dict) -> dict:
+    """A decoded SNAPSHOT or CLOSE reply in the pinned JSON layout."""
+    result = LocalizationResult(
+        reply["consistent_paths"], reply["total_paths"]
+    )
+    return dict(reply, session_id=sid, fraction=result.fraction)
+
+
 def restored_replies(
     context: ServeContext, payload: dict, data_dir: Path
 ) -> Dict[str, Dict[str, dict]]:
     """Write *payload* as shard 0's snapshot in a fresh *data_dir*,
     start a one-shard server on it, and for each session take the raw
     SNAPSHOT reply, feed the remaining pieces, and take the raw CLOSE
-    reply."""
+    reply, each decoded and put in the pinned layout."""
     write_meta(
         data_dir,
         {
@@ -141,7 +153,10 @@ def restored_replies(
                         eof=index == len(chunks) - 1,
                     )
                 _, close = client.request(protocol.CLOSE_SESSION, request)
-                replies[sid] = {"snapshot": snapshot, "close": close}
+                replies[sid] = {
+                    "snapshot": as_pinned(sid, snapshot),
+                    "close": as_pinned(sid, close),
+                }
     finally:
         running.thread.stop()
     return replies
