@@ -36,13 +36,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.compress.encoder import DEFAULT_RECORDS_PER_FRAME
 from repro.compress.framing import FRAME_OVERHEAD_BYTES, varint_bits
 from repro.core.message import Message
 from repro.errors import CompressionError
-from repro.mining.corpus import TraceCorpus
+
+if TYPE_CHECKING:  # an annotation only: mining stays unloaded
+    from repro.mining.corpus import TraceCorpus
 
 
 @dataclass(frozen=True)

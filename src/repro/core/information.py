@@ -65,11 +65,12 @@ class InformationModel:
                 f"interleaved flow {interleaved.name} has no transitions; "
                 "information gain is undefined"
             )
-        # n(y) and n(x, y) off the flow's per-message edge index: target
-        # states are integer IDs and the index is built in transition
-        # (CSR) order, so the per-target first-encounter order -- which
-        # a Counter keeps -- and therefore every float-sum order below
-        # is identical to a full transition scan
+        # n(y) and n(x, y) off the flow's per-message target lists
+        # (built for this call, not kept by the flow): target states are
+        # integer IDs listed in transition (CSR) order, so the
+        # per-target first-encounter order -- which a Counter keeps --
+        # and therefore every float-sum order below is identical to a
+        # full transition scan
         edge_index = interleaved.edge_target_ids()
         occurrences: Dict[IndexedMessage, int] = {
             y: len(target_ids) for y, target_ids in edge_index.items()

@@ -16,22 +16,20 @@ debug campaigns, and the CLI:
   store's write-ahead log.
 """
 
-from repro.runtime.artifacts import (
-    artifact_key,
-    canonical_token,
-    message_fingerprint,
-)
-from repro.runtime.checksum import crc16, crc16_bitwise
-from repro.runtime.cache import (
-    ArtifactCache,
-    CacheSnapshot,
-    CacheStats,
-    default_cache,
-    resolve_cache_dir,
-    set_default_cache,
-)
-from repro.runtime.orchestrator import TaskFailure, orchestrate
-from repro.runtime.parallel import resolve_jobs, run_tasks
+from repro.lazy import lazy_exports
+
+# re-exported on first use, so importing the cache or the checksum does
+# not load the process-pool fan-out
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "artifacts": ("artifact_key", "canonical_token", "message_fingerprint"),
+    "checksum": ("crc16", "crc16_bitwise"),
+    "cache": (
+        "ArtifactCache", "CacheSnapshot", "CacheStats", "default_cache",
+        "resolve_cache_dir", "set_default_cache",
+    ),
+    "orchestrator": ("TaskFailure", "orchestrate"),
+    "parallel": ("resolve_jobs", "run_tasks"),
+})
 
 __all__ = [
     "artifact_key",

@@ -30,9 +30,16 @@ gather/scatter-add kernel calls:
   whole FEED chunk through the kernels in one call, amortizing the
   sparse-map/vector conversions over the chunk.
 
-Every table is stored once, in flat ``array('q')`` buffers.  When
-:mod:`numpy` is available the kernels run on zero-copy read-only
-``int64`` views of those buffers; otherwise the pure-Python backend
+Every table is stored once, in flat :class:`array.array` buffers: the
+operators and the closure's row bounds in 8-byte ``'q'``, the
+closure's targets and weights in 4-byte ``'i'`` whenever every value
+of the column is below 2^31 (the targets while the product has fewer
+states, the weights while the largest closure column sum is; the
+compile decides both before it writes the first row).  When
+:mod:`numpy` is available the kernels run on zero-copy read-only views
+of those buffers in their own widths; numpy promotes every gathered
+closure column to ``int64`` before combining it, so frontiers, memo
+keys and counts stay ``int64``.  Otherwise the pure-Python backend
 indexes the same buffers directly with dict frontiers (exact big-int
 arithmetic, no third-party imports).  The two backends are
 **bit-identical** by construction: all weights are integers, integer
@@ -126,11 +133,19 @@ def table_fingerprint(
 # compiled operators
 # ----------------------------------------------------------------------
 def _view(buf):
-    """A zero-copy read-only ``int64`` numpy view of an ``array('q')``
-    buffer (the buffer can no longer be resized while it exists)."""
-    view = _np.frombuffer(buf, dtype=_np.int64)
+    """A zero-copy read-only numpy view of an ``array`` buffer in the
+    buffer's own width: ``int64`` for ``'q'``, ``int32`` for ``'i'``
+    (the buffer can no longer be resized while it exists)."""
+    view = _np.frombuffer(buf, dtype=buf.typecode)
     view.flags.writeable = False
     return view
+
+
+def _narrowest(largest) -> str:
+    """Typecode of a closure column whose values never exceed
+    *largest*: the 4-byte ``'i'`` below 2^31, else the 8-byte
+    ``'q'``."""
+    return "i" if largest < _NARROW_BOUND else "q"
 
 
 def _buffer_bytes(buf) -> int:
@@ -216,6 +231,11 @@ _COMPILE_CHUNK = 1 << 13
 #: count of every column sum stays below this bound; float64 rounding
 #: of the count stays far inside the factor-two margin to int64.
 _NUMPY_COMPILE_BOUND = float(1 << 62)
+
+#: A closure column holding only values below this bound is stored in
+#: 4-byte ``array('i')``: the targets while the product has fewer
+#: states, the weights while the largest column sum stays below it.
+_NARROW_BOUND = 1 << 31
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +349,18 @@ def _column_sums(levels, inv_off, inv_tgt, dtype):
     return into
 
 
+def _column_sums_python(levels, inv_off, inv_tgt) -> List[int]:
+    """:func:`_column_sums` in exact big-int arithmetic, one edge at a
+    time."""
+    into = [0] * (len(inv_off) - 1)
+    for sources in reversed(levels[1:]):
+        for sid in sources:
+            paths = into[sid] + 1
+            for e in range(inv_off[sid], inv_off[sid + 1]):
+                into[inv_tgt[e]] += paths
+    return into
+
+
 def _closure_python(levels, inv_off, inv_tgt):
     """The invisible-closure rows in exact big-int arithmetic, level by
     level: a state's row is its invisible successors plus their
@@ -336,15 +368,19 @@ def _closure_python(levels, inv_off, inv_tgt):
 
     Returns ``(row_lo, row_hi, ctgt, cweight, max_column)``: row ``i``
     is ``ctgt``/``cweight[row_lo[i]:row_hi[i]]``, sorted by target, and
-    ``max_column`` is the largest column sum.  ``cweight`` turns into
-    a list of exact weights if one exceeds int64.
+    ``max_column`` is the largest column sum, counted before the first
+    row so that it picks each column's typecode (:func:`_narrowest`).
+    ``cweight`` turns into a list of exact weights if one exceeds
+    int64.
     """
     n = len(inv_off) - 1
+    max_column = max(
+        _column_sums_python(levels, inv_off, inv_tgt), default=0
+    )
     row_lo = array("q", bytes(8 * n))
     row_hi = array("q", bytes(8 * n))
-    ctgt = array("q")
-    cweight = array("q")
-    col_sums = [0] * n
+    ctgt = array(_narrowest(n))
+    cweight = array(_narrowest(max_column))
     for sources in levels[1:]:
         for sid in sources:
             row: Dict[int, int] = {}
@@ -369,9 +405,7 @@ def _closure_python(levels, inv_off, inv_tgt):
                     cweight = cweight.tolist()
             if isinstance(cweight, list):
                 cweight.extend(weights)
-            for j, w in zip(keys, weights):
-                col_sums[j] += w
-    return row_lo, row_hi, ctgt, cweight, max(col_sums, default=0)
+    return row_lo, row_hi, ctgt, cweight, max_column
 
 
 def _closure_numpy(levels, inv_off, inv_tgt):
@@ -384,10 +418,13 @@ def _closure_numpy(levels, inv_off, inv_tgt):
     final buffers.
     """
     n = inv_off.size - 1
+    max_column = int(
+        _column_sums(levels, inv_off, inv_tgt, _np.int64).max(initial=0)
+    )
     row_lo = array("q", bytes(8 * n))
     row_hi = array("q", bytes(8 * n))
-    ctgt = array("q")
-    cweight = array("q")
+    ctgt = array(_narrowest(n))
+    cweight = array(_narrowest(max_column))
     lo_of = _np.frombuffer(row_lo, dtype=_np.int64)
     hi_of = _np.frombuffer(row_hi, dtype=_np.int64)
     for sources in levels[1:]:
@@ -411,9 +448,6 @@ def _closure_numpy(levels, inv_off, inv_tgt):
                 lo_of, hi_of, ctgt, cweight,
             )
             start = stop
-    max_column = int(
-        _column_sums(levels, inv_off, inv_tgt, _np.int64).max(initial=0)
-    )
     return row_lo, row_hi, ctgt, cweight, max_column
 
 
@@ -425,7 +459,8 @@ def _append_rows(sources, degree, succ, lo_of, hi_of, ctgt, cweight):
 
     Every edge contributes its target with weight 1 plus its target's
     row; sorting the ``(source, target)`` keys and summing duplicates
-    gives the rows, in source then target order.
+    gives the rows, in source then target order.  The sums run in
+    int64 and are written in each buffer's own width.
     """
     n = lo_of.size
     owner = _np.repeat(sources * n, degree)
@@ -433,15 +468,16 @@ def _append_rows(sources, degree, succ, lo_of, hi_of, ctgt, cweight):
     counts = hi_of[succ] - lo
     sel = expand_runs(lo, counts, int(counts.sum()))
     # the buffers cannot grow while these views of them exist
-    finished_tgt = _np.frombuffer(ctgt, dtype=_np.int64)
-    finished_weight = _np.frombuffer(cweight, dtype=_np.int64)
+    finished_tgt = _np.frombuffer(ctgt, dtype=ctgt.typecode)
+    finished_weight = _np.frombuffer(cweight, dtype=cweight.typecode)
     keys = _np.concatenate(
         (owner + succ, _np.repeat(owner, counts) + finished_tgt[sel])
     )
     weights = _np.concatenate(
         (_np.ones(succ.size, dtype=_np.int64), finished_weight[sel])
     )
-    del finished_tgt, finished_weight
+    # the gathers are spent: drop them before the sort allocates
+    del finished_tgt, finished_weight, owner, lo, counts, sel
     order = _np.argsort(keys)
     keys = keys[order]
     heads = _np.flatnonzero(_np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -452,8 +488,8 @@ def _append_rows(sources, degree, succ, lo_of, hi_of, ctgt, cweight):
     row_start = at + _np.searchsorted(owners, sources)
     lo_of[sources] = row_start
     hi_of[sources] = _np.append(row_start[1:], at + keys.size)
-    ctgt.frombytes((keys - owners * n).view(_np.uint8))
-    cweight.frombytes(sums.view(_np.uint8))
+    for buf, values in ((ctgt, keys - owners * n), (cweight, sums)):
+        buf.frombytes(values.astype(buf.typecode, copy=False).view(_np.uint8))
 
 
 class CompiledTables:
@@ -462,9 +498,12 @@ class CompiledTables:
 
     Immutable after construction, so one instance is safely shared
     across every session and shard lane localizing the same scenario.
-    Every table is stored once, in flat ``array('q')`` buffers: the
-    pure-Python kernels index them directly and the numpy backend reads
-    them through zero-copy read-only views.  Built by
+    Every table is stored once, in a flat :class:`array.array` buffer:
+    ``'q'`` for the operators and the row bounds, and for the closure
+    targets and weights the narrowest exact width
+    (:func:`_narrowest`).  The pure-Python kernels index them directly
+    and the numpy backend reads them through zero-copy read-only
+    views.  Built by
     :class:`TableRegistry`; the heavy part is the invisible-closure
     transitive path-count matrix, computed once here instead of being
     re-walked per observed symbol.

@@ -30,25 +30,19 @@ The pieces:
 ``repro serve`` and ``repro loadgen`` are the CLI front ends.
 """
 
-from repro.server.client import (
-    CircuitBreaker,
-    DebugClient,
-    FeedReply,
-    RetryPolicy,
-    SessionFeed,
-)
-from repro.server.loadgen import NetworkLoadReport, run_network_load_test
-from repro.server.protocol import (
-    FrameAssembler,
-    WireFrame,
-    encode_frame,
-)
-from repro.server.server import (
-    DebugServer,
-    ServeContext,
-    ServerConfig,
-    ServerThread,
-)
+from repro.lazy import lazy_exports
+
+# re-exported on first use, so importing the server module does not
+# load the client or the load generator (and multiprocessing)
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "client": (
+        "CircuitBreaker", "DebugClient", "FeedReply", "RetryPolicy",
+        "SessionFeed",
+    ),
+    "loadgen": ("NetworkLoadReport", "run_network_load_test"),
+    "protocol": ("FrameAssembler", "WireFrame", "encode_frame"),
+    "server": ("DebugServer", "ServeContext", "ServerConfig", "ServerThread"),
+})
 
 __all__ = [
     "CircuitBreaker",

@@ -15,21 +15,22 @@ trace buffer captures the selected subset.
   of the ``fc1_all_T2`` environment.
 """
 
-from repro.sim.engine import (
-    TransactionSimulator,
-    SimulationTrace,
-    TraceRecord,
-    Symptom,
-)
-from repro.sim.tracebuffer import (
-    CapturedMessage,
-    CaptureStats,
-    CompressedTraceBuffer,
-    TraceBuffer,
-)
-from repro.sim.monitors import SignalMonitor, run_monitors
-from repro.sim.tracefile import write_trace_file, read_trace_file
-from repro.sim.testbench import RegressionTest, regression_suite
+from repro.lazy import lazy_exports
+
+# re-exported on first use, so importing the engine does not load the
+# gate-level monitors (and the netlist package) or the test bench
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "engine": (
+        "TransactionSimulator", "SimulationTrace", "TraceRecord", "Symptom",
+    ),
+    "tracebuffer": (
+        "CapturedMessage", "CaptureStats", "CompressedTraceBuffer",
+        "TraceBuffer",
+    ),
+    "monitors": ("SignalMonitor", "run_monitors"),
+    "tracefile": ("write_trace_file", "read_trace_file"),
+    "testbench": ("RegressionTest", "regression_suite"),
+})
 
 __all__ = [
     "TransactionSimulator",

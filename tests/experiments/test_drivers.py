@@ -66,7 +66,9 @@ class TestSpearman:
         assert _spearman([1, 1, 1], [1, 2, 3]) == 0.0
 
     def test_matches_scipy_when_available(self):
-        scipy_stats = pytest.importorskip("scipy.stats")
+        # ImportError, not only ModuleNotFoundError: scipy is installed
+        # but raises a plain ImportError when numpy cannot be imported
+        scipy_stats = pytest.importorskip("scipy.stats", exc_type=ImportError)
         xs = [3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.0]
         ys = [2.0, 7.0, 1.0, 8.0, 2.5, 8.0, 3.0]
         expected = scipy_stats.spearmanr(xs, ys).statistic
