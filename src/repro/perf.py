@@ -28,7 +28,7 @@ an outer campaign-level collection still sees the counters of inner
 per-scenario ones.  The set of active collectors is process-global and
 not thread-isolated: a collection sees the increments of every thread
 while it is active.  That is how the debug server's long-lived
-collector counts the kernel work its shard threads do.  Increments are
+collector counts the kernel work its shard ops do.  Increments are
 thread-safe -- each :class:`PerfCounters` guards its maps with its own
 lock, and :func:`add`/:func:`timed` iterate an immutable snapshot of
 the active set while other threads activate or deactivate collections.

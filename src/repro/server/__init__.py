@@ -18,9 +18,9 @@ The pieces:
   SIGINT/SIGTERM drain gracefully.  Its one metrics registry, a
   :class:`repro.perf.PerfCounters`, is served on the ``STATS`` frame
   and over HTTP.
-* :mod:`repro.server.shard` -- the shard core the server runs on each
-  shard's thread, with no transport: op handling, durability (WAL,
-  snapshots, spill), recovery and shutdown.
+* :mod:`repro.server.shard` -- the shard core whose ops the server runs
+  one at a time on its event loop, with no transport: op handling,
+  durability (WAL, snapshots, spill), recovery and shutdown.
 * :mod:`repro.server.client` -- the synchronous client: timeouts,
   retry with exponential backoff and jitter, and a streaming feed that
   replays its history if the server loses the session.

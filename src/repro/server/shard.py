@@ -1,4 +1,4 @@
-"""The shard core of the debug server: everything a shard thread runs.
+"""The shard core of the debug server: everything a shard's lane runs.
 
 A :class:`Shard` owns one shard's session manager and optional session
 store, and holds the whole rule for when an op becomes durable: OPEN
@@ -11,9 +11,9 @@ tail through :meth:`~repro.stream.session.SessionManager.feed_chunk`,
 the apply path live FEEDs take) and shuts down.
 
 Each op method answers one request with ``(frame type, payload)``.
-The core has no transport: the asyncio server runs it on a one-thread
-executor, and a test can drive a shard, crash it and recover another
-from the same directory without an event loop.
+The core has no transport: the asyncio server calls its ops one at a
+time on the event loop, and a test can drive a shard, crash it and
+recover another from the same directory without an event loop.
 """
 
 from __future__ import annotations
@@ -144,8 +144,7 @@ class Shard:
 
     def opened_with(self, sid: str, token: Optional[str]) -> bool:
         """Whether the live session *sid* was opened with *token*: an
-        OPEN carrying it is a retry and adds no session.  Safe to call
-        from any thread."""
+        OPEN carrying it is a retry and adds no session."""
         if token is None:
             return False
         try:

@@ -18,8 +18,9 @@ It also holds the **spill map**: sessions the idle sweeper evicts are
 captured here instead of discarded, folded into the next snapshot, and
 transparently revived when the client comes back.
 
-All mutating calls happen on the owning shard's single worker thread
-(the server serializes them), so the store needs no locking of its own.
+All mutating calls happen in the owning shard's ops, which the server
+runs one at a time on its event loop, so the store needs no locking of
+its own.
 """
 
 from __future__ import annotations

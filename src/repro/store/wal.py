@@ -341,7 +341,8 @@ class WalWriter:
     policy.
 
     Single-writer by design: the debug server calls this only from the
-    owning shard's one worker thread, so appends need no locking.
+    owning shard's ops, which run one at a time on its event loop, so
+    appends need no locking.
     Group commit falls out of the ``interval`` policy -- every append
     is flushed to the OS immediately (surviving a process kill), and
     the file is fsynced at most every ``fsync_interval_s`` seconds

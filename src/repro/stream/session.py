@@ -29,23 +29,12 @@ PathLocalizer` per scenario (the compiled kernel tables and the
 path-count tables are read-only), so per-session cost is just the
 carried frontier and the ingest buffers.
 
-Locking discipline.  The debug server drives a shard's manager from
-that shard's one worker thread (operations and the idle sweep alike),
-but its STATS path reads the manager from the event-loop thread, and
-the manager is safe to drive from several threads at once:
-
-* the *manager* lock guards the session table (admission, retirement,
-  lookups, id allocation, the stats counters),
-* a *per-session* lock guards that session's ingest and localizer
-  state, so two sessions feed concurrently and an eviction sweep
-  cannot retire a session mid-feed.
-
-The manager lock is *never* held while waiting on a session lock
-(lookups release it first); retiring a session and counting a feed
-nest the manager lock inside the session lock, so that is the one
-nesting order and the pair cannot deadlock.  The DP advance runs
-without the manager lock -- a long chunk on one session never blocks
-the table.
+Threads.  A manager is driven from one thread: the debug server runs
+every shard's operations and its idle sweep on its event loop.  The
+one manager lock guards the session table and the stats counters, so
+another thread may read them (:meth:`SessionManager.session_ids`,
+:meth:`SessionManager.session`, ``len``, :meth:`SessionManager.stats`)
+while the driving thread mutates the table.
 """
 
 from __future__ import annotations
@@ -54,13 +43,11 @@ import base64
 import codecs
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -148,14 +135,8 @@ class StreamSession:
         #: The client's open token: an OPEN that carries it again is a
         #: retry of the one that made this session.  Durable.
         self.token: Optional[str] = None
-        #: Serializes this session's ingest and localizer mutations
-        #: against the eviction sweep; acquired only after (never while
-        #: waiting for) the manager lock.
-        self.lock = threading.Lock()
-        #: Set exactly once, under ``lock``, when the session leaves
-        #: the table -- feeds racing an eviction see it and fail with
-        #: an "unknown session" error instead of mutating a retired
-        #: localizer.
+        #: Set when the session leaves the table (closed, evicted or
+        #: quarantined).
         self.retired = False
 
     @property
@@ -163,8 +144,7 @@ class StreamSession:
         return self.localizer.mode
 
     def ingest(self, data: bytes, eof: bool) -> List[TraceRecord]:
-        """Decode one chunk through this session's transport (caller
-        holds ``lock``)."""
+        """Decode one chunk through this session's transport."""
         if self.ingester is not None:
             records = list(self.ingester.feed(data))
             if eof:
@@ -370,8 +350,7 @@ class SessionManager:
         """A session's durable entry as a JSON-able dict: counters,
         chunk cursor, ingest state and localizer DP -- the inverse of
         :meth:`adopt`."""
-        with self._locked(session_id) as session:
-            return self._export_locked(session)
+        return self._export(self.session(session_id))
 
     def feed(
         self,
@@ -388,8 +367,7 @@ class SessionManager:
         the trace buffer would not have captured (raw simulator or
         ingest streams) instead of treating them as an error.
         """
-        with self._locked(session_id) as session:
-            return self._feed_locked(session, records, drop_invisible)
+        return self._feed(self.session(session_id), records, drop_invisible)
 
     def feed_chunk(
         self,
@@ -409,23 +387,19 @@ class SessionManager:
         run through here; that sharing is what makes a recovered
         session bit-identical to an uninterrupted one.
         """
-        with self._locked(session_id) as session:
-            records = session.ingest(data, eof)
-            outcome = self._feed_locked(
-                session, records, drop_invisible=True
-            )
-            session.next_chunk = chunk_index + 1
-            return records, outcome
+        session = self.session(session_id)
+        records = session.ingest(data, eof)
+        outcome = self._feed(session, records, drop_invisible=True)
+        session.next_chunk = chunk_index + 1
+        return records, outcome
 
     def snapshot(self, session_id: str) -> LocalizationResult:
         """The session's current localization (batch-identical)."""
-        with self._locked(session_id) as session:
-            return session.localizer.snapshot()
+        return self.session(session_id).localizer.snapshot()
 
     def close(self, session_id: str) -> Dict[str, object]:
         """Close a session; returns its summary."""
-        with self._locked(session_id) as session:
-            return self._retire_locked(session, CLOSED)
+        return self._retire(self.session(session_id), CLOSED)
 
     def quarantine(self, session_id: str) -> Dict[str, object]:
         """Forcibly retire a session whose input stream proved
@@ -433,11 +407,11 @@ class SessionManager:
         terminal status is always ``"quarantined"`` -- even for a
         session already sitting in overflow -- because the reason it
         left the table is the poison, not the frontier bound."""
-        with self._locked(session_id) as session:
-            # _retire_locked preserves a non-ACTIVE status; quarantine
-            # must win over overflow, so force the terminal state here
-            session.status = ACTIVE
-            return self._retire_locked(session, QUARANTINED)
+        session = self.session(session_id)
+        # _retire preserves a non-ACTIVE status; quarantine must win
+        # over overflow, so force the terminal state here
+        session.status = ACTIVE
+        return self._retire(session, QUARANTINED)
 
     def evict_idle(self, now: Optional[float] = None) -> Tuple[str, ...]:
         """Retire sessions idle for longer than ``idle_timeout_s``.
@@ -445,32 +419,22 @@ class SessionManager:
         Every eviction runs through here, including the one
         :meth:`adopt` and :meth:`open` start with.  With a ``spill``
         sink, each evicted session's durable entry is handed to it
-        under the session lock *before* the session is retired, so the
-        sink can persist the state instead of losing it.
+        *before* the session is retired, so the sink can persist the
+        state instead of losing it.
         """
         if now is None:
             now = self._clock()
         with self._lock:
-            candidates = [
+            idle = [
                 s
                 for s in self._sessions.values()
                 if now - s.last_active > self.limits.idle_timeout_s
             ]
-        evicted: List[str] = []
-        for session in candidates:
-            with session.lock:
-                # re-check under the session lock: a feed racing the
-                # sweep may have refreshed last_active (or a close may
-                # have retired the session already)
-                if session.retired:
-                    continue
-                if now - session.last_active <= self.limits.idle_timeout_s:
-                    continue
-                if self._spill is not None:
-                    self._spill(self._export_locked(session))
-                self._retire_locked(session, EVICTED)
-                evicted.append(session.session_id)
-        return tuple(evicted)
+        for session in idle:
+            if self._spill is not None:
+                self._spill(self._export(session))
+            self._retire(session, EVICTED)
+        return tuple(session.session_id for session in idle)
 
     # ------------------------------------------------------------------
     def _get(self, session_id: str) -> StreamSession:
@@ -479,20 +443,9 @@ class SessionManager:
             raise StreamError(f"unknown session {session_id!r}")
         return session
 
-    @contextmanager
-    def _locked(self, session_id: str) -> Iterator[StreamSession]:
-        """Hold the lock of live session *session_id* (looked up
-        first, with the manager lock released before waiting)."""
-        with self._lock:
-            session = self._get(session_id)
-        with session.lock:
-            if session.retired:
-                raise StreamError(f"unknown session {session_id!r}")
-            yield session
-
     @staticmethod
-    def _export_locked(session: StreamSession) -> dict:
-        """The durable entry of *session* (caller holds its lock)."""
+    def _export(session: StreamSession) -> dict:
+        """The durable entry of *session*."""
         buffered, flag = session.decoder.getstate()
         entry = {
             "session_id": session.session_id,
@@ -515,13 +468,13 @@ class SessionManager:
             entry["parser"] = session.parser.export_state()
         return entry
 
-    def _feed_locked(
+    def _feed(
         self,
         session: StreamSession,
         records: Iterable[Observable],
         drop_invisible: bool,
     ) -> FeedOutcome:
-        """Advance *session* over *records* (caller holds its lock)."""
+        """Advance *session* over *records*."""
         session.last_active = self._clock()
         if session.status == OVERFLOW:
             return self._outcome(session, consumed=0)
@@ -555,12 +508,11 @@ class SessionManager:
             frontier_size=session.localizer.frontier_size,
         )
 
-    def _retire_locked(
+    def _retire(
         self, session: StreamSession, status: str
     ) -> Dict[str, object]:
-        """Retire *session* (caller holds its lock); returns its
-        summary: the CLOSE reply's fields plus the session id, ``mode``
-        and ``peak_frontier``."""
+        """Retire *session*; returns its summary: the CLOSE reply's
+        fields plus the session id, ``mode`` and ``peak_frontier``."""
         result = session.localizer.snapshot()
         final = status if session.status == ACTIVE else session.status
         session.status = final

@@ -338,9 +338,9 @@ def test_health_collector_reports_ok_on_a_clean_server(running):
 
 
 def test_alerts_read_whole_while_shard_threads_append(context):
-    # shard threads raise alerts while STATS (and the chaos runner)
-    # read them: every read must see a run of consecutive alerts, never
-    # one with a gap left by a concurrent trim
+    # the loop raises alerts while the chaos runner reads them from its
+    # own thread: every read must see a run of consecutive alerts,
+    # never one with a gap left by a concurrent trim
     server = DebugServer(context)
     stop = threading.Event()
 

@@ -68,6 +68,22 @@ class TestLifecycle:
         assert summary["status"] == session.status == "closed"
         assert session.retired
 
+    def test_stats_counters_track_lifecycle(self, manager, cc_flow):
+        req = cc_flow.message_by_name("ReqE")
+        sid = manager.open()
+        manager.feed(sid, (req,), drop_invisible=True)
+        manager.close(sid)
+        assert manager.stats() == {
+            "open_sessions": 0,
+            "opened": 1,
+            "closed": 1,
+            "evicted": 0,
+            "overflowed": 0,
+            "quarantined": 0,
+            "feeds": 1,
+            "records": 1,
+        }
+
     def test_unknown_session(self, manager):
         with pytest.raises(StreamError, match="unknown session"):
             manager.feed("nope", [])
@@ -144,6 +160,19 @@ class TestLimits:
         assert session.retired
         assert session.status == EVICTED
         assert manager.stats()["evicted"] == 1
+
+    def test_feed_after_eviction_never_mutates_the_retired_session(
+        self, manager, clock, cc_flow
+    ):
+        req = cc_flow.message_by_name("ReqE")
+        sid = manager.open()
+        session = manager.session(sid)
+        clock.now = 11.0
+        assert manager.evict_idle() == (sid,)
+        assert session.retired
+        with pytest.raises(StreamError, match="unknown session"):
+            manager.feed(sid, (req,), drop_invisible=True)
+        assert session.records == 0
 
     def test_active_sessions_not_evicted(self, manager, clock, cc_flow):
         req = cc_flow.message_by_name("ReqE")

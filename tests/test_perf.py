@@ -101,7 +101,7 @@ class TestCollection:
 
 class TestThreadSafety:
     def test_concurrent_adds_are_exact(self):
-        # shard threads increment a long-lived collector while other
+        # threads increment a long-lived collector while other
         # collections come and go
         threads, per_thread = 8, 20_000
         counters = perf.activate(perf.PerfCounters())
