@@ -1,16 +1,27 @@
 """The optional numpy backend: one switch and the shared array helpers.
 
-numpy is optional.  The interleaved product (:mod:`repro.core.interleave`)
-and the localization kernels (:mod:`repro.selection.kernels`) each have
-a whole-array route and an exact pure-Python route that produce the
-same tables.  :func:`have_numpy` is the one switch both consult, and
+numpy is optional.  The interleaved product (:mod:`repro.core.interleave`),
+the information model (:mod:`repro.core.information`), the visibility
+bitsets (:mod:`repro.core.visibility`) and the localization kernels
+(:mod:`repro.selection.kernels`) each have a whole-array route and an
+exact pure-Python route that produce the same tables.
+:func:`have_numpy` is the one switch they all consult, and
 ``_force_python`` is its test hook.  The helpers below are the array
-steps both share: run expansion, reduce-by-id, and the height levels
-of a CSR DAG with the per-level edge gather; :func:`height_levels_python`
-is the pure-Python twin of :func:`height_levels`.
+steps they share: run expansion, sorted distinct values, reduce-by-id,
+and the height levels of a CSR DAG with the per-level edge gather;
+:func:`height_levels_python` is the pure-Python twin of
+:func:`height_levels`.
 """
 
 from __future__ import annotations
+
+import os
+
+# Nothing in this package calls BLAS, yet OpenBLAS starts a worker
+# thread per core inside ``import numpy``: one thread keeps that import
+# about 0.05 s shorter and a serving process at one OS thread.  A value
+# the caller set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 try:  # numpy is optional: every caller keeps a pure-Python route
     import numpy as np
@@ -40,6 +51,16 @@ def expand_runs(lo, counts, total: int):
         - np.repeat(cum - counts, counts)
         + np.repeat(lo, counts)
     )
+
+
+def sorted_unique(values):
+    """The distinct *values*, ascending: a sort plus a neighbour mask
+    (``np.unique`` takes a slower hash path on int64 in numpy 2.x, and
+    on floats imports ``numpy.ma``)."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def reduce_by_id(ids, weights):

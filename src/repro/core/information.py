@@ -29,7 +29,10 @@ decomposes into **independent per-indexed-message contributions**:
 :class:`InformationModel` precomputes every ``c(y)`` once per
 interleaved flow, making the gain of any candidate combination an O(|Y|)
 sum -- and turning Steps 1+2 of the selection method into an exact 0/1
-knapsack (see :mod:`repro.selection.selector`).
+knapsack (see :mod:`repro.selection.selector`).  It counts ``n(y)`` and
+``n(x, y)`` on whole arrays when numpy is there, and with a loop over
+per-message target lists otherwise; both sum every ``c(y)`` in the same
+order, so the floats agree bit for bit.
 """
 
 from __future__ import annotations
@@ -38,8 +41,14 @@ import math
 from collections import Counter
 from typing import Dict, Iterable, Mapping, Tuple
 
+from repro.core.arrays import have_numpy, np, sorted_unique
 from repro.core.interleave import InterleavedFlow
 from repro.core.message import IndexedMessage, Message, MessageCombination
+
+#: The array route runs only while ``|S| * T`` stays below this bound:
+#: every integer it converts to float64 is then exact.  Larger products
+#: take the exact loop.
+_FLOAT_EXACT = 1 << 53
 
 
 class InformationModel:
@@ -65,25 +74,19 @@ class InformationModel:
                 f"interleaved flow {interleaved.name} has no transitions; "
                 "information gain is undefined"
             )
-        # n(y) and n(x, y) off the flow's per-message target lists
-        # (built for this call, not kept by the flow): target states are
-        # integer IDs listed in transition (CSR) order, so the
-        # per-target first-encounter order -- which a Counter keeps --
-        # and therefore every float-sum order below is identical to a
-        # full transition scan
-        edge_index = interleaved.edge_target_ids()
-        occurrences: Dict[IndexedMessage, int] = {
-            y: len(target_ids) for y, target_ids in edge_index.items()
-        }
+        # both routes give the same floats, bit for bit and in the
+        # same key order; the array one needs T and every |S| * n(x, y)
+        # exact in float64 (n(x, y) <= T), so that its IEEE quotients
+        # are the correctly rounded ones Python's int division gives
+        if (
+            have_numpy()
+            and self.num_states * self.total_occurrences < _FLOAT_EXACT
+        ):
+            occurrences, contributions = _contributions_numpy(interleaved)
+        else:
+            occurrences, contributions = _contributions_python(interleaved)
         self._occurrences: Mapping[IndexedMessage, int] = occurrences
-        self._contribution: Dict[IndexedMessage, float] = {}
-        for y, target_ids in edge_index.items():
-            n_y = occurrences[y]
-            c = 0.0
-            for n_xy in Counter(target_ids).values():
-                p_xy = n_xy / self.total_occurrences
-                c += p_xy * math.log(self.num_states * n_xy / n_y)
-            self._contribution[y] = c
+        self._contribution: Dict[IndexedMessage, float] = contributions
         # indexed instances of each plain message
         self._instances: Dict[Message, Tuple[IndexedMessage, ...]] = {}
         for y in occurrences:
@@ -136,6 +139,72 @@ class InformationModel:
         ]
         pairs.sort(key=lambda item: (-item[1], item[0].name))
         return tuple(pairs)
+
+
+def _contributions_python(
+    interleaved: InterleavedFlow,
+) -> Tuple[Dict[IndexedMessage, int], Dict[IndexedMessage, float]]:
+    """``n(y)`` and ``c(y)`` of every indexed message, keyed in
+    first-encounter order, off the flow's per-message target lists
+    (built for this call, not kept by the flow).  Target states are
+    integer IDs listed in transition (CSR) order, so the per-target
+    first-encounter order -- which a Counter keeps -- and therefore
+    every float-sum order is identical to a full transition scan."""
+    num_states = interleaved.num_states
+    total = interleaved.num_transitions
+    occurrences: Dict[IndexedMessage, int] = {}
+    contributions: Dict[IndexedMessage, float] = {}
+    for y, target_ids in interleaved.edge_target_ids().items():
+        n_y = occurrences[y] = len(target_ids)
+        c = 0.0
+        for n_xy in Counter(target_ids).values():
+            p_xy = n_xy / total
+            c += p_xy * math.log(num_states * n_xy / n_y)
+        contributions[y] = c
+    return occurrences, contributions
+
+
+def _contributions_numpy(
+    interleaved: InterleavedFlow,
+) -> Tuple[Dict[IndexedMessage, int], Dict[IndexedMessage, float]]:
+    """:func:`_contributions_python` on whole arrays, float for float.
+
+    One sort of the ``message * |S| + target`` keys counts every
+    ``n(x, y)`` and finds its first edge; each message's pairs then run
+    in first-encounter (Counter) order, ``math.log`` -- not ``np.log``,
+    which may round differently -- is taken once per distinct ratio,
+    and each ``c(y)`` is the last element of a sequential
+    ``np.cumsum`` of its terms: the loop's own additions, in its order.
+    Needs ``|S| * T`` below :data:`_FLOAT_EXACT`."""
+    num_states = interleaved.num_states
+    total = interleaved.num_transitions
+    _, messages, targets = (
+        np.asarray(buf) for buf in interleaved.csr_adjacency()
+    )
+    pairs, first, n_xy = np.unique(
+        messages * num_states + targets, return_index=True, return_counts=True
+    )
+    mids = pairs // num_states  # ascending
+    # each message's pairs by first edge; the narrowest dtype that holds
+    # the message IDs lets the stable sort by message run as a radix sort
+    order = np.lexsort((first, mids.astype(np.min_scalar_type(mids[-1]))))
+    mids, first, n_xy = mids[order], first[order], n_xy[order]
+    n_y = np.bincount(messages)
+    ratios = (n_xy * num_states).astype(np.float64) / n_y[mids]
+    distinct = sorted_unique(ratios)
+    logs = np.array([math.log(ratio) for ratio in distinct.tolist()])
+    terms = n_xy / total * logs[np.searchsorted(distinct, ratios)]
+    starts = np.flatnonzero(np.diff(mids, prepend=-1))
+    bounds = [*starts.tolist(), mids.size]
+    occurrences: Dict[IndexedMessage, int] = {}
+    contributions: Dict[IndexedMessage, float] = {}
+    # messages by their first edge: the loop's key order
+    for k in np.argsort(first[starts]).tolist():
+        mid = int(mids[bounds[k]])
+        y = interleaved.message_at(mid)
+        occurrences[y] = int(n_y[mid])
+        contributions[y] = np.cumsum(terms[bounds[k]:bounds[k + 1]])[-1].item()
+    return occurrences, contributions
 
 
 def mutual_information_gain(

@@ -52,6 +52,7 @@ from repro.core.arrays import (
     height_levels,
     height_levels_python,
     np,
+    sorted_unique,
 )
 from repro.core.flow import Execution, Flow
 from repro.core.indexing import (
@@ -904,7 +905,7 @@ def _product_numpy(
             source = np.repeat(frontier[movable], counts)
             reached.append(source + delta[edge])
             key_parts.append(source * stride + offset[edge])
-        reached = _sorted_unique(np.concatenate(reached))
+        reached = sorted_unique(np.concatenate(reached))
         # drop the codes already seen (``seen`` is never empty)
         slot = np.searchsorted(seen, reached)
         new = seen[np.minimum(slot, seen.size - 1)] != reached
@@ -945,14 +946,6 @@ def _local_edges(component_moves):
         np.array([delta for delta, _ in flat], dtype=np.int64),
         np.array([offset for _, offset in flat], dtype=np.int64),
     )
-
-
-def _sorted_unique(values):
-    """The distinct *values*, ascending: a sort plus a neighbour mask."""
-    values = np.sort(values)
-    keep = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
 
 
 def _buffer(values) -> array:

@@ -19,8 +19,10 @@ the distinct visible target states.
 
 Python big-ints are the bitset representation: arbitrary width, O(n/64)
 bitwise ops in C, no dependencies.  The index is built straight from a
-flow's edge list (label and target ID per edge): each bitset is set
-bit by bit in a ``bytearray`` and converted to an int once, so
+flow's edge list (label and target ID per edge): with numpy every edge
+is scattered into one boolean grid of plain messages by states and
+each row is packed into bytes; without it each bitset is set bit by
+bit in a ``bytearray``.  Either way it is converted to an int once, so
 construction is linear in the number of edges.
 """
 
@@ -38,6 +40,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.arrays import have_numpy, np
 from repro.core.message import IndexedMessage, Message
 
 if hasattr(int, "bit_count"):  # Python >= 3.10
@@ -103,22 +106,38 @@ class VisibilityIndex:
         """Build an index from an edge list: edge ``e`` carries label
         ``labels[edge_labels[e]]`` into state ID ``edge_targets[e]``.
 
-        Labels sharing an underlying message share one bitset, set
-        edge by edge in one ``bytearray`` and converted to an int
-        once."""
+        Labels sharing an underlying message share one bitset.  With
+        numpy every edge is scattered into one (plain message x state)
+        boolean grid whose rows are packed into bytes; otherwise each
+        bitset is set edge by edge in one ``bytearray``.  Either way it
+        is converted to an int once.  The edge sequences may be
+        ``array('q')`` buffers or plain lists."""
         plains: Dict[Message, int] = {}
         group = [
             plains.setdefault(_underlying(label), len(plains))
             for label in labels
         ]
-        width = (num_states + 7) // 8
-        buffers = [bytearray(width) for _ in plains]
-        rows = [buffers[g] for g in group]
-        for label, target in zip(edge_labels, edge_targets):
-            rows[label][target >> 3] |= 1 << (target & 7)
+        if have_numpy():
+            grid = np.zeros((len(plains), num_states), dtype=bool)
+            grid[
+                np.asarray(group, dtype=np.int64)[
+                    np.asarray(edge_labels, dtype=np.int64)
+                ],
+                np.asarray(edge_targets, dtype=np.int64),
+            ] = True
+            rows = [
+                row.tobytes()
+                for row in np.packbits(grid, axis=1, bitorder="little")
+            ]
+        else:
+            width = (num_states + 7) // 8
+            rows = [bytearray(width) for _ in plains]
+            by_label = [rows[g] for g in group]
+            for label, target in zip(edge_labels, edge_targets):
+                by_label[label][target >> 3] |= 1 << (target & 7)
         by_message = {
-            plain: int.from_bytes(buffer, "little")
-            for plain, buffer in zip(plains, buffers)
+            plain: int.from_bytes(row, "little")
+            for plain, row in zip(plains, rows)
         }
         by_name: Dict[str, int] = {}
         for plain, bits in by_message.items():

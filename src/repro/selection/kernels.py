@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, OrderedDict
@@ -93,6 +94,12 @@ _INT64_MAX = 2**63 - 1
 # ----------------------------------------------------------------------
 # content addressing
 # ----------------------------------------------------------------------
+#: :func:`table_fingerprint`'s memo: product -> visible vector -> hex
+#: digest.  Weakly keyed, so a product's entries go with it.
+_FINGERPRINTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_FINGERPRINTS_LOCK = threading.Lock()
+
+
 def table_fingerprint(
     interleaved: InterleavedFlow, visible_mid: Sequence[bool]
 ) -> str:
@@ -104,8 +111,21 @@ def table_fingerprint(
     localizers over structurally identical products with the same
     traced set produce the same fingerprint regardless of process,
     hash seed, or object identity -- which is what lets every server
-    shard share one compiled table set.
+    shard share one compiled table set.  A product's tables never
+    change, so the digest is computed once per ``(product, visible
+    vector)``: every shard asks for it twice at start-up, as its
+    registry key and as its snapshot stamp.
     """
+    visible = bytes(bytearray(1 if v else 0 for v in visible_mid))
+    with _FINGERPRINTS_LOCK:
+        known = _FINGERPRINTS.setdefault(interleaved, {})
+        if visible not in known:
+            known[visible] = _table_digest(interleaved, visible)
+        return known[visible]
+
+
+def _table_digest(interleaved: InterleavedFlow, visible: bytes) -> str:
+    """SHA-256 of the product's tables and the visibility bytes."""
     offsets, msg_ids, targets = interleaved.csr_adjacency()
     digest = hashlib.sha256()
     digest.update(
@@ -125,7 +145,7 @@ def table_fingerprint(
     ):
         digest.update(array("q", arr).tobytes())
         digest.update(b"|")
-    digest.update(bytes(bytearray(1 if v else 0 for v in visible_mid)))
+    digest.update(visible)
     return digest.hexdigest()
 
 

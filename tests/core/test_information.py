@@ -8,11 +8,20 @@ interleaving of the cache-coherence flow, ``I(X; {ReqE, GntE}) =
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.core import information
+from repro.core.flow import Flow
+from repro.core.indexing import index_flows
 from repro.core.information import InformationModel, mutual_information_gain
+from repro.core.interleave import interleave
 from repro.core.message import IndexedMessage, Message, MessageCombination
+from repro.soc.t2.scenarios import usage_scenarios
+from tests.backends import ROUTES, needs_numpy, route
+from tests.strategies import dag_scenarios, scenarios
 
 
 @pytest.fixture
@@ -147,3 +156,97 @@ class TestCrossProcessDeterminism:
             for seed in ("1", "2", "33")
         }
         assert len(values) == 1
+
+
+# ----------------------------------------------------------------------
+# the array route against the loop
+# ----------------------------------------------------------------------
+def model_tables(interleaved, name):
+    """The model's ``n(y)`` and ``c(y).hex()`` per indexed message, in
+    its key order, built on route *name*."""
+    with route(name):
+        model = InformationModel(interleaved)
+    return (
+        list(model._occurrences.items()),
+        [(y, c.hex()) for y, c in model._contribution.items()],
+    )
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "number, instances", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]
+)
+def test_t2_models_agree_across_routes(number, instances):
+    interleaved = usage_scenarios(instances=instances)[number].interleaved()
+    assert model_tables(interleaved, "numpy") == model_tables(
+        interleaved, "python"
+    )
+
+
+@needs_numpy
+def test_paper_example_agrees_across_routes(cc_interleaved):
+    assert model_tables(cc_interleaved, "numpy") == model_tables(
+        cc_interleaved, "python"
+    )
+
+
+@needs_numpy
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scenarios(), dag_scenarios()))
+def test_random_models_agree_across_routes(interleaved):
+    # the DAG flows re-join, so n(x, y) > 1 and several ratios occur
+    assume(interleaved.num_transitions > 0)
+    assert model_tables(interleaved, "numpy") == model_tables(
+        interleaved, "python"
+    )
+
+
+def test_each_sum_runs_in_first_encounter_order():
+    # one message whose targets first appear as 1, 2, 4, 5, 3: summed
+    # in ascending-ID order its contribution differs in the last bit
+    m = Message("m", 4)
+    states = [f"s{i}" for i in range(6)]
+    successors = {0: (1, 2, 4, 5), 1: (2, 3, 4, 5), 2: (4, 5), 3: (4, 5),
+                  4: (5,)}
+    flow = Flow(
+        "F", states, ["s0"], ["s5"],
+        [(states[i], m, states[j]) for i, js in successors.items()
+         for j in js],
+    )
+    interleaved = interleave(index_flows([flow]))
+    (target_ids,) = interleaved.edge_target_ids().values()
+    counts = Counter(target_ids)
+    num_states = interleaved.num_states
+    total = interleaved.num_transitions
+
+    def summed(order):
+        c = 0.0
+        for target in order:
+            c += counts[target] / total * math.log(
+                num_states * counts[target] / len(target_ids)
+            )
+        return c
+
+    assert summed(counts) != summed(sorted(counts))
+    expected = [(IndexedMessage(m, 1), summed(counts).hex())]
+    for name in ROUTES:
+        assert model_tables(interleaved, name)[1] == expected
+
+
+@needs_numpy
+def test_float_bound_hands_over_to_the_loop(monkeypatch, cc_interleaved):
+    expected = model_tables(cc_interleaved, "python")
+    bound = cc_interleaved.num_states * cc_interleaved.num_transitions
+    ran = []
+    array_route = information._contributions_numpy
+    monkeypatch.setattr(
+        information,
+        "_contributions_numpy",
+        lambda interleaved: ran.append(1) or array_route(interleaved),
+    )
+    monkeypatch.setattr(information, "_FLOAT_EXACT", bound + 1)
+    assert model_tables(cc_interleaved, "numpy") == expected
+    assert ran == [1]
+    monkeypatch.setattr(information, "_FLOAT_EXACT", bound)
+    assert model_tables(cc_interleaved, "numpy") == expected
+    assert ran == [1]

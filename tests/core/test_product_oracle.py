@@ -19,12 +19,10 @@ import importlib
 import itertools
 import pickle
 import tracemalloc
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import arrays
 from repro.core.flow import Flow
 from repro.core.indexing import index_flows
 from repro.core.interleave import interleave
@@ -32,29 +30,12 @@ from repro.core.message import Message
 from repro.errors import InterleavingError
 from repro.selection.selector import MessageSelector
 from repro.soc.t2.scenarios import usage_scenarios
+from tests.backends import ROUTES, needs_numpy, route
 from tests.core.reference_product import reference_product
 from tests.strategies import dag_scenarios, scenarios
 
 # the package exports the function under the module's name
 interleave_module = importlib.import_module("repro.core.interleave")
-
-#: The routes a product and its path counts can be built on.
-ROUTES = ("numpy", "python") if arrays.have_numpy() else ("python",)
-
-needs_numpy = pytest.mark.skipif(
-    not arrays.have_numpy(), reason="needs the numpy route"
-)
-
-
-@contextmanager
-def route(name):
-    """Build on the numpy route or the pure-Python one while active."""
-    saved = arrays._force_python
-    arrays._force_python = name == "python"
-    try:
-        yield
-    finally:
-        arrays._force_python = saved
 
 
 def rebuilt(product, name):

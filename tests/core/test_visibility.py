@@ -5,7 +5,8 @@ The :class:`repro.core.visibility.VisibilityIndex` fast path must be
 exhaustive selection loop trusts the bitsets for its coverage
 tie-break.  The property tests here drive both implementations over
 randomized flows, interleavings, and combinations (sub-groups
-included) and require exact agreement.
+included) and require exact agreement, with the bitsets built on each
+route: numpy's packed boolean grid and the pure-Python loop.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core.visibility import (
     index_flow_visibility,
     popcount,
 )
+from tests.backends import ROUTES, route
 
 
 # ----------------------------------------------------------------------
@@ -127,12 +129,14 @@ def flows_and_combos(draw):
     return flows, combo
 
 
+@pytest.mark.parametrize("backend", ROUTES)
 @settings(max_examples=50, deadline=None)
 @given(flows_and_combos())
-def test_flow_bitset_equals_reference(case):
+def test_flow_bitset_equals_reference(backend, case):
     flows, combo = case
     for flow in flows:
-        index = flow.visibility_index()
+        with route(backend):
+            index = flow.visibility_index()
         reference = visible_states(flow, combo)
         assert index.visible_state_set(combo) == reference
         assert index.visible_count(combo) == len(reference)
@@ -141,12 +145,14 @@ def test_flow_bitset_equals_reference(case):
         )
 
 
+@pytest.mark.parametrize("backend", ROUTES)
 @settings(max_examples=25, deadline=None)
 @given(flows_and_combos())
-def test_interleaved_bitset_equals_reference(case):
+def test_interleaved_bitset_equals_reference(backend, case):
     flows, combo = case
-    interleaved = interleave(index_flows(flows))
-    index = interleaved.visibility_index()
+    with route(backend):
+        interleaved = interleave(index_flows(flows))
+        index = interleaved.visibility_index()
     reference = visible_states(interleaved, combo)
     assert index.visible_state_set(combo) == reference
     assert index.visible_count(combo) == len(reference)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.coverage import visible_states
 from repro.core.flow import Flow, Transition
-from repro.core.interleave import interleave_flows
+from repro.core.interleave import interleave, interleave_flows
 from repro.core.message import Message
 from repro.errors import SelectionError
 from repro.selection.combinations import feasible_combinations
@@ -16,7 +16,8 @@ from repro.selection.selector import (
     _inverted_names,
     select_messages,
 )
-from repro.soc.t2.scenarios import scenario
+from repro.soc.t2.scenarios import scenario, usage_scenarios
+from tests.backends import needs_numpy, route
 
 
 @pytest.fixture
@@ -171,3 +172,25 @@ class TestReferenceScan:
         result = selector.select(method="exhaustive", packing=False)
         assert result.combination == combination
         assert result.gain == gain  # bit-identical, not approx
+
+
+@needs_numpy
+@pytest.mark.parametrize("number, instances", [(1, 1), (2, 2), (3, 2)])
+def test_served_selection_agrees_across_routes(number, instances):
+    """The selections ``repro serve`` serves come out bit for bit the
+    same when Steps 1-2 set up on either route."""
+    served = usage_scenarios(instances=instances)[number]
+    bundles = []
+    for name in ("numpy", "python"):
+        with route(name):
+            # a fresh product: it keeps the visibility bitsets it built
+            selector = MessageSelector(
+                interleave(served.instances()),
+                buffer_width=32,
+                subgroups=served.subgroup_pool,
+            )
+            result = selector.select(method="exhaustive", packing=True)
+        bundles.append(
+            (result.traced, result.gain.hex(), result.coverage.hex())
+        )
+    assert bundles[0] == bundles[1]

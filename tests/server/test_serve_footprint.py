@@ -10,7 +10,8 @@ arrays of the interleaved product, so building a context, warming a
 shard's localizer and localizing a capture must construct no
 :class:`~repro.core.interleave.InterleavedTransition` at all -- cold
 or from a cache entry loaded off disk -- and the server must not
-import the analysis stack it never runs.
+import the analysis stack it never runs, hash its tables more than once
+at start-up, or run a second OS thread.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ import pytest
 
 import repro
 from repro.core import arrays
-from repro.core.interleave import InterleavedTransition
+from repro.core.interleave import InterleavedTransition, interleave
 from repro.runtime.cache import ArtifactCache, set_default_cache
 from repro.selection import kernels
 from repro.selection.kernels import TableRegistry
 from repro.selection.localization import PathLocalizer
-from repro.server import ServeContext
+from repro.server import ServeContext, ServerConfig
+from repro.server.shard import Shard
 from repro.stream.service import synthetic_session_records
 from repro.stream.session import SessionManager
 
@@ -70,6 +72,26 @@ def test_served_fingerprint_is_pinned(number, instances, mode, digest):
     )
     localizer = PathLocalizer(context.interleaved, context.traced)
     assert localizer.fingerprint() == digest
+
+
+def test_a_two_shard_start_hashes_the_tables_once(monkeypatch):
+    served = ServeContext.from_scenario(1)
+    # a fresh product, which no earlier fingerprint call has seen
+    context = ServeContext.from_components(
+        interleave(served.interleaved.components),
+        served.traced,
+        served.catalog,
+    )
+    hashed = []
+    digest = kernels._table_digest
+    monkeypatch.setattr(
+        kernels,
+        "_table_digest",
+        lambda *args: hashed.append(args) or digest(*args),
+    )
+    shards = [Shard(index, context, ServerConfig()) for index in (0, 1)]
+    assert len(hashed) == 1
+    assert {shard.fingerprint for shard in shards} == {SERVED[0][3]}
 
 
 def tables_digest(tables) -> str:
@@ -172,17 +194,68 @@ def test_server_imports_no_analysis_stack():
         "import sys, repro.cli, repro.server.server; "
         f"print(*[m for m in {NOT_SERVED!r} if m in sys.modules])"
     )
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    path = os.environ.get("PYTHONPATH")
     loaded = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ,
-             "PYTHONPATH": src + (os.pathsep + path if path else "")},
+        env=package_env(),
     ).stdout.split()
     assert loaded == []
+
+
+def package_env(**extra):
+    """The test's environment with the package on ``PYTHONPATH`` and no
+    ``OPENBLAS_NUM_THREADS`` (this process may have set it), plus
+    *extra*."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {
+        name: value
+        for name, value in os.environ.items()
+        if name != "OPENBLAS_NUM_THREADS"
+    }
+    env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    env.update(extra)
+    return env
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="reads /proc (Linux)"
+)
+def test_serving_process_runs_one_thread(tmp_path):
+    # no shard threads, and no BLAS worker that serving never uses
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--scenario", "1",
+         "--port", "0", "--shards", "2", "--duration", "60"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=package_env(REPRO_CACHE_DIR=str(tmp_path)),
+    )
+    try:
+        assert "listening on" in proc.stdout.readline()
+        assert len(os.listdir(f"/proc/{proc.pid}/task")) == 1
+    finally:
+        proc.terminate()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+
+
+@pytest.mark.parametrize("caller, kept", [(None, "1"), ("2", "2")])
+def test_blas_thread_setting_defaults_to_one(caller, kept):
+    extra = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
+    code = (
+        "import os, repro.core.arrays; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    printed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=package_env(**extra),
+    ).stdout
+    assert printed.strip() == kept
 
 
 @pytest.mark.parametrize(
