@@ -11,13 +11,13 @@ live (fault-injected) deployment:
    localization (after any number of faults, retries, replays, and one
    mid-soak crash) equals an offline, uninterrupted batch localize of
    the same trace content.
-3. **No shard lane dies** -- after the soak, every shard still serves
-   a fresh open/feed/close probe; a lane that swallowed a poison
-   payload or a disk fault and silently stopped consuming would fail
+3. **No shard dies** -- after the soak, every shard still serves a
+   fresh open/feed/close probe; a shard that swallowed a poison
+   payload or a disk fault and silently stopped answering would fail
    this.
 4. **The metrics plane stays serveable** -- STATS answered throughout
-   the soak (it is served inline, ahead of the shard queues, precisely
-   so saturation cannot starve it).
+   the soak (it is answered inline and runs no shard op, so no
+   shard's trouble can starve it).
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def check_shard_liveness(
     server: "object", host: str, port: int, timeout_s: float = 5.0
 ) -> List[Violation]:
     """Probe every shard with a fresh session over a clean connection
-    (no proxy, no faults); a dead lane cannot answer."""
+    (no proxy, no faults); a dead shard cannot answer."""
     violations: List[Violation] = []
     shards = server.config.shards
     probe_ids: Dict[int, str] = {}

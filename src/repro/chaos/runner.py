@@ -179,8 +179,6 @@ class ChaosRunner:
             port=0,
             shards=config.shards,
             max_sessions=config.sessions + 8,
-            max_queue_depth=512,
-            max_inflight=128,
             idle_timeout_s=600.0,
             idle_sweep_s=30.0,
             data_dir=data_dir,
@@ -257,7 +255,7 @@ class ChaosRunner:
                 )
             )
             final_health = self._server_thread.server.health()
-            self._server_thread.stop(drain=True)
+            self._server_thread.stop()
         finally:
             self._stop_poll.set()
             if proxy is not None:
@@ -315,7 +313,7 @@ class ChaosRunner:
         with self._lock:
             watermarks = dict(self._acked)
         crash_started = time.perf_counter()
-        self._server_thread.stop(drain=False, abort=True)
+        self._server_thread.stop(abort=True)
         self._server_thread = ServerThread(context, server_config)
         self._addr = self._server_thread.start()
         proxy.set_upstream(*self._addr)
@@ -440,8 +438,8 @@ class ChaosRunner:
     # -- background observers ------------------------------------------
     def _poll_stats(self) -> None:
         """Hammer STATS throughout the soak (direct, no proxy): the
-        metrics plane must answer even while every shard queue churns
-        through fault recovery."""
+        metrics plane must answer even while every shard churns through
+        fault recovery."""
         while not self._stop_poll.is_set():
             host, port = self._addr
             client = DebugClient(

@@ -431,8 +431,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         shards=args.shards,
         max_sessions=args.max_sessions,
-        max_queue_depth=args.queue_depth,
-        max_inflight=args.inflight,
         idle_timeout_s=args.idle_timeout,
         idle_sweep_s=args.idle_sweep,
         metrics_port=args.metrics_port,
@@ -1102,11 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "consistent hash)")
     served.add_argument("--max-sessions", type=int, default=64,
                         help="admission control: open-session cap")
-    served.add_argument("--queue-depth", type=int, default=64,
-                        help="per-shard queued-request cap before "
-                        "RETRY_LATER")
-    served.add_argument("--inflight", type=int, default=32,
-                        help="per-connection in-flight request cap")
     served.add_argument("--idle-timeout", type=float, default=300.0,
                         help="seconds before an idle session is evicted")
     served.add_argument("--idle-sweep", type=float, default=10.0,

@@ -56,7 +56,7 @@ each other.  :func:`repro.core.arrays.have_numpy` is the backend
 switch; the product build follows it too.
 
 Compiled tables are immutable after construction and shared across
-sessions and shard lanes through a content-addressed
+sessions and shards through a content-addressed
 :class:`TableRegistry` keyed by the ``(scenario, visible-set)``
 fingerprint, so every :class:`~repro.stream.session.SessionManager`
 (one per server shard) reuses one table set.  Concurrent cold callers
@@ -517,7 +517,7 @@ class CompiledTables:
     set)``.
 
     Immutable after construction, so one instance is safely shared
-    across every session and shard lane localizing the same scenario.
+    across every session and shard localizing the same scenario.
     Every table is stored once, in a flat :class:`array.array` buffer:
     ``'q'`` for the operators and the row bounds, and for the closure
     targets and weights the narrowest exact width
@@ -815,9 +815,9 @@ class TableRegistry:
 
     Keyed by :func:`table_fingerprint`, bounded LRU.  Every
     :class:`~repro.selection.localization.PathLocalizer` resolves its
-    tables here, so the debug server's per-shard
-    :class:`~repro.stream.session.SessionManager` lanes (and any number
-    of concurrent sessions) share one read-only table set per scenario
+    tables here, so the debug server's shards, each with its own
+    :class:`~repro.stream.session.SessionManager`, and any number of
+    concurrent sessions share one read-only table set per scenario
     instead of each rebuilding it.  Compilation is single-flight: the
     first cold caller for a fingerprint compiles, concurrent callers
     for the same fingerprint wait for its result and count as hits.

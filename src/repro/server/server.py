@@ -2,32 +2,42 @@
 
 Architecture::
 
-                    +-- lane 0: queue -> Shard core
-    TCP conns ------+-- lane 1: queue -> Shard core
+                    +-- shard 0: Shard core
+    TCP conns ------+-- shard 1: Shard core
      (asyncio)      +-- ...          (consistent-hash routed by session id)
 
+    one handler task per connection: read -> admit -> op -> write reply
+
 * **Sharding** -- every session id maps onto one shard via a
-  consistent-hash ring (:class:`HashRing`), and each shard's lane runs
-  its queued operations one at a time, in order, on the event loop:
-  per-session ordering holds with zero per-request locking.  An op
-  never awaits, so it runs to completion between two loop steps.
-  Everything a lane runs -- op handling, durability, recovery,
-  shutdown -- is the shard's transport-free core,
-  :class:`repro.server.shard.Shard`; :meth:`DebugServer.shard_for`
-  hands it out.  The server starts no thread of its own: it is bound
-  by the interpreter lock, so a thread per shard would add two thread
-  hand-offs per op and a malloc arena per thread, and no parallelism.
-* **Admission control** -- three independent limits answer overload
-  with a structured ``RETRY_LATER`` frame instead of stalling or
-  dropping accepted work: a global open-session cap, a per-shard queue
-  depth cap, and a per-connection in-flight cap.  A ``RETRY_LATER``
-  always means the request had no effect.
+  consistent-hash ring (:class:`HashRing`).  A connection's handler
+  runs each request's op on its shard as soon as it admits it, then
+  writes the reply, all on the event loop: an op never awaits, so it
+  runs to completion between two loop steps, and per-session ordering
+  holds with zero per-request locking.  Everything the server runs on
+  a shard -- op handling, durability, recovery, shutdown -- is the
+  shard's transport-free core, :class:`repro.server.shard.Shard`;
+  :meth:`DebugServer.shard_for` hands it out.  The server starts no
+  thread of its own: it is bound by the interpreter lock, so a thread
+  per shard would add two thread hand-offs per op and a malloc arena
+  per thread, and no parallelism.
+* **Admission control** -- a request is answered with a structured
+  ``RETRY_LATER`` frame, never stalled or dropped, when the global
+  open-session cap is reached, when the server drains, or when its
+  deadline has passed by the time its op would run.  A
+  ``RETRY_LATER`` always means the request had no effect.  A deadline
+  counts from the socket read that carried the frame: it covers the
+  earlier frames of that read, not the ops of other connections that
+  ran in the same loop turn before the read returned.
+* **Backpressure** is the socket's: a handler reads its next bytes
+  only after writing every reply of the last read, and a write waits
+  while a client that does not read has a full buffer, so TCP flow
+  control bounds each connection.
 * **Idle eviction** -- a sweeper task periodically retires sessions
   nobody fed (on the event loop, between two ops, so it serializes
   with every shard's operations).
-* **Graceful drain** -- SIGINT/SIGTERM stop the accept loop, let every
-  queued operation finish and its response flush, then shut every
-  shard core down.
+* **Graceful drain** -- SIGINT/SIGTERM stop the accept loop and
+  refuse new work; every admitted op has already run, so the shard
+  cores shut down and each connection closes once its replies flush.
 * **Durability** (opt-in via ``ServerConfig.data_dir``) -- each shard
   core owns a :class:`repro.store.SessionStore`, and startup recovers
   every session bit-identical to an uninterrupted run; the server
@@ -52,7 +62,7 @@ import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro import perf
 from repro.core.interleave import InterleavedFlow
@@ -135,8 +145,6 @@ class ServerConfig:
     port: int = 0
     shards: int = 2
     max_sessions: int = 64
-    max_queue_depth: int = 64
-    max_inflight: int = 32
     max_payload_bytes: int = protocol.DEFAULT_MAX_PAYLOAD
     idle_timeout_s: float = 300.0
     idle_sweep_s: float = 10.0
@@ -188,43 +196,6 @@ class HashRing:
         return self._shards[position]
 
 
-class _Lane:
-    """A shard's serialized work lane: its request queue, whose ops
-    run one at a time on the event loop."""
-
-    def __init__(self) -> None:
-        self.queue: "asyncio.Queue[Tuple[Callable[[], Reply], asyncio.Future]]" = (
-            asyncio.Queue()
-        )
-
-    async def consume(self) -> None:
-        """Run queued ops in order, each answering its reply future."""
-        while True:
-            fn, future = await self.queue.get()
-            try:
-                result = fn()
-            except Exception as exc:  # noqa: BLE001 - reply, don't die
-                result = (
-                    protocol.ERROR,
-                    protocol.error_payload("internal", str(exc)),
-                )
-            if not future.cancelled():
-                future.set_result(result)
-            self.queue.task_done()
-
-
-class _Connection:
-    """Per-connection bookkeeping (owned by the event loop)."""
-
-    __slots__ = ("writer", "write_lock", "inflight", "assembler")
-
-    def __init__(self, writer: asyncio.StreamWriter, max_payload: int) -> None:
-        self.writer = writer
-        self.write_lock = asyncio.Lock()
-        self.inflight = 0
-        self.assembler = protocol.FrameAssembler(max_payload=max_payload)
-
-
 def _runtime_cache_stats() -> Dict[str, object]:
     """Hit/miss counters of the process-wide artifact cache."""
     from repro.runtime.cache import default_cache
@@ -251,12 +222,10 @@ class DebugServer:
         self.metrics = perf.PerfCounters()
         self.ring = HashRing(self.config.shards)
         self._shards: List[Shard] = []
-        self._lanes: List[_Lane] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._metrics_server: Optional[asyncio.AbstractServer] = None
-        self._consumers: List[asyncio.Task] = []
         self._sweeper: Optional[asyncio.Task] = None
-        self._connections: set = set()
+        self._connections: Set[asyncio.StreamWriter] = set()
         self._draining = False
         self._stopped = False
         self._started_at = 0.0
@@ -265,9 +234,6 @@ class DebugServer:
         #: and at most ``max_sessions`` of them: a retry of that OPEN
         #: goes to the same id (event loop only).
         self._generated: "OrderedDict[str, str]" = OrderedDict()
-        #: OPENs admitted but not yet answered (event loop only): they
-        #: count against ``max_sessions`` until their shard replies.
-        self._pending_opens = 0
         self._recovery: Dict[str, object] = {}
         #: Structured operational alerts (WAL degradation, snapshot
         #: failures, quarantines) -- newest last, bounded, served in the
@@ -330,10 +296,9 @@ class DebugServer:
                 {
                     "shard": shard.index,
                     **shard.manager.stats(),
-                    "queue_depth": lane.queue.qsize(),
                     "degraded": shard.degraded,
                 }
-                for shard, lane in zip(self._shards, self._lanes)
+                for shard in self._shards
             ]
         }
 
@@ -405,17 +370,16 @@ class DebugServer:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> Tuple[str, int]:
-        """Bind, start shard consumers and the sweeper; returns the
-        bound ``(host, port)`` (port 0 resolves to an ephemeral one).
+        """Bind and start the sweeper; returns the bound ``(host,
+        port)`` (port 0 resolves to an ephemeral one).
 
-        Recovery and both binds run before any task starts, and the
+        Recovery and both binds run before the sweeper starts, and the
         metrics registry is activated last.  If recovery or a bind fails
         (a refused data directory, a taken port), the listeners are
         closed and the WAL writers sealed before the error propagates.
         """
         if self._server is not None:
             raise StreamError("server already started")
-        loop = asyncio.get_running_loop()
         self._shards = [
             Shard(
                 i, self.context, self.config, metrics=self.metrics,
@@ -424,7 +388,6 @@ class DebugServer:
             )
             for i in range(self.config.shards)
         ]
-        self._lanes = [_Lane() for _ in self._shards]
         try:
             if self.config.data_dir is not None:
                 self._recover_from_store()
@@ -449,66 +412,50 @@ class DebugServer:
                 if shard.store is not None:
                     shard.store.close()
             raise
-        self._consumers = [
-            loop.create_task(lane.consume()) for lane in self._lanes
-        ]
-        self._sweeper = loop.create_task(self._sweep_loop())
+        self._sweeper = asyncio.get_running_loop().create_task(
+            self._sweep_loop()
+        )
         perf.activate(self.metrics)
         self._started_at = time.monotonic()
         return self.host, self.port
 
-    async def stop(self, drain: bool = True, abort: bool = False) -> None:
+    async def stop(self, abort: bool = False) -> None:
         """Stop serving.
 
-        ``drain=True`` (the graceful path) finishes every queued
-        operation, flushes its response, and retires remaining sessions
-        through their managers.  ``abort=True`` simulates a crash:
-        connections are torn down immediately and queued work is
-        dropped -- the client-retry soak test drives this path.
+        Every admitted op has run by the time this runs, so the
+        graceful path waits for no work: it refuses new requests, shuts
+        every shard core down (retiring or checkpointing its sessions)
+        and closes each connection once its written replies flush.
+        ``abort=True`` simulates a crash: connections are torn down at
+        once and the cores are left as a crash leaves them -- the
+        client-retry soak test drives this path.
         """
         if self._stopped:
             return
         self._stopped = True
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._metrics_server is not None:
-            self._metrics_server.close()
-            await self._metrics_server.wait_closed()
-        if abort:
-            for connection in list(self._connections):
-                transport = connection.writer.transport
-                if transport is not None:
-                    transport.abort()
-        elif drain:
-            for lane in self._lanes:
-                try:
-                    await asyncio.wait_for(lane.queue.join(), timeout=30.0)
-                except asyncio.TimeoutError:  # pragma: no cover - defensive
-                    pass
+        listeners = [
+            listener
+            for listener in (self._server, self._metrics_server)
+            if listener is not None
+        ]
+        for listener in listeners:
+            listener.close()
         if self._sweeper is not None:
             self._sweeper.cancel()
-        for task in self._consumers:
-            task.cancel()
-        await asyncio.gather(
-            *self._consumers,
-            *((self._sweeper,) if self._sweeper else ()),
-            return_exceptions=True,
-        )
-        for lane in self._lanes:
-            # an abort drops queued work: cancel each reply future so
-            # its _respond task finishes instead of waiting forever
-            while not lane.queue.empty():
-                lane.queue.get_nowait()[1].cancel()
+            await asyncio.gather(self._sweeper, return_exceptions=True)
         if not abort:
             for shard in self._shards:
                 shard.shutdown()
-        for connection in list(self._connections):
-            try:
-                connection.writer.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
+        for writer in list(self._connections):
+            if abort:
+                writer.transport.abort()
+            else:
+                writer.close()
+        # since Python 3.12 this waits for every connection to drop, so
+        # it comes after they are closed
+        for listener in listeners:
+            await listener.wait_closed()
         perf.deactivate(self.metrics)
 
     async def run(
@@ -541,7 +488,7 @@ class DebugServer:
         finally:
             for sig in installed:
                 loop.remove_signal_handler(sig)
-            await self.stop(drain=True)
+            await self.stop()
 
     # -- background tasks ----------------------------------------------
     async def _sweep_loop(self) -> None:
@@ -554,46 +501,55 @@ class DebugServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        connection = _Connection(writer, self.config.max_payload_bytes)
-        self._connections.add(connection)
+        assembler = protocol.FrameAssembler(
+            max_payload=self.config.max_payload_bytes
+        )
+        self._connections.add(writer)
         self.metrics.add("connections_total")
         try:
             while True:
                 data = await reader.read(65536)
                 if not data:
                     break
+                received = time.perf_counter()
                 self.metrics.add("wire_bytes_in", len(data))
                 try:
-                    frames = connection.assembler.feed(data)
+                    frames = assembler.feed(data)
                 except ProtocolError as exc:
                     self.metrics.add("protocol_errors_total")
                     await self._send(
-                        connection,
+                        writer,
                         protocol.ERROR,
                         0,
                         protocol.error_payload("protocol", str(exc)),
                     )
                     break
                 for frame in frames:
-                    await self._accept_frame(connection, frame)
+                    await self._accept_frame(writer, frame, received)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._connections.discard(connection)
+            self._connections.discard(writer)
             try:
                 writer.close()
             except Exception:  # pragma: no cover - defensive
                 pass
 
     async def _accept_frame(
-        self, connection: _Connection, frame: protocol.WireFrame
+        self,
+        writer: asyncio.StreamWriter,
+        frame: protocol.WireFrame,
+        received: float,
     ) -> None:
-        """Admission-check one request and hand it to its shard."""
+        """Admission-check one request, run it on its shard and send
+        the reply.  *received* is the ``perf_counter`` time the read
+        that carried the frame returned: its deadline counts from
+        there."""
         self.metrics.add("requests_total")
         if frame.frame_type not in protocol.REQUEST_TYPES:
             self.metrics.add("protocol_errors_total")
             await self._send(
-                connection,
+                writer,
                 protocol.ERROR,
                 frame.seq,
                 protocol.error_payload(
@@ -602,11 +558,10 @@ class DebugServer:
                 ),
             )
             return
-        # metrics/health requests are served inline: they must work
-        # even when every shard queue is saturated
+        # metrics/health requests work even while the server drains
         if frame.frame_type == protocol.STATS:
             await self._send(
-                connection,
+                writer,
                 protocol.OK,
                 frame.seq,
                 protocol.encode_json(self.stats()),
@@ -614,7 +569,7 @@ class DebugServer:
             return
         if frame.frame_type == protocol.PING:
             await self._send(
-                connection,
+                writer,
                 protocol.OK,
                 frame.seq,
                 protocol.encode_json(
@@ -624,82 +579,68 @@ class DebugServer:
             )
             return
         if self._draining:
-            await self._retry_later(connection, frame.seq, "draining")
-            return
-        if connection.inflight >= self.config.max_inflight:
-            await self._retry_later(connection, frame.seq, "inflight-cap")
+            await self._retry_later(writer, frame.seq, "draining")
             return
         try:
-            index, op, deadline_ms = self._route(frame)
+            op, deadline_ms = self._route(frame)
         except ProtocolError as exc:
             self.metrics.add("protocol_errors_total")
             await self._send(
-                connection,
+                writer,
                 protocol.ERROR,
                 frame.seq,
                 protocol.error_payload("protocol", str(exc)),
             )
             return
         except StreamError as exc:
-            await self._retry_later(connection, frame.seq, str(exc))
+            await self._retry_later(writer, frame.seq, str(exc))
             return
-        lane = self._lanes[index]
-        if lane.queue.qsize() >= self.config.max_queue_depth:
-            await self._retry_later(connection, frame.seq, "queue-full")
-            return
-        if deadline_ms is not None:
-            op = self._guard_deadline(op, deadline_ms)
-        connection.inflight += 1
-        if frame.frame_type == protocol.OPEN_SESSION:
-            self._pending_opens += 1
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        # nothing may await from the draining check to the op: then no
+        # op reaches a shard after shutdown(), and the session cap has
+        # seen every OPEN admitted before this one run
         admitted = time.perf_counter()
-        await lane.queue.put((op, future))
-        loop.create_task(
-            self._respond(
-                connection, frame.seq, frame.frame_type, future, admitted
+        if (
+            deadline_ms is not None
+            and admitted >= received + deadline_ms / 1000.0
+        ):
+            # the client has given up waiting: applying the op would
+            # break the no-effect promise its retransmit relies on
+            self.metrics.add("deadline_exceeded_total")
+            frame_type, payload = (
+                protocol.RETRY_LATER,
+                protocol.retry_later_payload(
+                    "deadline-exceeded", self.config.retry_after_s
+                ),
             )
-        )
-
-    async def _respond(
-        self,
-        connection: _Connection,
-        seq: int,
-        request_type: int,
-        future: "asyncio.Future",
-        admitted: float,
-    ) -> None:
-        """Send the reply *future* resolves to.  The request latency
-        runs from admission, since the lane may run the op before this
-        task first runs."""
-        try:
-            frame_type, payload = await future
-        finally:
-            connection.inflight -= 1
-            if request_type == protocol.OPEN_SESSION:
-                self._pending_opens -= 1
+        else:
+            try:
+                frame_type, payload = op()
+            except Exception as exc:  # noqa: BLE001 - reply, don't die
+                frame_type, payload = (
+                    protocol.ERROR,
+                    protocol.error_payload("internal", str(exc)),
+                )
         elapsed = time.perf_counter() - admitted
         self.metrics.observe("request_latency_s", elapsed)
-        if request_type == protocol.FEED_CHUNK:
+        if frame.frame_type == protocol.FEED_CHUNK:
             self.metrics.observe("feed_latency_s", elapsed)
         if frame_type == protocol.ERROR:
             self.metrics.add("error_replies_total")
-        await self._send(connection, frame_type, seq, payload)
+        await self._send(writer, frame_type, frame.seq, payload)
 
     async def _retry_later(
-        self, connection: _Connection, seq: int, reason: str
+        self, writer: asyncio.StreamWriter, seq: int, reason: str
     ) -> None:
         self.metrics.add("retry_later_total")
         await self._send(
-            connection,
+            writer,
             protocol.RETRY_LATER,
             seq,
             protocol.retry_later_payload(reason, self.config.retry_after_s),
         )
 
     async def _send(
-        self, connection: _Connection, frame_type: int, seq: int,
+        self, writer: asyncio.StreamWriter, frame_type: int, seq: int,
         payload: bytes,
     ) -> None:
         data = protocol.encode_frame(
@@ -707,20 +648,19 @@ class DebugServer:
             max_payload=self.config.max_payload_bytes,
         )
         self.metrics.add("wire_bytes_out", len(data))
-        async with connection.write_lock:
-            try:
-                connection.writer.write(data)
-                await connection.writer.drain()
-            except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                pass
+        try:
+            writer.write(data)
+            await writer.drain()
+        except (ConnectionResetError, BrokenPipeError, RuntimeError):
+            pass
 
     # -- request routing -----------------------------------------------
     def _route(
         self, frame: protocol.WireFrame
-    ) -> Tuple[int, Callable[[], Reply], Optional[int]]:
-        """Build the shard operation for one request: returns the
-        shard's index, the op, and the request's relative deadline in
-        milliseconds (``None`` when the client sent none).
+    ) -> Tuple[Callable[[], Reply], Optional[int]]:
+        """Build the shard operation for one request: returns the op
+        and the request's relative deadline in milliseconds (``None``
+        when the client sent none).
 
         Raises :class:`ProtocolError` for malformed payloads and
         :class:`StreamError` for global-capacity refusals (mapped to
@@ -730,10 +670,8 @@ class DebugServer:
             sid, chunk_index, eof, data, deadline_ms = (
                 protocol.decode_feed_payload_ex(frame.payload)
             )
-            index = self.ring.shard_for(sid)
-            shard = self._shards[index]
+            shard = self.shard_for(sid)
             return (
-                index,
                 lambda: shard.feed(sid, chunk_index, data, eof),
                 deadline_ms,
             )
@@ -747,12 +685,11 @@ class DebugServer:
             if sid is None:
                 sid = self._generated_id(token)
         protocol.session_id_bytes(sid)  # refuses an id FEED cannot carry
-        index = self.ring.shard_for(sid)
-        shard = self._shards[index]
+        shard = self.shard_for(sid)
         if frame.frame_type == protocol.SNAPSHOT:
-            return index, lambda: shard.snapshot(sid), deadline_ms
+            return lambda: shard.snapshot(sid), deadline_ms
         if frame.frame_type == protocol.CLOSE_SESSION:
-            return index, lambda: shard.close(sid), deadline_ms
+            return lambda: shard.close(sid), deadline_ms
         mode = body.get("mode")
         transport = body.get("transport", "text")
         if transport not in TRANSPORTS:
@@ -763,11 +700,10 @@ class DebugServer:
         open_sessions = sum(len(s.manager) for s in self._shards)
         # a retried OPEN whose first attempt made the session adds
         # none, so the cap must not refuse it
-        if open_sessions + self._pending_opens >= self.config.max_sessions:
+        if open_sessions >= self.config.max_sessions:
             if not shard.opened_with(sid, token):
                 raise StreamError("session-table-full")
         return (
-            index,
             lambda: shard.open(sid, mode, str(transport), token),
             deadline_ms,
         )
@@ -801,29 +737,6 @@ class DebugServer:
         if not 0 <= deadline <= 0xFFFFFFFF:
             raise ProtocolError(f"deadline {deadline}ms out of range")
         return deadline
-
-    def _guard_deadline(
-        self, op: Callable[[], Reply], deadline_ms: int
-    ) -> Callable[[], Reply]:
-        """Wrap a shard operation so that, by the time the shard's
-        lane dequeues it, an already-expired request budget is
-        answered with ``RETRY_LATER`` *before* anything is applied --
-        the client has given up waiting, so doing the work would break
-        the no-effect promise its retransmit relies on."""
-        expires_at = time.monotonic() + deadline_ms / 1000.0
-
-        def guarded() -> Reply:
-            if time.monotonic() >= expires_at:
-                self.metrics.add("deadline_exceeded_total")
-                return (
-                    protocol.RETRY_LATER,
-                    protocol.retry_later_payload(
-                        "deadline-exceeded", self.config.retry_after_s
-                    ),
-                )
-            return op()
-
-        return guarded
 
     # -- durability (repro.store) ---------------------------------------
     def _recover_from_store(self) -> None:
@@ -910,8 +823,8 @@ class ServerThread:
     The blocking-world adapter used by tests, the chaos runner, and
     anything else that wants a live server without owning an event
     loop.  ``stop(abort=True)`` simulates a crash (connections torn
-    down, queued work dropped) -- the client-retry soak test kills and
-    restarts a server this way.
+    down, replies not yet written lost) -- the client-retry soak test
+    kills and restarts a server this way.
     """
 
     def __init__(
@@ -959,7 +872,7 @@ class ServerThread:
         self._ready.set()
         await self._release.wait()
 
-    def stop(self, drain: bool = True, abort: bool = False) -> None:
+    def stop(self, abort: bool = False) -> None:
         """Stop the server and join its thread (idempotent)."""
         if self._thread is None or self._loop is None:
             return
@@ -967,7 +880,7 @@ class ServerThread:
         # be closed: only a running server waits for the release
         if self._thread.is_alive() and self._startup_error is None:
             future = asyncio.run_coroutine_threadsafe(
-                self.server.stop(drain=drain, abort=abort), self._loop
+                self.server.stop(abort=abort), self._loop
             )
             future.result(timeout=60.0)
             self._loop.call_soon_threadsafe(self._release.set)

@@ -1,4 +1,4 @@
-"""The shard core of the debug server: everything a shard's lane runs.
+"""The shard core of the debug server: everything the server runs on a shard.
 
 A :class:`Shard` owns one shard's session manager and optional session
 store, and holds the whole rule for when an op becomes durable: OPEN

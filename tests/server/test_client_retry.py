@@ -151,7 +151,7 @@ def test_restart_soak_recovers_with_zero_data_loss(context):
         feed.feed(chunk)
 
     # hard-kill: connections reset, all session state lost
-    first.thread.stop(drain=False, abort=True)
+    first.thread.stop(abort=True)
     second = start_server(
         context, ServerConfig(shards=2, port=port)
     )

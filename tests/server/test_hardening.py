@@ -4,6 +4,7 @@ under duplicated and reordered chunk indices."""
 
 from __future__ import annotations
 
+import socket
 import sys
 import threading
 import time
@@ -20,34 +21,63 @@ from repro.server import (
 )
 from repro.server.loadgen import render_session_chunks
 from repro.server.server import DebugServer
+from repro.server.shard import Shard
 from tests.server.conftest import start_server
 
 
 # -- request deadlines -------------------------------------------------
 
-def test_expired_deadline_answers_retry_later_without_applying(context):
-    server = DebugServer(context)
-    applied = []
+def test_expired_deadline_answers_retry_later_without_applying(
+    context, monkeypatch
+):
+    # two FEEDs in one write: the first, slowed by 50 ms, runs within
+    # its deadline; the second's 10 ms deadline, counted from the read
+    # that carried both, expires behind it and is refused before it is
+    # applied -- the client has given up waiting, and its retransmit
+    # relies on the refusal having had no effect
+    feed = Shard.feed
 
-    def op():
-        applied.append(True)
-        return protocol.OK, b""
+    def slow_feed(self, *args):
+        time.sleep(0.05)
+        return feed(self, *args)
 
-    guarded = server._guard_deadline(op, deadline_ms=1)
-    time.sleep(0.005)
-    frame_type, payload = guarded()
-    assert frame_type == protocol.RETRY_LATER
-    body = protocol.decode_json(payload)
+    monkeypatch.setattr(Shard, "feed", slow_feed)
+    chunks = render_session_chunks(context, seed=3, chunk_records=1)
+    handle = start_server(context, ServerConfig(shards=1))
+    try:
+        with DebugClient(handle.host, handle.port) as client:
+            client.open_session("late")
+            sock = socket.create_connection(
+                (handle.host, handle.port), timeout=5
+            )
+            try:
+                sock.sendall(b"".join(
+                    protocol.encode_frame(
+                        protocol.FEED_CHUNK, index,
+                        protocol.encode_feed_payload(
+                            "late", index, chunks[index],
+                            deadline_ms=deadline_ms,
+                        ),
+                    )
+                    for index, deadline_ms in enumerate((60_000, 10))
+                ))
+                assembler = protocol.FrameAssembler()
+                replies = []
+                while len(replies) < 2:
+                    data = sock.recv(65536)
+                    assert data, "server closed the connection"
+                    replies.extend(assembler.feed(data))
+            finally:
+                sock.close()
+            snapshot = client.snapshot("late")
+    finally:
+        handle.thread.stop()
+    assert [frame.frame_type for frame in replies] == [
+        protocol.OK, protocol.RETRY_LATER,
+    ]
+    body = protocol.decode_json(replies[1].payload)
     assert body["reason"] == "deadline-exceeded"
-    assert applied == []
-
-
-def test_unexpired_deadline_passes_through(context):
-    server = DebugServer(context)
-    guarded = server._guard_deadline(
-        lambda: (protocol.OK, b"done"), deadline_ms=60_000
-    )
-    assert guarded() == (protocol.OK, b"done")
+    assert snapshot.next_chunk == 1
 
 
 def test_client_propagates_deadline_from_timeout():

@@ -96,7 +96,7 @@ class TestCompact:
                 for index, chunk in enumerate(chunks):
                     client.feed("compactee", index, chunk)
         finally:
-            running.thread.stop(drain=False, abort=True)
+            running.thread.stop(abort=True)
 
         before = sum(
             len(wal.list_segments(p))

@@ -107,7 +107,7 @@ class TestCrashRecovery:
                     upto=len(session_chunks(context, seed, transport)) // 2,
                     transport=transport,
                 )
-        first.thread.stop(drain=False, abort=True)  # crash
+        first.thread.stop(abort=True)  # crash
 
         second = start_server(
             context,
@@ -149,7 +149,7 @@ class TestCrashRecovery:
         store_stats = stats["store"]
         assert store_stats["totals"]["snapshots_written"] > 0
         total_feeds = store_stats["totals"]["wal_appends"]
-        first.thread.stop(drain=False, abort=True)
+        first.thread.stop(abort=True)
 
         second = start_server(
             context, durable_config(
@@ -178,7 +178,7 @@ class TestCrashRecovery:
             chunks = feed_session(
                 client, context, "dup", 51, upto=2
             )
-        first.thread.stop(drain=False, abort=True)
+        first.thread.stop(abort=True)
 
         second = start_server(
             context, durable_config(tmp_path, port=port)
@@ -337,7 +337,7 @@ class TestEvictionSpill:
             # core off its thread is safe here: its table is empty, so
             # the sweep touches nothing, and no request is in flight
             shard.checkpoint()
-        first.thread.stop(drain=False, abort=True)
+        first.thread.stop(abort=True)
 
         second = start_server(
             context, durable_config(tmp_path, port=port)
@@ -404,7 +404,7 @@ class TestEvictionSpill:
         # no sweep is due for a minute and no request is in flight, so
         # the test thread may checkpoint the core
         shard.checkpoint()
-        first.thread.stop(drain=False, abort=True)
+        first.thread.stop(abort=True)
 
         second = start_server(
             context, durable_config(tmp_path, shards=1, port=port)
@@ -437,7 +437,7 @@ class TestClientResume:
         assert len(chunks) >= 4
         for chunk in chunks[:-1]:
             feed.feed(chunk)
-        first.thread.stop(drain=False, abort=True)
+        first.thread.stop(abort=True)
 
         # the crash ate the last durable FEED record of this session
         from repro.store import wal as wal_mod
@@ -525,7 +525,7 @@ class TestIdentityGuards:
         first = start_server(context, durable_config(tmp_path))
         with DebugClient(first.host, first.port) as client:
             feed_session(client, context, "keep", 96, upto=2)
-        first.thread.stop(drain=False, abort=True)
+        first.thread.stop(abort=True)
         with pytest.raises(StoreError):
             start_server(context, durable_config(tmp_path, shards=3))
         # the right shape still recovers everything
