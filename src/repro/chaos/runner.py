@@ -51,6 +51,7 @@ from repro.server import protocol
 from repro.server.client import DebugClient, RetryPolicy, SessionFeed
 from repro.server.loadgen import render_session_chunks
 from repro.server.server import ServeContext, ServerConfig, ServerThread
+from repro.server.shard import QUARANTINE_AFTER
 
 #: Deterministic session-plane roles (assigned by session index).
 ROLE_NORMAL = "normal"
@@ -73,7 +74,6 @@ class ChaosConfig:
     chunk_records: int = 4
     shards: int = 4
     crash: bool = True
-    quarantine_after: int = 3
     timeout_s: float = 0.75
     plan: Optional[FaultPlan] = None
     data_dir: Optional[str] = None
@@ -184,7 +184,6 @@ class ChaosRunner:
             data_dir=data_dir,
             fsync="always",
             snapshot_every=64,
-            quarantine_after=config.quarantine_after,
         )
         gate = (
             installed(DiskFaultInjector(decider))
@@ -414,7 +413,7 @@ class ChaosRunner:
         EOF hits a closed parser) until the server quarantines the
         session; the terminal reply is a structured error, never an
         infinite retry."""
-        for _ in range(self.config.quarantine_after * 2 + 4):
+        for _ in range(QUARANTINE_AFTER * 2 + 4):
             try:
                 client.feed(sid, next_index, b"poison\n", eof=False)
             except ServerError as exc:
@@ -523,7 +522,7 @@ class ChaosRunner:
                 "chunk_records": config.chunk_records,
                 "shards": config.shards,
                 "crash": config.crash,
-                "quarantine_after": config.quarantine_after,
+                "quarantine_after": QUARANTINE_AFTER,
             },
             "sessions": rows,
             "invariants": grouped,

@@ -202,8 +202,10 @@ class PathLocalizer:
         )
         self._tables: Optional[kernels.CompiledTables] = None
         # memoized window-mode counts, LRU-keyed by the observed
-        # window; the lock only guards the cache (the shared localizer
-        # is fed from many session threads), never the DP
+        # window.  A server feeds the shared localizer from its one
+        # event-loop thread; the lock stays for library callers that
+        # share a localizer across threads, and guards only the cache,
+        # never the DP
         self._window_memo: "OrderedDict[Tuple[object, ...], int]" = (
             OrderedDict()
         )

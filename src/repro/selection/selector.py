@@ -20,7 +20,7 @@ Two equivalent Step-2 engines are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro import perf
 
@@ -177,6 +177,9 @@ class MessageSelector:
         # query of this selector (exhaustive Step 2 issues one query
         # per feasible combination)
         self._parents = {m.name: m for m in interleaved.messages}
+        # Step 2's answer per method: it does not depend on packing,
+        # so a with- and a without-packing selection share one search
+        self._step2: Dict[str, Tuple[MessageCombination, float]] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -189,10 +192,13 @@ class MessageSelector:
             raise SelectionError(
                 f"unknown selection method {method!r}; choose one of {METHODS}"
             )
-        if method == "exhaustive":
-            combination, gain = self._select_exhaustive()
-        else:
-            combination, gain = self._select_knapsack()
+        if method not in self._step2:
+            self._step2[method] = (
+                self._select_exhaustive()
+                if method == "exhaustive"
+                else self._select_knapsack()
+            )
+        combination, gain = self._step2[method]
 
         packed: Tuple[Message, ...] = ()
         if packing and self.subgroups:

@@ -85,6 +85,9 @@ TRAILER_BYTES = 2
 #: so an oversized frame is rejected before its body is buffered.
 DEFAULT_MAX_PAYLOAD = 1 << 20
 
+#: The backoff hint, in seconds, a server's ``RETRY_LATER`` carries.
+RETRY_AFTER_S = 0.05
+
 # Request frame types.
 OPEN_SESSION = 0x01
 FEED_CHUNK = 0x02
@@ -431,7 +434,5 @@ def error_payload(code: str, message: str, **extra: object) -> bytes:
     return encode_json({"error": code, "message": message, **extra})
 
 
-def retry_later_payload(reason: str, retry_after_s: float) -> bytes:
-    return encode_json(
-        {"reason": reason, "retry_after_s": round(retry_after_s, 4)}
-    )
+def retry_later_payload(reason: str) -> bytes:
+    return encode_json({"reason": reason, "retry_after_s": RETRY_AFTER_S})

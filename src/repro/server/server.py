@@ -71,7 +71,6 @@ from repro.errors import ProtocolError, StoreError, StreamError
 from repro.selection import kernels
 from repro.server import protocol
 from repro.server.shard import Reply, Shard
-from repro.store import wal as wal_mod
 from repro.store.inspect import META_FORMAT, read_meta, write_meta
 
 #: Session transports: text trace-file chunks, or framed compressed
@@ -145,10 +144,8 @@ class ServerConfig:
     port: int = 0
     shards: int = 2
     max_sessions: int = 64
-    max_payload_bytes: int = protocol.DEFAULT_MAX_PAYLOAD
     idle_timeout_s: float = 300.0
     idle_sweep_s: float = 10.0
-    retry_after_s: float = 0.05
     metrics_port: Optional[int] = None
     #: Durability (repro.store): a data directory enables the per-shard
     #: write-ahead log + frontier snapshots; ``None`` keeps the server
@@ -157,13 +154,6 @@ class ServerConfig:
     fsync: str = "interval"
     fsync_interval_s: float = 0.05
     snapshot_every: int = 256
-    segment_bytes: int = wal_mod.DEFAULT_SEGMENT_BYTES
-    #: Consecutive poisonous feeds (apply-time crashes that are not
-    #: ordinary stream errors) a session survives before the server
-    #: quarantines it -- retiring it with a structured
-    #: ``session-quarantined`` error instead of letting a client retry
-    #: a payload that can never succeed.
-    quarantine_after: int = 3
 
 
 class HashRing:
@@ -338,7 +328,9 @@ class DebugServer:
     @property
     def recovery_info(self) -> Dict[str, object]:
         """Summary of the last start's recovery (empty without a
-        store): sessions restored, records replayed, wall time."""
+        store): sessions restored, records replayed, wall time, and
+        what the shards' stores skipped or truncated, each note named
+        by its shard."""
         return dict(self._recovery)
 
     def _store_stats(self) -> Dict[str, object]:
@@ -501,9 +493,7 @@ class DebugServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        assembler = protocol.FrameAssembler(
-            max_payload=self.config.max_payload_bytes
-        )
+        assembler = protocol.FrameAssembler()
         self._connections.add(writer)
         self.metrics.add("connections_total")
         try:
@@ -608,9 +598,7 @@ class DebugServer:
             self.metrics.add("deadline_exceeded_total")
             frame_type, payload = (
                 protocol.RETRY_LATER,
-                protocol.retry_later_payload(
-                    "deadline-exceeded", self.config.retry_after_s
-                ),
+                protocol.retry_later_payload("deadline-exceeded"),
             )
         else:
             try:
@@ -636,17 +624,14 @@ class DebugServer:
             writer,
             protocol.RETRY_LATER,
             seq,
-            protocol.retry_later_payload(reason, self.config.retry_after_s),
+            protocol.retry_later_payload(reason),
         )
 
     async def _send(
         self, writer: asyncio.StreamWriter, frame_type: int, seq: int,
         payload: bytes,
     ) -> None:
-        data = protocol.encode_frame(
-            frame_type, seq, payload,
-            max_payload=self.config.max_payload_bytes,
-        )
+        data = protocol.encode_frame(frame_type, seq, payload)
         self.metrics.add("wire_bytes_out", len(data))
         try:
             writer.write(data)

@@ -42,6 +42,13 @@ if TYPE_CHECKING:  # the server module imports this one
 #: One reply: ``(frame type, payload)``.
 Reply = Tuple[int, bytes]
 
+#: Consecutive poisonous feeds (apply-time crashes that are not
+#: ordinary stream errors) a session survives before the shard
+#: quarantines it -- retiring it with a structured
+#: ``session-quarantined`` error instead of letting a client retry a
+#: payload that can never succeed.
+QUARANTINE_AFTER = 3
+
 
 def _error(code: str, message: str, **extra: object) -> Reply:
     return protocol.ERROR, protocol.error_payload(code, message, **extra)
@@ -63,12 +70,13 @@ def _generated_number(sid: str) -> int:
 
 @dataclass(frozen=True)
 class ShardRecovery:
-    """What :meth:`Shard.recover` brought back: live plus revivable
+    """The one report of :meth:`Shard.recover`: live plus revivable
     spilled sessions, the WAL records replayed, the store's
-    diagnostics, the highest generated-id counter the store has seen
-    (so a restarted server never issues a durable id again), and the
-    ``(token, id)`` pair of every recovered session with a generated
-    id and an open token (so a retry of its OPEN finds it again)."""
+    diagnostics, each prefixed with the shard's directory name, the
+    highest generated-id counter the store has seen (so a restarted
+    server never issues a durable id again), and the ``(token, id)``
+    pair of every recovered session with a generated id and an open
+    token (so a retry of its OPEN finds it again)."""
 
     sessions: int
     replayed_records: int
@@ -126,7 +134,6 @@ class Shard:
                 fsync=config.fsync,
                 fsync_interval_s=config.fsync_interval_s,
                 snapshot_every=config.snapshot_every,
-                segment_bytes=config.segment_bytes,
             )
         #: Content hash of the served tables, stamped into every
         #: snapshot and checked against it on recovery.
@@ -173,9 +180,7 @@ class Shard:
                 if "table full" in str(exc):
                     return (
                         protocol.RETRY_LATER,
-                        protocol.retry_later_payload(
-                            "session-table-full", self.config.retry_after_s
-                        ),
+                        protocol.retry_later_payload("session-table-full"),
                     )
                 return _error("session-exists", str(exc))
             except SelectionError as exc:
@@ -291,19 +296,19 @@ class Shard:
     def _poisoned(self, session: StreamSession, exc: Exception) -> Reply:
         """Answer a feed whose apply crashed in a way no retry can fix.
 
-        Strikes accumulate per session; past
-        ``ServerConfig.quarantine_after`` the session is forcibly
-        retired with a terminal ``session-quarantined`` error, because
-        letting a client retry a poisonous payload forever is an
-        availability bug, not fault tolerance."""
+        Strikes accumulate per session; at :data:`QUARANTINE_AFTER`
+        the session is forcibly retired with a terminal
+        ``session-quarantined`` error, because letting a client retry a
+        poisonous payload forever is an availability bug, not fault
+        tolerance."""
         sid = session.session_id
         session.failures += 1
-        if session.failures < self.config.quarantine_after:
+        if session.failures < QUARANTINE_AFTER:
             return _error(
                 "poison-payload",
                 f"feed to session {sid!r} failed to apply: {exc}",
                 failures=session.failures,
-                quarantine_after=self.config.quarantine_after,
+                quarantine_after=QUARANTINE_AFTER,
             )
         try:
             self.manager.quarantine(sid)
@@ -465,7 +470,6 @@ class Shard:
         take.  Every durable session comes back whatever the table's
         cap, since each was admitted once; new OPENs wait until the
         table drains.  Refuses a snapshot of another scenario."""
-        started = time.perf_counter()
         recovered = self.store.open()
         snap = recovered.snapshot or {}
         if snap.get("fingerprint") not in (None, "", self.fingerprint):
@@ -483,14 +487,14 @@ class Shard:
         tokens = self.store.spilled_tokens()
         for sid in self.manager.session_ids():
             tokens[sid] = self.manager.session(sid).token
-        sessions = len(self.manager)
-        self.store.recovered_sessions = sessions
-        self.store.recovered_records = recovered.replay_records
-        self.store.recovery_wall_s = time.perf_counter() - started
+        name = self.store.directory.name
         return ShardRecovery(
-            sessions=sessions + len(self.store.spilled_ids()),
+            sessions=len(self.manager) + len(self.store.spilled_ids()),
             replayed_records=len(recovered.tail),
-            diagnostics=tuple(recovered.diagnostics),
+            diagnostics=tuple(
+                f"{name}: {diagnostic}"
+                for diagnostic in recovered.diagnostics
+            ),
             session_counter=max(
                 [int(snap.get("session_counter", 0))]
                 + [_generated_number(sid) for sid in ids]

@@ -11,10 +11,12 @@ shard it keeps:
 * :mod:`repro.store.snapshot` -- periodic versioned checkpoints of
   every session's localization frontier, fingerprinted against the
   scenario they were taken on,
-* :mod:`repro.store.recovery` -- the startup path combining the
-  newest valid snapshot with the WAL tail past it,
 * :mod:`repro.store.store` -- the :class:`SessionStore` facade the
-  server drives (plus the eviction spill map and log compaction),
+  server drives (plus the eviction spill map and log compaction), and
+  :func:`recover_directory`, the one read of a shard directory that a
+  start and ``repro store verify`` share: the newest valid snapshot
+  and the WAL tail past it, from a single scan that also says where a
+  start's repair cuts the log,
 * :mod:`repro.store.inspect` -- offline ``repro store
   {inspect,verify,compact}`` tooling over a data directory.
 
@@ -32,7 +34,6 @@ from repro.store.inspect import (
     verify_store,
     write_meta,
 )
-from repro.store.recovery import RecoveredShard, recover_directory
 from repro.store.snapshot import (
     SNAPSHOT_FORMAT,
     latest_snapshot,
@@ -41,7 +42,7 @@ from repro.store.snapshot import (
     read_snapshot,
     write_snapshot,
 )
-from repro.store.store import SessionStore
+from repro.store.store import RecoveredShard, SessionStore, recover_directory
 from repro.store.wal import (
     FSYNC_POLICIES,
     WAL_CLOSE,

@@ -27,8 +27,7 @@ from typing import Dict, List, Optional, Union
 from repro.errors import StoreError
 from repro.store import snapshot as snapshot_mod
 from repro.store import wal
-from repro.store.recovery import recover_directory
-from repro.store.store import compact_directory
+from repro.store.store import compact_directory, recover_directory
 
 #: Name of the server-identity file at the data-dir root.
 META_NAME = "meta.json"
@@ -130,7 +129,9 @@ def inspect_store(data_dir: Union[str, Path]) -> dict:
 
 
 def verify_store(data_dir: Union[str, Path]) -> dict:
-    """Run full recovery over every shard and report what it would do.
+    """Read every shard as a start would, through
+    :func:`~repro.store.store.recover_directory`, and report what that
+    start would do (``truncated_bytes`` is what its repair drops).
 
     ``ok`` is true when every shard recovers with no diagnostics (a
     torn tail, a corrupt snapshot, or a fingerprint drifting from
@@ -166,9 +167,9 @@ def verify_store(data_dir: Union[str, Path]) -> dict:
                 "shard": shard_dir.name,
                 "snapshot_lsn": recovered.snapshot_lsn,
                 "snapshot_sessions": sessions,
-                "replay_records": recovered.replay_records,
+                "replay_records": len(recovered.tail),
                 "next_lsn": recovered.next_lsn,
-                "truncated_bytes": recovered.truncated_bytes,
+                "truncated_bytes": recovered.scan.truncated_bytes,
                 "diagnostics": list(recovered.diagnostics),
             }
         )
@@ -191,14 +192,16 @@ def verify_store(data_dir: Union[str, Path]) -> dict:
 def compact_store(data_dir: Union[str, Path]) -> dict:
     """Offline compaction: drop WAL segments covered by each shard's
     newest snapshot, through the live store's
-    :func:`~repro.store.store.compact_directory`."""
+    :func:`~repro.store.store.compact_directory`; the one place that
+    reads the covered LSN back from disk."""
     root = Path(data_dir)
     if not root.is_dir():
         raise StoreError(f"no such data directory: {root}")
     shards = []
     total = 0
     for shard_dir in shard_directories(root):
-        lsn, removed = compact_directory(shard_dir)
+        lsn, _, _ = snapshot_mod.latest_snapshot(shard_dir)
+        removed = [] if lsn is None else compact_directory(shard_dir, lsn)
         total += len(removed)
         shards.append(
             {

@@ -1,6 +1,6 @@
 """Per-shard durable session state: the :class:`SessionStore` facade.
 
-One ``SessionStore`` owns one shard directory and composes the three
+One ``SessionStore`` owns one shard directory and composes its
 durability mechanisms:
 
 * **WAL** (:mod:`repro.store.wal`) -- every OPEN/FEED/CLOSE is logged
@@ -10,9 +10,13 @@ durability mechanisms:
   ``snapshot_every`` feeds, the shard's full session state is
   checkpointed so recovery replays a bounded tail instead of the
   whole history.
-* **Compaction** -- segments fully covered by the newest snapshot are
-  deleted after it lands; the log's size is bounded by snapshot
-  cadence, not by uptime.
+* **Compaction** -- segments fully covered by a snapshot are deleted
+  after it lands; the log's size is bounded by snapshot cadence, not
+  by uptime.
+* **Recovery** -- :func:`recover_directory` reads a shard directory
+  once: the newest valid snapshot and the WAL's trusted prefix.  A
+  start repairs the directory from that same read; ``repro store
+  verify`` only reports it.
 
 It also holds the **spill map**: sessions the idle sweeper evicts are
 captured here instead of discarded, folded into the next snapshot, and
@@ -25,13 +29,70 @@ its own.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import StoreError
 from repro.store import snapshot as snapshot_mod
 from repro.store import wal
-from repro.store.recovery import RecoveredShard, recover_directory
+
+
+@dataclass(frozen=True)
+class RecoveredShard:
+    """Everything one shard directory yields at startup.
+
+    Attributes
+    ----------
+    snapshot:
+        The newest valid snapshot payload, or ``None`` (cold start or
+        every snapshot corrupt -- the WAL alone rebuilds the state).
+    snapshot_lsn:
+        The WAL position the snapshot covers (0 without a snapshot).
+    tail:
+        Trusted WAL records with ``lsn > snapshot_lsn``, in order: the
+        operations the snapshot has not folded in yet.
+    next_lsn:
+        Where the writer must continue appending.
+    diagnostics:
+        Human-readable notes about everything that was skipped or
+        truncated on the way.
+    scan:
+        The WAL scan, which also says where its trusted prefix ends
+        on disk (:func:`repro.store.wal.repair_wal` applies it).
+    """
+
+    snapshot: Optional[dict]
+    snapshot_lsn: int
+    tail: Tuple[wal.WalRecord, ...]
+    next_lsn: int
+    diagnostics: Tuple[str, ...]
+    scan: wal.WalScan
+
+
+def recover_directory(directory: Union[str, Path]) -> RecoveredShard:
+    """Read one shard directory into a :class:`RecoveredShard`, without
+    changing it: the newest snapshot that parses and CRC-verifies, and
+    the WAL records past it.
+
+    The server restores the snapshot's sessions and replays the tail
+    through the *same* apply path live traffic takes, which is what
+    makes a recovered session bit-identical to an uninterrupted one:
+    the incremental pipeline is chunk-invariant, so "snapshot state +
+    replayed feeds" and "all feeds from the start" land on the same
+    frontier.
+    """
+    snap_lsn, payload, snap_diags = snapshot_mod.latest_snapshot(directory)
+    scan = wal.scan_wal(directory)
+    covered = snap_lsn if snap_lsn is not None else 0
+    return RecoveredShard(
+        snapshot=payload,
+        snapshot_lsn=covered,
+        tail=tuple(r for r in scan.records if r.lsn > covered),
+        next_lsn=max(scan.next_lsn, covered + 1),
+        diagnostics=snap_diags + scan.diagnostics,
+        scan=scan,
+    )
 
 
 class SessionStore:
@@ -48,10 +109,6 @@ class SessionStore:
     snapshot_every:
         Feeds between automatic snapshots (``0`` disables cadence
         snapshots; explicit ones still work).
-    segment_bytes:
-        WAL segment rotation threshold.
-    snapshots_kept:
-        How many snapshot generations survive pruning.
     """
 
     def __init__(
@@ -60,16 +117,12 @@ class SessionStore:
         fsync: str = "interval",
         fsync_interval_s: float = 0.05,
         snapshot_every: int = 256,
-        segment_bytes: int = wal.DEFAULT_SEGMENT_BYTES,
-        snapshots_kept: int = 2,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.fsync_interval_s = fsync_interval_s
         self.snapshot_every = snapshot_every
-        self.segment_bytes = segment_bytes
-        self.snapshots_kept = snapshots_kept
         self._writer: Optional[wal.WalWriter] = None
         self._spilled: Dict[str, dict] = {}
         self._feeds_since_snapshot = 0
@@ -79,32 +132,28 @@ class SessionStore:
         self.segments_compacted = 0
         self.spills = 0
         self.revivals = 0
-        self.recovered_sessions = 0
-        self.recovered_records = 0
-        self.recovery_wall_s = 0.0
         self.truncated_bytes = 0
 
     # ------------------------------------------------------------------
     # lifecycle
     def open(self) -> RecoveredShard:
-        """Recover the directory and start the WAL writer after the
-        trusted prefix.  Must be called exactly once, before any
+        """Read the directory once (:func:`recover_directory`), repair
+        it to the trusted prefix that read found, and start the WAL
+        writer after it.  Must be called exactly once, before any
         logging."""
         if self._writer is not None:
             raise StoreError("store already open")
-        # make disk match the trusted prefix first: truncate the torn
-        # tail and drop untrusted segments, so the writer can never
-        # collide with (or be confused by) a crashed process's leavings
-        repaired_bytes, _ = wal.repair_wal(self.directory)
         recovered = recover_directory(self.directory)
-        self.truncated_bytes = max(
-            repaired_bytes, recovered.truncated_bytes
-        )
+        # make disk match the trusted prefix before the first append:
+        # cut the torn tail and drop untrusted segments, so the writer
+        # can never collide with (or be confused by) a crashed
+        # process's leavings
+        wal.repair_wal(recovered.scan)
+        self.truncated_bytes = recovered.scan.truncated_bytes
         self._writer = wal.WalWriter(
             self.directory,
             fsync=self.fsync,
             fsync_interval_s=self.fsync_interval_s,
-            segment_bytes=self.segment_bytes,
             next_lsn=recovered.next_lsn,
         )
         snap = recovered.snapshot
@@ -197,41 +246,32 @@ class SessionStore:
         """Checkpoint the shard: live *sessions* plus the spill map.
 
         Rotates the WAL so compaction can drop every covered segment,
-        then prunes old snapshots and compacts.
+        then prunes old snapshots and compacts with the LSN just
+        written.
         """
         if self._writer is None:
             raise StoreError("store is not open")
+        lsn = self._writer.last_lsn
         payload = {
             "format": snapshot_mod.SNAPSHOT_FORMAT,
             "fingerprint": fingerprint,
             "scenario": scenario,
             "mode": mode,
             "session_counter": session_counter,
-            "wal_lsn": self._writer.last_lsn,
+            "wal_lsn": lsn,
             "sessions": sessions,
             "spilled": sorted(
                 self._spilled.values(), key=lambda s: s["session_id"]
             ),
         }
-        path = snapshot_mod.write_snapshot(
-            self.directory, payload, self._writer.last_lsn
-        )
+        path = snapshot_mod.write_snapshot(self.directory, payload, lsn)
         self._writer.rotate()
         self._feeds_since_snapshot = 0
         self.snapshots_written += 1
         self.snapshot_bytes += path.stat().st_size
-        snapshot_mod.prune_snapshots(
-            self.directory, keep=self.snapshots_kept
-        )
-        self.compact()
+        snapshot_mod.prune_snapshots(self.directory)
+        self.segments_compacted += len(compact_directory(self.directory, lsn))
         return path
-
-    def compact(self) -> int:
-        """Delete WAL segments fully covered by the newest snapshot
-        (see :func:`compact_directory`); returns how many went."""
-        _, removed = compact_directory(self.directory)
-        self.segments_compacted += len(removed)
-        return len(removed)
 
     # ------------------------------------------------------------------
     # eviction spill
@@ -277,29 +317,22 @@ class SessionStore:
             "spilled_sessions": len(self._spilled),
             "spills": self.spills,
             "revivals": self.revivals,
-            "recovered_sessions": self.recovered_sessions,
-            "recovered_records": self.recovered_records,
-            "recovery_wall_s": round(self.recovery_wall_s, 6),
             "truncated_bytes": self.truncated_bytes,
         }
 
 
-def compact_directory(
-    directory: Union[str, Path],
-) -> Tuple[Optional[int], List[str]]:
-    """Delete the WAL segments of a shard directory that its newest
-    snapshot covers -- the one compaction rule, run by the live store
-    after every snapshot and offline by ``repro store compact``.
+def compact_directory(directory: Union[str, Path], lsn: int) -> List[str]:
+    """Delete the WAL segments of a shard directory that a snapshot
+    covering *lsn* covers -- the one compaction rule, run by the live
+    store with the LSN it just checkpointed and offline by ``repro
+    store compact`` with the newest snapshot's.
 
     A segment is covered when the *next* segment starts at or before
-    ``snapshot lsn + 1`` (so every record in it has ``lsn <= snapshot
-    lsn``); the last segment is never deleted.  Returns the snapshot's
-    lsn (``None`` without one) and the names of the removed segments.
+    ``lsn + 1``, so that every record in it is at or below *lsn*; the
+    last segment is never deleted.  Returns the names of the removed
+    segments.
     """
-    lsn, _, _ = snapshot_mod.latest_snapshot(directory)
     removed: List[str] = []
-    if lsn is None:
-        return None, removed
     segments = wal.list_segments(directory)
     for path, successor in zip(segments, segments[1:]):
         if wal.segment_first_lsn(successor) > lsn + 1:
@@ -309,7 +342,12 @@ def compact_directory(
             removed.append(path.name)
         except OSError:  # pragma: no cover - raced deletion
             pass
-    return lsn, removed
+    return removed
 
 
-__all__ = ["SessionStore", "compact_directory"]
+__all__ = [
+    "RecoveredShard",
+    "SessionStore",
+    "compact_directory",
+    "recover_directory",
+]

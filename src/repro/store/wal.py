@@ -212,16 +212,24 @@ class WalScan:
     """Everything a full WAL directory scan learned.
 
     ``records`` is the trusted prefix across all segments, LSN-ordered;
-    ``next_lsn`` is where a writer must continue; ``truncated_bytes``
-    counts torn-tail bytes that were discarded; ``diagnostics``
-    explains every discard.
+    ``next_lsn`` is where a writer must continue; ``diagnostics``
+    explains every discard.  The rest says where the prefix ends on
+    disk, for :func:`repair_wal`: ``cut`` is the segment it ends in
+    (``None`` when every segment is trusted whole) and ``keep_bytes``
+    how many of its bytes are trusted, ``dropped`` the segments past
+    the cut, ``empty`` the zero-byte segments before it, and
+    ``truncated_bytes`` the bytes a repair drops.
     """
 
     records: Tuple[WalRecord, ...]
     next_lsn: int
     segments: int
-    truncated_bytes: int
-    diagnostics: Tuple[str, ...]
+    diagnostics: Tuple[str, ...] = ()
+    cut: Optional[Path] = None
+    keep_bytes: int = 0
+    dropped: Tuple[Path, ...] = ()
+    empty: Tuple[Path, ...] = ()
+    truncated_bytes: int = 0
 
 
 def scan_wal(directory: Union[str, Path]) -> WalScan:
@@ -231,108 +239,84 @@ def scan_wal(directory: Union[str, Path]) -> WalScan:
     segment is the expected crash signature (just truncated), but a
     torn or LSN-discontinuous record in an earlier segment ends the
     log right there and ignores all later segments -- replaying past a
-    hole would reorder history.
+    hole would reorder history.  Each segment is read once.
     """
     segments = list_segments(directory)
     records: List[WalRecord] = []
-    diagnostics: List[str] = []
-    truncated = 0
+    empty: List[Path] = []
     expected: Optional[int] = None
     for position, path in enumerate(segments):
-        seg_records, valid_bytes, torn = read_segment(path)
-        stop_after = False
-        kept: List[WalRecord] = []
+        seg_records, _, problem = read_segment(path)
+        if not seg_records and problem is None:
+            # opened by a crashed process before its first write landed
+            empty.append(path)
+            continue
+        keep_bytes = 0
         for record in seg_records:
             if expected is not None and record.lsn != expected:
-                diagnostics.append(
-                    f"{path.name}: LSN discontinuity (expected "
-                    f"{expected}, found {record.lsn}); log ends here"
+                problem = (
+                    f"LSN discontinuity (expected {expected}, found "
+                    f"{record.lsn}); log ends here"
                 )
-                stop_after = True
                 break
-            kept.append(record)
+            records.append(record)
             expected = record.lsn + 1
-        records.extend(kept)
-        if torn is not None and not stop_after:
-            size = valid_bytes + 1  # at least one bad byte
-            try:
-                size = os.path.getsize(path)
-            except OSError:  # pragma: no cover - raced deletion
-                pass
-            truncated += max(0, size - valid_bytes)
-            diagnostics.append(f"{path.name}: {torn}")
-            stop_after = True
-        if stop_after:
-            remaining = len(segments) - position - 1
-            if remaining:
-                diagnostics.append(
-                    f"ignoring {remaining} later segment(s) after "
-                    f"the torn point in {path.name}"
-                )
-            break
-    next_lsn = records[-1].lsn + 1 if records else 1
+            keep_bytes += record.size_bytes
+        if problem is None:
+            continue
+        dropped = tuple(segments[position + 1 :])
+        diagnostics = [f"{path.name}: {problem}"]
+        if dropped:
+            diagnostics.append(
+                f"ignoring {len(dropped)} later segment(s) after the "
+                f"torn point in {path.name}"
+            )
+        return WalScan(
+            records=tuple(records),
+            next_lsn=expected if expected is not None else 1,
+            segments=len(segments),
+            diagnostics=tuple(diagnostics),
+            cut=path,
+            keep_bytes=keep_bytes,
+            dropped=dropped,
+            empty=tuple(empty),
+            truncated_bytes=os.path.getsize(path) - keep_bytes + sum(
+                os.path.getsize(later) for later in dropped
+            ),
+        )
     return WalScan(
         records=tuple(records),
-        next_lsn=next_lsn,
+        next_lsn=expected if expected is not None else 1,
         segments=len(segments),
-        truncated_bytes=truncated,
-        diagnostics=tuple(diagnostics),
+        empty=tuple(empty),
     )
 
 
-def repair_wal(directory: Union[str, Path]) -> Tuple[int, List[str]]:
-    """Make the directory match its trusted prefix.
+def repair_wal(scan: WalScan) -> List[str]:
+    """Make the directory *scan* read match its trusted prefix.
 
-    Truncates the torn tail of the segment where :func:`scan_wal`
-    stopped and deletes every later (untrusted) segment -- including a
-    zero-record file a crashed process opened but never finished
-    writing, which would otherwise collide with the name a restarted
-    writer picks.  Returns ``(bytes_truncated, removed_segment_names)``.
+    Deletes the zero-byte segments a crashed process left (one would
+    collide with the name a restarted writer picks), cuts the segment
+    where the prefix ends to its trusted bytes (deleting it when it
+    keeps none) and deletes every segment past it.  Reads no segment:
+    it drops exactly ``scan.truncated_bytes`` bytes.  Returns the
+    names of the deleted segments.
     """
-    directory = Path(directory)
+    doomed = list(scan.empty)
+    if scan.cut is not None:
+        if scan.keep_bytes:
+            with open(scan.cut, "r+b") as stream:
+                stream.truncate(scan.keep_bytes)
+        else:
+            doomed.append(scan.cut)
     removed: List[str] = []
-    truncated = 0
-    expected: Optional[int] = None
-    segments = list_segments(directory)
-    for position, path in enumerate(segments):
-        seg_records, _, torn = read_segment(path)
-        keep_bytes = 0
-        broken = torn is not None
-        for record in seg_records:
-            if expected is not None and record.lsn != expected:
-                broken = True
-                break
-            expected = record.lsn + 1
-            keep_bytes += record.size_bytes
+    for path in doomed + list(scan.dropped):
         try:
-            size = os.path.getsize(path)
+            path.unlink()
+            removed.append(path.name)
         except OSError:  # pragma: no cover - raced deletion
-            continue
-        if size == 0:
-            # opened by a crashed process before its first write landed
-            path.unlink()
-            removed.append(path.name)
-            continue
-        if keep_bytes == 0:
-            path.unlink()
-            removed.append(path.name)
-            truncated += size
-            broken = True
-        elif keep_bytes < size:
-            with open(path, "r+b") as stream:
-                stream.truncate(keep_bytes)
-            truncated += size - keep_bytes
-            broken = True
-        if broken:
-            for later in segments[position + 1 :]:
-                try:
-                    truncated += os.path.getsize(later)
-                    later.unlink()
-                    removed.append(later.name)
-                except OSError:  # pragma: no cover - raced deletion
-                    pass
-            break
-    return truncated, removed
+            pass
+    return removed
 
 
 # ----------------------------------------------------------------------

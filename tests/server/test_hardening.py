@@ -21,7 +21,7 @@ from repro.server import (
 )
 from repro.server.loadgen import render_session_chunks
 from repro.server.server import DebugServer
-from repro.server.shard import Shard
+from repro.server.shard import QUARANTINE_AFTER, Shard
 from tests.server.conftest import start_server
 
 
@@ -272,7 +272,7 @@ def test_poison_strikes_are_per_session_and_below_threshold_survive(
     running,
 ):
     server = running.thread.server
-    assert server.config.quarantine_after == 3
+    assert QUARANTINE_AFTER == 3
     with DebugClient(running.host, running.port) as client:
         chunks = render_session_chunks(
             running.context, seed=6, chunk_records=2

@@ -394,7 +394,7 @@ def test_other_replies_stay_json():
         assert protocol.decode_reply(
             request_type, protocol.ERROR, error
         ) == {"error": "unknown-session", "message": "gone"}
-    retry = protocol.retry_later_payload("queue-full", 0.05)
+    retry = protocol.retry_later_payload("queue-full")
     assert protocol.decode_reply(
         protocol.FEED_CHUNK, protocol.RETRY_LATER, retry
     ) == {"reason": "queue-full", "retry_after_s": 0.05}

@@ -11,7 +11,7 @@ shard's localizer and localizing a capture must construct no
 :class:`~repro.core.interleave.InterleavedTransition` at all -- cold
 or from a cache entry loaded off disk -- and the server must not
 import the analysis stack it never runs, hash its tables more than once
-at start-up, or run a second OS thread.
+or run Step 2 twice at start-up, or run a second OS thread.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from array import array
 import pytest
 
 import repro
+from repro import perf
 from repro.core import arrays
 from repro.core.interleave import InterleavedTransition, interleave
 from repro.runtime.cache import ArtifactCache, set_default_cache
@@ -92,6 +93,19 @@ def test_a_two_shard_start_hashes_the_tables_once(monkeypatch):
     shards = [Shard(index, context, ServerConfig()) for index in (0, 1)]
     assert len(hashed) == 1
     assert {shard.fingerprint for shard in shards} == {SERVED[0][3]}
+
+
+def test_a_cold_context_runs_step_2_once(tmp_path):
+    """The with- and without-packing selections of a cold start share
+    one exhaustive Step 2 search."""
+    set_default_cache(ArtifactCache(tmp_path))
+    try:
+        with perf.collect() as counters:
+            ServeContext.from_scenario(3, instances=2)
+    finally:
+        set_default_cache(None)
+    histograms = counters.as_dict()["histograms"]
+    assert histograms["select_exhaustive"]["count"] == 1
 
 
 def tables_digest(tables) -> str:

@@ -9,31 +9,34 @@ send.
 
 from __future__ import annotations
 
+from typing import Dict
+
 import pytest
 
 from repro.server import ServerConfig, protocol
 from repro.server.loadgen import render_session_chunks
-from repro.server.shard import Shard
+from repro.server.shard import Shard, ShardRecovery
 
 
 @pytest.fixture
 def recovered(context, tmp_path):
-    """Recovers a durable core on the test's data directory.  Stores
-    are closed only at teardown: until then an abandoned core is a
-    crashed one, whose writer nobody sealed."""
-    cores = []
+    """Recovers a durable core on the test's data directory; the
+    :class:`ShardRecovery` of each core is kept in ``recover.reports``.
+    Stores are closed only at teardown: until then an abandoned core is
+    a crashed one, whose writer nobody sealed."""
+    reports: Dict[Shard, ShardRecovery] = {}
 
     def recover(**config) -> Shard:
         shard = Shard(
             0, context,
             ServerConfig(data_dir=str(tmp_path), fsync="off", **config),
         )
-        cores.append(shard)
-        shard.recover()
+        reports[shard] = shard.recover()
         return shard
 
+    recover.reports = reports
     yield recover
-    for shard in cores:
+    for shard in reports:
         shard.store.close()
 
 
@@ -147,7 +150,7 @@ def test_recovery_keeps_every_durable_session_past_a_lower_cap(
     want = {sid: first.snapshot(sid) for sid in ("s0", "s1", "s2", "s3")}
 
     second = recovered(max_sessions=2)
-    assert len(second.manager) == second.store.recovered_sessions == 4
+    assert len(second.manager) == recovered.reports[second].sessions == 4
     for sid, snapshot in want.items():
         assert second.snapshot(sid) == snapshot
     # the table is over its cap: new sessions wait until it drains

@@ -30,6 +30,7 @@ from repro.server import (
     SessionFeed,
 )
 from repro.server.loadgen import render_session_chunks
+from repro.store import wal
 from repro.stream.service import synthetic_session_records
 from tests.store.conftest import session_chunks, start_server
 
@@ -220,6 +221,46 @@ class TestCrashRecovery:
                     "grace", len(chunks) - 1, chunks[-1]
                 )
                 assert not reply.duplicate
+        finally:
+            second.thread.stop()
+
+    def test_restart_on_a_torn_tail_reports_segment_and_shard(
+        self, context, tmp_path
+    ):
+        """The restarted server's own report says what the crash cost:
+        the torn segment, named by its shard, and the bytes dropped."""
+        first = start_server(context, durable_config(tmp_path))
+        port = first.port
+        with DebugClient(first.host, port) as client:
+            feed_session(client, context, "torn", 53, upto=2)
+        shard = first.server.shard_for("torn")
+        first.thread.stop(abort=True)
+        shard_dir = shard.store.directory
+        segment = wal.list_segments(shard_dir)[-1]
+        segment.write_bytes(segment.read_bytes()[:-1])
+
+        second = start_server(
+            context, durable_config(tmp_path, port=port)
+        )
+        try:
+            recovery = second.server.recovery_info
+            assert recovery["sessions"] == 1
+            torn = [
+                note for note in recovery["diagnostics"]
+                if note.startswith(f"{shard_dir.name}: {segment.name}: ")
+            ]
+            assert len(torn) == 1 and "torn record" in torn[0], recovery
+            with DebugClient(second.host, port) as client:
+                store = client.stats()["store"]
+            assert store["recovery"]["diagnostics"] == (
+                recovery["diagnostics"]
+            )
+            truncated = {
+                entry["shard"]: entry["truncated_bytes"]
+                for entry in store["shards"]
+            }
+            assert truncated[shard.index] > 0
+            assert truncated[1 - shard.index] == 0
         finally:
             second.thread.stop()
 
@@ -606,6 +647,8 @@ def test_sigkilled_subprocess_recovers_bit_identical(
         if proc.poll() is None:  # pragma: no cover - cleanup
             proc.kill()
             proc.wait(timeout=30.0)
+        proc.stdout.close()
+        proc.stderr.close()
 
     running = start_server(context, durable_config(data_dir))
     try:

@@ -1,9 +1,11 @@
 """SessionStore facade tests: logging, snapshot cadence, compaction,
-the spill map, and cold/warm recovery through ``open()``."""
+the spill map, cold/warm recovery through ``open()``, and how often
+each reads the disk."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +13,9 @@ from repro.errors import StoreError
 from repro.server.protocol import decode_feed_payload_ex
 from repro.store import snapshot as snapshot_mod
 from repro.store import wal
-from repro.store.recovery import recover_directory
-from repro.store.store import SessionStore
+from repro.store.inspect import shard_directory, verify_store
+from repro.store.store import SessionStore, recover_directory
+from tests.store.test_wal import wal_bytes, write_segment
 
 
 def open_store(tmp_path, **kwargs):
@@ -88,9 +91,7 @@ class TestSnapshotCadence:
         store.close()
 
     def test_snapshot_rotates_prunes_and_compacts(self, tmp_path):
-        store, _ = open_store(
-            tmp_path, snapshot_every=1, snapshots_kept=2
-        )
+        store, _ = open_store(tmp_path, snapshot_every=1)
         store.log_open("s1", "prefix", "text")
         for index in range(4):
             store.log_feed("s1", index, b"x", eof=False)
@@ -175,8 +176,7 @@ class TestSpillMap:
             "wal_appends", "wal_bytes_appended", "wal_fsyncs",
             "wal_segments", "wal_next_lsn", "snapshots_written",
             "snapshot_bytes", "segments_compacted", "spilled_sessions",
-            "spills", "revivals", "recovered_sessions",
-            "recovered_records", "recovery_wall_s", "truncated_bytes",
+            "spills", "revivals", "truncated_bytes",
         ):
             assert key in stats
         assert stats["wal_appends"] == 1
@@ -187,7 +187,7 @@ class TestRecoverDirectory:
     def test_corrupt_newest_snapshot_falls_back_with_diagnostics(
         self, tmp_path
     ):
-        store, _ = open_store(tmp_path, snapshots_kept=2)
+        store, _ = open_store(tmp_path)
         store.log_open("s1", "prefix", "text")
         store.write_snapshot([], "fp", "scn", "prefix", 0)
         store.log_feed("s1", 0, b"x", eof=False)
@@ -202,3 +202,77 @@ class TestRecoverDirectory:
         assert recovered.diagnostics  # the torn one was reported
         # the feed past the older snapshot is replayed, not lost
         assert [r.rec_type for r in recovered.tail] == [wal.WAL_FEED]
+
+
+class TestOneRead:
+    """A start reads each WAL segment once and repairs from that read;
+    a checkpoint reads nothing back."""
+
+    def counting(self, monkeypatch, module, name):
+        """Count the calls of *module*'s function *name*; returns the
+        list of paths it was called with."""
+        calls = []
+        original = getattr(module, name)
+
+        def counted(path):
+            calls.append(Path(path).name)
+            return original(path)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_open_reads_each_segment_once(self, tmp_path, monkeypatch):
+        writer = wal.WalWriter(tmp_path, fsync="off", segment_bytes=64)
+        for _ in range(4):
+            writer.append(wal.WAL_FEED, b"x" * 40)
+        writer.close()
+        segments = wal.list_segments(tmp_path)
+        assert len(segments) == 4
+        # a torn tail, so the start has something to repair
+        segments[-1].write_bytes(segments[-1].read_bytes()[:-1])
+        reads = self.counting(monkeypatch, wal, "read_segment")
+
+        store, recovered = open_store(tmp_path)
+        store.close()
+        assert sorted(reads) == [path.name for path in segments]
+        assert store.truncated_bytes == wal.RECORD_OVERHEAD_BYTES + 39
+        assert [r.lsn for r in recovered.tail] == [1, 2, 3]
+
+    def test_checkpoint_reads_no_snapshot(self, tmp_path, monkeypatch):
+        store, _ = open_store(tmp_path, snapshot_every=1)
+        reads = self.counting(monkeypatch, snapshot_mod, "read_snapshot")
+        store.log_open("s1", "prefix", "text")
+        for index in range(3):
+            store.log_feed("s1", index, b"x", eof=False)
+            store.write_snapshot(
+                [{"session_id": "s1"}], "fp", "scn", "prefix", 0
+            )
+        store.close()
+        assert reads == []
+        # compaction still ran, with the LSN each checkpoint wrote
+        assert store.segments_compacted == 2
+        assert [
+            wal.segment_first_lsn(path)
+            for path in wal.list_segments(tmp_path)
+        ] == [4]
+
+    def test_verify_counts_the_bytes_a_start_drops(self, tmp_path):
+        # an LSN gap: the segment past it is untrusted, so the next
+        # start deletes it whole, and verify must say so beforehand
+        shard_dir = shard_directory(tmp_path, 0)
+        shard_dir.mkdir()
+        write_segment(
+            shard_dir, [(wal.WAL_OPEN, b"a"), (wal.WAL_FEED, b"b")]
+        )
+        gap = write_segment(
+            shard_dir, [(wal.WAL_FEED, b"c" * 40)], first_lsn=5
+        )
+        size = gap.stat().st_size
+        (report,) = verify_store(tmp_path)["shards"]
+        before = wal_bytes(shard_dir)
+
+        store, _ = open_store(shard_dir)
+        store.close()
+        assert not gap.exists()
+        assert report["truncated_bytes"] == before - wal_bytes(shard_dir)
+        assert store.truncated_bytes == size == report["truncated_bytes"]
