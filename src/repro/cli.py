@@ -1119,8 +1119,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default="interval",
                         help="WAL fsync policy (default: interval)")
     served.add_argument("--fsync-interval", type=float, default=0.05,
-                        help="max seconds between fsyncs under "
-                        "--fsync interval")
+                        help="under --fsync interval, an append "
+                        "fsyncs once this many seconds passed since "
+                        "the last fsync (no timer: the last appends "
+                        "before a quiet spell wait for the next "
+                        "append, snapshot or shutdown)")
     served.add_argument("--snapshot-every", type=int, default=256,
                         help="feeds between frontier snapshots per "
                         "shard (0 disables cadence snapshots)")

@@ -158,10 +158,6 @@ class CompressionCostModel:
     def message_names(self) -> Tuple[str, ...]:
         return tuple(sorted(self._stats))
 
-    def records_per_run(self) -> float:
-        """Mean records per corpus run (all messages)."""
-        return self.corpus.total_records / self.corpus.runs
-
     # ------------------------------------------------------------------
     def estimate(self, message: Message) -> CostEstimate:
         """Per-run encoded-bit estimate for tracing *message*.

@@ -13,8 +13,8 @@ Two entry points:
 * :class:`IncrementalFrameDecoder` -- chunk-at-a-time decode for the
   streaming layer; a chunk may end mid-frame, mid-header, anywhere.
   Records are emitted as soon as their frame completes and verifies,
-  which is what lets :class:`repro.stream.ingest.
-  CompressedTraceIngester` feed an online localizer from a live
+  which is what lets a ``ctrace`` session (:class:`repro.stream.
+  session.StreamSession`) feed an online localizer from a live
   bitstream.
 """
 

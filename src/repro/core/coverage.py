@@ -29,16 +29,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Set
 
 from repro import perf
-from repro.core.message import IndexedMessage, Message
-
-
-def _underlying(message: object) -> Message:
-    """Strip the index from an indexed message, pass plain ones through."""
-    if isinstance(message, IndexedMessage):
-        return message.message
-    if isinstance(message, Message):
-        return message
-    raise TypeError(f"not a message: {message!r}")
+from repro.core.message import Message, underlying_message
 
 
 def visible_states(flow: object, messages: Iterable[Message]) -> Set[Hashable]:
@@ -55,11 +46,11 @@ def visible_states(flow: object, messages: Iterable[Message]) -> Set[Hashable]:
         ``parent``) makes its parent's transitions visible: observing
         ``cputhreadid`` timestamps the enclosing ``dmusiidata`` message.
     """
-    wanted = {(_underlying(m)) for m in messages}
+    wanted = {underlying_message(m) for m in messages}
     wanted_parents = {m.parent for m in wanted if m.parent is not None}
     visible: Set[Hashable] = set()
     for t in flow.transitions:  # type: ignore[attr-defined]
-        label = _underlying(t.message)
+        label = underlying_message(t.message)
         if label in wanted or label.name in wanted_parents:
             visible.add(t.target)
     return visible

@@ -13,16 +13,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.core.flow import Execution
-from repro.core.message import IndexedMessage, Message
-
-
-def underlying_message(message: object) -> Message:
-    """The plain message behind a possibly indexed label."""
-    if isinstance(message, IndexedMessage):
-        return message.message
-    if isinstance(message, Message):
-        return message
-    raise TypeError(f"not a message: {message!r}")
+from repro.core.message import IndexedMessage, Message, underlying_message
 
 
 def project_trace(
@@ -36,14 +27,6 @@ def project_trace(
     """
     wanted: Set[Message] = {underlying_message(m) for m in selected}
     return tuple(m for m in trace if underlying_message(m) in wanted)
-
-
-def is_subsequence(
-    needle: Sequence[object], haystack: Sequence[object]
-) -> bool:
-    """Whether *needle* occurs in *haystack* as an ordered subsequence."""
-    iterator = iter(haystack)
-    return all(any(item == other for other in iterator) for item in needle)
 
 
 def message_names(trace: Sequence[object]) -> Tuple[str, ...]:

@@ -126,6 +126,15 @@ class IndexedMessage:
         return self.name
 
 
+def underlying_message(message: object) -> Message:
+    """The plain message behind a possibly indexed label."""
+    if isinstance(message, IndexedMessage):
+        return message.message
+    if isinstance(message, Message):
+        return message
+    raise TypeError(f"not a message: {message!r}")
+
+
 class MessageCombination(FrozenSet[Message]):
     """An unordered set of messages (Definition 6).
 

@@ -41,7 +41,7 @@ from typing import (
 )
 
 from repro.core.arrays import have_numpy, np
-from repro.core.message import IndexedMessage, Message
+from repro.core.message import Message, underlying_message
 
 if hasattr(int, "bit_count"):  # Python >= 3.10
     def popcount(bits: int) -> int:
@@ -51,15 +51,6 @@ else:  # pragma: no cover - exercised on Python 3.9 CI only
     def popcount(bits: int) -> int:
         """Number of set bits of *bits*."""
         return bin(bits).count("1")
-
-
-def _underlying(message: object) -> Message:
-    """Strip the index from an indexed message, pass plain ones through."""
-    if isinstance(message, IndexedMessage):
-        return message.message
-    if isinstance(message, Message):
-        return message
-    raise TypeError(f"not a message: {message!r}")
 
 
 class VisibilityIndex:
@@ -114,7 +105,7 @@ class VisibilityIndex:
         ``array('q')`` buffers or plain lists."""
         plains: Dict[Message, int] = {}
         group = [
-            plains.setdefault(_underlying(label), len(plains))
+            plains.setdefault(underlying_message(label), len(plains))
             for label in labels
         ]
         if have_numpy():
@@ -152,7 +143,7 @@ class VisibilityIndex:
         (underlying) message itself, plus -- when the message is a
         sub-group -- edges whose label name equals its ``parent``.
         """
-        plain = _underlying(message)
+        plain = underlying_message(message)
         bits = self._by_message.get(plain, 0)
         if plain.parent is not None:
             bits |= self._by_name.get(plain.parent, 0)

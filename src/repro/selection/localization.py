@@ -58,9 +58,8 @@ from typing import (
 )
 
 from repro import perf
-from repro.core.execution import underlying_message
 from repro.core.interleave import InterleavedFlow
-from repro.core.message import IndexedMessage, Message
+from repro.core.message import IndexedMessage, Message, underlying_message
 from repro.errors import FrontierOverflowError, SelectionError
 from repro.selection import kernels
 from repro.selection.packing import expand_subgroups

@@ -9,8 +9,8 @@ shipping whole trace files around.
 The pieces:
 
 * :mod:`repro.server.protocol` -- the length-prefixed, versioned,
-  CRC-validated binary wire format (the CRC machinery is
-  :mod:`repro.compress.framing`'s, shared with on-chip trace frames).
+  CRC-validated binary wire format (the CRC is :mod:`repro.runtime.
+  checksum`'s, which the on-chip trace frames and the WAL share).
 * :mod:`repro.server.server` -- the asyncio TCP server: sessions are
   routed by consistent hash onto worker shards, admission control
   answers overload with structured ``RETRY_LATER`` (never a deadlock,

@@ -22,7 +22,7 @@ import random
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import (
     ProtocolError,
@@ -456,6 +456,11 @@ class DebugClient:
         return self._checked(frame_type, body)
 
 
+#: Reopens one :class:`SessionFeed` call makes before it gives up on
+#: a session the server keeps losing.
+MAX_REOPENS = 3
+
+
 class SessionFeed:
     """A replaying streaming feed over one server session.
 
@@ -468,7 +473,9 @@ class SessionFeed:
     the un-persisted tail is retransmitted.  An open that is not
     resumed (a memory-only server lost the session) replays from chunk
     zero.  Replay preserves chunk indices, so server-side
-    idempotency holds across the recovery too.
+    idempotency holds across the recovery too.  A session lost again
+    during its recovery is reopened again, :data:`MAX_REOPENS` times
+    at most.
     """
 
     def __init__(
@@ -528,8 +535,20 @@ class SessionFeed:
                 return operation()
             if exc.code != "unknown-session":
                 raise
-        self._reopen_and_replay()
-        return operation()
+        return self._reopened(operation)
+
+    def _reopened(self, operation):
+        """Reopen, replay and run *operation* again.  The session can
+        be lost again on the way (another restart, or a CLOSE the
+        network delivered late to the reopened session): each loss
+        reopens once more, at most :data:`MAX_REOPENS` times."""
+        for attempt in range(1, MAX_REOPENS + 1):
+            try:
+                self._reopen_and_replay()
+                return operation()
+            except ServerError as exc:
+                if exc.code != "unknown-session" or attempt == MAX_REOPENS:
+                    raise
 
     # ------------------------------------------------------------------
     def feed(self, data: bytes, eof: bool = False) -> FeedReply:
@@ -539,17 +558,6 @@ class SessionFeed:
             lambda: self.client.feed(self.session_id, index, data, eof=eof),
             replay_upto=index,
         )
-
-    def feed_chunks(
-        self, chunks: Iterable[bytes], eof: bool = True
-    ) -> Tuple[FeedReply, ...]:
-        """Feed every chunk in order (``eof`` marks the last one)."""
-        materialized = list(chunks)
-        replies = []
-        for i, chunk in enumerate(materialized):
-            is_last = eof and i == len(materialized) - 1
-            replies.append(self.feed(chunk, eof=is_last))
-        return tuple(replies)
 
     def resync(self, start: int) -> None:
         """Retransmit ``history[start:]`` -- heals a server that lost
@@ -588,7 +596,6 @@ class SessionFeed:
         # retired now, so heal by reopening, replaying everything, and
         # closing again (chunk indices are preserved, so a durable
         # tail that *did* survive is deduplicated server-side)
-        self._reopen_and_replay()
-        return self._recovering(
+        return self._reopened(
             lambda: self.client.close_session(self.session_id)
         )

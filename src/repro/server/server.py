@@ -21,9 +21,11 @@ Architecture::
   per shard would add two thread hand-offs per op and a malloc arena
   per thread, and no parallelism.
 * **Admission control** -- a request is answered with a structured
-  ``RETRY_LATER`` frame, never stalled or dropped, when the global
-  open-session cap is reached, when the server drains, or when its
-  deadline has passed by the time its op would run.  A
+  ``RETRY_LATER`` frame, never stalled or dropped, when it would add a
+  live session (an OPEN, or a request that revives a spilled session)
+  to a table at the global open-session cap once idle sessions are
+  evicted, when the server drains, or when its deadline has passed by
+  the time its op would run.  A
   ``RETRY_LATER`` always means the request had no effect.  A deadline
   counts from the socket read that carried the frame: it covers the
   earlier frames of that read, not the ops of other connections that
@@ -74,7 +76,8 @@ from repro.server.shard import Reply, Shard
 from repro.store.inspect import META_FORMAT, read_meta, write_meta
 
 #: Session transports: text trace-file chunks, or framed compressed
-#: bitstream chunks (decoded by :class:`CompressedTraceIngester`).
+#: bitstream chunks (decoded by :class:`repro.compress.decoder.
+#: IncrementalFrameDecoder`).
 TRANSPORTS = ("text", "ctrace")
 
 
@@ -273,7 +276,7 @@ class DebugServer:
             ),
             "draining": self._draining,
             "open_connections": len(self._connections),
-            "open_sessions": sum(len(s.manager) for s in self._shards),
+            "open_sessions": self._live_sessions(),
             "max_sessions": self.config.max_sessions,
             "compression_ratio": (
                 round(raw_bits / (wire_bytes * 8), 4) if wire_bytes else 0.0
@@ -656,6 +659,8 @@ class DebugServer:
                 protocol.decode_feed_payload_ex(frame.payload)
             )
             shard = self.shard_for(sid)
+            if shard.spilled(sid):
+                self._make_room()
             return (
                 lambda: shard.feed(sid, chunk_index, data, eof),
                 deadline_ms,
@@ -672,8 +677,11 @@ class DebugServer:
         protocol.session_id_bytes(sid)  # refuses an id FEED cannot carry
         shard = self.shard_for(sid)
         if frame.frame_type == protocol.SNAPSHOT:
+            if shard.spilled(sid):
+                self._make_room()
             return lambda: shard.snapshot(sid), deadline_ms
         if frame.frame_type == protocol.CLOSE_SESSION:
+            # a CLOSE retires the session it revives in the same op
             return lambda: shard.close(sid), deadline_ms
         mode = body.get("mode")
         transport = body.get("transport", "text")
@@ -682,16 +690,29 @@ class DebugServer:
                 f"unknown transport {transport!r}; choose "
                 f"{' or '.join(TRANSPORTS)}"
             )
-        open_sessions = sum(len(s.manager) for s in self._shards)
         # a retried OPEN whose first attempt made the session adds
         # none, so the cap must not refuse it
-        if open_sessions >= self.config.max_sessions:
-            if not shard.opened_with(sid, token):
-                raise StreamError("session-table-full")
+        if not shard.opened_with(sid, token):
+            self._make_room()
         return (
             lambda: shard.open(sid, mode, str(transport), token),
             deadline_ms,
         )
+
+    def _live_sessions(self) -> int:
+        return sum(len(shard.manager) for shard in self._shards)
+
+    def _make_room(self) -> None:
+        """Admit one more live session under ``max_sessions``, evicting
+        idle sessions first when the table is full, as
+        :meth:`SessionManager.adopt` does on one shard; raises
+        :class:`StreamError` when no slot is free."""
+        if self._live_sessions() < self.config.max_sessions:
+            return
+        for shard in self._shards:
+            shard.manager.evict_idle()
+        if self._live_sessions() >= self.config.max_sessions:
+            raise StreamError("session-table-full")
 
     def _generated_id(self, token: Optional[str]) -> str:
         """The id for an OPEN that names none: the id generated for its

@@ -54,6 +54,13 @@ def _error(code: str, message: str, **extra: object) -> Reply:
     return protocol.ERROR, protocol.error_payload(code, message, **extra)
 
 
+def _table_full() -> Reply:
+    return (
+        protocol.RETRY_LATER,
+        protocol.retry_later_payload("session-table-full"),
+    )
+
+
 def _unknown_session(sid: str) -> Reply:
     return _error(
         "unknown-session",
@@ -167,24 +174,22 @@ class Shard:
         transport: str = "text",
         token: Optional[str] = None,
     ) -> Reply:
-        resumed = (
-            self._revive(sid) is not None or self.opened_with(sid, token)
-        )
-        if not resumed:
-            try:
+        try:
+            resumed = (
+                self._revive(sid) is not None
+                or self.opened_with(sid, token)
+            )
+            if not resumed:
                 self.manager.open(
                     sid, mode=mode if mode is None else str(mode),
                     transport=transport, token=token,
                 )
-            except StreamError as exc:
-                if "table full" in str(exc):
-                    return (
-                        protocol.RETRY_LATER,
-                        protocol.retry_later_payload("session-table-full"),
-                    )
-                return _error("session-exists", str(exc))
-            except SelectionError as exc:
-                return _error("bad-request", str(exc))
+        except StreamError as exc:
+            if "table full" in str(exc):
+                return _table_full()
+            return _error("session-exists", str(exc))
+        except SelectionError as exc:
+            return _error("bad-request", str(exc))
         session = self.manager.session(sid)
         if not resumed and self.durable:
             # logged *after* the apply: a crash in between loses only
@@ -211,7 +216,10 @@ class Shard:
     def feed(
         self, sid: str, chunk_index: int, data: bytes, eof: bool = False
     ) -> Reply:
-        session = self._session(sid)
+        try:
+            session = self._session(sid)
+        except StreamError:
+            return _table_full()
         if session is None:
             return _unknown_session(sid)
         if chunk_index < session.next_chunk:
@@ -333,7 +341,10 @@ class Shard:
         )
 
     def snapshot(self, sid: str) -> Reply:
-        session = self._session(sid)
+        try:
+            session = self._session(sid)
+        except StreamError:
+            return _table_full()
         if session is None:
             return _unknown_session(sid)
         result = self.manager.snapshot(sid)
@@ -352,7 +363,9 @@ class Shard:
         )
 
     def close(self, sid: str) -> Reply:
-        if self._session(sid) is None:
+        # a spilled session leaves the table in the op that revives
+        # it, so a CLOSE needs no free slot
+        if self._session(sid, capped=False) is None:
             return _unknown_session(sid)
         summary = self.manager.close(sid)
         self._log_close(sid)
@@ -405,11 +418,16 @@ class Shard:
         if self.durable:
             self.store.spill(entry)
 
+    def spilled(self, sid: str) -> bool:
+        """Whether *sid* is parked in this shard's store, so that a
+        request for it revives it."""
+        return self.durable and self.store.peek_spilled(sid) is not None
+
     def _session(
         self, sid: str, capped: bool = True
     ) -> Optional[StreamSession]:
         """The live session *sid*, revived first if it was spilled;
-        ``None`` when the shard holds neither."""
+        ``None`` when the shard holds neither.  See :meth:`_revive`."""
         try:
             return self.manager.session(sid)
         except StreamError:
@@ -419,17 +437,14 @@ class Shard:
         self, sid: str, capped: bool = True
     ) -> Optional[StreamSession]:
         """Bring a spilled session back live; ``None`` when it is not
-        spilled or, *capped*, the table is full."""
-        if not self.durable:
-            return None
-        entry = self.store.take_spilled(sid)
+        spilled.  *capped*, a full table raises
+        :class:`~repro.errors.StreamError` and leaves it spilled."""
+        entry = self.store.peek_spilled(sid) if self.durable else None
         if entry is None:
             return None
-        try:
-            return self.manager.adopt(entry, capped=capped)
-        except StreamError:
-            self.store.spill(entry)  # table full: park it again
-            return None
+        session = self.manager.adopt(entry, capped=capped)
+        self.store.take_spilled(sid)
+        return session
 
     def checkpoint(self) -> None:
         """Snapshot every live session and the spill map."""

@@ -112,13 +112,6 @@ class SimulationTrace:
             or r.message.message.name in parents
         )
 
-    def record_for(self, message: IndexedMessage) -> Optional[TraceRecord]:
-        """First record of *message*, or ``None`` if it never occurred."""
-        for r in self.records:
-            if r.message == message:
-                return r
-        return None
-
 
 class TransactionSimulator:
     """Executes usage-scenario runs at the transaction level.

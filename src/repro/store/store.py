@@ -105,7 +105,10 @@ class SessionStore:
     fsync:
         WAL fsync policy: ``"always"``, ``"interval"``, or ``"off"``.
     fsync_interval_s:
-        Maximum staleness under the ``interval`` policy.
+        Under the ``interval`` policy, an append fsyncs the WAL once
+        this long has passed since the last fsync; the appends after
+        it wait for the next such append, a snapshot's rotation or
+        :meth:`close` (see :class:`~repro.store.wal.WalWriter`).
     snapshot_every:
         Feeds between automatic snapshots (``0`` disables cadence
         snapshots; explicit ones still work).
@@ -280,6 +283,10 @@ class SessionStore:
         or folded into the next snapshot."""
         self._spilled[state["session_id"]] = state
         self.spills += 1
+
+    def peek_spilled(self, session_id: str) -> Optional[dict]:
+        """A spilled session's state, left parked."""
+        return self._spilled.get(session_id)
 
     def take_spilled(self, session_id: str) -> Optional[dict]:
         """Claim a spilled session's state (revival path)."""

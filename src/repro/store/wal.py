@@ -329,8 +329,12 @@ class WalWriter:
     appends need no locking.
     Group commit falls out of the ``interval`` policy -- every append
     is flushed to the OS immediately (surviving a process kill), and
-    the file is fsynced at most every ``fsync_interval_s`` seconds
-    (bounding what a power loss can take).
+    an append fsyncs the file, with every append before it, once
+    ``fsync_interval_s`` has passed since the last fsync.  A power
+    loss takes the appends since the last fsync: under steady appends
+    at most ``fsync_interval_s`` of them, but no timer syncs an idle
+    writer, so the last appends before a quiet spell stay unsynced
+    until the next append, :meth:`rotate` or :meth:`close`.
     """
 
     def __init__(

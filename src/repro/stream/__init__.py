@@ -14,11 +14,7 @@ serves these sessions.
 """
 
 from repro.stream.incremental import IncrementalLocalizer
-from repro.stream.ingest import (
-    CompressedTraceIngester,
-    IncrementalTraceParser,
-    ParseDiagnostic,
-)
+from repro.stream.ingest import IncrementalTraceParser, ParseDiagnostic
 from repro.stream.service import synthetic_session_records
 from repro.stream.session import (
     FeedOutcome,
@@ -28,7 +24,6 @@ from repro.stream.session import (
 )
 
 __all__ = [
-    "CompressedTraceIngester",
     "IncrementalLocalizer",
     "IncrementalTraceParser",
     "ParseDiagnostic",

@@ -112,7 +112,6 @@ class IncrementalLocalizer:
         self.max_frontier = max_frontier
         self._localizer = localizer
         self._overflowed = False
-        self._observed_length = 0
         # prefix/exact state: the forward frontier
         self._frontier: Optional[DPFrontier] = None
         if mode != "window":
@@ -129,8 +128,12 @@ class IncrementalLocalizer:
 
     @property
     def observed_length(self) -> int:
-        """Symbols consumed so far."""
-        return self._observed_length
+        """Symbols consumed so far: the frontier's length, or the
+        window's (window mode)."""
+        if self.mode == "window":
+            return len(self._pattern)
+        assert self._frontier is not None
+        return self._frontier.length
 
     @property
     def overflowed(self) -> bool:
@@ -199,21 +202,18 @@ class IncrementalLocalizer:
                 self._frontier, symbols, max_frontier=self.max_frontier
             )
         except FrontierOverflowError as exc:
-            self._commit(exc.frontier, exc.consumed, exc.peak_size)
+            self._commit(exc.frontier, exc.peak_size)
             self._overflowed = True
             raise
         except SelectionError as exc:
-            self._commit(exc.frontier, exc.consumed, exc.peak_size)
+            self._commit(exc.frontier, exc.peak_size)
             raise
-        self._commit(outcome.frontier, outcome.consumed, outcome.peak_size)
+        self._commit(outcome.frontier, outcome.peak_size)
         return outcome.consumed
 
-    def _commit(
-        self, frontier: DPFrontier, consumed: int, peak_size: int
-    ) -> None:
+    def _commit(self, frontier: DPFrontier, peak_size: int) -> None:
         """Fold a batch outcome (possibly partial) into carried state."""
         self._frontier = frontier
-        self._observed_length += consumed
         self._peak_frontier = max(self._peak_frontier, peak_size)
 
     def observe_records(self, records: Iterable[Observable]) -> int:
@@ -265,7 +265,6 @@ class IncrementalLocalizer:
             "mode": self.mode,
             "max_frontier": self.max_frontier,
             "overflowed": self._overflowed,
-            "observed_length": self._observed_length,
             "peak_frontier": self._peak_frontier,
             "frontier": frontier,
             "pattern": [
@@ -278,8 +277,9 @@ class IncrementalLocalizer:
 
         The localizer must have been constructed with the same ``mode``
         (the carried representation is mode-specific); the caller is
-        responsible for checking the scenario fingerprint first.  A
-        ``"failure"`` key, which older entries carry, is ignored.
+        responsible for checking the scenario fingerprint first.  The
+        ``"failure"`` and ``"observed_length"`` keys older entries
+        carry are ignored: the frontier or the window holds the length.
         """
         if state.get("mode") != self.mode:
             raise SelectionError(
@@ -288,7 +288,6 @@ class IncrementalLocalizer:
             )
         self.max_frontier = state.get("max_frontier")
         self._overflowed = bool(state["overflowed"])
-        self._observed_length = int(state["observed_length"])
         self._peak_frontier = int(state["peak_frontier"])
         frontier = state.get("frontier")
         if frontier is None:
@@ -327,5 +326,4 @@ class IncrementalLocalizer:
                 f"{self.max_frontier}"
             )
         self._pattern.append(symbol)
-        self._observed_length += 1
         self._peak_frontier = max(self._peak_frontier, self.frontier_size)

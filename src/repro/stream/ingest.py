@@ -21,7 +21,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.core.message import Message
 from repro.errors import SimulationError
@@ -91,11 +91,6 @@ class IncrementalTraceParser:
         return self._records_emitted
 
     @property
-    def lines_seen(self) -> int:
-        """Complete lines consumed so far."""
-        return self._lineno
-
-    @property
     def header_seen(self) -> bool:
         """Whether a well-formed header line has been parsed."""
         return self._header_done and not any(
@@ -123,18 +118,6 @@ class IncrementalTraceParser:
                 emitted.append(record)
         self._records_emitted += len(emitted)
         return tuple(emitted)
-
-    def feed_records(
-        self, records: Iterable[TraceRecord]
-    ) -> Tuple[TraceRecord, ...]:
-        """Pass through already-parsed records (a source that skipped
-        the text round, e.g. an in-process simulator), keeping the
-        emitted-count bookkeeping consistent."""
-        if self._closed:
-            raise SimulationError("parser is closed; no further chunks")
-        materialized = tuple(records)
-        self._records_emitted += len(materialized)
-        return materialized
 
     def close(self) -> Tuple[TraceRecord, ...]:
         """Flush a trailing unterminated line and seal the parser."""
@@ -208,91 +191,3 @@ class IncrementalTraceParser:
                 ParseDiagnostic(self._lineno, line, str(exc))
             )
             return None
-
-
-class CompressedTraceIngester:
-    """Ingests a framed compressed bitstream into the streaming layer.
-
-    The binary sibling of :class:`IncrementalTraceParser`: byte chunks
-    of a :mod:`repro.compress` bitstream (e.g. read back from a
-    :class:`~repro.sim.tracebuffer.CompressedTraceBuffer`) are decoded
-    incrementally, and every record whose frame completed is forwarded
-    through an :class:`IncrementalTraceParser` via ``feed_records`` --
-    so sessions, localizers, and telemetry see the exact same record
-    stream and bookkeeping whether the transport was text or bits.
-
-    Parameters
-    ----------
-    catalog:
-        Message definitions by name.
-    parser:
-        The downstream text parser to feed; a fresh one is created when
-        omitted.
-    """
-
-    def __init__(
-        self,
-        catalog: Mapping[str, Message],
-        parser: Optional[IncrementalTraceParser] = None,
-    ) -> None:
-        # deferred so plain text streaming never imports the codec
-        from repro.compress.decoder import IncrementalFrameDecoder
-
-        self._decoder = IncrementalFrameDecoder(catalog)
-        self.parser = parser or IncrementalTraceParser(catalog)
-
-    # ------------------------------------------------------------------
-    @property
-    def scenario(self) -> str:
-        return self._decoder.scenario
-
-    @property
-    def seed(self) -> int:
-        return self._decoder.seed
-
-    @property
-    def header_seen(self) -> bool:
-        return self._decoder.header_seen
-
-    @property
-    def records_emitted(self) -> int:
-        return self._decoder.records_emitted
-
-    @property
-    def diagnostics(self) -> Tuple[object, ...]:
-        """Decode diagnostics (:class:`repro.compress.decoder.
-        DecodeDiagnostic`), in input order."""
-        return self._decoder.diagnostics
-
-    # ------------------------------------------------------------------
-    def feed(self, chunk: bytes) -> Tuple[TraceRecord, ...]:
-        """Consume *chunk*, forwarding records of completed frames."""
-        records = self._decoder.feed(chunk)
-        self._sync_provenance()
-        return self.parser.feed_records(records)
-
-    def close(self) -> Tuple[TraceRecord, ...]:
-        """Flush the decoder and forward any trailing records."""
-        records = self._decoder.close()
-        self._sync_provenance()
-        if not records:
-            return ()
-        return self.parser.feed_records(records)
-
-    def _sync_provenance(self) -> None:
-        if self._decoder.header_seen:
-            self.parser.scenario = self._decoder.scenario
-            self.parser.seed = self._decoder.seed
-
-    # ------------------------------------------------------------------
-    def export_state(self) -> dict:
-        """Decoder + downstream parser state as one JSON-able dict."""
-        return {
-            "decoder": self._decoder.export_state(),
-            "parser": self.parser.export_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Overwrite ingester state with an :meth:`export_state` dict."""
-        self._decoder.restore_state(state["decoder"])
-        self.parser.restore_state(state["parser"])

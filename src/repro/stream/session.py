@@ -14,10 +14,12 @@ the process bounded:
   through the manager's ``spill`` sink when it has one.
 
 A session is everything one validator's stream carries: the chunk
-ingest pipeline (transport, text parser or compressed-trace ingester,
-UTF-8 decoder), the :class:`~repro.stream.incremental.
-IncrementalLocalizer`, the chunk cursor ``next_chunk``, the
-poison-strike count ``failures`` and the client's open ``token``.
+ingest pipeline (its transport, then a UTF-8 decoder and a text
+parser, or a compressed-frame decoder), the :class:`~repro.stream.
+incremental.IncrementalLocalizer`, the chunk cursor ``next_chunk``,
+the poison-strike count ``failures`` and the client's open ``token``.
+The localizer's frontier is the one record of how much the session
+has consumed.
 :meth:`SessionManager.export_session` writes a session's durable entry
 and :meth:`SessionManager.adopt` reads one back; :meth:`SessionManager.
 open` is ``adopt`` of a fresh entry.  :meth:`SessionManager.close`
@@ -60,7 +62,7 @@ from repro.errors import FrontierOverflowError, StreamError
 from repro.selection.localization import LocalizationResult, PathLocalizer
 from repro.sim.engine import TraceRecord
 from repro.stream.incremental import IncrementalLocalizer, Observable
-from repro.stream.ingest import CompressedTraceIngester, IncrementalTraceParser
+from repro.stream.ingest import IncrementalTraceParser
 
 #: Session lifecycle states.
 ACTIVE = "active"
@@ -110,19 +112,22 @@ class StreamSession:
         #: ``"text"`` trace-file chunks, or ``"ctrace"`` framed
         #: compressed-bitstream chunks.
         self.transport = transport
-        self.parser = IncrementalTraceParser(catalog)
-        self.ingester = (
-            CompressedTraceIngester(catalog, parser=self.parser)
-            if transport == "ctrace"
-            else None
-        )
-        # chunk payloads may split a multi-byte character; decode
-        # incrementally so a torn codepoint survives the chunk boundary
-        self.decoder = codecs.getincrementaldecoder("utf-8")("replace")
+        #: The ingest stages: a ctrace session's frame decoder
+        #: (``ingester``), or a text session's UTF-8 ``decoder`` and
+        #: ``parser``; the other transport's stay ``None``.
+        self.ingester = self.decoder = self.parser = None
+        if transport == "ctrace":
+            # deferred so a text-only server never imports the codec
+            from repro.compress.decoder import IncrementalFrameDecoder
+
+            self.ingester = IncrementalFrameDecoder(catalog)
+        else:
+            # chunk payloads may split a multi-byte character; decode
+            # incrementally so a torn codepoint survives the boundary
+            self.decoder = codecs.getincrementaldecoder("utf-8")("replace")
+            self.parser = IncrementalTraceParser(catalog)
         self.status = ACTIVE
         self.last_active = now
-        self.feeds = 0
-        self.records = 0
         #: Index of the next chunk :meth:`SessionManager.feed_chunk`
         #: applies: the cursor a chunked transport checks retransmits
         #: and gaps against.
@@ -328,26 +333,24 @@ class SessionManager:
             if entry.get("localizer") is not None:
                 localizer.restore_state(entry["localizer"])
             session.status = str(status)
-            session.feeds = int(entry.get("feeds", 0))
-            session.records = int(entry.get("records", 0))
             session.next_chunk = int(entry.get("next_chunk", 0))
             session.token = entry.get("token")  # type: ignore[assignment]
-            if "text_decoder" in entry:
+            # an older ctrace entry also carries the parser and the
+            # UTF-8 decoder its session built and never fed
+            if session.ingester is not None and "ingester" in entry:
+                session.ingester.restore_state(entry["ingester"]["decoder"])
+            elif session.parser is not None and "parser" in entry:
                 buffered, flag = entry["text_decoder"]
                 session.decoder.setstate(
                     (base64.b64decode(buffered), int(flag))
                 )
-            # export writes the ingester (ctrace) or the parser (text)
-            if "ingester" in entry:
-                session.ingester.restore_state(entry["ingester"])
-            if "parser" in entry:
                 session.parser.restore_state(entry["parser"])
             self._sessions[session.session_id] = session
             self._opened += 1
             return session
 
     def export_session(self, session_id: str) -> dict:
-        """A session's durable entry as a JSON-able dict: counters,
+        """A session's durable entry as a JSON-able dict: status,
         chunk cursor, ingest state and localizer DP -- the inverse of
         :meth:`adopt`."""
         return self._export(self.session(session_id))
@@ -446,25 +449,23 @@ class SessionManager:
     @staticmethod
     def _export(session: StreamSession) -> dict:
         """The durable entry of *session*."""
-        buffered, flag = session.decoder.getstate()
         entry = {
             "session_id": session.session_id,
             "mode": session.mode,
             "status": session.status,
-            "feeds": session.feeds,
-            "records": session.records,
             "localizer": session.localizer.export_state(),
             "transport": session.transport,
             "next_chunk": session.next_chunk,
-            "text_decoder": [
-                base64.b64encode(buffered).decode("ascii"), flag
-            ],
         }
         if session.token is not None:
             entry["token"] = session.token
         if session.ingester is not None:
-            entry["ingester"] = session.ingester.export_state()
+            entry["ingester"] = {"decoder": session.ingester.export_state()}
         else:
+            buffered, flag = session.decoder.getstate()
+            entry["text_decoder"] = [
+                base64.b64encode(buffered).decode("ascii"), flag
+            ]
             entry["parser"] = session.parser.export_state()
         return entry
 
@@ -478,7 +479,6 @@ class SessionManager:
         session.last_active = self._clock()
         if session.status == OVERFLOW:
             return self._outcome(session, consumed=0)
-        session.feeds += 1
         batch = [
             item
             for item in records
@@ -492,7 +492,6 @@ class SessionManager:
             # everything before the overflowing one still counts
             consumed = session.localizer.observed_length - before
             session.status = OVERFLOW
-        session.records += consumed
         session.last_active = self._clock()
         with self._lock:
             self._feeds += 1
@@ -523,7 +522,7 @@ class SessionManager:
         return {
             "session_id": session.session_id,
             "status": final,
-            "records": session.records,
+            "records": session.localizer.observed_length,
             "observed_length": session.localizer.observed_length,
             "consistent_paths": result.consistent_paths,
             "total_paths": result.total_paths,

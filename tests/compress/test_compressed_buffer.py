@@ -6,11 +6,10 @@ from __future__ import annotations
 import pytest
 
 from repro import perf
-from repro.compress.decoder import decode_stream
+from repro.compress.decoder import IncrementalFrameDecoder, decode_stream
 from repro.core.message import IndexedMessage, Message
 from repro.sim.engine import TraceRecord
 from repro.sim.tracebuffer import CompressedTraceBuffer, TraceBuffer
-from repro.stream.ingest import CompressedTraceIngester
 
 _CATALOG = {
     "req": Message("req", 8),
@@ -129,17 +128,15 @@ class TestIngester:
         kept = buffer.capture(
             [_rec("req", 5 * i, i % 200) for i in range(12)]
         )
-        ingester = CompressedTraceIngester(_CATALOG)
+        decoder = IncrementalFrameDecoder(_CATALOG)
         emitted = []
         data = buffer.last_bitstream
         for start in range(0, len(data), 7):
-            emitted.extend(ingester.feed(data[start:start + 7]))
-        emitted.extend(ingester.close())
+            emitted.extend(decoder.feed(data[start:start + 7]))
+        emitted.extend(decoder.close())
         assert [(r.cycle, r.value) for r in emitted] == [
             (e.cycle, e.value) for e in kept
         ]
-        assert ingester.header_seen
-        assert ingester.scenario == "Ingest"
-        assert ingester.parser.scenario == "Ingest"
-        assert ingester.parser.seed == 11
-        assert ingester.records_emitted == len(kept)
+        assert decoder.header_seen
+        assert decoder.scenario == "Ingest"
+        assert decoder.records_emitted == len(kept)

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.errors import ServerUnavailableError
+from repro.errors import ServerError, ServerUnavailableError
 from repro.selection.localization import localize_trace
 from repro.server import (
     DebugClient,
@@ -20,6 +20,7 @@ from repro.server import (
     SessionFeed,
     protocol,
 )
+from repro.server.client import MAX_REOPENS
 from repro.server.loadgen import render_session_chunks
 from repro.stream.service import synthetic_session_records
 from tests.server.conftest import start_server
@@ -207,5 +208,67 @@ def test_eviction_triggers_transparent_replay(context):
         assert snapshot.observed_length == expected
         feed.close()
         client.close()
+    finally:
+        handle.thread.stop()
+
+
+def _closed_after_reopens(client, closer, times):
+    """Make the first *times* reopens of *client* lose their session
+    again at once: right after each reopen's OPEN, *closer* closes it,
+    as a CLOSE the network delivered late would."""
+    reopen = client.open_session_info
+    left = [times]
+
+    def open_then_lose(**kwargs):
+        info = reopen(**kwargs)
+        if left[0]:
+            left[0] -= 1
+            closer.close_session(str(info["session_id"]))
+        return info
+
+    client.open_session_info = open_then_lose
+
+
+def test_a_session_lost_again_while_it_replays_is_reopened_again(context):
+    records = synthetic_session_records(
+        context.interleaved, context.traced, seed=23
+    )
+    chunks = render_session_chunks(context, seed=23, chunk_records=1)
+    batch = localize_trace(
+        context.interleaved,
+        context.traced,
+        tuple(r.message for r in records),
+        mode=context.mode,
+    )
+    handle = start_server(context, ServerConfig(shards=1))
+    try:
+        with DebugClient(handle.host, handle.port) as client, DebugClient(
+            handle.host, handle.port
+        ) as closer:
+            feed = SessionFeed(client, session_id="twice")
+            feed.feed(chunks[0])
+            closer.close_session("twice")
+            _closed_after_reopens(client, closer, times=1)
+            # the FEED finds the session gone; the reopened one is gone
+            # again before its replay, so the feed reopens once more
+            feed.feed(chunks[1])
+            assert feed.recoveries == 2
+            last = len(chunks) - 1
+            for index in range(2, len(chunks)):
+                feed.feed(chunks[index], eof=index == last)
+            close = feed.close()
+            assert close.records == len(records)
+            assert (
+                close.result.consistent_paths, close.result.total_paths
+            ) == (batch.consistent_paths, batch.total_paths)
+
+            # a session the server keeps losing: the feed gives up
+            # after MAX_REOPENS reopens instead of looping
+            lost = SessionFeed(client, session_id="always-lost")
+            closer.close_session("always-lost")
+            _closed_after_reopens(client, closer, times=MAX_REOPENS)
+            with pytest.raises(ServerError, match="unknown-session"):
+                lost.feed(chunks[0])
+            assert lost.recoveries == MAX_REOPENS
     finally:
         handle.thread.stop()

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos.disk import DiskFaultInjector, installed
+from repro.chaos.faults import FaultDecider, FaultPlan, FaultSpec
 from repro.errors import ServerError, StoreError
 from repro.selection.localization import localize_trace
 from repro.server import (
@@ -71,12 +73,26 @@ def feed_session(
 
 
 def assert_matches_batch(client, context, sid, seed):
-    expected_records, expected = batch_answer(context, seed)
     snap = client.snapshot(sid)
-    assert snap.observed_length == expected_records
+    assert_batch_answer(snap.observed_length, snap.result, context, seed)
+
+
+def assert_batch_answer(records, result, context, seed):
+    """*records* and *result* answer for the whole of session *seed*,
+    as the batch localizer does."""
+    expected_records, expected = batch_answer(context, seed)
+    assert records == expected_records
     assert (
-        snap.result.consistent_paths, snap.result.total_paths
+        result.consistent_paths, result.total_paths
     ) == (expected.consistent_paths, expected.total_paths)
+
+
+def degrading_gate() -> DiskFaultInjector:
+    """A disk gate that fails every WAL append: the shard that writes
+    under it degrades to memory-only."""
+    return DiskFaultInjector(
+        FaultDecider(0, FaultPlan(specs=(FaultSpec("disk", "enospc", 1.0),)))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -503,13 +519,7 @@ class TestClientResume:
         )
         try:
             sent = []
-            original = client.feed
-
-            def counting_feed(sid, index, data, eof=False):
-                sent.append(index)
-                return original(sid, index, data, eof=eof)
-
-            client.feed = counting_feed
+            self.counting(client, sent)
             feed.feed(chunks[-1], eof=True)
             # exactly: the rejected new chunk, the one lost chunk,
             # then the retried new chunk -- no full replay
@@ -526,6 +536,141 @@ class TestClientResume:
             ) == (expected.consistent_paths, expected.total_paths)
             client.close()
         finally:
+            second.thread.stop()
+
+    @staticmethod
+    def counting(client, sent):
+        """Record the chunk index of every FEED *client* sends."""
+        original = client.feed
+
+        def feed(sid, index, data, eof=False):
+            sent.append(index)
+            return original(sid, index, data, eof=eof)
+
+        client.feed = feed
+
+    def test_resumed_reopen_replays_from_the_servers_cursor(
+        self, context, tmp_path
+    ):
+        """The session's shard spilled it, then degraded, so a FEED
+        gets ``unknown-session``; by the reopen the server restarted
+        with the session spilled at chunk 3.  The reopen is resumed
+        and the feed replays from the server's ``next_chunk``, not
+        from chunk zero."""
+        config = durable_config(
+            tmp_path, shards=1, idle_timeout_s=0.2, idle_sweep_s=60,
+            snapshot_every=1,
+        )
+        servers = [start_server(context, config)]
+        port = servers[0].port
+        client = DebugClient(servers[0].host, port)
+        try:
+            feed = SessionFeed(client, session_id="sleeper")
+            chunks = render_session_chunks(context, seed=93, chunk_records=1)
+            assert len(chunks) >= 5
+            for chunk in chunks[:3]:
+                feed.feed(chunk)
+            waker = render_session_chunks(context, seed=94, chunk_records=1)
+            time.sleep(0.4)
+            client.open_session("waker")  # its admission spills sleeper
+            client.feed("waker", 0, waker[0])  # a checkpoint holds it
+            with installed(degrading_gate()):
+                client.feed("waker", 1, waker[1])
+            shard = servers[0].server.shard_for("sleeper")
+            assert shard.degraded and "sleeper" in shard.store.spilled_ids()
+
+            reopen = client.open_session_info
+
+            def restart_then_reopen(**kwargs):
+                servers[0].thread.stop(abort=True)
+                servers.append(start_server(
+                    context, durable_config(tmp_path, shards=1, port=port)
+                ))
+                return reopen(**kwargs)
+
+            client.open_session_info = restart_then_reopen
+            sent = []
+            self.counting(client, sent)
+            feed.feed(chunks[3])
+            # the refused FEED, the replay from next_chunk 3, and the
+            # retried FEED, answered as a duplicate
+            assert sent == [3, 3, 3]
+            assert feed.recoveries == 1
+            last = len(chunks) - 1
+            for index in range(4, len(chunks)):
+                feed.feed(chunks[index], eof=index == last)
+            snap = feed.snapshot()
+            assert_batch_answer(snap.observed_length, snap.result, context, 93)
+        finally:
+            client.close()
+            servers[-1].thread.stop()
+
+    def recovered_without_tail(self, context, tmp_path, seed):
+        """A SessionFeed fed all of session *seed*, whose server acked
+        every chunk from the third on from memory (the shard degraded
+        on that chunk's WAL append), crashed and restarted on its
+        directory with the session at chunk 2.  Returns the feed, how
+        many chunks it fed, and the restarted server."""
+        first = start_server(context, durable_config(tmp_path, shards=1))
+        try:
+            feed = SessionFeed(
+                DebugClient(first.host, first.port), session_id="healed"
+            )
+            chunks = render_session_chunks(
+                context, seed=seed, chunk_records=1
+            )
+            assert len(chunks) >= 4
+            last = len(chunks) - 1
+            for index, chunk in enumerate(chunks):
+                if index == 2:
+                    with installed(degrading_gate()):
+                        feed.feed(chunk)
+                else:
+                    feed.feed(chunk, eof=index == last)
+            assert first.server.shard_for("healed").degraded
+        finally:
+            first.thread.stop(abort=True)
+        second = start_server(
+            context, durable_config(tmp_path, shards=1, port=first.port)
+        )
+        return feed, len(chunks), second
+
+    def test_snapshot_resyncs_a_tail_the_server_lost(
+        self, context, tmp_path
+    ):
+        feed, fed, second = self.recovered_without_tail(
+            context, tmp_path, 96
+        )
+        sent = []
+        self.counting(feed.client, sent)
+        try:
+            snap = feed.snapshot()
+            assert sent == list(range(2, fed))
+            assert feed.recoveries == 1
+            assert snap.next_chunk == fed
+            assert_batch_answer(snap.observed_length, snap.result, context, 96)
+        finally:
+            feed.client.close()
+            second.thread.stop()
+
+    def test_close_reopens_and_replays_a_tail_the_server_lost(
+        self, context, tmp_path
+    ):
+        feed, fed, second = self.recovered_without_tail(
+            context, tmp_path, 97
+        )
+        sent = []
+        self.counting(feed.client, sent)
+        try:
+            close = feed.close()
+            # the first CLOSE retired the session short of its tail:
+            # the reopen is fresh, so everything is replayed
+            assert sent == list(range(fed))
+            assert feed.recoveries == 1
+            assert close.next_chunk == fed
+            assert_batch_answer(close.records, close.result, context, 97)
+        finally:
+            feed.client.close()
             second.thread.stop()
 
 

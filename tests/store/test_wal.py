@@ -4,6 +4,7 @@ truncation, no-resync corruption handling, and directory repair."""
 from __future__ import annotations
 
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,42 @@ class TestWalWriter:
         writer.append(wal.WAL_FEED, b"a")
         assert writer.fsyncs == 0
         writer.close()
+
+    def test_interval_policy_fsyncs_on_appends_only(
+        self, tmp_path, monkeypatch
+    ):
+        # an append fsyncs once fsync_interval_s has passed since the
+        # last fsync; nothing syncs an idle writer, so the tail after
+        # the last such append stays unsynced until close()
+        now = [1000.0]
+        monkeypatch.setattr(
+            wal, "time", types.SimpleNamespace(monotonic=lambda: now[0])
+        )
+        synced = []  # bytes on disk at each fsync
+        real_fsync = wal.os.fsync
+
+        def fsync(fd):
+            synced.append(wal.os.fstat(fd).st_size)
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal.os, "fsync", fsync)
+        writer = wal.WalWriter(tmp_path, fsync="interval")
+        assert writer.fsync_interval_s == 0.05
+        sizes = []
+        for step in (0.0, 0.01, 0.02, 0.03, 0.01, 0.06):
+            now[0] += step
+            writer.append(wal.WAL_FEED, b"x")
+            sizes.append(wal_bytes(tmp_path))
+        # the first append, the one 0.06 s after it, and the one
+        # 0.07 s after that
+        assert synced == [sizes[0], sizes[3], sizes[5]]
+        writer.append(wal.WAL_FEED, b"tail")
+        now[0] += 3600.0  # a quiet spell
+        assert writer.fsyncs == 3
+        assert synced[-1] < wal_bytes(tmp_path)
+        writer.close()
+        assert synced[-1] == wal_bytes(tmp_path)
+        assert writer.fsyncs == 4
 
     def test_closed_writer_refuses_appends(self, tmp_path):
         writer = wal.WalWriter(tmp_path, fsync="off")

@@ -164,11 +164,11 @@ class TestManagerBatching:
         assert outcome.status == OVERFLOW
         assert outcome.consumed == 1
         assert outcome.observed_length == 1
-        assert manager.session(sid).records == 1
         # an overflowed session silently ignores further feeds
         again = manager.feed(sid, stream)
         assert again.consumed == 0
         assert again.status == OVERFLOW
+        assert manager.close(sid)["records"] == 1
 
     def test_drop_invisible_batches_only_visible(
         self, cc_flow, traced, catalog, stream

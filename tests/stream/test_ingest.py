@@ -83,12 +83,6 @@ class TestChunking:
         with pytest.raises(SimulationError, match="closed"):
             parser.feed("x")
 
-    def test_feed_records_passthrough(self, catalog, cc_interleaved):
-        trace = TransactionSimulator(cc_interleaved, "Toy").run(seed=1)
-        parser = IncrementalTraceParser(catalog)
-        assert parser.feed_records(trace.records) == trace.records
-        assert parser.records_emitted == len(trace.records)
-
 
 class TestDiagnostics:
     def test_bad_lines_become_diagnostics_not_errors(self, catalog):

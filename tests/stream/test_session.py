@@ -172,7 +172,7 @@ class TestLimits:
         assert session.retired
         with pytest.raises(StreamError, match="unknown session"):
             manager.feed(sid, (req,), drop_invisible=True)
-        assert session.records == 0
+        assert session.localizer.observed_length == 0
 
     def test_active_sessions_not_evicted(self, manager, clock, cc_flow):
         req = cc_flow.message_by_name("ReqE")
