@@ -334,14 +334,6 @@ class DebugClient:
             return None
         return min(0xFFFFFFFF, max(1, int(self.policy.timeout_s * 1000)))
 
-    def _with_deadline(
-        self, body: Dict[str, object]
-    ) -> Dict[str, object]:
-        deadline_ms = self._deadline_ms()
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        return body
-
     @staticmethod
     def _checked(frame_type: int, body: Dict[str, Any]) -> Dict[str, Any]:
         if frame_type == protocol.ERROR:
@@ -384,17 +376,15 @@ class DebugClient:
         call's lost first attempt -- adds ``"resumed": true`` and
         ``"next_chunk"`` (the chunk index it expects next).
         """
-        request: Dict[str, object] = {
-            "transport": transport,
-            "token": f"{self._rng.getrandbits(32):08x}",
-        }
-        if session_id is not None:
-            request["session_id"] = session_id
-        if mode is not None:
-            request["mode"] = mode
         frame_type, body = self.request(
             protocol.OPEN_SESSION,
-            protocol.encode_json(self._with_deadline(request)),
+            protocol.encode_open_payload(
+                session_id,
+                token=f"{self._rng.getrandbits(32):08x}",
+                transport=transport,
+                mode=mode,
+                deadline_ms=self._deadline_ms(),
+            ),
         )
         return self._checked(frame_type, body)
 
@@ -418,8 +408,8 @@ class DebugClient:
     def snapshot(self, session_id: str) -> SnapshotReply:
         frame_type, body = self.request(
             protocol.SNAPSHOT,
-            protocol.encode_json(
-                self._with_deadline({"session_id": session_id})
+            protocol.encode_session_payload(
+                session_id, deadline_ms=self._deadline_ms()
             ),
         )
         body = self._checked(frame_type, body)
@@ -434,8 +424,8 @@ class DebugClient:
     def close_session(self, session_id: str) -> CloseReply:
         frame_type, body = self.request(
             protocol.CLOSE_SESSION,
-            protocol.encode_json(
-                self._with_deadline({"session_id": session_id})
+            protocol.encode_session_payload(
+                session_id, deadline_ms=self._deadline_ms()
             ),
         )
         body = self._checked(frame_type, body)

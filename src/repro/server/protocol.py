@@ -18,20 +18,35 @@ TCP already guarantees ordering, so any malformed byte is a **fatal**
 protocol error for the connection (the peer replies ``ERROR`` where it
 can and closes).
 
-Request payloads are compact JSON (UTF-8) except ``FEED_CHUNK``, whose
-payload is binary so compressed-trace bytes never pay a base64 tax::
+``STATS`` and ``PING`` requests carry no payload.  Every other request
+names a session and is binary, starting with one head::
 
-    u8 sid_len | sid (UTF-8) | u32 chunk_index | u8 flags | data...
+    u8 sid_len | sid | [u32 chunk_index] | u8 flags | [u32 deadline_ms]
+
+    FEED_CHUNK     head | data...
+    SNAPSHOT       head
+    CLOSE_SESSION  head
+    OPEN_SESSION   head | [token] | [transport] | [mode]
 
 A session id is 1..255 bytes of UTF-8 (:func:`session_id_bytes`), the
-most the ``sid_len`` byte can carry; the server refuses any other id on
-every request with a ``protocol`` error.
+most the ``sid_len`` byte can carry; the server refuses any other id,
+and an id that is not UTF-8, with a ``protocol`` error.  Only
+``FEED_CHUNK`` carries ``chunk_index``.  Flag bit 1
+(:data:`FLAG_DEADLINE`) adds the relative ``deadline_ms``.  The other
+bits belong to one request type each (:data:`REQUEST_FLAGS`), and a
+bit a type does not know is a ``protocol`` error: bit 0 of a FEED
+marks end-of-stream (the server flushes a trailing partial line); on
+an OPEN, bit 2 asks the server to generate the id (``sid_len`` is then
+0) and bits 3, 4 and 5 announce the open token, the transport (absent:
+``text``) and the localization mode (absent: the server's), each a
+``u8`` length and that many bytes of UTF-8.  A SNAPSHOT or CLOSE for a
+17-byte id takes 23 bytes, 4 of them the deadline.  ``FEED_CHUNK``'s
+data is raw bytes, so compressed-trace chunks never pay a base64 tax.
 
 ``chunk_index`` makes feeds idempotent: the server tracks the next
 expected index per session, acknowledges duplicates without
 re-applying them (a retry after a lost response cannot double-feed),
-and rejects gaps with a structured ``chunk-gap`` error.  Flag bit 0
-marks end-of-stream (the server flushes a trailing partial line).
+and rejects gaps with a structured ``chunk-gap`` error.
 
 The ``OK`` replies to ``FEED_CHUNK``, ``SNAPSHOT`` and
 ``CLOSE_SESSION`` -- most of what the server sends -- are binary and
@@ -46,14 +61,21 @@ unsigned LEB128 varint: exact at any size (path counts pass 2^64 on
 the exact route), one byte below 128.  The replies carry neither the
 session id (the client sent it) nor the consistent fraction
 (:attr:`~repro.selection.localization.LocalizationResult.fraction`
-derives it from the two counts).  :func:`decode_reply` reads every
-reply into a dict, keyed by the request it answers.
+derives it from the two counts).  The ``OK`` reply to
+``OPEN_SESSION`` is binary too::
 
-Every other reply is JSON: ``OPEN_SESSION``, ``STATS`` and ``PING``
-answer with an object, ``ERROR`` carries ``{"error": code, "message":
-text}`` and ``RETRY_LATER`` -- the backpressure reply -- carries
-``{"reason": ..., "retry_after_s": hint}`` and promises the request
-had **no effect**, so retrying is always safe.
+    u8 flags | varint shard | [varint next_chunk] | sid | transport | mode
+
+flag bit 0 marks a resumed session, which alone carries
+``next_chunk``, and the three strings are length-prefixed as in an
+OPEN request.  :func:`decode_reply` reads every reply into a dict,
+keyed by the request it answers.
+
+Every other reply is JSON: ``STATS`` and ``PING`` answer with an
+object, ``ERROR`` carries ``{"error": code, "message": text}`` and
+``RETRY_LATER`` -- the backpressure reply -- carries ``{"reason": ...,
+"retry_after_s": hint}`` and promises the request had **no effect**,
+so retrying is always safe.
 """
 
 from __future__ import annotations
@@ -74,7 +96,7 @@ from repro.stream.session import (
 
 #: Protocol magic ("Rp") and the one supported version.
 MAGIC = b"Rp"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Fixed sizes: magic(2) + version(1) + type(1) + seq(4) + len(4), and
 #: the trailing CRC-16.
@@ -106,22 +128,52 @@ REQUEST_TYPES = frozenset(
 )
 RESPONSE_TYPES = frozenset((OK, ERROR, RETRY_LATER))
 
-#: Feed flags.
+#: Request flags.  A FEED ends its session's stream.
 FLAG_EOF = 0x01
 #: The payload carries a relative request deadline: 4 extra bytes
-#: (``u32 deadline_ms``) between the flags and the data.  Relative --
-#: not absolute -- so clocks never need agreement and a retransmit
+#: (``u32 deadline_ms``) right after the flags.  Relative -- not
+#: absolute -- so clocks never need agreement and a retransmit
 #: restarts the budget on delivery.
 FLAG_DEADLINE = 0x02
+#: An OPEN names no session (``sid_len`` 0): the server generates one.
+FLAG_NEW_ID = 0x04
+#: An OPEN carries its open token, its transport and its mode.
+FLAG_TOKEN = 0x08
+FLAG_TRANSPORT = 0x10
+FLAG_MODE = 0x20
+
+#: The flag bits each request type that names a session may set.
+REQUEST_FLAGS: Dict[int, int] = {
+    OPEN_SESSION: (
+        FLAG_DEADLINE | FLAG_NEW_ID | FLAG_TOKEN | FLAG_TRANSPORT | FLAG_MODE
+    ),
+    FEED_CHUNK: FLAG_EOF | FLAG_DEADLINE,
+    SNAPSHOT: FLAG_DEADLINE,
+    CLOSE_SESSION: FLAG_DEADLINE,
+}
+#: The optional strings after an OPEN's head, in wire order, with the
+#: flag that announces each.
+OPEN_FIELDS = (
+    ("token", FLAG_TOKEN), ("transport", FLAG_TRANSPORT), ("mode", FLAG_MODE),
+)
+#: The transport an OPEN means when it names none.
+DEFAULT_TRANSPORT = "text"
+
+_PAYLOADS = {
+    OPEN_SESSION: "OPEN_SESSION payload",
+    FEED_CHUNK: "FEED_CHUNK payload",
+    SNAPSHOT: "SNAPSHOT payload",
+    CLOSE_SESSION: "CLOSE_SESSION payload",
+}
 
 #: The session statuses of :mod:`repro.stream.session`; a binary reply's
 #: status byte is the position in this tuple.
 STATUSES = (ACTIVE, OVERFLOW, CLOSED, EVICTED, QUARANTINED)
 _STATUS_CODES = {status: code for code, status in enumerate(STATUSES)}
 
-#: The binary OK replies, per request type: the flag names (bit *i*
-#: of the flag byte is the *i*-th name) and the varint fields in wire
-#: order.
+#: The binary OK replies that open with a status, per request type: the
+#: flag names (bit *i* of the flag byte is the *i*-th name) and the
+#: varint fields in wire order.
 REPLY_FLAGS: Dict[int, Tuple[str, ...]] = {
     FEED_CHUNK: ("duplicate",),
     SNAPSHOT: (),
@@ -273,23 +325,142 @@ def decode_json(payload: bytes) -> Dict[str, object]:
     return obj
 
 
-def session_id_bytes(session_id: object) -> bytes:
-    """The UTF-8 form of *session_id*, which must be a string that
-    encodes to 1..255 bytes -- what a ``FEED_CHUNK`` payload can carry.
+def _utf8(value: object, what: str, least: int = 0) -> bytes:
+    """The UTF-8 form of *value*, which must be a string that encodes
+    to *least*..255 bytes -- what one length byte can announce.
     :class:`ProtocolError` otherwise (a lone surrogate, say)."""
-    if not isinstance(session_id, str):
+    if not isinstance(value, str):
         raise ProtocolError(
-            f"session id must be a string, got {type(session_id).__name__}"
+            f"{what} must be a string, got {type(value).__name__}"
         )
     try:
-        sid = session_id.encode("utf-8")
+        raw = value.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise ProtocolError(f"session id is not UTF-8: {exc}") from None
-    if not sid or len(sid) > 0xFF:
+        raise ProtocolError(f"{what} is not UTF-8: {exc}") from None
+    if not least <= len(raw) <= 0xFF:
         raise ProtocolError(
-            f"session id must encode to 1..255 bytes, got {len(sid)}"
+            f"{what} must encode to {least}..255 bytes, got {len(raw)}"
         )
-    return sid
+    return raw
+
+
+def session_id_bytes(session_id: object) -> bytes:
+    """The UTF-8 form of *session_id*, which must be a string that
+    encodes to 1..255 bytes -- what a request's ``sid_len`` byte can
+    carry.  :class:`ProtocolError` otherwise (a lone surrogate, say)."""
+    return _utf8(session_id, "session id", least=1)
+
+
+def _text(
+    payload: bytes, pos: int, what: str, where: str
+) -> Tuple[str, int]:
+    """The length-prefixed UTF-8 string *what* at *pos* of *where*,
+    and the position after it."""
+    if pos >= len(payload) or pos + 1 + payload[pos] > len(payload):
+        raise ProtocolError(f"{where} truncated in its {what}")
+    end = pos + 1 + payload[pos]
+    try:
+        return payload[pos + 1 : end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"undecodable {what}: {exc}") from None
+
+
+def _put_varints(
+    out: bytearray, body: Mapping[str, Any], names: Tuple[str, ...]
+) -> None:
+    """Append the reply fields *names* of *body* as unsigned LEB128
+    varints."""
+    for name in names:
+        value = body[name]
+        if value < 0:
+            raise ProtocolError(f"reply field {name} = {value} is negative")
+        while value > 0x7F:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
+
+
+def _read_varints(
+    payload: bytes, pos: int, names: Tuple[str, ...], body: Dict[str, Any],
+    where: str,
+) -> int:
+    """Read one unsigned LEB128 varint per name at *pos* of *where*
+    into *body*; returns the position after them."""
+    for name in names:
+        value = shift = 0
+        while True:
+            if pos >= len(payload):
+                raise ProtocolError(f"{where} truncated in field {name}")
+            byte = payload[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+        body[name] = value
+    return pos
+
+
+def _ended(payload: bytes, pos: int, where: str) -> None:
+    if pos != len(payload):
+        raise ProtocolError(
+            f"{len(payload) - pos} trailing byte(s) after the {where}"
+        )
+
+
+def _head(
+    sid: bytes, flags: int, deadline_ms: Optional[int], index: bytes = b""
+) -> bytes:
+    """The head of a request that names a session: ``u8 sid_len | sid
+    | index | u8 flags | [u32 deadline_ms]``, where *index* is a FEED's
+    chunk index and empty on every other request."""
+    deadline = b""
+    if deadline_ms is not None:
+        if not 0 <= deadline_ms <= 0xFFFFFFFF:
+            raise ProtocolError(f"deadline {deadline_ms}ms out of range")
+        flags |= FLAG_DEADLINE
+        deadline = deadline_ms.to_bytes(4, "big")
+    return bytes((len(sid),)) + sid + index + bytes((flags,)) + deadline
+
+
+def _read_head(
+    request_type: int, payload: bytes
+) -> Tuple[Optional[str], int, int, Optional[int], int]:
+    """Parse the head of a *request_type* payload into ``(session_id,
+    chunk_index, flags, deadline_ms, position after the head)``.  The
+    id is ``None`` on an OPEN that asks for a new one, the chunk index
+    0 on every request but a FEED, and ``deadline_ms`` ``None`` when
+    the request carries none.  :class:`ProtocolError` on a truncated
+    head, an id that is empty or not UTF-8, and a flag the type does
+    not know."""
+    where = _PAYLOADS[request_type]
+    if not payload:
+        raise ProtocolError(f"empty {where}")
+    sid, pos = _text(payload, 0, "session id", where)
+    at_flags = pos + 4 if request_type == FEED_CHUNK else pos
+    if at_flags >= len(payload):
+        raise ProtocolError(f"{where} truncated before its flags")
+    chunk_index = int.from_bytes(payload[pos:at_flags], "big")
+    flags = payload[at_flags]
+    unknown = flags & ~REQUEST_FLAGS[request_type]
+    if unknown:
+        raise ProtocolError(f"unknown {where} flags {unknown:#04x}")
+    pos = at_flags + 1
+    deadline_ms: Optional[int] = None
+    if flags & FLAG_DEADLINE:
+        if pos + 4 > len(payload):
+            raise ProtocolError(f"{where} truncated in its deadline")
+        deadline_ms = int.from_bytes(payload[pos : pos + 4], "big")
+        pos += 4
+    if flags & FLAG_NEW_ID:
+        if sid:
+            raise ProtocolError(
+                f"an OPEN that asks for a new session id names {sid!r}"
+            )
+        return None, chunk_index, flags, deadline_ms, pos
+    if not sid:
+        raise ProtocolError("session id must encode to 1..255 bytes, got 0")
+    return sid, chunk_index, flags, deadline_ms, pos
 
 
 def encode_feed_payload(
@@ -309,23 +480,10 @@ def encode_feed_payload(
     sid = session_id_bytes(session_id)
     if not 0 <= chunk_index <= 0xFFFFFFFF:
         raise ProtocolError(f"chunk index {chunk_index} out of range")
-    flags = FLAG_EOF if eof else 0
-    extension = b""
-    if deadline_ms is not None:
-        if not 0 <= deadline_ms <= 0xFFFFFFFF:
-            raise ProtocolError(
-                f"deadline {deadline_ms}ms out of range"
-            )
-        flags |= FLAG_DEADLINE
-        extension = deadline_ms.to_bytes(4, "big")
-    return (
-        bytes((len(sid),))
-        + sid
-        + chunk_index.to_bytes(4, "big")
-        + bytes((flags,))
-        + extension
-        + data
-    )
+    return _head(
+        sid, FLAG_EOF if eof else 0, deadline_ms,
+        chunk_index.to_bytes(4, "big"),
+    ) + data
 
 
 def decode_feed_payload_ex(
@@ -334,39 +492,107 @@ def decode_feed_payload_ex(
     """Parse a ``FEED_CHUNK`` payload into ``(session_id, chunk_index,
     eof, data, deadline_ms)``; ``deadline_ms`` is ``None`` when the
     frame carries no deadline."""
-    if len(payload) < 1:
-        raise ProtocolError("empty FEED_CHUNK payload")
-    sid_len = payload[0]
-    if sid_len == 0 or len(payload) < 1 + sid_len + 5:
-        raise ProtocolError("truncated FEED_CHUNK payload")
-    try:
-        sid = payload[1 : 1 + sid_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"undecodable session id: {exc}") from None
-    base = 1 + sid_len
-    chunk_index = int.from_bytes(payload[base : base + 4], "big")
-    flags = payload[base + 4]
-    start = base + 5
-    deadline_ms: Optional[int] = None
-    if flags & FLAG_DEADLINE:
-        if len(payload) < start + 4:
-            raise ProtocolError(
-                "FEED_CHUNK payload declares a deadline but is too "
-                "short to carry one"
-            )
-        deadline_ms = int.from_bytes(payload[start : start + 4], "big")
-        start += 4
-    return (
-        sid, chunk_index, bool(flags & FLAG_EOF), payload[start:],
-        deadline_ms,
+    sid, chunk_index, flags, deadline_ms, pos = _read_head(
+        FEED_CHUNK, payload
     )
+    return sid, chunk_index, bool(flags & FLAG_EOF), payload[pos:], deadline_ms
+
+
+def encode_session_payload(
+    session_id: str, deadline_ms: Optional[int] = None
+) -> bytes:
+    """Binary ``SNAPSHOT`` or ``CLOSE_SESSION`` payload: the head
+    alone."""
+    return _head(session_id_bytes(session_id), 0, deadline_ms)
+
+
+def decode_session_payload(
+    request_type: int, payload: bytes
+) -> Tuple[str, Optional[int]]:
+    """Parse a *request_type* (``SNAPSHOT`` or ``CLOSE_SESSION``)
+    payload into ``(session_id, deadline_ms)``."""
+    sid, _, _, deadline_ms, pos = _read_head(request_type, payload)
+    _ended(payload, pos, _PAYLOADS[request_type])
+    return sid, deadline_ms
+
+
+@dataclass(frozen=True)
+class OpenRequest:
+    """One decoded ``OPEN_SESSION`` request.  ``session_id`` is
+    ``None`` when the server is to generate it, ``mode`` when the
+    server's default applies, and ``deadline_ms`` when the request
+    carries none."""
+
+    session_id: Optional[str]
+    token: Optional[str] = None
+    transport: str = DEFAULT_TRANSPORT
+    mode: Optional[str] = None
+    deadline_ms: Optional[int] = None
+
+
+def encode_open_payload(
+    session_id: Optional[str] = None,
+    token: Optional[str] = None,
+    transport: str = DEFAULT_TRANSPORT,
+    mode: Optional[str] = None,
+    deadline_ms: Optional[int] = None,
+) -> bytes:
+    """Binary ``OPEN_SESSION`` payload: the head (no id when
+    *session_id* is ``None``), then the token, a transport other than
+    :data:`DEFAULT_TRANSPORT` and the mode, each only when given."""
+    if session_id is None:
+        flags, sid = FLAG_NEW_ID, b""
+    else:
+        flags, sid = 0, session_id_bytes(session_id)
+    given = {
+        "token": token,
+        "transport": None if transport == DEFAULT_TRANSPORT else transport,
+        "mode": mode,
+    }
+    fields = b""
+    for name, flag in OPEN_FIELDS:
+        if given[name] is not None:
+            raw = _utf8(given[name], name)
+            flags |= flag
+            fields += bytes((len(raw),)) + raw
+    return _head(sid, flags, deadline_ms) + fields
+
+
+def decode_open_payload(payload: bytes) -> OpenRequest:
+    """Parse an ``OPEN_SESSION`` payload (:func:`encode_open_payload`)."""
+    sid, _, flags, deadline_ms, pos = _read_head(OPEN_SESSION, payload)
+    where = _PAYLOADS[OPEN_SESSION]
+    fields: Dict[str, str] = {}
+    for name, flag in OPEN_FIELDS:
+        if flags & flag:
+            fields[name], pos = _text(payload, pos, name, where)
+    _ended(payload, pos, where)
+    return OpenRequest(sid, deadline_ms=deadline_ms, **fields)
+
+
+#: The strings of an ``OPEN_SESSION`` OK reply, in wire order.
+OPEN_REPLY_TEXTS = ("session_id", "transport", "mode")
 
 
 def encode_reply(request_type: int, body: Mapping[str, Any]) -> bytes:
-    """The binary OK reply to *request_type* (``FEED_CHUNK``,
-    ``SNAPSHOT`` or ``CLOSE_SESSION``): ``body["status"]``, its flags
-    and its :data:`REPLY_FIELDS`, read from *body* (other keys are
-    ignored).  Refuses an unknown status and a negative field."""
+    """The binary OK reply to *request_type*, read from *body* (other
+    keys are ignored).  For ``OPEN_SESSION``: ``resumed`` as flag bit
+    0, ``shard``, ``next_chunk`` when resumed, then
+    :data:`OPEN_REPLY_TEXTS`.  For ``FEED_CHUNK``, ``SNAPSHOT`` and
+    ``CLOSE_SESSION``: ``body["status"]``, its flags and its
+    :data:`REPLY_FIELDS`.  Refuses an unknown status and a negative
+    field."""
+    if request_type == OPEN_SESSION:
+        resumed = bool(body.get("resumed"))
+        out = bytearray((int(resumed),))
+        _put_varints(
+            out, body, ("shard", "next_chunk") if resumed else ("shard",)
+        )
+        for name in OPEN_REPLY_TEXTS:
+            raw = _utf8(body[name], name)
+            out.append(len(raw))
+            out += raw
+        return bytes(out)
     code = _STATUS_CODES.get(body["status"])
     if code is None:
         raise ProtocolError(
@@ -377,27 +603,41 @@ def encode_reply(request_type: int, body: Mapping[str, Any]) -> bytes:
         if body[name]:
             flags |= 1 << bit
     out = bytearray((code, flags))
-    for name in REPLY_FIELDS[request_type]:
-        value = body[name]
-        if value < 0:
-            raise ProtocolError(f"reply field {name} = {value} is negative")
-        while value > 0x7F:
-            out.append(value & 0x7F | 0x80)
-            value >>= 7
-        out.append(value)
+    _put_varints(out, body, REPLY_FIELDS[request_type])
     return bytes(out)
+
+
+def _decode_open_reply(payload: bytes) -> Dict[str, Any]:
+    where = "OPEN_SESSION reply"
+    if not payload:
+        raise ProtocolError("truncated reply of 0 bytes")
+    if payload[0] >> 1:
+        raise ProtocolError(f"unknown reply flags {payload[0]:#04x}")
+    body: Dict[str, Any] = {}
+    if payload[0]:
+        body["resumed"] = True
+    pos = _read_varints(
+        payload, 1, ("shard", "next_chunk") if payload[0] else ("shard",),
+        body, where,
+    )
+    for name in OPEN_REPLY_TEXTS:
+        body[name], pos = _text(payload, pos, name, where)
+    _ended(payload, pos, where)
+    return body
 
 
 def decode_reply(
     request_type: int, frame_type: int, payload: bytes
 ) -> Dict[str, Any]:
     """Decode the reply of type *frame_type* to a *request_type*
-    request: a binary OK reply (:func:`encode_reply`) into its status,
-    flags and fields, anything else as JSON.  :class:`ProtocolError`
-    on a truncated payload, a trailing byte, an unknown status or an
-    unknown flag."""
-    if frame_type != OK or request_type not in REPLY_FIELDS:
+    request: a binary OK reply (:func:`encode_reply`) into its fields,
+    anything else as JSON.  :class:`ProtocolError` on a truncated
+    payload, a trailing byte, an unknown status or an unknown flag."""
+    # every request that names a session has a binary OK reply
+    if frame_type != OK or request_type not in REQUEST_FLAGS:
         return decode_json(payload)
+    if request_type == OPEN_SESSION:
+        return _decode_open_reply(payload)
     if len(payload) < 2:
         raise ProtocolError(f"truncated reply of {len(payload)} bytes")
     if payload[0] >= len(STATUSES):
@@ -408,23 +648,8 @@ def decode_reply(
     body: Dict[str, Any] = {"status": STATUSES[payload[0]]}
     for bit, name in enumerate(names):
         body[name] = bool(payload[1] >> bit & 1)
-    pos = 2
-    for name in REPLY_FIELDS[request_type]:
-        value = shift = 0
-        while True:
-            if pos >= len(payload):
-                raise ProtocolError(f"reply truncated in field {name}")
-            byte = payload[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if byte < 0x80:
-                break
-            shift += 7
-        body[name] = value
-    if pos != len(payload):
-        raise ProtocolError(
-            f"{len(payload) - pos} trailing byte(s) after the reply"
-        )
+    pos = _read_varints(payload, 2, REPLY_FIELDS[request_type], body, "reply")
+    _ended(payload, pos, "reply")
     return body
 
 

@@ -654,7 +654,8 @@ class DebugServer:
         :class:`StreamError` for global-capacity refusals (mapped to
         ``RETRY_LATER`` by the caller).
         """
-        if frame.frame_type == protocol.FEED_CHUNK:
+        kind = frame.frame_type
+        if kind == protocol.FEED_CHUNK:
             sid, chunk_index, eof, data, deadline_ms = (
                 protocol.decode_feed_payload_ex(frame.payload)
             )
@@ -665,39 +666,37 @@ class DebugServer:
                 lambda: shard.feed(sid, chunk_index, data, eof),
                 deadline_ms,
             )
-        body = protocol.decode_json(frame.payload)
-        deadline_ms = self._body_deadline(body)
-        sid = body.get("session_id")
-        token = body.get("token")
-        if frame.frame_type == protocol.OPEN_SESSION:
-            if token is not None and not isinstance(token, str):
-                raise ProtocolError("token must be a string")
+        if kind == protocol.OPEN_SESSION:
+            request = protocol.decode_open_payload(frame.payload)
+            if request.transport not in TRANSPORTS:
+                raise ProtocolError(
+                    f"unknown transport {request.transport!r}; choose "
+                    f"{' or '.join(TRANSPORTS)}"
+                )
+            sid = request.session_id
             if sid is None:
-                sid = self._generated_id(token)
-        protocol.session_id_bytes(sid)  # refuses an id FEED cannot carry
+                sid = self._generated_id(request.token)
+            shard = self.shard_for(sid)
+            # a retried OPEN whose first attempt made the session adds
+            # none, so the cap must not refuse it
+            if not shard.opened_with(sid, request.token):
+                self._make_room()
+            return (
+                lambda: shard.open(
+                    sid, request.mode, request.transport, request.token
+                ),
+                request.deadline_ms,
+            )
+        sid, deadline_ms = protocol.decode_session_payload(
+            kind, frame.payload
+        )
         shard = self.shard_for(sid)
-        if frame.frame_type == protocol.SNAPSHOT:
+        if kind == protocol.SNAPSHOT:
             if shard.spilled(sid):
                 self._make_room()
             return lambda: shard.snapshot(sid), deadline_ms
-        if frame.frame_type == protocol.CLOSE_SESSION:
-            # a CLOSE retires the session it revives in the same op
-            return lambda: shard.close(sid), deadline_ms
-        mode = body.get("mode")
-        transport = body.get("transport", "text")
-        if transport not in TRANSPORTS:
-            raise ProtocolError(
-                f"unknown transport {transport!r}; choose "
-                f"{' or '.join(TRANSPORTS)}"
-            )
-        # a retried OPEN whose first attempt made the session adds
-        # none, so the cap must not refuse it
-        if not shard.opened_with(sid, token):
-            self._make_room()
-        return (
-            lambda: shard.open(sid, mode, str(transport), token),
-            deadline_ms,
-        )
+        # a CLOSE retires the session it revives in the same op
+        return lambda: shard.close(sid), deadline_ms
 
     def _live_sessions(self) -> int:
         return sum(len(shard.manager) for shard in self._shards)
@@ -731,18 +730,6 @@ class DebugServer:
         self._generated[token] = sid
         while len(self._generated) > self.config.max_sessions:
             self._generated.popitem(last=False)
-
-    @staticmethod
-    def _body_deadline(body: Dict[str, object]) -> Optional[int]:
-        """The optional ``deadline_ms`` field of a JSON request body."""
-        deadline = body.get("deadline_ms")
-        if deadline is None:
-            return None
-        if not isinstance(deadline, int) or isinstance(deadline, bool):
-            raise ProtocolError("deadline_ms must be an integer")
-        if not 0 <= deadline <= 0xFFFFFFFF:
-            raise ProtocolError(f"deadline {deadline}ms out of range")
-        return deadline
 
     # -- durability (repro.store) ---------------------------------------
     def _recover_from_store(self) -> None:

@@ -170,7 +170,7 @@ class Shard:
     def open(
         self,
         sid: str,
-        mode: Optional[object] = None,
+        mode: Optional[str] = None,
         transport: str = "text",
         token: Optional[str] = None,
     ) -> Reply:
@@ -181,8 +181,7 @@ class Shard:
             )
             if not resumed:
                 self.manager.open(
-                    sid, mode=mode if mode is None else str(mode),
-                    transport=transport, token=token,
+                    sid, mode=mode, transport=transport, token=token
                 )
         except StreamError as exc:
             if "table full" in str(exc):
@@ -211,7 +210,7 @@ class Shard:
             # attempt made: next_chunk tells the client where the
             # durable high-watermark is, so it replays only the tail
             body.update(resumed=True, next_chunk=session.next_chunk)
-        return protocol.OK, protocol.encode_json(body)
+        return protocol.OK, protocol.encode_reply(protocol.OPEN_SESSION, body)
 
     def feed(
         self, sid: str, chunk_index: int, data: bytes, eof: bool = False

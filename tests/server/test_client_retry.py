@@ -48,7 +48,7 @@ def test_open_token_is_seeded_and_kept_across_retries():
 
     sent = attempts(5)
     assert len(sent) == 3 and len(set(sent)) == 1
-    token = protocol.decode_json(sent[0])["token"]
+    token = protocol.decode_open_payload(sent[0]).token
     assert len(token) == 8 and int(token, 16) < 2**32
     assert attempts(5) == sent
     assert attempts(6) != sent

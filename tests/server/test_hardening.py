@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.errors import ProtocolError, ServerError, ServerUnavailableError
+from repro.errors import ServerError, ServerUnavailableError
 from repro.server import (
     CircuitBreaker,
     DebugClient,
@@ -27,14 +27,28 @@ from tests.server.conftest import start_server
 
 # -- request deadlines -------------------------------------------------
 
-def test_expired_deadline_answers_retry_later_without_applying(
-    context, monkeypatch
+def _late_request(request_type, chunks):
+    """A *request_type* payload with a 10 ms deadline: a FEED of chunk
+    1 or a SNAPSHOT or CLOSE of session ``late``, or an OPEN of
+    session ``other``."""
+    if request_type == protocol.FEED_CHUNK:
+        return protocol.encode_feed_payload(
+            "late", 1, chunks[1], deadline_ms=10
+        )
+    if request_type == protocol.OPEN_SESSION:
+        return protocol.encode_open_payload("other", deadline_ms=10)
+    return protocol.encode_session_payload("late", deadline_ms=10)
+
+
+def assert_late_request_refused_without_effect(
+    context, monkeypatch, request_type
 ):
-    # two FEEDs in one write: the first, slowed by 50 ms, runs within
-    # its deadline; the second's 10 ms deadline, counted from the read
-    # that carried both, expires behind it and is refused before it is
-    # applied -- the client has given up waiting, and its retransmit
-    # relies on the refusal having had no effect
+    # a FEED and a second request in one write: the FEED, slowed by 50
+    # ms, runs within its deadline; the second request's 10 ms
+    # deadline, counted from the read that carried both, expires
+    # behind it and is refused before its op runs -- the client has
+    # given up waiting, and its retransmit relies on the refusal
+    # having had no effect
     feed = Shard.feed
 
     def slow_feed(self, *args):
@@ -42,25 +56,34 @@ def test_expired_deadline_answers_retry_later_without_applying(
         return feed(self, *args)
 
     monkeypatch.setattr(Shard, "feed", slow_feed)
+    applied = []
+    for name in ("open", "snapshot", "close"):
+        def spy(self, sid, *args, _op=getattr(Shard, name), _name=name):
+            applied.append((_name, sid))
+            return _op(self, sid, *args)
+
+        monkeypatch.setattr(Shard, name, spy)
     chunks = render_session_chunks(context, seed=3, chunk_records=1)
     handle = start_server(context, ServerConfig(shards=1))
     try:
         with DebugClient(handle.host, handle.port) as client:
             client.open_session("late")
+            applied.clear()
             sock = socket.create_connection(
                 (handle.host, handle.port), timeout=5
             )
             try:
-                sock.sendall(b"".join(
+                sock.sendall(
                     protocol.encode_frame(
-                        protocol.FEED_CHUNK, index,
+                        protocol.FEED_CHUNK, 0,
                         protocol.encode_feed_payload(
-                            "late", index, chunks[index],
-                            deadline_ms=deadline_ms,
+                            "late", 0, chunks[0], deadline_ms=60_000,
                         ),
                     )
-                    for index, deadline_ms in enumerate((60_000, 10))
-                ))
+                    + protocol.encode_frame(
+                        request_type, 1, _late_request(request_type, chunks)
+                    )
+                )
                 assembler = protocol.FrameAssembler()
                 replies = []
                 while len(replies) < 2:
@@ -69,7 +92,9 @@ def test_expired_deadline_answers_retry_later_without_applying(
                     replies.extend(assembler.feed(data))
             finally:
                 sock.close()
+            late_ops = list(applied)
             snapshot = client.snapshot("late")
+            open_sessions = client.stats()["server"]["open_sessions"]
     finally:
         handle.thread.stop()
     assert [frame.frame_type for frame in replies] == [
@@ -77,7 +102,33 @@ def test_expired_deadline_answers_retry_later_without_applying(
     ]
     body = protocol.decode_json(replies[1].payload)
     assert body["reason"] == "deadline-exceeded"
+    assert late_ops == []
+    # the FEED applied nothing, the CLOSE closed nothing and the OPEN
+    # opened nothing
+    assert snapshot.status == "active"
     assert snapshot.next_chunk == 1
+    assert open_sessions == 1
+
+
+def test_expired_deadline_answers_retry_later_without_applying(
+    context, monkeypatch
+):
+    assert_late_request_refused_without_effect(
+        context, monkeypatch, protocol.FEED_CHUNK
+    )
+
+
+@pytest.mark.parametrize(
+    "request_type",
+    [protocol.OPEN_SESSION, protocol.SNAPSHOT, protocol.CLOSE_SESSION],
+    ids=["open", "snapshot", "close"],
+)
+def test_expired_deadline_of_open_snapshot_or_close_has_no_effect(
+    context, monkeypatch, request_type
+):
+    assert_late_request_refused_without_effect(
+        context, monkeypatch, request_type
+    )
 
 
 def test_client_propagates_deadline_from_timeout():
@@ -89,14 +140,6 @@ def test_client_propagates_deadline_from_timeout():
         policy=RetryPolicy(timeout_s=2.5, propagate_deadline=False),
     )
     assert off._deadline_ms() is None
-
-
-def test_body_deadline_validation():
-    assert DebugServer._body_deadline({}) is None
-    assert DebugServer._body_deadline({"deadline_ms": 250}) == 250
-    for bad in ("250", True, -1, 0x1_0000_0000):
-        with pytest.raises(ProtocolError):
-            DebugServer._body_deadline({"deadline_ms": bad})
 
 
 def test_feed_payload_carries_deadline_on_the_wire():

@@ -1,9 +1,11 @@
 """Wire-protocol framing and payload-codec tests, including the
 robustness matrix: malformed magic, bad version, truncated frames,
-CRC corruption, and oversized payloads, and the binary OK replies'
-round trip over their full field ranges."""
+CRC corruption, and oversized payloads, and the binary requests' and
+OK replies' round trip over their full field ranges."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import given
@@ -82,6 +84,14 @@ def test_version_1_peer_is_refused_at_the_header():
     # speaking it fails at its first frame, never mid-reply
     old = encode_frame(protocol.PING, 1, version=1)
     with pytest.raises(ProtocolError, match="unsupported protocol version 1"):
+        FrameAssembler().feed(old)
+
+
+def test_version_2_peer_is_refused_at_the_header():
+    # version 2 sent OPEN, SNAPSHOT and CLOSE requests and answered
+    # OPEN in JSON; a peer still speaking it fails the same way
+    old = encode_frame(protocol.PING, 1, version=2)
+    with pytest.raises(ProtocolError, match="unsupported protocol version 2"):
         FrameAssembler().feed(old)
 
 
@@ -398,9 +408,250 @@ def test_other_replies_stay_json():
     assert protocol.decode_reply(
         protocol.FEED_CHUNK, protocol.RETRY_LATER, retry
     ) == {"reason": "queue-full", "retry_after_s": 0.05}
-    opened = protocol.encode_json({"session_id": "s", "shard": 1})
-    for request_type in (protocol.OPEN_SESSION, protocol.STATS,
-                         protocol.PING):
+    document = protocol.encode_json({"scenario": "s", "version": 3})
+    for request_type in (protocol.STATS, protocol.PING):
         assert protocol.decode_reply(
-            request_type, protocol.OK, opened
-        ) == {"session_id": "s", "shard": 1}
+            request_type, protocol.OK, document
+        ) == {"scenario": "s", "version": 3}
+
+
+# ----------------------------------------------------------------------
+# binary OPEN, SNAPSHOT and CLOSE requests, and the OPEN reply
+def _within_255_bytes(text):
+    """*text* cut to the whole characters of its first 255 UTF-8
+    bytes."""
+    return text.encode("utf-8")[:255].decode("utf-8", "ignore")
+
+
+#: Strings a length byte can announce: 0..255 bytes of UTF-8, multi-byte
+#: characters included, and the widest ids at the edge.
+EDGE_IDS = ("s", "\u00e9" * 127 + "x", "x" * 255, "\U0001f600" * 63 + "xyz")
+TEXTS = st.text(max_size=255).map(_within_255_bytes)
+SESSION_IDS = TEXTS.filter(bool) | st.sampled_from(EDGE_IDS)
+DEADLINES = st.none() | st.integers(0, 0xFFFFFFFF)
+SESSION_TYPES = (protocol.SNAPSHOT, protocol.CLOSE_SESSION)
+
+
+@st.composite
+def open_requests(draw):
+    return protocol.OpenRequest(
+        session_id=draw(st.none() | SESSION_IDS),
+        token=draw(st.none() | TEXTS),
+        transport=draw(st.sampled_from(("text", "ctrace")) | TEXTS),
+        mode=draw(
+            st.none() | st.sampled_from(("prefix", "exact", "window"))
+            | TEXTS
+        ),
+        deadline_ms=draw(DEADLINES),
+    )
+
+
+def encode_open(request):
+    return protocol.encode_open_payload(**dataclasses.asdict(request))
+
+
+@st.composite
+def open_replies(draw):
+    body = {
+        "session_id": draw(SESSION_IDS),
+        "shard": draw(FIELD_VALUES),
+        "transport": draw(TEXTS),
+        "mode": draw(TEXTS),
+    }
+    if draw(st.booleans()):
+        body.update(resumed=True, next_chunk=draw(FIELD_VALUES))
+    return body
+
+
+@given(open_requests())
+def test_open_requests_round_trip(request):
+    assert protocol.decode_open_payload(encode_open(request)) == request
+
+
+@given(SESSION_IDS, DEADLINES, st.sampled_from(SESSION_TYPES))
+def test_snapshot_and_close_requests_round_trip(sid, deadline, kind):
+    payload = protocol.encode_session_payload(sid, deadline_ms=deadline)
+    assert protocol.decode_session_payload(kind, payload) == (sid, deadline)
+
+
+@given(open_replies())
+def test_open_replies_round_trip(body):
+    payload = protocol.encode_reply(protocol.OPEN_SESSION, body)
+    assert protocol.decode_reply(
+        protocol.OPEN_SESSION, protocol.OK, payload
+    ) == body
+
+
+@st.composite
+def binary_payloads(draw):
+    """A valid payload of a new binary codec, and its decoder: an OPEN,
+    SNAPSHOT or CLOSE request, or an OPEN reply."""
+    kind = draw(st.sampled_from(("open", "snapshot", "close", "opened")))
+    if kind == "open":
+        return protocol.decode_open_payload, encode_open(
+            draw(open_requests())
+        )
+    if kind == "opened":
+        return (
+            lambda payload: protocol.decode_reply(
+                protocol.OPEN_SESSION, protocol.OK, payload
+            ),
+            protocol.encode_reply(protocol.OPEN_SESSION, draw(open_replies())),
+        )
+    request_type = (
+        protocol.SNAPSHOT if kind == "snapshot" else protocol.CLOSE_SESSION
+    )
+    return (
+        lambda payload: protocol.decode_session_payload(
+            request_type, payload
+        ),
+        protocol.encode_session_payload(
+            draw(SESSION_IDS), deadline_ms=draw(DEADLINES)
+        ),
+    )
+
+
+@given(binary_payloads())
+def test_truncated_or_padded_payloads_are_refused(case):
+    decode, payload = case
+    decode(payload)
+    for cut in range(len(payload)):
+        with pytest.raises(ProtocolError, match="truncated|empty"):
+            decode(payload[:cut])
+    for extra in (b"\x00", b"\x80", b"\x01\x02"):
+        with pytest.raises(ProtocolError, match="trailing"):
+            decode(payload + extra)
+
+
+#: Requests and an OPEN reply as encoded, and their bytes on the wire:
+#: the id's length and bytes, the flags, the deadline (10,000 is 00 00
+#: 27 10), then each string by its length.
+PINNED_REQUESTS = (
+    (protocol.encode_session_payload("sized"), b"\x05sized\x00"),
+    (
+        protocol.encode_session_payload("sized", deadline_ms=10_000),
+        b"\x05sized\x02\x00\x00\x27\x10",
+    ),
+    (
+        protocol.encode_open_payload(
+            "sized", token="1234abcd", deadline_ms=10_000
+        ),
+        b"\x05sized\x0a\x00\x00\x27\x10\x081234abcd",
+    ),
+    (
+        protocol.encode_open_payload(
+            token="t", transport="ctrace", mode="window"
+        ),
+        b"\x00\x3c\x01t\x06ctrace\x06window",
+    ),
+    (
+        protocol.encode_reply(protocol.OPEN_SESSION, {
+            "session_id": "sized", "shard": 1, "transport": "text",
+            "mode": "prefix",
+        }),
+        b"\x00\x01\x05sized\x04text\x06prefix",
+    ),
+    (
+        protocol.encode_reply(protocol.OPEN_SESSION, {
+            "session_id": "sized", "shard": 1, "transport": "text",
+            "mode": "prefix", "resumed": True, "next_chunk": 300,
+        }),
+        b"\x01\x01\xac\x02\x05sized\x04text\x06prefix",
+    ),
+)
+
+
+@pytest.mark.parametrize("encoded, wire", PINNED_REQUESTS)
+def test_request_and_open_reply_layouts_are_pinned(encoded, wire):
+    assert encoded == wire
+
+
+def test_requests_share_the_feed_head():
+    # a SNAPSHOT or CLOSE is a FEED's head without the chunk index
+    feed = protocol.encode_feed_payload("sized", 7, b"", deadline_ms=10)
+    head = protocol.encode_session_payload("sized", deadline_ms=10)
+    assert feed == head[:6] + (7).to_bytes(4, "big") + head[6:]
+
+
+def test_open_omits_the_default_transport_and_what_is_not_given():
+    assert protocol.encode_open_payload("s") == b"\x01s\x00"
+    assert protocol.encode_open_payload("s", transport="text") == (
+        b"\x01s\x00"
+    )
+    assert protocol.decode_open_payload(b"\x01s\x00") == (
+        protocol.OpenRequest("s")
+    )
+    # a transport named explicitly decodes the same
+    assert protocol.decode_open_payload(b"\x01s\x10\x04text") == (
+        protocol.OpenRequest("s", transport="text")
+    )
+
+
+@pytest.mark.parametrize(
+    "request_type, payload",
+    [
+        (protocol.SNAPSHOT, b"\x01s\x01"),  # a FEED's end of stream
+        (protocol.CLOSE_SESSION, b"\x01s\x04"),  # OPEN's new id
+        (protocol.OPEN_SESSION, b"\x01s\x01"),
+        (protocol.OPEN_SESSION, b"\x01s\x40"),
+        (protocol.FEED_CHUNK, b"\x01s\x00\x00\x00\x00\x08"),
+    ],
+)
+def test_flags_a_request_type_does_not_know_are_refused(
+    request_type, payload
+):
+    decode = {
+        protocol.OPEN_SESSION: protocol.decode_open_payload,
+        protocol.FEED_CHUNK: protocol.decode_feed_payload_ex,
+    }.get(
+        request_type,
+        lambda raw: protocol.decode_session_payload(request_type, raw),
+    )
+    with pytest.raises(ProtocolError, match="unknown .* flags"):
+        decode(payload)
+
+
+def test_ids_the_head_cannot_name_are_refused():
+    for request_type in SESSION_TYPES:
+        with pytest.raises(ProtocolError, match="1..255 bytes, got 0"):
+            protocol.decode_session_payload(request_type, b"\x00\x00")
+        with pytest.raises(ProtocolError, match="undecodable session id"):
+            protocol.decode_session_payload(
+                request_type, b"\x02\xff\xfe\x00"
+            )
+    with pytest.raises(ProtocolError, match="1..255 bytes, got 0"):
+        protocol.decode_open_payload(b"\x00\x00")
+    # an OPEN asking for a new id must name none
+    with pytest.raises(ProtocolError, match="new session id"):
+        protocol.decode_open_payload(b"\x01s\x04")
+    with pytest.raises(ProtocolError, match="undecodable token"):
+        protocol.decode_open_payload(b"\x01s\x08\x01\xff")
+
+
+@pytest.mark.parametrize("deadline_ms", [-1, 2**32])
+def test_encoders_refuse_a_deadline_the_wire_cannot_carry(deadline_ms):
+    # the field is an unsigned 32-bit count of milliseconds: no
+    # negative, oversized, string or boolean deadline reaches a server
+    for encode in (
+        lambda: protocol.encode_feed_payload(
+            "s", 0, b"", deadline_ms=deadline_ms
+        ),
+        lambda: protocol.encode_session_payload(
+            "s", deadline_ms=deadline_ms
+        ),
+        lambda: protocol.encode_open_payload(
+            "s", deadline_ms=deadline_ms
+        ),
+    ):
+        with pytest.raises(ProtocolError, match="deadline"):
+            encode()
+
+
+def test_open_encoder_refuses_strings_the_wire_cannot_carry():
+    for field in ("token", "transport", "mode"):
+        for bad, match in (
+            ("x" * 256, "0..255 bytes"), ("\ud800", "not UTF-8"),
+            (7, "must be a string"),
+        ):
+            with pytest.raises(ProtocolError, match=match):
+                protocol.encode_open_payload("s", **{field: bad})

@@ -15,7 +15,12 @@ import pytest
 
 from repro import perf
 from repro.cli import main
-from repro.errors import ServerError, ServerUnavailableError, StoreError
+from repro.errors import (
+    ProtocolError,
+    ServerError,
+    ServerUnavailableError,
+    StoreError,
+)
 from repro.server import (
     DebugClient,
     RetryPolicy,
@@ -195,7 +200,7 @@ def test_pipelined_opens_respect_the_global_session_cap(context):
                 protocol.encode_frame(
                     protocol.OPEN_SESSION,
                     seq,
-                    protocol.encode_json({"session_id": f"x{seq}"}),
+                    protocol.encode_open_payload(f"x{seq}"),
                 )
                 for seq in range(6)
             ))
@@ -232,7 +237,7 @@ async def _exchange(reader, writer, assembler, frames):
 def _open_frame(seq, session_id):
     return protocol.encode_frame(
         protocol.OPEN_SESSION, seq,
-        protocol.encode_json({"session_id": session_id}),
+        protocol.encode_open_payload(session_id),
     )
 
 
@@ -271,7 +276,7 @@ def _pipelined_feeds(context, session_id, deadlines):
             (snapshot,) = await _exchange(reader, writer, assembler, [
                 protocol.encode_frame(
                     protocol.SNAPSHOT, len(deadlines) + 1,
-                    protocol.encode_json({"session_id": session_id}),
+                    protocol.encode_session_payload(session_id),
                 )
             ])
         finally:
@@ -441,40 +446,56 @@ def test_unknown_request_type_gets_structured_error(running):
         sock.close()
 
 
+NAMING_TYPES = (
+    protocol.OPEN_SESSION, protocol.SNAPSHOT, protocol.CLOSE_SESSION
+)
+
+
+def _naming(sid):
+    """An OPEN, SNAPSHOT or CLOSE payload naming the raw id bytes
+    *sid*, which no encoder would write."""
+    return bytes((len(sid),)) + sid + b"\x00"
+
+
 def test_ids_feed_cannot_carry_are_refused_on_every_request(
     running, client
 ):
-    # a FEED id is at most 255 bytes; OPEN once accepted a longer one
-    # (and logged it on a durable shard), after which every FEED failed
-    request = protocol.encode_json({"session_id": "x" * 300})
-    for request_type in (
-        protocol.OPEN_SESSION, protocol.SNAPSHOT, protocol.CLOSE_SESSION
-    ):
-        frame_type, body = client.request(request_type, request)
+    # a FEED id is 1..255 bytes, and so is every other request's: an
+    # empty id is refused by the server, a 300-byte one by the client
+    # before it sends (no length byte can say 300), and no session opens
+    for request_type in NAMING_TYPES:
+        frame_type, body = client.request(request_type, _naming(b""))
         assert frame_type == protocol.ERROR
         assert body["error"] == "protocol"
         assert "1..255 bytes" in body["message"]
+    for request in (
+        client.open_session, client.snapshot, client.close_session
+    ):
+        with pytest.raises(ProtocolError, match="1..255 bytes"):
+            request("x" * 300)
     assert client.stats()["server"]["open_sessions"] == 0
 
 
 def test_lone_surrogate_id_gets_an_error_and_keeps_the_connection(
     running,
 ):
-    # valid JSON, but no UTF-8: routing it used to raise on the event
-    # loop and drop the connection without a reply
-    request = b'{"session_id":"\\ud800"}'
+    # an id whose bytes are not UTF-8 (the surrogate U+D800 spelled
+    # as UTF-8 would spell it) is refused with a reply, and the
+    # connection keeps serving
     with DebugClient(
         running.host, running.port, policy=RetryPolicy(max_attempts=1)
     ) as client:
-        for request_type in (
-            protocol.OPEN_SESSION, protocol.SNAPSHOT, protocol.CLOSE_SESSION
-        ):
-            frame_type, body = client.request(request_type, request)
+        for request_type in NAMING_TYPES:
+            frame_type, body = client.request(
+                request_type, _naming(b"\xed\xa0\x80")
+            )
             assert frame_type == protocol.ERROR
             assert body["error"] == "protocol"
             assert "session id" in body["message"]
         assert client.ping()["scenario"] == "cc-test"
-        assert client.stats()["counters"]["connections_total"] == 1
+        stats = client.stats()
+        assert stats["counters"]["connections_total"] == 1
+        assert stats["server"]["open_sessions"] == 0
 
 
 def test_mid_frame_disconnect_does_not_wedge_server(running):
@@ -615,9 +636,7 @@ def test_retried_open_at_the_global_cap_is_answered(context):
         with DebugClient(
             handle.host, handle.port, policy=RetryPolicy(max_attempts=1)
         ) as client:
-            request = protocol.encode_json(
-                {"session_id": "s", "token": "1234abcd"}
-            )
+            request = protocol.encode_open_payload("s", token="1234abcd")
             client.request(protocol.OPEN_SESSION, request)
             frame_type, reply = client.request(
                 protocol.OPEN_SESSION, request
@@ -633,7 +652,7 @@ def test_retried_open_at_the_global_cap_is_answered(context):
 def _open_unnamed(client, token="0000abcd"):
     """One id-less OPEN carrying *token*: ``(frame type, reply)``."""
     return client.request(
-        protocol.OPEN_SESSION, protocol.encode_json({"token": token})
+        protocol.OPEN_SESSION, protocol.encode_open_payload(token=token)
     )
 
 

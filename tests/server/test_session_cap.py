@@ -56,9 +56,11 @@ class Wire:
         )
 
     async def request(self, request_type: int, sid: str):
-        return await self.ask(
-            request_type, protocol.encode_json({"session_id": sid})
-        )
+        if request_type == protocol.OPEN_SESSION:
+            payload = protocol.encode_open_payload(sid)
+        else:
+            payload = protocol.encode_session_payload(sid)
+        return await self.ask(request_type, payload)
 
     async def feed(self, sid: str, index: int, chunk: bytes):
         return await self.ask(

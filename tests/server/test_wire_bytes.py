@@ -1,7 +1,8 @@
-"""What a debugger exchanges per record: the binary OK replies' exact
-frame sizes, and the server's own byte counters over 20 scenario-1
-captures fed one record per FEED (the ``per-record`` workload of
-``bench/``, in process)."""
+"""What a debugger exchanges per record: the binary requests' and OK
+replies' exact frame sizes, and the server's own byte counters over 20
+scenario-1 captures fed one record per FEED (the ``per-record`` workload
+of ``bench/``, in process), with and without a SNAPSHOT after every FEED
+(the shape of ``window-poll``)."""
 
 from __future__ import annotations
 
@@ -48,9 +49,15 @@ def exchange(sock, frame_type, payload):
             return frames[0], received
 
 
+#: The deadline a default :class:`DebugClient` sends (its 10 s timeout).
+DEADLINE_MS = 10_000
+
+
 def test_binary_reply_frames_have_pinned_sizes(sc1x1):
     chunks = per_record_chunks(sc1x1, seed=0)
-    request = protocol.encode_json({"session_id": "sized"})
+    request = protocol.encode_session_payload(
+        "sized", deadline_ms=DEADLINE_MS
+    )
     handle = start_server(sc1x1, ServerConfig(shards=1))
     sock = socket.create_connection((handle.host, handle.port), timeout=5)
 
@@ -62,9 +69,27 @@ def test_binary_reply_frames_have_pinned_sizes(sc1x1):
         ), size
 
     try:
-        reply(protocol.OPEN_SESSION, request)
-        # 12-byte header, status and flag bytes, one varint byte per
-        # field below 128 and two for 2040 and 3150, 2-byte CRC
+        # the 12-byte header and 2-byte CRC frame every payload below;
+        # the requests as a default client sends them: the 5-byte id
+        # behind its length byte, the flag byte, the 4-byte deadline,
+        # and on OPEN the 8-character token behind its length byte
+        open_request = protocol.encode_open_payload(
+            "sized", token="1234abcd", deadline_ms=DEADLINE_MS
+        )
+        assert len(open_request) == 1 + 5 + 1 + 4 + 1 + 8
+        assert len(request) == 1 + 5 + 1 + 4
+        # flags, one varint byte for shard 0, then the id, the
+        # transport and the mode, each behind its length byte (81 B
+        # as version 2's JSON)
+        assert reply(protocol.OPEN_SESSION, open_request) == (
+            {
+                "session_id": "sized", "shard": 0, "transport": "text",
+                "mode": "prefix",
+            },
+            12 + 1 + 1 + 6 + 5 + 7 + 2,
+        )
+        # status and flag bytes, one varint byte per field below 128
+        # and two for 2040 and 3150
         assert reply(
             protocol.FEED_CHUNK,
             protocol.encode_feed_payload("sized", 0, chunks[0]),
@@ -96,15 +121,48 @@ def test_binary_reply_frames_have_pinned_sizes(sc1x1):
         handle.thread.stop()
 
 
-def test_wire_bytes_per_record_stay_under_200(sc1x1):
-    handle = start_server(sc1x1, ServerConfig(shards=2))
+def test_a_client_sends_the_pinned_request_frames(sc1x1):
+    # OPEN 34 B, SNAPSHOT and CLOSE 25 B each for the 5-byte id (94, 56
+    # and 56 B as the key-sorted JSON of protocol version 2)
+    handle = start_server(sc1x1, ServerConfig(shards=1))
+    sent = []
+    try:
+        with DebugClient(handle.host, handle.port) as client:
+            roundtrip = client._roundtrip
+
+            def recorded(frame_type, payload):
+                sent.append((frame_type, len(
+                    protocol.encode_frame(frame_type, 0, payload)
+                )))
+                return roundtrip(frame_type, payload)
+
+            client._roundtrip = recorded
+            client.open_session("sized")
+            client.snapshot("sized")
+            client.close_session("sized")
+    finally:
+        handle.thread.stop()
+    assert sent == [
+        (protocol.OPEN_SESSION, 34),
+        (protocol.SNAPSHOT, 25),
+        (protocol.CLOSE_SESSION, 25),
+    ]
+
+
+def wire_bytes_per_record(context, snapshot_every_feed):
+    """Feed 20 captures of *context* one record per FEED through
+    :class:`SessionFeed`, with a SNAPSHOT after every FEED or none;
+    returns the server's wire bytes per record fed."""
+    handle = start_server(context, ServerConfig(shards=2))
     try:
         with DebugClient(handle.host, handle.port) as client:
             for seed in range(20):
-                chunks = per_record_chunks(sc1x1, seed)
+                chunks = per_record_chunks(context, seed)
                 feed = SessionFeed(client, session_id=f"wire-{seed:02d}")
                 for index, chunk in enumerate(chunks):
                     feed.feed(chunk, eof=index == len(chunks) - 1)
+                    if snapshot_every_feed:
+                        feed.snapshot()
                 assert feed.close().status == "closed"
             counters = client.stats()["counters"]
     finally:
@@ -116,4 +174,18 @@ def test_wire_bytes_per_record_stay_under_200(sc1x1):
     )
     records = counters["records_fed_total"]
     assert records >= 20
-    assert wire / records <= 200, wire / records
+    return wire / records
+
+
+def test_wire_bytes_per_record_stay_under_110(sc1x1):
+    # 96.8 B at protocol version 3, 116.5 B at version 2
+    per_record = wire_bytes_per_record(sc1x1, snapshot_every_feed=False)
+    assert per_record <= 110, per_record
+
+
+def test_polled_wire_bytes_per_record_stay_under_160():
+    # a window server polled after every FEED: 145.4 B at protocol
+    # version 3, 196.2 B at version 2
+    window = ServeContext.from_scenario(1, instances=1, mode="window")
+    per_record = wire_bytes_per_record(window, snapshot_every_feed=True)
+    assert per_record <= 160, per_record

@@ -144,7 +144,7 @@ def restored_replies(
     try:
         with DebugClient(running.host, running.port) as client:
             for sid, (transport, seed, fed) in SESSIONS.items():
-                request = protocol.encode_json({"session_id": sid})
+                request = protocol.encode_session_payload(sid)
                 _, snapshot = client.request(protocol.SNAPSHOT, request)
                 chunks = legacy_chunks(context, transport, seed)
                 for index in range(fed, len(chunks)):
