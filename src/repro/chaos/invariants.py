@@ -119,7 +119,9 @@ def check_acked_durability(
     already be feeding again), which is conservative-safe: it can only
     under-report progress, never excuse a lost chunk.  Shards that
     degraded (with an alert) before the crash stopped promising
-    durability and are exempt.
+    durability and are exempt.  It reads the shards' session tables,
+    so it runs on the server's event loop: the soak hands it to
+    :meth:`~repro.server.server.ServerThread.call`.
     """
     violations: List[Violation] = []
     exempt = set(exempt_shards)
@@ -166,7 +168,7 @@ def check_shard_liveness(
     candidate = 0
     while len(probe_ids) < shards and candidate < 10_000:
         sid = f"probe-{candidate:04d}"
-        index = server.shard_for(sid).index
+        index = server.ring.shard_for(sid)
         probe_ids.setdefault(index, sid)
         candidate += 1
     client = DebugClient(

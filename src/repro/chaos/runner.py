@@ -253,7 +253,9 @@ class ChaosRunner:
                     self._polls_ok, self._polls_failed, self._last_snapshot
                 )
             )
-            final_health = self._server_thread.server.health()
+            final_health = self._server_thread.call(
+                self._server_thread.server.health
+            )
             self._server_thread.stop()
         finally:
             self._stop_poll.set()
@@ -291,8 +293,7 @@ class ChaosRunner:
             ):
                 break
             time.sleep(0.02)
-        old_server = self._server_thread.server
-        health = old_server.health()
+        health = self._server_thread.call(self._server_thread.server.health)
         pre_degraded = list(health["degraded_shards"])  # type: ignore[arg-type]
         # degradation must never be silent: every degraded shard owes
         # the operator a structured wal-degraded alert
@@ -317,18 +318,19 @@ class ChaosRunner:
         self._addr = self._server_thread.start()
         proxy.set_upstream(*self._addr)
         restart_wall_s = time.perf_counter() - crash_started
+        server = self._server_thread.server
         self._violations.extend(
-            check_acked_durability(
-                self._server_thread.server,
-                watermarks,
-                exempt_shards=pre_degraded,
+            self._server_thread.call(
+                lambda: check_acked_durability(
+                    server, watermarks, exempt_shards=pre_degraded
+                )
             )
         )
         return {
             "restart_wall_s": round(restart_wall_s, 6),
             "acked_at_crash": sum(watermarks.values()),
             "pre_crash_degraded_shards": pre_degraded,
-            "recovery": self._server_thread.server.recovery_info,
+            "recovery": self._server_thread.call(lambda: server.recovery_info),
         }
 
     # -- drivers -------------------------------------------------------

@@ -25,13 +25,13 @@ Usage::
 
 Collections nest: every active collector receives every increment, so
 an outer campaign-level collection still sees the counters of inner
-per-scenario ones.  The set of active collectors is process-global and
-not thread-isolated: a collection sees the increments of every thread
-while it is active.  That is how the debug server's long-lived
-collector counts the kernel work its shard ops do.  Increments are
-thread-safe -- each :class:`PerfCounters` guards its maps with its own
-lock, and :func:`add`/:func:`timed` iterate an immutable snapshot of
-the active set while other threads activate or deactivate collections.
+per-scenario ones.  The set of active collections is per thread: a
+collection receives only the increments of the thread that activated
+it.  The debug server activates its long-lived collector on its event
+loop, where every shard op runs, so it counts the kernel work of its
+own ops and none of another server's in the same process.  Nothing
+here is locked: one thread writes a :class:`PerfCounters`, and another
+thread reads it only through that one (the server's STATS request).
 
 Histograms have one fixed layout (:data:`BUCKETS_PER_OCTAVE` log
 buckets per power of two over ``[2**-20 s, 2**10 s)``): an observation
@@ -127,26 +127,22 @@ class Histogram:
 
 class PerfCounters:
     """Named monotonic counters (e.g. ``interleave_states_expanded``)
-    and latency histograms (a timed stage, a request latency) behind
-    one lock."""
+    and latency histograms (a timed stage, a request latency)."""
 
-    __slots__ = ("_lock", "_counters", "_histograms")
+    __slots__ = ("_counters", "_histograms")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def add(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
+        self._counters[name] = self._counters.get(name, 0) + amount
 
     def observe(self, name: str, seconds: float) -> None:
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram()
-            histogram.observe(seconds)
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram()
+        histogram.observe(seconds)
 
     def get(self, name: str) -> int:
         return self._counters.get(name, 0)
@@ -154,14 +150,13 @@ class PerfCounters:
     def as_dict(self) -> Dict[str, Dict[str, object]]:
         """``{"counters": {name: count}, "histograms": {name:
         summary}}``, sorted by name and JSON-ready."""
-        with self._lock:
-            return {
-                "counters": dict(sorted(self._counters.items())),
-                "histograms": {
-                    name: histogram.summary()
-                    for name, histogram in sorted(self._histograms.items())
-                },
-            }
+        return {
+            "counters": dict(sorted(self._counters.items())),
+            "histograms": {
+                name: histogram.summary()
+                for name, histogram in sorted(self._histograms.items())
+            },
+        }
 
     def format(self) -> str:
         """Human-readable two-column table (for the CLI): each counter,
@@ -180,24 +175,28 @@ class PerfCounters:
         return "\n".join(lines)
 
 
-#: Active collectors, oldest first; empty almost always, which is what
-#: keeps the permanent instrumentation free (one falsy check per call
-#: site).  An immutable tuple replaced under ``_ACTIVE_LOCK``, so the
-#: increment loops iterate a consistent snapshot while other threads
-#: activate or deactivate collections.
-_ACTIVE: Tuple[PerfCounters, ...] = ()
-_ACTIVE_LOCK = threading.Lock()
+class _Active(threading.local):
+    """Each thread's active collectors, oldest first; empty almost
+    always, which is what keeps the permanent instrumentation free (one
+    falsy check per call site).  A thread that never activated one
+    reads the class attribute."""
+
+    active: Tuple[PerfCounters, ...] = ()
+
+
+_ACTIVE = _Active()
 
 
 def enabled() -> bool:
-    """Whether any collection is active (for guarding costly summaries)."""
-    return bool(_ACTIVE)
+    """Whether this thread has a collection active (for guarding costly
+    summaries)."""
+    return bool(_ACTIVE.active)
 
 
 def add(name: str, amount: int = 1) -> None:
-    """Increment counter *name* in every active collection (no-op when
-    none is active)."""
-    for counters in _ACTIVE:
+    """Increment counter *name* in every collection active on this
+    thread (no-op when none is)."""
+    for counters in _ACTIVE.active:
         counters.add(name, amount)
 
 
@@ -212,31 +211,31 @@ def collect() -> Iterator[PerfCounters]:
 
 
 def activate(counters: PerfCounters) -> PerfCounters:
-    """Activate *counters* without a ``with`` block (long-lived
-    collections, e.g. a debug server's process-lifetime counters).
-    Pair every call with :func:`deactivate`."""
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        _ACTIVE = (*_ACTIVE, counters)
+    """Activate *counters* on this thread without a ``with`` block
+    (long-lived collections, e.g. a debug server's process-lifetime
+    counters).  Pair every call with :func:`deactivate` on the same
+    thread."""
+    _ACTIVE.active = (*_ACTIVE.active, counters)
     return counters
 
 
 def deactivate(counters: PerfCounters) -> None:
     """Deactivate a collection started by :func:`activate` (no-op when
-    it is not active).  Matches by identity, newest activation first."""
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        for i in range(len(_ACTIVE) - 1, -1, -1):
-            if _ACTIVE[i] is counters:
-                _ACTIVE = _ACTIVE[:i] + _ACTIVE[i + 1:]
-                return
+    it is not active on this thread).  Matches by identity, newest
+    activation first."""
+    active = _ACTIVE.active
+    for i in range(len(active) - 1, -1, -1):
+        if active[i] is counters:
+            _ACTIVE.active = active[:i] + active[i + 1:]
+            return
 
 
 @contextmanager
 def timed(stage: str) -> Iterator[None]:
-    """Time the block into histogram *stage* of every active
-    collection.  When none is active the only cost is one falsy check."""
-    if not _ACTIVE:
+    """Time the block into histogram *stage* of every collection active
+    on this thread.  When none is active the only cost is one falsy
+    check."""
+    if not _ACTIVE.active:
         yield
         return
     start = time.perf_counter()
@@ -244,5 +243,5 @@ def timed(stage: str) -> Iterator[None]:
         yield
     finally:
         elapsed = time.perf_counter() - start
-        for counters in _ACTIVE:
+        for counters in _ACTIVE.active:
             counters.observe(stage, elapsed)

@@ -59,15 +59,15 @@ Compiled tables are immutable after construction and shared across
 sessions and shards through a content-addressed
 :class:`TableRegistry` keyed by the ``(scenario, visible-set)``
 fingerprint, so every :class:`~repro.stream.session.SessionManager`
-(one per server shard) reuses one table set.  Concurrent cold callers
-wait for a single compilation.  The registry exports hit/miss/byte
-counters for the service metrics plane.
+(one per server shard) reuses one table set.  Nothing here is locked:
+the registry, the fingerprint memo and each table's step memo are used
+by one thread at a time (in a serving process, its event loop).  The
+registry exports hit/miss/byte counters for the service metrics plane.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
@@ -97,7 +97,6 @@ _INT64_MAX = 2**63 - 1
 #: :func:`table_fingerprint`'s memo: product -> visible vector -> hex
 #: digest.  Weakly keyed, so a product's entries go with it.
 _FINGERPRINTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_FINGERPRINTS_LOCK = threading.Lock()
 
 
 def table_fingerprint(
@@ -117,11 +116,10 @@ def table_fingerprint(
     registry key and as its snapshot stamp.
     """
     visible = bytes(bytearray(1 if v else 0 for v in visible_mid))
-    with _FINGERPRINTS_LOCK:
-        known = _FINGERPRINTS.setdefault(interleaved, {})
-        if visible not in known:
-            known[visible] = _table_digest(interleaved, visible)
-        return known[visible]
+    known = _FINGERPRINTS.setdefault(interleaved, {})
+    if visible not in known:
+        known[visible] = _table_digest(interleaved, visible)
+    return known[visible]
 
 
 def _table_digest(interleaved: InterleavedFlow, visible: bytes) -> str:
@@ -614,7 +612,6 @@ class CompiledTables:
         # frontiers, which are exactly the expensive ones.  Keys are
         # the raw frontier bytes plus the operator's identity, so a
         # hit is exact by construction; results are frozen read-only.
-        self._memo_lock = threading.Lock()
         self._memo: "OrderedDict[Tuple[int, bytes, bytes], _StepResult]" = (
             OrderedDict()
         )
@@ -671,11 +668,9 @@ class CompiledTables:
                 return _StepResult(closed_vec, closed_vec, 0)
             if int(vals.max()) <= self.int64_limit:
                 key = (id(op), ids.tobytes(), vals.tobytes())
-                with self._memo_lock:
-                    hit = self._memo.get(key)
-                    if hit is not None:
-                        self._memo.move_to_end(key)
+                hit = self._memo.get(key)
                 if hit is not None:
+                    self._memo.move_to_end(key)
                     perf.add("localize_step_memo_hits")
                     return hit
                 perf.add("localize_step_memo_misses")
@@ -683,10 +678,9 @@ class CompiledTables:
                 for pair in (result.matched, result.closed):
                     pair[0].flags.writeable = False
                     pair[1].flags.writeable = False
-                with self._memo_lock:
-                    self._memo[key] = result
-                    while len(self._memo) > _MEMO_SLOTS:
-                        self._memo.popitem(last=False)
+                self._memo[key] = result
+                while len(self._memo) > _MEMO_SLOTS:
+                    self._memo.popitem(last=False)
                 return result
             perf.add("localize_kernel_promotions")
             closed_vec = dict(
@@ -799,17 +793,6 @@ class CompiledTables:
 # ----------------------------------------------------------------------
 # the cross-shard registry
 # ----------------------------------------------------------------------
-class _InFlight:
-    """A compilation in progress that other cold callers wait on."""
-
-    __slots__ = ("done", "tables", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.tables: Optional[CompiledTables] = None
-        self.error: Optional[BaseException] = None
-
-
 class TableRegistry:
     """Content-addressed cache of :class:`CompiledTables`.
 
@@ -817,12 +800,13 @@ class TableRegistry:
     :class:`~repro.selection.localization.PathLocalizer` resolves its
     tables here, so the debug server's shards, each with its own
     :class:`~repro.stream.session.SessionManager`, and any number of
-    concurrent sessions share one read-only table set per scenario
-    instead of each rebuilding it.  Compilation is single-flight: the
-    first cold caller for a fingerprint compiles, concurrent callers
-    for the same fingerprint wait for its result and count as hits.
-    ``stats()`` feeds the service metrics plane (``STATS`` frame,
-    ``/metrics``, ``repro profile --json``).
+    sessions share one read-only table set per scenario instead of
+    each rebuilding it.  The first caller for a fingerprint compiles;
+    a compile that raises caches nothing, so the next caller compiles
+    again.  A registry, and the tables it hands out, are used by one
+    thread at a time: a serving process resolves and steps them on its
+    event loop.  ``stats()`` feeds the service metrics plane (``STATS``
+    frame, ``/metrics``, ``repro profile --json``).
     """
 
     def __init__(self, max_tables: int = 32) -> None:
@@ -830,9 +814,7 @@ class TableRegistry:
             raise SelectionError(
                 f"max_tables must be >= 1, got {max_tables}"
             )
-        self._lock = threading.Lock()
         self._tables: "OrderedDict[str, CompiledTables]" = OrderedDict()
-        self._building: Dict[str, _InFlight] = {}
         self._max_tables = max_tables
         self._hits = 0
         self._misses = 0
@@ -844,62 +826,36 @@ class TableRegistry:
         """The compiled tables for ``(interleaved, visible set)`` --
         cached by content hash, built (and published) on first use."""
         key = table_fingerprint(interleaved, visible_mid)
-        with self._lock:
-            cached = self._tables.get(key)
-            flight = self._building.get(key)
-            owner = cached is None and flight is None
-            if owner:
-                self._misses += 1
-                flight = self._building[key] = _InFlight()
-            else:
-                self._hits += 1
-                if cached is not None:
-                    self._tables.move_to_end(key)
-        if not owner:
+        tables = self._tables.get(key)
+        if tables is not None:
+            self._hits += 1
+            self._tables.move_to_end(key)
             perf.add("localize_table_hits")
-            if cached is None:
-                # another caller is compiling this table set: wait for it
-                flight.done.wait()
-                if flight.error is not None:
-                    raise flight.error
-                cached = flight.tables
-            return cached
+            return tables
+        self._misses += 1
         perf.add("localize_table_misses")
-        try:
-            with perf.timed("localize_compile"):
-                flight.tables = CompiledTables(interleaved, visible_mid)
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            with self._lock:
-                del self._building[key]
-                if flight.tables is not None:
-                    self._tables[key] = flight.tables
-                    while len(self._tables) > self._max_tables:
-                        self._tables.popitem(last=False)
-                        self._evictions += 1
-            flight.done.set()
-        return flight.tables
+        with perf.timed("localize_compile"):
+            tables = CompiledTables(interleaved, visible_mid)
+        self._tables[key] = tables
+        while len(self._tables) > self._max_tables:
+            self._tables.popitem(last=False)
+            self._evictions += 1
+        return tables
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._tables)
+        return len(self._tables)
 
     def clear(self) -> None:
-        with self._lock:
-            self._tables.clear()
+        self._tables.clear()
 
     def stats(self) -> Dict[str, object]:
         """Hit/miss/byte counters for the observability plane."""
-        with self._lock:
-            tables = list(self._tables.values())
-            hits, misses, evictions = self._hits, self._misses, self._evictions
+        tables = self._tables.values()
         return {
             "tables": len(tables),
-            "hits": hits,
-            "misses": misses,
-            "evictions": evictions,
+            "hits": self._hits,
+            "misses": self._misses,
+            "evictions": self._evictions,
             "bytes": sum(t.nbytes for t in tables),
             "closure_entries": sum(t.closure_entries for t in tables),
             "step_memo_entries": sum(len(t._memo) for t in tables),

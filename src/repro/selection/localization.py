@@ -44,7 +44,6 @@ a content-addressed registry.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
@@ -168,6 +167,11 @@ class AdvanceOutcome:
 class PathLocalizer:
     """Counts interleaved-flow paths consistent with observed traces.
 
+    A localizer is used by one thread at a time, as are the tables it
+    resolves: its window memo and the tables' step memo are not locked.  The
+    debug server shares one per shard among its sessions, all on its
+    event loop.
+
     Parameters
     ----------
     interleaved:
@@ -200,15 +204,10 @@ class PathLocalizer:
             registry if registry is not None else kernels.default_registry()
         )
         self._tables: Optional[kernels.CompiledTables] = None
-        # memoized window-mode counts, LRU-keyed by the observed
-        # window.  A server feeds the shared localizer from its one
-        # event-loop thread; the lock stays for library callers that
-        # share a localizer across threads, and guards only the cache,
-        # never the DP
+        # memoized window-mode counts, LRU-keyed by the observed window
         self._window_memo: "OrderedDict[Tuple[object, ...], int]" = (
             OrderedDict()
         )
-        self._window_memo_lock = threading.Lock()
         # the traced set as visibility per interned message ID
         self._visible_mid: Tuple[bool, ...] = tuple(
             m.message in self._visible for m in interleaved.indexed_messages
@@ -499,11 +498,9 @@ class PathLocalizer:
         if len(observation) > self._longest_path:
             return 0
         memo_key = tuple(observation)
-        with self._window_memo_lock:
-            cached = self._window_memo.get(memo_key)
-            if cached is not None:
-                self._window_memo.move_to_end(memo_key)
+        cached = self._window_memo.get(memo_key)
         if cached is not None:
+            self._window_memo.move_to_end(memo_key)
             perf.add("localize_window_memo_hits")
             return cached
         interleaved = self.interleaved
@@ -515,11 +512,9 @@ class PathLocalizer:
             )
             result = sum(counts[sid] for sid in interleaved.initial_ids)
         perf.add("localize_dp_steps", interleaved.num_states * states)
-        with self._window_memo_lock:
-            self._window_memo[memo_key] = result
-            self._window_memo.move_to_end(memo_key)
-            while len(self._window_memo) > _WINDOW_MEMO_SLOTS:
-                self._window_memo.popitem(last=False)
+        self._window_memo[memo_key] = result
+        while len(self._window_memo) > _WINDOW_MEMO_SLOTS:
+            self._window_memo.popitem(last=False)
         return result
 
 

@@ -64,7 +64,7 @@ import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro import perf
 from repro.core.interleave import InterleavedFlow
@@ -231,11 +231,8 @@ class DebugServer:
         #: Structured operational alerts (WAL degradation, snapshot
         #: failures, quarantines) -- newest last, bounded, served in the
         #: health section so operators see them on STATS/metrics.
-        #: Shard ops append on the loop while the chaos runner and
-        #: other :class:`ServerThread` callers read from their own
-        #: threads, so both go through ``_alerts_lock``.
+        #: Shard ops append and :meth:`health` reads, both on the loop.
         self._alerts: List[Dict[str, object]] = []
-        self._alerts_lock = threading.Lock()
         self.host = self.config.host
         self.port = self.config.port
         self.metrics_port = self.config.metrics_port
@@ -298,7 +295,8 @@ class DebugServer:
     def health(self) -> Dict[str, object]:
         """Readiness summary: ``ok`` serves durably, ``degraded``
         serves with at least one shard in memory-only mode,
-        ``draining`` refuses new work.  Safe from any thread."""
+        ``draining`` refuses new work.  Runs on the event loop; another
+        thread asks through :meth:`ServerThread.call` or STATS."""
         degraded = [s.index for s in self._shards if s.degraded]
         if self._draining:
             status = "draining"
@@ -306,26 +304,25 @@ class DebugServer:
             status = "degraded"
         else:
             status = "ok"
-        with self._alerts_lock:
-            alerts = [dict(alert) for alert in self._alerts]
         return {
             "status": status,
             "degraded_shards": degraded,
-            "alerts": alerts,
+            "alerts": [dict(alert) for alert in self._alerts],
         }
 
     def _alert(self, kind: str, **fields: object) -> None:
         """Record one structured operational alert (bounded buffer)."""
         alert: Dict[str, object] = {"kind": kind}
         alert.update(fields)
-        with self._alerts_lock:
-            self._alerts.append(alert)
-            del self._alerts[:-64]
+        self._alerts.append(alert)
+        del self._alerts[:-64]
 
     def shard_for(self, session_id: str) -> Shard:
-        """The shard core that owns *session_id*.  Its ops run on the
-        event loop; while the server runs, another thread may only read
-        its manager's session table (the manager locks it)."""
+        """The shard core that owns *session_id*.  The core, its
+        manager and its store belong to the event loop's thread: while
+        the server runs, another thread reaches them only through
+        :meth:`ServerThread.call` (under ``python -X dev`` the manager
+        refuses a call from any other thread)."""
         return self._shards[self.ring.shard_for(session_id)]
 
     @property
@@ -817,7 +814,9 @@ class ServerThread:
     anything else that wants a live server without owning an event
     loop.  ``stop(abort=True)`` simulates a crash (connections torn
     down, replies not yet written lost) -- the client-retry soak test
-    kills and restarts a server this way.
+    kills and restarts a server this way.  The server's state belongs
+    to the loop's thread: another thread reads it through
+    :meth:`call`.
     """
 
     def __init__(
@@ -864,6 +863,19 @@ class ServerThread:
             return
         self._ready.set()
         await self._release.wait()
+
+    def call(self, fn: Callable[[], Any]) -> Any:
+        """Run *fn* on the server's event loop, between two ops, and
+        return its result (or raise what it raised).  Raises
+        :class:`StreamError` when the server is not running."""
+        if self._thread is None or self._startup_error is not None:
+            raise StreamError("server thread is not running")
+
+        async def on_loop() -> Any:
+            return fn()
+
+        future = asyncio.run_coroutine_threadsafe(on_loop(), self._loop)
+        return future.result(timeout=60.0)
 
     def stop(self, abort: bool = False) -> None:
         """Stop the server and join its thread (idempotent)."""

@@ -243,8 +243,6 @@ class Shard:
             records, outcome = self.manager.feed_chunk(
                 sid, chunk_index, data, eof
             )
-        except StreamError:
-            return _unknown_session(sid)
         except Exception as exc:  # noqa: BLE001 - poison payload
             return self._poisoned(session, exc)
         session.failures = 0
@@ -317,10 +315,7 @@ class Shard:
                 failures=session.failures,
                 quarantine_after=QUARANTINE_AFTER,
             )
-        try:
-            self.manager.quarantine(sid)
-        except StreamError:  # pragma: no cover - raced retirement
-            pass
+        self.manager.quarantine(sid)
         # the logged close retires the session at replay time too --
         # otherwise recovery would faithfully rebuild the poisoned
         # session and the next feed would re-strike it

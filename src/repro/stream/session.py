@@ -31,18 +31,19 @@ PathLocalizer` per scenario (the compiled kernel tables and the
 path-count tables are read-only), so per-session cost is just the
 carried frontier and the ingest buffers.
 
-Threads.  A manager is driven from one thread: the debug server runs
-every shard's operations and its idle sweep on its event loop.  The
-one manager lock guards the session table and the stats counters, so
-another thread may read them (:meth:`SessionManager.session_ids`,
-:meth:`SessionManager.session`, ``len``, :meth:`SessionManager.stats`)
-while the driving thread mutates the table.
+Threads.  A manager belongs to the thread that built it and is not
+locked: the debug server builds each shard's manager on its event
+loop, runs every op and the idle sweep there, and other threads read
+it through that loop.  Under ``python -X dev`` a public method called
+from any other thread raises :class:`RuntimeError`.
 """
 
 from __future__ import annotations
 
 import base64
 import codecs
+import functools
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -140,9 +141,6 @@ class StreamSession:
         #: The client's open token: an OPEN that carries it again is a
         #: retry of the one that made this session.  Durable.
         self.token: Optional[str] = None
-        #: Set when the session leaves the table (closed, evicted or
-        #: quarantined).
-        self.retired = False
 
     @property
     def mode(self) -> str:
@@ -162,8 +160,32 @@ class StreamSession:
         return records
 
 
+def _owned(method: Callable) -> Callable:
+    """Under ``python -X dev``, make *method* refuse a call from any
+    thread but the one that built the manager; otherwise *method*
+    itself, so a plain run pays nothing for the check."""
+    if not sys.flags.dev_mode:
+        return method
+
+    @functools.wraps(method)
+    def checked(self: "SessionManager", *args, **kwargs):
+        if self._owner != threading.get_ident():
+            raise RuntimeError(
+                f"SessionManager.{method.__name__} called from thread "
+                f"{threading.get_ident()}; the manager belongs to thread "
+                f"{self._owner}, which built it"
+            )
+        return method(self, *args, **kwargs)
+
+    return checked
+
+
 class SessionManager:
     """Multiplexes many incremental localization sessions.
+
+    A manager is used from the thread that built it; under ``python -X
+    dev`` a public method called from another thread raises
+    :class:`RuntimeError`.
 
     Parameters
     ----------
@@ -208,7 +230,8 @@ class SessionManager:
         )
         self._spill = spill
         self._clock = clock
-        self._lock = threading.RLock()
+        #: The building thread, which ``-X dev`` checks (see :func:`_owned`).
+        self._owner = threading.get_ident()
         self._sessions: Dict[str, StreamSession] = {}
         self._next_id = 0
         self._opened = 0
@@ -223,6 +246,7 @@ class SessionManager:
     def shared_localizer(self) -> PathLocalizer:
         return self._shared
 
+    @_owned
     def warm(self) -> "SessionManager":
         """Pre-build the shared localizer's lazy DP tables that the
         default mode's sessions read, so the first ``open``/``feed``
@@ -239,33 +263,34 @@ class SessionManager:
             self._shared.warm()
         return self
 
+    @_owned
     def session_ids(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(self._sessions)
+        return tuple(self._sessions)
 
+    @_owned
     def session(self, session_id: str) -> StreamSession:
-        with self._lock:
-            return self._get(session_id)
+        return self._get(session_id)
 
+    @_owned
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._sessions)
+        return len(self._sessions)
 
+    @_owned
     def stats(self) -> Dict[str, int]:
         """Lifetime counters (for the service metrics plane)."""
-        with self._lock:
-            return {
-                "open_sessions": len(self._sessions),
-                "opened": self._opened,
-                "closed": self._retired[CLOSED],
-                "evicted": self._retired[EVICTED],
-                "overflowed": self._retired[OVERFLOW],
-                "quarantined": self._retired[QUARANTINED],
-                "feeds": self._feeds,
-                "records": self._records,
-            }
+        return {
+            "open_sessions": len(self._sessions),
+            "opened": self._opened,
+            "closed": self._retired[CLOSED],
+            "evicted": self._retired[EVICTED],
+            "overflowed": self._retired[OVERFLOW],
+            "quarantined": self._retired[QUARANTINED],
+            "feeds": self._feeds,
+            "records": self._records,
+        }
 
     # ------------------------------------------------------------------
+    @_owned
     def open(
         self,
         session_id: Optional[str] = None,
@@ -281,6 +306,7 @@ class SessionManager:
         }
         return self.adopt(entry).session_id
 
+    @_owned
     def adopt(
         self, entry: Mapping[str, object], capped: bool = True
     ) -> StreamSession:
@@ -289,8 +315,8 @@ class SessionManager:
         spill-revival path), or from the fresh entry :meth:`open`
         builds.
 
-        Evicts idle sessions first; raises :class:`~repro.errors.
-        StreamError` when the table is still full or the id is taken.
+        Raises :class:`~repro.errors.StreamError` when the id is live,
+        or when the table is still full once idle sessions are evicted.
         ``capped=False`` admits past ``max_sessions``: recovery restores
         every durable session, since each was admitted once.
         A key the entry lacks keeps a fresh session's value, and keys
@@ -304,57 +330,63 @@ class SessionManager:
             raise StreamError(
                 f"cannot adopt a session in status {status!r}"
             )
+        session_id = entry.get("session_id")
+        # a live id is refused before the eviction sweep: evicting an
+        # idle session of that id would spill it and admit a second
+        # session under the same id, which no restart could recover
+        if session_id in self._sessions:
+            raise StreamError(f"session {session_id!r} already open")
         self.evict_idle()
-        with self._lock:
-            if capped and len(self._sessions) >= self.limits.max_sessions:
-                raise StreamError(
-                    f"session table full ({self.limits.max_sessions}); "
-                    "close or evict a session first"
-                )
-            session_id = entry.get("session_id")
-            if session_id is None:
-                self._next_id += 1
-                session_id = f"s{self._next_id:04d}"
+        if capped and len(self._sessions) >= self.limits.max_sessions:
+            raise StreamError(
+                f"session table full ({self.limits.max_sessions}); "
+                "close or evict a session first"
+            )
+        if session_id is None:
+            self._next_id += 1
+            session_id = f"s{self._next_id:04d}"
             if session_id in self._sessions:
                 raise StreamError(f"session {session_id!r} already open")
-            mode = entry.get("mode")
-            localizer = IncrementalLocalizer(
-                mode=mode if mode is not None else self.default_mode,
-                max_frontier=self.limits.max_frontier,
-                localizer=self._shared,
+        mode = entry.get("mode")
+        localizer = IncrementalLocalizer(
+            mode=mode if mode is not None else self.default_mode,
+            max_frontier=self.limits.max_frontier,
+            localizer=self._shared,
+        )
+        session = StreamSession(
+            str(session_id),
+            localizer,
+            str(entry.get("transport", "text")),
+            self._catalog,
+            self._clock(),
+        )
+        if entry.get("localizer") is not None:
+            localizer.restore_state(entry["localizer"])
+        session.status = str(status)
+        session.next_chunk = int(entry.get("next_chunk", 0))
+        session.token = entry.get("token")  # type: ignore[assignment]
+        # an older ctrace entry also carries the parser and the
+        # UTF-8 decoder its session built and never fed
+        if session.ingester is not None and "ingester" in entry:
+            session.ingester.restore_state(entry["ingester"]["decoder"])
+        elif session.parser is not None and "parser" in entry:
+            buffered, flag = entry["text_decoder"]
+            session.decoder.setstate(
+                (base64.b64decode(buffered), int(flag))
             )
-            session = StreamSession(
-                str(session_id),
-                localizer,
-                str(entry.get("transport", "text")),
-                self._catalog,
-                self._clock(),
-            )
-            if entry.get("localizer") is not None:
-                localizer.restore_state(entry["localizer"])
-            session.status = str(status)
-            session.next_chunk = int(entry.get("next_chunk", 0))
-            session.token = entry.get("token")  # type: ignore[assignment]
-            # an older ctrace entry also carries the parser and the
-            # UTF-8 decoder its session built and never fed
-            if session.ingester is not None and "ingester" in entry:
-                session.ingester.restore_state(entry["ingester"]["decoder"])
-            elif session.parser is not None and "parser" in entry:
-                buffered, flag = entry["text_decoder"]
-                session.decoder.setstate(
-                    (base64.b64decode(buffered), int(flag))
-                )
-                session.parser.restore_state(entry["parser"])
-            self._sessions[session.session_id] = session
-            self._opened += 1
-            return session
+            session.parser.restore_state(entry["parser"])
+        self._sessions[session.session_id] = session
+        self._opened += 1
+        return session
 
+    @_owned
     def export_session(self, session_id: str) -> dict:
         """A session's durable entry as a JSON-able dict: status,
         chunk cursor, ingest state and localizer DP -- the inverse of
         :meth:`adopt`."""
         return self._export(self.session(session_id))
 
+    @_owned
     def feed(
         self,
         session_id: str,
@@ -372,6 +404,7 @@ class SessionManager:
         """
         return self._feed(self.session(session_id), records, drop_invisible)
 
+    @_owned
     def feed_chunk(
         self,
         session_id: str,
@@ -396,14 +429,17 @@ class SessionManager:
         session.next_chunk = chunk_index + 1
         return records, outcome
 
+    @_owned
     def snapshot(self, session_id: str) -> LocalizationResult:
         """The session's current localization (batch-identical)."""
         return self.session(session_id).localizer.snapshot()
 
+    @_owned
     def close(self, session_id: str) -> Dict[str, object]:
         """Close a session; returns its summary."""
         return self._retire(self.session(session_id), CLOSED)
 
+    @_owned
     def quarantine(self, session_id: str) -> Dict[str, object]:
         """Forcibly retire a session whose input stream proved
         poisonous (repeated feed failures).  Unlike :meth:`close`, the
@@ -416,23 +452,23 @@ class SessionManager:
         session.status = ACTIVE
         return self._retire(session, QUARANTINED)
 
+    @_owned
     def evict_idle(self, now: Optional[float] = None) -> Tuple[str, ...]:
         """Retire sessions idle for longer than ``idle_timeout_s``.
 
         Every eviction runs through here, including the one
-        :meth:`adopt` and :meth:`open` start with.  With a ``spill``
-        sink, each evicted session's durable entry is handed to it
-        *before* the session is retired, so the sink can persist the
-        state instead of losing it.
+        :meth:`adopt` and :meth:`open` run before they admit.  With a
+        ``spill`` sink, each evicted session's durable entry is handed
+        to it *before* the session is retired, so the sink can persist
+        the state instead of losing it.
         """
         if now is None:
             now = self._clock()
-        with self._lock:
-            idle = [
-                s
-                for s in self._sessions.values()
-                if now - s.last_active > self.limits.idle_timeout_s
-            ]
+        idle = [
+            s
+            for s in self._sessions.values()
+            if now - s.last_active > self.limits.idle_timeout_s
+        ]
         for session in idle:
             if self._spill is not None:
                 self._spill(self._export(session))
@@ -493,9 +529,8 @@ class SessionManager:
             consumed = session.localizer.observed_length - before
             session.status = OVERFLOW
         session.last_active = self._clock()
-        with self._lock:
-            self._feeds += 1
-            self._records += consumed
+        self._feeds += 1
+        self._records += consumed
         return self._outcome(session, consumed=consumed)
 
     def _outcome(self, session: StreamSession, consumed: int) -> FeedOutcome:
@@ -515,10 +550,8 @@ class SessionManager:
         result = session.localizer.snapshot()
         final = status if session.status == ACTIVE else session.status
         session.status = final
-        session.retired = True
-        with self._lock:
-            self._sessions.pop(session.session_id, None)
-            self._retired[final] = self._retired.get(final, 0) + 1
+        self._sessions.pop(session.session_id, None)
+        self._retired[final] = self._retired.get(final, 0) + 1
         return {
             "session_id": session.session_id,
             "status": final,

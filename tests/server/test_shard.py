@@ -133,6 +133,26 @@ def test_entries_without_a_token_still_restore(recovered):
         assert body(second.open(sid))[1]["error"] == "session-exists"
 
 
+def test_a_second_open_of_an_idle_id_is_refused(context, recovered):
+    """The id check comes before the eviction sweep: evicting the idle
+    session first would spill it and admit a second ``s``, live beside
+    the spilled one, which the next recovery refuses."""
+    chunks = render_session_chunks(context, seed=34, chunk_records=2)
+    assert len(chunks) >= 3
+    first = recovered(idle_timeout_s=0.2)
+    ok(first.open("s", token="aaaa0000"))
+    for index in range(3):
+        ok(first.feed("s", index, chunks[index]), protocol.FEED_CHUNK)
+    first.manager.session("s").last_active -= 1
+    frame_type, decoded = body(first.open("s", token="bbbb0000"))
+    assert frame_type == protocol.ERROR
+    assert decoded["error"] == "session-exists"
+    assert not first.spilled("s")
+    second = recovered(idle_timeout_s=0.2)
+    assert recovered.reports[second].sessions == 1
+    assert second.snapshot("s") == first.snapshot("s")
+
+
 # -- recovery at a lower cap -------------------------------------------
 
 def test_recovery_keeps_every_durable_session_past_a_lower_cap(

@@ -120,6 +120,8 @@ class TestCompact:
         main(["store", "compact", str(data_dir)])
         running = start_server(context, durable_config(data_dir))
         try:
-            assert running.server.recovery_info["sessions"] == 2
+            assert running.thread.call(
+                lambda: running.server.recovery_info
+            )["sessions"] == 2
         finally:
             running.thread.stop()

@@ -133,7 +133,7 @@ class TestCrashRecovery:
             ),
         )
         try:
-            recovery = second.server.recovery_info
+            recovery = second.thread.call(lambda: second.server.recovery_info)
             assert recovery["sessions"] == len(seeds)
             assert recovery["replayed_records"] > 0
             with DebugClient(second.host, port) as client:
@@ -174,7 +174,7 @@ class TestCrashRecovery:
             )
         )
         try:
-            recovery = second.server.recovery_info
+            recovery = second.thread.call(lambda: second.server.recovery_info)
             assert recovery["sessions"] == 2
             # the checkpoint did its job: the tail is a strict subset
             assert 0 <= recovery["replayed_records"] < total_feeds
@@ -229,7 +229,7 @@ class TestCrashRecovery:
             context, durable_config(tmp_path, port=port)
         )
         try:
-            recovery = second.server.recovery_info
+            recovery = second.thread.call(lambda: second.server.recovery_info)
             assert recovery["sessions"] == 1
             assert recovery["replayed_records"] == 0
             with DebugClient(second.host, port) as client:
@@ -249,7 +249,7 @@ class TestCrashRecovery:
         port = first.port
         with DebugClient(first.host, port) as client:
             feed_session(client, context, "torn", 53, upto=2)
-        shard = first.server.shard_for("torn")
+        shard = first.thread.call(lambda: first.server.shard_for("torn"))
         first.thread.stop(abort=True)
         shard_dir = shard.store.directory
         segment = wal.list_segments(shard_dir)[-1]
@@ -259,7 +259,7 @@ class TestCrashRecovery:
             context, durable_config(tmp_path, port=port)
         )
         try:
-            recovery = second.server.recovery_info
+            recovery = second.thread.call(lambda: second.server.recovery_info)
             assert recovery["sessions"] == 1
             torn = [
                 note for note in recovery["diagnostics"]
@@ -306,10 +306,10 @@ class TestCrashRecovery:
 class TestEvictionSpill:
     def wait_for_spill(self, running, sid, timeout=5.0):
         """Wait until *sid*'s shard has spilled; returns the shard."""
-        shard = running.server.shard_for(sid)
+        shard = running.thread.call(lambda: running.server.shard_for(sid))
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if shard.store.spills:
+            if running.thread.call(lambda: shard.store.spills):
                 return shard
             time.sleep(0.02)
         pytest.fail("idle sweeper never spilled the session")
@@ -390,10 +390,8 @@ class TestEvictionSpill:
             client.open_session("sleeper")
             client.feed("sleeper", 0, chunks[0])
             shard = self.wait_for_spill(first, "sleeper")
-            # force the spill map into a durable snapshot; calling the
-            # core off its thread is safe here: its table is empty, so
-            # the sweep touches nothing, and no request is in flight
-            shard.checkpoint()
+            # force the spill map into a durable snapshot
+            first.thread.call(shard.checkpoint)
         first.thread.stop(abort=True)
 
         second = start_server(
@@ -417,7 +415,7 @@ class TestEvictionSpill:
             client.feed("sleeper", 0, chunks[0])
             time.sleep(0.4)
             client.open_session("newcomer")
-        return running.server.shard_for("sleeper")
+        return running.thread.call(lambda: running.server.shard_for("sleeper"))
 
     def test_eviction_by_a_fresh_open_spills(self, context, tmp_path):
         """An eviction that an OPEN triggers spills the idle session,
@@ -433,7 +431,7 @@ class TestEvictionSpill:
                 context, seed=84, chunk_records=4
             )
             shard = self.idle_then_open(running, chunks)
-            assert shard.store.spills == 1
+            assert running.thread.call(lambda: shard.store.spills) == 1
             with DebugClient(running.host, running.port) as client:
                 reply = client.feed("sleeper", 1, chunks[1])
                 assert not reply.duplicate
@@ -458,9 +456,7 @@ class TestEvictionSpill:
         port = first.port
         chunks = render_session_chunks(context, seed=85, chunk_records=4)
         shard = self.idle_then_open(first, chunks)
-        # no sweep is due for a minute and no request is in flight, so
-        # the test thread may checkpoint the core
-        shard.checkpoint()
+        first.thread.call(shard.checkpoint)
         first.thread.stop(abort=True)
 
         second = start_server(
@@ -576,8 +572,13 @@ class TestClientResume:
             client.feed("waker", 0, waker[0])  # a checkpoint holds it
             with installed(degrading_gate()):
                 client.feed("waker", 1, waker[1])
-            shard = servers[0].server.shard_for("sleeper")
-            assert shard.degraded and "sleeper" in shard.store.spilled_ids()
+
+            def spilled_on_a_degraded_shard():
+                shard = servers[0].server.shard_for("sleeper")
+                spilled = "sleeper" in shard.store.spilled_ids()
+                return shard.degraded and spilled
+
+            assert servers[0].thread.call(spilled_on_a_degraded_shard)
 
             reopen = client.open_session_info
 
@@ -627,7 +628,9 @@ class TestClientResume:
                         feed.feed(chunk)
                 else:
                     feed.feed(chunk, eof=index == last)
-            assert first.server.shard_for("healed").degraded
+            assert first.thread.call(
+                lambda: first.server.shard_for("healed").degraded
+            )
         finally:
             first.thread.stop(abort=True)
         second = start_server(
@@ -717,7 +720,9 @@ class TestIdentityGuards:
         # the right shape still recovers everything
         second = start_server(context, durable_config(tmp_path))
         try:
-            assert second.server.recovery_info["sessions"] == 1
+            assert second.thread.call(
+                lambda: second.server.recovery_info
+            )["sessions"] == 1
         finally:
             second.thread.stop()
 
@@ -797,7 +802,9 @@ def test_sigkilled_subprocess_recovers_bit_identical(
 
     running = start_server(context, durable_config(data_dir))
     try:
-        assert running.server.recovery_info["sessions"] == 2
+        assert running.thread.call(
+            lambda: running.server.recovery_info
+        )["sessions"] == 2
         with DebugClient(running.host, running.port) as client:
             assert_matches_batch(client, context, "sub-a", 101)
             assert_matches_batch(client, context, "sub-b", 102)

@@ -3,6 +3,10 @@ and the summaries retired sessions return."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.core.message import IndexedMessage
@@ -18,6 +22,7 @@ from repro.stream.session import (
     SessionLimits,
     SessionManager,
 )
+from tests.server.test_serve_footprint import package_env
 
 
 class FakeClock:
@@ -66,7 +71,7 @@ class TestLifecycle:
         summary = manager.close(sid)
         assert summary["mode"] == "prefix"
         assert summary["status"] == session.status == "closed"
-        assert session.retired
+        assert sid not in manager.session_ids()
 
     def test_stats_counters_track_lifecycle(self, manager, cc_flow):
         req = cc_flow.message_by_name("ReqE")
@@ -157,7 +162,6 @@ class TestLimits:
         fresh = [manager.open() for _ in range(3)]  # evicts, then fills
         assert stale not in manager.session_ids()
         assert set(fresh) == set(manager.session_ids())
-        assert session.retired
         assert session.status == EVICTED
         assert manager.stats()["evicted"] == 1
 
@@ -169,7 +173,8 @@ class TestLimits:
         session = manager.session(sid)
         clock.now = 11.0
         assert manager.evict_idle() == (sid,)
-        assert session.retired
+        assert sid not in manager.session_ids()
+        assert session.status == EVICTED
         with pytest.raises(StreamError, match="unknown session"):
             manager.feed(sid, (req,), drop_invisible=True)
         assert session.localizer.observed_length == 0
@@ -213,3 +218,54 @@ class TestFeedFiltering:
         sid = manager.open()
         outcome = manager.feed(sid, trace.records, drop_invisible=True)
         assert outcome.consumed == len(trace.project(tuple(traced)))
+
+
+#: Opens a session on the main thread, then reads the table from a
+#: second thread and re-raises what that read raised.
+OFF_THREAD_READ = textwrap.dedent(
+    """
+    import threading
+
+    from repro.core.interleave import interleave_flows
+    from repro.examples_builtin import toy_cache_coherence_flow
+    from repro.stream.session import SessionManager
+
+    flow = toy_cache_coherence_flow()
+    manager = SessionManager(
+        interleave_flows([flow], copies=2), [flow.message_by_name("ReqE")]
+    )
+    manager.open("s")
+    outcome = []
+
+    def read():
+        try:
+            outcome.append(manager.session_ids())
+        except RuntimeError as exc:
+            outcome.append(exc)
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    reader.join()
+    if isinstance(outcome[0], RuntimeError):
+        raise outcome[0]
+    print(outcome[0])
+    """
+)
+
+
+def test_dev_mode_refuses_a_read_from_another_thread():
+    def run(*flags):
+        return subprocess.run(
+            [sys.executable, *flags, "-c", OFF_THREAD_READ],
+            capture_output=True, text=True, env=package_env(), timeout=120,
+        )
+
+    checked = run("-X", "dev")
+    assert checked.returncode != 0
+    assert (
+        "RuntimeError: SessionManager.session_ids called from thread"
+        in checked.stderr
+    ), checked.stderr
+    plain = run()
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout.strip() == "('s',)"
