@@ -41,7 +41,7 @@ import math
 from collections import Counter
 from typing import Dict, Iterable, Mapping, Tuple
 
-from repro.core.arrays import have_numpy, np, sorted_unique
+from repro.core.arrays import have_numpy, np, sorted_unique, view
 from repro.core.interleave import InterleavedFlow
 from repro.core.message import IndexedMessage, Message, MessageCombination
 
@@ -170,36 +170,61 @@ def _contributions_numpy(
     """:func:`_contributions_python` on whole arrays, float for float.
 
     One sort of the ``message * |S| + target`` keys counts every
-    ``n(x, y)`` and finds its first edge; each message's pairs then run
-    in first-encounter (Counter) order, ``math.log`` -- not ``np.log``,
+    ``n(x, y)`` and finds its first edge (the smallest edge index of
+    its run of equal keys); each message's pairs then run in
+    first-encounter (Counter) order, ``math.log`` -- not ``np.log``,
     which may round differently -- is taken once per distinct ratio,
     and each ``c(y)`` is the last element of a sequential
     ``np.cumsum`` of its terms: the loop's own additions, in its order.
-    Needs ``|S| * T`` below :data:`_FLOAT_EXACT`."""
+    Needs ``|S| * T`` below :data:`_FLOAT_EXACT`.
+
+    The CSR tables are read in their stored widths and the keys widened
+    to int64 before the multiply.  Each edge-length intermediate is
+    dropped as soon as it has been used: this stage's peak is the cold
+    start's highest before the table compile (about 40 traced bytes an
+    edge on sc3x2)."""
     num_states = interleaved.num_states
     total = interleaved.num_transitions
-    _, messages, targets = (
-        np.asarray(buf) for buf in interleaved.csr_adjacency()
-    )
-    pairs, first, n_xy = np.unique(
-        messages * num_states + targets, return_index=True, return_counts=True
-    )
-    mids = pairs // num_states  # ascending
+    _, messages, targets = map(view, interleaved.csr_adjacency())
+    n_y = np.bincount(messages)
+    keys = messages.astype(np.int64)
+    keys *= num_states
+    keys += targets
+    edges = np.argsort(keys)
+    keys = keys[edges]
+    heads = np.ones(total, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    heads = np.flatnonzero(heads)
+    mids = keys[heads] // num_states  # ascending
+    del keys
+    first = np.minimum.reduceat(edges, heads)
+    del edges
+    n_xy = np.diff(heads, append=total)
+    del heads
     # each message's pairs by first edge; the narrowest dtype that holds
     # the message IDs lets the stable sort by message run as a radix sort
-    order = np.lexsort((first, mids.astype(np.min_scalar_type(mids[-1]))))
-    mids, first, n_xy = mids[order], first[order], n_xy[order]
-    n_y = np.bincount(messages)
-    ratios = (n_xy * num_states).astype(np.float64) / n_y[mids]
+    mids = mids.astype(np.min_scalar_type(mids[-1]))
+    order = np.lexsort((first, mids))
+    mids = mids[order]
+    first = first[order]
+    n_xy = n_xy[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], mids[1:] != mids[:-1])))
+    # messages by their first edge: the loop's key order
+    by_first = np.argsort(first[starts]).tolist()
+    del first
+    ratios = (n_xy * num_states).astype(np.float64)
+    ratios /= n_y[mids]
     distinct = sorted_unique(ratios)
     logs = np.array([math.log(ratio) for ratio in distinct.tolist()])
-    terms = n_xy / total * logs[np.searchsorted(distinct, ratios)]
-    starts = np.flatnonzero(np.diff(mids, prepend=-1))
+    terms = n_xy / total
+    del n_xy
+    terms *= logs[np.searchsorted(distinct, ratios)]
+    del ratios, distinct, logs
     bounds = [*starts.tolist(), mids.size]
     occurrences: Dict[IndexedMessage, int] = {}
     contributions: Dict[IndexedMessage, float] = {}
-    # messages by their first edge: the loop's key order
-    for k in np.argsort(first[starts]).tolist():
+    for k in by_first:
         mid = int(mids[bounds[k]])
         y = interleaved.message_at(mid)
         occurrences[y] = int(n_y[mid])

@@ -21,10 +21,15 @@ code is the mixed-radix number whose digits are those ranks, component
 component move is one precomputed addition.  Dense state IDs are the
 positions of the reachable codes in ascending order, message IDs
 follow the indexed messages' sort order, and the transition relation
-is three flat ``array('q')`` CSR buffers.  The hot consumers -- the
-information model, coverage bitsets, and the localization DP -- read
-those integers directly; the tuple/dataclass views (``states``,
-``transitions``, ``outgoing`` ...) are decoded from them on first use.
+is three flat CSR tables.  Every integer table is an ``array`` in the
+narrowest width its range needs (:func:`repro.core.arrays.narrowest`):
+the codes by the code span, the CSR offsets by the edge count, the
+edge messages by the message count and the edge targets by the state
+count, so the sc3x2 CSR takes 3 bytes an edge.  The hot
+consumers -- the information model, coverage bitsets, and the
+localization DP -- read those integers directly; the tuple/dataclass
+views (``states``, ``transitions``, ``outgoing`` ...) are decoded from
+them on first use.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro import perf
@@ -51,8 +57,12 @@ from repro.core.arrays import (
     have_numpy,
     height_levels,
     height_levels_python,
+    narrowest,
     np,
     sorted_unique,
+    table,
+    table_bytes,
+    view,
 )
 from repro.core.flow import Execution, Flow
 from repro.core.indexing import (
@@ -67,10 +77,15 @@ from repro.errors import InterleavingError
 
 ProductState = Tuple[IndexedState, ...]
 
+#: An integer table: an ``array`` of the narrowest width that holds its
+#: range, or a list of exact ints past int64
+#: (:func:`repro.core.arrays.table`).
+Table = Union[array, List[int]]
+
 #: Tag of the pickled layout; :meth:`InterleavedFlow.__setstate__`
 #: refuses anything else, so a cache entry written by another layout
 #: fails to load (and is recomputed) instead of loading half-formed.
-_PICKLE_FORMAT = "interleaved-flow/state-codes-1"
+_PICKLE_FORMAT = "interleaved-flow/exact-width-1"
 
 #: The array product build packs every edge into one int64 key; it
 #: runs only while the largest key, ``M * span**2 - 1``, stays below
@@ -82,6 +97,10 @@ _KEY_BOUND = 1 << 62
 #: factor-two margin to int64.  Larger counts take the exact big-int
 #: route.
 _COUNT_BOUND = float(1 << 62)
+
+#: Below this bound the float64 pass's counts are exact already (every
+#: partial sum is at most its count), so no int64 pass runs.
+_FLOAT_EXACT = float(1 << 53)
 
 
 @dataclass(frozen=True, order=True)
@@ -120,7 +139,7 @@ class InterleavedFlow:
     * ``state_id`` / ``state_at`` and ``message_id`` / ``message_at``
       -- the interned tables (IDs follow sort order),
     * ``initial_ids`` / ``stop_ids`` / ``csr_adjacency()`` -- the
-      product automaton over IDs,
+      product automaton over IDs (``nbytes`` is what its tables hold),
     * ``paths_to_stop_ids()`` / ``accepted_ids()`` -- the path-count
       DP (the latter through an automaton), indexed by state ID, and
       ``height_levels()`` / ``topological_ids()`` -- its schedules,
@@ -135,7 +154,7 @@ class InterleavedFlow:
         self,
         components: Sequence[IndexedFlow],
         local_states: Tuple[Tuple[IndexedState, ...], ...],
-        codes: Tuple[int, ...],
+        codes: Table,
         message_table: Tuple[IndexedMessage, ...],
         offsets: array,
         messages: array,
@@ -146,7 +165,8 @@ class InterleavedFlow:
         # the stored tables: per-component local states in rank order,
         # the reachable state codes ascending (state ID = position),
         # the message table, and the CSR adjacency (edges of state
-        # ``i`` at ``offsets[i]:offsets[i + 1]``, by message then target)
+        # ``i`` at ``offsets[i]:offsets[i + 1]``, by message then
+        # target), each table in its narrowest width
         self._components = tuple(components)
         self._local_states = local_states
         self._codes = codes
@@ -172,7 +192,8 @@ class InterleavedFlow:
         self._transitions: Optional[Tuple[InterleavedTransition, ...]] = None
         self._outgoing_cache: Dict[ProductState, Tuple[InterleavedTransition, ...]] = {}
         self._paths_to_stop: Optional[Dict[ProductState, int]] = None
-        self._paths_to_stop_ids: Optional[List[int]] = None
+        self._paths_to_stop_ids: Optional[Table] = None
+        self._largest_count = 0
         self._topological_ids: Optional[List[int]] = None
         self._levels: Optional[list] = None
         self._message_occurrences: Optional[Dict[IndexedMessage, int]] = None
@@ -262,10 +283,21 @@ class InterleavedFlow:
 
     def csr_adjacency(self) -> Tuple[array, array, array]:
         """The transition relation as ``(offsets, message_ids,
-        target_ids)`` CSR ``array('q')`` buffers (edges of state ``i``
-        live at ``offsets[i]:offsets[i + 1]``, sorted by message then
-        target)."""
+        target_ids)`` CSR ``array`` tables, each in its narrowest width
+        (edges of state ``i`` live at ``offsets[i]:offsets[i + 1]``,
+        sorted by message then target)."""
         return self._offsets, self._messages, self._targets
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the stored integer tables hold: the state codes and the
+        three CSR tables."""
+        return sum(
+            map(
+                table_bytes,
+                (self._codes, self._offsets, self._messages, self._targets),
+            )
+        )
 
     def _table(self) -> Tuple[ProductState, ...]:
         """Every product state, in ID order (decoded once)."""
@@ -462,18 +494,19 @@ class InterleavedFlow:
         """State IDs grouped by their longest path to a state without
         successors, over every edge (memoised): a state's successors
         all sit on lower levels, so the longest path has
-        ``len(levels) - 1`` edges.  int64 arrays on numpy
-        (:func:`repro.core.arrays.height_levels`), lists from the
+        ``len(levels) - 1`` edges.  Arrays in the state IDs' width on
+        numpy (:func:`repro.core.arrays.height_levels`; read them as
+        index arrays, or widen them before arithmetic), lists from the
         topological order otherwise."""
         if self._levels is None:
             if have_numpy():
-                offsets, targets = (
-                    np.frombuffer(buf, dtype=np.int64)
-                    for buf in (self._offsets, self._targets)
+                levels = height_levels(
+                    view(self._offsets), view(self._targets)
                 )
-                levels = height_levels(offsets, targets)
                 if sum(level.size for level in levels) != self.num_states:
                     raise InterleavingError("interleaved flow is not a DAG")
+                code = narrowest(self.num_states - 1)
+                levels = [level.astype(code) for level in levels]
             else:
                 levels = height_levels_python(
                     self.topological_ids(), self._offsets, self._targets
@@ -481,23 +514,39 @@ class InterleavedFlow:
             self._levels = levels
         return self._levels
 
-    def paths_to_stop_ids(self) -> List[int]:
-        """Paths-to-stop counts as an array indexed by state ID
-        (memoised): :meth:`accepted_ids` for the one-state automaton.
+    def paths_to_stop_ids(self) -> Table:
+        """Paths-to-stop counts as a table indexed by state ID
+        (memoised): :meth:`accepted_ids` for the one-state automaton,
+        in the narrowest width that holds the largest count -- an
+        ``array``, or a list of exact ints past int64.
 
-        With numpy a float64 pass bounds the counts first; the int64
-        pass runs only below :data:`_COUNT_BOUND`, and larger counts
+        With numpy a float64 pass bounds the counts first.  Below
+        :data:`_FLOAT_EXACT` its counts are exact and are kept; below
+        :data:`_COUNT_BOUND` an int64 pass recounts them; larger counts
         take the exact big-int route.
         """
         if self._paths_to_stop_ids is None:
             with perf.timed("paths_to_stop"):
                 step = [(0,)] * len(self._message_table)
-                fits = have_numpy() and (
-                    self._level_counts(step, 1, np.float64).max(initial=0.0)
-                    < _COUNT_BOUND
-                )
-                self._paths_to_stop_ids = self._accepted(step, 1, fits)
+                counts = self._stop_counts_numpy(step) if have_numpy() else None
+                if counts is None:
+                    counts = self._accepted(step, 1, False)
+                    self._largest_count = max(counts, default=0)
+                else:
+                    self._largest_count = int(counts.max(initial=0))
+                self._paths_to_stop_ids = table(counts, self._largest_count)
         return self._paths_to_stop_ids
+
+    def _stop_counts_numpy(self, step):
+        """The stop-path counts as an int64 array, or ``None`` when one
+        reaches :data:`_COUNT_BOUND` (the caller then counts exactly)."""
+        counts = self._level_counts(step, 1, np.float64)[:, 0]
+        largest = counts.max(initial=0.0)
+        if largest < _FLOAT_EXACT:
+            return counts.astype(np.int64)
+        if largest < _COUNT_BOUND:
+            return self._level_counts(step, 1, np.int64)[:, 0]
+        return None
 
     def accepted_ids(
         self, step: Sequence[Sequence[int]], states: int
@@ -513,8 +562,8 @@ class InterleavedFlow:
         is exact while the largest path count stays below
         :data:`_COUNT_BOUND`; otherwise the exact big-int route runs.
         """
-        fits = max(self.paths_to_stop_ids(), default=0) < _COUNT_BOUND
-        return self._accepted(step, states, fits)
+        self.paths_to_stop_ids()  # its largest count bounds every entry
+        return self._accepted(step, states, self._largest_count < _COUNT_BOUND)
 
     def _accepted(self, step, states: int, fits: bool) -> List[int]:
         """Column 0 of the count table: on whole int64 arrays when
@@ -547,11 +596,10 @@ class InterleavedFlow:
         ``counts[target, step[message]]`` per edge (as flat cell
         indices) and sums its states' edge runs with one
         ``np.add.reduceat`` (every state above level 0 has an edge, so
-        no run is empty)."""
-        offsets, messages, targets = (
-            np.frombuffer(buf, dtype=np.int64)
-            for buf in self.csr_adjacency()
-        )
+        no run is empty).  The CSR tables are read in their stored
+        widths and widened to int64 as they are gathered."""
+        _, messages, targets = map(view, self.csr_adjacency())
+        offsets = view(self._offsets).astype(np.int64)
         moves = np.array(step, dtype=np.int64).reshape(len(step), states)
         degree = np.diff(offsets)
         counts = np.zeros((self.num_states, states), dtype=dtype)
@@ -561,7 +609,7 @@ class InterleavedFlow:
             runs = degree[sources]
             edges = expand_runs(offsets[sources], runs, int(runs.sum()))
             index = moves[messages[edges]]
-            index += targets[edges, None] * states
+            index += targets[edges].astype(np.int64)[:, None] * states
             counts[sources] += np.add.reduceat(
                 cells.take(index), np.cumsum(runs) - runs
             )
@@ -700,7 +748,8 @@ def interleave(instances: Sequence[IndexedFlow]) -> InterleavedFlow:
     the BFS expands whole frontiers at once in int64
     (:func:`_product_numpy`); otherwise it runs on exact Python ints
     (:func:`_product_python`) -- the full product can exceed 64 bits.
-    Both routes lay out the same tables.
+    Both routes lay out the same tables, each in the width that
+    :func:`repro.core.arrays.narrowest` gives its bound.
     """
     with perf.timed("interleave"):
         instances = tuple(instances)
@@ -771,7 +820,7 @@ def interleave(instances: Sequence[IndexedFlow]) -> InterleavedFlow:
         ]
         perf.add("interleave_states_expanded", len(codes))
         perf.add("interleave_transitions", len(edge_targets))
-        return InterleavedFlow(
+        product = InterleavedFlow(
             components=instances,
             local_states=local_states,
             codes=codes,
@@ -784,12 +833,16 @@ def interleave(instances: Sequence[IndexedFlow]) -> InterleavedFlow:
             ),
             stop_ids=tuple(sorted(i for i in stop_ids if i is not None)),
         )
+        perf.add("interleave_table_bytes", product.nbytes)
+        return product
 
 
 #: One product build's result: the reachable codes ascending, the CSR
-#: ``offsets``/``messages``/``targets`` buffers (messages renumbered
-#: over the used candidates) and the used candidate IDs, ascending.
-_Product = Tuple[Tuple[int, ...], array, array, array, List[int]]
+#: ``offsets``/``messages``/``targets`` tables (messages renumbered over
+#: the used candidates) and the used candidate IDs, ascending.  Each
+#: table is as wide as its bound needs: the code span, the edge count,
+#: the used message count and the state count.
+_Product = Tuple[Table, array, array, array, List[int]]
 
 
 def _product_python(
@@ -833,7 +886,7 @@ def _product_python(
                 keys.append(base + offset)
     keys.sort()
 
-    codes = tuple(sorted(seen))
+    codes = sorted(seen)
     id_of = {code: i for i, code in enumerate(codes)}
     counts = [0] * (len(codes) + 1)
     edge_messages: List[int] = []
@@ -853,10 +906,10 @@ def _product_python(
         renumber = {m: i for i, m in enumerate(used)}
         edge_messages = [renumber[m] for m in edge_messages]
     return (
-        codes,
-        array("q", counts),
-        array("q", edge_messages),
-        array("q", edge_targets),
+        table(codes, span - 1),
+        table(counts, len(keys)),
+        table(edge_messages, max(len(used) - 1, 0)),
+        table(edge_targets, len(codes) - 1),
         used,
     )
 
@@ -926,10 +979,10 @@ def _product_numpy(
         renumber[used] = np.arange(used.size)
         message = renumber[message]
     return (
-        tuple(seen.tolist()),
-        _buffer(offsets),
-        _buffer(message),
-        _buffer(np.searchsorted(seen, target)),
+        table(seen, span - 1),
+        table(offsets, message.size),
+        table(message, max(used.size - 1, 0)),
+        table(np.searchsorted(seen, target), seen.size - 1),
         used.tolist(),
     )
 
@@ -946,13 +999,6 @@ def _local_edges(component_moves):
         np.array([delta for delta, _ in flat], dtype=np.int64),
         np.array([offset for _, offset in flat], dtype=np.int64),
     )
-
-
-def _buffer(values) -> array:
-    """An ``array('q')`` holding a copy of the int64 array *values*."""
-    buf = array("q")
-    buf.frombytes(np.ascontiguousarray(values, dtype=np.int64).view(np.uint8))
-    return buf
 
 
 def _code_id(codes: Sequence[int], code: int) -> Optional[int]:

@@ -102,19 +102,21 @@ class VisibilityIndex:
         boolean grid whose rows are packed into bytes; otherwise each
         bitset is set edge by edge in one ``bytearray``.  Either way it
         is converted to an int once.  The edge sequences may be
-        ``array('q')`` buffers or plain lists."""
+        ``array`` tables of any integer width or plain lists."""
         plains: Dict[Message, int] = {}
         group = [
             plains.setdefault(underlying_message(label), len(plains))
             for label in labels
         ]
         if have_numpy():
+            # an ``array`` table indexes in its own width, a list as int64
+            labels_at, targets_at = (
+                np.asarray(seq, dtype=getattr(seq, "typecode", np.int64))
+                for seq in (edge_labels, edge_targets)
+            )
             grid = np.zeros((len(plains), num_states), dtype=bool)
             grid[
-                np.asarray(group, dtype=np.int64)[
-                    np.asarray(edge_labels, dtype=np.int64)
-                ],
-                np.asarray(edge_targets, dtype=np.int64),
+                np.asarray(group, dtype=np.int64)[labels_at], targets_at
             ] = True
             rows = [
                 row.tobytes()

@@ -30,16 +30,16 @@ gather/scatter-add kernel calls:
   whole FEED chunk through the kernels in one call, amortizing the
   sparse-map/vector conversions over the chunk.
 
-Every table is stored once, in flat :class:`array.array` buffers: the
-operators and the closure's row bounds in 8-byte ``'q'``, the
-closure's targets and weights in 4-byte ``'i'`` whenever every value
-of the column is below 2^31 (the targets while the product has fewer
-states, the weights while the largest closure column sum is; the
-compile decides both before it writes the first row).  When
-:mod:`numpy` is available the kernels run on zero-copy read-only views
-of those buffers in their own widths; numpy promotes every gathered
-closure column to ``int64`` before combining it, so frontiers, memo
-keys and counts stay ``int64``.  Otherwise the pure-Python backend
+Every table is stored once, in a flat :class:`array.array` buffer of
+the narrowest width that holds its range
+(:func:`repro.core.arrays.narrowest`): the operators and the closure
+targets by the state count, the closure weights by the largest closure
+column sum (the compile counts both before it writes the first row)
+and the row bounds by the closure's entry count.  When :mod:`numpy` is
+available the kernels run on zero-copy read-only views of those
+buffers in their own widths and widen every gathered column to
+``int64`` before any arithmetic, so frontiers, memo keys and counts
+stay ``int64``.  Otherwise the pure-Python backend
 indexes the same buffers directly with dict frontiers (exact big-int
 arithmetic, no third-party imports).  The two backends are
 **bit-identical** by construction: all weights are integers, integer
@@ -80,9 +80,14 @@ from repro.core.arrays import (
     have_numpy,
     height_levels,
     height_levels_python,
+    int64_bytes,
     level_edges,
+    narrowest,
     np as _np,
     reduce_by_id,
+    table,
+    table_bytes,
+    view,
 )
 from repro.core.interleave import InterleavedFlow
 from repro.core.message import Message
@@ -134,6 +139,7 @@ def _table_digest(interleaved: InterleavedFlow, visible: bytes) -> str:
             )
         ).encode("utf-8")
     )
+    # every table hashes as int64, whatever width it is stored in
     for arr in (
         offsets,
         msg_ids,
@@ -141,7 +147,7 @@ def _table_digest(interleaved: InterleavedFlow, visible: bytes) -> str:
         tuple(interleaved.initial_ids),
         tuple(sorted(interleaved.stop_ids)),
     ):
-        digest.update(array("q", arr).tobytes())
+        digest.update(int64_bytes(arr))
         digest.update(b"|")
     digest.update(visible)
     return digest.hexdigest()
@@ -150,52 +156,38 @@ def _table_digest(interleaved: InterleavedFlow, visible: bytes) -> str:
 # ----------------------------------------------------------------------
 # compiled operators
 # ----------------------------------------------------------------------
-def _view(buf):
-    """A zero-copy read-only numpy view of an ``array`` buffer in the
-    buffer's own width: ``int64`` for ``'q'``, ``int32`` for ``'i'``
-    (the buffer can no longer be resized while it exists)."""
-    view = _np.frombuffer(buf, dtype=buf.typecode)
-    view.flags.writeable = False
-    return view
-
-
-def _narrowest(largest) -> str:
-    """Typecode of a closure column whose values never exceed
-    *largest*: the 4-byte ``'i'`` below 2^31, else the 8-byte
-    ``'q'``."""
-    return "i" if largest < _NARROW_BOUND else "q"
-
-
-def _buffer_bytes(buf) -> int:
-    """Bytes a table buffer holds: ``itemsize * len`` for an array, the
-    8-byte slots for a big-int weight list."""
-    return buf.itemsize * len(buf) if isinstance(buf, array) else 8 * len(buf)
+def _state_code(num_states: int) -> str:
+    """Typecode of a table of state IDs of a product with *num_states*
+    states."""
+    return narrowest(num_states - 1)
 
 
 class _Operator:
     """One observable symbol's visible edges, sorted by ``(source,
     target)``.
 
-    ``src``/``tgt`` are the only copy of the edges: flat ``array('q')``
-    buffers the pure-Python kernels index directly, locating a source
-    state's run by bisecting ``src``.  On the numpy backend ``views``
-    holds zero-copy read-only ``int64`` views of the same two buffers.
-    ``growth`` is the largest number of edges sharing a target (the
-    exact per-step weight amplification the overflow guard uses).
+    ``src``/``tgt`` are the only copy of the edges: flat ``array``
+    buffers of state IDs in the product's state width
+    (:func:`_state_code`) that the pure-Python kernels index directly,
+    locating a source state's run by bisecting ``src``.  On the numpy
+    backend ``views`` holds zero-copy read-only views of the same two
+    buffers, in that width.  ``growth`` is the largest number of edges
+    sharing a target (the exact per-step weight amplification the
+    overflow guard uses).
     """
 
     __slots__ = ("src", "tgt", "views", "growth")
 
-    def __init__(self) -> None:
-        self.src = array("q")
-        self.tgt = array("q")
+    def __init__(self, src: array, tgt: array) -> None:
+        self.src = src
+        self.tgt = tgt
         self.views = None
         self.growth = 0
 
     def seal(self, numpy: bool) -> None:
         """Finish the operator once every edge has been appended."""
         if numpy:
-            self.views = (_view(self.src), _view(self.tgt))
+            self.views = (view(self.src), view(self.tgt))
             self.growth = int(_np.bincount(self.views[1]).max())
         else:
             self.growth = max(Counter(self.tgt).values(), default=0)
@@ -205,7 +197,7 @@ class _Operator:
 
     @property
     def nbytes(self) -> int:
-        return _buffer_bytes(self.src) + _buffer_bytes(self.tgt)
+        return table_bytes(self.src) + table_bytes(self.tgt)
 
 
 class _StepResult:
@@ -250,11 +242,6 @@ _COMPILE_CHUNK = 1 << 13
 #: of the count stays far inside the factor-two margin to int64.
 _NUMPY_COMPILE_BOUND = float(1 << 62)
 
-#: A closure column holding only values below this bound is stored in
-#: 4-byte ``array('i')``: the targets while the product has fewer
-#: states, the weights while the largest column sum stays below it.
-_NARROW_BOUND = 1 << 31
-
 
 # ----------------------------------------------------------------------
 # table compile
@@ -274,7 +261,8 @@ def _split_edges_python(
     several IDs and is sorted per source state.
     """
     offsets, msg_ids, targets = interleaved.csr_adjacency()
-    table = interleaved.indexed_messages
+    messages = interleaved.indexed_messages
+    code = _state_code(interleaved.num_states)
     op_by_mid: Dict[int, _Operator] = {}
     op_by_plain: Dict[Message, _Operator] = {}
     inv_off = array("q", [0])
@@ -289,15 +277,17 @@ def _split_edges_python(
                 continue
             op = op_by_mid.get(mid)
             if op is None:
-                op = op_by_mid[mid] = _Operator()
+                op = op_by_mid[mid] = _Operator(array(code), array(code))
             op.src.append(sid)
             op.tgt.append(t)
-            plain_runs.setdefault(table[mid].message, []).append(t)
+            plain_runs.setdefault(messages[mid].message, []).append(t)
         inv_off.append(len(inv_tgt))
         for message, run in plain_runs.items():
             op = op_by_plain.get(message)
             if op is None:
-                op = op_by_plain[message] = _Operator()
+                op = op_by_plain[message] = _Operator(
+                    array(code), array(code)
+                )
             run.sort()
             op.src.fromlist([sid] * len(run))
             op.tgt.fromlist(run)
@@ -309,23 +299,24 @@ def _split_edges_python(
 def _split_edges_numpy(
     interleaved: InterleavedFlow, visible_mid: Sequence[bool]
 ):
-    """:func:`_split_edges_python` on whole arrays (``inv_off`` and
-    ``inv_tgt`` are int64 arrays).
+    """:func:`_split_edges_python` on whole arrays (``inv_off`` is
+    int64, ``inv_tgt`` keeps the product's target width).
 
     The invisible-edge CSR is a mask of the product's.  The visible
     edges are sorted once by ``(source, target)``; an operator is then
-    a mask of its message IDs, so every run stays in that order.
+    a mask of its message IDs, so every run stays in that order.  The
+    product's tables are read in their stored widths; the visible
+    targets are widened as they are gathered.
     """
-    offsets, msg_ids, targets = (
-        _view(buf) for buf in interleaved.csr_adjacency()
-    )
+    offsets, msg_ids, targets = map(view, interleaved.csr_adjacency())
     n = offsets.size - 1
     source = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(offsets))
     shown = _np.asarray(visible_mid, dtype=bool)[msg_ids]
     hidden = ~shown
     inv_off = _np.concatenate(([0], _np.cumsum(hidden)))[offsets]
     inv_tgt = targets[hidden]
-    src, mid, tgt = source[shown], msg_ids[shown], targets[shown]
+    src, mid = source[shown], msg_ids[shown]
+    tgt = targets[shown].astype(_np.int64)
     order = _np.argsort(src * n + tgt)
     src, mid, tgt = src[order], mid[order], tgt[order]
     ids_of: Dict[Message, List[int]] = {}
@@ -339,18 +330,17 @@ def _split_edges_numpy(
         union = _np.zeros(mid.size, dtype=bool)
         for m in ids:
             edges = mid == m
-            op_by_mid[m] = _sealed_operator(src[edges], tgt[edges])
+            op_by_mid[m] = _sealed_operator(src[edges], tgt[edges], n)
             union |= edges
-        op_by_plain[message] = _sealed_operator(src[union], tgt[union])
+        op_by_plain[message] = _sealed_operator(src[union], tgt[union], n)
     return op_by_mid, op_by_plain, inv_off, inv_tgt
 
 
-def _sealed_operator(src, tgt) -> _Operator:
-    """An operator holding copies of the int64 edge arrays *src* and
-    *tgt*, sealed for the numpy backend."""
-    op = _Operator()
-    op.src.frombytes(src.view(_np.uint8))
-    op.tgt.frombytes(tgt.view(_np.uint8))
+def _sealed_operator(src, tgt, num_states: int) -> _Operator:
+    """An operator holding the edge arrays *src* and *tgt* in the state
+    width of a *num_states*-state product, sealed for the numpy
+    backend."""
+    op = _Operator(table(src, num_states - 1), table(tgt, num_states - 1))
     op.seal(True)
     return op
 
@@ -387,9 +377,10 @@ def _closure_python(levels, inv_off, inv_tgt):
     Returns ``(row_lo, row_hi, ctgt, cweight, max_column)``: row ``i``
     is ``ctgt``/``cweight[row_lo[i]:row_hi[i]]``, sorted by target, and
     ``max_column`` is the largest column sum, counted before the first
-    row so that it picks each column's typecode (:func:`_narrowest`).
+    row so that it picks the weights' typecode (:func:`_closure_columns`).
     ``cweight`` turns into a list of exact weights if one exceeds
-    int64.
+    int64.  The row bounds take their width from the entry count once
+    the last row is in.
     """
     n = len(inv_off) - 1
     max_column = max(
@@ -397,8 +388,7 @@ def _closure_python(levels, inv_off, inv_tgt):
     )
     row_lo = array("q", bytes(8 * n))
     row_hi = array("q", bytes(8 * n))
-    ctgt = array(_narrowest(n))
-    cweight = array(_narrowest(max_column))
+    ctgt, cweight = _closure_columns(n, max_column)
     for sources in levels[1:]:
         for sid in sources:
             row: Dict[int, int] = {}
@@ -423,7 +413,21 @@ def _closure_python(levels, inv_off, inv_tgt):
                     cweight = cweight.tolist()
             if isinstance(cweight, list):
                 cweight.extend(weights)
-    return row_lo, row_hi, ctgt, cweight, max_column
+    entries = len(ctgt)
+    return (
+        table(row_lo, entries), table(row_hi, entries), ctgt, cweight,
+        max_column,
+    )
+
+
+def _closure_columns(num_states: int, max_column: int):
+    """The empty closure target and weight buffers: the targets in the
+    state width, the weights in the width of the largest column sum
+    (every weight is at most its column's sum), 8 bytes at most."""
+    return (
+        array(_state_code(num_states)),
+        array(narrowest(max_column) or "q"),
+    )
 
 
 def _closure_numpy(levels, inv_off, inv_tgt):
@@ -433,18 +437,16 @@ def _closure_numpy(levels, inv_off, inv_tgt):
     Each level is compiled in source-aligned chunks of about
     :data:`_COMPILE_CHUNK` gathered entries (:func:`_append_rows`), so
     the intermediates stay bounded and the rows go straight into the
-    final buffers.
+    final buffers.  The row bounds are int64 arrays until the last row
+    is in, then take their width from the entry count.
     """
     n = inv_off.size - 1
     max_column = int(
         _column_sums(levels, inv_off, inv_tgt, _np.int64).max(initial=0)
     )
-    row_lo = array("q", bytes(8 * n))
-    row_hi = array("q", bytes(8 * n))
-    ctgt = array(_narrowest(n))
-    cweight = array(_narrowest(max_column))
-    lo_of = _np.frombuffer(row_lo, dtype=_np.int64)
-    hi_of = _np.frombuffer(row_hi, dtype=_np.int64)
+    ctgt, cweight = _closure_columns(n, max_column)
+    lo_of = _np.zeros(n, dtype=_np.int64)
+    hi_of = _np.zeros(n, dtype=_np.int64)
     for sources in levels[1:]:
         degree, succ = level_edges(sources, inv_off, inv_tgt)
         edge_end = _np.cumsum(degree)
@@ -466,7 +468,11 @@ def _closure_numpy(levels, inv_off, inv_tgt):
                 lo_of, hi_of, ctgt, cweight,
             )
             start = stop
-    return row_lo, row_hi, ctgt, cweight, max_column
+    entries = len(ctgt)
+    return (
+        table(lo_of, entries), table(hi_of, entries), ctgt, cweight,
+        max_column,
+    )
 
 
 def _append_rows(sources, degree, succ, lo_of, hi_of, ctgt, cweight):
@@ -477,8 +483,9 @@ def _append_rows(sources, degree, succ, lo_of, hi_of, ctgt, cweight):
 
     Every edge contributes its target with weight 1 plus its target's
     row; sorting the ``(source, target)`` keys and summing duplicates
-    gives the rows, in source then target order.  The sums run in
-    int64 and are written in each buffer's own width.
+    gives the rows, in source then target order.  The finished rows
+    are gathered in their stored widths and widened, the sums run in
+    int64, and each buffer gets them in its own width.
     """
     n = lo_of.size
     owner = _np.repeat(sources * n, degree)
@@ -489,10 +496,16 @@ def _append_rows(sources, degree, succ, lo_of, hi_of, ctgt, cweight):
     finished_tgt = _np.frombuffer(ctgt, dtype=ctgt.typecode)
     finished_weight = _np.frombuffer(cweight, dtype=cweight.typecode)
     keys = _np.concatenate(
-        (owner + succ, _np.repeat(owner, counts) + finished_tgt[sel])
+        (
+            owner + succ,
+            _np.repeat(owner, counts) + finished_tgt[sel].astype(_np.int64),
+        )
     )
     weights = _np.concatenate(
-        (_np.ones(succ.size, dtype=_np.int64), finished_weight[sel])
+        (
+            _np.ones(succ.size, dtype=_np.int64),
+            finished_weight[sel].astype(_np.int64),
+        )
     )
     # the gathers are spent: drop them before the sort allocates
     del finished_tgt, finished_weight, owner, lo, counts, sel
@@ -516,12 +529,13 @@ class CompiledTables:
 
     Immutable after construction, so one instance is safely shared
     across every session and shard localizing the same scenario.
-    Every table is stored once, in a flat :class:`array.array` buffer:
-    ``'q'`` for the operators and the row bounds, and for the closure
-    targets and weights the narrowest exact width
-    (:func:`_narrowest`).  The pure-Python kernels index them directly
-    and the numpy backend reads them through zero-copy read-only
-    views.  Built by
+    Every table is stored once, in a flat :class:`array.array` buffer
+    of the narrowest exact width (:func:`repro.core.arrays.narrowest`):
+    the operators and closure targets by the state count, the closure
+    weights by the largest column sum, the row bounds by the entry
+    count.  The pure-Python kernels index them directly and the numpy
+    backend reads them through zero-copy read-only views, widening
+    what it gathers to int64.  Built by
     :class:`TableRegistry`; the heavy part is the invisible-closure
     transitive path-count matrix, computed once here instead of being
     re-walked per observed symbol.
@@ -597,13 +611,13 @@ class CompiledTables:
             _INT64_MAX // growth if growth <= _INT64_MAX else 0
         )
         self._closure_views = (
-            tuple(_view(buf) for buf in (row_lo, row_hi, ctgt, cweight))
+            tuple(map(view, (row_lo, row_hi, ctgt, cweight)))
             if self._numpy and self.int64_limit
             else None
         )
 
         self.nbytes = sum(op.nbytes for op in operators) + sum(
-            _buffer_bytes(buf) for buf in (row_lo, row_hi, ctgt, cweight)
+            map(table_bytes, (row_lo, row_hi, ctgt, cweight))
         )
 
         # content-keyed step memo: sessions localizing the same
@@ -711,7 +725,7 @@ class CompiledTables:
                 weights=(weights >> 31).astype(_np.float64),
                 minlength=self.num_states,
             )
-            nz = _np.nonzero(lo_sum + hi_sum)[0]
+            nz = _np.flatnonzero((lo_sum + hi_sum) != 0)
             sums = (hi_sum[nz].astype(_np.int64) << 31) + lo_sum[nz].astype(
                 _np.int64
             )
@@ -720,8 +734,11 @@ class CompiledTables:
 
     def _advance_numpy(self, ids, vals, op: _Operator) -> _StepResult:
         src, tgt = op.views
-        lo = _np.searchsorted(src, ids, side="left")
-        hi = _np.searchsorted(src, ids, side="right")
+        # the live IDs in the operator's width: a needle of another
+        # dtype would make numpy cast the whole operator every step
+        needle = ids.astype(src.dtype, copy=False)
+        lo = _np.searchsorted(src, needle, side="left")
+        hi = _np.searchsorted(src, needle, side="right")
         counts = hi - lo
         total = int(counts.sum())
         if total == 0:
@@ -730,18 +747,25 @@ class CompiledTables:
                 perf.add("localize_kernel_edges", int(ids.size))
             return _StepResult((empty, empty), (empty, empty), 0)
         sel = expand_runs(lo, counts, total)
-        m_ids, m_vals = self._reduce(tgt[sel], _np.repeat(vals, counts))
-        # closure expansion over the matched states' precomputed rows
+        m_ids, m_vals = self._reduce(
+            tgt[sel].astype(_np.int64), _np.repeat(vals, counts)
+        )
+        # closure expansion over the matched states' precomputed rows,
+        # each gathered column widened to int64
         row_lo, row_hi, ctgt, cweight = self._closure_views
-        clo = row_lo[m_ids]
+        clo = row_lo[m_ids].astype(_np.int64)
         ccounts = row_hi[m_ids] - clo
         ctotal = int(ccounts.sum())
         if ctotal:
             csel = expand_runs(clo, ccounts, ctotal)
             c_ids, c_vals = self._reduce(
-                _np.concatenate((m_ids, ctgt[csel])),
+                _np.concatenate((m_ids, ctgt[csel].astype(_np.int64))),
                 _np.concatenate(
-                    (m_vals, cweight[csel] * _np.repeat(m_vals, ccounts))
+                    (
+                        m_vals,
+                        cweight[csel].astype(_np.int64)
+                        * _np.repeat(m_vals, ccounts),
+                    )
                 ),
             )
         else:

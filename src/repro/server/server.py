@@ -70,6 +70,7 @@ from repro import perf
 from repro.core.interleave import InterleavedFlow
 from repro.core.message import Message
 from repro.errors import ProtocolError, StoreError, StreamError
+from repro.owner import owned
 from repro.selection import kernels
 from repro.server import protocol
 from repro.server.shard import Reply, Shard
@@ -233,6 +234,10 @@ class DebugServer:
         #: health section so operators see them on STATS/metrics.
         #: Shard ops append and :meth:`health` reads, both on the loop.
         self._alerts: List[Dict[str, object]] = []
+        #: The thread :meth:`health` and :meth:`_alert` belong to, which
+        #: ``-X dev`` checks: this one until :meth:`start` hands the
+        #: server to the thread that runs it.
+        self._owner = threading.get_ident()
         self.host = self.config.host
         self.port = self.config.port
         self.metrics_port = self.config.metrics_port
@@ -249,7 +254,7 @@ class DebugServer:
             "store": self._store_stats,
             "shards": self._shard_stats,
             "runtime_cache": _runtime_cache_stats,
-            "localize_tables": lambda: kernels.default_registry().stats(),
+            "localize_tables": self._table_stats,
         }
         for name, section in sections.items():
             try:
@@ -257,6 +262,14 @@ class DebugServer:
             except Exception as exc:  # a scrape must never take the
                 payload[name] = {"error": str(exc)}  # service down
         return payload
+
+    def _table_stats(self) -> Dict[str, object]:
+        """The shared table registry's counters, plus ``product_bytes``:
+        what the served product's integer tables hold."""
+        return dict(
+            kernels.default_registry().stats(),
+            product_bytes=self.context.interleaved.nbytes,
+        )
 
     def _server_stats(self) -> Dict[str, object]:
         wire_bytes = self.metrics.get("compressed_wire_bytes")
@@ -292,11 +305,13 @@ class DebugServer:
             ]
         }
 
+    @owned
     def health(self) -> Dict[str, object]:
         """Readiness summary: ``ok`` serves durably, ``degraded``
         serves with at least one shard in memory-only mode,
         ``draining`` refuses new work.  Runs on the event loop; another
-        thread asks through :meth:`ServerThread.call` or STATS."""
+        thread asks through :meth:`ServerThread.call` or STATS (under
+        ``python -X dev`` a call from another thread raises)."""
         degraded = [s.index for s in self._shards if s.degraded]
         if self._draining:
             status = "draining"
@@ -310,6 +325,7 @@ class DebugServer:
             "alerts": [dict(alert) for alert in self._alerts],
         }
 
+    @owned
     def _alert(self, kind: str, **fields: object) -> None:
         """Record one structured operational alert (bounded buffer)."""
         alert: Dict[str, object] = {"kind": kind}
@@ -372,6 +388,7 @@ class DebugServer:
         """
         if self._server is not None:
             raise StreamError("server already started")
+        self._owner = threading.get_ident()
         self._shards = [
             Shard(
                 i, self.context, self.config, metrics=self.metrics,

@@ -24,16 +24,20 @@ transparently revived when the client comes back.
 
 All mutating calls happen in the owning shard's ops, which the server
 runs one at a time on its event loop, so the store needs no locking of
-its own.
+its own.  A store belongs to the thread that built it (the server's
+loop thread); under ``python -X dev`` a method called from any other
+thread raises :class:`RuntimeError` (:func:`repro.owner.owned`).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import StoreError
+from repro.owner import owned
 from repro.store import snapshot as snapshot_mod
 from repro.store import wal
 
@@ -126,6 +130,8 @@ class SessionStore:
         self.fsync = fsync
         self.fsync_interval_s = fsync_interval_s
         self.snapshot_every = snapshot_every
+        #: The building thread, which ``-X dev`` checks.
+        self._owner = threading.get_ident()
         self._writer: Optional[wal.WalWriter] = None
         self._spilled: Dict[str, dict] = {}
         self._feeds_since_snapshot = 0
@@ -139,6 +145,7 @@ class SessionStore:
 
     # ------------------------------------------------------------------
     # lifecycle
+    @owned
     def open(self) -> RecoveredShard:
         """Read the directory once (:func:`recover_directory`), repair
         it to the trusted prefix that read found, and start the WAL
@@ -165,6 +172,7 @@ class SessionStore:
                 self._spilled[state["session_id"]] = state
         return recovered
 
+    @owned
     def close(self) -> None:
         if self._writer is not None:
             self._writer.close()
@@ -175,6 +183,7 @@ class SessionStore:
 
     # ------------------------------------------------------------------
     # WAL logging (called before the in-memory apply)
+    @owned
     def log_open(
         self,
         session_id: str,
@@ -198,6 +207,7 @@ class SessionStore:
             ),
         )
 
+    @owned
     def log_feed(
         self, session_id: str, chunk_index: int, data: bytes, eof: bool
     ) -> int:
@@ -213,6 +223,7 @@ class SessionStore:
         self._feeds_since_snapshot += 1
         return lsn
 
+    @owned
     def log_close(self, session_id: str) -> int:
         import json
 
@@ -232,12 +243,14 @@ class SessionStore:
 
     # ------------------------------------------------------------------
     # snapshots + compaction
+    @owned
     def should_snapshot(self) -> bool:
         return (
             self.snapshot_every > 0
             and self._feeds_since_snapshot >= self.snapshot_every
         )
 
+    @owned
     def write_snapshot(
         self,
         sessions: List[dict],
@@ -278,16 +291,19 @@ class SessionStore:
 
     # ------------------------------------------------------------------
     # eviction spill
+    @owned
     def spill(self, state: dict) -> None:
         """Park an evicted session's captured state until it is revived
         or folded into the next snapshot."""
         self._spilled[state["session_id"]] = state
         self.spills += 1
 
+    @owned
     def peek_spilled(self, session_id: str) -> Optional[dict]:
         """A spilled session's state, left parked."""
         return self._spilled.get(session_id)
 
+    @owned
     def take_spilled(self, session_id: str) -> Optional[dict]:
         """Claim a spilled session's state (revival path)."""
         state = self._spilled.pop(session_id, None)
@@ -295,12 +311,15 @@ class SessionStore:
             self.revivals += 1
         return state
 
+    @owned
     def drop_spilled(self, session_id: str) -> None:
         self._spilled.pop(session_id, None)
 
+    @owned
     def spilled_ids(self) -> Tuple[str, ...]:
         return tuple(sorted(self._spilled))
 
+    @owned
     def spilled_tokens(self) -> Dict[str, Optional[str]]:
         """The open token of every spilled session (``None`` for a
         session opened without one)."""
@@ -309,6 +328,7 @@ class SessionStore:
         }
 
     # ------------------------------------------------------------------
+    @owned
     def stats(self) -> Dict[str, object]:
         writer = self._writer.stats() if self._writer is not None else {}
         return {

@@ -42,8 +42,6 @@ from __future__ import annotations
 
 import base64
 import codecs
-import functools
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -60,6 +58,7 @@ from typing import (
 from repro.core.interleave import InterleavedFlow
 from repro.core.message import Message
 from repro.errors import FrontierOverflowError, StreamError
+from repro.owner import owned
 from repro.selection.localization import LocalizationResult, PathLocalizer
 from repro.sim.engine import TraceRecord
 from repro.stream.incremental import IncrementalLocalizer, Observable
@@ -160,26 +159,6 @@ class StreamSession:
         return records
 
 
-def _owned(method: Callable) -> Callable:
-    """Under ``python -X dev``, make *method* refuse a call from any
-    thread but the one that built the manager; otherwise *method*
-    itself, so a plain run pays nothing for the check."""
-    if not sys.flags.dev_mode:
-        return method
-
-    @functools.wraps(method)
-    def checked(self: "SessionManager", *args, **kwargs):
-        if self._owner != threading.get_ident():
-            raise RuntimeError(
-                f"SessionManager.{method.__name__} called from thread "
-                f"{threading.get_ident()}; the manager belongs to thread "
-                f"{self._owner}, which built it"
-            )
-        return method(self, *args, **kwargs)
-
-    return checked
-
-
 class SessionManager:
     """Multiplexes many incremental localization sessions.
 
@@ -230,7 +209,8 @@ class SessionManager:
         )
         self._spill = spill
         self._clock = clock
-        #: The building thread, which ``-X dev`` checks (see :func:`_owned`).
+        #: The building thread, which ``-X dev`` checks
+        #: (:func:`repro.owner.owned`).
         self._owner = threading.get_ident()
         self._sessions: Dict[str, StreamSession] = {}
         self._next_id = 0
@@ -246,7 +226,7 @@ class SessionManager:
     def shared_localizer(self) -> PathLocalizer:
         return self._shared
 
-    @_owned
+    @owned
     def warm(self) -> "SessionManager":
         """Pre-build the shared localizer's lazy DP tables that the
         default mode's sessions read, so the first ``open``/``feed``
@@ -263,19 +243,19 @@ class SessionManager:
             self._shared.warm()
         return self
 
-    @_owned
+    @owned
     def session_ids(self) -> Tuple[str, ...]:
         return tuple(self._sessions)
 
-    @_owned
+    @owned
     def session(self, session_id: str) -> StreamSession:
         return self._get(session_id)
 
-    @_owned
+    @owned
     def __len__(self) -> int:
         return len(self._sessions)
 
-    @_owned
+    @owned
     def stats(self) -> Dict[str, int]:
         """Lifetime counters (for the service metrics plane)."""
         return {
@@ -290,7 +270,7 @@ class SessionManager:
         }
 
     # ------------------------------------------------------------------
-    @_owned
+    @owned
     def open(
         self,
         session_id: Optional[str] = None,
@@ -306,7 +286,7 @@ class SessionManager:
         }
         return self.adopt(entry).session_id
 
-    @_owned
+    @owned
     def adopt(
         self, entry: Mapping[str, object], capped: bool = True
     ) -> StreamSession:
@@ -379,14 +359,14 @@ class SessionManager:
         self._opened += 1
         return session
 
-    @_owned
+    @owned
     def export_session(self, session_id: str) -> dict:
         """A session's durable entry as a JSON-able dict: status,
         chunk cursor, ingest state and localizer DP -- the inverse of
         :meth:`adopt`."""
         return self._export(self.session(session_id))
 
-    @_owned
+    @owned
     def feed(
         self,
         session_id: str,
@@ -404,7 +384,7 @@ class SessionManager:
         """
         return self._feed(self.session(session_id), records, drop_invisible)
 
-    @_owned
+    @owned
     def feed_chunk(
         self,
         session_id: str,
@@ -429,17 +409,17 @@ class SessionManager:
         session.next_chunk = chunk_index + 1
         return records, outcome
 
-    @_owned
+    @owned
     def snapshot(self, session_id: str) -> LocalizationResult:
         """The session's current localization (batch-identical)."""
         return self.session(session_id).localizer.snapshot()
 
-    @_owned
+    @owned
     def close(self, session_id: str) -> Dict[str, object]:
         """Close a session; returns its summary."""
         return self._retire(self.session(session_id), CLOSED)
 
-    @_owned
+    @owned
     def quarantine(self, session_id: str) -> Dict[str, object]:
         """Forcibly retire a session whose input stream proved
         poisonous (repeated feed failures).  Unlike :meth:`close`, the
@@ -452,7 +432,7 @@ class SessionManager:
         session.status = ACTIVE
         return self._retire(session, QUARANTINED)
 
-    @_owned
+    @owned
     def evict_idle(self, now: Optional[float] = None) -> Tuple[str, ...]:
         """Retire sessions idle for longer than ``idle_timeout_s``.
 

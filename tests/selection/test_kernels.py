@@ -27,6 +27,7 @@ from repro.errors import FrontierOverflowError, SelectionError
 from repro.selection import kernels
 from repro.selection.kernels import TableRegistry, table_fingerprint
 from repro.selection.localization import PathLocalizer
+from tests.backends import route
 from tests.selection import bruteforce
 from tests.strategies import scenarios
 
@@ -600,9 +601,13 @@ def sc2x2():
 
 
 def table_buffers(tables):
-    """Every flat buffer a compiled table set holds."""
+    """Every flat buffer a compiled table set holds: the closure's, then
+    the operators' by message ID and by plain message name."""
+    operators = sorted(tables.op_by_mid.items()) + sorted(
+        (message.name, op) for message, op in tables.op_by_plain.items()
+    )
     buffers = [tables._row_lo, tables._row_hi, tables._ctgt, tables._cweight]
-    for op in (*tables.op_by_mid.values(), *tables.op_by_plain.values()):
+    for _, op in operators:
         buffers += [op.src, op.tgt]
     return buffers
 
@@ -641,9 +646,12 @@ class TestTableResidency:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # the final buffers plus the compile's bounded intermediates: a
-        # level compiled in one piece peaks above this
-        assert peak <= 2 * tables.nbytes
+        # the final buffers plus the compile's bounded working set (a
+        # few int64 arrays over the states and edges, and per chunk a
+        # bounded gather): a level compiled in one piece peaks above
+        # this, whatever widths the tables are stored in
+        working = 8 * (interleaved.num_states + interleaved.num_transitions)
+        assert peak <= tables.nbytes + 4 * working
 
     @pytest.mark.parametrize("variant", BACKENDS)
     def test_closure_weights_beyond_int64_stay_exact(
@@ -652,7 +660,7 @@ class TestTableResidency:
         # a chain of k invisible diamonds has 2^k invisible paths; its
         # largest closure column sum, 2^(k+2) - 4, crosses 2^31 between
         # k = 29 and k = 30, where the weights leave four bytes (the
-        # 3k + 3 state targets stay in four), leaves int64 at k = 62
+        # 3k + 3 state targets stay in one), leaves int64 at k = 62
         # and its largest weight at k = 63.  The numpy compile
         # runs only while that column sum, counted in float64, stays
         # below 2^62: k <= 59 compiles on numpy, k >= 61 takes the
@@ -682,7 +690,7 @@ class TestTableResidency:
             assert max(tables._cweight) == 2**diamonds
             assert isinstance(tables._cweight, list) == (diamonds >= 63)
             column = 2 ** (diamonds + 2) - 4
-            assert tables._ctgt.typecode == "i"
+            assert tables._ctgt.typecode == "B"
             if diamonds < 63:
                 assert tables._cweight.typecode == "iq"[column >= 2**31]
             assert tables.int64_limit == (
@@ -726,3 +734,131 @@ def diamond_chain(diamonds):
     )
     interleaved = interleave_flows([flow], copies=1)
     return interleaved, MessageCombination([a, f]), a, f
+
+
+#: The body lengths of :func:`chain_flow` whose widest table lands in
+#: each width class: the state IDs pass 2^8 from about 256 states, and
+#: with an untraced body the closure's row bounds pass 2^16 from about
+#: 363 states, where the closure holds every ordered pair of states.
+WIDTH_BODIES = {"B": (2, 12), "H": (260, 340), "i": (380, 420)}
+
+WIDTH_ORDER = "BHiq"
+
+
+def chain_flow(length, diamonds, pool):
+    """A visible entry ``a``, a body of *length* segments labelled from
+    *pool* in turn (each segment in *diamonds* forks into two arms that
+    join again), a visible exit ``f``.
+
+    Returns ``(flow, a, f)``: ``2**len(diamonds)`` paths.
+    """
+    a, f = Message("a", 1), Message("f", 1)
+    transitions = [Transition("in", a, "n0")]
+    for k in range(length):
+        label = pool[k % len(pool)]
+        here, there = f"n{k}", f"n{k + 1}"
+        arms = [f"l{k}", f"r{k}"] if k in diamonds else []
+        transitions += [Transition(here, label, arm) for arm in arms]
+        transitions += [Transition(arm, label, there) for arm in arms]
+        if not arms:
+            transitions.append(Transition(here, label, there))
+    transitions.append(Transition(f"n{length}", f, "out"))
+    states = sorted({s for t in transitions for s in (t.source, t.target)})
+    flow = Flow("Chain", states, ["in"], ["out"], transitions)
+    return flow, a, f
+
+
+def product_layout(product):
+    """Typecode and bytes of every integer table a product keeps."""
+    offsets, messages, targets = product.csr_adjacency()
+    return [
+        (buf.typecode, buf.tobytes())
+        for buf in (
+            product._codes, offsets, messages, targets,
+            product.paths_to_stop_ids(),
+        )
+    ]
+
+
+def tables_layout(tables):
+    """Typecode and bytes of every buffer of a compiled table set."""
+    return [(buf.typecode, buf.tobytes()) for buf in table_buffers(tables)]
+
+
+class TestTableWidths:
+    """Products whose widest table lands in each width class: both
+    routes lay out the same bytes in the same widths, and the kernels
+    still match brute-force enumeration."""
+
+    @pytest.mark.parametrize("width", sorted(WIDTH_BODIES))
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_widths_agree_and_match_enumeration(self, width, data):
+        lo, hi = WIDTH_BODIES[width]
+        length = data.draw(st.integers(lo, hi), label="length")
+        diamonds = data.draw(
+            st.sets(st.integers(0, length - 1), max_size=3), label="diamonds"
+        )
+        pool = [Message(f"m{i}", 1) for i in range(data.draw(st.integers(1, 3)))]
+        flow, a, f = chain_flow(length, diamonds, pool)
+        # a class-i product needs an untraced body: its closure then
+        # holds every ordered pair of states
+        shown = [] if width == "i" else data.draw(
+            st.lists(st.sampled_from(pool), unique=True), label="shown"
+        )
+        traced = MessageCombination([a, f, *shown])
+
+        layouts = []
+        for name in BACKENDS:
+            with route(name):
+                layouts.append(product_layout(interleave_flows([flow])))
+        product = interleave_flows([flow])
+        localizers = {
+            variant: make_localizer(product, traced, variant)
+            for variant in VARIANTS
+        }
+        for name in BACKENDS:
+            layouts.append(tables_layout(localizers[name]._compiled_tables()))
+        product_layouts, tables_layouts = (
+            layouts[:len(BACKENDS)], layouts[len(BACKENDS):]
+        )
+        assert all(layout == product_layouts[0] for layout in product_layouts)
+        assert all(layout == tables_layouts[0] for layout in tables_layouts)
+        codes = [code for code, _ in product_layouts[0] + tables_layouts[0]]
+        assert max(codes, key=WIDTH_ORDER.index) == width
+        if "numpy" in localizers:
+            # narrow tables, int64 frontiers: the memo keys are unchanged
+            localizer = localizers["numpy"]
+            tables = localizer._compiled_tables()
+            step = tables.advance(
+                tables.scatter(localizer.initial_frontier().closed),
+                tables.op_by_plain[a],
+            )
+            assert step.size > 0
+            for ids, weights in (step.matched, step.closed):
+                assert ids.dtype == weights.dtype == "int64"
+
+        rng = data.draw(st.randoms(use_true_random=False), label="rng")
+        observed = list(
+            project_trace(product.random_execution(rng).messages, traced)
+        )
+        cuts = sorted(
+            {0, len(observed), rng.randint(0, len(observed))}
+        )
+        visible = set(traced)
+        paths = bruteforce.projections(product, visible)
+        expected = [
+            bruteforce.frontier_maps(product, visible, observed[:cut])
+            + bruteforce.prefix_and_exact_counts(paths, observed[:cut])
+            for cut in cuts
+        ]
+        for localizer in localizers.values():
+            frontier, done = localizer.initial_frontier(), 0
+            for cut, (matched, closed, prefix, exact) in zip(cuts, expected):
+                frontier = localizer.advance_many(
+                    frontier, observed[done:cut]
+                ).frontier
+                done = cut
+                assert (frontier.matched, frontier.closed) == (matched, closed)
+                assert localizer.prefix_count(frontier) == prefix
+                assert localizer.exact_count(frontier) == exact

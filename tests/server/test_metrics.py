@@ -120,6 +120,7 @@ def test_server_exports_localize_table_stats(context):
     ):
         assert key in tables
     assert tables["backend"] in ("numpy", "python")
+    assert tables["product_bytes"] == context.interleaved.nbytes
 
 
 def test_perf_activate_deactivate_is_idempotent():

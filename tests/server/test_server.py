@@ -7,6 +7,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -798,6 +799,34 @@ def test_call_runs_on_the_loop_and_refuses_a_server_not_running(
         with pytest.raises(StreamError, match="not running"):
             thread.call(lambda: None)
     failed.stop()  # returns at once: there is no loop to release
+
+
+@pytest.mark.skipif(
+    not sys.flags.dev_mode, reason="the owner check runs under python -X dev"
+)
+def test_dev_mode_refuses_loop_state_read_off_the_loop(context, tmp_path):
+    # the alerts and a shard's store belong to the loop's thread: a
+    # read from this thread raises, the same read through call passes
+    handle = start_server(
+        context, ServerConfig(shards=1, data_dir=str(tmp_path), fsync="off")
+    )
+    try:
+        server = handle.server
+        store = server.shard_for("s").store
+        reads = {
+            "DebugServer.health": server.health,
+            "DebugServer._alert": lambda: server._alert("probe"),
+            "SessionStore.stats": store.stats,
+            "SessionStore.spilled_ids": store.spilled_ids,
+        }
+        for name, read in reads.items():
+            with pytest.raises(RuntimeError, match=f"{name} called from"):
+                read()
+            handle.thread.call(read)
+        health = handle.thread.call(server.health)
+        assert [alert["kind"] for alert in health["alerts"]] == ["probe"]
+    finally:
+        handle.thread.stop()
 
 
 def test_two_servers_in_one_process_count_only_their_own_work(context):
