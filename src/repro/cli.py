@@ -1096,8 +1096,10 @@ def build_parser() -> argparse.ArgumentParser:
     served.add_argument("--port", type=int, default=0,
                         help="TCP port (0 = ephemeral, printed on start)")
     served.add_argument("--shards", type=int, default=2,
-                        help="worker shards (sessions are routed by "
-                        "consistent hash)")
+                        help="session shards, each a session table "
+                        "and (with --data-dir) a store; sessions are "
+                        "routed by consistent hash, and every shard "
+                        "runs on the server's one event-loop thread")
     served.add_argument("--max-sessions", type=int, default=64,
                         help="admission control: open-session cap")
     served.add_argument("--idle-timeout", type=float, default=300.0,

@@ -36,12 +36,15 @@ and an id that is not UTF-8, with a ``protocol`` error.  Only
 bits belong to one request type each (:data:`REQUEST_FLAGS`), and a
 bit a type does not know is a ``protocol`` error: bit 0 of a FEED
 marks end-of-stream (the server flushes a trailing partial line); on
-an OPEN, bit 2 asks the server to generate the id (``sid_len`` is then
-0) and bits 3, 4 and 5 announce the open token, the transport (absent:
-``text``) and the localization mode (absent: the server's), each a
-``u8`` length and that many bytes of UTF-8.  A SNAPSHOT or CLOSE for a
-17-byte id takes 23 bytes, 4 of them the deadline.  ``FEED_CHUNK``'s
-data is raw bytes, so compressed-trace chunks never pay a base64 tax.
+an OPEN, bits 3, 4 and 5 announce the open token, the transport
+(absent: ``text``) and the localization mode (absent: the server's),
+each a ``u8`` length and that many bytes of UTF-8, and bit 2 asks the
+server to generate the id (``sid_len`` is then 0).  Such an OPEN must
+carry a token of 1..254 bytes: its session is named ``"g" + token``
+(:attr:`OpenRequest.effective_id`), so a retry of it reaches the same
+session.  A SNAPSHOT or CLOSE for a 17-byte id takes 23 bytes, 4 of
+them the deadline.  ``FEED_CHUNK``'s data is raw bytes, so
+compressed-trace chunks never pay a base64 tax.
 
 ``chunk_index`` makes feeds idempotent: the server tracks the next
 expected index per session, acknowledges duplicates without
@@ -135,7 +138,8 @@ FLAG_EOF = 0x01
 #: absolute -- so clocks never need agreement and a retransmit
 #: restarts the budget on delivery.
 FLAG_DEADLINE = 0x02
-#: An OPEN names no session (``sid_len`` 0): the server generates one.
+#: An OPEN names no session (``sid_len`` 0): it is named after the
+#: token the OPEN must then carry (:attr:`OpenRequest.effective_id`).
 FLAG_NEW_ID = 0x04
 #: An OPEN carries its open token, its transport and its mode.
 FLAG_TOKEN = 0x08
@@ -519,15 +523,34 @@ def decode_session_payload(
 @dataclass(frozen=True)
 class OpenRequest:
     """One decoded ``OPEN_SESSION`` request.  ``session_id`` is
-    ``None`` when the server is to generate it, ``mode`` when the
-    server's default applies, and ``deadline_ms`` when the request
-    carries none."""
+    ``None`` when the server is to name the session after ``token``,
+    ``mode`` when the server's default applies, and ``deadline_ms``
+    when the request carries none."""
 
     session_id: Optional[str]
     token: Optional[str] = None
     transport: str = DEFAULT_TRANSPORT
     mode: Optional[str] = None
     deadline_ms: Optional[int] = None
+
+    @property
+    def effective_id(self) -> str:
+        """The session this OPEN opens or resumes: the id it names, or
+        ``"g" + token`` for an id-less OPEN, whose retry then names the
+        same session (:func:`_check_new_id_token`)."""
+        return self.session_id or "g" + self.token
+
+
+def _check_new_id_token(token: Optional[str]) -> None:
+    """Refuse an OPEN that asks for a new id without a token the id can
+    be made of: :attr:`OpenRequest.effective_id` is ``"g" + token``,
+    which must fit a 255-byte id, so the token takes 1..254 bytes."""
+    size = None if token is None else len(token.encode("utf-8"))
+    if size is None or not 1 <= size <= 0xFE:
+        raise ProtocolError(
+            "an OPEN that asks for a new session id needs a token of "
+            f"1..254 bytes, got {'none' if size is None else size}"
+        )
 
 
 def encode_open_payload(
@@ -538,8 +561,9 @@ def encode_open_payload(
     deadline_ms: Optional[int] = None,
 ) -> bytes:
     """Binary ``OPEN_SESSION`` payload: the head (no id when
-    *session_id* is ``None``), then the token, a transport other than
-    :data:`DEFAULT_TRANSPORT` and the mode, each only when given."""
+    *session_id* is ``None``, which needs a *token* of 1..254 bytes),
+    then the token, a transport other than :data:`DEFAULT_TRANSPORT`
+    and the mode, each only when given."""
     if session_id is None:
         flags, sid = FLAG_NEW_ID, b""
     else:
@@ -555,6 +579,8 @@ def encode_open_payload(
             raw = _utf8(given[name], name)
             flags |= flag
             fields += bytes((len(raw),)) + raw
+    if session_id is None:
+        _check_new_id_token(token)
     return _head(sid, flags, deadline_ms) + fields
 
 
@@ -567,6 +593,8 @@ def decode_open_payload(payload: bytes) -> OpenRequest:
         if flags & flag:
             fields[name], pos = _text(payload, pos, name, where)
     _ended(payload, pos, where)
+    if sid is None:
+        _check_new_id_token(fields.get("token"))
     return OpenRequest(sid, deadline_ms=deadline_ms, **fields)
 
 

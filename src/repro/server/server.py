@@ -20,12 +20,14 @@ Architecture::
   thread of its own: it is bound by the interpreter lock, so a thread
   per shard would add two thread hand-offs per op and a malloc arena
   per thread, and no parallelism.
-* **Admission control** -- a request is answered with a structured
-  ``RETRY_LATER`` frame, never stalled or dropped, when it would add a
-  live session (an OPEN, or a request that revives a spilled session)
-  to a table at the global open-session cap once idle sessions are
-  evicted, when the server drains, or when its deadline has passed by
-  the time its op would run.  A
+* **Admission control** -- one rule, :meth:`DebugServer._make_room`,
+  decides whether a request may add a live session: an OPEN of an id
+  its shard does not hold live, or a FEED or SNAPSHOT that revives a
+  spilled session.  It evicts idle sessions on every shard, then
+  refuses at the global open-session cap.  A request is answered with
+  a structured ``RETRY_LATER`` frame, never stalled or dropped, when
+  that rule refuses it, when the server drains, or when its deadline
+  has passed by the time its op would run.  A
   ``RETRY_LATER`` always means the request had no effect.  A deadline
   counts from the socket read that carried the frame: it covers the
   earlier frames of that read, not the ops of other connections that
@@ -36,7 +38,8 @@ Architecture::
   control bounds each connection.
 * **Idle eviction** -- a sweeper task periodically retires sessions
   nobody fed (on the event loop, between two ops, so it serializes
-  with every shard's operations).
+  with every shard's operations), and admission retires them before
+  it counts the table.
 * **Graceful drain** -- SIGINT/SIGTERM stop the accept loop and
   refuse new work; every admitted op has already run, so the shard
   cores shut down and each connection closes once its replies flush.
@@ -62,7 +65,6 @@ import signal
 import threading
 import time
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -223,11 +225,6 @@ class DebugServer:
         self._draining = False
         self._stopped = False
         self._started_at = 0.0
-        self._session_counter = 0
-        #: The id generated for each id-less OPEN's token, oldest first
-        #: and at most ``max_sessions`` of them: a retry of that OPEN
-        #: goes to the same id (event loop only).
-        self._generated: "OrderedDict[str, str]" = OrderedDict()
         self._recovery: Dict[str, object] = {}
         #: Structured operational alerts (WAL degradation, snapshot
         #: failures, quarantines) -- newest last, bounded, served in the
@@ -393,7 +390,6 @@ class DebugServer:
             Shard(
                 i, self.context, self.config, metrics=self.metrics,
                 alert=self._alert,
-                session_counter=lambda: self._session_counter,
             )
             for i in range(self.config.shards)
         ]
@@ -665,7 +661,7 @@ class DebugServer:
         when the client sent none).
 
         Raises :class:`ProtocolError` for malformed payloads and
-        :class:`StreamError` for global-capacity refusals (mapped to
+        :class:`StreamError` when :meth:`_make_room` refuses (mapped to
         ``RETRY_LATER`` by the caller).
         """
         kind = frame.frame_type
@@ -687,13 +683,13 @@ class DebugServer:
                     f"unknown transport {request.transport!r}; choose "
                     f"{' or '.join(TRANSPORTS)}"
                 )
-            sid = request.session_id
-            if sid is None:
-                sid = self._generated_id(request.token)
+            sid = request.effective_id
             shard = self.shard_for(sid)
-            # a retried OPEN whose first attempt made the session adds
-            # none, so the cap must not refuse it
-            if not shard.opened_with(sid, request.token):
+            # a live id adds no session: the OPEN is a retry or is
+            # refused session-exists.  Admission must not evict its
+            # idle session, which the OPEN would then revive for any
+            # token
+            if sid not in shard.manager:
                 self._make_room()
             return (
                 lambda: shard.open(
@@ -716,34 +712,14 @@ class DebugServer:
         return sum(len(shard.manager) for shard in self._shards)
 
     def _make_room(self) -> None:
-        """Admit one more live session under ``max_sessions``, evicting
-        idle sessions first when the table is full, as
-        :meth:`SessionManager.adopt` does on one shard; raises
-        :class:`StreamError` when no slot is free."""
-        if self._live_sessions() < self.config.max_sessions:
-            return
+        """The server's one admission rule, run before every request
+        that would add a live session: evict idle sessions on every
+        shard, then raise :class:`StreamError` when the table still
+        holds ``max_sessions``."""
         for shard in self._shards:
             shard.manager.evict_idle()
         if self._live_sessions() >= self.config.max_sessions:
             raise StreamError("session-table-full")
-
-    def _generated_id(self, token: Optional[str]) -> str:
-        """The id for an OPEN that names none: the id generated for its
-        token before when it is a retry, else a fresh ``g%06d`` id."""
-        sid = self._generated.get(token) if token is not None else None
-        if sid is None:
-            self._session_counter += 1
-            sid = f"g{self._session_counter:06d}"
-            if token is not None:
-                self._remember(token, sid)
-        return sid
-
-    def _remember(self, token: str, sid: str) -> None:
-        """Record the id generated for *token*, forgetting the oldest
-        beyond ``max_sessions``."""
-        self._generated[token] = sid
-        while len(self._generated) > self.config.max_sessions:
-            self._generated.popitem(last=False)
 
     # -- durability (repro.store) ---------------------------------------
     def _recover_from_store(self) -> None:
@@ -784,12 +760,6 @@ class DebugServer:
                     f"{len(self._shards)} -- session routing would break"
                 )
         recovered = [shard.recover() for shard in self._shards]
-        self._session_counter = max(
-            [self._session_counter] + [r.session_counter for r in recovered]
-        )
-        # a retry of an OPEN acked before the restart finds its id again
-        for token, sid in (pair for r in recovered for pair in r.generated):
-            self._remember(token, sid)
         self._recovery = {
             "sessions": sum(r.sessions for r in recovered),
             "replayed_records": sum(r.replayed_records for r in recovered),

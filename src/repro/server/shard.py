@@ -8,7 +8,10 @@ shard to memory-only for good.  It also spills and revives idle
 sessions, answers a retried OPEN whose token matches the live session
 with ``resumed: true``, recovers (the newest snapshot, then the WAL
 tail through :meth:`~repro.stream.session.SessionManager.feed_chunk`,
-the apply path live FEEDs take) and shuts down.
+the apply path live FEEDs take) and shuts down.  It never refuses for
+capacity: the server decides whether a request may add a live
+session before it calls the op (:meth:`~repro.server.server.
+DebugServer._make_room`).
 
 Each op method answers one request with ``(frame type, payload)``.
 The core has no transport: the asyncio server calls its ops one at a
@@ -54,13 +57,6 @@ def _error(code: str, message: str, **extra: object) -> Reply:
     return protocol.ERROR, protocol.error_payload(code, message, **extra)
 
 
-def _table_full() -> Reply:
-    return (
-        protocol.RETRY_LATER,
-        protocol.retry_later_payload("session-table-full"),
-    )
-
-
 def _unknown_session(sid: str) -> Reply:
     return _error(
         "unknown-session",
@@ -69,35 +65,21 @@ def _unknown_session(sid: str) -> Reply:
     )
 
 
-def _generated_number(sid: str) -> int:
-    """The counter value behind a server-generated id (``g000042`` is
-    42); 0 for any other id."""
-    return int(sid[1:]) if sid.startswith("g") and sid[1:].isdigit() else 0
-
-
 @dataclass(frozen=True)
 class ShardRecovery:
     """The one report of :meth:`Shard.recover`: live plus revivable
-    spilled sessions, the WAL records replayed, the store's
-    diagnostics, each prefixed with the shard's directory name, the
-    highest generated-id counter the store has seen (so a restarted
-    server never issues a durable id again), and the ``(token, id)``
-    pair of every recovered session with a generated id and an open
-    token (so a retry of its OPEN finds it again)."""
+    spilled sessions, the WAL records replayed, and the store's
+    diagnostics, each prefixed with the shard's directory name."""
 
     sessions: int
     replayed_records: int
     diagnostics: Tuple[str, ...]
-    session_counter: int
-    generated: Tuple[Tuple[str, str], ...]
 
 
 class Shard:
     """Shard *index* of a server with *config* serving *context*; a
     ``config.data_dir`` makes it durable.  The ops count into
-    *metrics*, raise alerts as ``alert(kind, **fields)``, and every
-    snapshot records the server's generated-id counter, read through
-    *session_counter*.
+    *metrics* and raise alerts as ``alert(kind, **fields)``.
     """
 
     def __init__(
@@ -107,20 +89,17 @@ class Shard:
         config: "ServerConfig",
         metrics: Optional[perf.PerfCounters] = None,
         alert: Optional[Callable[..., None]] = None,
-        session_counter: Callable[[], int] = lambda: 0,
     ) -> None:
         self.index = index
         self.context = context
         self.config = config
         self.metrics = metrics if metrics is not None else perf.PerfCounters()
         self._alert = alert if alert is not None else (lambda kind, **_: None)
-        self._session_counter = session_counter
         self.manager = SessionManager(
             context.interleaved,
             context.traced,
             mode=context.mode,
             limits=SessionLimits(
-                max_sessions=config.max_sessions,
                 max_frontier=context.max_frontier,
                 idle_timeout_s=config.idle_timeout_s,
             ),
@@ -159,12 +138,11 @@ class Shard:
     def opened_with(self, sid: str, token: Optional[str]) -> bool:
         """Whether the live session *sid* was opened with *token*: an
         OPEN carrying it is a retry and adds no session."""
-        if token is None:
-            return False
-        try:
-            return self.manager.session(sid).token == token
-        except StreamError:
-            return False
+        return (
+            token is not None
+            and sid in self.manager
+            and self.manager.session(sid).token == token
+        )
 
     # -- ops -----------------------------------------------------------
     def open(
@@ -184,8 +162,6 @@ class Shard:
                     sid, mode=mode, transport=transport, token=token
                 )
         except StreamError as exc:
-            if "table full" in str(exc):
-                return _table_full()
             return _error("session-exists", str(exc))
         except SelectionError as exc:
             return _error("bad-request", str(exc))
@@ -215,10 +191,7 @@ class Shard:
     def feed(
         self, sid: str, chunk_index: int, data: bytes, eof: bool = False
     ) -> Reply:
-        try:
-            session = self._session(sid)
-        except StreamError:
-            return _table_full()
+        session = self._session(sid)
         if session is None:
             return _unknown_session(sid)
         if chunk_index < session.next_chunk:
@@ -335,10 +308,7 @@ class Shard:
         )
 
     def snapshot(self, sid: str) -> Reply:
-        try:
-            session = self._session(sid)
-        except StreamError:
-            return _table_full()
+        session = self._session(sid)
         if session is None:
             return _unknown_session(sid)
         result = self.manager.snapshot(sid)
@@ -357,9 +327,7 @@ class Shard:
         )
 
     def close(self, sid: str) -> Reply:
-        # a spilled session leaves the table in the op that revives
-        # it, so a CLOSE needs no free slot
-        if self._session(sid, capped=False) is None:
+        if self._session(sid) is None:
             return _unknown_session(sid)
         summary = self.manager.close(sid)
         self._log_close(sid)
@@ -417,26 +385,21 @@ class Shard:
         request for it revives it."""
         return self.durable and self.store.peek_spilled(sid) is not None
 
-    def _session(
-        self, sid: str, capped: bool = True
-    ) -> Optional[StreamSession]:
+    def _session(self, sid: str) -> Optional[StreamSession]:
         """The live session *sid*, revived first if it was spilled;
         ``None`` when the shard holds neither.  See :meth:`_revive`."""
-        try:
+        if sid in self.manager:
             return self.manager.session(sid)
-        except StreamError:
-            return self._revive(sid, capped)
+        return self._revive(sid)
 
-    def _revive(
-        self, sid: str, capped: bool = True
-    ) -> Optional[StreamSession]:
+    def _revive(self, sid: str) -> Optional[StreamSession]:
         """Bring a spilled session back live; ``None`` when it is not
-        spilled.  *capped*, a full table raises
-        :class:`~repro.errors.StreamError` and leaves it spilled."""
+        spilled.  The entry leaves the spill map only once it is live,
+        so an adopt that raises leaves it parked."""
         entry = self.store.peek_spilled(sid) if self.durable else None
         if entry is None:
             return None
-        session = self.manager.adopt(entry, capped=capped)
+        session = self.manager.adopt(entry)
         self.store.take_spilled(sid)
         return session
 
@@ -450,7 +413,6 @@ class Shard:
             fingerprint=self.fingerprint,
             scenario=self.context.name,
             mode=self.context.mode,
-            session_counter=self._session_counter(),
         )
 
     def shutdown(self) -> None:
@@ -476,9 +438,15 @@ class Shard:
         """Rebuild the shard from its store: adopt the newest valid
         snapshot, then replay the WAL tail through
         :meth:`SessionManager.feed_chunk`, the apply path live FEEDs
-        take.  Every durable session comes back whatever the table's
-        cap, since each was admitted once; new OPENs wait until the
-        table drains.  Refuses a snapshot of another scenario."""
+        take.  Every durable session comes back, since each was
+        admitted once, whatever the cap of the server now starting.
+        Refuses a snapshot of another scenario.
+
+        A directory that holds one id twice (a live session and a
+        spilled entry of the same id, or a second WAL OPEN of a live
+        id) keeps the later incarnation: a live snapshot entry drops
+        the spilled entry of its id, and a WAL OPEN first retires the
+        live session or drops the spilled entry it names."""
         recovered = self.store.open()
         snap = recovered.snapshot or {}
         if snap.get("fingerprint") not in (None, "", self.fingerprint):
@@ -486,16 +454,11 @@ class Shard:
                 f"shard {self.index} snapshot was taken on a different "
                 f"scenario (fingerprint {snap['fingerprint']!r})"
             )
-        ids = list(self.store.spilled_ids())
         for entry in snap.get("sessions", ()):
-            ids.append(self.manager.adopt(entry, capped=False).session_id)
+            self.store.drop_spilled(entry["session_id"])
+            self.manager.adopt(entry)
         for record in recovered.tail:
-            opened = self._replay(record)
-            if opened is not None:
-                ids.append(opened)
-        tokens = self.store.spilled_tokens()
-        for sid in self.manager.session_ids():
-            tokens[sid] = self.manager.session(sid).token
+            self._replay(record)
         name = self.store.directory.name
         return ShardRecovery(
             sessions=len(self.manager) + len(self.store.spilled_ids()),
@@ -504,34 +467,30 @@ class Shard:
                 f"{name}: {diagnostic}"
                 for diagnostic in recovered.diagnostics
             ),
-            session_counter=max(
-                [int(snap.get("session_counter", 0))]
-                + [_generated_number(sid) for sid in ids]
-            ),
-            generated=tuple(
-                (token, sid)
-                for sid, token in sorted(tokens.items())
-                if token is not None and _generated_number(sid)
-            ),
         )
 
-    def _replay(self, record: wal.WalRecord) -> Optional[str]:
-        """Apply one trusted WAL tail record at recovery time; returns
-        the id an OPEN record opened."""
+    def _replay(self, record: wal.WalRecord) -> None:
+        """Apply one trusted WAL tail record at recovery time."""
         if record.rec_type == wal.WAL_OPEN:
-            # the OPEN record is the fresh session's entry
+            # the OPEN record is the fresh session's entry, and the
+            # later incarnation of its id
             entry = json.loads(record.payload.decode("utf-8"))
-            return self.manager.adopt(entry, capped=False).session_id
+            sid = entry["session_id"]
+            if sid in self.manager:
+                self.manager.close(sid)
+            self.store.drop_spilled(sid)
+            self.manager.adopt(entry)
+            return
         if record.rec_type == wal.WAL_FEED:
             # a carried deadline is dropped: replay must not re-enforce
             # a long-expired budget
             sid, chunk_index, eof, data, _ = (
                 protocol.decode_feed_payload_ex(record.payload)
             )
-            session = self._session(sid, capped=False)
+            session = self._session(sid)
             if session is None or chunk_index != session.next_chunk:
                 # orphaned or already-folded feed: nothing to redo
-                return None
+                return
             try:
                 self.manager.feed_chunk(sid, chunk_index, data, eof)
             except Exception:  # noqa: BLE001 - incl. poison payloads
@@ -547,7 +506,6 @@ class Shard:
                 self.manager.close(sid)
             except StreamError:  # not live: retire it from the spill map
                 self.store.drop_spilled(sid)
-        return None
 
 
 __all__ = ["Reply", "Shard", "ShardRecovery"]

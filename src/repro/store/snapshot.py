@@ -15,11 +15,17 @@ Payload shape (format 1)::
       "format": 1,
       "fingerprint": <TableRegistry content hash of (scenario, visible set)>,
       "scenario": ..., "mode": ...,
-      "session_counter": <server id-allocation high-watermark>,
+      "session_counter": <written, no longer read; 0 by default>,
       "wal_lsn": <last LSN folded into this snapshot>,
       "sessions": [<per-session state dict>, ...],
       "spilled": [<per-session state dict>, ...]
     }
+
+``session_counter`` is read by nothing: an id-less OPEN's session is
+named after its open token, so no id counter survives a restart.
+:meth:`repro.store.store.SessionStore.write_snapshot` still takes and
+writes it (0 unless a caller passes one), so the payload keeps its
+shape.
 
 The ``fingerprint`` ties the snapshot to the exact scenario and traced
 set it was taken against (:meth:`repro.selection.localization.

@@ -257,13 +257,14 @@ class SessionStore:
         fingerprint: str,
         scenario: str,
         mode: str,
-        session_counter: int,
+        session_counter: int = 0,
     ) -> Path:
         """Checkpoint the shard: live *sessions* plus the spill map.
 
         Rotates the WAL so compaction can drop every covered segment,
         then prunes old snapshots and compacts with the LSN just
-        written.
+        written.  *session_counter* is written as given and read by
+        nothing (see :mod:`repro.store.snapshot`).
         """
         if self._writer is None:
             raise StoreError("store is not open")
@@ -318,14 +319,6 @@ class SessionStore:
     @owned
     def spilled_ids(self) -> Tuple[str, ...]:
         return tuple(sorted(self._spilled))
-
-    @owned
-    def spilled_tokens(self) -> Dict[str, Optional[str]]:
-        """The open token of every spilled session (``None`` for a
-        session opened without one)."""
-        return {
-            sid: state.get("token") for sid, state in self._spilled.items()
-        }
 
     # ------------------------------------------------------------------
     @owned

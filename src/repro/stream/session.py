@@ -3,15 +3,18 @@
 A production debug service faces many validators at once, each
 following their own failing run.  :class:`SessionManager` owns one
 :class:`StreamSession` per validator and enforces the limits that keep
-the process bounded:
+each session bounded:
 
-* ``max_sessions`` -- the session table never grows past it (idle
-  sessions are evicted first; a full table refuses new opens),
 * ``max_frontier`` -- per-session DP state is bounded; a session whose
   frontier outgrows it flips to the explicit ``"overflow"`` status and
   freezes at its last consistent snapshot instead of eating the heap,
-* ``idle_timeout_s`` -- sessions nobody fed for that long are evicted,
-  through the manager's ``spill`` sink when it has one.
+* ``idle_timeout_s`` -- :meth:`SessionManager.evict_idle` retires
+  sessions nobody fed for that long, through the manager's ``spill``
+  sink when it has one.
+
+How many sessions may be live is the host's decision: the debug
+server caps its whole table across shards, evicting idle sessions
+before it refuses (:meth:`repro.server.server.DebugServer._make_room`).
 
 A session is everything one validator's stream carries: the chunk
 ingest pipeline (its transport, then a UTF-8 decoder and a text
@@ -79,7 +82,6 @@ QUARANTINED = "quarantined"
 class SessionLimits:
     """Resource bounds one :class:`SessionManager` enforces."""
 
-    max_sessions: int = 64
     max_frontier: Optional[int] = 4096
     idle_timeout_s: float = 300.0
 
@@ -213,7 +215,6 @@ class SessionManager:
         #: (:func:`repro.owner.owned`).
         self._owner = threading.get_ident()
         self._sessions: Dict[str, StreamSession] = {}
-        self._next_id = 0
         self._opened = 0
         self._retired: Dict[str, int] = {
             CLOSED: 0, EVICTED: 0, OVERFLOW: 0, QUARANTINED: 0,
@@ -256,6 +257,10 @@ class SessionManager:
         return len(self._sessions)
 
     @owned
+    def __contains__(self, session_id: object) -> bool:
+        return session_id in self._sessions
+
+    @owned
     def stats(self) -> Dict[str, int]:
         """Lifetime counters (for the service metrics plane)."""
         return {
@@ -273,13 +278,13 @@ class SessionManager:
     @owned
     def open(
         self,
-        session_id: Optional[str] = None,
+        session_id: str,
         mode: Optional[str] = None,
         transport: str = "text",
         token: Optional[str] = None,
     ) -> str:
-        """Open a fresh session; returns its id (generated when
-        *session_id* is omitted).  See :meth:`adopt` for admission."""
+        """Open a fresh session *session_id*; returns the id.  See
+        :meth:`adopt`."""
         entry = {
             "session_id": session_id, "mode": mode, "transport": transport,
             "token": token,
@@ -287,18 +292,15 @@ class SessionManager:
         return self.adopt(entry).session_id
 
     @owned
-    def adopt(
-        self, entry: Mapping[str, object], capped: bool = True
-    ) -> StreamSession:
+    def adopt(self, entry: Mapping[str, object]) -> StreamSession:
         """Admit a session from its durable entry (what
         :meth:`export_session` wrote: the store's recovery and
         spill-revival path), or from the fresh entry :meth:`open`
-        builds.
+        builds.  The entry must name its ``session_id``.
 
-        Raises :class:`~repro.errors.StreamError` when the id is live,
-        or when the table is still full once idle sessions are evicted.
-        ``capped=False`` admits past ``max_sessions``: recovery restores
-        every durable session, since each was admitted once.
+        Raises :class:`~repro.errors.StreamError` when the id is live.
+        The manager neither caps its table nor evicts to make room:
+        the host decides admission before it calls.
         A key the entry lacks keeps a fresh session's value, and keys
         it does not know are ignored, so entries that carry more (as
         older snapshots do) still restore.  The caller is responsible
@@ -310,23 +312,9 @@ class SessionManager:
             raise StreamError(
                 f"cannot adopt a session in status {status!r}"
             )
-        session_id = entry.get("session_id")
-        # a live id is refused before the eviction sweep: evicting an
-        # idle session of that id would spill it and admit a second
-        # session under the same id, which no restart could recover
+        session_id = entry["session_id"]
         if session_id in self._sessions:
             raise StreamError(f"session {session_id!r} already open")
-        self.evict_idle()
-        if capped and len(self._sessions) >= self.limits.max_sessions:
-            raise StreamError(
-                f"session table full ({self.limits.max_sessions}); "
-                "close or evict a session first"
-            )
-        if session_id is None:
-            self._next_id += 1
-            session_id = f"s{self._next_id:04d}"
-            if session_id in self._sessions:
-                raise StreamError(f"session {session_id!r} already open")
         mode = entry.get("mode")
         localizer = IncrementalLocalizer(
             mode=mode if mode is not None else self.default_mode,
@@ -436,8 +424,8 @@ class SessionManager:
     def evict_idle(self, now: Optional[float] = None) -> Tuple[str, ...]:
         """Retire sessions idle for longer than ``idle_timeout_s``.
 
-        Every eviction runs through here, including the one
-        :meth:`adopt` and :meth:`open` run before they admit.  With a
+        Every eviction runs through here: the host's idle sweep, and
+        the one its admission runs before it refuses.  With a
         ``spill`` sink, each evicted session's durable entry is handed
         to it *before* the session is retired, so the sink can persist
         the state instead of losing it.

@@ -430,13 +430,21 @@ TEXTS = st.text(max_size=255).map(_within_255_bytes)
 SESSION_IDS = TEXTS.filter(bool) | st.sampled_from(EDGE_IDS)
 DEADLINES = st.none() | st.integers(0, 0xFFFFFFFF)
 SESSION_TYPES = (protocol.SNAPSHOT, protocol.CLOSE_SESSION)
+#: The tokens an id-less OPEN may carry: 1..254 bytes, so that the
+#: server's id for its session, ``"g" + token``, fits 255 bytes.
+NEW_ID_TOKENS = TEXTS.map(
+    lambda text: text.encode("utf-8")[:254].decode("utf-8", "ignore")
+).filter(bool)
 
 
 @st.composite
 def open_requests(draw):
+    session_id = draw(st.none() | SESSION_IDS)
     return protocol.OpenRequest(
-        session_id=draw(st.none() | SESSION_IDS),
-        token=draw(st.none() | TEXTS),
+        session_id=session_id,
+        token=draw(
+            NEW_ID_TOKENS if session_id is None else st.none() | TEXTS
+        ),
         transport=draw(st.sampled_from(("text", "ctrace")) | TEXTS),
         mode=draw(
             st.none() | st.sampled_from(("prefix", "exact", "window"))
@@ -626,6 +634,40 @@ def test_ids_the_head_cannot_name_are_refused():
         protocol.decode_open_payload(b"\x01s\x04")
     with pytest.raises(ProtocolError, match="undecodable token"):
         protocol.decode_open_payload(b"\x01s\x08\x01\xff")
+
+
+#: An id-less OPEN's token takes 1..254 bytes: none, an empty one and
+#: one of 255 bytes cannot name the session ``"g" + token``.
+UNUSABLE_NEW_ID_TOKENS = (
+    (None, b"\x00\x04"),
+    ("", b"\x00\x0c\x00"),
+    ("x" * 255, b"\x00\x0c\xff" + b"x" * 255),
+)
+
+
+@pytest.mark.parametrize("token, payload", UNUSABLE_NEW_ID_TOKENS)
+def test_an_id_less_open_needs_a_token_of_1_to_254_bytes(
+    client, token, payload
+):
+    with pytest.raises(ProtocolError, match="1..254 bytes"):
+        protocol.encode_open_payload(token=token)
+    with pytest.raises(ProtocolError, match="1..254 bytes"):
+        protocol.decode_open_payload(payload)
+    # a server answers the frame with a protocol error and opens nothing
+    frame_type, reply = client.request(protocol.OPEN_SESSION, payload)
+    assert frame_type == protocol.ERROR
+    assert reply["error"] == "protocol"
+    assert "1..254 bytes" in reply["message"]
+    assert client.stats()["server"]["open_sessions"] == 0
+    # the widest token that fits still opens, as the widest id
+    widest = "x" * 254
+    request = protocol.decode_open_payload(
+        protocol.encode_open_payload(token=widest)
+    )
+    assert request == protocol.OpenRequest(None, token=widest)
+    assert protocol.session_id_bytes(request.effective_id) == (
+        b"g" + widest.encode()
+    )
 
 
 @pytest.mark.parametrize("deadline_ms", [-1, 2**32])

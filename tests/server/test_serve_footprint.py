@@ -212,7 +212,7 @@ def test_serve_path_builds_no_transition_objects(tmp_path, transitions_built):
             records = synthetic_session_records(
                 context.interleaved, context.traced, seed=5
             )
-            session = manager.open()
+            session = manager.open("s")
             manager.feed(session, records[:4])
             assert manager.snapshot(session).consistent_paths > 0
             manager.close(session)

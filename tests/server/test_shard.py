@@ -112,15 +112,6 @@ def test_retry_after_recovery_resumes(recovered):
     assert_resumed(second.open("s", token="1234abcd"))
 
 
-def test_retry_at_a_full_table_resumes(recovered):
-    shard = recovered(max_sessions=1)
-    ok(shard.open("s", token="1234abcd"))
-    assert_resumed(shard.open("s", token="1234abcd"))
-    frame_type, decoded = body(shard.open("t", token="5678abcd"))
-    assert frame_type == protocol.RETRY_LATER
-    assert decoded["reason"] == "session-table-full"
-
-
 def test_entries_without_a_token_still_restore(recovered):
     first = recovered()
     ok(first.open("snap"))
@@ -153,37 +144,73 @@ def test_a_second_open_of_an_idle_id_is_refused(context, recovered):
     assert second.snapshot("s") == first.snapshot("s")
 
 
-# -- recovery at a lower cap -------------------------------------------
+# -- a directory that holds one id twice -------------------------------
+#
+# Before a second OPEN of an idle id was refused, it spilled the idle
+# session and opened another under its id.  Recovery keeps the later
+# incarnation of such an id.
 
-def test_recovery_keeps_every_durable_session_past_a_lower_cap(
+def later_incarnation(context, chunk):
+    """A memory-only core holding the later ``s``: token ``bbbb0000``,
+    fed *chunk* as chunk 0."""
+    shard = Shard(0, context, ServerConfig())
+    ok(shard.open("s", token="bbbb0000"))
+    ok(shard.feed("s", 0, chunk), protocol.FEED_CHUNK)
+    return shard
+
+
+def first_chunks(context):
+    """Two chunk 0s, of three records and of one, whose sessions
+    localize differently."""
+    older, newer = (
+        render_session_chunks(context, seed=35, chunk_records=size)[0]
+        for size in (4, 2)
+    )
+    assert later_incarnation(context, older).snapshot("s") != (
+        later_incarnation(context, newer).snapshot("s")
+    )
+    return older, newer
+
+
+def test_a_second_wal_open_of_an_id_retires_the_first(context, recovered):
+    older, newer = first_chunks(context)
+    first = recovered()
+    # the WAL tail written by a server that let a second OPEN in
+    first.store.log_open("s", "prefix", "text", token="aaaa0000")
+    first.store.log_feed("s", 0, older, eof=False)
+    first.store.log_open("s", "prefix", "text", token="bbbb0000")
+    first.store.log_feed("s", 0, newer, eof=False)
+    second = recovered()
+    assert recovered.reports[second].sessions == 1
+    assert second.manager.session_ids() == ("s",)
+    assert not second.spilled("s")
+    assert second.manager.session("s").token == "bbbb0000"
+    assert second.snapshot("s") == (
+        later_incarnation(context, newer).snapshot("s")
+    )
+
+
+def test_a_live_snapshot_entry_drops_the_spilled_entry_of_its_id(
     context, recovered
 ):
-    chunks = render_session_chunks(context, seed=33, chunk_records=2)
-    first = recovered(max_sessions=4)
-    for sid in ("s0", "s1"):
-        ok(first.open(sid))
-        ok(first.feed(sid, 0, chunks[0]), protocol.FEED_CHUNK)
-    first.checkpoint()  # s0 and s1 are snapshot entries
-    for sid in ("s2", "s3"):  # s2 and s3 are WAL-tail OPENs and FEEDs
-        ok(first.open(sid))
-        ok(first.feed(sid, 0, chunks[0]), protocol.FEED_CHUNK)
-    want = {sid: first.snapshot(sid) for sid in ("s0", "s1", "s2", "s3")}
-
-    second = recovered(max_sessions=2)
-    assert len(second.manager) == recovered.reports[second].sessions == 4
-    for sid, snapshot in want.items():
-        assert second.snapshot(sid) == snapshot
-    # the table is over its cap: new sessions wait until it drains
-    frame_type, _ = second.open("late")
-    assert frame_type == protocol.RETRY_LATER
-    for sid in ("s0", "s1", "s2"):
-        ok(second.close(sid), protocol.CLOSE_SESSION)
-    ok(second.open("late"))
-    # the next snapshot still holds the session nobody closed
-    second.checkpoint()
-    third = recovered(max_sessions=2)
-    assert sorted(third.manager.session_ids()) == ["late", "s3"]
-    assert third.snapshot("s3") == want["s3"]
+    older, newer = first_chunks(context)
+    earlier = Shard(0, context, ServerConfig())
+    ok(earlier.open("s", token="aaaa0000"))
+    ok(earlier.feed("s", 0, older), protocol.FEED_CHUNK)
+    first = recovered()
+    ok(first.open("s", token="bbbb0000"))
+    ok(first.feed("s", 0, newer), protocol.FEED_CHUNK)
+    # the earlier incarnation, spilled while the later one is live
+    first.store.spill(earlier.manager.export_session("s"))
+    first.checkpoint()
+    second = recovered()
+    assert recovered.reports[second].sessions == 1
+    assert second.manager.session_ids() == ("s",)
+    assert not second.spilled("s")
+    assert second.manager.session("s").token == "bbbb0000"
+    assert second.snapshot("s") == (
+        later_incarnation(context, newer).snapshot("s")
+    )
 
 
 def test_memory_only_core_retires_sessions_on_shutdown(context):
@@ -191,34 +218,3 @@ def test_memory_only_core_retires_sessions_on_shutdown(context):
     ok(shard.open("s"))
     shard.shutdown()
     assert shard.manager.session_ids() == ()
-
-
-def test_recovery_reports_the_tokens_of_generated_ids(context, tmp_path):
-    """Live and spilled sessions with a generated id and an open token
-    come back as ``(token, id)`` pairs: the server sends a retry of
-    their OPEN to the same id again."""
-    config = ServerConfig(data_dir=str(tmp_path), fsync="off")
-    first = Shard(0, context, config)
-    first.recover()
-    try:
-        ok(first.open("g000003", token="0000abcd"))
-        ok(first.open("g000004", token="0000beef"))
-        ok(first.open("g000005"))  # no token: nothing to find again
-        ok(first.open("named", token="feedf00d"))  # the client's own id
-        # g000004 idles out and is spilled to the store
-        first.manager.session("g000004").last_active -= (
-            2 * config.idle_timeout_s
-        )
-        assert first.manager.evict_idle() == ("g000004",)
-        first.checkpoint()
-    finally:
-        first.store.close()
-    second = Shard(0, context, config)
-    try:
-        report = second.recover()
-    finally:
-        second.store.close()
-    assert report.generated == (
-        ("0000abcd", "g000003"), ("0000beef", "g000004"),
-    )
-    assert report.session_counter == 5

@@ -142,8 +142,8 @@ class TestManagerBatching:
 
     def test_chunked_sessions_agree(self, cc_flow, traced, stream):
         manager = self.make_manager(cc_flow, traced)
-        one = manager.open()
-        many = manager.open()
+        one = manager.open("one")
+        many = manager.open("many")
         for record in stream:
             manager.feed(one, [record])
         outcome = manager.feed(many, stream)
@@ -158,7 +158,7 @@ class TestManagerBatching:
         self, cc_flow, traced, stream
     ):
         manager = self.make_manager(cc_flow, traced, max_frontier=3)
-        sid = manager.open()
+        sid = manager.open("a")
         outcome = manager.feed(sid, stream)
         # only the record before the overflowing one counts
         assert outcome.status == OVERFLOW
@@ -174,10 +174,10 @@ class TestManagerBatching:
         self, cc_flow, traced, catalog, stream
     ):
         manager = self.make_manager(cc_flow, traced)
-        sid = manager.open()
+        sid = manager.open("noisy")
         noisy = [catalog["Ack"], stream[0], catalog["Ack"], stream[1]]
         outcome = manager.feed(sid, noisy, drop_invisible=True)
         assert outcome.consumed == 2
-        clean = manager.open()
+        clean = manager.open("clean")
         manager.feed(clean, stream[:2])
         assert manager.snapshot(sid) == manager.snapshot(clean)

@@ -43,9 +43,7 @@ def manager(cc_interleaved, traced, clock) -> SessionManager:
     return SessionManager(
         cc_interleaved,
         traced,
-        limits=SessionLimits(
-            max_sessions=3, max_frontier=64, idle_timeout_s=10.0
-        ),
+        limits=SessionLimits(max_frontier=64, idle_timeout_s=10.0),
         clock=clock,
     )
 
@@ -53,7 +51,7 @@ def manager(cc_interleaved, traced, clock) -> SessionManager:
 class TestLifecycle:
     def test_open_feed_snapshot_close(self, manager, cc_flow):
         req = cc_flow.message_by_name("ReqE")
-        sid = manager.open()
+        sid = manager.open("a")
         outcome = manager.feed(sid, [IndexedMessage(req, 1)])
         assert outcome.consumed == 1
         assert outcome.status == ACTIVE
@@ -66,7 +64,7 @@ class TestLifecycle:
         assert sid not in manager.session_ids()
 
     def test_close_emits_telemetry(self, manager):
-        sid = manager.open()
+        sid = manager.open("a")
         session = manager.session(sid)
         summary = manager.close(sid)
         assert summary["mode"] == "prefix"
@@ -75,7 +73,7 @@ class TestLifecycle:
 
     def test_stats_counters_track_lifecycle(self, manager, cc_flow):
         req = cc_flow.message_by_name("ReqE")
-        sid = manager.open()
+        sid = manager.open("a")
         manager.feed(sid, (req,), drop_invisible=True)
         manager.close(sid)
         assert manager.stats() == {
@@ -102,7 +100,7 @@ class TestLifecycle:
 
     def test_per_session_mode_override(self, manager, cc_flow):
         req = cc_flow.message_by_name("ReqE")
-        sid = manager.open(mode="window")
+        sid = manager.open("a", mode="window")
         assert manager.session(sid).mode == "window"
         manager.feed(sid, [IndexedMessage(req, 1)])
         result = manager.snapshot(sid)
@@ -121,7 +119,7 @@ class TestWarm:
         ]
         manager = SessionManager(cc_interleaved, traced, mode="window")
         manager.warm()
-        window = manager.open()
+        window = manager.open("window")
         manager.feed(window, observed)
         manager.close(window)
         # window sessions never read the compiled tables
@@ -129,8 +127,8 @@ class TestWarm:
         expected = PathLocalizer(
             cc_interleaved, traced, registry=TableRegistry()
         ).localize(observed)
-        for _ in range(2):
-            sid = manager.open(mode="prefix")
+        for number in range(2):
+            sid = manager.open(f"prefix-{number}", mode="prefix")
             manager.feed(sid, observed)
             summary = manager.close(sid)
             assert summary["consistent_paths"] == expected.consistent_paths
@@ -149,17 +147,14 @@ class TestWarm:
 
 
 class TestLimits:
-    def test_max_sessions_enforced(self, manager):
-        for _ in range(3):
-            manager.open()
-        with pytest.raises(StreamError, match="session table full"):
-            manager.open()
-
     def test_idle_eviction_frees_capacity(self, manager, clock):
-        stale = manager.open()
+        stale = manager.open("stale")
         session = manager.session(stale)
         clock.now = 11.0  # stale is now past idle_timeout_s
-        fresh = [manager.open() for _ in range(3)]  # evicts, then fills
+        fresh = [manager.open(f"fresh-{n}") for n in range(3)]
+        # an open evicts nothing: the host's admission or sweep does
+        assert stale in manager.session_ids()
+        assert manager.evict_idle() == (stale,)
         assert stale not in manager.session_ids()
         assert set(fresh) == set(manager.session_ids())
         assert session.status == EVICTED
@@ -169,7 +164,7 @@ class TestLimits:
         self, manager, clock, cc_flow
     ):
         req = cc_flow.message_by_name("ReqE")
-        sid = manager.open()
+        sid = manager.open("a")
         session = manager.session(sid)
         clock.now = 11.0
         assert manager.evict_idle() == (sid,)
@@ -181,7 +176,7 @@ class TestLimits:
 
     def test_active_sessions_not_evicted(self, manager, clock, cc_flow):
         req = cc_flow.message_by_name("ReqE")
-        sid = manager.open()
+        sid = manager.open("a")
         clock.now = 8.0
         manager.feed(sid, [IndexedMessage(req, 1)])  # refreshes last_active
         clock.now = 16.0  # 8s since the feed: still live
@@ -194,11 +189,11 @@ class TestLimits:
         manager = SessionManager(
             cc_interleaved,
             traced,
-            limits=SessionLimits(max_sessions=4, max_frontier=1),
+            limits=SessionLimits(max_frontier=1),
             clock=clock,
         )
         req = cc_flow.message_by_name("ReqE")
-        sid = manager.open()
+        sid = manager.open("a")
         before = manager.snapshot(sid)
         outcome = manager.feed(sid, [req])  # frontier 2 > limit 1
         assert outcome.status == OVERFLOW
@@ -215,7 +210,7 @@ class TestFeedFiltering:
         self, manager, cc_interleaved, traced
     ):
         trace = TransactionSimulator(cc_interleaved, "Toy").run(seed=2)
-        sid = manager.open()
+        sid = manager.open("a")
         outcome = manager.feed(sid, trace.records, drop_invisible=True)
         assert outcome.consumed == len(trace.project(tuple(traced)))
 
