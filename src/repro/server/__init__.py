@@ -12,10 +12,11 @@ The pieces:
   CRC-validated binary wire format (the CRC is :mod:`repro.runtime.
   checksum`'s, which the on-chip trace frames and the WAL share).
 * :mod:`repro.server.server` -- the asyncio TCP server: sessions are
-  routed by consistent hash onto worker shards, admission control
-  answers overload with structured ``RETRY_LATER`` (never a deadlock,
-  never a dropped accepted session), idle sessions are evicted, and
-  SIGINT/SIGTERM drain gracefully.  Its one metrics registry, a
+  routed by consistent hash onto shards, all run on its one event
+  loop; admission control answers overload with structured
+  ``RETRY_LATER`` (never a deadlock, never a dropped accepted
+  session), idle sessions are evicted, and SIGINT/SIGTERM drain
+  gracefully.  Its one metrics registry, a
   :class:`repro.perf.PerfCounters`, is served on the ``STATS`` frame
   and over HTTP.
 * :mod:`repro.server.shard` -- the shard core whose ops the server runs

@@ -1,27 +1,38 @@
 """The debug service's wire protocol: length-prefixed, versioned,
 CRC-validated binary frames.
 
-Every request and response travels as one frame (all multi-byte fields
-big-endian)::
+Every request and response travels as one frame::
 
-    +------+------+---------+------+--------+---------+-----------+-------+
-    | 0x52 | 0x70 | version | type | seq(32)| len(32) | payload.. | crc16 |
-    +------+------+---------+------+--------+---------+-----------+-------+
+    +------+------+------------+------------+-----------+-------+
+    | 0xB4 | type | varint seq | varint len | payload.. | crc16 |
+    +------+------+------------+------------+-----------+-------+
 
-``crc16`` is the CRC-16/CCITT of :mod:`repro.runtime.checksum` -- the
-same machinery that guards on-chip trace frames guards the wire --
-computed over ``version..payload``.  ``seq`` is a request-scoped
+The leading byte is the magic in its high nibble (:data:`MAGIC`) and
+the version in its low one (:data:`PROTOCOL_VERSION`).  ``seq`` and
+``len`` are unsigned 32-bit values, each an unsigned LEB128 varint
+(seven bits a byte, low bits first, the top bit set on every byte but
+the last; one codec writes every varint of the protocol), so the header
+takes 4 bytes for a ``seq`` below 128 and a payload below 128 bytes,
+and :data:`HEADER_BYTES` (12) at most.  ``crc16`` (big-endian) is the
+CRC-16/CCITT of :mod:`repro.runtime.checksum` -- the same machinery
+that guards on-chip trace frames guards the wire -- computed over
+everything after the leading byte.  ``seq`` is a request-scoped
 correlation id: responses echo the request's ``seq``, so a client may
 pipeline.  The length prefix makes framing trivial to parse
 incrementally; unlike the self-resynchronizing compressed-trace format,
 TCP already guarantees ordering, so any malformed byte is a **fatal**
 protocol error for the connection (the peer replies ``ERROR`` where it
-can and closes).
+can and closes).  A varint longer than a 32-bit value needs (5 bytes),
+or not in its shortest form, is malformed; so is a declared length
+over the receiver's limit, refused before any payload byte arrives.
+Versions 1 to 3 opened every frame with ``"Rp"`` and a version byte:
+such a peer is refused at its first header, as ``unsupported protocol
+version N``.
 
 ``STATS`` and ``PING`` requests carry no payload.  Every other request
 names a session and is binary, starting with one head::
 
-    u8 sid_len | sid | [u32 chunk_index] | u8 flags | [u32 deadline_ms]
+    u8 sid_len | sid | [u32 chunk_index] | u8 flags | [varint deadline_ms]
 
     FEED_CHUNK     head | data...
     SNAPSHOT       head
@@ -31,8 +42,10 @@ names a session and is binary, starting with one head::
 A session id is 1..255 bytes of UTF-8 (:func:`session_id_bytes`), the
 most the ``sid_len`` byte can carry; the server refuses any other id,
 and an id that is not UTF-8, with a ``protocol`` error.  Only
-``FEED_CHUNK`` carries ``chunk_index``.  Flag bit 1
-(:data:`FLAG_DEADLINE`) adds the relative ``deadline_ms``.  The other
+``FEED_CHUNK`` carries ``chunk_index`` (big-endian, as the WAL logs
+a FEED's payload without a deadline).  Flag bit 1
+(:data:`FLAG_DEADLINE`) adds the relative ``deadline_ms``, a 32-bit
+value as a varint: 2 bytes for a default client's 10 s.  The other
 bits belong to one request type each (:data:`REQUEST_FLAGS`), and a
 bit a type does not know is a ``protocol`` error: bit 0 of a FEED
 marks end-of-stream (the server flushes a trailing partial line); on
@@ -42,7 +55,7 @@ each a ``u8`` length and that many bytes of UTF-8, and bit 2 asks the
 server to generate the id (``sid_len`` is then 0).  Such an OPEN must
 carry a token of 1..254 bytes: its session is named ``"g" + token``
 (:attr:`OpenRequest.effective_id`), so a retry of it reaches the same
-session.  A SNAPSHOT or CLOSE for a 17-byte id takes 23 bytes, 4 of
+session.  A SNAPSHOT or CLOSE for a 17-byte id takes 21 bytes, 2 of
 them the deadline.  ``FEED_CHUNK``'s data is raw bytes, so
 compressed-trace chunks never pay a base64 tax.
 
@@ -97,14 +110,24 @@ from repro.stream.session import (
     QUARANTINED,
 )
 
-#: Protocol magic ("Rp") and the one supported version.
-MAGIC = b"Rp"
-PROTOCOL_VERSION = 3
+#: A frame's leading byte: this magic in its high nibble, the protocol
+#: version in its low one.
+MAGIC = 0xB0
+PROTOCOL_VERSION = 4
+_LEAD = MAGIC | PROTOCOL_VERSION
+_LEAD_BYTE = bytes((_LEAD,))
+#: The two bytes that opened a frame of versions 1 to 3, before their
+#: version byte.
+_OLD_MAGIC = b"Rp"
 
-#: Fixed sizes: magic(2) + version(1) + type(1) + seq(4) + len(4), and
-#: the trailing CRC-16.
+#: The longest header -- lead(1) + type(1) + seq and len, each a varint
+#: of at most 5 bytes -- and the trailing CRC-16.
 HEADER_BYTES = 12
 TRAILER_BYTES = 2
+
+#: The largest value of a 32-bit field: a frame's seq and length and a
+#: request's deadline, each a varint of at most 5 bytes.
+_U32 = 0xFFFFFFFF
 
 #: Default cap on payload size; both sides enforce it *from the header*
 #: so an oversized frame is rejected before its body is buffered.
@@ -133,8 +156,8 @@ RESPONSE_TYPES = frozenset((OK, ERROR, RETRY_LATER))
 
 #: Request flags.  A FEED ends its session's stream.
 FLAG_EOF = 0x01
-#: The payload carries a relative request deadline: 4 extra bytes
-#: (``u32 deadline_ms``) right after the flags.  Relative -- not
+#: The payload carries a relative request deadline right after the
+#: flags: ``deadline_ms``, a 32-bit value as a varint.  Relative -- not
 #: absolute -- so clocks never need agreement and a retransmit
 #: restarts the budget on delivery.
 FLAG_DEADLINE = 0x02
@@ -198,6 +221,46 @@ REPLY_FIELDS: Dict[int, Tuple[str, ...]] = {
 }
 
 
+def _put_varint(out: bytearray, value: int) -> None:
+    """Append *value* (an int >= 0) to *out* as an unsigned LEB128
+    varint: every varint of the protocol -- a frame's seq and length, a
+    request's deadline, a reply's fields -- is written here."""
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _read_varint(
+    data: bytes, pos: int, what: str, u32: bool = False
+) -> Optional[Tuple[int, int]]:
+    """The unsigned LEB128 varint *what* at *pos* of *data* and the
+    position after it, or ``None`` when *data* ends inside it; every
+    varint of the protocol is read here.  :class:`ProtocolError` on a
+    varint not in its shortest form and, for a *u32* field, on one
+    longer than 5 bytes or past 32 bits, each at the byte that shows
+    it."""
+    value = shift = 0
+    end = len(data)
+    while pos < end:
+        byte = data[pos]
+        pos += 1
+        if byte < 0x80:
+            if byte == 0 and shift:
+                raise ProtocolError(
+                    f"varint {what} is not in its shortest form"
+                )
+            value |= byte << shift
+            if u32 and value > _U32:
+                raise ProtocolError(f"varint {what} = {value} exceeds 32 bits")
+            return value, pos
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        if u32 and shift == 35:
+            raise ProtocolError(f"varint {what} is longer than 5 bytes")
+    return None
+
+
 @dataclass(frozen=True)
 class WireFrame:
     """One decoded wire frame."""
@@ -205,33 +268,50 @@ class WireFrame:
     frame_type: int
     seq: int
     payload: bytes
-    version: int = PROTOCOL_VERSION
 
 
 def encode_frame(
     frame_type: int,
     seq: int,
     payload: bytes = b"",
-    version: int = PROTOCOL_VERSION,
     max_payload: int = DEFAULT_MAX_PAYLOAD,
 ) -> bytes:
-    """Serialize one frame (magic + header + payload + CRC)."""
+    """Serialize one frame (leading byte + header + payload + CRC)."""
     if not 0 <= frame_type <= 0xFF:
         raise ProtocolError(f"frame type {frame_type} out of range")
-    if not 0 <= seq <= 0xFFFFFFFF:
+    if not 0 <= seq <= _U32:
         raise ProtocolError(f"sequence number {seq} out of range")
     if len(payload) > max_payload:
         raise ProtocolError(
             f"payload of {len(payload)} bytes exceeds the "
             f"{max_payload}-byte limit"
         )
-    body = (
-        bytes((version, frame_type))
-        + seq.to_bytes(4, "big")
-        + len(payload).to_bytes(4, "big")
-        + payload
+    head = bytearray((frame_type,))
+    _put_varint(head, seq)
+    _put_varint(head, len(payload))
+    crc = crc16(payload, crc16(head))
+    return _LEAD_BYTE + head + payload + crc.to_bytes(2, "big")
+
+
+def _refuse_lead(buf: bytearray) -> None:
+    """Raise :class:`ProtocolError` for a frame that does not open with
+    this version's leading byte: ``unsupported protocol version N`` for
+    a frame of another version, the ``"Rp"`` header of versions 1 to 3
+    included, and bad magic otherwise.  Returns while the bytes so far
+    are an old header too short to name its version."""
+    lead = buf[0]
+    if lead & 0xF0 == MAGIC:
+        version = lead & 0x0F
+    elif _OLD_MAGIC.startswith(bytes(buf[:2])):
+        if len(buf) < 3:
+            return
+        version = buf[2]
+    else:
+        raise ProtocolError(f"bad frame magic {bytes(buf[:2])!r}")
+    raise ProtocolError(
+        f"unsupported protocol version {version} "
+        f"(this side speaks {PROTOCOL_VERSION})"
     )
-    return MAGIC + body + crc16(body).to_bytes(2, "big")
 
 
 class FrameAssembler:
@@ -239,9 +319,10 @@ class FrameAssembler:
 
     :meth:`feed` buffers arbitrary chunks and returns every frame that
     completed.  A partial frame simply waits for more bytes; bad magic,
-    an unsupported version, an oversized declared length, or a CRC
-    mismatch raise :class:`~repro.errors.ProtocolError` -- the stream
-    is not trusted past the first corruption.
+    an unsupported version, a malformed varint, an oversized declared
+    length, or a CRC mismatch raise :class:`~repro.errors.ProtocolError`
+    as soon as the bytes that show it arrive -- the stream is not
+    trusted past the first corruption.
     """
 
     def __init__(self, max_payload: int = DEFAULT_MAX_PAYLOAD) -> None:
@@ -264,43 +345,36 @@ class FrameAssembler:
 
     def _try_next(self) -> Optional[WireFrame]:
         buf = self._buffer
-        if len(buf) < HEADER_BYTES:
-            if buf and not MAGIC.startswith(bytes(buf[:2])):
-                raise ProtocolError(
-                    f"bad frame magic {bytes(buf[:2])!r}"
-                )
+        if not buf:
             return None
-        if bytes(buf[:2]) != MAGIC:
-            raise ProtocolError(f"bad frame magic {bytes(buf[:2])!r}")
-        version = buf[2]
-        if version != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"unsupported protocol version {version} "
-                f"(this side speaks {PROTOCOL_VERSION})"
-            )
-        length = int.from_bytes(buf[8:12], "big")
+        if buf[0] != _LEAD:
+            _refuse_lead(buf)
+            return None
+        read = _read_varint(buf, 2, "frame sequence number", u32=True)
+        if read is None:
+            return None
+        seq, pos = read
+        read = _read_varint(buf, pos, "frame length", u32=True)
+        if read is None:
+            return None
+        length, pos = read
         if length > self.max_payload:
             raise ProtocolError(
                 f"declared payload of {length} bytes exceeds the "
                 f"{self.max_payload}-byte limit"
             )
-        end = HEADER_BYTES + length + TRAILER_BYTES
+        end = pos + length + TRAILER_BYTES
         if len(buf) < end:
             return None
-        body = bytes(buf[2 : HEADER_BYTES + length])
-        stored = int.from_bytes(buf[HEADER_BYTES + length : end], "big")
-        computed = crc16(body)
+        payload = bytes(buf[pos : pos + length])
+        stored = int.from_bytes(buf[end - TRAILER_BYTES : end], "big")
+        computed = crc16(payload, crc16(buf[1:pos]))
         if stored != computed:
             raise ProtocolError(
                 f"frame CRC mismatch (stored {stored:#06x}, "
                 f"computed {computed:#06x})"
             )
-        frame = WireFrame(
-            frame_type=buf[3],
-            seq=int.from_bytes(buf[4:8], "big"),
-            payload=bytes(buf[HEADER_BYTES : HEADER_BYTES + length]),
-            version=version,
-        )
+        frame = WireFrame(frame_type=buf[1], seq=seq, payload=payload)
         del buf[:end]
         return frame
 
@@ -372,36 +446,25 @@ def _text(
 def _put_varints(
     out: bytearray, body: Mapping[str, Any], names: Tuple[str, ...]
 ) -> None:
-    """Append the reply fields *names* of *body* as unsigned LEB128
-    varints."""
+    """Append the reply fields *names* of *body* as varints."""
     for name in names:
         value = body[name]
         if value < 0:
             raise ProtocolError(f"reply field {name} = {value} is negative")
-        while value > 0x7F:
-            out.append(value & 0x7F | 0x80)
-            value >>= 7
-        out.append(value)
+        _put_varint(out, value)
 
 
 def _read_varints(
     payload: bytes, pos: int, names: Tuple[str, ...], body: Dict[str, Any],
     where: str,
 ) -> int:
-    """Read one unsigned LEB128 varint per name at *pos* of *where*
-    into *body*; returns the position after them."""
+    """Read one varint per name at *pos* of *where* into *body*;
+    returns the position after them."""
     for name in names:
-        value = shift = 0
-        while True:
-            if pos >= len(payload):
-                raise ProtocolError(f"{where} truncated in field {name}")
-            byte = payload[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if byte < 0x80:
-                break
-            shift += 7
-        body[name] = value
+        read = _read_varint(payload, pos, name)
+        if read is None:
+            raise ProtocolError(f"{where} truncated in field {name}")
+        body[name], pos = read
     return pos
 
 
@@ -416,15 +479,19 @@ def _head(
     sid: bytes, flags: int, deadline_ms: Optional[int], index: bytes = b""
 ) -> bytes:
     """The head of a request that names a session: ``u8 sid_len | sid
-    | index | u8 flags | [u32 deadline_ms]``, where *index* is a FEED's
-    chunk index and empty on every other request."""
-    deadline = b""
-    if deadline_ms is not None:
-        if not 0 <= deadline_ms <= 0xFFFFFFFF:
+    | index | u8 flags | [varint deadline_ms]``, where *index* is a
+    FEED's chunk index and empty on every other request."""
+    out = bytearray((len(sid),))
+    out += sid
+    out += index
+    if deadline_ms is None:
+        out.append(flags)
+    else:
+        if not 0 <= deadline_ms <= _U32:
             raise ProtocolError(f"deadline {deadline_ms}ms out of range")
-        flags |= FLAG_DEADLINE
-        deadline = deadline_ms.to_bytes(4, "big")
-    return bytes((len(sid),)) + sid + index + bytes((flags,)) + deadline
+        out.append(flags | FLAG_DEADLINE)
+        _put_varint(out, deadline_ms)
+    return bytes(out)
 
 
 def _read_head(
@@ -452,10 +519,10 @@ def _read_head(
     pos = at_flags + 1
     deadline_ms: Optional[int] = None
     if flags & FLAG_DEADLINE:
-        if pos + 4 > len(payload):
+        read = _read_varint(payload, pos, "deadline", u32=True)
+        if read is None:
             raise ProtocolError(f"{where} truncated in its deadline")
-        deadline_ms = int.from_bytes(payload[pos : pos + 4], "big")
-        pos += 4
+        deadline_ms, pos = read
     if flags & FLAG_NEW_ID:
         if sid:
             raise ProtocolError(

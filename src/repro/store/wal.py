@@ -35,9 +35,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.compress.framing import SYNC
 from repro.errors import StoreError, StoreWriteError
 from repro.runtime.checksum import crc16
+
+#: The two bytes that open every record: the compressed-trace frames'
+#: sync word (:data:`repro.compress.framing.SYNC`), kept here so that a
+#: server that logs sessions never imports the trace codec.
+SYNC = b"\xa5\xc3"
 
 #: Process-wide injectable I/O fault gate (the chaos disk plane).
 #: ``None`` -- the default -- costs one attribute read per append.  A

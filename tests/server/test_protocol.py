@@ -1,19 +1,21 @@
 """Wire-protocol framing and payload-codec tests, including the
-robustness matrix: malformed magic, bad version, truncated frames,
-CRC corruption, and oversized payloads, and the binary requests' and
-OK replies' round trip over their full field ranges."""
+robustness matrix: malformed magic, bad version, malformed varints,
+truncated frames, CRC corruption, and oversized payloads, and the
+binary requests' and OK replies' round trip over their full field
+ranges."""
 
 from __future__ import annotations
 
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
+from repro.runtime.checksum import crc16
 from repro.server import protocol
-from repro.server.protocol import FrameAssembler, encode_frame
+from repro.server.protocol import FrameAssembler, WireFrame, encode_frame
 from repro.stream import session
 
 
@@ -25,7 +27,10 @@ def test_frame_round_trip():
     assert frame.frame_type == protocol.OPEN_SESSION
     assert frame.seq == 7
     assert frame.payload == b"hello"
-    assert frame.version == protocol.PROTOCOL_VERSION
+    # the leading byte, the type, one varint byte each for seq and
+    # length, then the payload and the CRC
+    assert raw[0] == protocol.MAGIC | protocol.PROTOCOL_VERSION
+    assert len(raw) == 4 + 5 + protocol.TRAILER_BYTES
 
 
 def test_empty_payload_round_trip():
@@ -74,15 +79,26 @@ def test_bad_magic_detected_before_full_header():
 
 def test_unsupported_version():
     raw = bytearray(encode_frame(protocol.PING, 1))
-    raw[2] = 99
-    with pytest.raises(ProtocolError, match="version"):
+    raw[0] = protocol.MAGIC | 9
+    with pytest.raises(ProtocolError, match="version 9"):
         FrameAssembler().feed(bytes(raw))
+
+
+def old_frame(version, frame_type, seq, payload=b""):
+    """A frame as protocol versions 1 to 3 sent it: ``"Rp"``, the
+    version, the type, ``u32`` seq and length, the payload, and the
+    CRC of everything after ``"Rp"``."""
+    body = (
+        bytes((version, frame_type)) + seq.to_bytes(4, "big")
+        + len(payload).to_bytes(4, "big") + payload
+    )
+    return b"Rp" + body + crc16(body).to_bytes(2, "big")
 
 
 def test_version_1_peer_is_refused_at_the_header():
     # version 1 answered FEED, SNAPSHOT and CLOSE in JSON; a peer still
     # speaking it fails at its first frame, never mid-reply
-    old = encode_frame(protocol.PING, 1, version=1)
+    old = old_frame(1, protocol.PING, 1)
     with pytest.raises(ProtocolError, match="unsupported protocol version 1"):
         FrameAssembler().feed(old)
 
@@ -90,8 +106,20 @@ def test_version_1_peer_is_refused_at_the_header():
 def test_version_2_peer_is_refused_at_the_header():
     # version 2 sent OPEN, SNAPSHOT and CLOSE requests and answered
     # OPEN in JSON; a peer still speaking it fails the same way
-    old = encode_frame(protocol.PING, 1, version=2)
+    old = old_frame(2, protocol.PING, 1)
     with pytest.raises(ProtocolError, match="unsupported protocol version 2"):
+        FrameAssembler().feed(old)
+
+
+def test_version_3_peer_is_refused_at_the_header():
+    # version 3 framed every request in the fixed 12-byte header; its
+    # first three bytes name it, before any seq or length arrives
+    old = old_frame(3, protocol.FEED_CHUNK, 7, b"\x01s\x00\x00\x00\x00\x00")
+    assembler = FrameAssembler()
+    assert assembler.feed(old[:2]) == []
+    with pytest.raises(ProtocolError, match="unsupported protocol version 3"):
+        assembler.feed(old[2:3])
+    with pytest.raises(ProtocolError, match="unsupported protocol version 3"):
         FrameAssembler().feed(old)
 
 
@@ -104,23 +132,24 @@ def test_crc_corruption_detected():
 
 def test_payload_corruption_detected():
     raw = bytearray(encode_frame(protocol.SNAPSHOT, 5, b"payload"))
-    raw[protocol.HEADER_BYTES] ^= 0x01
+    raw[len(raw) - protocol.TRAILER_BYTES - len(b"payload")] ^= 0x01
     with pytest.raises(ProtocolError, match="CRC"):
         FrameAssembler().feed(bytes(raw))
 
 
 def test_oversized_declared_length_rejected_from_header():
     # an attacker-declared huge length must be rejected before the
-    # assembler buffers the (never-arriving) body
+    # assembler buffers the (never-arriving) body: at the byte that
+    # completes its varint
     assembler = FrameAssembler(max_payload=64)
     header = (
-        protocol.MAGIC
-        + bytes((protocol.PROTOCOL_VERSION, protocol.PING))
-        + (0).to_bytes(4, "big")
-        + (1 << 30).to_bytes(4, "big")
+        bytes((protocol.MAGIC | protocol.PROTOCOL_VERSION, protocol.PING))
+        + b"\x00"  # seq 0
+        + b"\x80\x80\x80\x80\x04"  # length 1 << 30
     )
+    assert assembler.feed(header[:-1]) == []
     with pytest.raises(ProtocolError, match="exceeds"):
-        assembler.feed(header)
+        assembler.feed(header[-1:])
 
 
 def test_encode_rejects_oversized_payload():
@@ -133,6 +162,94 @@ def test_encode_rejects_out_of_range_fields():
         encode_frame(300, 0)
     with pytest.raises(ProtocolError):
         encode_frame(protocol.PING, 1 << 33)
+
+
+# ----------------------------------------------------------------------
+# the varint header
+#: The narrowest and widest value of each varint width up to 32 bits.
+VARINT_EDGES = (
+    0, 127, 128, 16383, 16384, 2**21 - 1, 2**21, 2**28 - 1, 2**28,
+    2**32 - 1,
+)
+SEQS = st.integers(0, 2**32 - 1) | st.sampled_from(VARINT_EDGES)
+#: Payload lengths at the length varint's edges, and the most a frame
+#: may carry.
+PAYLOAD_LENGTHS = (0, 127, 128, 16383, 16384, protocol.DEFAULT_MAX_PAYLOAD)
+LEAD = bytes((protocol.MAGIC | protocol.PROTOCOL_VERSION, protocol.PING))
+
+
+def varint_width(value):
+    """One varint byte per started 7 bits, one for zero."""
+    return max(1, -(-value.bit_length() // 7))
+
+
+def reassembled(pieces):
+    assembler = FrameAssembler()
+    frames = [frame for piece in pieces for frame in assembler.feed(piece)]
+    assert assembler.buffered_bytes == 0
+    return frames
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEQS, st.sampled_from(PAYLOAD_LENGTHS), st.data())
+def test_frames_round_trip_at_the_varint_edges(seq, length, data):
+    payload = bytes(range(256)) * (length // 256) + bytes(range(length % 256))
+    raw = encode_frame(protocol.FEED_CHUNK, seq, payload)
+    header = 2 + varint_width(seq) + varint_width(length)
+    assert header <= protocol.HEADER_BYTES
+    assert len(raw) == header + length + protocol.TRAILER_BYTES
+    expected = [WireFrame(protocol.FEED_CHUNK, seq, payload)]
+    assert reassembled([raw]) == expected
+    cuts = data.draw(st.lists(st.integers(0, len(raw)), max_size=6))
+    bounds = sorted({0, len(raw), *cuts})
+    assert reassembled(
+        [raw[start:end] for start, end in zip(bounds, bounds[1:])]
+    ) == expected
+    singles = [raw[i : i + 1] for i in range(len(raw))]
+    if length > 16384:  # a megabyte a byte at a time takes seconds
+        singles = singles[:header] + [raw[header:-2]] + singles[-2:]
+    assert reassembled(singles) == expected
+
+
+def test_a_varint_longer_than_5_bytes_is_refused():
+    # refused at its fifth byte, which asks for a sixth
+    assembler = FrameAssembler()
+    assert assembler.feed(LEAD + b"\x80" * 4) == []
+    with pytest.raises(ProtocolError, match="longer than 5 bytes"):
+        assembler.feed(b"\x80")
+    with pytest.raises(ProtocolError, match="longer than 5 bytes"):
+        FrameAssembler().feed(LEAD + b"\x01" + b"\xff" * 5)  # the length
+    with pytest.raises(ProtocolError, match="longer than 5 bytes"):
+        protocol.decode_session_payload(
+            protocol.SNAPSHOT, b"\x01s\x02" + b"\x80" * 5 + b"\x01"
+        )
+    # five bytes carry 35 bits; a 32-bit field uses 32 of them
+    with pytest.raises(ProtocolError, match="exceeds 32 bits"):
+        FrameAssembler().feed(LEAD + b"\xff\xff\xff\xff\x10")
+    with pytest.raises(ProtocolError, match="exceeds 32 bits"):
+        protocol.decode_session_payload(
+            protocol.SNAPSHOT, b"\x01s\x02\xff\xff\xff\xff\x10"
+        )
+
+
+#: 0, 1 and 127 padded with a zero byte: a varint whose last byte is
+#: zero has a shorter form.
+PADDED_VARINTS = (b"\x80\x00", b"\x81\x00", b"\xff\x80\x00")
+
+
+@pytest.mark.parametrize("padded", PADDED_VARINTS)
+def test_a_varint_not_in_its_shortest_form_is_refused(padded):
+    for header in (LEAD + padded + b"\x00", LEAD + b"\x01" + padded):
+        with pytest.raises(ProtocolError, match="shortest"):
+            FrameAssembler().feed(header)
+    with pytest.raises(ProtocolError, match="shortest"):
+        protocol.decode_session_payload(
+            protocol.SNAPSHOT, b"\x01s\x02" + padded
+        )
+    with pytest.raises(ProtocolError, match="shortest"):
+        protocol.decode_reply(
+            protocol.SNAPSHOT, protocol.OK, b"\x00\x00" + padded + b"\x01" * 3
+        )
 
 
 # ----------------------------------------------------------------------
@@ -297,8 +414,7 @@ def test_every_status_and_edge_value_round_trips(request_type):
                 body = {"status": status, **{name: flag for name in flags}}
                 body.update((name, value) for name in fields)
                 payload = protocol.encode_reply(request_type, body)
-                # one varint byte per started 7 bits, one for zero
-                width = max(1, -(-value.bit_length() // 7))
+                width = varint_width(value)
                 assert len(payload) == 2 + len(fields) * width
                 assert protocol.decode_reply(
                     request_type, protocol.OK, payload
@@ -532,19 +648,25 @@ def test_truncated_or_padded_payloads_are_refused(case):
 
 
 #: Requests and an OPEN reply as encoded, and their bytes on the wire:
-#: the id's length and bytes, the flags, the deadline (10,000 is 00 00
-#: 27 10), then each string by its length.
+#: the id's length and bytes, the flags, the deadline (10,000 is the
+#: two-byte varint 90 4e), then each string by its length.
 PINNED_REQUESTS = (
+    # a FEED without a deadline, as the WAL logs it: a data directory
+    # written at protocol version 3 replays unchanged
+    (
+        protocol.encode_feed_payload("sized", 7, b"data", eof=True),
+        b"\x05sized\x00\x00\x00\x07\x01data",
+    ),
     (protocol.encode_session_payload("sized"), b"\x05sized\x00"),
     (
         protocol.encode_session_payload("sized", deadline_ms=10_000),
-        b"\x05sized\x02\x00\x00\x27\x10",
+        b"\x05sized\x02\x90\x4e",
     ),
     (
         protocol.encode_open_payload(
             "sized", token="1234abcd", deadline_ms=10_000
         ),
-        b"\x05sized\x0a\x00\x00\x27\x10\x081234abcd",
+        b"\x05sized\x0a\x90\x4e\x081234abcd",
     ),
     (
         protocol.encode_open_payload(

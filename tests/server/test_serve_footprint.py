@@ -224,19 +224,24 @@ def test_serve_path_builds_no_transition_objects(tmp_path, transitions_built):
 
 
 #: Modules the server never runs: the flow miner, the gate-level
-#: netlists, the client side of the service and its process pool.
+#: netlists, the client side of the service and its process pool; and
+#: the trace codec, which only a ctrace session loads (the wire and
+#: the WAL take their CRC from repro.runtime.checksum, and the WAL its
+#: sync word from itself).
 NOT_SERVED = (
     "repro.mining",
     "repro.netlist",
     "repro.server.client",
     "repro.server.loadgen",
     "multiprocessing",
+    "repro.compress",
 )
 
 
 def test_server_imports_no_analysis_stack():
     code = (
-        "import sys, repro.cli, repro.server.server; "
+        "import sys, repro.cli, repro.server.server, repro.server.shard, "
+        "repro.store; "
         f"print(*[m for m in {NOT_SERVED!r} if m in sys.modules])"
     )
     loaded = subprocess.run(

@@ -425,10 +425,9 @@ def test_oversized_payload_rejected(running):
     sock = _raw_connection(running)
     try:
         header = (
-            protocol.MAGIC
-            + bytes((protocol.PROTOCOL_VERSION, protocol.PING))
-            + (1).to_bytes(4, "big")
-            + (1 << 30).to_bytes(4, "big")
+            bytes((protocol.MAGIC | protocol.PROTOCOL_VERSION, protocol.PING))
+            + b"\x01"  # seq 1
+            + b"\x80\x80\x80\x80\x04"  # length 1 << 30
         )
         sock.sendall(header)
         frame = _read_one_frame(sock)

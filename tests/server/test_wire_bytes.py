@@ -69,15 +69,17 @@ def test_binary_reply_frames_have_pinned_sizes(sc1x1):
         ), size
 
     try:
-        # the 12-byte header and 2-byte CRC frame every payload below;
-        # the requests as a default client sends them: the 5-byte id
-        # behind its length byte, the flag byte, the 4-byte deadline,
-        # and on OPEN the 8-character token behind its length byte
+        # a 4-byte header (the leading byte, the type, one varint byte
+        # each for seq 1 and a length below 128) and the 2-byte CRC
+        # frame every reply below; the requests as a default client
+        # sends them: the 5-byte id behind its length byte, the flag
+        # byte, the 2-byte varint deadline, and on OPEN the 8-character
+        # token behind its length byte
         open_request = protocol.encode_open_payload(
             "sized", token="1234abcd", deadline_ms=DEADLINE_MS
         )
-        assert len(open_request) == 1 + 5 + 1 + 4 + 1 + 8
-        assert len(request) == 1 + 5 + 1 + 4
+        assert len(open_request) == 1 + 5 + 1 + 2 + 1 + 8
+        assert len(request) == 1 + 5 + 1 + 2
         # flags, one varint byte for shard 0, then the id, the
         # transport and the mode, each behind its length byte (81 B
         # as version 2's JSON)
@@ -86,7 +88,7 @@ def test_binary_reply_frames_have_pinned_sizes(sc1x1):
                 "session_id": "sized", "shard": 0, "transport": "text",
                 "mode": "prefix",
             },
-            12 + 1 + 1 + 6 + 5 + 7 + 2,
+            4 + 1 + 1 + 6 + 5 + 7 + 2,
         )
         # status and flag bytes, one varint byte per field below 128
         # and two for 2040 and 3150
@@ -99,14 +101,14 @@ def test_binary_reply_frames_have_pinned_sizes(sc1x1):
                 "consumed": 1, "records": 1, "observed_length": 1,
                 "frontier_size": 6, "next_chunk": 1,
             },
-            12 + 2 + 6 + 2,
+            4 + 2 + 6 + 2,
         )
         assert reply(protocol.SNAPSHOT, request) == (
             {
                 "status": "active", "consistent_paths": 2040,
                 "total_paths": 3150, "observed_length": 1, "next_chunk": 1,
             },
-            12 + 2 + 6 + 2,
+            4 + 2 + 6 + 2,
         )
         assert reply(protocol.CLOSE_SESSION, request) == (
             {
@@ -114,7 +116,7 @@ def test_binary_reply_frames_have_pinned_sizes(sc1x1):
                 "consistent_paths": 2040, "total_paths": 3150,
                 "next_chunk": 1,
             },
-            12 + 2 + 7 + 2,
+            4 + 2 + 7 + 2,
         )
     finally:
         sock.close()
@@ -122,8 +124,9 @@ def test_binary_reply_frames_have_pinned_sizes(sc1x1):
 
 
 def test_a_client_sends_the_pinned_request_frames(sc1x1):
-    # OPEN 34 B, SNAPSHOT and CLOSE 25 B each for the 5-byte id (94, 56
-    # and 56 B as the key-sorted JSON of protocol version 2)
+    # OPEN 24 B, SNAPSHOT and CLOSE 15 B each for the 5-byte id at a
+    # one-byte seq (34, 25 and 25 B at protocol version 3; 94, 56 and
+    # 56 B as the key-sorted JSON of version 2)
     handle = start_server(sc1x1, ServerConfig(shards=1))
     sent = []
     try:
@@ -143,9 +146,9 @@ def test_a_client_sends_the_pinned_request_frames(sc1x1):
     finally:
         handle.thread.stop()
     assert sent == [
-        (protocol.OPEN_SESSION, 34),
-        (protocol.SNAPSHOT, 25),
-        (protocol.CLOSE_SESSION, 25),
+        (protocol.OPEN_SESSION, 24),
+        (protocol.SNAPSHOT, 15),
+        (protocol.CLOSE_SESSION, 15),
     ]
 
 
@@ -165,27 +168,31 @@ def wire_bytes_per_record(context, snapshot_every_feed):
                         feed.snapshot()
                 assert feed.close().status == "closed"
             counters = client.stats()["counters"]
+            # the STATS request itself (an empty frame) was counted in
+            stats_request = len(
+                protocol.encode_frame(protocol.STATS, client._seq)
+            )
     finally:
         handle.thread.stop()
-    # the STATS request itself (an empty frame) was counted in
     wire = (
         counters["wire_bytes_in"] + counters["wire_bytes_out"]
-        - (protocol.HEADER_BYTES + protocol.TRAILER_BYTES)
+        - stats_request
     )
     records = counters["records_fed_total"]
     assert records >= 20
     return wire / records
 
 
-def test_wire_bytes_per_record_stay_under_110(sc1x1):
-    # 96.8 B at protocol version 3, 116.5 B at version 2
+def test_wire_bytes_per_record_stay_under_85(sc1x1):
+    # 74.4 B at protocol version 4, 96.8 B at version 3, 116.5 B at
+    # version 2
     per_record = wire_bytes_per_record(sc1x1, snapshot_every_feed=False)
-    assert per_record <= 110, per_record
+    assert per_record <= 85, per_record
 
 
-def test_polled_wire_bytes_per_record_stay_under_160():
-    # a window server polled after every FEED: 145.4 B at protocol
-    # version 3, 196.2 B at version 2
+def test_polled_wire_bytes_per_record_stay_under_120():
+    # a window server polled after every FEED: 107.0 B at protocol
+    # version 4, 145.4 B at version 3, 196.2 B at version 2
     window = ServeContext.from_scenario(1, instances=1, mode="window")
     per_record = wire_bytes_per_record(window, snapshot_every_feed=True)
-    assert per_record <= 160, per_record
+    assert per_record <= 120, per_record

@@ -39,6 +39,17 @@ class TestRecordFraming:
         ]
         assert records[0].size_bytes == len(blob)
 
+    def test_records_open_with_the_compressed_trace_sync_word(self):
+        # wal.py keeps its own copy, so that logging never imports the
+        # trace codec; the bytes on disk are the codec's sync word
+        from repro.compress.framing import SYNC
+
+        assert wal.SYNC == SYNC == b"\xa5\xc3"
+        blob = wal.encode_record(wal.WAL_FEED, 7, b"payload")
+        assert blob[:15] == (
+            b"\xa5\xc3\x02" + (7).to_bytes(8, "big") + (7).to_bytes(4, "big")
+        )
+
     def test_overhead_constant_matches_layout(self):
         blob = wal.encode_record(wal.WAL_OPEN, 1, b"")
         assert len(blob) == wal.RECORD_OVERHEAD_BYTES
