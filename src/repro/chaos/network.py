@@ -22,9 +22,17 @@ frame as decided by the :class:`~repro.chaos.faults.FaultDecider`:
 Fault decisions are keyed on the frame's **content** (type + payload,
 not its sequence number), so a retransmit of a dropped frame maps to
 the same fault key and is allowed through -- every fault is survivable
-by design.  Responses flow back byte-for-byte untouched: request-side
-duplication already exercises the lost-response/duplicate-ack path
-without breaking non-idempotent replies.
+by design.  A FEED, SNAPSHOT or CLOSE names its session by a handle
+scoped to its connection: two sessions on two connections can send the
+same bytes, and a retransmit over a new connection may carry another
+handle.  So the key of such a frame is its payload past the handle and
+the session id of the latest OPEN (or ATTACH) relayed on its
+connection -- what a version-4 frame, which named the id, carried --
+which keeps each session's faults its own and a retransmit's key its
+original's.  Responses flow back byte-for-byte
+untouched: request-side duplication already exercises the
+lost-response/duplicate-ack path without breaking non-idempotent
+replies.
 
 The proxy's upstream address is mutable (:meth:`set_upstream`), so a
 soak can kill and restart the server on a new port while every client
@@ -41,6 +49,30 @@ from typing import Dict, List, Optional, Tuple
 from repro.chaos.faults import FaultDecider, content_digest
 from repro.errors import ProtocolError
 from repro.server import protocol
+
+
+#: The requests that name their session by handle, not by id.
+_HANDLE_NAMED = frozenset(
+    (protocol.FEED_CHUNK, protocol.SNAPSHOT, protocol.CLOSE_SESSION)
+)
+
+
+def _past_handle(payload: bytes) -> bytes:
+    """A handle-named request's *payload* past its leading handle
+    varint."""
+    end = 0
+    while end < len(payload) and payload[end] & 0x80:
+        end += 1
+    return payload[end + 1 :]
+
+
+def _opened_id(payload: bytes, previous: Optional[str]) -> Optional[str]:
+    """The session id an OPEN or ATTACH *payload* names, or *previous*
+    when it does not decode (the server refuses it)."""
+    try:
+        return protocol.decode_open_payload(payload).effective_id
+    except ProtocolError:
+        return previous
 
 
 class ChaosProxy:
@@ -205,6 +237,8 @@ class ChaosProxy:
         # frame passes (or when the stream goes quiet/closes)
         pending_stale: List[bytes] = []
         idle_since = time.monotonic()
+        # the id of the latest OPEN or ATTACH relayed on this connection
+        opened: Optional[str] = None
         try:
             while not self._stopping.is_set():
                 try:
@@ -234,8 +268,10 @@ class ChaosProxy:
                     continue
                 ok = True
                 for frame in frames:
+                    if frame.frame_type == protocol.OPEN_SESSION:
+                        opened = _opened_id(frame.payload, opened)
                     if not self._relay_frame(
-                        upstream, frame, pending_stale
+                        upstream, frame, pending_stale, opened
                     ):
                         ok = False
                         break
@@ -251,10 +287,19 @@ class ChaosProxy:
         upstream: socket.socket,
         frame: protocol.WireFrame,
         pending_stale: List[bytes],
+        opened: Optional[str] = None,
     ) -> bool:
-        """Forward one request frame, applying at most one fault."""
+        """Forward one request frame, applying at most one fault.
+        *opened* is the id of the latest OPEN or ATTACH relayed on the
+        frame's connection, which names a handle-named frame's session
+        in its fault key."""
         self._count("frames")
-        digest = content_digest(frame.frame_type, frame.payload)
+        if frame.frame_type in _HANDLE_NAMED:
+            digest = content_digest(
+                frame.frame_type, _past_handle(frame.payload), opened
+            )
+        else:
+            digest = content_digest(frame.frame_type, frame.payload)
         wire = protocol.encode_frame(
             frame.frame_type, frame.seq, frame.payload
         )

@@ -10,10 +10,20 @@ retransmit whose original response was lost).
 
 :class:`SessionFeed` is the streaming API: it remembers every chunk it
 has fed, so when the server loses the session -- an idle eviction, or
-a kill-and-restart mid-stream -- the feed transparently re-opens and
-replays from chunk zero.  Localization is a pure function of the fed
-prefix, so replay converges to the exact same snapshot with zero data
-loss; the soak test kills the server mid-stream and pins that down.
+a kill-and-restart mid-stream -- the feed transparently re-opens, with
+the token of its first OPEN, and replays from the server's cursor or
+chunk zero.  Localization is a pure function of the fed prefix, so
+replay converges to the exact same snapshot with zero data loss; the
+soak test kills the server mid-stream and pins that down.
+
+The API names sessions by id; the wire names them by the handle the
+server hands out per connection (:mod:`repro.server.protocol`).
+:class:`DebugClient` keeps each id's handle on the current connection,
+and the token of the OPEN that answered for it.  Before its first
+request for a session on a connection -- after a reconnect, or for a
+session another client opened -- it ATTACHes: with the token when it
+has one, so it reaches only the session that token opened, and
+without one to whatever the id holds.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import random
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import (
     ProtocolError,
@@ -232,6 +242,11 @@ class DebugClient:
         self._seq = 0
         self.retries = 0  # lifetime retry count (load-gen reporting)
         self.breaker = CircuitBreaker.from_policy(self.policy)
+        #: Each session's handle on the current connection, by id.
+        self._handles: Dict[str, int] = {}
+        #: The token of the OPEN that answered for each session this
+        #: client opened and has not closed, by id: it attaches with it.
+        self._tokens: Dict[str, str] = {}
 
     # -- connection management -----------------------------------------
     def _connect(self) -> socket.socket:
@@ -250,6 +265,8 @@ class DebugClient:
         return self._sock
 
     def _disconnect(self) -> None:
+        # the server's handles die with the connection
+        self._handles.clear()
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -268,11 +285,17 @@ class DebugClient:
 
     # -- request plumbing ----------------------------------------------
     def request(
-        self, frame_type: int, payload: bytes = b""
+        self,
+        frame_type: int,
+        payload: Union[bytes, Callable[[], bytes]] = b"",
     ) -> Tuple[int, Dict[str, Any]]:
         """Send one request, applying the retry policy; returns the
         ``(response_type, payload)`` of an OK/ERROR reply, the payload
         decoded by :func:`~repro.server.protocol.decode_reply`.
+
+        *payload* may be a function that builds each attempt's
+        payload: a request that names a session by handle must carry
+        the handle of the connection the attempt sends on.
 
         Raises
         ------
@@ -285,8 +308,11 @@ class DebugClient:
                 self.retries += 1
                 time.sleep(self.policy.delay(attempt - 1, self._rng))
             self.breaker.before_attempt()
+            # a handle is built for the current connection, attaching
+            # first when it has none (a disconnect drops them all)
+            data = payload() if callable(payload) else payload
             try:
-                response = self._roundtrip(frame_type, payload)
+                response = self._roundtrip(frame_type, data)
             except (OSError, ProtocolError, EOFError) as exc:
                 self._disconnect()
                 self.breaker.record_failure()
@@ -349,7 +375,67 @@ class DebugClient:
             )
         return body
 
+    # -- session handles -------------------------------------------------
+    def _handle(self, session_id: str) -> int:
+        """The handle of *session_id* on the current connection,
+        attached first when the connection has none."""
+        handle = self._handles.get(session_id)
+        if handle is None:
+            frame_type, body = self.request(
+                protocol.OPEN_SESSION,
+                protocol.encode_open_payload(
+                    session_id,
+                    token=self._tokens.get(session_id),
+                    deadline_ms=self._deadline_ms(),
+                    attach=True,
+                ),
+            )
+            if frame_type == protocol.ERROR:
+                self._tokens.pop(session_id, None)
+            handle = self._handles[session_id] = self._checked(
+                frame_type, body
+            )["handle"]
+        return handle
+
+    def _session_request(
+        self,
+        frame_type: int,
+        session_id: str,
+        encode: Callable[[int, Optional[int]], bytes],
+    ) -> Dict[str, Any]:
+        """Send the *frame_type* request that ``encode(handle,
+        deadline_ms)`` builds from *session_id*'s handle; returns the
+        OK reply's body.  A handle held from earlier that the server no
+        longer knows (its table dropped it) is attached again, once;
+        ``unknown-session`` after that, and a CLOSE's OK, forget the
+        session."""
+        protocol.session_id_bytes(session_id)
+        deadline_ms = self._deadline_ms()
+        for again in (True, False):
+            held = session_id in self._handles
+            reply_type, body = self.request(
+                frame_type,
+                lambda: encode(self._handle(session_id), deadline_ms),
+            )
+            lost = (
+                reply_type == protocol.ERROR
+                and body.get("error") == "unknown-session"
+            )
+            if not (lost and held and again):
+                break
+            self._handles.pop(session_id, None)
+        if lost or (
+            frame_type == protocol.CLOSE_SESSION and reply_type == protocol.OK
+        ):
+            self._handles.pop(session_id, None)
+            self._tokens.pop(session_id, None)
+        return self._checked(reply_type, body)
+
     # -- session API ---------------------------------------------------
+    def new_token(self) -> str:
+        """A fresh random open token: 8 hex digits."""
+        return f"{self._rng.getrandbits(32):08x}"
+
     def open_session(
         self,
         session_id: Optional[str] = None,
@@ -367,26 +453,37 @@ class DebugClient:
         session_id: Optional[str] = None,
         mode: Optional[str] = None,
         transport: str = "text",
+        token: Optional[str] = None,
     ) -> Dict[str, object]:
-        """Open a session and return the server's full reply body.
+        """Open a session and return the server's full reply body, with
+        the session's id as ``"session_id"``.
 
-        Every attempt of one call carries the same random open token,
-        so a retry whose first attempt opened the session is answered
-        OK.  A server resuming a session -- spilled, or opened by this
-        call's lost first attempt -- adds ``"resumed": true`` and
-        ``"next_chunk"`` (the chunk index it expects next).
+        Every attempt of one call carries the same open token --
+        *token*, or a fresh random one -- so a retry whose first
+        attempt opened the session is answered OK.  A server resuming a
+        session -- spilled, or opened by this call's lost first
+        attempt, each only for the token that opened it -- adds
+        ``"resumed": true`` and ``"next_chunk"`` (the chunk index it
+        expects next).
         """
+        if token is None:
+            token = self.new_token()
         frame_type, body = self.request(
             protocol.OPEN_SESSION,
             protocol.encode_open_payload(
                 session_id,
-                token=f"{self._rng.getrandbits(32):08x}",
+                token=token,
                 transport=transport,
                 mode=mode,
                 deadline_ms=self._deadline_ms(),
             ),
         )
-        return self._checked(frame_type, body)
+        body = self._checked(frame_type, body)
+        sid = "g" + token if session_id is None else session_id
+        body["session_id"] = sid
+        self._handles[sid] = body["handle"]
+        self._tokens[sid] = token
+        return body
 
     def feed(
         self,
@@ -395,24 +492,19 @@ class DebugClient:
         data: bytes,
         eof: bool = False,
     ) -> FeedReply:
-        frame_type, body = self.request(
+        body = self._session_request(
             protocol.FEED_CHUNK,
-            protocol.encode_feed_payload(
-                session_id, chunk_index, data, eof,
-                deadline_ms=self._deadline_ms(),
+            session_id,
+            lambda handle, deadline_ms: protocol.encode_feed_request(
+                handle, chunk_index, data, eof, deadline_ms
             ),
         )
-        body = self._checked(frame_type, body)
         return FeedReply(session_id, **body)
 
     def snapshot(self, session_id: str) -> SnapshotReply:
-        frame_type, body = self.request(
-            protocol.SNAPSHOT,
-            protocol.encode_session_payload(
-                session_id, deadline_ms=self._deadline_ms()
-            ),
+        body = self._session_request(
+            protocol.SNAPSHOT, session_id, protocol.encode_session_request
         )
-        body = self._checked(frame_type, body)
         return SnapshotReply(
             session_id=session_id,
             result=_result(body),
@@ -422,13 +514,10 @@ class DebugClient:
         )
 
     def close_session(self, session_id: str) -> CloseReply:
-        frame_type, body = self.request(
-            protocol.CLOSE_SESSION,
-            protocol.encode_session_payload(
-                session_id, deadline_ms=self._deadline_ms()
-            ),
+        body = self._session_request(
+            protocol.CLOSE_SESSION, session_id,
+            protocol.encode_session_request,
         )
-        body = self._checked(frame_type, body)
         return CloseReply(
             session_id=session_id,
             status=body["status"],
@@ -463,9 +552,11 @@ class SessionFeed:
     the un-persisted tail is retransmitted.  An open that is not
     resumed (a memory-only server lost the session) replays from chunk
     zero.  Replay preserves chunk indices, so server-side
-    idempotency holds across the recovery too.  A session lost again
-    during its recovery is reopened again, :data:`MAX_REOPENS` times
-    at most.
+    idempotency holds across the recovery too.  Every OPEN of the feed
+    carries the token of its first, so a reopen resumes only the
+    session the feed opened.  A session lost again during its recovery
+    (another client's CLOSE, or another restart) is reopened again,
+    :data:`MAX_REOPENS` times at most.
     """
 
     def __init__(
@@ -479,8 +570,12 @@ class SessionFeed:
         self.mode = mode
         self.transport = transport
         self._history: list = []  # [(bytes, eof)]
-        self.session_id = client.open_session(
-            session_id=session_id, mode=mode, transport=transport
+        self._token = client.new_token()
+        self.session_id = str(
+            client.open_session_info(
+                session_id=session_id, mode=mode, transport=transport,
+                token=self._token,
+            )["session_id"]
         )
         self.recoveries = 0
 
@@ -497,6 +592,7 @@ class SessionFeed:
             session_id=self.session_id,
             mode=self.mode,
             transport=self.transport,
+            token=self._token,
         )
         self.session_id = str(info["session_id"])
         start = 0
@@ -529,9 +625,9 @@ class SessionFeed:
 
     def _reopened(self, operation):
         """Reopen, replay and run *operation* again.  The session can
-        be lost again on the way (another restart, or a CLOSE the
-        network delivered late to the reopened session): each loss
-        reopens once more, at most :data:`MAX_REOPENS` times."""
+        be lost again on the way (another restart, or another client's
+        CLOSE): each loss reopens once more, at most
+        :data:`MAX_REOPENS` times."""
         for attempt in range(1, MAX_REOPENS + 1):
             try:
                 self._reopen_and_replay()

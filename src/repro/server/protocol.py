@@ -4,7 +4,7 @@ CRC-validated binary frames.
 Every request and response travels as one frame::
 
     +------+------+------------+------------+-----------+-------+
-    | 0xB4 | type | varint seq | varint len | payload.. | crc16 |
+    | 0xB5 | type | varint seq | varint len | payload.. | crc16 |
     +------+------+------------+------------+-----------+-------+
 
 The leading byte is the magic in its high nibble (:data:`MAGIC`) and
@@ -25,27 +25,36 @@ protocol error for the connection (the peer replies ``ERROR`` where it
 can and closes).  A varint longer than a 32-bit value needs (5 bytes),
 or not in its shortest form, is malformed; so is a declared length
 over the receiver's limit, refused before any payload byte arrives.
-Versions 1 to 3 opened every frame with ``"Rp"`` and a version byte:
-such a peer is refused at its first header, as ``unsupported protocol
-version N``.
+A frame of another version is refused at its first header, as
+``unsupported protocol version N``; versions 1 to 3 opened every frame
+with ``"Rp"`` and a version byte, version 4 with ``0xB4``.
 
 ``STATS`` and ``PING`` requests carry no payload.  Every other request
-names a session and is binary, starting with one head::
+is binary.  ``OPEN_SESSION`` names its session by id; the ``OK`` reply
+to it carries a **handle**, and ``FEED_CHUNK``, ``SNAPSHOT`` and
+``CLOSE_SESSION`` name the session by that handle::
 
-    u8 sid_len | sid | [u32 chunk_index] | u8 flags | [varint deadline_ms]
+    OPEN_SESSION   u8 sid_len | sid | u8 flags | [varint deadline_ms]
+                   | [token] | [transport] | [mode]
+    FEED_CHUNK     varint handle | varint chunk_index | u8 flags
+                   | [varint deadline_ms] | data...
+    SNAPSHOT       varint handle | u8 flags | [varint deadline_ms]
+    CLOSE_SESSION  varint handle | u8 flags | [varint deadline_ms]
 
-    FEED_CHUNK     head | data...
-    SNAPSHOT       head
-    CLOSE_SESSION  head
-    OPEN_SESSION   head | [token] | [transport] | [mode]
+A handle is scoped to its connection and never reused on it: the
+server maps it to one incarnation of one session (a fresh OPEN makes a
+new incarnation of its id; a resume, a spill and a revival keep it),
+so a request whose handle names an incarnation the server no longer
+holds -- a late copy of a CLOSE after its session was reopened, say --
+has no effect and is answered ``unknown-session``.  Handles, chunk
+indices and deadlines are 32-bit values as varints: a FEED's head takes
+5 bytes for a handle and chunk index below 128 and a default client's
+10 s deadline, a SNAPSHOT or CLOSE 4.
 
 A session id is 1..255 bytes of UTF-8 (:func:`session_id_bytes`), the
 most the ``sid_len`` byte can carry; the server refuses any other id,
-and an id that is not UTF-8, with a ``protocol`` error.  Only
-``FEED_CHUNK`` carries ``chunk_index`` (big-endian, as the WAL logs
-a FEED's payload without a deadline).  Flag bit 1
-(:data:`FLAG_DEADLINE`) adds the relative ``deadline_ms``, a 32-bit
-value as a varint: 2 bytes for a default client's 10 s.  The other
+and an id that is not UTF-8, with a ``protocol`` error.  Flag bit 1
+(:data:`FLAG_DEADLINE`) adds the relative ``deadline_ms``.  The other
 bits belong to one request type each (:data:`REQUEST_FLAGS`), and a
 bit a type does not know is a ``protocol`` error: bit 0 of a FEED
 marks end-of-stream (the server flushes a trailing partial line); on
@@ -55,9 +64,18 @@ each a ``u8`` length and that many bytes of UTF-8, and bit 2 asks the
 server to generate the id (``sid_len`` is then 0).  Such an OPEN must
 carry a token of 1..254 bytes: its session is named ``"g" + token``
 (:attr:`OpenRequest.effective_id`), so a retry of it reaches the same
-session.  A SNAPSHOT or CLOSE for a 17-byte id takes 21 bytes, 2 of
-them the deadline.  ``FEED_CHUNK``'s data is raw bytes, so
+session.  Bit 6 (:data:`FLAG_ATTACH`) makes an OPEN an **ATTACH**: it
+gets a handle for a session the server already holds, live or spilled,
+and never creates or revives one -- with a token, only for the session
+that token opened; without, for whatever the id holds.  An ATTACH
+names no transport or mode and asks for no new id.  ``FEED_CHUNK``'s data is raw bytes, so
 compressed-trace chunks never pay a base64 tax.
+
+The write-ahead log keeps version 4's FEED payload, which names the
+session by id (:func:`encode_feed_payload`)::
+
+    u8 sid_len | sid | u32 chunk_index | u8 flags | [varint deadline_ms]
+    | data...
 
 ``chunk_index`` makes feeds idempotent: the server tracks the next
 expected index per session, acknowledges duplicates without
@@ -75,17 +93,19 @@ flag bit 0 of a FEED reply marks a duplicate acknowledgment, and the
 fields follow in the fixed order of :data:`REPLY_FIELDS`, each an
 unsigned LEB128 varint: exact at any size (path counts pass 2^64 on
 the exact route), one byte below 128.  The replies carry neither the
-session id (the client sent it) nor the consistent fraction
+session (the client named it) nor the consistent fraction
 (:attr:`~repro.selection.localization.LocalizationResult.fraction`
 derives it from the two counts).  The ``OK`` reply to
 ``OPEN_SESSION`` is binary too::
 
-    u8 flags | varint shard | [varint next_chunk] | sid | transport | mode
+    u8 flags | varint shard | varint handle | [varint next_chunk]
+    | transport | mode
 
-flag bit 0 marks a resumed session, which alone carries
-``next_chunk``, and the three strings are length-prefixed as in an
-OPEN request.  :func:`decode_reply` reads every reply into a dict,
-keyed by the request it answers.
+flag bit 0 marks a resumed session (every ATTACH is one), which alone
+carries ``next_chunk``, and the two strings are length-prefixed as in
+an OPEN request.  The reply leaves out the session id: the client sent
+it, or it is ``"g" + token``.  :func:`decode_reply` reads every reply
+into a dict, keyed by the request it answers.
 
 Every other reply is JSON: ``STATS`` and ``PING`` answer with an
 object, ``ERROR`` carries ``{"error": code, "message": text}`` and
@@ -113,7 +133,7 @@ from repro.stream.session import (
 #: A frame's leading byte: this magic in its high nibble, the protocol
 #: version in its low one.
 MAGIC = 0xB0
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 _LEAD = MAGIC | PROTOCOL_VERSION
 _LEAD_BYTE = bytes((_LEAD,))
 #: The two bytes that opened a frame of versions 1 to 3, before their
@@ -125,8 +145,9 @@ _OLD_MAGIC = b"Rp"
 HEADER_BYTES = 12
 TRAILER_BYTES = 2
 
-#: The largest value of a 32-bit field: a frame's seq and length and a
-#: request's deadline, each a varint of at most 5 bytes.
+#: The largest value of a 32-bit field: a frame's seq and length, and a
+#: request's handle, chunk index and deadline, each a varint of at most
+#: 5 bytes.
 _U32 = 0xFFFFFFFF
 
 #: Default cap on payload size; both sides enforce it *from the header*
@@ -168,11 +189,16 @@ FLAG_NEW_ID = 0x04
 FLAG_TOKEN = 0x08
 FLAG_TRANSPORT = 0x10
 FLAG_MODE = 0x20
+#: An OPEN attaches to a session the server already holds and creates
+#: none: an ATTACH.  It carries no transport or mode and asks for no
+#: new id; its token is optional.
+FLAG_ATTACH = 0x40
 
 #: The flag bits each request type that names a session may set.
 REQUEST_FLAGS: Dict[int, int] = {
     OPEN_SESSION: (
         FLAG_DEADLINE | FLAG_NEW_ID | FLAG_TOKEN | FLAG_TRANSPORT | FLAG_MODE
+        | FLAG_ATTACH
     ),
     FEED_CHUNK: FLAG_EOF | FLAG_DEADLINE,
     SNAPSHOT: FLAG_DEADLINE,
@@ -475,35 +501,148 @@ def _ended(payload: bytes, pos: int, where: str) -> None:
         )
 
 
+def _put_flags(
+    out: bytearray, flags: int, deadline_ms: Optional[int]
+) -> None:
+    """Append a request's flag byte and, when given, its deadline."""
+    if deadline_ms is None:
+        out.append(flags)
+        return
+    if not 0 <= deadline_ms <= _U32:
+        raise ProtocolError(f"deadline {deadline_ms}ms out of range")
+    out.append(flags | FLAG_DEADLINE)
+    _put_varint(out, deadline_ms)
+
+
+def _read_flags(
+    request_type: int, payload: bytes, pos: int, where: str
+) -> Tuple[int, Optional[int], int]:
+    """The flag byte at *pos* of a *request_type* payload and the
+    deadline it announces (``None`` when it carries none), and the
+    position after them.  :class:`ProtocolError` on a flag the type
+    does not know."""
+    if pos >= len(payload):
+        raise ProtocolError(f"{where} truncated before its flags")
+    flags = payload[pos]
+    unknown = flags & ~REQUEST_FLAGS[request_type]
+    if unknown:
+        raise ProtocolError(f"unknown {where} flags {unknown:#04x}")
+    pos += 1
+    deadline_ms: Optional[int] = None
+    if flags & FLAG_DEADLINE:
+        read = _read_varint(payload, pos, "deadline", u32=True)
+        if read is None:
+            raise ProtocolError(f"{where} truncated in its deadline")
+        deadline_ms, pos = read
+    return flags, deadline_ms, pos
+
+
+def _put_u32(out: bytearray, value: int, what: str) -> None:
+    """Append the 32-bit field *what* as a varint."""
+    if not 0 <= value <= _U32:
+        raise ProtocolError(f"{what} {value} out of range")
+    _put_varint(out, value)
+
+
+def _read_u32(
+    payload: bytes, pos: int, what: str, where: str
+) -> Tuple[int, int]:
+    """The 32-bit varint *what* at *pos* of *where*, and the position
+    after it."""
+    if not payload:
+        raise ProtocolError(f"empty {where}")
+    read = _read_varint(payload, pos, what, u32=True)
+    if read is None:
+        raise ProtocolError(f"{where} truncated in its {what}")
+    return read
+
+
+# -- requests that name their session by handle ------------------------
+def encode_feed_request(
+    handle: int,
+    chunk_index: int,
+    data: bytes,
+    eof: bool = False,
+    deadline_ms: Optional[int] = None,
+) -> bytes:
+    """Binary ``FEED_CHUNK`` request: ``varint handle | varint
+    chunk_index | u8 flags | [varint deadline_ms] | data``.
+
+    ``deadline_ms`` (optional) propagates the client's per-request
+    deadline; the server answers an expired request with
+    ``RETRY_LATER`` *before* applying it, preserving the no-effect
+    promise.
+    """
+    out = bytearray()
+    _put_u32(out, handle, "handle")
+    _put_u32(out, chunk_index, "chunk index")
+    _put_flags(out, FLAG_EOF if eof else 0, deadline_ms)
+    out += data
+    return bytes(out)
+
+
+def decode_feed_request(
+    payload: bytes,
+) -> Tuple[int, int, bool, bytes, Optional[int]]:
+    """Parse a ``FEED_CHUNK`` request into ``(handle, chunk_index,
+    eof, data, deadline_ms)``; ``deadline_ms`` is ``None`` when the
+    frame carries no deadline."""
+    where = _PAYLOADS[FEED_CHUNK]
+    handle, pos = _read_u32(payload, 0, "handle", where)
+    chunk_index, pos = _read_u32(payload, pos, "chunk index", where)
+    flags, deadline_ms, pos = _read_flags(FEED_CHUNK, payload, pos, where)
+    eof = bool(flags & FLAG_EOF)
+    return handle, chunk_index, eof, payload[pos:], deadline_ms
+
+
+def encode_session_request(
+    handle: int, deadline_ms: Optional[int] = None
+) -> bytes:
+    """Binary ``SNAPSHOT`` or ``CLOSE_SESSION`` request: ``varint
+    handle | u8 flags | [varint deadline_ms]``."""
+    out = bytearray()
+    _put_u32(out, handle, "handle")
+    _put_flags(out, 0, deadline_ms)
+    return bytes(out)
+
+
+def decode_session_request(
+    request_type: int, payload: bytes
+) -> Tuple[int, Optional[int]]:
+    """Parse a *request_type* (``SNAPSHOT`` or ``CLOSE_SESSION``)
+    request into ``(handle, deadline_ms)``."""
+    where = _PAYLOADS[request_type]
+    handle, pos = _read_u32(payload, 0, "handle", where)
+    _, deadline_ms, pos = _read_flags(request_type, payload, pos, where)
+    _ended(payload, pos, where)
+    return handle, deadline_ms
+
+
+# -- payloads that name their session by id ----------------------------
 def _head(
     sid: bytes, flags: int, deadline_ms: Optional[int], index: bytes = b""
 ) -> bytes:
-    """The head of a request that names a session: ``u8 sid_len | sid
-    | index | u8 flags | [varint deadline_ms]``, where *index* is a
-    FEED's chunk index and empty on every other request."""
+    """The head of a payload that names its session by id: ``u8
+    sid_len | sid | index | u8 flags | [varint deadline_ms]``, where
+    *index* is a logged FEED's chunk index and empty on an OPEN."""
     out = bytearray((len(sid),))
     out += sid
     out += index
-    if deadline_ms is None:
-        out.append(flags)
-    else:
-        if not 0 <= deadline_ms <= _U32:
-            raise ProtocolError(f"deadline {deadline_ms}ms out of range")
-        out.append(flags | FLAG_DEADLINE)
-        _put_varint(out, deadline_ms)
+    _put_flags(out, flags, deadline_ms)
     return bytes(out)
 
 
 def _read_head(
     request_type: int, payload: bytes
 ) -> Tuple[Optional[str], int, int, Optional[int], int]:
-    """Parse the head of a *request_type* payload into ``(session_id,
-    chunk_index, flags, deadline_ms, position after the head)``.  The
-    id is ``None`` on an OPEN that asks for a new one, the chunk index
-    0 on every request but a FEED, and ``deadline_ms`` ``None`` when
-    the request carries none.  :class:`ProtocolError` on a truncated
-    head, an id that is empty or not UTF-8, and a flag the type does
-    not know."""
+    """Parse the head of a *request_type* payload that names its
+    session by id (an OPEN, or a FEED as the WAL logs it) into
+    ``(session_id, chunk_index, flags, deadline_ms, position after the
+    head)``.  The id is ``None`` on an OPEN that asks for a new one,
+    the chunk index 0 on an OPEN, and ``deadline_ms`` ``None`` when the
+    payload carries none.  :class:`ProtocolError` on a truncated head,
+    an id that is empty or not UTF-8, and a flag the type does not
+    know."""
     where = _PAYLOADS[request_type]
     if not payload:
         raise ProtocolError(f"empty {where}")
@@ -512,17 +651,9 @@ def _read_head(
     if at_flags >= len(payload):
         raise ProtocolError(f"{where} truncated before its flags")
     chunk_index = int.from_bytes(payload[pos:at_flags], "big")
-    flags = payload[at_flags]
-    unknown = flags & ~REQUEST_FLAGS[request_type]
-    if unknown:
-        raise ProtocolError(f"unknown {where} flags {unknown:#04x}")
-    pos = at_flags + 1
-    deadline_ms: Optional[int] = None
-    if flags & FLAG_DEADLINE:
-        read = _read_varint(payload, pos, "deadline", u32=True)
-        if read is None:
-            raise ProtocolError(f"{where} truncated in its deadline")
-        deadline_ms, pos = read
+    flags, deadline_ms, pos = _read_flags(
+        request_type, payload, at_flags, where
+    )
     if flags & FLAG_NEW_ID:
         if sid:
             raise ProtocolError(
@@ -541,15 +672,12 @@ def encode_feed_payload(
     eof: bool = False,
     deadline_ms: Optional[int] = None,
 ) -> bytes:
-    """Binary ``FEED_CHUNK`` payload (see module docstring layout).
-
-    ``deadline_ms`` (optional) propagates the client's per-request
-    deadline; the server answers an expired request with
-    ``RETRY_LATER`` *before* applying it, preserving the no-effect
-    promise.
-    """
+    """A FEED payload that names its session by id: protocol version
+    4's ``FEED_CHUNK`` payload, and what the write-ahead log records
+    for a FEED (without a deadline).  The chunk index is a big-endian
+    ``u32``."""
     sid = session_id_bytes(session_id)
-    if not 0 <= chunk_index <= 0xFFFFFFFF:
+    if not 0 <= chunk_index <= _U32:
         raise ProtocolError(f"chunk index {chunk_index} out of range")
     return _head(
         sid, FLAG_EOF if eof else 0, deadline_ms,
@@ -560,31 +688,14 @@ def encode_feed_payload(
 def decode_feed_payload_ex(
     payload: bytes,
 ) -> Tuple[str, int, bool, bytes, Optional[int]]:
-    """Parse a ``FEED_CHUNK`` payload into ``(session_id, chunk_index,
-    eof, data, deadline_ms)``; ``deadline_ms`` is ``None`` when the
-    frame carries no deadline."""
+    """Parse an id-named FEED payload (:func:`encode_feed_payload`)
+    into ``(session_id, chunk_index, eof, data, deadline_ms)``;
+    ``deadline_ms`` is ``None`` when the payload carries no
+    deadline."""
     sid, chunk_index, flags, deadline_ms, pos = _read_head(
         FEED_CHUNK, payload
     )
     return sid, chunk_index, bool(flags & FLAG_EOF), payload[pos:], deadline_ms
-
-
-def encode_session_payload(
-    session_id: str, deadline_ms: Optional[int] = None
-) -> bytes:
-    """Binary ``SNAPSHOT`` or ``CLOSE_SESSION`` payload: the head
-    alone."""
-    return _head(session_id_bytes(session_id), 0, deadline_ms)
-
-
-def decode_session_payload(
-    request_type: int, payload: bytes
-) -> Tuple[str, Optional[int]]:
-    """Parse a *request_type* (``SNAPSHOT`` or ``CLOSE_SESSION``)
-    payload into ``(session_id, deadline_ms)``."""
-    sid, _, _, deadline_ms, pos = _read_head(request_type, payload)
-    _ended(payload, pos, _PAYLOADS[request_type])
-    return sid, deadline_ms
 
 
 @dataclass(frozen=True)
@@ -592,13 +703,14 @@ class OpenRequest:
     """One decoded ``OPEN_SESSION`` request.  ``session_id`` is
     ``None`` when the server is to name the session after ``token``,
     ``mode`` when the server's default applies, and ``deadline_ms``
-    when the request carries none."""
+    when the request carries none.  ``attach`` marks an ATTACH."""
 
     session_id: Optional[str]
     token: Optional[str] = None
     transport: str = DEFAULT_TRANSPORT
     mode: Optional[str] = None
     deadline_ms: Optional[int] = None
+    attach: bool = False
 
     @property
     def effective_id(self) -> str:
@@ -620,17 +732,31 @@ def _check_new_id_token(token: Optional[str]) -> None:
         )
 
 
+#: What an ATTACH may not carry: it creates nothing.
+_NOT_ATTACH = FLAG_NEW_ID | FLAG_TRANSPORT | FLAG_MODE
+
+
+def _check_attach(flags: int) -> None:
+    if flags & FLAG_ATTACH and flags & _NOT_ATTACH:
+        raise ProtocolError(
+            "an ATTACH names no transport or mode and asks for no new "
+            f"session id (flags {flags:#04x})"
+        )
+
+
 def encode_open_payload(
     session_id: Optional[str] = None,
     token: Optional[str] = None,
     transport: str = DEFAULT_TRANSPORT,
     mode: Optional[str] = None,
     deadline_ms: Optional[int] = None,
+    attach: bool = False,
 ) -> bytes:
     """Binary ``OPEN_SESSION`` payload: the head (no id when
     *session_id* is ``None``, which needs a *token* of 1..254 bytes),
     then the token, a transport other than :data:`DEFAULT_TRANSPORT`
-    and the mode, each only when given."""
+    and the mode, each only when given.  *attach* makes it an ATTACH,
+    which must name its id and neither a transport nor a mode."""
     if session_id is None:
         flags, sid = FLAG_NEW_ID, b""
     else:
@@ -646,7 +772,10 @@ def encode_open_payload(
             raw = _utf8(given[name], name)
             flags |= flag
             fields += bytes((len(raw),)) + raw
-    if session_id is None:
+    if attach:
+        flags |= FLAG_ATTACH
+        _check_attach(flags)
+    elif session_id is None:
         _check_new_id_token(token)
     return _head(sid, flags, deadline_ms) + fields
 
@@ -654,6 +783,7 @@ def encode_open_payload(
 def decode_open_payload(payload: bytes) -> OpenRequest:
     """Parse an ``OPEN_SESSION`` payload (:func:`encode_open_payload`)."""
     sid, _, flags, deadline_ms, pos = _read_head(OPEN_SESSION, payload)
+    _check_attach(flags)
     where = _PAYLOADS[OPEN_SESSION]
     fields: Dict[str, str] = {}
     for name, flag in OPEN_FIELDS:
@@ -662,17 +792,27 @@ def decode_open_payload(payload: bytes) -> OpenRequest:
     _ended(payload, pos, where)
     if sid is None:
         _check_new_id_token(fields.get("token"))
-    return OpenRequest(sid, deadline_ms=deadline_ms, **fields)
+    return OpenRequest(
+        sid, deadline_ms=deadline_ms, attach=bool(flags & FLAG_ATTACH),
+        **fields,
+    )
 
 
+#: The varints of an ``OPEN_SESSION`` OK reply, in wire order: a
+#: resumed session's also carry ``next_chunk``.
+OPEN_REPLY_FIELDS = ("shard", "handle")
 #: The strings of an ``OPEN_SESSION`` OK reply, in wire order.
-OPEN_REPLY_TEXTS = ("session_id", "transport", "mode")
+OPEN_REPLY_TEXTS = ("transport", "mode")
+
+
+def _open_reply_fields(resumed: object) -> Tuple[str, ...]:
+    return OPEN_REPLY_FIELDS + (("next_chunk",) if resumed else ())
 
 
 def encode_reply(request_type: int, body: Mapping[str, Any]) -> bytes:
     """The binary OK reply to *request_type*, read from *body* (other
     keys are ignored).  For ``OPEN_SESSION``: ``resumed`` as flag bit
-    0, ``shard``, ``next_chunk`` when resumed, then
+    0, :data:`OPEN_REPLY_FIELDS`, ``next_chunk`` when resumed, then
     :data:`OPEN_REPLY_TEXTS`.  For ``FEED_CHUNK``, ``SNAPSHOT`` and
     ``CLOSE_SESSION``: ``body["status"]``, its flags and its
     :data:`REPLY_FIELDS`.  Refuses an unknown status and a negative
@@ -680,9 +820,7 @@ def encode_reply(request_type: int, body: Mapping[str, Any]) -> bytes:
     if request_type == OPEN_SESSION:
         resumed = bool(body.get("resumed"))
         out = bytearray((int(resumed),))
-        _put_varints(
-            out, body, ("shard", "next_chunk") if resumed else ("shard",)
-        )
+        _put_varints(out, body, _open_reply_fields(resumed))
         for name in OPEN_REPLY_TEXTS:
             raw = _utf8(body[name], name)
             out.append(len(raw))
@@ -712,8 +850,7 @@ def _decode_open_reply(payload: bytes) -> Dict[str, Any]:
     if payload[0]:
         body["resumed"] = True
     pos = _read_varints(
-        payload, 1, ("shard", "next_chunk") if payload[0] else ("shard",),
-        body, where,
+        payload, 1, _open_reply_fields(payload[0]), body, where
     )
     for name in OPEN_REPLY_TEXTS:
         body[name], pos = _text(payload, pos, name, where)

@@ -9,7 +9,12 @@ Architecture::
     one handler task per connection: read -> admit -> op -> write reply
 
 * **Sharding** -- every session id maps onto one shard via a
-  consistent-hash ring (:class:`HashRing`).  A connection's handler
+  consistent-hash ring (:class:`HashRing`).  An OPEN names its session
+  by id; its reply hands out a handle, which the connection's
+  :class:`SessionHandles` maps to ``(shard, id, incarnation)``, so a
+  FEED, SNAPSHOT or CLOSE reaches its shard with no id to decode and
+  no ring lookup, and acts only on the incarnation its handle names.
+  A connection's handler
   runs each request's op on its shard as soon as it admits it, then
   writes the reply, all on the event loop: an op never awaits, so it
   runs to completion between two loop steps, and per-session ordering
@@ -21,9 +26,10 @@ Architecture::
   per shard would add two thread hand-offs per op and a malloc arena
   per thread, and no parallelism.
 * **Admission control** -- one rule, :meth:`DebugServer._make_room`,
-  decides whether a request may add a live session: an OPEN of an id
-  its shard does not hold live, or a FEED or SNAPSHOT that revives a
-  spilled session.  It evicts idle sessions on every shard, then
+  decides whether a request may add a live session: an OPEN that
+  opens a fresh session, or an OPEN, FEED or SNAPSHOT that revives a
+  spilled one (:meth:`Shard.adds_session`, :meth:`Shard.spilled`); an
+  ATTACH revives nothing.  It evicts idle sessions on every shard, then
   refuses at the global open-session cap.  A request is answered with
   a structured ``RETRY_LATER`` frame, never stalled or dropped, when
   that rule refuses it, when the server drains, or when its deadline
@@ -190,6 +196,57 @@ class HashRing:
         if position == len(self._hashes):
             position = 0
         return self._shards[position]
+
+
+class SessionHandles:
+    """One connection's session handles.
+
+    A handle names one incarnation of one session: the table maps it to
+    ``(shard, session id, incarnation)``.  Handles count up from 0 and
+    are never reused on their connection.  An id holds one handle at a
+    time: an OPEN or ATTACH that reaches the incarnation the id's
+    handle names gets that handle back (so a duplicated OPEN binds
+    nothing new), and one that reaches a later incarnation replaces it.
+    A handle leaves the table on CLOSE, when a request on it finds its
+    incarnation gone (answered ``unknown-session``), and with its
+    connection.  The table keeps at most *limit* handles -- the
+    server's ``max_sessions``, so a connection that opens sessions it
+    never closes cannot grow it without bound -- and binding one more
+    drops the oldest: a request on it is answered ``unknown-session``,
+    and the client attaches again.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = max(1, limit)
+        self._next = 0
+        self._targets: Dict[int, Tuple[Shard, str, int]] = {}
+        self._by_id: Dict[str, int] = {}
+
+    def __len__(self) -> int:
+        return len(self._targets)
+
+    def bind(self, shard: Shard, sid: str, incarnation: int) -> int:
+        """The handle of incarnation *incarnation* of *sid*."""
+        handle = self._by_id.get(sid)
+        if handle is not None:
+            if self._targets[handle][2] == incarnation:
+                return handle
+            del self._targets[handle]
+        handle = self._next
+        self._next += 1
+        self._targets[handle] = (shard, sid, incarnation)
+        self._by_id[sid] = handle
+        if len(self._targets) > self.limit:
+            self.drop(next(iter(self._targets)))
+        return handle
+
+    def get(self, handle: int) -> Optional[Tuple[Shard, str, int]]:
+        return self._targets.get(handle)
+
+    def drop(self, handle: int) -> None:
+        target = self._targets.pop(handle, None)
+        if target is not None and self._by_id.get(target[1]) == handle:
+            del self._by_id[target[1]]
 
 
 def _runtime_cache_stats() -> Dict[str, object]:
@@ -507,6 +564,7 @@ class DebugServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         assembler = protocol.FrameAssembler()
+        handles = SessionHandles(self.config.max_sessions)
         self._connections.add(writer)
         self.metrics.add("connections_total")
         try:
@@ -528,7 +586,9 @@ class DebugServer:
                     )
                     break
                 for frame in frames:
-                    await self._accept_frame(writer, frame, received)
+                    await self._accept_frame(
+                        writer, frame, received, handles
+                    )
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -543,11 +603,12 @@ class DebugServer:
         writer: asyncio.StreamWriter,
         frame: protocol.WireFrame,
         received: float,
+        handles: SessionHandles,
     ) -> None:
         """Admission-check one request, run it on its shard and send
         the reply.  *received* is the ``perf_counter`` time the read
         that carried the frame returned: its deadline counts from
-        there."""
+        there.  *handles* are the connection's session handles."""
         self.metrics.add("requests_total")
         if frame.frame_type not in protocol.REQUEST_TYPES:
             self.metrics.add("protocol_errors_total")
@@ -585,7 +646,7 @@ class DebugServer:
             await self._retry_later(writer, frame.seq, "draining")
             return
         try:
-            op, deadline_ms = self._route(frame)
+            op, deadline_ms = self._route(frame, handles)
         except ProtocolError as exc:
             self.metrics.add("protocol_errors_total")
             await self._send(
@@ -654,28 +715,18 @@ class DebugServer:
 
     # -- request routing -----------------------------------------------
     def _route(
-        self, frame: protocol.WireFrame
+        self, frame: protocol.WireFrame, handles: SessionHandles
     ) -> Tuple[Callable[[], Reply], Optional[int]]:
-        """Build the shard operation for one request: returns the op
-        and the request's relative deadline in milliseconds (``None``
-        when the client sent none).
+        """Build the shard operation for one request on the connection
+        whose session handles are *handles*: returns the op and the
+        request's relative deadline in milliseconds (``None`` when the
+        client sent none).
 
         Raises :class:`ProtocolError` for malformed payloads and
         :class:`StreamError` when :meth:`_make_room` refuses (mapped to
         ``RETRY_LATER`` by the caller).
         """
         kind = frame.frame_type
-        if kind == protocol.FEED_CHUNK:
-            sid, chunk_index, eof, data, deadline_ms = (
-                protocol.decode_feed_payload_ex(frame.payload)
-            )
-            shard = self.shard_for(sid)
-            if shard.spilled(sid):
-                self._make_room()
-            return (
-                lambda: shard.feed(sid, chunk_index, data, eof),
-                deadline_ms,
-            )
         if kind == protocol.OPEN_SESSION:
             request = protocol.decode_open_payload(frame.payload)
             if request.transport not in TRANSPORTS:
@@ -685,28 +736,63 @@ class DebugServer:
                 )
             sid = request.effective_id
             shard = self.shard_for(sid)
-            # a live id adds no session: the OPEN is a retry or is
-            # refused session-exists.  Admission must not evict its
-            # idle session, which the OPEN would then revive for any
-            # token
-            if sid not in shard.manager:
+            # an OPEN of a live id adds no session: it is a retry or is
+            # refused.  Admission must not evict that idle session,
+            # which would turn a refusal into a revival
+            if shard.adds_session(sid, request.token, request.attach):
                 self._make_room()
             return (
                 lambda: shard.open(
-                    sid, request.mode, request.transport, request.token
+                    sid, request.mode, request.transport, request.token,
+                    request.attach,
+                    lambda incarnation: handles.bind(shard, sid, incarnation),
                 ),
                 request.deadline_ms,
             )
-        sid, deadline_ms = protocol.decode_session_payload(
-            kind, frame.payload
-        )
-        shard = self.shard_for(sid)
-        if kind == protocol.SNAPSHOT:
-            if shard.spilled(sid):
-                self._make_room()
-            return lambda: shard.snapshot(sid), deadline_ms
+        if kind == protocol.FEED_CHUNK:
+            handle, chunk_index, eof, data, deadline_ms = (
+                protocol.decode_feed_request(frame.payload)
+            )
+        else:
+            handle, deadline_ms = protocol.decode_session_request(
+                kind, frame.payload
+            )
+        target = handles.get(handle)
+        if target is None:
+            return (
+                lambda: (
+                    protocol.ERROR,
+                    protocol.error_payload(
+                        "unknown-session",
+                        f"handle {handle} names no session on this "
+                        "connection",
+                    ),
+                ),
+                deadline_ms,
+            )
+        shard, sid, incarnation = target
         # a CLOSE retires the session it revives in the same op
-        return lambda: shard.close(sid), deadline_ms
+        if kind != protocol.CLOSE_SESSION and shard.spilled(sid, incarnation):
+            self._make_room()
+        if kind == protocol.FEED_CHUNK:
+            def op() -> Reply:
+                return shard.feed(sid, chunk_index, data, eof, incarnation)
+        elif kind == protocol.SNAPSHOT:
+            def op() -> Reply:
+                return shard.snapshot(sid, incarnation)
+        else:
+            def op() -> Reply:
+                return shard.close(sid, incarnation)
+
+        def run() -> Reply:
+            reply = op()
+            if (
+                reply[0] != protocol.OK or kind == protocol.CLOSE_SESSION
+            ) and not shard.holds(sid, incarnation):
+                handles.drop(handle)
+            return reply
+
+        return run, deadline_ms
 
     def _live_sessions(self) -> int:
         return sum(len(shard.manager) for shard in self._shards)

@@ -5,13 +5,21 @@ store, and holds the whole rule for when an op becomes durable: OPEN
 applies then logs, FEED logs then applies, a quarantine logs a CLOSE,
 cadence snapshots bound the WAL tail, and a failed write degrades the
 shard to memory-only for good.  It also spills and revives idle
-sessions, answers a retried OPEN whose token matches the live session
-with ``resumed: true``, recovers (the newest snapshot, then the WAL
-tail through :meth:`~repro.stream.session.SessionManager.feed_chunk`,
-the apply path live FEEDs take) and shuts down.  It never refuses for
-capacity: the server decides whether a request may add a live
-session before it calls the op (:meth:`~repro.server.server.
-DebugServer._make_room`).
+sessions, answers an OPEN whose token opened the session it names --
+live or spilled -- with ``resumed: true``, recovers (the newest
+snapshot, then the WAL tail through :meth:`~repro.stream.session.
+SessionManager.feed_chunk`, the apply path live FEEDs take) and shuts
+down.  It never refuses for capacity: the server decides whether a
+request may add a live session before it calls the op
+(:meth:`~repro.server.server.DebugServer._make_room`).
+
+The shard numbers the **incarnations** of the sessions it holds, in
+memory only: a fresh OPEN or a recovery adoption makes a new one, and
+a resume, a spill and a revival keep it.  An OPEN reply hands out a
+handle for the incarnation it reached, and a FEED, SNAPSHOT or CLOSE
+given an incarnation acts only on that one: a late request for an
+id's earlier incarnation is answered ``unknown-session`` and has no
+effect.
 
 Each op method answers one request with ``(frame type, payload)``.
 The core has no transport: the asyncio server calls its ops one at a
@@ -44,6 +52,13 @@ if TYPE_CHECKING:  # the server module imports this one
 
 #: One reply: ``(frame type, payload)``.
 Reply = Tuple[int, bytes]
+
+#: What an OPEN of a session id does (:meth:`Shard._claim`): open a
+#: fresh session, resume the live one, revive the spilled one, or be
+#: refused ``session-exists`` or ``unknown-session``.
+_FRESH, _LIVE, _SPILLED, _EXISTS, _UNKNOWN = (
+    "fresh", "live", "spilled", "exists", "unknown"
+)
 
 #: Consecutive poisonous feeds (apply-time crashes that are not
 #: ordinary stream errors) a session survives before the shard
@@ -128,6 +143,11 @@ class Shard:
         #: serving from memory but stops promising durability (and
         #: stops touching the broken store).
         self.degraded = False
+        #: The incarnation of each session id a handle was issued for,
+        #: while the shard holds that session live or spilled (in
+        #: memory only; numbered on first ask, see :meth:`incarnation`).
+        self._incarnations: Dict[str, int] = {}
+        self._last_incarnation = 0
 
     @property
     def durable(self) -> bool:
@@ -135,13 +155,50 @@ class Shard:
         contract (a store is attached and no write has failed)."""
         return self.store is not None and not self.degraded
 
-    def opened_with(self, sid: str, token: Optional[str]) -> bool:
-        """Whether the live session *sid* was opened with *token*: an
-        OPEN carrying it is a retry and adds no session."""
-        return (
-            token is not None
-            and sid in self.manager
-            and self.manager.session(sid).token == token
+    def _claim(self, sid: str, token: Optional[str], attach: bool) -> str:
+        """What an OPEN of *sid* carrying *token* does, or with
+        *attach* an ATTACH.  A session the shard holds, live or
+        spilled, is resumed for an OPEN that carries the token it was
+        opened with and for an ATTACH that carries that token or none;
+        any other OPEN of it is refused ``session-exists``, any other
+        ATTACH ``unknown-session``.  An OPEN of an id the shard does
+        not hold opens it; an ATTACH of one is refused."""
+        if sid in self.manager:
+            held, claim = self.manager.session(sid).token, _LIVE
+        else:
+            entry = self.store.peek_spilled(sid) if self.durable else None
+            if entry is None:
+                return _UNKNOWN if attach else _FRESH
+            held, claim = entry.get("token"), _SPILLED
+        ours = token == held if token is not None else attach
+        if not ours:
+            return _UNKNOWN if attach else _EXISTS
+        return claim
+
+    def adds_session(
+        self, sid: str, token: Optional[str], attach: bool = False
+    ) -> bool:
+        """Whether an OPEN of *sid* carrying *token* would add a live
+        session: open a fresh one or revive a spilled one.  An ATTACH
+        never does.  The server makes room before it runs such an op."""
+        return not attach and self._claim(sid, token, attach) in (
+            _FRESH, _SPILLED,
+        )
+
+    def incarnation(self, sid: str) -> int:
+        """The incarnation of the session the shard holds under *sid*,
+        numbered when first asked for."""
+        number = self._incarnations.get(sid)
+        if number is None:
+            self._last_incarnation += 1
+            number = self._incarnations[sid] = self._last_incarnation
+        return number
+
+    def holds(self, sid: str, incarnation: int) -> bool:
+        """Whether the shard still holds incarnation *incarnation* of
+        *sid*, live or spilled."""
+        return self._incarnations.get(sid) == incarnation and (
+            sid in self.manager or self.spilled(sid)
         )
 
     # -- ops -----------------------------------------------------------
@@ -151,47 +208,71 @@ class Shard:
         mode: Optional[str] = None,
         transport: str = "text",
         token: Optional[str] = None,
+        attach: bool = False,
+        handle_for: Callable[[int], int] = lambda incarnation: incarnation,
     ) -> Reply:
-        try:
-            resumed = (
-                self._revive(sid) is not None
-                or self.opened_with(sid, token)
-            )
-            if not resumed:
-                self.manager.open(
-                    sid, mode=mode, transport=transport, token=token
-                )
-        except StreamError as exc:
-            return _error("session-exists", str(exc))
-        except SelectionError as exc:
-            return _error("bad-request", str(exc))
-        session = self.manager.session(sid)
-        if not resumed and self.durable:
+        """Open *sid*, resume it, or with *attach* only resume it (see
+        :meth:`_claim`).  An ATTACH leaves a spilled session spilled:
+        the request that names its handle next revives it, and a CLOSE
+        retires it without taking a slot.  The reply carries
+        ``handle_for(incarnation)`` as its handle: the server's handle
+        on the connection, and the incarnation itself by default."""
+        claim = self._claim(sid, token, attach)
+        if claim == _UNKNOWN:
+            return _unknown_session(sid)
+        if claim == _EXISTS:
+            return _error("session-exists", f"session {sid!r} already open")
+        if claim == _SPILLED and attach:
+            entry = self.store.peek_spilled(sid)
+            transport = str(entry.get("transport", "text"))
+            mode = str(entry.get("mode") or self.context.mode)
+            next_chunk = int(entry.get("next_chunk", 0))
+        else:
+            try:
+                if claim == _SPILLED:
+                    self._revive(sid)
+                elif claim == _FRESH:
+                    self._incarnations.pop(sid, None)
+                    self.manager.open(
+                        sid, mode=mode, transport=transport, token=token
+                    )
+            except SelectionError as exc:
+                return _error("bad-request", str(exc))
+            session = self.manager.session(sid)
+            transport, mode = session.transport, session.mode
+            next_chunk = session.next_chunk
+        if claim == _FRESH and self.durable:
             # logged *after* the apply: a crash in between loses only
             # an un-acked open, which the client simply retries
             self._append(
-                lambda: self.store.log_open(
-                    sid, session.mode, transport, token=token
-                )
+                lambda: self.store.log_open(sid, mode, transport, token=token)
             )
         self.metrics.add("opens_total")
         body: Dict[str, object] = {
-            "session_id": sid,
             "shard": self.index,
-            "transport": session.transport,
-            "mode": session.mode,
+            "handle": handle_for(self.incarnation(sid)),
+            "transport": transport,
+            "mode": mode,
         }
-        if resumed:
-            # a spilled session, or the one this OPEN's lost first
-            # attempt made: next_chunk tells the client where the
+        if claim != _FRESH:
+            # a spilled session, the one this OPEN's lost first attempt
+            # made, or an attach: next_chunk tells the client where the
             # durable high-watermark is, so it replays only the tail
-            body.update(resumed=True, next_chunk=session.next_chunk)
+            body.update(resumed=True, next_chunk=next_chunk)
         return protocol.OK, protocol.encode_reply(protocol.OPEN_SESSION, body)
 
     def feed(
-        self, sid: str, chunk_index: int, data: bytes, eof: bool = False
+        self,
+        sid: str,
+        chunk_index: int,
+        data: bytes,
+        eof: bool = False,
+        incarnation: Optional[int] = None,
     ) -> Reply:
-        session = self._session(sid)
+        """Apply chunk *chunk_index* of *sid* -- of its incarnation
+        *incarnation* only, when given, as for :meth:`snapshot` and
+        :meth:`close`."""
+        session = self._session(sid, incarnation)
         if session is None:
             return _unknown_session(sid)
         if chunk_index < session.next_chunk:
@@ -292,7 +373,7 @@ class Shard:
         # the logged close retires the session at replay time too --
         # otherwise recovery would faithfully rebuild the poisoned
         # session and the next feed would re-strike it
-        self._log_close(sid)
+        self._retired(sid)
         self.metrics.add("sessions_quarantined_total")
         self._alert(
             "session-quarantined",
@@ -307,8 +388,8 @@ class Shard:
             f"(last: {exc})",
         )
 
-    def snapshot(self, sid: str) -> Reply:
-        session = self._session(sid)
+    def snapshot(self, sid: str, incarnation: Optional[int] = None) -> Reply:
+        session = self._session(sid, incarnation)
         if session is None:
             return _unknown_session(sid)
         result = self.manager.snapshot(sid)
@@ -326,11 +407,11 @@ class Shard:
             },
         )
 
-    def close(self, sid: str) -> Reply:
-        if self._session(sid) is None:
+    def close(self, sid: str, incarnation: Optional[int] = None) -> Reply:
+        if self._session(sid, incarnation) is None:
             return _unknown_session(sid)
         summary = self.manager.close(sid)
-        self._log_close(sid)
+        self._retired(sid)
         self.metrics.add("closes_total")
         return protocol.OK, protocol.encode_reply(
             protocol.CLOSE_SESSION, summary
@@ -348,7 +429,10 @@ class Shard:
             return
         self.metrics.observe("wal_append_s", time.perf_counter() - started)
 
-    def _log_close(self, sid: str) -> None:
+    def _retired(self, sid: str) -> None:
+        """The session *sid* left the shard: forget its incarnation,
+        and log its CLOSE on a durable shard."""
+        self._incarnations.pop(sid, None)
         if self.durable:
             self.store.drop_spilled(sid)
             self._append(lambda: self.store.log_close(sid))
@@ -379,15 +463,34 @@ class Shard:
         memory-only or degraded shard lets it go."""
         if self.durable:
             self.store.spill(entry)
+        else:
+            self._incarnations.pop(entry["session_id"], None)
 
-    def spilled(self, sid: str) -> bool:
-        """Whether *sid* is parked in this shard's store, so that a
-        request for it revives it."""
-        return self.durable and self.store.peek_spilled(sid) is not None
+    def spilled(self, sid: str, incarnation: Optional[int] = None) -> bool:
+        """Whether *sid* -- its incarnation *incarnation*, when given
+        -- is parked in this shard's store, so that a request for it
+        revives it."""
+        return (
+            self.durable
+            and self.store.peek_spilled(sid) is not None
+            and (
+                incarnation is None
+                or self._incarnations.get(sid) == incarnation
+            )
+        )
 
-    def _session(self, sid: str) -> Optional[StreamSession]:
+    def _session(
+        self, sid: str, incarnation: Optional[int] = None
+    ) -> Optional[StreamSession]:
         """The live session *sid*, revived first if it was spilled;
-        ``None`` when the shard holds neither.  See :meth:`_revive`."""
+        ``None`` when the shard holds neither, or when *incarnation*
+        is given and names another incarnation of *sid*.  See
+        :meth:`_revive`."""
+        if (
+            incarnation is not None
+            and self._incarnations.get(sid) != incarnation
+        ):
+            return None
         if sid in self.manager:
             return self.manager.session(sid)
         return self._revive(sid)

@@ -211,9 +211,10 @@ class SessionStore:
     def log_feed(
         self, session_id: str, chunk_index: int, data: bytes, eof: bool
     ) -> int:
-        # the WAL reuses the wire protocol's binary FEED payload --
-        # one codec, and replay decodes with the same function the
-        # live path uses
+        # the WAL logs a FEED by session id, as protocol version 4's
+        # FEED payload did (the wire now names the session by handle):
+        # :func:`~repro.server.protocol.encode_feed_payload` writes
+        # it, and replay reads it back with ``decode_feed_payload_ex``
         from repro.server.protocol import encode_feed_payload
 
         lsn = self._append(

@@ -4,6 +4,8 @@ one."""
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.chaos.faults import FaultDecider, FaultPlan, FaultSpec
@@ -13,6 +15,7 @@ from repro.server import (
     RetryPolicy,
     ServerConfig,
     SessionFeed,
+    protocol,
 )
 from repro.server.loadgen import render_session_chunks
 from tests.server.conftest import start_server
@@ -153,3 +156,47 @@ def test_set_upstream_repoints_new_connections(running, context):
             assert client.ping()["scenario"] == context.name
     finally:
         proxy.stop()
+
+
+def test_handle_named_frames_are_keyed_by_their_session():
+    """A FEED, SNAPSHOT or CLOSE names its session by a handle scoped to
+    its connection: its fault key is its payload past the handle and
+    the id of the latest OPEN relayed on the connection."""
+    seen = []
+
+    class Spy:
+        def decide(self, plane, action, digest):
+            seen.append(digest)
+            return False
+
+    proxy = ChaosProxy("127.0.0.1", 1, Spy())
+    upstream, peer = socket.socketpair()
+
+    def key(frame_type, payload, opened):
+        del seen[:]
+        frame = protocol.WireFrame(frame_type, 1, payload)
+        assert proxy._relay_frame(upstream, frame, [], opened)
+        return seen[0]
+
+    try:
+        snapshot = protocol.encode_session_request(0, deadline_ms=100)
+        # the same bytes from two sessions are two keys
+        assert key(protocol.SNAPSHOT, snapshot, "a") != key(
+            protocol.SNAPSHOT, snapshot, "b"
+        )
+        # a retransmit under another connection's handle is one key
+        assert key(
+            protocol.FEED_CHUNK,
+            protocol.encode_feed_request(0, 3, b"data"), "a",
+        ) == key(
+            protocol.FEED_CHUNK,
+            protocol.encode_feed_request(300, 3, b"data"), "a",
+        )
+        # an OPEN is keyed by its own bytes, whatever came before
+        opened = protocol.encode_open_payload("a", token="t")
+        assert key(protocol.OPEN_SESSION, opened, "a") == key(
+            protocol.OPEN_SESSION, opened, "b"
+        )
+    finally:
+        upstream.close()
+        peer.close()

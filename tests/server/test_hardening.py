@@ -25,17 +25,28 @@ from tests.server.conftest import start_server
 
 # -- request deadlines -------------------------------------------------
 
-def _late_request(request_type, chunks):
+def _late_request(request_type, chunks, handle):
     """A *request_type* payload with a 10 ms deadline: a FEED of chunk
-    1 or a SNAPSHOT or CLOSE of session ``late``, or an OPEN of
-    session ``other``."""
+    1 or a SNAPSHOT or CLOSE of session ``late`` (by its *handle*), or
+    an OPEN of session ``other``."""
     if request_type == protocol.FEED_CHUNK:
-        return protocol.encode_feed_payload(
-            "late", 1, chunks[1], deadline_ms=10
+        return protocol.encode_feed_request(
+            handle, 1, chunks[1], deadline_ms=10
         )
     if request_type == protocol.OPEN_SESSION:
         return protocol.encode_open_payload("other", deadline_ms=10)
-    return protocol.encode_session_payload("late", deadline_ms=10)
+    return protocol.encode_session_request(handle, deadline_ms=10)
+
+
+def _replies(sock, count):
+    """The next *count* reply frames on *sock*."""
+    assembler = protocol.FrameAssembler()
+    replies = []
+    while len(replies) < count:
+        data = sock.recv(65536)
+        assert data, "server closed the connection"
+        replies.extend(assembler.feed(data))
+    return replies
 
 
 def assert_late_request_refused_without_effect(
@@ -66,28 +77,34 @@ def assert_late_request_refused_without_effect(
     try:
         with DebugClient(handle.host, handle.port) as client:
             client.open_session("late")
-            applied.clear()
             sock = socket.create_connection(
                 (handle.host, handle.port), timeout=5
             )
             try:
+                # the raw connection attaches to get its own handle
+                sock.sendall(protocol.encode_frame(
+                    protocol.OPEN_SESSION, 0,
+                    protocol.encode_open_payload("late", attach=True),
+                ))
+                (attached,) = _replies(sock, 1)
+                session = protocol.decode_reply(
+                    protocol.OPEN_SESSION, attached.frame_type,
+                    attached.payload,
+                )["handle"]
+                applied.clear()
                 sock.sendall(
                     protocol.encode_frame(
                         protocol.FEED_CHUNK, 0,
-                        protocol.encode_feed_payload(
-                            "late", 0, chunks[0], deadline_ms=60_000,
+                        protocol.encode_feed_request(
+                            session, 0, chunks[0], deadline_ms=60_000,
                         ),
                     )
                     + protocol.encode_frame(
-                        request_type, 1, _late_request(request_type, chunks)
+                        request_type, 1,
+                        _late_request(request_type, chunks, session),
                     )
                 )
-                assembler = protocol.FrameAssembler()
-                replies = []
-                while len(replies) < 2:
-                    data = sock.recv(65536)
-                    assert data, "server closed the connection"
-                    replies.extend(assembler.feed(data))
+                replies = _replies(sock, 2)
             finally:
                 sock.close()
             late_ops = list(applied)
@@ -141,17 +158,17 @@ def test_client_propagates_deadline_from_timeout():
 
 
 def test_feed_payload_carries_deadline_on_the_wire():
-    payload = protocol.encode_feed_payload(
-        "s", 0, b"data", False, deadline_ms=1234
+    payload = protocol.encode_feed_request(
+        3, 0, b"data", False, deadline_ms=1234
     )
-    sid, index, eof, data, deadline = protocol.decode_feed_payload_ex(
+    handle, index, eof, data, deadline = protocol.decode_feed_request(
         payload
     )
-    assert (sid, index, eof, data, deadline) == ("s", 0, False,
-                                                 b"data", 1234)
+    assert (handle, index, eof, data, deadline) == (3, 0, False,
+                                                    b"data", 1234)
     # a payload without one decodes to no deadline
-    assert protocol.decode_feed_payload_ex(
-        protocol.encode_feed_payload("s", 0, b"data", False)
+    assert protocol.decode_feed_request(
+        protocol.encode_feed_request(3, 0, b"data", False)
     )[4] is None
 
 

@@ -123,6 +123,16 @@ def test_version_3_peer_is_refused_at_the_header():
         FrameAssembler().feed(old)
 
 
+def test_version_4_peer_is_refused_at_the_header():
+    # version 4 named a FEED's, SNAPSHOT's and CLOSE's session by id;
+    # its leading byte 0xB4 names it before any seq or length arrives
+    raw = bytearray(encode_frame(protocol.SNAPSHOT, 1, b"\x01s\x00"))
+    raw[0] = protocol.MAGIC | 4
+    assert raw[0] == 0xB4
+    with pytest.raises(ProtocolError, match="unsupported protocol version 4"):
+        FrameAssembler().feed(bytes(raw[:1]))
+
+
 def test_crc_corruption_detected():
     raw = bytearray(encode_frame(protocol.SNAPSHOT, 5, b"payload"))
     raw[-1] ^= 0xFF
@@ -220,15 +230,15 @@ def test_a_varint_longer_than_5_bytes_is_refused():
     with pytest.raises(ProtocolError, match="longer than 5 bytes"):
         FrameAssembler().feed(LEAD + b"\x01" + b"\xff" * 5)  # the length
     with pytest.raises(ProtocolError, match="longer than 5 bytes"):
-        protocol.decode_session_payload(
-            protocol.SNAPSHOT, b"\x01s\x02" + b"\x80" * 5 + b"\x01"
+        protocol.decode_session_request(
+            protocol.SNAPSHOT, b"\x01\x02" + b"\x80" * 5 + b"\x01"
         )
     # five bytes carry 35 bits; a 32-bit field uses 32 of them
     with pytest.raises(ProtocolError, match="exceeds 32 bits"):
         FrameAssembler().feed(LEAD + b"\xff\xff\xff\xff\x10")
     with pytest.raises(ProtocolError, match="exceeds 32 bits"):
-        protocol.decode_session_payload(
-            protocol.SNAPSHOT, b"\x01s\x02\xff\xff\xff\xff\x10"
+        protocol.decode_session_request(
+            protocol.SNAPSHOT, b"\x01\x02\xff\xff\xff\xff\x10"
         )
 
 
@@ -243,8 +253,8 @@ def test_a_varint_not_in_its_shortest_form_is_refused(padded):
         with pytest.raises(ProtocolError, match="shortest"):
             FrameAssembler().feed(header)
     with pytest.raises(ProtocolError, match="shortest"):
-        protocol.decode_session_payload(
-            protocol.SNAPSHOT, b"\x01s\x02" + padded
+        protocol.decode_session_request(
+            protocol.SNAPSHOT, b"\x01\x02" + padded
         )
     with pytest.raises(ProtocolError, match="shortest"):
         protocol.decode_reply(
@@ -545,6 +555,10 @@ EDGE_IDS = ("s", "\u00e9" * 127 + "x", "x" * 255, "\U0001f600" * 63 + "xyz")
 TEXTS = st.text(max_size=255).map(_within_255_bytes)
 SESSION_IDS = TEXTS.filter(bool) | st.sampled_from(EDGE_IDS)
 DEADLINES = st.none() | st.integers(0, 0xFFFFFFFF)
+#: Handles and chunk indices: 32-bit values, the varint edges included.
+U32S = st.integers(0, 0xFFFFFFFF) | st.sampled_from(
+    (0, 127, 128, 16383, 16384, 2**28 - 1, 2**28, 0xFFFFFFFF)
+)
 SESSION_TYPES = (protocol.SNAPSHOT, protocol.CLOSE_SESSION)
 #: The tokens an id-less OPEN may carry: 1..254 bytes, so that the
 #: server's id for its session, ``"g" + token``, fits 255 bytes.
@@ -556,6 +570,14 @@ NEW_ID_TOKENS = TEXTS.map(
 @st.composite
 def open_requests(draw):
     session_id = draw(st.none() | SESSION_IDS)
+    if session_id is not None and draw(st.booleans()):
+        # an ATTACH: an id, maybe a token, no transport or mode
+        return protocol.OpenRequest(
+            session_id=session_id,
+            token=draw(st.none() | TEXTS),
+            deadline_ms=draw(DEADLINES),
+            attach=True,
+        )
     return protocol.OpenRequest(
         session_id=session_id,
         token=draw(
@@ -577,8 +599,8 @@ def encode_open(request):
 @st.composite
 def open_replies(draw):
     body = {
-        "session_id": draw(SESSION_IDS),
         "shard": draw(FIELD_VALUES),
+        "handle": draw(FIELD_VALUES),
         "transport": draw(TEXTS),
         "mode": draw(TEXTS),
     }
@@ -592,10 +614,64 @@ def test_open_requests_round_trip(request):
     assert protocol.decode_open_payload(encode_open(request)) == request
 
 
-@given(SESSION_IDS, DEADLINES, st.sampled_from(SESSION_TYPES))
-def test_snapshot_and_close_requests_round_trip(sid, deadline, kind):
-    payload = protocol.encode_session_payload(sid, deadline_ms=deadline)
-    assert protocol.decode_session_payload(kind, payload) == (sid, deadline)
+@given(U32S, DEADLINES, st.sampled_from(SESSION_TYPES))
+def test_snapshot_and_close_requests_round_trip(handle, deadline, kind):
+    payload = protocol.encode_session_request(handle, deadline_ms=deadline)
+    assert len(payload) == (
+        varint_width(handle) + 1
+        + (0 if deadline is None else varint_width(deadline))
+    )
+    assert protocol.decode_session_request(kind, payload) == (
+        handle, deadline
+    )
+
+
+@given(U32S, U32S, DEADLINES, st.booleans(), st.binary(max_size=64))
+def test_feed_requests_round_trip(handle, index, deadline, eof, data):
+    payload = protocol.encode_feed_request(
+        handle, index, data, eof, deadline_ms=deadline
+    )
+    head = varint_width(handle) + varint_width(index) + 1 + (
+        0 if deadline is None else varint_width(deadline)
+    )
+    assert len(payload) == head + len(data)
+    assert protocol.decode_feed_request(payload) == (
+        handle, index, eof, data, deadline
+    )
+
+
+@pytest.mark.parametrize(
+    "field, padded",
+    [
+        (field, padded)
+        for field in ("handle", "chunk index")
+        for padded in (b"\x80" * 5 + b"\x01", b"\xff" * 4 + b"\x10",
+                       *PADDED_VARINTS)
+    ],
+)
+def test_handle_and_chunk_varints_are_checked(field, padded):
+    # a handle or chunk index longer than 5 bytes, past 32 bits or not
+    # in its shortest form makes the request malformed
+    if field == "handle":
+        feed, session = padded + b"\x00\x00", padded + b"\x00"
+    else:
+        feed, session = b"\x01" + padded + b"\x00", None
+    with pytest.raises(ProtocolError, match=field):
+        protocol.decode_feed_request(feed)
+    if session is not None:
+        for kind in SESSION_TYPES:
+            with pytest.raises(ProtocolError, match=field):
+                protocol.decode_session_request(kind, session)
+
+
+def test_handle_and_chunk_encoders_refuse_what_32_bits_cannot_hold():
+    for bad in (-1, 2**32):
+        with pytest.raises(ProtocolError, match="handle"):
+            protocol.encode_session_request(bad)
+        with pytest.raises(ProtocolError, match="handle"):
+            protocol.encode_feed_request(bad, 0, b"")
+        with pytest.raises(ProtocolError, match="chunk index"):
+            protocol.encode_feed_request(0, bad, b"")
 
 
 @given(open_replies())
@@ -626,11 +702,11 @@ def binary_payloads(draw):
         protocol.SNAPSHOT if kind == "snapshot" else protocol.CLOSE_SESSION
     )
     return (
-        lambda payload: protocol.decode_session_payload(
+        lambda payload: protocol.decode_session_request(
             request_type, payload
         ),
-        protocol.encode_session_payload(
-            draw(SESSION_IDS), deadline_ms=draw(DEADLINES)
+        protocol.encode_session_request(
+            draw(U32S), deadline_ms=draw(DEADLINES)
         ),
     )
 
@@ -648,8 +724,10 @@ def test_truncated_or_padded_payloads_are_refused(case):
 
 
 #: Requests and an OPEN reply as encoded, and their bytes on the wire:
-#: the id's length and bytes, the flags, the deadline (10,000 is the
-#: two-byte varint 90 4e), then each string by its length.
+#: an OPEN's id by its length, a FEED's, SNAPSHOT's or CLOSE's handle
+#: (300 is the two-byte varint ac 02) and a FEED's chunk index, the
+#: flags, the deadline (10,000 is the two-byte varint 90 4e), then each
+#: string by its length.
 PINNED_REQUESTS = (
     # a FEED without a deadline, as the WAL logs it: a data directory
     # written at protocol version 3 replays unchanged
@@ -657,10 +735,28 @@ PINNED_REQUESTS = (
         protocol.encode_feed_payload("sized", 7, b"data", eof=True),
         b"\x05sized\x00\x00\x00\x07\x01data",
     ),
-    (protocol.encode_session_payload("sized"), b"\x05sized\x00"),
     (
-        protocol.encode_session_payload("sized", deadline_ms=10_000),
-        b"\x05sized\x02\x90\x4e",
+        protocol.encode_feed_request(300, 7, b"data", eof=True),
+        b"\xac\x02\x07\x01data",
+    ),
+    (
+        protocol.encode_feed_request(0, 7, b"d", deadline_ms=10_000),
+        b"\x00\x07\x02\x90\x4ed",
+    ),
+    (protocol.encode_session_request(5), b"\x05\x00"),
+    (
+        protocol.encode_session_request(300, deadline_ms=10_000),
+        b"\xac\x02\x02\x90\x4e",
+    ),
+    (
+        protocol.encode_open_payload("sized", attach=True),
+        b"\x05sized\x40",
+    ),
+    (
+        protocol.encode_open_payload(
+            "sized", token="1234abcd", deadline_ms=10_000, attach=True
+        ),
+        b"\x05sized\x4a\x90\x4e\x081234abcd",
     ),
     (
         protocol.encode_open_payload(
@@ -676,17 +772,17 @@ PINNED_REQUESTS = (
     ),
     (
         protocol.encode_reply(protocol.OPEN_SESSION, {
-            "session_id": "sized", "shard": 1, "transport": "text",
-            "mode": "prefix",
+            "session_id": "sized", "shard": 1, "handle": 2,
+            "transport": "text", "mode": "prefix",
         }),
-        b"\x00\x01\x05sized\x04text\x06prefix",
+        b"\x00\x01\x02\x04text\x06prefix",
     ),
     (
         protocol.encode_reply(protocol.OPEN_SESSION, {
-            "session_id": "sized", "shard": 1, "transport": "text",
+            "shard": 1, "handle": 300, "transport": "text",
             "mode": "prefix", "resumed": True, "next_chunk": 300,
         }),
-        b"\x01\x01\xac\x02\x05sized\x04text\x06prefix",
+        b"\x01\x01\xac\x02\xac\x02\x04text\x06prefix",
     ),
 )
 
@@ -698,9 +794,9 @@ def test_request_and_open_reply_layouts_are_pinned(encoded, wire):
 
 def test_requests_share_the_feed_head():
     # a SNAPSHOT or CLOSE is a FEED's head without the chunk index
-    feed = protocol.encode_feed_payload("sized", 7, b"", deadline_ms=10)
-    head = protocol.encode_session_payload("sized", deadline_ms=10)
-    assert feed == head[:6] + (7).to_bytes(4, "big") + head[6:]
+    feed = protocol.encode_feed_request(300, 7, b"", deadline_ms=10)
+    head = protocol.encode_session_request(300, deadline_ms=10)
+    assert feed == head[:2] + b"\x07" + head[2:]
 
 
 def test_open_omits_the_default_transport_and_what_is_not_given():
@@ -720,10 +816,15 @@ def test_open_omits_the_default_transport_and_what_is_not_given():
 @pytest.mark.parametrize(
     "request_type, payload",
     [
-        (protocol.SNAPSHOT, b"\x01s\x01"),  # a FEED's end of stream
-        (protocol.CLOSE_SESSION, b"\x01s\x04"),  # OPEN's new id
+        # handle 1, then the flags 0x73: a FEED's end of stream, and
+        # OPEN's new id and strings
+        (protocol.SNAPSHOT, b"\x01s\x01"),
+        (protocol.CLOSE_SESSION, b"\x01s\x04"),
+        (protocol.SNAPSHOT, b"\x01\x01"),  # a FEED's end of stream
+        (protocol.CLOSE_SESSION, b"\x01\x40"),  # OPEN's attach
         (protocol.OPEN_SESSION, b"\x01s\x01"),
-        (protocol.OPEN_SESSION, b"\x01s\x40"),
+        (protocol.OPEN_SESSION, b"\x01s\x80"),
+        # a FEED as the WAL logs it, with OPEN's token flag
         (protocol.FEED_CHUNK, b"\x01s\x00\x00\x00\x00\x08"),
     ],
 )
@@ -735,22 +836,53 @@ def test_flags_a_request_type_does_not_know_are_refused(
         protocol.FEED_CHUNK: protocol.decode_feed_payload_ex,
     }.get(
         request_type,
-        lambda raw: protocol.decode_session_payload(request_type, raw),
+        lambda raw: protocol.decode_session_request(request_type, raw),
     )
     with pytest.raises(ProtocolError, match="unknown .* flags"):
         decode(payload)
 
 
+def test_an_attach_asks_for_nothing_an_open_would_create():
+    # an ATTACH names its id and maybe a token, never a new id, a
+    # transport or a mode: encoding or decoding one is refused
+    for kwargs in (
+        {"session_id": None, "token": "t"},
+        {"session_id": "s", "transport": "ctrace"},
+        {"session_id": "s", "mode": "window"},
+    ):
+        with pytest.raises(ProtocolError, match="ATTACH"):
+            protocol.encode_open_payload(attach=True, **kwargs)
+    for payload in (
+        b"\x00\x4c\x01t",  # a new id
+        b"\x01s\x50\x06ctrace",  # a transport
+        b"\x01s\x60\x06window",  # a mode
+    ):
+        with pytest.raises(ProtocolError, match="ATTACH"):
+            protocol.decode_open_payload(payload)
+    # the default transport is no transport on the wire
+    assert protocol.encode_open_payload(
+        "s", transport="text", attach=True
+    ) == b"\x01s\x40"
+
+
+def test_feed_requests_refuse_flags_a_feed_does_not_know():
+    # handle 1, chunk 0, then OPEN's token or attach flag
+    for flags in (b"\x08", b"\x40"):
+        with pytest.raises(ProtocolError, match="unknown .* flags"):
+            protocol.decode_feed_request(b"\x01\x00" + flags)
+
+
 def test_ids_the_head_cannot_name_are_refused():
-    for request_type in SESSION_TYPES:
+    # an OPEN, an ATTACH and a logged FEED name their session by id
+    for decode, flags, index in (
+        (protocol.decode_open_payload, b"\x00", b""),
+        (protocol.decode_open_payload, b"\x40", b""),
+        (protocol.decode_feed_payload_ex, b"\x00", b"\x00" * 4),
+    ):
         with pytest.raises(ProtocolError, match="1..255 bytes, got 0"):
-            protocol.decode_session_payload(request_type, b"\x00\x00")
+            decode(b"\x00" + index + flags)
         with pytest.raises(ProtocolError, match="undecodable session id"):
-            protocol.decode_session_payload(
-                request_type, b"\x02\xff\xfe\x00"
-            )
-    with pytest.raises(ProtocolError, match="1..255 bytes, got 0"):
-        protocol.decode_open_payload(b"\x00\x00")
+            decode(b"\x02\xff\xfe" + index + flags)
     # an OPEN asking for a new id must name none
     with pytest.raises(ProtocolError, match="new session id"):
         protocol.decode_open_payload(b"\x01s\x04")
@@ -800,8 +932,11 @@ def test_encoders_refuse_a_deadline_the_wire_cannot_carry(deadline_ms):
         lambda: protocol.encode_feed_payload(
             "s", 0, b"", deadline_ms=deadline_ms
         ),
-        lambda: protocol.encode_session_payload(
-            "s", deadline_ms=deadline_ms
+        lambda: protocol.encode_feed_request(
+            0, 0, b"", deadline_ms=deadline_ms
+        ),
+        lambda: protocol.encode_session_request(
+            0, deadline_ms=deadline_ms
         ),
         lambda: protocol.encode_open_payload(
             "s", deadline_ms=deadline_ms

@@ -245,11 +245,11 @@ def _open_frame(seq, session_id):
     )
 
 
-def _feed_frame(seq, session_id, index, chunk, deadline_ms=None):
+def _feed_frame(seq, handle, index, chunk, deadline_ms=None):
     return protocol.encode_frame(
         protocol.FEED_CHUNK, seq,
-        protocol.encode_feed_payload(
-            session_id, index, chunk, deadline_ms=deadline_ms
+        protocol.encode_feed_request(
+            handle, index, chunk, deadline_ms=deadline_ms
         ),
     )
 
@@ -271,8 +271,11 @@ def _pipelined_feeds(context, session_id, deadlines):
                 _open_frame(0, session_id),
             ])
             assert opened.frame_type == protocol.OK
+            handle = protocol.decode_reply(
+                protocol.OPEN_SESSION, opened.frame_type, opened.payload
+            )["handle"]
             fed = await _exchange(reader, writer, assembler, [
-                _feed_frame(1 + index, session_id, index, chunk, deadline)
+                _feed_frame(1 + index, handle, index, chunk, deadline)
                 for index, (chunk, deadline) in enumerate(
                     zip(chunks, deadlines)
                 )
@@ -280,7 +283,7 @@ def _pipelined_feeds(context, session_id, deadlines):
             (snapshot,) = await _exchange(reader, writer, assembler, [
                 protocol.encode_frame(
                     protocol.SNAPSHOT, len(deadlines) + 1,
-                    protocol.encode_session_payload(session_id),
+                    protocol.encode_session_request(handle),
                 )
             ])
         finally:
@@ -449,15 +452,15 @@ def test_unknown_request_type_gets_structured_error(running):
         sock.close()
 
 
-NAMING_TYPES = (
-    protocol.OPEN_SESSION, protocol.SNAPSHOT, protocol.CLOSE_SESSION
-)
+#: The flags of the requests that name a session by id: an OPEN and an
+#: ATTACH (a FEED, SNAPSHOT or CLOSE names its session by handle).
+NAMING_FLAGS = (0, protocol.FLAG_ATTACH)
 
 
-def _naming(sid):
-    """An OPEN, SNAPSHOT or CLOSE payload naming the raw id bytes
-    *sid*, which no encoder would write."""
-    return bytes((len(sid),)) + sid + b"\x00"
+def _naming(sid, flags):
+    """An OPEN (or ATTACH) payload naming the raw id bytes *sid*,
+    which no encoder would write."""
+    return bytes((len(sid),)) + sid + bytes((flags,))
 
 
 def test_ids_feed_cannot_carry_are_refused_on_every_request(
@@ -466,8 +469,10 @@ def test_ids_feed_cannot_carry_are_refused_on_every_request(
     # a FEED id is 1..255 bytes, and so is every other request's: an
     # empty id is refused by the server, a 300-byte one by the client
     # before it sends (no length byte can say 300), and no session opens
-    for request_type in NAMING_TYPES:
-        frame_type, body = client.request(request_type, _naming(b""))
+    for flags in NAMING_FLAGS:
+        frame_type, body = client.request(
+            protocol.OPEN_SESSION, _naming(b"", flags)
+        )
         assert frame_type == protocol.ERROR
         assert body["error"] == "protocol"
         assert "1..255 bytes" in body["message"]
@@ -488,9 +493,9 @@ def test_lone_surrogate_id_gets_an_error_and_keeps_the_connection(
     with DebugClient(
         running.host, running.port, policy=RetryPolicy(max_attempts=1)
     ) as client:
-        for request_type in NAMING_TYPES:
+        for flags in NAMING_FLAGS:
             frame_type, body = client.request(
-                request_type, _naming(b"\xed\xa0\x80")
+                protocol.OPEN_SESSION, _naming(b"\xed\xa0\x80", flags)
             )
             assert frame_type == protocol.ERROR
             assert body["error"] == "protocol"
@@ -668,12 +673,14 @@ def test_retried_unnamed_open_reaches_the_same_session(context):
             _, first = _open_unnamed(client)
             frame_type, retry = _open_unnamed(client)
             assert frame_type == protocol.OK
-            assert retry["session_id"] == first["session_id"]
+            # the same handle: the same incarnation of the same session
+            assert retry["handle"] == first["handle"]
             assert retry["resumed"] is True
             assert client.stats()["server"]["open_sessions"] == 1
             # another token is another OPEN
             _, other = _open_unnamed(client, token="feedf00d")
-            assert other["session_id"] != first["session_id"]
+            assert other["handle"] != first["handle"]
+            assert client.stats()["server"]["open_sessions"] == 2
     finally:
         handle.thread.stop()
 
@@ -687,7 +694,7 @@ def test_retried_unnamed_open_at_the_global_cap_is_answered(context):
             _, first = _open_unnamed(client)
             frame_type, retry = _open_unnamed(client)
             assert frame_type == protocol.OK
-            assert retry["session_id"] == first["session_id"]
+            assert retry["handle"] == first["handle"]
             assert retry["resumed"] is True
     finally:
         handle.thread.stop()
@@ -698,7 +705,8 @@ def test_retried_unnamed_open_after_a_durable_restart(context, tmp_path):
     handle = start_server(context, config)
     try:
         with DebugClient(handle.host, handle.port) as client:
-            _, first = _open_unnamed(client)
+            frame_type, _ = _open_unnamed(client)
+            assert frame_type == protocol.OK
     finally:
         handle.thread.stop()
     handle = start_server(context, config)
@@ -706,11 +714,14 @@ def test_retried_unnamed_open_after_a_durable_restart(context, tmp_path):
         with DebugClient(handle.host, handle.port) as client:
             frame_type, retry = _open_unnamed(client)
             assert frame_type == protocol.OK
-            assert retry["session_id"] == first["session_id"]
+            # the retry reached the recovered session: no orphan
             assert retry["resumed"] is True
+            assert client.stats()["server"]["open_sessions"] == 1
             # a new OPEN still draws an id no durable session holds
-            _, fresh = _open_unnamed(client, token="feedf00d")
-            assert fresh["session_id"] != first["session_id"]
+            frame_type, fresh = _open_unnamed(client, token="feedf00d")
+            assert frame_type == protocol.OK
+            assert "resumed" not in fresh
+            assert client.stats()["server"]["open_sessions"] == 2
     finally:
         handle.thread.stop()
 
@@ -726,10 +737,11 @@ def test_abort_mid_session_leaves_no_task_pending(context):
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)
         try:
+            # handle 0: a connection's first OPEN gets its first handle
             replies = await _exchange(
                 reader, writer, protocol.FrameAssembler(),
                 [_open_frame(0, "crashed"),
-                 _feed_frame(1, "crashed", 0, chunks[0])],
+                 _feed_frame(1, 0, 0, chunks[0])],
             )
             assert [frame.frame_type for frame in replies] == [
                 protocol.OK, protocol.OK,

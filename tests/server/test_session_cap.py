@@ -7,7 +7,8 @@ store.  Either is refused with ``RETRY_LATER session-table-full`` and
 no effect when the table is full once idle sessions are evicted; a
 CLOSE retires the session it revives in the same op and needs no free
 slot, and an OPEN of a live id adds none: it resumes the session or is
-refused ``session-exists``, at the cap as below it.  The servers here
+refused ``session-exists``, at the cap as below it.  Nor does an
+ATTACH, which leaves a spilled session spilled.  The servers here
 run on the test's own event loop, so the test can age sessions and
 spill them between two requests.
 """
@@ -26,12 +27,14 @@ IDLE = 120.0
 
 
 class Wire:
-    """One raw connection to a server on the running loop."""
+    """One raw connection to a server on the running loop, and the
+    session handles the server handed out on it."""
 
     def __init__(self, reader, writer) -> None:
         self.reader, self.writer = reader, writer
         self.assembler = protocol.FrameAssembler()
         self.seq = 0
+        self.handles: Dict[str, int] = {}
 
     @classmethod
     async def connect(cls, server: DebugServer) -> "Wire":
@@ -56,19 +59,47 @@ class Wire:
             request_type, frame.frame_type, frame.payload
         )
 
+    async def by_handle(self, request_type: int, sid: str, encode):
+        """Send the *request_type* request ``encode(handle)`` for *sid*,
+        as :class:`~repro.server.DebugClient` does: attached (without
+        a token) first when this connection holds no handle for it,
+        and once more when the server no longer knows the one held (a
+        connection's handle table keeps ``max_sessions`` handles).  A
+        refused ATTACH's reply is returned as the request's."""
+        for again in (True, False):
+            held = sid in self.handles
+            if not held:
+                reply = await self.ask(
+                    protocol.OPEN_SESSION,
+                    protocol.encode_open_payload(sid, attach=True),
+                )
+                if reply[0] != protocol.OK:
+                    return reply
+                self.handles[sid] = reply[1]["handle"]
+            reply = await self.ask(request_type, encode(self.handles[sid]))
+            lost = reply[1].get("error") == "unknown-session"
+            if not (lost and held and again):
+                return reply
+            del self.handles[sid]
+
     async def request(
         self, request_type: int, sid: str, token: Optional[str] = None
     ):
         if request_type == protocol.OPEN_SESSION:
-            payload = protocol.encode_open_payload(sid, token=token)
-        else:
-            payload = protocol.encode_session_payload(sid)
-        return await self.ask(request_type, payload)
+            reply = await self.ask(
+                request_type, protocol.encode_open_payload(sid, token=token)
+            )
+            if reply[0] == protocol.OK:
+                self.handles[sid] = reply[1]["handle"]
+            return reply
+        return await self.by_handle(
+            request_type, sid, protocol.encode_session_request
+        )
 
     async def feed(self, sid: str, index: int, chunk: bytes):
-        return await self.ask(
-            protocol.FEED_CHUNK,
-            protocol.encode_feed_payload(sid, index, chunk),
+        return await self.by_handle(
+            protocol.FEED_CHUNK, sid,
+            lambda handle: protocol.encode_feed_request(handle, index, chunk),
         )
 
     async def ok(
@@ -132,9 +163,12 @@ def test_revivals_past_the_global_cap_are_refused_without_effect(
 
     async def scenario(server, wire):
         for sid in ("a", "b"):
-            await wire.ok(protocol.OPEN_SESSION, sid)
+            await wire.ok(protocol.OPEN_SESSION, sid, token=f"{sid}0000000")
         # the idle sweep spills both, and two new sessions, one on
-        # each shard, fill the table: no shard is full on its own
+        # each shard, fill the table: no shard is full on its own.
+        # Their handles push a's and b's out of this connection's
+        # table (it keeps max_sessions of them), so each request for a
+        # or b below attaches again first, which takes no slot
         assert [server.ring.shard_for(sid) for sid in "acbf"] == [0, 0, 1, 1]
         age(server, "a", "b")
         for sid in ("a", "b"):
@@ -147,8 +181,11 @@ def test_revivals_past_the_global_cap_are_refused_without_effect(
         assert_table_full(await wire.feed("a", 0, chunk))
         assert server.stats()["server"]["open_sessions"] == 2
         assert server.metrics.get("retry_later_total") == 3
-        # an OPEN of a spilled id would revive it: it needs a slot too
-        assert_table_full(await wire.request(protocol.OPEN_SESSION, "a"))
+        # an OPEN of a spilled id with the token that opened it would
+        # revive it: it needs a slot too
+        assert_table_full(
+            await wire.request(protocol.OPEN_SESSION, "a", "a0000000")
+        )
         assert server.metrics.get("retry_later_total") == 4
         assert wal_appends(server) == appends
         for sid in ("a", "b"):

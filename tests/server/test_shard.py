@@ -144,6 +144,82 @@ def test_a_second_open_of_an_idle_id_is_refused(context, recovered):
     assert second.snapshot("s") == first.snapshot("s")
 
 
+def test_a_spilled_session_resumes_only_with_its_own_token(recovered):
+    """Whether a second client may take a session over must not depend
+    on the idle sweep: spilled or live, an OPEN with another token (or
+    none) is refused and leaves the session where it was."""
+    shard = recovered(idle_timeout_s=0.2)
+    ok(shard.open("s", token="aaaa0000"))
+    shard.manager.session("s").last_active -= 1
+    assert shard.manager.evict_idle() == ("s",)
+    for token in ("bbbb0000", None):
+        frame_type, decoded = body(shard.open("s", token=token))
+        assert frame_type == protocol.ERROR
+        assert decoded["error"] == "session-exists"
+        assert shard.spilled("s")
+        assert "s" not in shard.manager
+    assert_resumed(shard.open("s", token="aaaa0000"))
+    assert shard.manager.session("s").token == "aaaa0000"
+
+
+# -- incarnations and ATTACH -------------------------------------------
+
+def test_a_late_close_never_closes_a_later_incarnation(context):
+    shard = Shard(0, context, ServerConfig())
+    first = ok(shard.open("s", token="aaaa0000"))["handle"]
+    ok(shard.close("s", first), protocol.CLOSE_SESSION)
+    second = ok(shard.open("s", token="aaaa0000"))["handle"]
+    assert second != first
+    chunk = render_session_chunks(context, seed=35, chunk_records=2)[0]
+    # a late copy of the first CLOSE, and a stale FEED, of the first
+    # incarnation: no effect
+    for stale in (
+        shard.close("s", first), shard.feed("s", 0, chunk, False, first),
+        shard.snapshot("s", first),
+    ):
+        frame_type, payload = stale
+        assert frame_type == protocol.ERROR
+        assert protocol.decode_json(payload)["error"] == "unknown-session"
+    assert shard.manager.session("s").next_chunk == 0
+    snap = ok(shard.snapshot("s", second), protocol.SNAPSHOT)
+    assert snap["status"] == "active"
+
+
+def test_a_spill_and_a_revival_keep_the_incarnation(context, recovered):
+    shard = recovered(idle_timeout_s=0.2)
+    handle = ok(shard.open("s", token="aaaa0000"))["handle"]
+    shard.manager.session("s").last_active -= 1
+    shard.manager.evict_idle()
+    assert shard.spilled("s", handle)
+    assert shard.holds("s", handle)
+    # an ATTACH reaches the spilled incarnation and leaves it spilled:
+    # it adds no live session, and the next request revives it
+    assert not shard.adds_session("s", None, attach=True)
+    assert_resumed(shard.open("s", attach=True))
+    assert ok(shard.open("s", attach=True))["handle"] == handle
+    assert shard.spilled("s", handle)
+    chunk = render_session_chunks(context, seed=36, chunk_records=2)[0]
+    fed = ok(shard.feed("s", 0, chunk, False, handle), protocol.FEED_CHUNK)
+    assert fed["next_chunk"] == 1
+    assert not shard.spilled("s")
+
+
+def test_an_attach_creates_nothing(context, recovered):
+    shard = recovered()
+    frame_type, decoded = body(shard.open("s", attach=True))
+    assert frame_type == protocol.ERROR
+    assert decoded["error"] == "unknown-session"
+    assert len(shard.manager) == 0
+    assert shard.store.stats()["wal_appends"] == 0
+    ok(shard.open("s", token="aaaa0000"))
+    # with a token, only the session that token opened; without, any
+    foreign = body(shard.open("s", token="bbbb0000", attach=True))[1]
+    assert foreign["error"] == "unknown-session"
+    for token in ("aaaa0000", None):
+        assert_resumed(shard.open("s", token=token, attach=True))
+    assert len(shard.manager) == 1
+
+
 # -- a directory that holds one id twice -------------------------------
 #
 # Before a second OPEN of an idle id was refused, it spilled the idle

@@ -55,9 +55,8 @@ DEADLINE_MS = 10_000
 
 def test_binary_reply_frames_have_pinned_sizes(sc1x1):
     chunks = per_record_chunks(sc1x1, seed=0)
-    request = protocol.encode_session_payload(
-        "sized", deadline_ms=DEADLINE_MS
-    )
+    # handle 0: the first OPEN of a connection gets its first handle
+    request = protocol.encode_session_request(0, deadline_ms=DEADLINE_MS)
     handle = start_server(sc1x1, ServerConfig(shards=1))
     sock = socket.create_connection((handle.host, handle.port), timeout=5)
 
@@ -72,29 +71,30 @@ def test_binary_reply_frames_have_pinned_sizes(sc1x1):
         # a 4-byte header (the leading byte, the type, one varint byte
         # each for seq 1 and a length below 128) and the 2-byte CRC
         # frame every reply below; the requests as a default client
-        # sends them: the 5-byte id behind its length byte, the flag
-        # byte, the 2-byte varint deadline, and on OPEN the 8-character
-        # token behind its length byte
+        # sends them: on OPEN the 5-byte id behind its length byte, the
+        # flag byte, the 2-byte varint deadline and the 8-character
+        # token behind its length byte; on SNAPSHOT and CLOSE the
+        # one-byte handle, the flag byte and the deadline
         open_request = protocol.encode_open_payload(
             "sized", token="1234abcd", deadline_ms=DEADLINE_MS
         )
         assert len(open_request) == 1 + 5 + 1 + 2 + 1 + 8
-        assert len(request) == 1 + 5 + 1 + 2
-        # flags, one varint byte for shard 0, then the id, the
-        # transport and the mode, each behind its length byte (81 B
-        # as version 2's JSON)
+        assert len(request) == 1 + 1 + 2
+        # flags, one varint byte each for shard 0 and handle 0, then
+        # the transport and the mode, each behind its length byte (26 B
+        # with version 4's id, 81 B as version 2's JSON)
         assert reply(protocol.OPEN_SESSION, open_request) == (
             {
-                "session_id": "sized", "shard": 0, "transport": "text",
+                "shard": 0, "handle": 0, "transport": "text",
                 "mode": "prefix",
             },
-            4 + 1 + 1 + 6 + 5 + 7 + 2,
+            4 + 1 + 1 + 1 + 5 + 7 + 2,
         )
         # status and flag bytes, one varint byte per field below 128
         # and two for 2040 and 3150
         assert reply(
             protocol.FEED_CHUNK,
-            protocol.encode_feed_payload("sized", 0, chunks[0]),
+            protocol.encode_feed_request(0, 0, chunks[0]),
         ) == (
             {
                 "status": "active", "duplicate": False, "chunk_index": 0,
@@ -124,9 +124,10 @@ def test_binary_reply_frames_have_pinned_sizes(sc1x1):
 
 
 def test_a_client_sends_the_pinned_request_frames(sc1x1):
-    # OPEN 24 B, SNAPSHOT and CLOSE 15 B each for the 5-byte id at a
-    # one-byte seq (34, 25 and 25 B at protocol version 3; 94, 56 and
-    # 56 B as the key-sorted JSON of version 2)
+    # OPEN 24 B for the 5-byte id, SNAPSHOT and CLOSE 10 B each for its
+    # one-byte handle, at a one-byte seq (24, 15 and 15 B at protocol
+    # version 4; 34, 25 and 25 B at version 3; 94, 56 and 56 B as the
+    # key-sorted JSON of version 2)
     handle = start_server(sc1x1, ServerConfig(shards=1))
     sent = []
     try:
@@ -147,8 +148,8 @@ def test_a_client_sends_the_pinned_request_frames(sc1x1):
         handle.thread.stop()
     assert sent == [
         (protocol.OPEN_SESSION, 24),
-        (protocol.SNAPSHOT, 15),
-        (protocol.CLOSE_SESSION, 15),
+        (protocol.SNAPSHOT, 10),
+        (protocol.CLOSE_SESSION, 10),
     ]
 
 
@@ -183,16 +184,17 @@ def wire_bytes_per_record(context, snapshot_every_feed):
     return wire / records
 
 
-def test_wire_bytes_per_record_stay_under_85(sc1x1):
-    # 74.4 B at protocol version 4, 96.8 B at version 3, 116.5 B at
-    # version 2
+def test_wire_bytes_per_record_stay_under_70(sc1x1):
+    # 62.4 B at protocol version 5's session handles, 74.4 B at version
+    # 4, 96.8 B at version 3, 116.5 B at version 2
     per_record = wire_bytes_per_record(sc1x1, snapshot_every_feed=False)
-    assert per_record <= 85, per_record
+    assert per_record <= 70, per_record
 
 
-def test_polled_wire_bytes_per_record_stay_under_120():
-    # a window server polled after every FEED: 107.0 B at protocol
-    # version 4, 145.4 B at version 3, 196.2 B at version 2
+def test_polled_wire_bytes_per_record_stay_under_95():
+    # a window server polled after every FEED: 88.05 B at protocol
+    # version 5, 107.05 B at version 4, 145.4 B at version 3, 196.2 B
+    # at version 2
     window = ServeContext.from_scenario(1, instances=1, mode="window")
     per_record = wire_bytes_per_record(window, snapshot_every_feed=True)
-    assert per_record <= 120, per_record
+    assert per_record <= 95, per_record

@@ -144,7 +144,15 @@ def restored_replies(
     try:
         with DebugClient(running.host, running.port) as client:
             for sid, (transport, seed, fed) in SESSIONS.items():
-                request = protocol.encode_session_payload(sid)
+                # a fresh client attaches to the restored session, live
+                # or spilled, for its handle
+                _, attached = client.request(
+                    protocol.OPEN_SESSION,
+                    protocol.encode_open_payload(sid, attach=True),
+                )
+                request = protocol.encode_session_request(
+                    attached["handle"]
+                )
                 _, snapshot = client.request(protocol.SNAPSHOT, request)
                 chunks = legacy_chunks(context, transport, seed)
                 for index in range(fed, len(chunks)):

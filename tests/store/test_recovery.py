@@ -365,11 +365,13 @@ class TestEvictionSpill:
                 context, seed=82, chunk_records=4
             )
             with DebugClient(running.host, running.port) as client:
-                client.open_session("resume")
+                # a spilled session resumes only for the token that
+                # opened it
+                client.open_session_info("resume", token="0000beef")
                 client.feed("resume", 0, chunks[0])
                 client.feed("resume", 1, chunks[1])
                 self.wait_for_spill(running, "resume")
-                info = client.open_session_info("resume")
+                info = client.open_session_info("resume", token="0000beef")
                 assert info.get("resumed") is True
                 assert info.get("next_chunk") == 2
         finally:
